@@ -44,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scenario config file (or bundle JSON for 'emit')")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--format", default="csv", choices=["csv", "json", "both"])
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for BLAS kernels (results are "
-                             "independent of this setting)")
     return parser
 
 

@@ -278,6 +278,31 @@ class Hamiltonian:
             interaction=self.interaction,
         )
 
+    def tridiagonal(self):
+        """Real (diag, off) of the static matrix of a hermitian single-factor
+        Hamiltonian without couplings: the kinetic stencil plus the real
+        potential on the diagonal, zeros when there is neither."""
+        if (
+            len(self.space) != 1
+            or not self.is_hermitian()
+            or self.spin_coupling is not None
+            or self.interaction is not None
+        ):
+            raise StructureError(
+                "tridiagonal form needs a hermitian single-factor Hamiltonian "
+                "without couplings"
+            )
+        n = self.dimension
+        diag = np.zeros(n)
+        off = np.zeros(n - 1)
+        if self.kinetic:
+            inv2 = 1.0 / self.position_grid.dx**2
+            diag += 2.0 * inv2
+            off -= inv2
+        if self.potential_real is not None:
+            diag += self.potential_real
+        return diag, off
+
     def eigensystem(self):
         """Eigenvalues and eigenvector matrix of the static hermitian part."""
         if not self.is_hermitian():

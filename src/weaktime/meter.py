@@ -11,7 +11,10 @@ to weak values.
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
 drags an independent system evolution with the scalar coupling
-G h(t) pi_k A.  The default engine exploits this; a literal composite
+G h(t) pi_k A.  The default engine exploits this: for a single-factor
+system (a position grid or one spin) and a diagonal observable, each
+mode's generator H + (G/T) pi_k A is real symmetric tridiagonal, and each
+kept mode costs one real tridiagonal eigensolve.  A literal composite
 evolution is kept for small-grid cross-checks.
 """
 
@@ -49,10 +52,13 @@ from .hilbert import (
 )
 from .sojourn import SojournOperator, schroedinger_picture_schedule
 
-# relative pointer-mode cutoff: the Fourier coefficients of a truncated
-# Gaussian profile plateau near 1e-9 of the peak, and modes at that level
-# move the composite state by less than the cutoff; keeping them costs one
-# dense evolution each.  Pass mode_cutoff=0.0 to keep every mode.
+# relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
+# which errs in that mode by at most twice its coefficient.  On the
+# default PointerSpec.auto grid (extent_factor=16) the Fourier coefficients
+# of the Gaussian profile fall to a plateau below this cutoff: for
+# auto(width=1.0, max_shift=0.3), the scenario meter pointer, the plateau is
+# 2.6e-10 of the peak and 23 of 256 modes are kept.  MeterRun.modes_kept
+# reports the count.  Pass mode_cutoff=0.0 to keep every mode.
 DEFAULT_MODE_CUTOFF = 1e-8
 EDGE_MASS_BUDGET = 1e-7
 _TIME_ATOL = 1e-9
@@ -81,7 +87,7 @@ class PointerSpec:
         width: float,
         max_shift: float = 0.0,
         n_points: int = 256,
-        extent_factor: float = 12.0,
+        extent_factor: float = 16.0,
     ) -> "PointerSpec":
         """Grid sized to hold both the initial profile and the largest
         expected shift, with q = 0 on a grid point."""
@@ -110,7 +116,8 @@ class MeterRun:
 
     `reference_system_final` is the system state evolved with the meter
     switched off, used for survival probabilities and as the G = 0
-    reference in derivative identities.
+    reference in derivative identities.  `modes_kept` counts the pointer
+    modes evolved with the coupling; the others were below the mode cutoff.
     """
 
     spec: PointerSpec
@@ -123,6 +130,7 @@ class MeterRun:
     reference_system_final: QuantumState
     pointer_initial: QuantumState
     norm_drift: float
+    modes_kept: int
 
     @property
     def system_dimension(self) -> int:
@@ -197,7 +205,8 @@ def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) 
 
 
 def _finish_run(
-    spec, coupling, profile, window, label, engine, composite, psi_ref, phi, psi0
+    spec, coupling, profile, window, label, engine, composite, psi_ref, phi, psi0,
+    modes_kept,
 ):
     system_space = psi_ref.space
     full_space = (*system_space, spec.space())
@@ -215,6 +224,7 @@ def _finish_run(
         reference_system_final=psi_ref,
         pointer_initial=phi,
         norm_drift=drift,
+        modes_kept=modes_kept,
     )
 
 
@@ -233,10 +243,12 @@ def run_meter(
     """Evolve psi0 (x) Gaussian pointer under H + G h(t) pi (x) A.
 
     The observable A is a fixed hermitian matrix on the system space.
-    engine="factorized" solves each pointer momentum mode with one exact
-    matrix exponential over the (piecewise constant) profile window;
-    engine="composite" evolves the literal tensor-product state and is
-    meant for small grids.
+    engine="factorized" evolves each pointer momentum mode above
+    `mode_cutoff` through the (rectangular) profile window with one real
+    tridiagonal eigensolve of H + (G/T) pi_k A; it needs a single-factor
+    system without couplings (Hamiltonian.tridiagonal) and a diagonal A,
+    and raises StructureError otherwise.  engine="composite" evolves the
+    literal tensor-product state and is meant for small grids.
     """
     if tuple(observable.space) != tuple(system.space):
         raise StructureError("observable must live on the system space")
@@ -257,9 +269,12 @@ def run_meter(
         raise ParameterError(f"unknown meter engine {engine!r}")
     if not system.is_hermitian():
         raise ParameterError("factorized engine requires a hermitian system")
+    _require_bare(system)
+    diag, off = system.tridiagonal()
+    a = _real_diagonal(observable)
 
-    vals, vecs = system.eigensystem()
-    psi_eig = vecs.conj().T @ psi0.amplitudes
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+    psi_eig = vecs.T @ psi0.amplitudes
     pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
     post = np.exp(-1j * vals * (t1 - profile.t_stop) / HBAR)
     during = np.exp(-1j * vals * profile.duration / HBAR)
@@ -268,26 +283,22 @@ def run_meter(
     coeffs = np.fft.fft(phi.amplitudes)
     pi_vals = fourier_momentum_values(spec.grid)
     sig = _significant_modes(coeffs, mode_cutoff)
-    hmat = system.matrix_at(profile.t_start) - _interaction_free_part(system, profile)
     v_start = vecs @ (pre * psi_eig)
 
     modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
     modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
     rate = coupling / profile.duration
     for k in np.nonzero(sig)[0]:
-        hk = hmat + (rate * pi_vals[k]) * observable.matrix
-        wk, uk = scipy.linalg.eigh(hk)
-        v = uk @ (
-            np.exp(-1j * profile.duration / HBAR * wk) * (uk.conj().T @ v_start)
-        )
+        wk, uk = scipy.linalg.eigh_tridiagonal(diag + (rate * pi_vals[k]) * a, off)
+        v = uk @ (np.exp(-1j * profile.duration / HBAR * wk) * (uk.T @ v_start))
         if t1 > profile.t_stop + _TIME_ATOL:
-            v = vecs @ (post * (vecs.conj().T @ v))
+            v = vecs @ (post * (vecs.T @ v))
         modes[:, k] = coeffs[k] * v
 
     composite = _compose(modes)
     return _finish_run(
         spec, coupling, profile, window, _label(observable), "factorized",
-        composite, psi_ref, phi, psi0,
+        composite, psi_ref, phi, psi0, np.count_nonzero(sig),
     )
 
 
@@ -295,18 +306,25 @@ def _label(observable) -> str:
     return "observable" if isinstance(observable, OperatorMatrix) else "schedule"
 
 
-def _interaction_free_part(system: Hamiltonian, profile: CouplingProfile) -> np.ndarray:
-    """matrix_at inside the profile must be the bare system part; reject
-    Hamiltonians that already carry their own couplings."""
+def _require_bare(system: Hamiltonian) -> None:
+    """Reject Hamiltonians that already carry their own couplings; the
+    meter adds its own."""
     if system.interaction is not None or system.spin_coupling is not None:
         raise ParameterError("pass a bare system Hamiltonian; the meter adds its own coupling")
-    return np.zeros((system.dimension, system.dimension))
+
+
+def _real_diagonal(observable: OperatorMatrix) -> np.ndarray:
+    """Diagonal of a hermitian observable that has no off-diagonal entries."""
+    a = np.diagonal(observable.matrix)
+    if np.count_nonzero(observable.matrix) != np.count_nonzero(a):
+        raise StructureError("factorized engine needs a diagonal observable")
+    return a.real
 
 
 def _run_composite(
     spec, psi0, observable, coupling, profile, system, window, dt, phi
 ):
-    _interaction_free_part(system, profile)
+    _require_bare(system)
     t0, t1 = window
     full = Hamiltonian(
         (*system.space, spec.space()),
@@ -329,7 +347,7 @@ def _run_composite(
     composite = final.amplitudes.reshape(psi0.amplitudes.size, spec.grid.n_points)
     return _finish_run(
         spec, coupling, profile, window, _label(observable), "composite",
-        composite, psi_ref, phi, psi0,
+        composite, psi_ref, phi, psi0, spec.grid.n_points,
     )
 
 
@@ -387,7 +405,7 @@ def run_moment_meter(
     t0, t1 = window
     profile = CouplingProfile.rectangular(t0, t1)
     _check_initial_time(psi0, t0)
-    _interaction_free_part(system, profile)
+    _require_bare(system)
     if not system.is_hermitian():
         raise ParameterError("moment meter requires a hermitian system")
 
@@ -411,7 +429,7 @@ def run_moment_meter(
         composite = final.amplitudes.reshape(psi0.amplitudes.size, spec.grid.n_points)
         return _finish_run(
             spec, coupling, profile, window, f"region time^{order}", "composite",
-            composite, psi_ref, phi, psi0,
+            composite, psi_ref, phi, psi0, spec.grid.n_points,
         )
 
     vals, vecs = system.eigensystem()
@@ -451,7 +469,7 @@ def run_moment_meter(
     composite = _compose(modes)
     return _finish_run(
         spec, coupling, profile, window, f"region time^{order}", engine,
-        composite, psi_ref, phi, psi0,
+        composite, psi_ref, phi, psi0, np.count_nonzero(sig),
     )
 
 
@@ -668,7 +686,7 @@ def lambda_moment_route(
     lambdas = tuple(float(v) for v in lambdas)
     window = op.window
     _check_initial_time(psi0, window[0])
-    _interaction_free_part(system, CouplingProfile.rectangular(*window))
+    _require_bare(system)
     vals, vecs = system.eigensystem()
     base_eig = vecs.conj().T @ op.matrix.matrix @ vecs
     psi_eig = vecs.conj().T @ psi0.amplitudes

@@ -26,6 +26,7 @@ from .clocks import (
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
+    extrapolate_to_zero,
 )
 from .dynamics import CouplingProfile, Hamiltonian
 from .errors import ParameterError, ValidationError
@@ -486,8 +487,6 @@ def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis, op):
         readouts = [
             pointer_distribution(runs[g], chi).mean / g for g in METER_LADDER
         ]
-        from .clocks import extrapolate_to_zero
-
         value, order, residual = extrapolate_to_zero(METER_LADDER, readouts, 2)
         tau = duration * value.real
         bundle.sweeps["meter"][label] = {

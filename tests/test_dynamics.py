@@ -24,6 +24,7 @@ from weaktime.hilbert import (
     projector,
     spin_space,
 )
+from weaktime.scenarios import catalog
 
 GRID = Grid(48, 0.0, 40.0)
 SPACE = (position_space(GRID),)
@@ -173,3 +174,34 @@ def test_eigensystem_requires_static_hermitian():
     lossy = Hamiltonian(SPACE, potential_imag=-0.5 * gamma)
     with pytest.raises(ParameterError):
         lossy.eigensystem()
+
+
+@pytest.mark.parametrize("name", [*catalog(), "spin_toy"])
+def test_tridiagonal_rebuilds_static_matrix(name):
+    if name == "spin_toy":
+        ham = Hamiltonian((spin_space(),), kinetic=False)
+    else:
+        ham = catalog()[name].hamiltonian()
+    diag, off = ham.tridiagonal()
+    assert diag.dtype == np.float64 and off.dtype == np.float64
+    rebuilt = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    np.testing.assert_array_equal(rebuilt, ham._static_matrix())
+
+
+def test_tridiagonal_rejects_other_structures():
+    gamma = 0.1 * Region(15.0, 25.0).indicator(GRID)
+    spin_coupled = Hamiltonian(
+        (position_space(GRID), spin_space()),
+        spin_coupling=SpinCoupling(0.3, Region(15.0, 25.0)),
+    )
+    coupled = Hamiltonian(
+        SPACE,
+        interaction=InteractionTerm(
+            0.1, CouplingProfile.rectangular(0.0, 1.0), projector(Region(15.0, 25.0), GRID)
+        ),
+    )
+    two_factor = Hamiltonian((position_space(GRID), spin_space()))
+    for ham in (Hamiltonian(SPACE, potential_imag=-0.5 * gamma), spin_coupled,
+                coupled, two_factor):
+        with pytest.raises(StructureError):
+            ham.tridiagonal()

@@ -3,14 +3,16 @@ import pytest
 
 import oracle
 from weaktime.dynamics import CouplingProfile, Hamiltonian
-from weaktime.errors import ParameterError
+from weaktime.errors import ParameterError, StructureError
 from weaktime.hilbert import (
+    PAULI_X,
     PAULI_Z,
     Grid,
     QuantumState,
     Region,
     basis_cell_state,
     gaussian_packet,
+    identity_operator,
     inner_product,
     position_space,
     projector,
@@ -123,6 +125,19 @@ def test_edge_aliasing_guard():
     profile = CouplingProfile.rectangular(0.0, 1.0)
     with pytest.raises(ParameterError):
         run_meter(spec, psi0, sz, 10.0, profile, system)
+
+
+def test_factorized_engine_rejects_unstructured_problems():
+    system, psi0, _ = _toy()
+    spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=64)
+    profile = CouplingProfile.rectangular(0.0, 1.0)
+    with pytest.raises(StructureError):
+        run_meter(spec, psi0, spin_operator(PAULI_X), 0.1, profile, system)
+    space = (position_space(Grid(8, 0.0, 7.0)), spin_space())
+    two_factor = Hamiltonian(space)
+    psi = QuantumState(space, np.ones(16)).normalized()
+    with pytest.raises(StructureError):
+        run_meter(spec, psi, identity_operator(space), 0.1, profile, two_factor)
 
 
 def test_composite_engine_matches_factorized():

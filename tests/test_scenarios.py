@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from weaktime import cli
+from weaktime import cli, meter, scenarios
 from weaktime.errors import ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
@@ -221,6 +221,39 @@ def test_run_scenario_well_reports_half_window(well_ctx):
     rec = [r for r in bundle.records if r.method == "sojourn"][0]
     assert rec.value == pytest.approx(0.5 * well_ctx.scenario.duration(), abs=1e-8)
     assert bundle.provenance["config_hash"]
+
+
+@pytest.fixture(scope="module")
+def well_meter():
+    """The meter pipeline on well_halves, with the MeterRuns it made."""
+    runs = []
+
+    def recording_run_meter(*args, **kwargs):
+        runs.append(meter.run_meter(*args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "run_meter", recording_run_meter)
+        bundle = run_scenario(catalog()["well_halves"], pipelines=("meter",))
+    return bundle, runs
+
+
+def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
+    _, runs = well_meter
+    assert runs
+    for run in runs:
+        assert run.spec.grid.n_points == 256
+        assert run.modes_kept <= 32
+        coeffs = np.abs(np.fft.fft(run.pointer_initial.amplitudes))
+        dropped = np.sort(coeffs)[: coeffs.size - run.modes_kept]
+        assert np.all(dropped <= meter.DEFAULT_MODE_CUTOFF * coeffs.max())
+
+
+def test_meter_pipeline_well_reports_half_window(well_meter):
+    bundle, _ = well_meter
+    rec = [r for r in bundle.records if r.method == "meter"][0]
+    half = 0.5 * catalog()["well_halves"].duration()
+    assert rec.value == pytest.approx(half, abs=1e-9)
 
 
 # -- command line ---------------------------------------------------------------
