@@ -15,6 +15,7 @@ from weaktime import (
     QuantumState,
     Region,
     dwell_time,
+    evolve_eigenbasis,
     gaussian_packet,
     position_space,
 )
@@ -28,23 +29,16 @@ window = (0.0, 24.0)
 ham = Hamiltonian(space)
 psi0 = gaussian_packet(grid, 24.0, 4.0, 1.0)  # group velocity 2 k0 = 2
 
-vals, vecs = ham.eigensystem()
-
-
-def evolved(t):
-    amp = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi0.amplitudes))
-    return QuantumState(space, amp, t)
-
-
 op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
-psi_final = evolved(window[1])
+psi_final = evolve_eigenbasis(psi0, ham, window[1])
 tau = dwell_time(op, psi_final)
 
 # direct route: integrate the presence probability over time
 mask = region.indicator(grid)
 times = np.linspace(window[0], window[1], 401)
 presence = [
-    float(np.sum(mask * np.abs(evolved(t).amplitudes) ** 2) * grid.dx)
+    float(np.sum(mask * np.abs(evolve_eigenbasis(psi0, ham, t).amplitudes) ** 2)
+          * grid.dx)
     for t in times
 ]
 tau_direct = np.trapezoid(presence, times)
@@ -65,6 +59,7 @@ print(f"\nregion = whole box  -> {dwell_time(op_all, psi_final):.6f}"
 # sanity case 2: a box eigenstate spends half its time in either half
 left = Region(grid.x_min - 1.0, 0.5 * (grid.x_min + grid.x_max))
 op_half = sojourn_matrix(left, grid, ham, window, n_slices=400)
+_, vecs = ham.eigensystem()
 eig2 = QuantumState(space, vecs[:, 2] / np.sqrt(grid.dx), window[1])
 print(f"eigenstate, left half -> {dwell_time(op_half, eig2):.6f}"
       f"  (half window {(window[1] - window[0]) / 2:g})")

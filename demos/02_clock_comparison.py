@@ -17,12 +17,12 @@ from weaktime import (
     ClockConfig,
     Grid,
     Hamiltonian,
-    QuantumState,
     Region,
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
     dwell_time,
+    evolve_eigenbasis,
     gaussian_packet,
     position_space,
     sojourn_matrix,
@@ -36,9 +36,7 @@ window = (0.0, 8.0)
 ham = Hamiltonian(space)
 psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
-vals, vecs = ham.eigensystem()
-amp = vecs @ (np.exp(-1j * vals * window[1]) * (vecs.conj().T @ psi0.amplitudes))
-psi_final = QuantumState(space, amp, window[1])
+psi_final = evolve_eigenbasis(psi0, ham, window[1])
 
 op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
 tau = dwell_time(op, psi_final)

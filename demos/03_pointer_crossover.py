@@ -17,6 +17,7 @@ from weaktime import (
     PointerSpec,
     QuantumState,
     Region,
+    evolve_eigenbasis,
     gaussian_packet,
     pointer_distribution,
     position_space,
@@ -58,9 +59,7 @@ window = (0.0, 8.0)
 ham = Hamiltonian((position_space(grid),))
 packet = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
-vals, vecs = ham.eigensystem()
-amp = vecs @ (np.exp(-1j * vals * window[1]) * (vecs.conj().T @ packet.amplitudes))
-psi_final = QuantumState((position_space(grid),), amp, window[1])
+psi_final = evolve_eigenbasis(packet, ham, window[1])
 
 op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
 a_w = weak_value(op.integrated, psi_final).value.real

@@ -13,15 +13,13 @@ couplings extrapolated to zero, so they carry small residuals.  Agreement
 across all four is the consistency check this module exists for.
 """
 
-import numpy as np
-
 from weaktime import (
     Grid,
     Hamiltonian,
     PointerSpec,
-    QuantumState,
     Region,
     dwell_time,
+    evolve_eigenbasis,
     gaussian_packet,
     moment,
     position_space,
@@ -42,9 +40,7 @@ window = (0.0, 8.0)
 ham = Hamiltonian(space)
 psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
-vals, vecs = ham.eigensystem()
-amp = vecs @ (np.exp(-1j * vals * window[1]) * (vecs.conj().T @ psi0.amplitudes))
-psi_final = QuantumState(space, amp, window[1])
+psi_final = evolve_eigenbasis(psi0, ham, window[1])
 chi = psi_final.normalized()
 
 op = sojourn_matrix(region, grid, ham, window, n_slices=4000)

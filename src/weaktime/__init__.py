@@ -45,6 +45,7 @@ from .dynamics import (
     SpinCoupling,
     assemble,
     evolve,
+    evolve_eigenbasis,
     evolve_free,
 )
 from .sojourn import (

@@ -304,17 +304,26 @@ class Hamiltonian:
         return diag, off
 
     def eigensystem(self):
-        """Eigenvalues and eigenvector matrix of the static hermitian part."""
+        """Real eigenvalues and float64 orthonormal eigenvectors of the static
+        part, from one tridiagonal solve (see `tridiagonal`); cached."""
         if not self.is_hermitian():
             raise ParameterError("eigensystem requires a hermitian Hamiltonian")
         cached = self._cache.get("eig")
         if cached is None:
-            if self.spin_coupling is not None or self.interaction is not None:
-                raise ParameterError("eigensystem defined for the static part only")
-            vals, vecs = np.linalg.eigh(self._static_matrix())
-            cached = (vals.real, vecs)
+            cached = scipy.linalg.eigh_tridiagonal(*self.tridiagonal())
             self._cache["eig"] = cached
         return cached
+
+
+def evolve_eigenbasis(
+    state: QuantumState, hamiltonian: Hamiltonian, t_to: float
+) -> QuantumState:
+    """Exact evolution of `state` from its representation time to t_to under
+    the static hermitian Hamiltonian, as phases in its eigenbasis."""
+    vals, vecs = hamiltonian.eigensystem()
+    span = t_to - state.representation_time
+    amp = vecs @ (np.exp(-1j * vals * span / HBAR) * (vecs.T @ state.amplitudes))
+    return QuantumState(state.space, amp, t_to)
 
 
 def assemble(hamiltonian: Hamiltonian, t: float) -> OperatorMatrix:

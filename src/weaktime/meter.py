@@ -434,10 +434,10 @@ def run_moment_meter(
 
     vals, vecs = system.eigensystem()
     base_eig = np.linalg.matrix_power(
-        vecs.conj().T @ op.matrix.matrix @ vecs, order
+        vecs.T @ op.matrix.matrix @ vecs, order
     )
     base_eig = 0.5 * (base_eig + base_eig.conj().T)
-    psi_eig = vecs.conj().T @ psi0.amplitudes
+    psi_eig = vecs.T @ psi0.amplitudes
     free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * psi_eig
     psi_ref = QuantumState(psi0.space, vecs @ free_eig, t1)
 
@@ -688,10 +688,10 @@ def lambda_moment_route(
     _check_initial_time(psi0, window[0])
     _require_bare(system)
     vals, vecs = system.eigensystem()
-    base_eig = vecs.conj().T @ op.matrix.matrix @ vecs
-    psi_eig = vecs.conj().T @ psi0.amplitudes
+    base_eig = vecs.T @ op.matrix.matrix @ vecs
+    psi_eig = vecs.T @ psi0.amplitudes
     free_eig = np.exp(-1j * vals * (window[1] - window[0]) / HBAR) * psi_eig
-    chi_eig = vecs.conj().T @ chi.amplitudes
+    chi_eig = vecs.T @ chi.amplitudes
     w = psi0.cell_weight
     den = w * np.vdot(chi_eig, free_eig)
     if abs(den) <= 1e-12:

@@ -28,10 +28,9 @@ from .clocks import (
     clock_real_potential,
     extrapolate_to_zero,
 )
-from .dynamics import CouplingProfile, Hamiltonian
+from .dynamics import CouplingProfile, Hamiltonian, evolve_eigenbasis
 from .errors import ParameterError, ValidationError
 from .hilbert import (
-    HBAR,
     Grid,
     QuantumState,
     Region,
@@ -259,11 +258,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 )
         # free pre-run: evolve without the potential and inspect the edges
         free = Hamiltonian((position_space(sc.grid),))
-        vals, vecs = free.eigensystem()
-        psi = gaussian_packet(sc.grid, sc.packet.x0, sc.packet.sigma, sc.packet.k0)
-        amp = vecs @ (
-            np.exp(-1j * vals * sc.duration() / HBAR) * (vecs.conj().T @ psi.amplitudes)
-        )
+        amp = evolve_eigenbasis(sc.initial_state(), free, sc.window[1]).amplitudes
         band = 8
         edge_mass = float(
             (np.sum(np.abs(amp[:band]) ** 2) + np.sum(np.abs(amp[-band:]) ** 2))
@@ -375,15 +370,6 @@ def _sweep_payload(rec: SweepRecord) -> dict:
 
 
 # -- pipelines -------------------------------------------------------------
-
-
-def _evolved_final(sc: Scenario, ham: Hamiltonian) -> QuantumState:
-    vals, vecs = ham.eigensystem()
-    psi0 = sc.initial_state()
-    amp = vecs @ (
-        np.exp(-1j * vals * sc.duration() / HBAR) * (vecs.conj().T @ psi0.amplitudes)
-    )
-    return QuantumState(psi0.space, amp, sc.window[1])
 
 
 def _postselectors(sc: Scenario, psi_final: QuantumState) -> dict:
@@ -516,7 +502,7 @@ def run_scenario(
     )
     ham = scenario.hamiltonian()
     psi0 = scenario.initial_state()
-    psi_final = _evolved_final(scenario, ham)
+    psi_final = evolve_eigenbasis(psi0, ham, scenario.window[1])
     chis = _postselectors(scenario, psi_final)
     op = sojourn_matrix(
         scenario.region, scenario.grid, ham, scenario.window, scenario.n_slices

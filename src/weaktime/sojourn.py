@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
-from .dynamics import CouplingProfile, Hamiltonian, Propagator
+from .dynamics import CouplingProfile, Hamiltonian
 from .errors import (
     DegeneratePostselectionError,
     ParameterError,
@@ -85,18 +84,17 @@ class WeakValueResult:
 def _trapezoid_filter(omega: np.ndarray, duration: float, n_slices: int) -> np.ndarray:
     """Trapezoid sum of exp(-i omega s)/T over s in [0, T] with n_slices panels.
 
-    Evaluated in closed form (geometric series), so n_slices can be large at
-    no cost.
+    Closed trig form (delta/T) cot(omega delta/2) sin(omega T/2) exp(-i omega T/2)
+    with delta = T/n_slices: no cancellation at small omega delta, exactly 1
+    only at omega == 0, and n_slices costs nothing.
     """
-    delta = duration / n_slices
-    z = np.exp(-1j * omega * delta)
-    zn = z**n_slices
-    denom = 1.0 - z
-    safe = np.abs(denom) > 1e-12
-    denom = np.where(safe, denom, 1.0)
-    series = (z - zn) / denom  # sum_{k=1}^{n-1} z^k
-    f = (delta / duration) * (0.5 + series + 0.5 * zn)
-    return np.where(safe, f, 1.0 + 0.0j)
+    half = (0.5 * duration / n_slices) * omega
+    zero = half == 0.0
+    half = np.where(zero, 1.0, half)
+    phase = 0.5 * duration * omega
+    sin_phase = np.sin(phase)
+    amp = sin_phase / (n_slices * np.tan(half))
+    return np.where(zero, 1.0, amp * np.cos(phase) - 1j * (amp * sin_phase))
 
 
 def integrate_heisenberg(
@@ -105,14 +103,14 @@ def integrate_heisenberg(
     window: tuple[float, float],
     n_slices: int,
     profile: Optional[CouplingProfile] = None,
-    engine: str = "spectral",
 ) -> IntegratedOperator:
     """Time-averaged Heisenberg observable over `window`.
 
-    engine="spectral" evaluates the trapezoid sum exactly in the eigenbasis
-    of the free Hamiltonian; engine="loop" accumulates the slices with
-    explicit matrix-exponential steps (slow, used for cross-checks).  Both
-    compute the same quadrature.
+    The trapezoid sum is evaluated exactly in the real eigenbasis V of the
+    free Hamiltonian: V (A_eig * F) V^T with A_eig = V^T A V and F the
+    trapezoid filter of the level differences.  A diagonal observable (a
+    region projector) needs only its nonzero rows of V; the complex
+    back-transform runs as real products on the real and imaginary parts.
     """
     if n_slices < 2:
         raise ParameterError("n_slices must be at least 2")
@@ -126,26 +124,19 @@ def integrate_heisenberg(
         raise ParameterError("window must have positive duration")
     profile = profile or CouplingProfile.rectangular(t_start, t_stop)
 
-    if engine == "spectral":
-        vals, vecs = free_hamiltonian.eigensystem()
-        a_eig = vecs.conj().T @ observable.matrix @ vecs
-        omega = (vals[:, None] - vals[None, :]) / HBAR
-        mat = vecs @ (a_eig * _trapezoid_filter(omega, duration, n_slices)) @ vecs.conj().T
-    elif engine == "loop":
-        delta = duration / n_slices
-        step = scipy.linalg.expm(-1j * delta / HBAR * free_hamiltonian.matrix_at(t_start))
-        u = np.eye(free_hamiltonian.dimension, dtype=complex)  # U0(t_f, t_f)
-        acc = np.zeros_like(u)
-        for j in range(n_slices, -1, -1):
-            w = 0.5 if j in (0, n_slices) else 1.0
-            acc += w * (u @ observable.matrix @ u.conj().T)
-            if j > 0:
-                u = u @ step
-        mat = acc * (delta / duration)
+    vals, vecs = free_hamiltonian.eigensystem()
+    a = observable.matrix
+    diag = np.diagonal(a).real
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        idx = np.flatnonzero(diag)
+        a_eig = (vecs[idx].T * diag[idx]) @ vecs[idx]
     else:
-        raise ParameterError(f"unknown engine {engine!r}")
-
-    mat = 0.5 * (mat + mat.conj().T)
+        a_eig = vecs.T @ a.real @ vecs + 1j * (vecs.T @ a.imag @ vecs)
+    omega = (vals[:, None] - vals[None, :]) / HBAR
+    m = a_eig * _trapezoid_filter(omega, duration, n_slices)
+    re = vecs @ m.real @ vecs.T
+    im = vecs @ m.imag @ vecs.T
+    mat = 0.5 * (re + re.T) + 0.5j * (im - im.T)
     return IntegratedOperator(
         base=observable,
         window=(t_start, t_stop),
@@ -161,15 +152,12 @@ def sojourn_matrix(
     free_hamiltonian: Hamiltonian,
     window: tuple[float, float],
     n_slices: int,
-    engine: str = "spectral",
 ) -> SojournOperator:
     """Sojourn-time operator for `region` over `window`."""
     proj = projector(region, grid)
     if tuple(proj.space) != free_hamiltonian.space:
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
-    integrated = integrate_heisenberg(
-        proj, free_hamiltonian, window, n_slices, engine=engine
-    )
+    integrated = integrate_heisenberg(proj, free_hamiltonian, window, n_slices)
     duration = window[1] - window[0]
     mat = OperatorMatrix(
         proj.space, duration * integrated.matrix.matrix, hermitian=True
@@ -376,14 +364,14 @@ def schroedinger_picture_schedule(
     """
     vals, vecs = free_hamiltonian.eigensystem()
     base = np.linalg.matrix_power(
-        vecs.conj().T @ op.matrix.matrix @ vecs, power
+        vecs.T @ op.matrix.matrix @ vecs, power
     )
     t_stop = op.window[1]
     space = op.matrix.space
 
     def schedule(t: float) -> OperatorMatrix:
         phase = np.exp(-1j * vals * (t_stop - t) / HBAR)
-        mat = vecs @ (np.conj(phase)[:, None] * base * phase[None, :]) @ vecs.conj().T
+        mat = vecs @ (np.conj(phase)[:, None] * base * phase[None, :]) @ vecs.T
         mat = 0.5 * (mat + mat.conj().T)
         return OperatorMatrix(space, mat, hermitian=True)
 

@@ -9,12 +9,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from weaktime.hilbert import HBAR, QuantumState
+from weaktime.dynamics import evolve_eigenbasis
+from weaktime.hilbert import QuantumState
 from weaktime.scenarios import catalog, postselect_transmitted_reflected
 from weaktime.sojourn import SojournOperator, sojourn_matrix
 
@@ -36,11 +36,7 @@ def _build_context(name):
     sc = catalog()[name]
     ham = sc.hamiltonian()
     psi0 = sc.initial_state()
-    vals, vecs = ham.eigensystem()
-    amp = vecs @ (
-        np.exp(-1j * vals * sc.duration() / HBAR) * (vecs.conj().T @ psi0.amplitudes)
-    )
-    psi_final = QuantumState(psi0.space, amp, sc.window[1])
+    psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
     op = sojourn_matrix(sc.region, sc.grid, ham, sc.window, sc.n_slices)
     ctx = ScenarioContext(sc, ham, psi0, psi_final, op)
     if sc.postselection == "transmitted_reflected":

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import oracle
-from weaktime.dynamics import CouplingProfile, Hamiltonian, Propagator, evolve
+from weaktime.dynamics import (
+    CouplingProfile,
+    Hamiltonian,
+    Propagator,
+    evolve,
+    evolve_eigenbasis,
+)
 from weaktime.hilbert import (
     PAULI_Z,
     Grid,
@@ -214,11 +220,7 @@ def test_criterion_5_sum_rules():
     for name, sc in catalog().items():
         ham = sc.hamiltonian()
         psi0 = sc.initial_state()
-        vals, vecs = ham.eigensystem()
-        amp = vecs @ (
-            np.exp(-1j * vals * sc.duration()) * (vecs.conj().T @ psi0.amplitudes)
-        )
-        psi_final = QuantumState(psi0.space, amp, sc.window[1])
+        psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
         op = sojourn_matrix(sc.region, sc.grid, ham, sc.window, 2000)
         if sc.postselection == "transmitted_reflected":
             _, family = postselection_family(psi_final, sc.potential.interval)

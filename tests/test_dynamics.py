@@ -10,6 +10,7 @@ from weaktime.dynamics import (
     SpinCoupling,
     assemble,
     evolve,
+    evolve_eigenbasis,
     evolve_free,
     heisenberg_conjugate,
     propagate_matrix,
@@ -176,12 +177,41 @@ def test_eigensystem_requires_static_hermitian():
         lossy.eigensystem()
 
 
+def _catalog_or_spin_toy(name):
+    if name == "spin_toy":
+        return Hamiltonian((spin_space(),), kinetic=False)
+    return catalog()[name].hamiltonian()
+
+
+@pytest.mark.parametrize("name", [*catalog(), "spin_toy"])
+def test_eigensystem_is_real_orthonormal_and_rebuilds_static_matrix(name):
+    ham = _catalog_or_spin_toy(name)
+    vals, vecs = ham.eigensystem()
+    assert vals.dtype == np.float64 and vecs.dtype == np.float64
+    static = ham._static_matrix()
+    scale = np.linalg.norm(static, 2)
+    rebuilt = (vecs * vals) @ vecs.T
+    assert np.max(np.abs(rebuilt - static)) <= 1e-12 * scale
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(ham.dimension))) <= 1e-12
+
+
+def test_eigensystem_rejects_two_factor_space():
+    with pytest.raises(StructureError):
+        Hamiltonian((position_space(GRID), spin_space())).eigensystem()
+
+
+def test_evolve_eigenbasis_matches_oracle():
+    ham = Hamiltonian(SPACE, potential_real=0.3 * Region(15.0, 25.0).indicator(GRID))
+    psi = _packet().at_time(1.0)
+    out = evolve_eigenbasis(psi, ham, 5.0)
+    ref = oracle.evolve_exact(ham.matrix_at(0.0), psi.amplitudes, 4.0)
+    np.testing.assert_allclose(out.amplitudes, ref, atol=1e-12)
+    assert out.representation_time == 5.0
+
+
 @pytest.mark.parametrize("name", [*catalog(), "spin_toy"])
 def test_tridiagonal_rebuilds_static_matrix(name):
-    if name == "spin_toy":
-        ham = Hamiltonian((spin_space(),), kinetic=False)
-    else:
-        ham = catalog()[name].hamiltonian()
+    ham = _catalog_or_spin_toy(name)
     diag, off = ham.tridiagonal()
     assert diag.dtype == np.float64 and off.dtype == np.float64
     rebuilt = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

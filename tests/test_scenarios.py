@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,3 +306,23 @@ def test_cli_compare_agrees_on_well(well_config, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "agreement: ok" in out
+
+
+def test_position_cell_config_round_trip_runs_and_emits(barrier_ctx, tmp_path):
+    cell = int(np.argmax(np.abs(barrier_ctx.psi_final.amplitudes)))
+    sc = replace(barrier_ctx.scenario, name="barrier_cell",
+                 postselection="position_cell", cell_index=cell)
+    text = format_config(scenario_to_config(sc))
+    assert f"postselection.cell = {cell}\n" in text
+    back = scenario_from_config(parse_config(text))
+    assert back == sc
+    emitted = []
+    for run in ("a", "b"):
+        bundle = run_scenario(back, pipelines=("sojourn",))
+        paths = emit(bundle, fmt="both", out_dir=str(tmp_path / run))
+        emitted.append([open(p, "rb").read() for p in paths])
+    cell_records = [r for r in bundle.records if r.postselection == "cell"]
+    assert sorted((r.method, r.order) for r in cell_records) == [
+        ("sojourn", 1), ("sojourn", 2)]
+    assert all(np.isfinite(r.value) for r in cell_records)
+    assert emitted[0] == emitted[1]

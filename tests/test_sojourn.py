@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from weaktime.dynamics import Hamiltonian
@@ -15,6 +17,7 @@ from weaktime.hilbert import (
     projector,
 )
 from weaktime.sojourn import (
+    _trapezoid_filter,
     conditional_dwell_time,
     conditional_weak_value,
     dwell_time,
@@ -80,12 +83,12 @@ def test_integrated_commuting_observable_unchanged():
     np.testing.assert_allclose(out.matrix.matrix, f_of_h, atol=1e-10)
 
 
-def test_spectral_and_loop_engines_agree():
+def test_spectral_sum_matches_oracle_slice_loop():
     ham = _small_ham()
     proj = projector(REGION, GRID)
-    a = integrate_heisenberg(proj, ham, WINDOW, 64, engine="spectral")
-    b = integrate_heisenberg(proj, ham, WINDOW, 64, engine="loop")
-    np.testing.assert_allclose(a.matrix.matrix, b.matrix.matrix, atol=1e-12)
+    ours = integrate_heisenberg(proj, ham, WINDOW, 64).matrix.matrix
+    ref = oracle.time_average(proj.matrix, ham.matrix_at(0.0), WINDOW, 64)
+    np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
 def test_integrated_matches_brute_force_quadrature(small):
@@ -104,6 +107,44 @@ def test_sojourn_full_box_is_window_length():
     np.testing.assert_allclose(
         op.matrix.matrix, duration * np.eye(GRID.n_points), atol=1e-9
     )
+
+
+@pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
+def test_catalog_sojourn_spectrum_within_window(ctx, request):
+    op = request.getfixturevalue(ctx).op
+    vals = np.linalg.eigvalsh(op.matrix.matrix)
+    assert vals.min() >= -1e-9
+    assert vals.max() <= op.duration + 1e-9
+
+
+def _direct_trapezoid(omega, duration, n_slices):
+    delta = duration / n_slices
+    weights = np.ones(n_slices + 1)
+    weights[[0, -1]] = 0.5
+    s = delta * np.arange(n_slices + 1)
+    return np.sum(weights * np.exp(-1j * omega * s)) * delta / duration
+
+
+@settings(max_examples=200, deadline=None)
+@example(log_omega=np.log10(3e-10), duration=50.0, n_slices=20000)
+@given(
+    st.floats(min_value=-14.0, max_value=2.0),
+    st.floats(min_value=1.0, max_value=60.0),
+    st.integers(min_value=2, max_value=20000),
+)
+def test_trapezoid_filter_matches_direct_sum(log_omega, duration, n_slices):
+    omega = 10.0**log_omega
+    f = _trapezoid_filter(np.array([omega, -omega]), duration, n_slices)
+    ref = _direct_trapezoid(omega, duration, n_slices)
+    assert abs(f[0] - ref) <= 1e-12
+    assert abs(f[1] - np.conj(ref)) <= 1e-12
+
+
+def test_trapezoid_filter_is_one_only_at_zero_frequency():
+    f = _trapezoid_filter(np.array([0.0, 3e-10]), 50.0, 20000)
+    assert f[0] == 1.0
+    # small omega: 1 - i omega T / 2 to first order
+    assert f[1].imag == pytest.approx(-0.5 * 3e-10 * 50.0, rel=1e-6)
 
 
 def test_sojourn_spectrum_within_window(small):
