@@ -55,8 +55,10 @@ for name, fn, ladder in configs:
     print(f"{name:<22}{rec.time:>12.6f}{rec.time - tau:>14.2e}"
           f"{rec.order:>11.2f}{rec.residual:>12.2e}")
 
-# the Larmor sweeps also support a second, amplitude-based readout; the two
-# readings come from the same evolutions and must agree
+# the Larmor sweeps also support a second, amplitude-based readout: the
+# spin-up and spin-down runs are the phase clock's +-v runs at v = omega/2,
+# so i (a_up - a_down) / (omega a_up(0)) is its central difference; both
+# readings come from the same two evolutions per strength and must agree
 cfg = ClockConfig("larmor", (0.2, 0.1, 0.05), region, window)
 rec = clock_larmor(cfg, ham, psi0, psi_final)
 ident = rec.metadata["identity_value"]

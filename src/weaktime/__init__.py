@@ -35,18 +35,13 @@ from .hilbert import (
     pointer_space,
     projector,
     spin_space,
-    tensor_extend,
 )
 from .dynamics import (
     CouplingProfile,
     Hamiltonian,
-    InteractionTerm,
     Propagator,
-    SpinCoupling,
-    assemble,
     evolve,
     evolve_eigenbasis,
-    evolve_free,
 )
 from .sojourn import (
     IntegratedOperator,

@@ -6,28 +6,25 @@ small absorbing potential (norm clock) and a small spin precession field
 confined to the region (Larmor clock).  Each is swept over a descending
 ladder of strengths and Richardson-extrapolated to zero strength.
 
-All derivatives are finite differences of full evolutions; the perturbed
-and unperturbed states are propagated with the same stepper so that
-time-discretization phase errors largely cancel in the ratios.
+The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
+in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
+H - hbar omega/2 on the region: the same pair of position-only runs as the
+phase clock at v = hbar omega/2.  No spin factor is ever built.
+
+All derivatives are finite differences of full Crank-Nicolson evolutions;
+the perturbed and unperturbed states are propagated with the same time
+step so that time-discretization phase errors largely cancel in the ratios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import Hamiltonian, Propagator, SpinCoupling, evolve
+from .dynamics import Hamiltonian, Propagator, evolve
 from .errors import DegeneratePostselectionError, ParameterError
-from .hilbert import (
-    HBAR,
-    FactorSpace,
-    QuantumState,
-    Region,
-    inner_product,
-    spin_space,
-)
+from .hilbert import HBAR, QuantumState, Region, inner_product
 
 MIN_STRENGTH = 1e-7
 ORDER_BAND = (0.8, 2.5)
@@ -41,7 +38,6 @@ class ClockConfig:
     strengths: tuple[float, ...]
     region: Region
     window: tuple[float, float]
-    derivative: str = "central"
 
     def __post_init__(self):
         s = tuple(float(v) for v in self.strengths)
@@ -145,12 +141,28 @@ def _overlap_or_raise(chi_state, phi0, floor=1e-12):
     return den
 
 
+def _signed_runs(cfg, system, psi_initial, strengths, dt):
+    """Unperturbed final state and, for each strength v, the final states
+    under the system Hamiltonian plus +v and -v on the region."""
+    t0, t1 = cfg.window
+    indicator = cfg.region.indicator(system.position_grid)
+
+    def run(ham):
+        return evolve(psi_initial, Propagator(dt, ham), t0, t1)
+
+    phi0 = run(system)
+    runs = {
+        v: tuple(run(system.with_potential_added(real=u * indicator)) for u in (v, -v))
+        for v in strengths
+    }
+    return phi0, runs
+
+
 def clock_real_potential(
     cfg: ClockConfig,
     system: Hamiltonian,
     psi_initial: QuantumState,
     chi,
-    stepper: str = "implicit_step",
     dt: float = 0.05,
 ):
     """Phase clock: evolve under the system Hamiltonian plus a small real
@@ -162,18 +174,7 @@ def clock_real_potential(
     """
     if cfg.method != "real_potential":
         raise ParameterError("config method mismatch")
-    t0, t1 = cfg.window
-    indicator = cfg.region.indicator(system.position_grid)
-    prop0 = Propagator(stepper, dt, system)
-    phi0 = evolve(psi_initial, prop0, t0, t1)
-
-    perturbed = {}
-    for v in cfg.strengths:
-        for sign in (+1.0, -1.0):
-            ham = system.with_potential_added(real=sign * v * indicator)
-            perturbed[(v, sign)] = evolve(
-                psi_initial, Propagator(stepper, dt, ham), t0, t1
-            )
+    phi0, perturbed = _signed_runs(cfg, system, psi_initial, cfg.strengths, dt)
 
     meta = {
         "pointer_representation": "potential = coupling * pointer_momentum / window_duration",
@@ -183,10 +184,8 @@ def clock_real_potential(
         den = _overlap_or_raise(chi_state, phi0)
         readouts = []
         for v in cfg.strengths:
-            deriv = (
-                inner_product(chi_state, perturbed[(v, 1.0)])
-                - inner_product(chi_state, perturbed[(v, -1.0)])
-            ) / (2.0 * v)
+            up, down = (inner_product(chi_state, s) for s in perturbed[v])
+            deriv = (up - down) / (2.0 * v)
             readouts.append(1j * HBAR * deriv / den)
         out[label] = _record("real_potential", label, cfg.strengths, readouts, 2, dict(meta))
     return _unwrap(out, chi)
@@ -197,7 +196,6 @@ def clock_imaginary_potential(
     system: Hamiltonian,
     psi_initial: QuantumState,
     chi,
-    stepper: str = "implicit_step",
     dt: float = 0.05,
     max_absorbed_fraction: float = 0.2,
 ):
@@ -208,13 +206,13 @@ def clock_imaginary_potential(
         raise ParameterError("config method mismatch")
     t0, t1 = cfg.window
     indicator = cfg.region.indicator(system.position_grid)
-    prop0 = Propagator(stepper, dt, system)
+    prop0 = Propagator(dt, system)
     phi0 = evolve(psi_initial, prop0, t0, t1)
 
     perturbed = {}
     for g in cfg.strengths:
         ham = system.with_potential_added(imag=-0.5 * g * indicator)
-        perturbed[g] = evolve(psi_initial, Propagator(stepper, dt, ham), t0, t1)
+        perturbed[g] = evolve(psi_initial, Propagator(dt, ham), t0, t1)
 
     absorbed = 1.0 - perturbed[cfg.strengths[0]].norm() ** 2
     if absorbed > max_absorbed_fraction:
@@ -241,7 +239,6 @@ def absorption_survival_dwell(
     cfg: ClockConfig,
     system: Hamiltonian,
     psi_initial: QuantumState,
-    stepper: str = "implicit_step",
     dt: float = 0.05,
 ) -> SweepRecord:
     """Unconditioned absorption clock from total norm loss,
@@ -251,13 +248,9 @@ def absorption_survival_dwell(
     readouts = []
     for g in cfg.strengths:
         ham = system.with_potential_added(imag=-0.5 * g * indicator)
-        phi = evolve(psi_initial, Propagator(stepper, dt, ham), t0, t1)
+        phi = evolve(psi_initial, Propagator(dt, ham), t0, t1)
         readouts.append(complex(-HBAR * (phi.norm() ** 2 - 1.0) / g))
     return _record("imaginary_potential_norm", "none", cfg.strengths, readouts, 1)
-
-
-def _spin_plus_x() -> np.ndarray:
-    return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def clock_larmor(
@@ -265,71 +258,36 @@ def clock_larmor(
     system: Hamiltonian,
     psi_initial: QuantumState,
     chi,
-    stepper: str = "implicit_step",
     dt: float = 0.05,
 ):
     """Larmor clock: attach a spin initially polarized along +x, precess it
     in the region, and read the conditional y-polarization per unit
     precession frequency.
 
-    The spatial postselectors act on the position factor alone.  Each
-    record's metadata carries `identity_value`, the same sweep read through
-    the pointer-derivative identity (the ratio of spin-resolved amplitudes),
-    for cross-checking the two algebraic routes.
+    The spin-up and spin-down amplitudes behind the postselector are
+    a_up = <chi|psi_+>/sqrt(2) and a_down = <chi|psi_->/sqrt(2), with psi_+-
+    evolved under H +- hbar omega/2 on the region; the common 1/sqrt(2)
+    cancels from both readouts and is left out.  Each record's metadata
+    carries `identity_value`, the same sweep read through the
+    pointer-derivative identity i (a_up - a_down) / (omega a_up(0)), which is
+    the phase clock's central difference at v = hbar omega/2.
     """
     if cfg.method != "larmor":
         raise ParameterError("config method mismatch")
-    t0, t1 = cfg.window
-    space2 = (*system.space, spin_space())
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    psi2 = QuantumState(
-        space2, np.kron(psi_initial.amplitudes, _spin_plus_x()), psi_initial.representation_time
-    )
-
-    def spin_ham(omega):
-        return Hamiltonian(
-            space2,
-            kinetic=system.kinetic,
-            potential_real=system.potential_real,
-            potential_imag=system.potential_imag,
-            spin_coupling=SpinCoupling(omega, cfg.region, (t0, t1)),
-        )
-
-    prop0 = Propagator(stepper, dt, spin_ham(0.0))
-    phi0 = evolve(psi2, prop0, t0, t1)
-    runs = {
-        w: evolve(psi2, Propagator(stepper, dt, spin_ham(w)), t0, t1)
-        for w in cfg.strengths
-    }
-
-    nspin = 2
-    dx = system.position_grid.dx
-
-    def spin_components(state, chi_state):
-        # project the position factor onto chi, leaving a 2-spinor
-        amps = state.amplitudes.reshape(-1, nspin)
-        return dx * (chi_state.amplitudes.conj() @ amps)
+    halves = tuple(0.5 * HBAR * w for w in cfg.strengths)
+    phi0, runs = _signed_runs(cfg, system, psi_initial, halves, dt)
 
     out = {}
     for label, chi_state in _chi_items(chi):
-        spin0 = spin_components(phi0, chi_state)
-        den_up = complex(spin0 @ up.conj())
-        if abs(den_up) <= 1e-12:
-            raise DegeneratePostselectionError("postselection overlap vanishes")
+        den = _overlap_or_raise(chi_state, phi0)
         sy_readouts = []
         id_readouts = []
-        for w in cfg.strengths:
-            spinor = spin_components(runs[w], chi_state)
-            a_up = complex(spinor @ up.conj())
-            a_dn = complex(spinor @ down.conj())
+        for w, v in zip(cfg.strengths, halves):
+            a_up, a_dn = (inner_product(chi_state, s) for s in runs[v])
             sy = 2.0 * np.imag(np.conj(a_up) * a_dn)
             weight = abs(a_up) ** 2 + abs(a_dn) ** 2
             sy_readouts.append(complex(sy / weight / w))
-            # pointer-derivative identity: spin-down amplitude equals the
-            # spin-up amplitude of the sign-flipped field, giving a central
-            # difference from a single run
-            id_readouts.append(1j * (a_up - a_dn) / (w * den_up * np.sqrt(2.0)) * np.sqrt(2.0))
+            id_readouts.append(1j * (a_up - a_dn) / (w * den))
         value_id, order_id, residual_id = extrapolate_to_zero(cfg.strengths, id_readouts, 2)
         rec = _record(
             "larmor", label, cfg.strengths, sy_readouts, 2,

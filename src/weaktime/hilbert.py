@@ -1,7 +1,7 @@
 """Discretized Hilbert-space primitives.
 
-Grids, factor spaces, states, dense operators, tensor products and the
-discrete inner product.  Everything here is dense and immutable; this module
+Grids, factor spaces, states, dense operators, regions and the discrete
+inner product.  Everything here is dense and immutable; this module
 is the correctness layer on which the dynamics and measurement machinery is
 built.
 
@@ -13,7 +13,7 @@ velocity 2 k.  All lengths and times are dimensionless.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ HERMITICITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -61,9 +60,7 @@ class Grid:
 class FactorSpace:
     """One tensor factor: a position grid, a spin-1/2, or a pointer grid.
 
-    The canonical ordering of factors in a composite space is
-    position (x) spin (x) pointer; all tensor builders in this package
-    follow it.
+    A meter state lives on system (x) pointer, the pointer factor last.
     """
 
     kind: str  # "position" | "spin" | "pointer"
@@ -253,46 +250,6 @@ def spin_operator(matrix: np.ndarray, hermitian: bool = True) -> OperatorMatrix:
     return OperatorMatrix((spin_space(),), matrix, hermitian=hermitian)
 
 
-def tensor_extend(op: OperatorMatrix, full_space) -> OperatorMatrix:
-    """Extend `op` to `full_space` by tensoring identities on absent factors.
-
-    The factors of `op` must appear in `full_space` in the same relative
-    order; they need not be contiguous.
-    """
-    full_space = tuple(full_space)
-    positions = []
-    j = 0
-    for f in op.space:
-        while j < len(full_space) and full_space[j] != f:
-            j += 1
-        if j == len(full_space):
-            raise StructureError(
-                "operator factor not found in full space (or out of order)"
-            )
-        positions.append(j)
-        j += 1
-
-    dims = [f.dimension for f in full_space]
-    m = len(full_space)
-    # einsum: out[r0..r(m-1), c0..c(m-1)] = op[r_S, c_S] * prod_j eye[r_j, c_j]
-    letters = "abcdefghijkl"
-    row = [letters[k] for k in range(m)]
-    col = [letters[k + m] for k in range(m)]
-    op_dims = [dims[p] for p in positions]
-    op_tensor = op.matrix.reshape(op_dims + op_dims)
-    subscripts = ["".join(row[p] for p in positions) + "".join(col[p] for p in positions)]
-    operands = [op_tensor]
-    for k in range(m):
-        if k not in positions:
-            subscripts.append(row[k] + col[k])
-            operands.append(np.eye(dims[k]))
-    out_sub = "".join(row) + "".join(col)
-    expr = ",".join(subscripts) + "->" + out_sub
-    full = np.einsum(expr, *operands)
-    dim = space_dimension(full_space)
-    return OperatorMatrix(full_space, full.reshape(dim, dim), hermitian=op.hermitian)
-
-
 def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> QuantumState:
     """Normalized Gaussian wavepacket exp(-(x-x0)^2/(4 sigma^2)) exp(i k0 x).
 
@@ -319,55 +276,12 @@ def gaussian_pointer(grid: Grid, width: float) -> QuantumState:
     return gaussian_packet(grid, 0.0, width, 0.0)
 
 
-def eigendecompose(op: OperatorMatrix):
-    """Eigenvalues (ascending) and discrete-orthonormal eigenvectors of a
-    hermitian operator."""
-    if not op.hermitian:
-        raise ContractError("eigendecompose requires a hermitian operator")
-    vals, vecs = np.linalg.eigh(op.matrix)
-    scale = 1.0 / np.sqrt(space_weight(op.space))
-    states = [
-        QuantumState(op.space, scale * vecs[:, k]) for k in range(vals.size)
-    ]
-    return vals.real, states
-
-
-def position_operator(grid: Grid) -> OperatorMatrix:
-    return OperatorMatrix(
-        (position_space(grid),), np.diag(grid.points.astype(complex)), hermitian=True
-    )
-
-
-def momentum_operator(grid: Grid) -> OperatorMatrix:
-    """-i hbar d/dx with central differences and hard-wall boundaries."""
-    n = grid.n_points
-    m = np.zeros((n, n), dtype=complex)
-    c = -1j * HBAR / (2.0 * grid.dx)
-    for j in range(n):
-        if j + 1 < n:
-            m[j, j + 1] = c
-        if j - 1 >= 0:
-            m[j, j - 1] = -c
-    return OperatorMatrix((position_space(grid),), m, hermitian=True)
-
-
 def fourier_momentum_values(grid: Grid) -> np.ndarray:
-    """Momentum eigenvalues of the DFT-periodic momentum operator on `grid`."""
+    """Momentum eigenvalues of the DFT-periodic momentum operator on `grid`,
+    in numpy FFT order: exp(-i p a) applied through the FFT translates a
+    profile by a on the grid, which is what the meter's mode factorization
+    rests on."""
     return 2.0 * np.pi * HBAR * np.fft.fftfreq(grid.n_points, d=grid.dx)
-
-
-def fourier_momentum_operator(grid: Grid) -> OperatorMatrix:
-    """Dense momentum operator diagonalized by the DFT (periodic boundary).
-
-    Satisfies [p, q] = -i hbar up to edge effects and generates exact grid
-    translations; used as the pointer momentum.
-    """
-    n = grid.n_points
-    f = np.fft.fft(np.eye(n), axis=0)
-    finv = np.fft.ifft(np.eye(n), axis=0)
-    mat = finv @ np.diag(fourier_momentum_values(grid).astype(complex)) @ f
-    mat = 0.5 * (mat + mat.conj().T)  # kill roundoff asymmetry
-    return OperatorMatrix((pointer_space(grid),), mat, hermitian=True)
 
 
 def basis_cell_state(grid: Grid, index: int, space=None, time: float = 0.0) -> QuantumState:

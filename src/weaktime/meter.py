@@ -11,11 +11,13 @@ to weak values.
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
 drags an independent system evolution with the scalar coupling
-G h(t) pi_k A.  The default engine exploits this: for a single-factor
+G h(t) pi_k A.  The meter exploits this: for a single-factor
 system (a position grid or one spin) and a diagonal observable, each
 mode's generator H + (G/T) pi_k A is real symmetric tridiagonal, and each
-kept mode costs one real tridiagonal eigensolve.  A literal composite
-evolution is kept for small-grid cross-checks.
+kept mode costs one real tridiagonal eigensolve.  The moment meters couple
+to the carried-along sojourn operator, which commutes with its own history,
+so each mode is a closed-form phase in that operator's eigenbasis.  Meter
+states are system (x) pointer.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .clocks import extrapolate_to_zero
-from .dynamics import (
-    CouplingProfile,
-    Hamiltonian,
-    InteractionTerm,
-    Propagator,
-    evolve,
-)
+from .dynamics import CouplingProfile, Hamiltonian
 from .errors import (
     DegeneratePostselectionError,
     ParameterError,
@@ -44,13 +40,12 @@ from .hilbert import (
     Grid,
     OperatorMatrix,
     QuantumState,
-    fourier_momentum_operator,
     fourier_momentum_values,
     gaussian_pointer,
     inner_product,
     pointer_space,
 )
-from .sojourn import SojournOperator, schroedinger_picture_schedule
+from .sojourn import SojournOperator
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient.  On the
@@ -125,7 +120,6 @@ class MeterRun:
     profile: CouplingProfile
     window: tuple[float, float]
     observable_label: str
-    engine: str
     final: QuantumState
     reference_system_final: QuantumState
     pointer_initial: QuantumState
@@ -205,8 +199,7 @@ def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) 
 
 
 def _finish_run(
-    spec, coupling, profile, window, label, engine, composite, psi_ref, phi, psi0,
-    modes_kept,
+    spec, coupling, profile, window, label, composite, psi_ref, phi, psi0, modes_kept
 ):
     system_space = psi_ref.space
     full_space = (*system_space, spec.space())
@@ -219,7 +212,6 @@ def _finish_run(
         profile=profile,
         window=tuple(window),
         observable_label=label,
-        engine=engine,
         final=final,
         reference_system_final=psi_ref,
         pointer_initial=phi,
@@ -236,19 +228,16 @@ def run_meter(
     profile: CouplingProfile,
     system: Hamiltonian,
     window: Optional[tuple[float, float]] = None,
-    engine: str = "factorized",
-    dt: float = 0.05,
     mode_cutoff: float = DEFAULT_MODE_CUTOFF,
 ) -> MeterRun:
     """Evolve psi0 (x) Gaussian pointer under H + G h(t) pi (x) A.
 
-    The observable A is a fixed hermitian matrix on the system space.
-    engine="factorized" evolves each pointer momentum mode above
-    `mode_cutoff` through the (rectangular) profile window with one real
-    tridiagonal eigensolve of H + (G/T) pi_k A; it needs a single-factor
-    system without couplings (Hamiltonian.tridiagonal) and a diagonal A,
-    and raises StructureError otherwise.  engine="composite" evolves the
-    literal tensor-product state and is meant for small grids.
+    The observable A is a fixed hermitian matrix on the system space.  Each
+    pointer momentum mode above `mode_cutoff` is evolved through the
+    (rectangular) profile window with one real tridiagonal eigensolve of
+    H + (G/T) pi_k A; this needs a hermitian single-factor system
+    (Hamiltonian.tridiagonal) and a diagonal A, and raises StructureError
+    otherwise.
     """
     if tuple(observable.space) != tuple(system.space):
         raise StructureError("observable must live on the system space")
@@ -261,15 +250,8 @@ def run_meter(
     _check_initial_time(psi0, t0)
     phi = spec.initial_state()
 
-    if engine == "composite":
-        return _run_composite(
-            spec, psi0, observable, coupling, profile, system, window, dt, phi
-        )
-    if engine != "factorized":
-        raise ParameterError(f"unknown meter engine {engine!r}")
     if not system.is_hermitian():
-        raise ParameterError("factorized engine requires a hermitian system")
-    _require_bare(system)
+        raise ParameterError("the meter requires a hermitian system")
     diag, off = system.tridiagonal()
     a = _real_diagonal(observable)
 
@@ -297,86 +279,20 @@ def run_meter(
 
     composite = _compose(modes)
     return _finish_run(
-        spec, coupling, profile, window, _label(observable), "factorized",
-        composite, psi_ref, phi, psi0, np.count_nonzero(sig),
+        spec, coupling, profile, window, "observable", composite, psi_ref, phi,
+        psi0, np.count_nonzero(sig),
     )
-
-
-def _label(observable) -> str:
-    return "observable" if isinstance(observable, OperatorMatrix) else "schedule"
-
-
-def _require_bare(system: Hamiltonian) -> None:
-    """Reject Hamiltonians that already carry their own couplings; the
-    meter adds its own."""
-    if system.interaction is not None or system.spin_coupling is not None:
-        raise ParameterError("pass a bare system Hamiltonian; the meter adds its own coupling")
 
 
 def _real_diagonal(observable: OperatorMatrix) -> np.ndarray:
     """Diagonal of a hermitian observable that has no off-diagonal entries."""
     a = np.diagonal(observable.matrix)
     if np.count_nonzero(observable.matrix) != np.count_nonzero(a):
-        raise StructureError("factorized engine needs a diagonal observable")
+        raise StructureError("the meter needs a diagonal observable")
     return a.real
 
 
-def _run_composite(
-    spec, psi0, observable, coupling, profile, system, window, dt, phi
-):
-    _require_bare(system)
-    t0, t1 = window
-    full = Hamiltonian(
-        (*system.space, spec.space()),
-        kinetic=system.kinetic,
-        potential_real=system.potential_real,
-        potential_imag=system.potential_imag,
-        interaction=InteractionTerm(
-            coupling=coupling,
-            profile=profile,
-            system_operator=observable,
-            pointer_momentum=fourier_momentum_operator(spec.grid),
-        ),
-    )
-    state0 = QuantumState(
-        full.space, np.kron(psi0.amplitudes, phi.amplitudes), t0
-    )
-    prop = Propagator("dense_exponential", dt, full)
-    final = evolve(state0, prop, t0, t1)
-    psi_ref = evolve(psi0, Propagator("dense_exponential", dt, system), t0, t1)
-    composite = final.amplitudes.reshape(psi0.amplitudes.size, spec.grid.n_points)
-    return _finish_run(
-        spec, coupling, profile, window, _label(observable), "composite",
-        composite, psi_ref, phi, psi0, spec.grid.n_points,
-    )
-
-
 # -- moment meters ---------------------------------------------------------
-
-
-def _scheduled_eig_evolution(vals, base_eig, window, dt, strength, v_eig):
-    """Evolve an eigenbasis vector under H + (strength/T) O(t) over the
-    window, where O(t) is the backward-propagated picture of the operator
-    whose eigenbasis matrix is `base_eig`, frozen at step midpoints.
-
-    The conjugating phases are diagonal, so only one matrix exponential is
-    needed regardless of the step count.
-    """
-    t0, tf = window
-    span = tf - t0
-    n = int(round(span / dt))
-    if n < 1 or abs(n * dt - span) > _TIME_ATOL * max(1.0, span):
-        raise ParameterError(f"dt = {dt} does not divide the window {span}")
-    wk, uk = scipy.linalg.eigh(np.diag(vals) + (strength / span) * base_eig)
-    step = uk @ (np.exp(-1j * dt / HBAR * wk)[:, None] * uk.conj().T)
-    drift = np.exp(1j * vals * dt / HBAR)
-    tm0 = t0 + 0.5 * dt
-    v = np.exp(-1j * vals * (tf - tm0) / HBAR) * v_eig
-    v = step @ v
-    for _ in range(n - 1):
-        v = step @ (drift * v)
-    tml = t0 + (n - 0.5) * dt
-    return np.exp(1j * vals * (tf - tml) / HBAR) * v
 
 
 def run_moment_meter(
@@ -386,18 +302,15 @@ def run_moment_meter(
     order: int,
     coupling: float,
     system: Hamiltonian,
-    engine: str = "stepped",
-    dt: float = 0.05,
     mode_cutoff: float = DEFAULT_MODE_CUTOFF,
 ) -> MeterRun:
     """Couple the pointer to the l-th power of the time-in-region operator,
     carried along in the evolving picture so that the interaction commutes
     with its own history.
 
-    engine="stepped" integrates the time-dependent coupling with midpoint
-    freezing; engine="exact" uses the closed-form interaction-picture
-    solution exp(-i G pi_k T^l); engine="composite" evolves the literal
-    tensor product (small grids).  The run window is the operator's window.
+    In the interaction picture the carried-along operator is constant, so
+    each pointer mode is the closed form exp(-i G pi_k T_op^l) after free
+    flight.  The run window is the operator's window.
     """
     if order < 1 or order > 4:
         raise ParameterError("moment meter supports orders 1..4")
@@ -405,32 +318,8 @@ def run_moment_meter(
     t0, t1 = window
     profile = CouplingProfile.rectangular(t0, t1)
     _check_initial_time(psi0, t0)
-    _require_bare(system)
     if not system.is_hermitian():
         raise ParameterError("moment meter requires a hermitian system")
-
-    if engine == "composite":
-        schedule = schroedinger_picture_schedule(op, system, power=order)
-        phi = spec.initial_state()
-        full = Hamiltonian(
-            (*system.space, spec.space()),
-            kinetic=system.kinetic,
-            potential_real=system.potential_real,
-            interaction=InteractionTerm(
-                coupling=coupling,
-                profile=profile,
-                system_operator=schedule,
-                pointer_momentum=fourier_momentum_operator(spec.grid),
-            ),
-        )
-        state0 = QuantumState(full.space, np.kron(psi0.amplitudes, phi.amplitudes), t0)
-        final = evolve(state0, Propagator("dense_exponential", dt, full), t0, t1)
-        psi_ref = evolve(psi0, Propagator("dense_exponential", dt, system), t0, t1)
-        composite = final.amplitudes.reshape(psi0.amplitudes.size, spec.grid.n_points)
-        return _finish_run(
-            spec, coupling, profile, window, f"region time^{order}", "composite",
-            composite, psi_ref, phi, psi0, spec.grid.n_points,
-        )
 
     vals, vecs = system.eigensystem()
     base_eig = np.linalg.matrix_power(
@@ -448,28 +337,17 @@ def run_moment_meter(
     modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
     modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
 
-    if engine == "exact":
-        # interaction picture: the carried-along operator is constant, so
-        # the coupling integrates to exp(-i G pi_k T_op^l) after free flight
-        tau, w = np.linalg.eigh(base_eig)
-        carrier = vecs @ w
-        z = w.conj().T @ free_eig
-        for k in np.nonzero(sig)[0]:
-            phase = np.exp(-1j * coupling * pi_vals[k] * tau / HBAR)
-            modes[:, k] = coeffs[k] * (carrier @ (phase * z))
-    elif engine == "stepped":
-        for k in np.nonzero(sig)[0]:
-            v = _scheduled_eig_evolution(
-                vals, base_eig, window, dt, coupling * pi_vals[k], psi_eig
-            )
-            modes[:, k] = coeffs[k] * (vecs @ v)
-    else:
-        raise ParameterError(f"unknown moment-meter engine {engine!r}")
+    tau, w = np.linalg.eigh(base_eig)
+    carrier = vecs @ w
+    z = w.conj().T @ free_eig
+    for k in np.nonzero(sig)[0]:
+        phase = np.exp(-1j * coupling * pi_vals[k] * tau / HBAR)
+        modes[:, k] = coeffs[k] * (carrier @ (phase * z))
 
     composite = _compose(modes)
     return _finish_run(
-        spec, coupling, profile, window, f"region time^{order}", engine,
-        composite, psi_ref, phi, psi0, np.count_nonzero(sig),
+        spec, coupling, profile, window, f"region time^{order}", composite,
+        psi_ref, phi, psi0, np.count_nonzero(sig),
     )
 
 
@@ -672,21 +550,19 @@ def lambda_moment_route(
     chi: QuantumState,
     order: int,
     lambdas,
-    dt: float = 0.05,
-    engine: str = "stepped",
 ):
     """Moments from scalar-coupling derivatives: evolve under the system
     Hamiltonian plus lambda h(t) times the carried-along time-in-region
-    operator and apply (i hbar d/dlambda)^l to the postselected amplitude
-    ratio at lambda = 0 by central differences.  Returns (value, residual);
-    the real part is the moment.
+    operator, in closed form exp(-i lambda T_op) after free flight, and
+    apply (i hbar d/dlambda)^l to the postselected amplitude ratio at
+    lambda = 0 by central differences.  Returns (value, residual); the real
+    part is the moment.
     """
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
     window = op.window
     _check_initial_time(psi0, window[0])
-    _require_bare(system)
     vals, vecs = system.eigensystem()
     base_eig = vecs.T @ op.matrix.matrix @ vecs
     psi_eig = vecs.T @ psi0.amplitudes
@@ -697,14 +573,11 @@ def lambda_moment_route(
     if abs(den) <= 1e-12:
         raise DegeneratePostselectionError("postselection overlap vanishes")
 
+    tau, u = np.linalg.eigh(base_eig)
+    z = u.conj().T @ free_eig
+
     def ratio(lam: float) -> complex:
-        if engine == "exact":
-            tau, u = np.linalg.eigh(base_eig)
-            v = u @ (np.exp(-1j * lam * tau / HBAR) * (u.conj().T @ free_eig))
-        elif engine == "stepped":
-            v = _scheduled_eig_evolution(vals, base_eig, window, dt, lam, psi_eig)
-        else:
-            raise ParameterError(f"unknown lambda-route engine {engine!r}")
+        v = u @ (np.exp(-1j * lam * tau / HBAR) * z)
         return complex(w * np.vdot(chi_eig, v) / den)
 
     readouts = []

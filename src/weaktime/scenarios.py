@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,7 +41,6 @@ from .hilbert import (
 )
 from .meter import PointerSpec, pointer_distribution, run_meter
 from .sojourn import (
-    SojournOperator,
     conditional_dwell_time,
     dwell_time,
     moment,
@@ -223,20 +221,6 @@ def catalog() -> dict:
     return {s.name: s for s in scenarios}
 
 
-def two_level_toy():
-    """Spin-1/2 toy for strong-measurement statistics: trivial Hamiltonian,
-    equal superposition initial state, sigma_z as the measured observable.
-
-    Returns (system Hamiltonian, initial state, observable).
-    """
-    from .hilbert import PAULI_Z, spin_operator, spin_space
-
-    space = (spin_space(),)
-    system = Hamiltonian(space, kinetic=False)
-    psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    return system, psi0, spin_operator(PAULI_Z)
-
-
 # -- validation ------------------------------------------------------------
 
 
@@ -388,7 +372,7 @@ def _postselectors(sc: Scenario, psi_final: QuantumState) -> dict:
     return chis
 
 
-def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi_final, chis, op):
+def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
     duration = sc.duration()
     tau = dwell_time(op, psi_final)
     bundle.add(method="sojourn", postselection="none", order=1,
@@ -460,7 +444,7 @@ def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
                flags="order_flagged" if rec.flagged else "")
 
 
-def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis, op):
+def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
     duration = sc.duration()
     proj = projector(sc.region, sc.grid)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
@@ -504,15 +488,15 @@ def run_scenario(
     psi0 = scenario.initial_state()
     psi_final = evolve_eigenbasis(psi0, ham, scenario.window[1])
     chis = _postselectors(scenario, psi_final)
-    op = sojourn_matrix(
-        scenario.region, scenario.grid, ham, scenario.window, scenario.n_slices
-    )
     if "sojourn" in pipelines:
-        _sojourn_pipeline(scenario, bundle, ham, psi_final, chis, op)
+        op = sojourn_matrix(
+            scenario.region, scenario.grid, ham, scenario.window, scenario.n_slices
+        )
+        _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
     if "clocks" in pipelines:
         _clock_pipeline(scenario, bundle, ham, psi0, chis)
     if "meter" in pipelines:
-        _meter_pipeline(scenario, bundle, ham, psi0, chis, op)
+        _meter_pipeline(scenario, bundle, ham, psi0, chis)
     return bundle
 
 

@@ -352,27 +352,3 @@ def second_moment_position_postselected(
     symmetrized = float(np.abs(t_psi[cell_index]) ** 2 / np.abs(psi_final.amplitudes[cell_index]) ** 2)
     return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)
 
-
-def schroedinger_picture_schedule(
-    op: SojournOperator, free_hamiltonian: Hamiltonian, power: int = 1
-):
-    """Schedule t -> Schroedinger-picture sojourn operator power at time t.
-
-    The returned callable evaluates U0^dag(t_f,t) (t_op)^power U0(t_f,t) in
-    the eigenbasis of the free Hamiltonian, where the conjugation reduces to
-    elementwise phases.
-    """
-    vals, vecs = free_hamiltonian.eigensystem()
-    base = np.linalg.matrix_power(
-        vecs.T @ op.matrix.matrix @ vecs, power
-    )
-    t_stop = op.window[1]
-    space = op.matrix.space
-
-    def schedule(t: float) -> OperatorMatrix:
-        phase = np.exp(-1j * vals * (t_stop - t) / HBAR)
-        mat = vecs @ (np.conj(phase)[:, None] * base * phase[None, :]) @ vecs.T
-        mat = 0.5 * (mat + mat.conj().T)
-        return OperatorMatrix(space, mat, hermitian=True)
-
-    return schedule

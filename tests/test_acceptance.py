@@ -81,7 +81,7 @@ def crossing():
     psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
     psi_final = QuantumState(
         space,
-        oracle.evolve_exact(ham.matrix_at(0.0), psi0.amplitudes, window[1]),
+        oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, window[1]),
         window[1],
     )
     op = sojourn_matrix(region, grid, ham, window, 4000)
@@ -96,7 +96,7 @@ def test_criterion_1_oracle_equivalence():
     region = Region(7.0, 9.0)
     n_slices = 300
     ham = Hamiltonian(space, potential_real=1.0 * region.indicator(grid))
-    hmat = ham.matrix_at(0.0)
+    hmat = ham.dense_matrix()
     vals, vecs = ham.eigensystem()
     psi0 = QuantumState(
         space, vecs[:, :6] @ np.array([1.0, 0.8j, -0.5, 0.3 + 0.2j, 0.1, -0.2j])
@@ -255,11 +255,11 @@ def test_criterion_6_second_moment_four_routes(barrier_ctx):
     via_operator = moment(ctx.op, ctx.psi_final, chi, 2)
     via_cells = second_moment_position_integral(ctx.op, ctx.psi_final)
     lam_val, _ = lambda_moment_route(
-        ctx.op, ctx.ham, ctx.psi0, chi, 2, (0.2, 0.1, 0.05), engine="exact"
+        ctx.op, ctx.ham, ctx.psi0, chi, 2, (0.2, 0.1, 0.05)
     )
     spec = PointerSpec.auto(width=0.2, max_shift=1.0, n_points=256)
     runs = [
-        run_moment_meter(spec, ctx.psi0, ctx.op, 2, g, ctx.ham, engine="exact")
+        run_moment_meter(spec, ctx.psi0, ctx.op, 2, g, ctx.ham)
         for g in (0.02, 0.01, 0.005)
     ]
     via_meter, _ = meter_moment_readout(runs)
@@ -299,21 +299,21 @@ def test_criterion_8_survival_scaling(crossing):
 def test_criterion_9_numerical_hygiene(crossing):
     grid, region, window, ham, psi0, _, _ = crossing
     # second-order dt convergence of the implicit stepper
-    ref = oracle.evolve_exact(ham.matrix_at(0.0), psi0.amplitudes, 2.0)
+    ref = oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, 2.0)
     errs = [
         np.linalg.norm(
-            evolve(psi0, Propagator("implicit_step", dt, ham), 0.0, 2.0).amplitudes
+            evolve(psi0, Propagator(dt, ham), 0.0, 2.0).amplitudes
             - ref
         )
         for dt in (0.1, 0.05)
     ]
     ratio = errs[0] / errs[1]
     # norm conservation in a hermitian clock-style run
-    herm = evolve(psi0, Propagator("implicit_step", 0.05, ham), *window)
+    herm = evolve(psi0, Propagator(0.05, ham), *window)
     drift = abs(herm.norm() - 1.0)
     # monotone decay under absorption
     lossy = ham.with_potential_added(imag=-0.5 * 0.3 * region.indicator(grid))
-    prop = Propagator("implicit_step", 0.1, lossy)
+    prop = Propagator(0.1, lossy)
     state, norms = psi0, [1.0]
     for j in range(20):
         state = evolve(state, prop, 0.4 * j, 0.4 * (j + 1))

@@ -35,7 +35,7 @@ def crossing():
     psi0 = gaussian_packet(GRID, 13.0, 2.5, 1.0)
     psi_final = QuantumState(
         SPACE,
-        oracle.evolve_exact(ham.matrix_at(0.0), psi0.amplitudes, WINDOW[1]),
+        oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
     op = sojourn_matrix(REGION, GRID, ham, WINDOW, 4000)
@@ -98,7 +98,7 @@ def test_config_method_mismatch_rejected(crossing):
 
 
 def _full_box_chi(ham, psi0):
-    amps = oracle.evolve_exact(ham.matrix_at(0.0), psi0.amplitudes, WINDOW[1])
+    amps = oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1])
     return QuantumState(SPACE, amps, WINDOW[1])
 
 
@@ -158,6 +158,28 @@ def test_larmor_matches_dwell_and_identity_route(crossing):
     # the spin-amplitude identity reads the same sweeps a second way
     ident = rec.metadata["identity_value"]
     assert ident.real == pytest.approx(rec.time, rel=1e-4)
+
+
+def test_larmor_matches_position_spin_oracle(crossing):
+    ham, psi0, psi_final, _ = crossing
+    strengths = (0.2, 0.1, 0.05)
+    cfg = ClockConfig("larmor", strengths, REGION, WINDOW)
+    rec = clock_larmor(cfg, ham, psi0, psi_final)
+    spinors = oracle.larmor_spinors(
+        ham.dense_matrix(), REGION.indicator(GRID), psi0.amplitudes,
+        psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], 0.05,
+        GRID.dx,
+    )
+    a_up0 = spinors[0][0]
+    sy, ident = [], []
+    for w, (a_up, a_dn) in zip(strengths, spinors[1:]):
+        weight = abs(a_up) ** 2 + abs(a_dn) ** 2
+        sy.append(2.0 * np.imag(np.conj(a_up) * a_dn) / weight / w)
+        ident.append(1j * (a_up - a_dn) / (w * a_up0))
+    np.testing.assert_allclose(np.real(rec.readouts), sy, rtol=1e-9)
+    np.testing.assert_allclose(np.imag(rec.readouts), 0.0, atol=0.0)
+    ident_value, _, _ = extrapolate_to_zero(strengths, ident, 2)
+    assert abs(rec.metadata["identity_value"] - ident_value) <= 1e-9 * abs(ident_value)
 
 
 def test_norm_loss_route_matches_dwell(crossing):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,29 +9,21 @@ from weaktime.errors import (
     ParameterError,
     StructureError,
 )
+import oracle
 from weaktime.hilbert import (
-    PAULI_X,
-    PAULI_Z,
     Grid,
     OperatorMatrix,
     QuantumState,
     Region,
     basis_cell_state,
-    eigendecompose,
-    fourier_momentum_operator,
     fourier_momentum_values,
     gaussian_packet,
     gaussian_pointer,
     identity_operator,
     inner_product,
-    momentum_operator,
-    pointer_space,
-    position_operator,
     position_space,
     projector,
-    spin_operator,
     spin_space,
-    tensor_extend,
 )
 
 
@@ -121,33 +112,6 @@ def test_projector_idempotent_and_diagonal():
     assert np.trace(p.matrix).real == len(Region(4.0, 9.0).indices(grid))
 
 
-def test_tensor_extend_matches_kron():
-    grid = Grid(4, 0.0, 3.0)
-    space = (position_space(grid), spin_space())
-    sz = spin_operator(PAULI_Z)
-    ext = tensor_extend(sz, space)
-    np.testing.assert_allclose(ext.matrix, np.kron(np.eye(4), PAULI_Z))
-    pos = position_operator(grid)
-    ext2 = tensor_extend(pos, space)
-    np.testing.assert_allclose(ext2.matrix, np.kron(pos.matrix, np.eye(2)))
-
-
-def test_tensor_extend_middle_factor():
-    gq = Grid(3, -1.0, 1.0)
-    gx = Grid(4, 0.0, 3.0)
-    space = (position_space(gx), spin_space(), pointer_space(gq))
-    sx = spin_operator(PAULI_X)
-    ext = tensor_extend(sx, space)
-    expected = np.kron(np.kron(np.eye(4), PAULI_X), np.eye(3))
-    np.testing.assert_allclose(ext.matrix, expected)
-
-
-def test_tensor_extend_rejects_missing_factor():
-    grid = Grid(4, 0.0, 3.0)
-    with pytest.raises(StructureError):
-        tensor_extend(spin_operator(PAULI_Z), (position_space(grid),))
-
-
 def test_gaussian_packet_normalization_and_center():
     grid = Grid(256, 0.0, 100.0)
     psi = gaussian_packet(grid, 50.0, 4.0, 0.7)
@@ -170,11 +134,13 @@ def test_gaussian_packet_boundary_warning():
 
 
 def test_fourier_momentum_generates_translation():
+    # the meter's mode factorization: exp(-i p a), applied mode by mode
+    # through the FFT, translates the pointer profile by a
     grid = Grid(64, -8.0, 8.0 - 16.0 / 64)
-    p = fourier_momentum_operator(grid)
     phi = gaussian_pointer(grid, 1.0)
     shift = 4 * grid.dx
-    shifted = scipy.linalg.expm(-1j * shift * p.matrix) @ phi.amplitudes
+    phase = np.exp(-1j * shift * fourier_momentum_values(grid))
+    shifted = np.fft.ifft(phase * np.fft.fft(phi.amplitudes))
     np.testing.assert_allclose(
         shifted, np.roll(phi.amplitudes, 4), atol=1e-10
     )
@@ -182,29 +148,9 @@ def test_fourier_momentum_generates_translation():
 
 def test_fourier_momentum_values_match_operator_spectrum():
     grid = Grid(32, -4.0, 4.0 - 8.0 / 32)
-    p = fourier_momentum_operator(grid)
-    vals = np.sort(np.linalg.eigvalsh(p.matrix))
+    p = oracle.dft_momentum(grid.n_points, grid.dx)
+    vals = np.sort(np.linalg.eigvalsh(p))
     np.testing.assert_allclose(vals, np.sort(fourier_momentum_values(grid)), atol=1e-10)
-
-
-def test_momentum_operator_on_plane_wave_interior():
-    grid = Grid(200, 0.0, 100.0)
-    k = 0.5
-    psi = np.exp(1j * k * grid.points)
-    out = momentum_operator(grid).matrix @ psi
-    # central stencil: p e^{ikx} = sin(k dx)/dx e^{ikx} away from the walls
-    expected = np.sin(k * grid.dx) / grid.dx * psi
-    np.testing.assert_allclose(out[5:-5], expected[5:-5], atol=1e-12)
-
-
-def test_eigendecompose_orthonormal_in_discrete_product():
-    grid = Grid(12, 0.0, 11.0)
-    pos = position_operator(grid)
-    vals, states = eigendecompose(pos)
-    for a in states[:4]:
-        for b in states[:4]:
-            expected = 1.0 if a is b else 0.0
-            assert inner_product(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def test_basis_cell_state_unit_norm():

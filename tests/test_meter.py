@@ -50,7 +50,7 @@ def crossing():
     psi0 = gaussian_packet(GRID, 13.0, 2.5, 1.0)
     psi_final = QuantumState(
         SPACE,
-        oracle.evolve_exact(ham.matrix_at(0.0), psi0.amplitudes, WINDOW[1]),
+        oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
     op = sojourn_matrix(REGION, GRID, ham, WINDOW, 4000)
@@ -149,10 +149,12 @@ def test_composite_engine_matches_factorized():
     spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
     profile = CouplingProfile.rectangular(0.0, 2.0)
     obs = projector(Region(3.0, 5.0), grid)
-    fac = run_meter(spec, psi0, obs, 0.3, profile, ham, engine="factorized",
-                    mode_cutoff=0.0)
-    com = run_meter(spec, psi0, obs, 0.3, profile, ham, engine="composite", dt=0.1)
-    np.testing.assert_allclose(fac.final_array(), com.final_array(), atol=1e-10)
+    fac = run_meter(spec, psi0, obs, 0.3, profile, ham, mode_cutoff=0.0)
+    com = oracle.composite_meter(
+        ham.dense_matrix(), obs.matrix, psi0.amplitudes,
+        spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
+    )
+    np.testing.assert_allclose(fac.final_array(), com, atol=1e-10)
 
 
 # -- strong regime ------------------------------------------------------------
@@ -261,11 +263,12 @@ def test_survival_deficit_scales_quadratically(crossing):
 def test_moment_meter_engines_agree(crossing):
     ham, psi0, _, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
-    stepped = run_moment_meter(spec, psi0, op, 1, 0.1, ham, engine="stepped")
-    exact = run_moment_meter(spec, psi0, op, 1, 0.1, ham, engine="exact")
-    np.testing.assert_allclose(
-        stepped.final_array(), exact.final_array(), atol=1e-5
+    exact = run_moment_meter(spec, psi0, op, 1, 0.1, ham)
+    stepped = oracle.stepped_moment_meter(
+        ham.dense_matrix(), op.matrix.matrix, 1, psi0.amplitudes,
+        spec.initial_state().amplitudes, spec.grid.dx, 0.1, op.window, 0.05,
     )
+    np.testing.assert_allclose(stepped, exact.final_array(), atol=1e-5)
 
 
 def test_moment_meter_readout_matches_operator_moment(crossing):
@@ -273,7 +276,7 @@ def test_moment_meter_readout_matches_operator_moment(crossing):
     for order, ladder in ((1, (0.1, 0.05, 0.025)), (2, (0.02, 0.01, 0.005))):
         spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
         runs = [
-            run_moment_meter(spec, psi0, op, order, g, ham, engine="exact")
+            run_moment_meter(spec, psi0, op, order, g, ham)
             for g in ladder
         ]
         value, residual = meter_moment_readout(runs)
@@ -306,7 +309,7 @@ def test_derivative_identities_recover_conditional_moments(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
 
     def factory(g):
-        return run_moment_meter(spec, psi0, op, 1, g, ham, engine="exact")
+        return run_moment_meter(spec, psi0, op, 1, g, ham)
 
     report = derivative_identity_check(
         factory, (0.05, 0.025, 0.0125), chi, orders=(1, 2), reference=ref
@@ -321,7 +324,7 @@ def test_lambda_route_matches_operator_moments(crossing):
     chi = psi_final
     for order in (1, 2):
         value, residual = lambda_moment_route(
-            op, ham, psi0, chi, order, (0.1, 0.05, 0.025), engine="exact"
+            op, ham, psi0, chi, order, (0.1, 0.05, 0.025)
         )
         ref = moment(op, psi_final, chi, order)
         assert value.real == pytest.approx(ref, rel=1e-5)

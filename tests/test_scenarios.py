@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from weaktime import cli, meter, scenarios
-from weaktime.errors import ValidationError
+from weaktime.errors import ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
     PacketSpec,
@@ -64,6 +64,35 @@ def test_scenario_config_round_trip(name):
     sc = catalog()[name]
     back = scenario_from_config(parse_config(format_config(scenario_to_config(sc))))
     assert back == sc
+
+
+def test_double_barrier_potential_array_and_interval():
+    grid = Grid(21, 0.0, 20.0)
+    pot = PotentialSpec(kind="double_barrier", v0=3.0, x_lo=5.0, x_hi=7.0,
+                        x2_lo=12.0, x2_hi=14.0)
+    expected = np.zeros(grid.n_points)
+    expected[[5, 6, 12, 13]] = 3.0
+    np.testing.assert_array_equal(pot.array(grid), expected)
+    assert pot.interval == (5.0, 14.0)
+    for x2_hi in (12.0, 10.0):
+        with pytest.raises(ParameterError):
+            PotentialSpec(kind="double_barrier", v0=3.0, x_lo=5.0, x_hi=7.0,
+                          x2_lo=12.0, x2_hi=x2_hi)
+
+
+def test_double_barrier_scenario_config_round_trip():
+    base = catalog()["barrier_dwell"]
+    sc = replace(
+        base, name="double_barrier",
+        potential=PotentialSpec(kind="double_barrier", v0=2.0, x_lo=110.0,
+                                x_hi=112.0, x2_lo=118.0, x2_hi=120.0),
+        region=Region(110.0, 120.0),
+    )
+    text = format_config(scenario_to_config(sc))
+    assert "potential.x2_lo = 118.0\n" in text and "potential.x2_hi = 120.0\n" in text
+    back = scenario_from_config(parse_config(text))
+    assert back == sc
+    assert validate_scenario(back) == []
 
 
 def test_scenario_from_config_reports_missing_keys():
@@ -156,7 +185,7 @@ def test_split_probabilities_sum_to_one(barrier_ctx):
 
 def test_transmission_matches_brute_force(barrier_ctx):
     sc = barrier_ctx.scenario
-    hmat = sc.hamiltonian().matrix_at(0.0)
+    hmat = sc.hamiltonian().dense_matrix()
     psi = oracle.evolve_exact(hmat, barrier_ctx.psi0.amplitudes, sc.duration())
     x = sc.grid.points
     p_t_ref = float(np.sum(np.abs(psi[x >= 112.0]) ** 2) * sc.grid.dx)
@@ -165,7 +194,7 @@ def test_transmission_matches_brute_force(barrier_ctx):
 
 def test_split_requires_cleared_barrier(barrier_ctx):
     sc = barrier_ctx.scenario
-    hmat = sc.hamiltonian().matrix_at(0.0)
+    hmat = sc.hamiltonian().dense_matrix()
     early = QuantumState(
         barrier_ctx.psi0.space,
         oracle.evolve_exact(hmat, barrier_ctx.psi0.amplitudes, 26.0),
@@ -239,6 +268,17 @@ def well_meter():
     return bundle, runs
 
 
+def test_clock_pipeline_alone_builds_no_sojourn_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sojourn operator built for a clocks-only run")
+
+    monkeypatch.setattr(scenarios, "sojourn_matrix", refuse)
+    bundle = run_scenario(catalog()["well_halves"], pipelines=("clocks",))
+    assert {r.method for r in bundle.records} == {
+        "clock_real_potential", "clock_imaginary_potential", "clock_larmor",
+        "clock_imaginary_norm"}
+
+
 def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
     _, runs = well_meter
     assert runs
@@ -306,6 +346,17 @@ def test_cli_compare_agrees_on_well(well_config, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "agreement: ok" in out
+
+
+def test_cli_sweep_writes_every_clock_sweep(well_config, tmp_path, capsys):
+    out = tmp_path / "sweeps"
+    code = cli.main(["sweep", "--config", well_config, "--out-dir", str(out)])
+    assert code == 0
+    sweeps = json.loads((out / "well_halves_sweeps.json").read_text())
+    assert set(sweeps) == {"real_potential", "imaginary_potential", "larmor",
+                           "imaginary_potential_norm"}
+    half = 0.5 * catalog()["well_halves"].duration()
+    assert sweeps["larmor"]["none"]["value"][0] == pytest.approx(half, rel=0.01)
 
 
 def test_position_cell_config_round_trip_runs_and_emits(barrier_ctx, tmp_path):

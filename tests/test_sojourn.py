@@ -55,7 +55,7 @@ def _initial_state(ham):
 def small():
     ham = _small_ham()
     psi0 = _initial_state(ham)
-    hmat = ham.matrix_at(0.0)
+    hmat = ham.dense_matrix()
     psi_final = QuantumState(
         SPACE, oracle.evolve_exact(hmat, psi0.amplitudes, WINDOW[1]), WINDOW[1]
     )
@@ -87,7 +87,7 @@ def test_spectral_sum_matches_oracle_slice_loop():
     ham = _small_ham()
     proj = projector(REGION, GRID)
     ours = integrate_heisenberg(proj, ham, WINDOW, 64).matrix.matrix
-    ref = oracle.time_average(proj.matrix, ham.matrix_at(0.0), WINDOW, 64)
+    ref = oracle.time_average(proj.matrix, ham.dense_matrix(), WINDOW, 64)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
