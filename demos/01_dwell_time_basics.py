@@ -2,9 +2,11 @@
 
 A free Gaussian packet crosses a marked interval.  The mean time spent
 inside is the expectation of the sojourn-time operator, i.e. the window
-length times the time-averaged Heisenberg projector.  We check it against
-a direct quadrature of the instantaneous presence probability, and look
-at two exactly solvable cases.
+length times the time-averaged Heisenberg projector.  The operator is kept
+in the energy eigenbasis V of the free Hamiltonian, as one matrix M, and
+applied to a state as V M V^T; no position-basis matrix is formed.  We
+check it against a direct quadrature of the instantaneous presence
+probability, and look at two exactly solvable cases.
 """
 
 import numpy as np

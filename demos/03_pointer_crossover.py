@@ -34,7 +34,7 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # part 1: two-level system, coupling to sigma_z, superposition (|+1> + |-1>)
 space = (spin_space(),)
-system = Hamiltonian(space, kinetic=False)
+system = Hamiltonian(space)  # on a spin factor: the zero matrix
 psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
 sz = spin_operator(PAULI_Z)
 profile = CouplingProfile.rectangular(0.0, 1.0)

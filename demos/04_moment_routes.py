@@ -11,6 +11,11 @@ sojourn-time operator.  The package computes it four ways:
 The first two are algebraically exact; the last two involve finite
 couplings extrapolated to zero, so they carry small residuals.  Agreement
 across all four is the consistency check this module exists for.
+
+Every route reads the one stored form of the operator: its matrix M in the
+energy eigenbasis V of the free Hamiltonian.  The lambda and meter routes
+take their free evolution from that same eigenbasis, so they need no
+Hamiltonian argument.
 """
 
 from weaktime import (
@@ -48,9 +53,9 @@ tau = dwell_time(op, psi_final)
 
 via_operator = moment(op, psi_final, chi, 2)
 via_cells = second_moment_position_integral(op, psi_final)
-lam_val, lam_rec = lambda_moment_route(op, ham, psi0, chi, 2, (0.2, 0.1, 0.05))
+lam_val, lam_rec = lambda_moment_route(op, psi0, chi, 2, (0.2, 0.1, 0.05))
 spec = PointerSpec.auto(width=0.2, max_shift=1.0, n_points=256)
-runs = [run_moment_meter(spec, psi0, op, 2, g, ham) for g in (0.02, 0.01, 0.005)]
+runs = [run_moment_meter(spec, psi0, op, 2, g) for g in (0.02, 0.01, 0.005)]
 via_meter, meter_rec = meter_moment_readout(runs)
 
 print(f"dwell time (first moment): {tau:.8f}")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Hamiltonian, Propagator, evolve
-from .errors import DegeneratePostselectionError, ParameterError
-from .hilbert import HBAR, QuantumState, Region, inner_product
+from .errors import ParameterError
+from .hilbert import HBAR, QuantumState, Region, checked_overlap, inner_product
 
 MIN_STRENGTH = 1e-7
 ORDER_BAND = (0.8, 2.5)
@@ -133,14 +133,6 @@ def _unwrap(result, chi):
     return result if isinstance(chi, dict) else result["custom"]
 
 
-def _overlap_or_raise(chi_state, phi0, floor=1e-12):
-    den = inner_product(chi_state, phi0)
-    if abs(den) <= floor:
-        raise DegeneratePostselectionError("postselection overlap with the "
-                                           "unperturbed final state vanishes")
-    return den
-
-
 def _signed_runs(cfg, system, psi_initial, strengths, dt):
     """Unperturbed final state and, for each strength v, the final states
     under the system Hamiltonian plus +v and -v on the region."""
@@ -181,7 +173,7 @@ def clock_real_potential(
     }
     out = {}
     for label, chi_state in _chi_items(chi):
-        den = _overlap_or_raise(chi_state, phi0)
+        den = checked_overlap(chi_state, phi0)
         readouts = []
         for v in cfg.strengths:
             up, down = (inner_product(chi_state, s) for s in perturbed[v])
@@ -223,7 +215,7 @@ def clock_imaginary_potential(
 
     out = {}
     for label, chi_state in _chi_items(chi):
-        den = _overlap_or_raise(chi_state, phi0)
+        den = checked_overlap(chi_state, phi0)
         readouts = []
         for g in cfg.strengths:
             ratio = inner_product(chi_state, perturbed[g]) / den
@@ -279,7 +271,7 @@ def clock_larmor(
 
     out = {}
     for label, chi_state in _chi_items(chi):
-        den = _overlap_or_raise(chi_state, phi0)
+        den = checked_overlap(chi_state, phi0)
         sy_readouts = []
         id_readouts = []
         for w, v in zip(cfg.strengths, halves):

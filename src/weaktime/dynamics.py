@@ -33,8 +33,6 @@ class CouplingProfile:
     """Normalized time profile h(t) of the meter coupling, area 1.
 
     Rectangular: h = 1/(t_stop - t_start) on [t_start, t_stop), else 0.
-    An impulsive profile is realized as a rectangular profile one time step
-    wide ending at the hit time.
     """
 
     t_start: float
@@ -48,37 +46,30 @@ class CouplingProfile:
     def rectangular(cls, t_start: float, t_stop: float) -> "CouplingProfile":
         return cls(t_start, t_stop)
 
-    @classmethod
-    def impulsive(cls, t_hit: float, dt: float) -> "CouplingProfile":
-        return cls(t_hit - dt, t_hit)
-
     @property
     def duration(self) -> float:
         return self.t_stop - self.t_start
 
-    def value(self, t: float) -> float:
-        if self.t_start <= t < self.t_stop:
-            return 1.0 / self.duration
-        return 0.0
-
 
 @dataclass(eq=False)
 class Hamiltonian:
-    """Structured generator: the hard-wall kinetic stencil plus diagonal real
-    and imaginary potentials on a position grid.
+    """Structured generator on one factor space: on a position grid, the
+    hard-wall kinetic stencil plus diagonal real and imaginary potentials;
+    on a spin or pointer factor, the zero matrix.
 
     Treat instances as immutable after construction; derived Hamiltonians
     are produced by `with_potential_added`.
     """
 
     space: tuple[FactorSpace, ...]
-    kinetic: bool = True
     potential_real: Optional[np.ndarray] = None
     potential_imag: Optional[np.ndarray] = None  # -Gamma/2 convention, enters as +i*diag
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.space = tuple(self.space)
+        if len(self.space) != 1:
+            raise StructureError("a Hamiltonian acts on exactly one factor space")
         grid = self.position_grid
         for name in ("potential_real", "potential_imag"):
             v = getattr(self, name)
@@ -87,8 +78,6 @@ class Hamiltonian:
                 if grid is None or v.shape != (grid.n_points,):
                     raise StructureError(f"{name} does not match the position grid")
                 setattr(self, name, v)
-        if self.kinetic and grid is None:
-            self.kinetic = False
 
     @property
     def dimension(self) -> int:
@@ -96,21 +85,18 @@ class Hamiltonian:
 
     @property
     def position_grid(self) -> Grid | None:
-        for f in self.space:
-            if f.kind == "position":
-                return f.grid
-        return None
+        factor = self.space[0]
+        return factor.grid if factor.kind == "position" else None
 
     def _stencil(self):
-        """Real (diag, off) of the kinetic stencil plus the real potential of
-        a single-factor Hamiltonian, zeros when there is neither."""
-        if len(self.space) != 1:
-            raise StructureError("structured form needs a single-factor Hamiltonian")
+        """Real (diag, off) of the kinetic stencil plus the real potential,
+        zeros when there is neither."""
         n = self.dimension
         diag = np.zeros(n)
         off = np.zeros(n - 1)
-        if self.kinetic:
-            inv2 = 1.0 / self.position_grid.dx**2
+        grid = self.position_grid
+        if grid is not None:
+            inv2 = 1.0 / grid.dx**2
             diag += 2.0 * inv2
             off -= inv2
         if self.potential_real is not None:
@@ -125,9 +111,8 @@ class Hamiltonian:
         return diag + 1j * self.potential_imag
 
     def dense_matrix(self) -> np.ndarray:
-        """Dense matrix of a single-factor Hamiltonian (complex with an
-        absorbing potential), meant as input to brute-force cross-checks on
-        small grids."""
+        """Dense matrix (complex with an absorbing potential), meant as input
+        to brute-force cross-checks on small grids."""
         _, off = self._stencil()
         return np.diag(self._diagonal()) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -144,19 +129,16 @@ class Hamiltonian:
 
         return Hamiltonian(
             self.space,
-            kinetic=self.kinetic,
             potential_real=_add(self.potential_real, real),
             potential_imag=_add(self.potential_imag, imag),
         )
 
     def tridiagonal(self):
-        """Real (diag, off) of a hermitian single-factor Hamiltonian: the
-        kinetic stencil plus the real potential on the diagonal, zeros when
-        there is neither."""
-        if len(self.space) != 1 or not self.is_hermitian():
-            raise StructureError(
-                "tridiagonal form needs a hermitian single-factor Hamiltonian"
-            )
+        """Real (diag, off) of a hermitian Hamiltonian: the kinetic stencil
+        plus the real potential on the diagonal, zeros when there is
+        neither."""
+        if not self.is_hermitian():
+            raise StructureError("tridiagonal form needs a hermitian Hamiltonian")
         return self._stencil()
 
     def eigensystem(self):

@@ -1,9 +1,9 @@
 """Discretized Hilbert-space primitives.
 
-Grids, factor spaces, states, dense operators, regions and the discrete
-inner product.  Everything here is dense and immutable; this module
-is the correctness layer on which the dynamics and measurement machinery is
-built.
+Grids, factor spaces, states, dense operators, regions, the discrete inner
+product and the one postselection-overlap policy (`checked_overlap`).
+Everything here is dense and immutable; this module is the correctness
+layer on which the dynamics and measurement machinery is built.
 
 Units: hbar = 1 and particle mass m = 1/2 throughout, so the kinetic energy
 operator is -d^2/dx^2 and a plane wave exp(i k x) has energy k^2 and group
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ContractError,
+    DegeneratePostselectionError,
     EmptyRegionError,
     ParameterError,
     StructureError,
@@ -27,7 +28,7 @@ from .errors import (
 HBAR = 1.0
 
 HERMITICITY_TOL = 1e-10
-NORMALIZATION_TOL = 1e-12
+OVERLAP_FLOOR = 1e-8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -181,17 +182,6 @@ class OperatorMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, state: QuantumState) -> QuantumState:
-        if tuple(state.space) != self.space:
-            raise StructureError("operator and state live on different spaces")
-        return QuantumState(
-            state.space, self.matrix @ state.amplitudes, state.representation_time
-        )
-
 
 @dataclass(frozen=True)
 class Region:
@@ -231,6 +221,26 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
     if tuple(a.space) != tuple(b.space):
         raise StructureError("inner product between states on different spaces")
     return complex(a.cell_weight * np.vdot(a.amplitudes, b.amplitudes))
+
+
+def checked_overlap(chi: QuantumState, psi: QuantumState, overlap=None) -> complex:
+    """The postselection overlap `overlap` (default <chi|psi>), or raise if
+    it is degenerate.
+
+    The one policy for every postselected ratio in the package: the
+    postselection of psi on chi is degenerate, and DegeneratePostselectionError
+    raised, when |<chi|psi>| <= OVERLAP_FLOOR * ||chi|| * ||psi||.  A caller
+    that already holds the overlap passes it; for a system (x) pointer psi it
+    is the norm of the postselected pointer amplitude <chi|psi(q)>.
+    """
+    if overlap is None:
+        overlap = inner_product(chi, psi)
+    if abs(overlap) <= OVERLAP_FLOOR * chi.norm() * psi.norm():
+        raise DegeneratePostselectionError(
+            f"postselection overlap {abs(overlap):.3e} is at most {OVERLAP_FLOOR} "
+            "times the norms; the postselected value is undefined"
+        )
+    return overlap
 
 
 def projector(region: Region, grid: Grid) -> OperatorMatrix:

@@ -11,13 +11,16 @@ to weak values.
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
 drags an independent system evolution with the scalar coupling
-G h(t) pi_k A.  The meter exploits this: for a single-factor
-system (a position grid or one spin) and a diagonal observable, each
-mode's generator H + (G/T) pi_k A is real symmetric tridiagonal, and each
-kept mode costs one real tridiagonal eigensolve.  The moment meters couple
-to the carried-along sojourn operator, which commutes with its own history,
-so each mode is a closed-form phase in that operator's eigenbasis.  Meter
-states are system (x) pointer.
+G h(t) pi_k A.  The meter exploits this: for a system on one factor
+(a position grid or one spin) and a diagonal observable, each mode's
+generator H + (G/T) pi_k A is real symmetric tridiagonal, and each kept mode
+costs one real tridiagonal eigensolve.  The moment routes (the moment meter
+and the lambda route) couple to the carried-along sojourn operator, which
+commutes with its own history, so each mode is a closed-form phase in that
+operator's own eigenbasis.  They read the operator's stored eigenbasis
+matrix M and the free eigensystem it was built in from the operator itself:
+one hermitian eigh of M, no position-basis matrix.  Meter states are
+system (x) pointer.
 """
 
 from __future__ import annotations
@@ -30,19 +33,15 @@ import scipy.linalg
 
 from .clocks import extrapolate_to_zero
 from .dynamics import CouplingProfile, Hamiltonian
-from .errors import (
-    DegeneratePostselectionError,
-    ParameterError,
-    StructureError,
-)
+from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
     Grid,
     OperatorMatrix,
     QuantumState,
+    checked_overlap,
     fourier_momentum_values,
     gaussian_pointer,
-    inner_product,
     pointer_space,
 )
 from .sojourn import SojournOperator
@@ -235,9 +234,8 @@ def run_meter(
     The observable A is a fixed hermitian matrix on the system space.  Each
     pointer momentum mode above `mode_cutoff` is evolved through the
     (rectangular) profile window with one real tridiagonal eigensolve of
-    H + (G/T) pi_k A; this needs a hermitian single-factor system
-    (Hamiltonian.tridiagonal) and a diagonal A, and raises StructureError
-    otherwise.
+    H + (G/T) pi_k A.  A lossy system raises ParameterError (from its
+    cached free eigensystem), a non-diagonal A StructureError.
     """
     if tuple(observable.space) != tuple(system.space):
         raise StructureError("observable must live on the system space")
@@ -250,12 +248,10 @@ def run_meter(
     _check_initial_time(psi0, t0)
     phi = spec.initial_state()
 
-    if not system.is_hermitian():
-        raise ParameterError("the meter requires a hermitian system")
+    vals, vecs = system.eigensystem()
     diag, off = system.tridiagonal()
     a = _real_diagonal(observable)
 
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
     psi_eig = vecs.T @ psi0.amplitudes
     pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
     post = np.exp(-1j * vals * (t1 - profile.t_stop) / HBAR)
@@ -301,7 +297,6 @@ def run_moment_meter(
     op: SojournOperator,
     order: int,
     coupling: float,
-    system: Hamiltonian,
     mode_cutoff: float = DEFAULT_MODE_CUTOFF,
 ) -> MeterRun:
     """Couple the pointer to the l-th power of the time-in-region operator,
@@ -310,7 +305,8 @@ def run_moment_meter(
 
     In the interaction picture the carried-along operator is constant, so
     each pointer mode is the closed form exp(-i G pi_k T_op^l) after free
-    flight.  The run window is the operator's window.
+    flight under the Hamiltonian the operator was built from.  The run
+    window is the operator's window.
     """
     if order < 1 or order > 4:
         raise ParameterError("moment meter supports orders 1..4")
@@ -318,14 +314,8 @@ def run_moment_meter(
     t0, t1 = window
     profile = CouplingProfile.rectangular(t0, t1)
     _check_initial_time(psi0, t0)
-    if not system.is_hermitian():
-        raise ParameterError("moment meter requires a hermitian system")
 
-    vals, vecs = system.eigensystem()
-    base_eig = np.linalg.matrix_power(
-        vecs.T @ op.matrix.matrix @ vecs, order
-    )
-    base_eig = 0.5 * (base_eig + base_eig.conj().T)
+    vals, vecs = op.integrated.vals, op.integrated.vecs
     psi_eig = vecs.T @ psi0.amplitudes
     free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * psi_eig
     psi_ref = QuantumState(psi0.space, vecs @ free_eig, t1)
@@ -337,12 +327,13 @@ def run_moment_meter(
     modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
     modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
 
-    tau, w = np.linalg.eigh(base_eig)
-    carrier = vecs @ w
+    tau, w = np.linalg.eigh(op.integrated.eigen_matrix)
+    tau = (op.duration * tau) ** order
     z = w.conj().T @ free_eig
-    for k in np.nonzero(sig)[0]:
-        phase = np.exp(-1j * coupling * pi_vals[k] * tau / HBAR)
-        modes[:, k] = coeffs[k] * (carrier @ (phase * z))
+    kept = np.nonzero(sig)[0]
+    phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_vals[kept]))
+    kept_eig = (w @ (phases * z[:, None])) * coeffs[kept]
+    modes[:, kept] = vecs @ kept_eig.real + 1j * (vecs @ kept_eig.imag)
 
     composite = _compose(modes)
     return _finish_run(
@@ -364,7 +355,6 @@ def pointer_distribution(
     run: MeterRun,
     postselect: Optional[QuantumState] = None,
     label: Optional[str] = None,
-    overlap_floor: float = 1e-8,
 ) -> PointerDistribution:
     """Pointer probability density, marginal or conditioned on a system
     postselection; the conditional one carries its branch probability."""
@@ -377,10 +367,7 @@ def pointer_distribution(
         amp = _postselected_pointer_amplitude(run, postselect)
         raw = np.abs(amp) ** 2
         prob = float(np.sum(raw) * dq)
-        if np.sqrt(prob) <= overlap_floor:
-            raise DegeneratePostselectionError(
-                "postselection branch weight below floor"
-            )
+        checked_overlap(postselect, run.final, np.sqrt(prob))
     density = raw / prob
     q = grid.points
     mean = float(np.sum(q * density) * dq)
@@ -479,9 +466,7 @@ def derivative_identity_check(
 
     probe = runs[strengths[0]]
     ref_sys = probe.reference_system_final
-    den0 = inner_product(chi, ref_sys)
-    if abs(den0) <= 1e-12:
-        raise DegeneratePostselectionError("postselection overlap vanishes")
+    den0 = checked_overlap(chi, ref_sys)
     grid = probe.spec.grid
     q = grid.points
     phi0 = probe.pointer_initial.amplitudes
@@ -545,35 +530,33 @@ def derivative_identity_check(
 
 def lambda_moment_route(
     op: SojournOperator,
-    system: Hamiltonian,
     psi0: QuantumState,
     chi: QuantumState,
     order: int,
     lambdas,
 ):
-    """Moments from scalar-coupling derivatives: evolve under the system
-    Hamiltonian plus lambda h(t) times the carried-along time-in-region
-    operator, in closed form exp(-i lambda T_op) after free flight, and
-    apply (i hbar d/dlambda)^l to the postselected amplitude ratio at
-    lambda = 0 by central differences.  Returns (value, residual); the real
-    part is the moment.
+    """Moments from scalar-coupling derivatives: evolve under the
+    Hamiltonian the operator was built from plus lambda h(t) times the
+    carried-along time-in-region operator, in closed form
+    exp(-i lambda T_op) after free flight, and apply (i hbar d/dlambda)^l
+    to the postselected amplitude ratio at lambda = 0 by central
+    differences.  Returns (value, residual); the real part is the moment.
     """
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
     window = op.window
     _check_initial_time(psi0, window[0])
-    vals, vecs = system.eigensystem()
-    base_eig = vecs.T @ op.matrix.matrix @ vecs
+    vals, vecs = op.integrated.vals, op.integrated.vecs
     psi_eig = vecs.T @ psi0.amplitudes
     free_eig = np.exp(-1j * vals * (window[1] - window[0]) / HBAR) * psi_eig
     chi_eig = vecs.T @ chi.amplitudes
     w = psi0.cell_weight
-    den = w * np.vdot(chi_eig, free_eig)
-    if abs(den) <= 1e-12:
-        raise DegeneratePostselectionError("postselection overlap vanishes")
+    # the free evolution keeps the norm of psi0
+    den = checked_overlap(chi, psi0, w * np.vdot(chi_eig, free_eig))
 
-    tau, u = np.linalg.eigh(base_eig)
+    tau, u = np.linalg.eigh(op.integrated.eigen_matrix)
+    tau = op.duration * tau
     z = u.conj().T @ free_eig
 
     def ratio(lam: float) -> complex:

@@ -399,13 +399,8 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
         for l in (1, 2):
             lhs = moment_sum(op, psi_final, family, l)
             if l == 1:
-                rhs = duration * float(
-                    np.real(
-                        psi_final.cell_weight
-                        * np.vdot(psi_final.amplitudes,
-                                  op.integrated.matrix.matrix @ psi_final.amplitudes)
-                    )
-                )
+                amps = psi_final.amplitudes
+                rhs = float(np.real(psi_final.cell_weight * np.vdot(amps, op.apply(amps))))
             else:
                 rhs = second_moment_position_integral(op, psi_final)
             bundle.add(method="sum_rule", postselection="family", order=l,

@@ -1,11 +1,14 @@
 """Weak values, dwell times and the sojourn-time operator.
 
 The central object is the time average of a Heisenberg-picture observable
-over a window, realized as a trapezoid quadrature of U0(t_f,t) A U0^dag(t_f,t)
-weighted by the coupling profile.  Applied to a region projector and scaled
-by the window length this yields the hermitian sojourn-time operator, whose
-matrix elements give dwell times, postselected traversal times and their
-higher moments.
+over a window, a trapezoid quadrature of U0(t_f,t) A U0^dag(t_f,t).  It is
+evaluated exactly, and stored once, in the real eigenbasis V of the free
+Hamiltonian: as the hermitian matrix M = sym(A_eig * F), with A_eig = V^T A V
+and F the trapezoid filter of the level differences.  Every readout applies
+it as V M^l V^T to a few vectors; no position-basis matrix is formed.
+Applied to a region projector and scaled by the window length this is the
+hermitian sojourn-time operator T V M V^T, whose matrix elements give dwell
+times, postselected traversal times and their higher moments.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -19,55 +22,79 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CouplingProfile, Hamiltonian
-from .errors import (
-    DegeneratePostselectionError,
-    ParameterError,
-    StructureError,
-)
+from .dynamics import Hamiltonian
+from .errors import ContractError, ParameterError, StructureError
 from .hilbert import (
     HBAR,
+    HERMITICITY_TOL,
     Grid,
+    FactorSpace,
     OperatorMatrix,
     QuantumState,
     Region,
     basis_cell_state,
-    inner_product,
-    projector,
+    checked_overlap,
+    position_space,
 )
 
-DEFAULT_OVERLAP_FLOOR = 1e-8
 ANOMALY_FACTOR = 10.0
 
 
 @dataclass(frozen=True, eq=False)
 class IntegratedOperator:
-    """Trapezoid time average of a Heisenberg-picture observable."""
+    """Trapezoid time average of a Heisenberg-picture observable, stored as
+    the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
+    (`vals`, `vecs`) of the free Hamiltonian it was built from; the
+    position-basis operator is V M V^T."""
 
-    base: OperatorMatrix
+    space: tuple[FactorSpace, ...]
     window: tuple[float, float]
-    matrix: OperatorMatrix
-    n_slices: int
-    profile: CouplingProfile
+    eigen_matrix: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
 
     @property
     def duration(self) -> float:
         return self.window[1] - self.window[0]
+
+    def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
+        """V M^power V^T a.  The real V acts on the real and imaginary parts
+        separately, so it is never upcast to complex."""
+        vecs = self.vecs
+        c = vecs.T @ amplitudes.real + 1j * (vecs.T @ amplitudes.imag)
+        for _ in range(power):
+            c = self.eigen_matrix @ c
+        return vecs @ c.real + 1j * (vecs @ c.imag)
+
+    def dense(self) -> np.ndarray:
+        """Position-basis matrix V M V^T, meant as input to brute-force
+        cross-checks on small grids."""
+        vecs, m = self.vecs, self.eigen_matrix
+        return vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T)
 
 
 @dataclass(frozen=True, eq=False)
 class SojournOperator:
-    """Window length times the time-averaged region projector; hermitian,
-    spectrum within [0, window length] up to quadrature tolerance."""
+    """Window length T times the time-averaged region projector; hermitian,
+    spectrum within [0, T] up to quadrature tolerance.  T^l enters its
+    powers as a scalar."""
 
     region: Region
     window: tuple[float, float]
     integrated: IntegratedOperator
-    matrix: OperatorMatrix
 
     @property
     def duration(self) -> float:
         return self.window[1] - self.window[0]
+
+    def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
+        """The operator's power-th power applied to position amplitudes."""
+        return self.duration**power * self.integrated.apply(amplitudes, power)
+
+    def dense(self) -> np.ndarray:
+        """Position-basis matrix, meant as input to brute-force cross-checks
+        on small grids."""
+        return self.duration * self.integrated.dense()
 
 
 @dataclass(frozen=True)
@@ -97,53 +124,40 @@ def _trapezoid_filter(omega: np.ndarray, duration: float, n_slices: int) -> np.n
     return np.where(zero, 1.0, amp * np.cos(phase) - 1j * (amp * sin_phase))
 
 
+def _time_average(space, a_eig, vals, vecs, window, n_slices) -> IntegratedOperator:
+    """Trapezoid time average of the observable with eigenbasis matrix a_eig."""
+    if n_slices < 2:
+        raise ParameterError("n_slices must be at least 2")
+    t_start, t_stop = window
+    duration = t_stop - t_start
+    if duration <= 0:
+        raise ParameterError("window must have positive duration")
+    omega = (vals[:, None] - vals[None, :]) / HBAR
+    m = a_eig * _trapezoid_filter(omega, duration, n_slices)
+    m_dag = m.conj().T
+    defect = np.max(np.abs(m - m_dag))
+    if defect >= HERMITICITY_TOL:
+        raise ContractError(f"time average not hermitian: |M - M^dag| = {defect:.3e}")
+    return IntegratedOperator(space, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs)
+
+
 def integrate_heisenberg(
     observable: OperatorMatrix,
     free_hamiltonian: Hamiltonian,
     window: tuple[float, float],
     n_slices: int,
-    profile: Optional[CouplingProfile] = None,
 ) -> IntegratedOperator:
-    """Time-averaged Heisenberg observable over `window`.
-
-    The trapezoid sum is evaluated exactly in the real eigenbasis V of the
-    free Hamiltonian: V (A_eig * F) V^T with A_eig = V^T A V and F the
-    trapezoid filter of the level differences.  A diagonal observable (a
-    region projector) needs only its nonzero rows of V; the complex
-    back-transform runs as real products on the real and imaginary parts.
-    """
-    if n_slices < 2:
-        raise ParameterError("n_slices must be at least 2")
+    """Time-averaged Heisenberg observable over `window`, in the real
+    eigenbasis V of the free Hamiltonian: A_eig = V^T A V is formed as real
+    products on the real and imaginary parts of A."""
     if not observable.hermitian:
         raise ParameterError("integrated observable must be hermitian")
     if tuple(observable.space) != free_hamiltonian.space:
         raise StructureError("observable space does not match the Hamiltonian")
-    t_start, t_stop = window
-    duration = t_stop - t_start
-    if duration <= 0:
-        raise ParameterError("window must have positive duration")
-    profile = profile or CouplingProfile.rectangular(t_start, t_stop)
-
     vals, vecs = free_hamiltonian.eigensystem()
     a = observable.matrix
-    diag = np.diagonal(a).real
-    if np.count_nonzero(a) == np.count_nonzero(diag):
-        idx = np.flatnonzero(diag)
-        a_eig = (vecs[idx].T * diag[idx]) @ vecs[idx]
-    else:
-        a_eig = vecs.T @ a.real @ vecs + 1j * (vecs.T @ a.imag @ vecs)
-    omega = (vals[:, None] - vals[None, :]) / HBAR
-    m = a_eig * _trapezoid_filter(omega, duration, n_slices)
-    re = vecs @ m.real @ vecs.T
-    im = vecs @ m.imag @ vecs.T
-    mat = 0.5 * (re + re.T) + 0.5j * (im - im.T)
-    return IntegratedOperator(
-        base=observable,
-        window=(t_start, t_stop),
-        matrix=OperatorMatrix(observable.space, mat, hermitian=True),
-        n_slices=n_slices,
-        profile=profile,
-    )
+    a_eig = vecs.T @ a.real @ vecs + 1j * (vecs.T @ a.imag @ vecs)
+    return _time_average(free_hamiltonian.space, a_eig, vals, vecs, window, n_slices)
 
 
 def sojourn_matrix(
@@ -153,16 +167,16 @@ def sojourn_matrix(
     window: tuple[float, float],
     n_slices: int,
 ) -> SojournOperator:
-    """Sojourn-time operator for `region` over `window`."""
-    proj = projector(region, grid)
-    if tuple(proj.space) != free_hamiltonian.space:
+    """Sojourn-time operator for `region` over `window`.  The region projector
+    is diagonal, so its eigenbasis matrix needs only the region's rows of V."""
+    if free_hamiltonian.space != (position_space(grid),):
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
-    integrated = integrate_heisenberg(proj, free_hamiltonian, window, n_slices)
-    duration = window[1] - window[0]
-    mat = OperatorMatrix(
-        proj.space, duration * integrated.matrix.matrix, hermitian=True
+    vals, vecs = free_hamiltonian.eigensystem()
+    rows = vecs[region.indices(grid)]
+    integrated = _time_average(
+        free_hamiltonian.space, rows.T @ rows, vals, vecs, window, n_slices
     )
-    return SojournOperator(region=region, window=tuple(window), integrated=integrated, matrix=mat)
+    return SojournOperator(region=region, window=tuple(window), integrated=integrated)
 
 
 def _check_reference_time(state: QuantumState, window) -> None:
@@ -173,15 +187,30 @@ def _check_reference_time(state: QuantumState, window) -> None:
         )
 
 
+def _postselected_ratio(
+    integrated: IntegratedOperator,
+    psi_final: QuantumState,
+    chi_final: QuantumState,
+    power: int,
+) -> complex:
+    """<chi| I^power |psi> / <chi|psi>, with both states referenced to the
+    window end and the overlap guarded by `hilbert.checked_overlap`."""
+    _check_reference_time(psi_final, integrated.window)
+    _check_reference_time(chi_final, integrated.window)
+    den = checked_overlap(chi_final, psi_final)
+    num = chi_final.cell_weight * np.vdot(
+        chi_final.amplitudes, integrated.apply(psi_final.amplitudes, power)
+    )
+    return complex(num / den)
+
+
 def weak_value(
     integrated: IntegratedOperator, psi_final: QuantumState, observable: str = "observable"
 ) -> WeakValueResult:
     """Unconditioned weak value <psi|I(A)|psi>; real for hermitian A."""
     _check_reference_time(psi_final, integrated.window)
-    val = complex(
-        psi_final.cell_weight
-        * np.vdot(psi_final.amplitudes, integrated.matrix.matrix @ psi_final.amplitudes)
-    )
+    amps = psi_final.amplitudes
+    val = complex(psi_final.cell_weight * np.vdot(amps, integrated.apply(amps)))
     return WeakValueResult(value=val, observable=observable, window=integrated.window)
 
 
@@ -191,21 +220,9 @@ def conditional_weak_value(
     chi_final: QuantumState,
     observable: str = "observable",
     postselection: str = "custom",
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
 ) -> WeakValueResult:
     """Postselected weak value <chi|I(A)|psi> / <chi|psi>; complex in general."""
-    _check_reference_time(psi_final, integrated.window)
-    _check_reference_time(chi_final, integrated.window)
-    den = inner_product(chi_final, psi_final)
-    if abs(den) <= overlap_floor * psi_final.norm():
-        raise DegeneratePostselectionError(
-            f"postselection overlap {abs(den):.3e} below floor; value undefined"
-        )
-    num = complex(
-        chi_final.cell_weight
-        * np.vdot(chi_final.amplitudes, integrated.matrix.matrix @ psi_final.amplitudes)
-    )
-    val = num / den
+    val = _postselected_ratio(integrated, psi_final, chi_final, 1)
     anomalous = abs(val) > ANOMALY_FACTOR * max(1.0, integrated.duration)
     return WeakValueResult(
         value=val,
@@ -233,20 +250,11 @@ def conditional_dwell_time(
     psi_final: QuantumState,
     chi_final: QuantumState,
     postselection: str = "custom",
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
 ) -> WeakValueResult:
     """Postselected mean time in the region: window length times the
     conditional projector weak value.  May be negative or exceed the window;
     flagged anomalous outside ten window lengths."""
-    res = conditional_weak_value(
-        op.integrated,
-        psi_final,
-        chi_final,
-        observable="region projector",
-        postselection=postselection,
-        overlap_floor=overlap_floor,
-    )
-    val = op.duration * res.value
+    val = op.duration * _postselected_ratio(op.integrated, psi_final, chi_final, 1)
     return WeakValueResult(
         value=val,
         observable="region time",
@@ -261,24 +269,15 @@ def moment(
     psi_final: QuantumState,
     chi_final: QuantumState,
     order: int,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
 ) -> float:
     """Real part of the order-l conditional weak value of the sojourn
-    operator power, by repeated matrix application."""
+    operator power."""
     if order < 1:
         raise ParameterError("moment order must be >= 1")
     if order > 4:
         raise ParameterError("moments implemented for order <= 4")
-    _check_reference_time(psi_final, op.window)
-    _check_reference_time(chi_final, op.window)
-    den = inner_product(chi_final, psi_final)
-    if abs(den) <= overlap_floor * psi_final.norm():
-        raise DegeneratePostselectionError("postselection overlap below floor")
-    vec = psi_final.amplitudes
-    for _ in range(order):
-        vec = op.matrix.matrix @ vec
-    num = psi_final.cell_weight * np.vdot(chi_final.amplitudes, vec)
-    return float((num / den).real)
+    ratio = _postselected_ratio(op.integrated, psi_final, chi_final, order)
+    return float((op.duration**order * ratio).real)
 
 
 def moment_sum(
@@ -290,9 +289,7 @@ def moment_sum(
     """Sum of |overlap|^2-weighted conditional moments over a family of
     orthonormal final states, evaluated in numerator form so that cells with
     vanishing overlap contribute zero instead of 0/0."""
-    vec = psi_final.amplitudes
-    for _ in range(order):
-        vec = op.matrix.matrix @ vec
+    vec = op.apply(psi_final.amplitudes, order)
     total = 0.0
     w = psi_final.cell_weight
     for chi in chi_family:
@@ -310,11 +307,9 @@ def second_moment_position_integral(op: SojournOperator, psi_final: QuantumState
     product with the cell amplitude cancelled, so cells where psi vanishes
     contribute their correct (zero) weight without dividing by zero.
     """
-    if len(op.matrix.space) != 1 or op.matrix.space[0].kind != "position":
-        raise StructureError("position-integral route requires a bare position space")
+    dx = op.integrated.space[0].grid.dx
     _check_reference_time(psi_final, op.window)
-    w = op.matrix.matrix @ psi_final.amplitudes
-    dx = op.matrix.space[0].grid.dx
+    w = op.apply(psi_final.amplitudes)
     return float(np.sum(np.abs(w) ** 2) * dx)
 
 
@@ -330,25 +325,18 @@ def second_moment_position_postselected(
     op: SojournOperator,
     psi_final: QuantumState,
     cell_index: int,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
 ) -> PositionSecondMoment:
     """Second moment conditioned on finding the particle in one grid cell.
 
     Returns the operator form together with the symmetrized alternative;
     the two differ in general.
     """
-    if len(op.matrix.space) != 1 or op.matrix.space[0].kind != "position":
-        raise StructureError("cell postselection requires a bare position space")
-    _check_reference_time(psi_final, op.window)
-    grid = op.matrix.space[0].grid
-    cell = basis_cell_state(grid, cell_index, space=op.matrix.space, time=psi_final.representation_time)
-    den = inner_product(cell, psi_final)
-    if abs(den) <= overlap_floor * psi_final.norm():
-        raise DegeneratePostselectionError("cell weight below floor")
-    t_psi = op.matrix.matrix @ psi_final.amplitudes
-    t2_psi = op.matrix.matrix @ t_psi
-    w = psi_final.cell_weight
-    operator_form = float((w * np.vdot(cell.amplitudes, t2_psi) / den).real)
+    space = op.integrated.space
+    cell = basis_cell_state(
+        space[0].grid, cell_index, space=space, time=psi_final.representation_time
+    )
+    ratio = _postselected_ratio(op.integrated, psi_final, cell, 2)
+    operator_form = float((op.duration**2 * ratio).real)
+    t_psi = op.apply(psi_final.amplitudes)
     symmetrized = float(np.abs(t_psi[cell_index]) ** 2 / np.abs(psi_final.amplitudes[cell_index]) ** 2)
     return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)
-

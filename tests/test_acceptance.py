@@ -113,7 +113,7 @@ def test_criterion_1_oracle_equivalence():
     chi = QuantumState(space, vecs[:, 1:4] @ np.array([0.7, -0.3j, 0.4]), window[1]).normalized()
 
     errs = {
-        "matrix": float(np.max(np.abs(op.matrix.matrix - t_ref))),
+        "matrix": float(np.max(np.abs(op.dense() - t_ref))),
         "weak": abs(
             weak_value(op.integrated, psi_final).value
             - oracle.weak_value(t_ref, psi, dx) / op.duration
@@ -191,7 +191,7 @@ def test_criterion_3_meter_linearity(crossing):
 
 def test_criterion_4_strong_measurement_statistics():
     space = (spin_space(),)
-    system = Hamiltonian(space, kinetic=False)
+    system = Hamiltonian(space)
     psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
@@ -255,11 +255,11 @@ def test_criterion_6_second_moment_four_routes(barrier_ctx):
     via_operator = moment(ctx.op, ctx.psi_final, chi, 2)
     via_cells = second_moment_position_integral(ctx.op, ctx.psi_final)
     lam_val, _ = lambda_moment_route(
-        ctx.op, ctx.ham, ctx.psi0, chi, 2, (0.2, 0.1, 0.05)
+        ctx.op, ctx.psi0, chi, 2, (0.2, 0.1, 0.05)
     )
     spec = PointerSpec.auto(width=0.2, max_shift=1.0, n_points=256)
     runs = [
-        run_moment_meter(spec, ctx.psi0, ctx.op, 2, g, ctx.ham)
+        run_moment_meter(spec, ctx.psi0, ctx.op, 2, g)
         for g in (0.02, 0.01, 0.005)
     ]
     via_meter, _ = meter_moment_readout(runs)

@@ -3,22 +3,61 @@
 import dataclasses
 import inspect
 
+import numpy as np
+
 import weaktime
-from weaktime.dynamics import Propagator
+from weaktime.dynamics import Hamiltonian, Propagator
+from weaktime.hilbert import Grid, Region, position_space
+from weaktime.sojourn import sojourn_matrix
 
 
-def test_public_callables_have_one_engine():
-    # each physical route has exactly one production engine; independent
-    # cross-checks live in tests/oracle.py, not behind a selector
-    offenders = []
+def _public_parameters():
     for name in weaktime.__all__:
         obj = getattr(weaktime, name)
         if not callable(obj):
             continue
         try:
-            params = inspect.signature(obj).parameters
+            yield name, inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        offenders += [f"{name}({p})" for p in ("engine", "stepper") if p in params]
+
+
+def test_public_callables_have_one_engine():
+    # each physical route has exactly one production engine; independent
+    # cross-checks live in tests/oracle.py, not behind a selector
+    offenders = [
+        f"{name}({p})"
+        for name, params in _public_parameters()
+        for p in ("engine", "stepper")
+        if p in params
+    ]
     assert offenders == []
     assert "method" not in {f.name for f in dataclasses.fields(Propagator)}
+
+
+def test_one_overlap_policy_and_no_kinetic_flag():
+    # the postselection-overlap floor is one package-wide definition
+    # (hilbert.checked_overlap), not a per-call setting
+    assert [name for name, params in _public_parameters() if "overlap_floor" in params] == []
+    # kinetic energy is present exactly when the factor is a position grid
+    assert "kinetic" not in {f.name for f in dataclasses.fields(Hamiltonian)}
+
+
+def test_sojourn_operator_is_stored_once():
+    grid = Grid(16, 0.0, 7.5)
+    ham = Hamiltonian((position_space(grid),))
+    op = sojourn_matrix(Region(3.0, 5.0), grid, ham, (0.0, 2.0), 50)
+    n = grid.n_points
+
+    def square_fields(obj):
+        return {
+            f.name
+            for f in dataclasses.fields(obj)
+            if np.shape(getattr(obj, f.name)) == (n, n)
+        }
+
+    assert square_fields(op) == set()
+    # M is the one N x N array the operator owns; V is the Hamiltonian's
+    # cached eigenbasis, shared rather than copied
+    assert square_fields(op.integrated) == {"eigen_matrix", "vecs"}
+    assert op.integrated.vecs is ham.eigensystem()[1]

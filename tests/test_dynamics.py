@@ -28,17 +28,12 @@ def _packet():
 
 
 def test_profile_rectangular_area_one():
+    # height 1/duration on [t_start, t_stop): the area is one
     prof = CouplingProfile.rectangular(1.0, 3.0)
-    assert prof.value(1.0) == pytest.approx(0.5)
-    assert prof.value(2.9) == pytest.approx(0.5)
-    assert prof.value(3.0) == 0.0
-    assert prof.value(0.5) == 0.0
-
-
-def test_profile_impulsive_ends_at_hit():
-    prof = CouplingProfile.impulsive(2.0, 0.1)
-    assert prof.t_stop == pytest.approx(2.0)
-    assert prof.duration == pytest.approx(0.1)
+    assert (prof.t_start, prof.t_stop) == (1.0, 3.0)
+    assert prof.duration == pytest.approx(2.0)
+    with pytest.raises(ParameterError):
+        CouplingProfile.rectangular(3.0, 3.0)
 
 
 def test_kinetic_matrix_matches_reference_stencil():
@@ -110,7 +105,7 @@ def test_eigensystem_requires_static_hermitian():
 
 def _catalog_or_spin_toy(name):
     if name == "spin_toy":
-        return Hamiltonian((spin_space(),), kinetic=False)
+        return Hamiltonian((spin_space(),))
     return catalog()[name].hamiltonian()
 
 
@@ -127,8 +122,10 @@ def test_eigensystem_is_real_orthonormal_and_rebuilds_static_matrix(name):
 
 
 def test_eigensystem_rejects_two_factor_space():
+    # a Hamiltonian acts on one factor, so no eigensystem of a product space
+    # can be asked for
     with pytest.raises(StructureError):
-        Hamiltonian((position_space(GRID), spin_space())).eigensystem()
+        Hamiltonian((position_space(GRID), spin_space()))
 
 
 def test_evolve_eigenbasis_matches_oracle():
@@ -151,7 +148,7 @@ def test_tridiagonal_rebuilds_static_matrix(name):
 
 def test_tridiagonal_rejects_other_structures():
     gamma = 0.1 * Region(15.0, 25.0).indicator(GRID)
-    two_factor = Hamiltonian((position_space(GRID), spin_space()))
-    for ham in (Hamiltonian(SPACE, potential_imag=-0.5 * gamma), two_factor):
-        with pytest.raises(StructureError):
-            ham.tridiagonal()
+    with pytest.raises(StructureError):
+        Hamiltonian(SPACE, potential_imag=-0.5 * gamma).tridiagonal()
+    with pytest.raises(StructureError):
+        Hamiltonian((position_space(GRID), spin_space()))

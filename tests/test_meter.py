@@ -59,7 +59,7 @@ def crossing():
 
 def _toy():
     space = (spin_space(),)
-    system = Hamiltonian(space, kinetic=False)
+    system = Hamiltonian(space)
     psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
     return system, psi0, spin_operator(PAULI_Z)
 
@@ -133,11 +133,9 @@ def test_factorized_engine_rejects_unstructured_problems():
     profile = CouplingProfile.rectangular(0.0, 1.0)
     with pytest.raises(StructureError):
         run_meter(spec, psi0, spin_operator(PAULI_X), 0.1, profile, system)
-    space = (position_space(Grid(8, 0.0, 7.0)), spin_space())
-    two_factor = Hamiltonian(space)
-    psi = QuantumState(space, np.ones(16)).normalized()
+    # a two-factor system cannot even be built as a Hamiltonian
     with pytest.raises(StructureError):
-        run_meter(spec, psi, identity_operator(space), 0.1, profile, two_factor)
+        Hamiltonian((position_space(Grid(8, 0.0, 7.0)), spin_space()))
 
 
 def test_composite_engine_matches_factorized():
@@ -263,9 +261,9 @@ def test_survival_deficit_scales_quadratically(crossing):
 def test_moment_meter_engines_agree(crossing):
     ham, psi0, _, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
-    exact = run_moment_meter(spec, psi0, op, 1, 0.1, ham)
+    exact = run_moment_meter(spec, psi0, op, 1, 0.1)
     stepped = oracle.stepped_moment_meter(
-        ham.dense_matrix(), op.matrix.matrix, 1, psi0.amplitudes,
+        ham.dense_matrix(), op.dense(), 1, psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.1, op.window, 0.05,
     )
     np.testing.assert_allclose(stepped, exact.final_array(), atol=1e-5)
@@ -276,7 +274,7 @@ def test_moment_meter_readout_matches_operator_moment(crossing):
     for order, ladder in ((1, (0.1, 0.05, 0.025)), (2, (0.02, 0.01, 0.005))):
         spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
         runs = [
-            run_moment_meter(spec, psi0, op, order, g, ham)
+            run_moment_meter(spec, psi0, op, order, g)
             for g in ladder
         ]
         value, residual = meter_moment_readout(runs)
@@ -288,7 +286,7 @@ def test_moment_meter_rejects_bad_order(crossing):
     ham, psi0, _, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
     with pytest.raises(ParameterError):
-        run_moment_meter(spec, psi0, op, 5, 0.1, ham)
+        run_moment_meter(spec, psi0, op, 5, 0.1)
 
 
 # -- derivative identities ----------------------------------------------------
@@ -299,8 +297,8 @@ def test_derivative_identities_recover_conditional_moments(crossing):
     idx = int(np.argmax(np.abs(psi_final.amplitudes)))
     chi = basis_cell_state(GRID, idx, time=WINDOW[1])
     den = inner_product(chi, psi_final)
-    t_psi = op.matrix.matrix @ psi_final.amplitudes
-    t2_psi = op.matrix.matrix @ t_psi
+    t_psi = op.dense() @ psi_final.amplitudes
+    t2_psi = op.dense() @ t_psi
     w = psi_final.cell_weight
     ref = {
         1: complex(w * np.vdot(chi.amplitudes, t_psi)) / den,
@@ -309,7 +307,7 @@ def test_derivative_identities_recover_conditional_moments(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
 
     def factory(g):
-        return run_moment_meter(spec, psi0, op, 1, g, ham)
+        return run_moment_meter(spec, psi0, op, 1, g)
 
     report = derivative_identity_check(
         factory, (0.05, 0.025, 0.0125), chi, orders=(1, 2), reference=ref
@@ -324,7 +322,7 @@ def test_lambda_route_matches_operator_moments(crossing):
     chi = psi_final
     for order in (1, 2):
         value, residual = lambda_moment_route(
-            op, ham, psi0, chi, order, (0.1, 0.05, 0.025)
+            op, psi0, chi, order, (0.1, 0.05, 0.025)
         )
         ref = moment(op, psi_final, chi, order)
         assert value.real == pytest.approx(ref, rel=1e-5)

@@ -67,7 +67,7 @@ def test_integrated_identity_is_identity():
     ham = _small_ham()
     ident = identity_operator(SPACE)
     out = integrate_heisenberg(ident, ham, WINDOW, 16)
-    np.testing.assert_allclose(out.matrix.matrix, ident.matrix, atol=1e-10)
+    np.testing.assert_allclose(out.dense(), ident.matrix, atol=1e-10)
 
 
 def test_integrated_commuting_observable_unchanged():
@@ -80,13 +80,13 @@ def test_integrated_commuting_observable_unchanged():
 
     a = OperatorMatrix(SPACE, f_of_h, hermitian=True)
     out = integrate_heisenberg(a, ham, WINDOW, 8)
-    np.testing.assert_allclose(out.matrix.matrix, f_of_h, atol=1e-10)
+    np.testing.assert_allclose(out.dense(), f_of_h, atol=1e-10)
 
 
 def test_spectral_sum_matches_oracle_slice_loop():
     ham = _small_ham()
     proj = projector(REGION, GRID)
-    ours = integrate_heisenberg(proj, ham, WINDOW, 64).matrix.matrix
+    ours = integrate_heisenberg(proj, ham, WINDOW, 64).dense()
     ref = oracle.time_average(proj.matrix, ham.dense_matrix(), WINDOW, 64)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_spectral_sum_matches_oracle_slice_loop():
 def test_integrated_matches_brute_force_quadrature(small):
     ham, hmat, psi0, psi_final, op = small
     proj = projector(REGION, GRID)
-    ours = integrate_heisenberg(proj, ham, WINDOW, 200).matrix.matrix
+    ours = integrate_heisenberg(proj, ham, WINDOW, 200).dense()
     ref = oracle.time_average(proj.matrix, hmat, WINDOW, 200)
     np.testing.assert_allclose(ours, ref, atol=1e-10)
 
@@ -105,14 +105,15 @@ def test_sojourn_full_box_is_window_length():
     op = sojourn_matrix(whole, GRID, ham, WINDOW, 16)
     duration = WINDOW[1] - WINDOW[0]
     np.testing.assert_allclose(
-        op.matrix.matrix, duration * np.eye(GRID.n_points), atol=1e-9
+        op.dense(), duration * np.eye(GRID.n_points), atol=1e-9
     )
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_spectrum_within_window(ctx, request):
     op = request.getfixturevalue(ctx).op
-    vals = np.linalg.eigvalsh(op.matrix.matrix)
+    # the stored eigenbasis matrix M has the spectrum of T_op / T
+    vals = op.duration * np.linalg.eigvalsh(op.integrated.eigen_matrix)
     assert vals.min() >= -1e-9
     assert vals.max() <= op.duration + 1e-9
 
@@ -149,7 +150,7 @@ def test_trapezoid_filter_is_one_only_at_zero_frequency():
 
 def test_sojourn_spectrum_within_window(small):
     _, _, _, _, op = small
-    vals = np.linalg.eigvalsh(op.matrix.matrix)
+    vals = np.linalg.eigvalsh(op.dense())
     duration = WINDOW[1] - WINDOW[0]
     assert vals.min() > -1e-6
     assert vals.max() < duration + 1e-6
@@ -165,7 +166,7 @@ def test_unconditioned_weak_value_is_real(small):
 def test_weak_value_matches_oracle(small):
     _, _, _, psi_final, op = small
     res = weak_value(op.integrated, psi_final)
-    ref = oracle.weak_value(op.integrated.matrix.matrix, psi_final.amplitudes, GRID.dx)
+    ref = oracle.weak_value(op.integrated.dense(), psi_final.amplitudes, GRID.dx)
     assert res.value == pytest.approx(ref, abs=1e-10)
 
 
@@ -182,7 +183,7 @@ def test_conditional_matches_oracle_on_cells(small):
     cell = basis_cell_state(GRID, idx, time=WINDOW[1])
     res = conditional_weak_value(op.integrated, psi_final, cell)
     ref = oracle.conditional_weak_value(
-        op.integrated.matrix.matrix, psi_final.amplitudes, cell.amplitudes, GRID.dx
+        op.integrated.dense(), psi_final.amplitudes, cell.amplitudes, GRID.dx
     )
     assert res.value == pytest.approx(ref, abs=1e-10)
 
@@ -193,7 +194,7 @@ def test_dwell_time_in_range_and_matches_oracle(small):
     duration = WINDOW[1] - WINDOW[0]
     assert 0.0 <= tau <= duration
     ref = duration * oracle.weak_value(
-        op.integrated.matrix.matrix, psi_final.amplitudes, GRID.dx
+        op.integrated.dense(), psi_final.amplitudes, GRID.dx
     ).real
     assert tau == pytest.approx(ref, abs=1e-10)
 
@@ -231,7 +232,7 @@ def test_moments_match_oracle_through_order_four(small):
     for order in (1, 2, 3, 4):
         ours = moment(op, psi_final, cell, order)
         ref = oracle.conditional_moment(
-            op.matrix.matrix, psi_final.amplitudes, cell.amplitudes, order, GRID.dx
+            op.dense(), psi_final.amplitudes, cell.amplitudes, order, GRID.dx
         )
         assert ours == pytest.approx(ref, abs=1e-9)
 
@@ -268,7 +269,7 @@ def test_second_moment_position_integral_equals_operator_route(small):
     via_cells = second_moment_position_integral(op, psi_final)
     via_operator = moment(op, psi_final, psi_final, 2)
     assert via_cells == pytest.approx(via_operator, abs=1e-10)
-    ref = oracle.second_moment_cells(op.matrix.matrix, psi_final.amplitudes, GRID.dx)
+    ref = oracle.second_moment_cells(op.dense(), psi_final.amplitudes, GRID.dx)
     assert via_cells == pytest.approx(ref, abs=1e-10)
 
 
