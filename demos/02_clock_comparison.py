@@ -29,7 +29,7 @@ from weaktime import (
 )
 
 grid = Grid(64, 0.0, 48.0)
-space = (position_space(grid),)
+space = position_space(grid)
 region = Region(20.0, 28.0)
 window = (0.0, 8.0)
 
@@ -38,7 +38,7 @@ psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
 psi_final = evolve_eigenbasis(psi0, ham, window[1])
 
-op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window, n_slices=4000)
 tau = dwell_time(op, psi_final)
 print(f"sojourn-operator dwell time: {tau:.6f}\n")
 

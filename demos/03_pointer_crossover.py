@@ -1,11 +1,12 @@
 """Pointer distributions from strong projective readout to weak shifts.
 
-A Gaussian pointer couples to an observable during a finite window.  When
-the pointer is narrow compared with the coupling, the distribution splits
-into one peak per observable eigenvalue (a projective measurement).  When
-the pointer is broad, the peaks merge into a single Gaussian whose small
-displacement grows linearly with the coupling, with slope equal to the
-weak value of the time-averaged observable.
+A Gaussian pointer couples to a diagonal observable, given as the real
+array of its diagonal entries, during a finite window.  When the pointer is
+narrow compared with the coupling, the distribution splits into one peak
+per observable eigenvalue (a projective measurement).  When the pointer is
+broad, the peaks merge into a single Gaussian whose small displacement
+grows linearly with the coupling, with slope equal to the weak value of
+the time-averaged observable.
 """
 
 import numpy as np
@@ -21,22 +22,19 @@ from weaktime import (
     gaussian_packet,
     pointer_distribution,
     position_space,
-    projector,
     run_meter,
     sojourn_matrix,
+    spin_space,
     survival_probability,
     weak_value,
 )
-from weaktime.hilbert import spin_operator, spin_space
 from weaktime.meter import pointer_shift_fit
 
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 # part 1: two-level system, coupling to sigma_z, superposition (|+1> + |-1>)
-space = (spin_space(),)
+space = spin_space()
 system = Hamiltonian(space)  # on a spin factor: the zero matrix
 psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
-sz = spin_operator(PAULI_Z)
+sz = np.array([1.0, -1.0])  # the diagonal of sigma_z
 profile = CouplingProfile.rectangular(0.0, 1.0)
 
 print("two-level system, coupling strength 1, eigenvalues +1 and -1")
@@ -56,19 +54,19 @@ print("broad pointer: one peak, the initial state barely disturbed\n")
 grid = Grid(64, 0.0, 48.0)
 region = Region(20.0, 28.0)
 window = (0.0, 8.0)
-ham = Hamiltonian((position_space(grid),))
+ham = Hamiltonian(position_space(grid))
 packet = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
 psi_final = evolve_eigenbasis(packet, ham, window[1])
 
-op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window, n_slices=4000)
 a_w = weak_value(op.integrated, psi_final).value.real
 
 spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
 crossing_profile = CouplingProfile.rectangular(*window)
 ladder = (0.4, 0.3, 0.2, 0.1)
 runs = [
-    run_meter(spec, packet, projector(region, grid), g, crossing_profile, ham)
+    run_meter(spec, packet, region.indicator(grid), g, crossing_profile, ham)
     for g in ladder + tuple(-g for g in ladder)
 ]
 slope, intercept = pointer_shift_fit(runs)

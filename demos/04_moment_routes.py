@@ -15,7 +15,8 @@ across all four is the consistency check this module exists for.
 Every route reads the one stored form of the operator: its matrix M in the
 energy eigenbasis V of the free Hamiltonian.  The lambda and meter routes
 take their free evolution from that same eigenbasis, so they need no
-Hamiltonian argument.
+Hamiltonian argument, and share one eigendecomposition of M, solved on
+first use and cached on the operator.
 """
 
 from weaktime import (
@@ -38,7 +39,7 @@ from weaktime.meter import (
 )
 
 grid = Grid(64, 0.0, 48.0)
-space = (position_space(grid),)
+space = position_space(grid)
 region = Region(20.0, 28.0)
 window = (0.0, 8.0)
 
@@ -48,7 +49,7 @@ psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 psi_final = evolve_eigenbasis(psi0, ham, window[1])
 chi = psi_final.normalized()
 
-op = sojourn_matrix(region, grid, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window, n_slices=4000)
 tau = dwell_time(op, psi_final)
 
 via_operator = moment(op, psi_final, chi, 2)

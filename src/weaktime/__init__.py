@@ -25,15 +25,12 @@ from .hilbert import (
     HBAR,
     Grid,
     FactorSpace,
-    OperatorMatrix,
     QuantumState,
     Region,
     gaussian_packet,
     gaussian_pointer,
     inner_product,
     position_space,
-    pointer_space,
-    projector,
     spin_space,
 )
 from .dynamics import (
@@ -50,7 +47,6 @@ from .sojourn import (
     conditional_dwell_time,
     conditional_weak_value,
     dwell_time,
-    integrate_heisenberg,
     moment,
     moment_sum,
     second_moment_position_integral,

@@ -23,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NumericalError, ParameterError, StructureError
-from .hilbert import HBAR, FactorSpace, Grid, QuantumState, space_dimension
+from .hilbert import HBAR, FactorSpace, Grid, QuantumState
 
 _TIME_ATOL = 1e-9
 
@@ -55,21 +55,20 @@ class CouplingProfile:
 class Hamiltonian:
     """Structured generator on one factor space: on a position grid, the
     hard-wall kinetic stencil plus diagonal real and imaginary potentials;
-    on a spin or pointer factor, the zero matrix.
+    on a spin, the zero matrix.
 
     Treat instances as immutable after construction; derived Hamiltonians
     are produced by `with_potential_added`.
     """
 
-    space: tuple[FactorSpace, ...]
+    space: FactorSpace
     potential_real: Optional[np.ndarray] = None
     potential_imag: Optional[np.ndarray] = None  # -Gamma/2 convention, enters as +i*diag
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.space = tuple(self.space)
-        if len(self.space) != 1:
-            raise StructureError("a Hamiltonian acts on exactly one factor space")
+        if not isinstance(self.space, FactorSpace):
+            raise StructureError("a Hamiltonian acts on exactly one FactorSpace")
         grid = self.position_grid
         for name in ("potential_real", "potential_imag"):
             v = getattr(self, name)
@@ -81,12 +80,11 @@ class Hamiltonian:
 
     @property
     def dimension(self) -> int:
-        return space_dimension(self.space)
+        return self.space.dimension
 
     @property
     def position_grid(self) -> Grid | None:
-        factor = self.space[0]
-        return factor.grid if factor.kind == "position" else None
+        return self.space.grid
 
     def _stencil(self):
         """Real (diag, off) of the kinetic stencil plus the real potential,
@@ -197,7 +195,7 @@ def evolve(
     serves every step.
     """
     ham = prop.hamiltonian
-    if tuple(state.space) != ham.space:
+    if state.space != ham.space:
         raise StructureError("state and propagator live on different spaces")
     n = _check_steps(prop.dt, t_from, t_to)
     _, off = ham._stencil()

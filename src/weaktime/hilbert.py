@@ -1,9 +1,13 @@
 """Discretized Hilbert-space primitives.
 
-Grids, factor spaces, states, dense operators, regions, the discrete inner
-product and the one postselection-overlap policy (`checked_overlap`).
-Everything here is dense and immutable; this module is the correctness
-layer on which the dynamics and measurement machinery is built.
+Grids, factor spaces, states, regions, the discrete inner product and the
+one postselection-overlap policy (`checked_overlap`).  Every state lives on
+one factor: a position grid or a spin-1/2.  There is no dense operator
+type: the meter's observable is diagonal and is passed as its real 1-D
+diagonal (a region indicator, or [1, -1] for sigma_z), and the sojourn
+operator keeps its own eigenbasis form.  Everything here is immutable; this
+module is the correctness layer on which the dynamics and measurement
+machinery is built.
 
 Units: hbar = 1 and particle mass m = 1/2 throughout, so the kinetic energy
 operator is -d^2/dx^2 and a plane wave exp(i k x) has energy k^2 and group
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContractError,
     DegeneratePostselectionError,
     EmptyRegionError,
     ParameterError,
@@ -29,9 +32,6 @@ HBAR = 1.0
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_FLOOR = 1e-8
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class FactorSpace:
-    """One tensor factor: a position grid, a spin-1/2, or a pointer grid.
+    """The one factor a state lives on: a position grid or a spin-1/2."""
 
-    A meter state lives on system (x) pointer, the pointer factor last.
-    """
-
-    kind: str  # "position" | "spin" | "pointer"
+    kind: str  # "position" | "spin"
     grid: Grid | None = None
 
     def __post_init__(self):
-        if self.kind in ("position", "pointer"):
+        if self.kind == "position":
             if self.grid is None:
                 raise StructureError(f"{self.kind} factor requires a grid")
         elif self.kind == "spin":
@@ -83,7 +80,7 @@ class FactorSpace:
 
     @property
     def weight(self) -> float:
-        """Quadrature weight of one cell: dx for continuous factors, 1 for spin."""
+        """Quadrature weight of one cell: dx on a position grid, 1 for spin."""
         return 1.0 if self.kind == "spin" else self.grid.dx
 
 
@@ -95,44 +92,26 @@ def spin_space() -> FactorSpace:
     return FactorSpace("spin")
 
 
-def pointer_space(grid: Grid) -> FactorSpace:
-    return FactorSpace("pointer", grid)
-
-
-def space_dimension(space: tuple[FactorSpace, ...]) -> int:
-    dim = 1
-    for f in space:
-        dim *= f.dimension
-    return dim
-
-
-def space_weight(space: tuple[FactorSpace, ...]) -> float:
-    w = 1.0
-    for f in space:
-        w *= f.weight
-    return w
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Complex amplitude vector on an ordered product of factor spaces.
+    """Complex amplitude vector on one factor space.
 
     `representation_time` records the instant the amplitudes refer to;
     propagation returns new states with an updated time stamp.
     """
 
-    space: tuple[FactorSpace, ...]
+    space: FactorSpace
     amplitudes: np.ndarray
     representation_time: float = 0.0
 
     def __post_init__(self):
-        space = tuple(self.space)
-        object.__setattr__(self, "space", space)
+        if not isinstance(self.space, FactorSpace):
+            raise StructureError("a state lives on exactly one FactorSpace")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size != space_dimension(space):
+        if amps.ndim != 1 or amps.size != self.space.dimension:
             raise StructureError(
                 f"amplitude vector of length {amps.size} does not match "
-                f"space dimension {space_dimension(space)}"
+                f"space dimension {self.space.dimension}"
             )
         amps = amps.copy()
         amps.flags.writeable = False
@@ -140,7 +119,7 @@ class QuantumState:
 
     @property
     def cell_weight(self) -> float:
-        return space_weight(self.space)
+        return self.space.weight
 
     def norm(self) -> float:
         return float(np.sqrt(self.cell_weight) * np.linalg.norm(self.amplitudes))
@@ -153,34 +132,6 @@ class QuantumState:
 
     def at_time(self, t: float) -> "QuantumState":
         return QuantumState(self.space, self.amplitudes, t)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense complex matrix on an ordered product of factor spaces."""
-
-    space: tuple[FactorSpace, ...]
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        space = tuple(self.space)
-        object.__setattr__(self, "space", space)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = space_dimension(space)
-        if mat.shape != (dim, dim):
-            raise StructureError(
-                f"matrix shape {mat.shape} does not match space dimension {dim}"
-            )
-        if self.hermitian:
-            defect = np.max(np.abs(mat - mat.conj().T)) if dim else 0.0
-            if defect >= HERMITICITY_TOL:
-                raise ContractError(
-                    f"matrix declared hermitian but |M - M^dag| = {defect:.3e}"
-                )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -216,9 +167,9 @@ class Region:
 def inner_product(a: QuantumState, b: QuantumState) -> complex:
     """Discrete inner product <a|b>, conjugate-linear in the first argument.
 
-    Continuous factors contribute their cell width dx as quadrature weight.
+    A position grid contributes its cell width dx as quadrature weight.
     """
-    if tuple(a.space) != tuple(b.space):
+    if a.space != b.space:
         raise StructureError("inner product between states on different spaces")
     return complex(a.cell_weight * np.vdot(a.amplitudes, b.amplitudes))
 
@@ -230,8 +181,8 @@ def checked_overlap(chi: QuantumState, psi: QuantumState, overlap=None) -> compl
     The one policy for every postselected ratio in the package: the
     postselection of psi on chi is degenerate, and DegeneratePostselectionError
     raised, when |<chi|psi>| <= OVERLAP_FLOOR * ||chi|| * ||psi||.  A caller
-    that already holds the overlap passes it; for a system (x) pointer psi it
-    is the norm of the postselected pointer amplitude <chi|psi(q)>.
+    that already holds the overlap passes it; for a meter run it is the norm
+    of the postselected pointer amplitude <chi|psi(q)>.
     """
     if overlap is None:
         overlap = inner_product(chi, psi)
@@ -241,23 +192,6 @@ def checked_overlap(chi: QuantumState, psi: QuantumState, overlap=None) -> compl
             "times the norms; the postselected value is undefined"
         )
     return overlap
-
-
-def projector(region: Region, grid: Grid) -> OperatorMatrix:
-    """Diagonal 0/1 projector onto the grid points inside `region`."""
-    diag = region.indicator(grid)
-    return OperatorMatrix(
-        (position_space(grid),), np.diag(diag.astype(complex)), hermitian=True
-    )
-
-
-def identity_operator(space) -> OperatorMatrix:
-    space = tuple(space) if isinstance(space, (tuple, list)) else (space,)
-    return OperatorMatrix(space, np.eye(space_dimension(space)), hermitian=True)
-
-
-def spin_operator(matrix: np.ndarray, hermitian: bool = True) -> OperatorMatrix:
-    return OperatorMatrix((spin_space(),), matrix, hermitian=hermitian)
 
 
 def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> QuantumState:
@@ -277,7 +211,7 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> QuantumSt
         warnings.warn("packet support within 5 sigma of a grid boundary")
     x = grid.points
     amps = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k0 * x)
-    state = QuantumState((position_space(grid),), amps)
+    state = QuantumState(position_space(grid), amps)
     return state.normalized()
 
 
@@ -294,10 +228,10 @@ def fourier_momentum_values(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * HBAR * np.fft.fftfreq(grid.n_points, d=grid.dx)
 
 
-def basis_cell_state(grid: Grid, index: int, space=None, time: float = 0.0) -> QuantumState:
+def basis_cell_state(grid: Grid, index: int, time: float = 0.0) -> QuantumState:
     """Normalized indicator of a single grid cell (cell-averaged postselector)."""
     if not 0 <= index < grid.n_points:
         raise ParameterError("cell index outside grid")
     amps = np.zeros(grid.n_points, dtype=complex)
     amps[index] = 1.0 / np.sqrt(grid.dx)
-    return QuantumState(space or (position_space(grid),), amps, time)
+    return QuantumState(position_space(grid), amps, time)

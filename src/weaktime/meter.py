@@ -11,16 +11,17 @@ to weak values.
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
 drags an independent system evolution with the scalar coupling
-G h(t) pi_k A.  The meter exploits this: for a system on one factor
-(a position grid or one spin) and a diagonal observable, each mode's
-generator H + (G/T) pi_k A is real symmetric tridiagonal, and each kept mode
-costs one real tridiagonal eigensolve.  The moment routes (the moment meter
-and the lambda route) couple to the carried-along sojourn operator, which
-commutes with its own history, so each mode is a closed-form phase in that
-operator's own eigenbasis.  They read the operator's stored eigenbasis
-matrix M and the free eigensystem it was built in from the operator itself:
-one hermitian eigh of M, no position-basis matrix.  Meter states are
-system (x) pointer.
+G h(t) pi_k A.  The meter exploits this: the system lives on one factor
+(a position grid or one spin) and the observable A is diagonal, passed as
+its real 1-D array a, so each mode's generator H + (G/T) pi_k diag(a) is
+real symmetric tridiagonal, and each kept mode costs one real tridiagonal
+eigensolve.  The moment routes (the moment meter and the lambda route)
+couple to the carried-along sojourn operator, which commutes with its own
+history, so each mode is a closed-form phase in that operator's own
+eigenbasis.  They read the operator's stored eigenbasis matrix M, the free
+eigensystem it was built in and M's cached eigensystem from the operator
+itself: no position-basis matrix.  A run's final state is the (system,
+pointer) amplitude array.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
     Grid,
-    OperatorMatrix,
     QuantumState,
     checked_overlap,
     fourier_momentum_values,
     gaussian_pointer,
-    pointer_space,
 )
 from .sojourn import SojournOperator
 
@@ -92,9 +91,6 @@ class PointerSpec:
         grid = Grid(n_points, x_min, x_min + (n_points - 1) * dq)
         return cls(grid, width)
 
-    def space(self):
-        return pointer_space(self.grid)
-
     def initial_state(self) -> QuantumState:
         state = gaussian_pointer(self.grid, self.width)
         q = self.grid.points
@@ -108,10 +104,12 @@ class PointerSpec:
 class MeterRun:
     """One measurement experiment: composite final state plus context.
 
-    `reference_system_final` is the system state evolved with the meter
-    switched off, used for survival probabilities and as the G = 0
-    reference in derivative identities.  `modes_kept` counts the pointer
-    modes evolved with the coupling; the others were below the mode cutoff.
+    `final` holds the read-only composite amplitudes psi(s, q), shaped
+    (system dimension, pointer points).  `reference_system_final` is the
+    system state evolved with the meter switched off, used for survival
+    probabilities and as the G = 0 reference in derivative identities.
+    `modes_kept` counts the pointer modes evolved with the coupling; the
+    others were below the mode cutoff.
     """
 
     spec: PointerSpec
@@ -119,25 +117,15 @@ class MeterRun:
     profile: CouplingProfile
     window: tuple[float, float]
     observable_label: str
-    final: QuantumState
+    final: np.ndarray
     reference_system_final: QuantumState
     pointer_initial: QuantumState
     norm_drift: float
     modes_kept: int
 
     @property
-    def system_dimension(self) -> int:
-        return self.final.amplitudes.size // self.spec.grid.n_points
-
-    def final_array(self) -> np.ndarray:
-        """Final amplitudes reshaped to (system dimension, pointer points)."""
-        return self.final.amplitudes.reshape(
-            self.system_dimension, self.spec.grid.n_points
-        )
-
-    @property
     def system_weight(self) -> float:
-        return self.final.cell_weight / self.spec.grid.dx
+        return self.reference_system_final.cell_weight
 
 
 @dataclass(frozen=True)
@@ -200,21 +188,19 @@ def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) 
 def _finish_run(
     spec, coupling, profile, window, label, composite, psi_ref, phi, psi0, modes_kept
 ):
-    system_space = psi_ref.space
-    full_space = (*system_space, spec.space())
-    final = QuantumState(full_space, composite.ravel(), window[1])
-    _edge_check(spec, composite, final.cell_weight / spec.grid.dx)
-    drift = abs(final.norm() - psi0.norm() * phi.norm())
+    _edge_check(spec, composite, psi_ref.cell_weight)
+    norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(composite)
+    composite.flags.writeable = False
     return MeterRun(
         spec=spec,
         coupling=coupling,
         profile=profile,
         window=tuple(window),
         observable_label=label,
-        final=final,
+        final=composite,
         reference_system_final=psi_ref,
         pointer_initial=phi,
-        norm_drift=drift,
+        norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
         modes_kept=modes_kept,
     )
 
@@ -222,7 +208,7 @@ def _finish_run(
 def run_meter(
     spec: PointerSpec,
     psi0: QuantumState,
-    observable: OperatorMatrix,
+    observable: np.ndarray,
     coupling: float,
     profile: CouplingProfile,
     system: Hamiltonian,
@@ -231,16 +217,20 @@ def run_meter(
 ) -> MeterRun:
     """Evolve psi0 (x) Gaussian pointer under H + G h(t) pi (x) A.
 
-    The observable A is a fixed hermitian matrix on the system space.  Each
-    pointer momentum mode above `mode_cutoff` is evolved through the
-    (rectangular) profile window with one real tridiagonal eigensolve of
-    H + (G/T) pi_k A.  A lossy system raises ParameterError (from its
-    cached free eigensystem), a non-diagonal A StructureError.
+    The observable A = diag(a) is diagonal on the system space and given as
+    the real array a of shape (system.dimension,), e.g. a region indicator
+    or [1, -1] for sigma_z.  Each pointer momentum mode above `mode_cutoff`
+    is evolved through the (rectangular) profile window with one real
+    tridiagonal eigensolve of H + (G/T) pi_k diag(a).  A lossy system raises
+    ParameterError (from its cached free eigensystem), an `observable` of
+    another shape or a complex one StructureError.
     """
-    if tuple(observable.space) != tuple(system.space):
-        raise StructureError("observable must live on the system space")
-    if not observable.hermitian:
-        raise ParameterError("measured observable must be hermitian")
+    a = np.asarray(observable)
+    if a.shape != (system.dimension,) or np.iscomplexobj(a):
+        raise StructureError(
+            f"the meter needs a real diagonal of shape ({system.dimension},), "
+            f"got a {a.dtype} array of shape {a.shape}"
+        )
     window = tuple(window) if window else (profile.t_start, profile.t_stop)
     t0, t1 = window
     if not (t0 <= profile.t_start and profile.t_stop <= t1 + _TIME_ATOL):
@@ -250,7 +240,6 @@ def run_meter(
 
     vals, vecs = system.eigensystem()
     diag, off = system.tridiagonal()
-    a = _real_diagonal(observable)
 
     psi_eig = vecs.T @ psi0.amplitudes
     pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
@@ -280,15 +269,20 @@ def run_meter(
     )
 
 
-def _real_diagonal(observable: OperatorMatrix) -> np.ndarray:
-    """Diagonal of a hermitian observable that has no off-diagonal entries."""
-    a = np.diagonal(observable.matrix)
-    if np.count_nonzero(observable.matrix) != np.count_nonzero(a):
-        raise StructureError("the meter needs a diagonal observable")
-    return a.real
-
-
 # -- moment meters ---------------------------------------------------------
+
+
+def _free_flight(op: SojournOperator, psi0: QuantumState):
+    """The moment routes' shared start: psi0 freely evolved over the
+    operator's window, in the free eigenbasis, and the cached eigensystem
+    (tau, W) of the operator's eigenbasis matrix M; tau is the spectrum of
+    T_op / T."""
+    t0, t1 = op.window
+    _check_initial_time(psi0, t0)
+    vals, vecs = op.integrated.vals, op.integrated.vecs
+    free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * (vecs.T @ psi0.amplitudes)
+    tau, w = op.integrated.eigensystem()
+    return free_eig, tau, w
 
 
 def run_moment_meter(
@@ -310,15 +304,9 @@ def run_moment_meter(
     """
     if order < 1 or order > 4:
         raise ParameterError("moment meter supports orders 1..4")
-    window = op.window
-    t0, t1 = window
-    profile = CouplingProfile.rectangular(t0, t1)
-    _check_initial_time(psi0, t0)
-
-    vals, vecs = op.integrated.vals, op.integrated.vecs
-    psi_eig = vecs.T @ psi0.amplitudes
-    free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * psi_eig
-    psi_ref = QuantumState(psi0.space, vecs @ free_eig, t1)
+    free_eig, tau, w = _free_flight(op, psi0)
+    vecs = op.integrated.vecs
+    psi_ref = QuantumState(psi0.space, vecs @ free_eig, op.window[1])
 
     phi = spec.initial_state()
     coeffs = np.fft.fft(phi.amplitudes)
@@ -327,7 +315,6 @@ def run_moment_meter(
     modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
     modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
 
-    tau, w = np.linalg.eigh(op.integrated.eigen_matrix)
     tau = (op.duration * tau) ** order
     z = w.conj().T @ free_eig
     kept = np.nonzero(sig)[0]
@@ -337,8 +324,8 @@ def run_moment_meter(
 
     composite = _compose(modes)
     return _finish_run(
-        spec, coupling, profile, window, f"region time^{order}", composite,
-        psi_ref, phi, psi0, np.count_nonzero(sig),
+        spec, coupling, CouplingProfile.rectangular(*op.window), op.window,
+        f"region time^{order}", composite, psi_ref, phi, psi0, np.count_nonzero(sig),
     )
 
 
@@ -346,9 +333,9 @@ def run_moment_meter(
 
 
 def _postselected_pointer_amplitude(run: MeterRun, chi: QuantumState) -> np.ndarray:
-    if tuple(chi.space) != tuple(run.reference_system_final.space):
+    if chi.space != run.reference_system_final.space:
         raise StructureError("postselector must live on the system space")
-    return run.system_weight * (chi.amplitudes.conj() @ run.final_array())
+    return run.system_weight * (chi.amplitudes.conj() @ run.final)
 
 
 def pointer_distribution(
@@ -361,13 +348,14 @@ def pointer_distribution(
     grid = run.spec.grid
     dq = grid.dx
     if postselect is None:
-        raw = run.system_weight * np.sum(np.abs(run.final_array()) ** 2, axis=0)
+        raw = run.system_weight * np.sum(np.abs(run.final) ** 2, axis=0)
         prob = float(np.sum(raw) * dq)
     else:
         amp = _postselected_pointer_amplitude(run, postselect)
         raw = np.abs(amp) ** 2
         prob = float(np.sum(raw) * dq)
-        checked_overlap(postselect, run.final, np.sqrt(prob))
+        # the composite's norm is the reference state's, up to norm_drift
+        checked_overlap(postselect, run.reference_system_final, np.sqrt(prob))
     density = raw / prob
     q = grid.points
     mean = float(np.sum(q * density) * dq)
@@ -545,17 +533,12 @@ def lambda_moment_route(
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
-    window = op.window
-    _check_initial_time(psi0, window[0])
-    vals, vecs = op.integrated.vals, op.integrated.vecs
-    psi_eig = vecs.T @ psi0.amplitudes
-    free_eig = np.exp(-1j * vals * (window[1] - window[0]) / HBAR) * psi_eig
-    chi_eig = vecs.T @ chi.amplitudes
+    free_eig, tau, u = _free_flight(op, psi0)
+    chi_eig = op.integrated.vecs.T @ chi.amplitudes
     w = psi0.cell_weight
     # the free evolution keeps the norm of psi0
     den = checked_overlap(chi, psi0, w * np.vdot(chi_eig, free_eig))
 
-    tau, u = np.linalg.eigh(op.integrated.eigen_matrix)
     tau = op.duration * tau
     z = u.conj().T @ free_eig
 

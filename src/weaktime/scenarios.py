@@ -37,7 +37,6 @@ from .hilbert import (
     gaussian_packet,
     inner_product,
     position_space,
-    projector,
 )
 from .meter import PointerSpec, pointer_distribution, run_meter
 from .sojourn import (
@@ -54,6 +53,10 @@ VERSION = "0.1.0"
 DEFAULT_N_SLICES = 20000
 BARRIER_CLEARANCE_BUDGET = 1e-3
 EDGE_BUDGET = 1e-6
+# an unconditioned dwell time is flagged out_of_range only beyond this
+# margin of [0, T]; inside it the excursion is rounding (dwell_time is
+# unclipped, and a whole-box region gives T plus a few ulps)
+RANGE_MARGIN = 1e-9
 
 # dimensionless strength * duration products; divided by the window length
 # so that the worst-case perturbation (a state dwelling the whole window)
@@ -136,15 +139,14 @@ class Scenario:
 
     def hamiltonian(self) -> Hamiltonian:
         return Hamiltonian(
-            (position_space(self.grid),),
-            potential_real=self.potential.array(self.grid),
+            position_space(self.grid), potential_real=self.potential.array(self.grid)
         )
 
     def initial_state(self) -> QuantumState:
         if self.initial_kind == "eigenstate":
             vals, vecs = self.hamiltonian().eigensystem()
             amps = vecs[:, self.eigenstate_index] / np.sqrt(self.grid.dx)
-            return QuantumState((position_space(self.grid),), amps, self.window[0])
+            return QuantumState(position_space(self.grid), amps, self.window[0])
         state = gaussian_packet(
             self.grid, self.packet.x0, self.packet.sigma, self.packet.k0
         )
@@ -241,7 +243,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     "packet starts within 5 sigma of the potential feature"
                 )
         # free pre-run: evolve without the potential and inspect the edges
-        free = Hamiltonian((position_space(sc.grid),))
+        free = Hamiltonian(position_space(sc.grid))
         amp = evolve_eigenbasis(sc.initial_state(), free, sc.window[1]).amplitudes
         band = 8
         edge_mass = float(
@@ -276,9 +278,9 @@ def postselect_transmitted_reflected(
     barrier (occupancy below 1e-3).
     """
     space = psi_final.space
-    if len(space) != 1 or space[0].kind != "position":
-        raise ParameterError("transmitted/reflected split needs a bare position state")
-    grid = space[0].grid
+    if space.kind != "position":
+        raise ParameterError("transmitted/reflected split needs a position state")
+    grid = space.grid
     b_lo, b_hi = barrier
     x = grid.points
     inside = float(
@@ -304,14 +306,13 @@ def postselection_family(
     """Orthonormal family complete on the support of psi: the transmitted
     and reflected states plus one cell state per barrier cell."""
     chi_t, chi_r, _, _ = postselect_transmitted_reflected(psi_final, barrier)
-    grid = psi_final.space[0].grid
+    grid = psi_final.space.grid
     labels = ["transmitted", "reflected"]
     states = [chi_t, chi_r]
     for idx in Region(*barrier).indices(grid):
         labels.append(f"cell_{idx}")
         states.append(
-            basis_cell_state(grid, int(idx), space=psi_final.space,
-                             time=psi_final.representation_time)
+            basis_cell_state(grid, int(idx), time=psi_final.representation_time)
         )
     return labels, states
 
@@ -366,8 +367,7 @@ def _postselectors(sc: Scenario, psi_final: QuantumState) -> dict:
         chis["reflected"] = chi_r
     elif sc.postselection == "position_cell":
         chis["cell"] = basis_cell_state(
-            sc.grid, sc.cell_index, space=psi_final.space,
-            time=psi_final.representation_time,
+            sc.grid, sc.cell_index, time=psi_final.representation_time
         )
     return chis
 
@@ -377,7 +377,8 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
     tau = dwell_time(op, psi_final)
     bundle.add(method="sojourn", postselection="none", order=1,
                value=tau, tolerance=0.0, residual=0.0,
-               flags="" if 0.0 <= tau <= duration else "out_of_range")
+               flags="" if -RANGE_MARGIN < tau < duration + RANGE_MARGIN
+               else "out_of_range")
     for label, chi in chis.items():
         if label == "none":
             continue
@@ -441,12 +442,12 @@ def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
 
 def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
     duration = sc.duration()
-    proj = projector(sc.region, sc.grid)
+    indicator = sc.region.indicator(sc.grid)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
     profile = CouplingProfile.rectangular(*sc.window)
     runs = {}
     for g in METER_LADDER + tuple(-g for g in METER_LADDER):
-        runs[g] = run_meter(spec, psi0, proj, g, profile, ham)
+        runs[g] = run_meter(spec, psi0, indicator, g, profile, ham)
     bundle.sweeps["meter"] = {}
     for label, chi in chis.items():
         readouts = [
@@ -484,9 +485,7 @@ def run_scenario(
     psi_final = evolve_eigenbasis(psi0, ham, scenario.window[1])
     chis = _postselectors(scenario, psi_final)
     if "sojourn" in pipelines:
-        op = sojourn_matrix(
-            scenario.region, scenario.grid, ham, scenario.window, scenario.n_slices
-        )
+        op = sojourn_matrix(scenario.region, ham, scenario.window, scenario.n_slices)
         _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
     if "clocks" in pipelines:
         _clock_pipeline(scenario, bundle, ham, psi0, chis)
@@ -558,7 +557,22 @@ def scenario_to_config(sc: Scenario) -> dict:
     return cfg
 
 
+CONFIG_KEYS = frozenset({
+    "scenario.name", "grid.n", "grid.x_min", "grid.x_max",
+    "potential.kind", "potential.v0", "potential.x_lo", "potential.x_hi",
+    "potential.x2_lo", "potential.x2_hi", "packet.x0", "packet.sigma", "packet.k0",
+    "window.t_start", "window.t_stop", "region.x_lo", "region.x_hi",
+    "postselection.mode", "postselection.cell", "initial.kind", "initial.eigenstate",
+    "numerics.n_slices", "numerics.dt",
+})
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
+    """Scenario from a parsed config; a key outside CONFIG_KEYS, for example
+    a misspelling, raises ValidationError rather than being dropped."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
     try:
         grid = Grid(
             int(cfg["grid.n"]), float(cfg["grid.x_min"]), float(cfg["grid.x_max"])

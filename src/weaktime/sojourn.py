@@ -1,14 +1,14 @@
 """Weak values, dwell times and the sojourn-time operator.
 
-The central object is the time average of a Heisenberg-picture observable
-over a window, a trapezoid quadrature of U0(t_f,t) A U0^dag(t_f,t).  It is
-evaluated exactly, and stored once, in the real eigenbasis V of the free
-Hamiltonian: as the hermitian matrix M = sym(A_eig * F), with A_eig = V^T A V
-and F the trapezoid filter of the level differences.  Every readout applies
-it as V M^l V^T to a few vectors; no position-basis matrix is formed.
-Applied to a region projector and scaled by the window length this is the
-hermitian sojourn-time operator T V M V^T, whose matrix elements give dwell
-times, postselected traversal times and their higher moments.
+The central object is the time average of the Heisenberg-picture region
+projector P over a window, a trapezoid quadrature of U0(t_f,t) P U0^dag(t_f,t).
+It is evaluated exactly, and stored once, in the real eigenbasis V of the
+free Hamiltonian: as the hermitian matrix M = sym(P_eig * F), with
+P_eig = V^T P V and F the trapezoid filter of the level differences.  Every
+readout applies it as V M^l V^T to a few vectors; no position-basis matrix
+is formed.  Scaled by the window length T this is the hermitian
+sojourn-time operator T V M V^T, whose matrix elements give dwell times,
+postselected traversal times and their higher moments.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -17,7 +17,7 @@ t_stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,14 +27,11 @@ from .errors import ContractError, ParameterError, StructureError
 from .hilbert import (
     HBAR,
     HERMITICITY_TOL,
-    Grid,
     FactorSpace,
-    OperatorMatrix,
     QuantumState,
     Region,
     basis_cell_state,
     checked_overlap,
-    position_space,
 )
 
 ANOMALY_FACTOR = 10.0
@@ -42,16 +39,18 @@ ANOMALY_FACTOR = 10.0
 
 @dataclass(frozen=True, eq=False)
 class IntegratedOperator:
-    """Trapezoid time average of a Heisenberg-picture observable, stored as
-    the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
+    """Trapezoid time average of the Heisenberg-picture region projector,
+    stored as the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
     (`vals`, `vecs`) of the free Hamiltonian it was built from; the
-    position-basis operator is V M V^T."""
+    position-basis operator is V M V^T.  M's own eigensystem is solved on
+    first use and cached, like `Hamiltonian.eigensystem`."""
 
-    space: tuple[FactorSpace, ...]
+    space: FactorSpace
     window: tuple[float, float]
     eigen_matrix: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def duration(self) -> float:
@@ -71,6 +70,15 @@ class IntegratedOperator:
         cross-checks on small grids."""
         vecs, m = self.vecs, self.eigen_matrix
         return vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T)
+
+    def eigensystem(self):
+        """Real eigenvalues and unitary eigenvectors (tau, W) of M, so that
+        M = W diag(tau) W^dag; one hermitian eigh, cached."""
+        cached = self._cache.get("eig")
+        if cached is None:
+            cached = np.linalg.eigh(self.eigen_matrix)
+            self._cache["eig"] = cached
+        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,57 +132,34 @@ def _trapezoid_filter(omega: np.ndarray, duration: float, n_slices: int) -> np.n
     return np.where(zero, 1.0, amp * np.cos(phase) - 1j * (amp * sin_phase))
 
 
-def _time_average(space, a_eig, vals, vecs, window, n_slices) -> IntegratedOperator:
-    """Trapezoid time average of the observable with eigenbasis matrix a_eig."""
+def sojourn_matrix(
+    region: Region,
+    free_hamiltonian: Hamiltonian,
+    window: tuple[float, float],
+    n_slices: int,
+) -> SojournOperator:
+    """Sojourn-time operator for `region` over `window`, on the position grid
+    of `free_hamiltonian`.  The region projector is diagonal, so its
+    eigenbasis matrix needs only the region's rows of V."""
+    grid = free_hamiltonian.position_grid
+    if grid is None:
+        raise StructureError("sojourn operator requires a position-only Hamiltonian")
     if n_slices < 2:
         raise ParameterError("n_slices must be at least 2")
     t_start, t_stop = window
     duration = t_stop - t_start
     if duration <= 0:
         raise ParameterError("window must have positive duration")
+    vals, vecs = free_hamiltonian.eigensystem()
+    rows = vecs[region.indices(grid)]
     omega = (vals[:, None] - vals[None, :]) / HBAR
-    m = a_eig * _trapezoid_filter(omega, duration, n_slices)
+    m = (rows.T @ rows) * _trapezoid_filter(omega, duration, n_slices)
     m_dag = m.conj().T
     defect = np.max(np.abs(m - m_dag))
     if defect >= HERMITICITY_TOL:
         raise ContractError(f"time average not hermitian: |M - M^dag| = {defect:.3e}")
-    return IntegratedOperator(space, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs)
-
-
-def integrate_heisenberg(
-    observable: OperatorMatrix,
-    free_hamiltonian: Hamiltonian,
-    window: tuple[float, float],
-    n_slices: int,
-) -> IntegratedOperator:
-    """Time-averaged Heisenberg observable over `window`, in the real
-    eigenbasis V of the free Hamiltonian: A_eig = V^T A V is formed as real
-    products on the real and imaginary parts of A."""
-    if not observable.hermitian:
-        raise ParameterError("integrated observable must be hermitian")
-    if tuple(observable.space) != free_hamiltonian.space:
-        raise StructureError("observable space does not match the Hamiltonian")
-    vals, vecs = free_hamiltonian.eigensystem()
-    a = observable.matrix
-    a_eig = vecs.T @ a.real @ vecs + 1j * (vecs.T @ a.imag @ vecs)
-    return _time_average(free_hamiltonian.space, a_eig, vals, vecs, window, n_slices)
-
-
-def sojourn_matrix(
-    region: Region,
-    grid: Grid,
-    free_hamiltonian: Hamiltonian,
-    window: tuple[float, float],
-    n_slices: int,
-) -> SojournOperator:
-    """Sojourn-time operator for `region` over `window`.  The region projector
-    is diagonal, so its eigenbasis matrix needs only the region's rows of V."""
-    if free_hamiltonian.space != (position_space(grid),):
-        raise StructureError("sojourn operator requires a position-only Hamiltonian")
-    vals, vecs = free_hamiltonian.eigensystem()
-    rows = vecs[region.indices(grid)]
-    integrated = _time_average(
-        free_hamiltonian.space, rows.T @ rows, vals, vecs, window, n_slices
+    integrated = IntegratedOperator(
+        free_hamiltonian.space, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs
     )
     return SojournOperator(region=region, window=tuple(window), integrated=integrated)
 
@@ -234,15 +219,10 @@ def conditional_weak_value(
 
 
 def dwell_time(op: SojournOperator, psi_final: QuantumState) -> float:
-    """Unconditioned dwell time; lies in [0, window length]."""
+    """Unconditioned dwell time T Re<psi|M|psi>, returned unclipped: it lies
+    in [0, T] up to rounding (a whole-box region gives T plus a few ulps)."""
     res = weak_value(op.integrated, psi_final, observable="region projector")
-    tau = op.duration * res.value.real
-    # clip quadrature-level excursions only
-    if -1e-9 < tau < 0.0:
-        tau = 0.0
-    elif op.duration < tau < op.duration + 1e-9:
-        tau = op.duration
-    return tau
+    return op.duration * res.value.real
 
 
 def conditional_dwell_time(
@@ -307,7 +287,7 @@ def second_moment_position_integral(op: SojournOperator, psi_final: QuantumState
     product with the cell amplitude cancelled, so cells where psi vanishes
     contribute their correct (zero) weight without dividing by zero.
     """
-    dx = op.integrated.space[0].grid.dx
+    dx = op.integrated.space.grid.dx
     _check_reference_time(psi_final, op.window)
     w = op.apply(psi_final.amplitudes)
     return float(np.sum(np.abs(w) ** 2) * dx)
@@ -331,9 +311,8 @@ def second_moment_position_postselected(
     Returns the operator form together with the symmetrized alternative;
     the two differ in general.
     """
-    space = op.integrated.space
     cell = basis_cell_state(
-        space[0].grid, cell_index, space=space, time=psi_final.representation_time
+        op.integrated.space.grid, cell_index, time=psi_final.representation_time
     )
     ratio = _postselected_ratio(op.integrated, psi_final, cell, 2)
     operator_form = float((op.duration**2 * ratio).real)

@@ -21,7 +21,6 @@ from weaktime.dynamics import (
     evolve_eigenbasis,
 )
 from weaktime.hilbert import (
-    PAULI_Z,
     Grid,
     QuantumState,
     Region,
@@ -29,9 +28,7 @@ from weaktime.hilbert import (
     gaussian_packet,
     inner_product,
     position_space,
-    projector,
     spin_space,
-    spin_operator,
 )
 from weaktime.meter import (
     PointerSpec,
@@ -74,7 +71,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def crossing():
     """Free 64-point crossing used by the meter criteria."""
     grid = Grid(64, 0.0, 48.0)
-    space = (position_space(grid),)
+    space = position_space(grid)
     region = Region(20.0, 28.0)
     window = (0.0, 8.0)
     ham = Hamiltonian(space)
@@ -84,14 +81,14 @@ def crossing():
         oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, window[1]),
         window[1],
     )
-    op = sojourn_matrix(region, grid, ham, window, 4000)
+    op = sojourn_matrix(region, ham, window, 4000)
     return grid, region, window, ham, psi0, psi_final, op
 
 
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
     grid = Grid(32, 0.0, 15.5)
-    space = (position_space(grid),)
+    space = position_space(grid)
     window = (0.0, 4.0)
     region = Region(7.0, 9.0)
     n_slices = 300
@@ -104,7 +101,7 @@ def test_criterion_1_oracle_equivalence():
     psi_final = QuantumState(
         space, oracle.evolve_exact(hmat, psi0.amplitudes, window[1]), window[1]
     )
-    op = sojourn_matrix(region, grid, ham, window, n_slices)
+    op = sojourn_matrix(region, ham, window, n_slices)
     t_ref = oracle.sojourn(region.indicator(grid), hmat, window, n_slices)
     dx = grid.dx
     psi = psi_final.amplitudes
@@ -179,7 +176,7 @@ def test_criterion_3_meter_linearity(crossing):
     profile = CouplingProfile.rectangular(*window)
     ladder = (0.2, 0.15, 0.1, 0.05)
     runs = [
-        run_meter(spec, psi0, projector(region, grid), g, profile, ham)
+        run_meter(spec, psi0, region.indicator(grid), g, profile, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs, chi)
@@ -190,13 +187,13 @@ def test_criterion_3_meter_linearity(crossing):
 
 
 def test_criterion_4_strong_measurement_statistics():
-    space = (spin_space(),)
+    space = spin_space()
     system = Hamiltonian(space)
     psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
     profile = CouplingProfile.rectangular(0.0, 1.0)
-    run = run_meter(spec, psi0, spin_operator(PAULI_Z), g, profile, system)
+    run = run_meter(spec, psi0, np.array([1.0, -1.0]), g, profile, system)
     dist = pointer_distribution(run)
     q = spec.grid.points
     dq = spec.grid.dx
@@ -221,7 +218,7 @@ def test_criterion_5_sum_rules():
         ham = sc.hamiltonian()
         psi0 = sc.initial_state()
         psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
-        op = sojourn_matrix(sc.region, sc.grid, ham, sc.window, 2000)
+        op = sojourn_matrix(sc.region, ham, sc.window, 2000)
         if sc.postselection == "transmitted_reflected":
             _, family = postselection_family(psi_final, sc.potential.interval)
         else:
@@ -238,7 +235,7 @@ def test_criterion_5_sum_rules():
         spec = PointerSpec.auto(width=1.0, max_shift=0.3)
         profile = CouplingProfile.rectangular(*sc.window)
         run = run_meter(
-            spec, psi0, projector(sc.region, sc.grid), 0.3, profile, ham
+            spec, psi0, sc.region.indicator(sc.grid), 0.3, profile, ham
         )
         cells = [basis_cell_state(sc.grid, j) for j in range(sc.grid.n_points)]
         acc, total = conditional_mean_sum(run, cells)
@@ -289,7 +286,7 @@ def test_criterion_8_survival_scaling(crossing):
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
     for g in ladder:
-        run = run_meter(spec, psi0, projector(region, grid), g, profile, ham)
+        run = run_meter(spec, psi0, region.indicator(grid), g, profile, ham)
         deficits.append(1.0 - survival_probability(run))
     order, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     ok = order >= 1.5

@@ -6,8 +6,9 @@ import inspect
 import numpy as np
 
 import weaktime
-from weaktime.dynamics import Hamiltonian, Propagator
-from weaktime.hilbert import Grid, Region, position_space
+from weaktime.dynamics import CouplingProfile, Hamiltonian, Propagator
+from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
+from weaktime.meter import PointerSpec, run_meter
 from weaktime.sojourn import sojourn_matrix
 
 
@@ -43,10 +44,24 @@ def test_one_overlap_policy_and_no_kinetic_flag():
     assert "kinetic" not in {f.name for f in dataclasses.fields(Hamiltonian)}
 
 
+def test_one_factor_per_state_and_no_dense_operator_layer():
+    # states live on one FactorSpace, observables are real diagonals, and a
+    # meter run's final state is its (system, pointer) array
+    deleted = {"OperatorMatrix", "projector", "pointer_space", "integrate_heisenberg"}
+    assert deleted & set(weaktime.__all__) == set()
+    grid = Grid(8, 0.0, 7.0)
+    assert isinstance(QuantumState(position_space(grid), np.ones(8)).space, FactorSpace)
+    spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
+    run = run_meter(spec, spin, np.array([1.0, -1.0]), 0.5,
+                    CouplingProfile.rectangular(0.0, 1.0), Hamiltonian(spin_space()))
+    assert run.final.shape == (2, spec.grid.n_points)
+
+
 def test_sojourn_operator_is_stored_once():
     grid = Grid(16, 0.0, 7.5)
-    ham = Hamiltonian((position_space(grid),))
-    op = sojourn_matrix(Region(3.0, 5.0), grid, ham, (0.0, 2.0), 50)
+    ham = Hamiltonian(position_space(grid))
+    op = sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0), 50)
     n = grid.n_points
 
     def square_fields(obj):

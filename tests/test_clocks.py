@@ -22,7 +22,7 @@ from weaktime.hilbert import (
 from weaktime.sojourn import dwell_time, sojourn_matrix
 
 GRID = Grid(64, 0.0, 48.0)
-SPACE = (position_space(GRID),)
+SPACE = position_space(GRID)
 REGION = Region(20.0, 28.0)
 WINDOW = (0.0, 8.0)
 
@@ -38,7 +38,7 @@ def crossing():
         oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
-    op = sojourn_matrix(REGION, GRID, ham, WINDOW, 4000)
+    op = sojourn_matrix(REGION, ham, WINDOW, 4000)
     tau = dwell_time(op, psi_final)
     return ham, psi0, psi_final, tau
 

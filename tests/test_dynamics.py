@@ -20,7 +20,7 @@ from weaktime.hilbert import (
 from weaktime.scenarios import catalog
 
 GRID = Grid(48, 0.0, 40.0)
-SPACE = (position_space(GRID),)
+SPACE = position_space(GRID)
 
 
 def _packet():
@@ -82,7 +82,7 @@ def test_dt_must_divide_interval():
 
 
 def test_space_mismatch_rejected():
-    other = Hamiltonian((position_space(Grid(12, 0.0, 11.0)),))
+    other = Hamiltonian(position_space(Grid(12, 0.0, 11.0)))
     with pytest.raises(StructureError):
         evolve(_packet(), Propagator(0.5, other), 0.0, 1.0)
 
@@ -105,7 +105,7 @@ def test_eigensystem_requires_static_hermitian():
 
 def _catalog_or_spin_toy(name):
     if name == "spin_toy":
-        return Hamiltonian((spin_space(),))
+        return Hamiltonian(spin_space())
     return catalog()[name].hamiltonian()
 
 

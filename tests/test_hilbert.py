@@ -4,25 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaktime.errors import (
-    ContractError,
     EmptyRegionError,
     ParameterError,
     StructureError,
 )
 import oracle
 from weaktime.hilbert import (
+    FactorSpace,
     Grid,
-    OperatorMatrix,
     QuantumState,
     Region,
     basis_cell_state,
     fourier_momentum_values,
     gaussian_packet,
     gaussian_pointer,
-    identity_operator,
     inner_product,
     position_space,
-    projector,
     spin_space,
 )
 
@@ -58,19 +55,30 @@ def test_empty_region_raises():
 def test_state_shape_mismatch():
     grid = Grid(8, 0.0, 7.0)
     with pytest.raises(StructureError):
-        QuantumState((position_space(grid),), np.zeros(7))
+        QuantumState(position_space(grid), np.zeros(7))
+
+
+def test_state_lives_on_one_factor():
+    grid = Grid(8, 0.0, 7.0)
+    with pytest.raises(StructureError):
+        QuantumState((position_space(grid),), np.ones(8))
+    with pytest.raises(StructureError):
+        FactorSpace("pointer", grid)
+    spin = QuantumState(spin_space(), np.ones(2))
+    assert spin.cell_weight == 1.0
+    assert spin.norm() == pytest.approx(np.sqrt(2.0))
 
 
 def test_state_amplitudes_immutable():
     grid = Grid(8, 0.0, 7.0)
-    state = QuantumState((position_space(grid),), np.ones(8))
+    state = QuantumState(position_space(grid), np.ones(8))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
 
 
 def test_inner_product_uses_cell_weight():
     grid = Grid(5, 0.0, 2.0)  # dx = 0.5
-    psi = QuantumState((position_space(grid),), np.ones(5))
+    psi = QuantumState(position_space(grid), np.ones(5))
     assert inner_product(psi, psi) == pytest.approx(5 * 0.5)
     assert psi.norm() == pytest.approx(np.sqrt(2.5))
 
@@ -80,7 +88,7 @@ def test_inner_product_uses_cell_weight():
 def test_inner_product_conjugate_symmetry(seed):
     rng = np.random.default_rng(seed)
     grid = Grid(9, 0.0, 4.0)
-    space = (position_space(grid),)
+    space = position_space(grid)
     a = QuantumState(space, rng.normal(size=9) + 1j * rng.normal(size=9))
     b = QuantumState(space, rng.normal(size=9) + 1j * rng.normal(size=9))
     assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
@@ -92,24 +100,8 @@ def test_normalized_state_has_unit_norm(seed):
     rng = np.random.default_rng(seed)
     grid = Grid(13, -3.0, 3.0)
     amps = rng.normal(size=13) + 1j * rng.normal(size=13)
-    state = QuantumState((position_space(grid),), amps).normalized()
+    state = QuantumState(position_space(grid), amps).normalized()
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hermitian_contract_enforced():
-    grid = Grid(4, 0.0, 3.0)
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ContractError):
-        OperatorMatrix((spin_space(),), bad, hermitian=True)
-    # the same matrix is fine when not declared hermitian
-    OperatorMatrix((spin_space(),), bad)
-
-
-def test_projector_idempotent_and_diagonal():
-    grid = Grid(16, 0.0, 15.0)
-    p = projector(Region(4.0, 9.0), grid)
-    np.testing.assert_allclose(p.matrix @ p.matrix, p.matrix)
-    assert np.trace(p.matrix).real == len(Region(4.0, 9.0).indices(grid))
 
 
 def test_gaussian_packet_normalization_and_center():
@@ -159,9 +151,3 @@ def test_basis_cell_state_unit_norm():
     assert cell.norm() == pytest.approx(1.0)
     with pytest.raises(ParameterError):
         basis_cell_state(grid, 10)
-
-
-def test_identity_operator_dimension():
-    grid = Grid(6, 0.0, 5.0)
-    ident = identity_operator((position_space(grid), spin_space()))
-    assert ident.matrix.shape == (12, 12)

@@ -5,18 +5,13 @@ import oracle
 from weaktime.dynamics import CouplingProfile, Hamiltonian
 from weaktime.errors import ParameterError, StructureError
 from weaktime.hilbert import (
-    PAULI_X,
-    PAULI_Z,
     Grid,
     QuantumState,
     Region,
     basis_cell_state,
     gaussian_packet,
-    identity_operator,
     inner_product,
     position_space,
-    projector,
-    spin_operator,
     spin_space,
 )
 from weaktime.meter import (
@@ -39,7 +34,7 @@ from weaktime.sojourn import (
 )
 
 GRID = Grid(64, 0.0, 48.0)
-SPACE = (position_space(GRID),)
+SPACE = position_space(GRID)
 REGION = Region(20.0, 28.0)
 WINDOW = (0.0, 8.0)
 
@@ -53,15 +48,15 @@ def crossing():
         oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
-    op = sojourn_matrix(REGION, GRID, ham, WINDOW, 4000)
+    op = sojourn_matrix(REGION, ham, WINDOW, 4000)
     return ham, psi0, psi_final, op
 
 
 def _toy():
-    space = (spin_space(),)
+    space = spin_space()
     system = Hamiltonian(space)
     psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    return system, psi0, spin_operator(PAULI_Z)
+    return system, psi0, np.array([1.0, -1.0])  # sigma_z
 
 
 # -- pointer plumbing --------------------------------------------------------
@@ -91,20 +86,18 @@ def test_zero_coupling_leaves_product_state(crossing):
     ham, psi0, psi_final, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, projector(REGION, GRID), 0.0, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.0, profile, ham)
     expected = np.outer(run.reference_system_final.amplitudes,
                         run.pointer_initial.amplitudes)
-    np.testing.assert_allclose(run.final_array(), expected, atol=1e-12)
+    np.testing.assert_allclose(run.final, expected, atol=1e-12)
 
 
 def test_identity_observable_translates_pointer(crossing):
     ham, psi0, _, _ = crossing
-    from weaktime.hilbert import identity_operator
-
     g = 0.8
     spec = PointerSpec.auto(width=1.0, max_shift=2.0, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, identity_operator(SPACE), g, profile, ham)
+    run = run_meter(spec, psi0, np.ones(GRID.n_points), g, profile, ham)
     dist = pointer_distribution(run)
     assert dist.mean == pytest.approx(g, abs=1e-9)
     assert survival_probability(run) == pytest.approx(1.0, abs=1e-10)
@@ -114,9 +107,11 @@ def test_norm_conserved_in_hermitian_run(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, projector(REGION, GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
     assert run.norm_drift < 1e-8
-    assert run.final.norm() == pytest.approx(1.0, abs=1e-8)
+    assert run.final.shape == (GRID.n_points, spec.grid.n_points)
+    norm = np.sqrt(GRID.dx * spec.grid.dx) * np.linalg.norm(run.final)
+    assert norm == pytest.approx(1.0, abs=1e-8)
 
 
 def test_edge_aliasing_guard():
@@ -131,8 +126,11 @@ def test_factorized_engine_rejects_unstructured_problems():
     system, psi0, _ = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=64)
     profile = CouplingProfile.rectangular(0.0, 1.0)
-    with pytest.raises(StructureError):
-        run_meter(spec, psi0, spin_operator(PAULI_X), 0.1, profile, system)
+    # the observable is the real diagonal of A: a matrix (here sigma_x), a
+    # diagonal of the wrong length or a complex one is refused
+    for bad in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(3), np.array([1.0, 1j])):
+        with pytest.raises(StructureError):
+            run_meter(spec, psi0, bad, 0.1, profile, system)
     # a two-factor system cannot even be built as a Hamiltonian
     with pytest.raises(StructureError):
         Hamiltonian((position_space(Grid(8, 0.0, 7.0)), spin_space()))
@@ -140,19 +138,19 @@ def test_factorized_engine_rejects_unstructured_problems():
 
 def test_composite_engine_matches_factorized():
     grid = Grid(16, 0.0, 7.5)
-    space = (position_space(grid),)
+    space = position_space(grid)
     ham = Hamiltonian(space, potential_real=0.5 * Region(3.0, 5.0).indicator(grid))
     vals, vecs = ham.eigensystem()
     psi0 = QuantumState(space, vecs[:, :4] @ np.array([1.0, 0.6j, -0.4, 0.2])).normalized()
     spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
     profile = CouplingProfile.rectangular(0.0, 2.0)
-    obs = projector(Region(3.0, 5.0), grid)
+    obs = Region(3.0, 5.0).indicator(grid)
     fac = run_meter(spec, psi0, obs, 0.3, profile, ham, mode_cutoff=0.0)
     com = oracle.composite_meter(
-        ham.dense_matrix(), obs.matrix, psi0.amplitudes,
+        ham.dense_matrix(), np.diag(obs), psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
     )
-    np.testing.assert_allclose(fac.final_array(), com, atol=1e-10)
+    np.testing.assert_allclose(fac.final, com, atol=1e-10)
 
 
 # -- strong regime ------------------------------------------------------------
@@ -176,7 +174,7 @@ def test_strong_two_level_peaks_and_weights():
 
 def test_survival_is_one_for_observable_eigenstate():
     system, _, sz = _toy()
-    up = QuantumState((spin_space(),), np.array([1.0, 0.0]))
+    up = QuantumState(spin_space(), np.array([1.0, 0.0]))
     spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=256, extent_factor=8.0)
     profile = CouplingProfile.rectangular(0.0, 1.0)
     run = run_meter(spec, up, sz, 1.0, profile, system)
@@ -207,7 +205,7 @@ def test_weak_shift_slope_equals_weak_value(crossing):
     profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.4, 0.3, 0.2, 0.1)
     runs = [
-        run_meter(spec, psi0, projector(REGION, GRID), g, profile, ham)
+        run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs)
@@ -224,7 +222,7 @@ def test_conditional_shift_slope_matches_conditional_weak_value(crossing):
     profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.2, 0.15, 0.1, 0.05)
     runs = [
-        run_meter(spec, psi0, projector(REGION, GRID), g, profile, ham)
+        run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs, chi)
@@ -236,7 +234,7 @@ def test_conditional_mean_sum_rule_exact(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, projector(REGION, GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
     family = [basis_cell_state(GRID, j) for j in range(GRID.n_points)]
     acc, total = conditional_mean_sum(run, family)
     assert acc == pytest.approx(total, abs=1e-10)
@@ -249,7 +247,7 @@ def test_survival_deficit_scales_quadratically(crossing):
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
     for g in ladder:
-        run = run_meter(spec, psi0, projector(REGION, GRID), g, profile, ham)
+        run = run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
         deficits.append(1.0 - survival_probability(run))
     slope, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     assert slope >= 1.5
@@ -266,7 +264,7 @@ def test_moment_meter_engines_agree(crossing):
         ham.dense_matrix(), op.dense(), 1, psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.1, op.window, 0.05,
     )
-    np.testing.assert_allclose(stepped, exact.final_array(), atol=1e-5)
+    np.testing.assert_allclose(stepped, exact.final, atol=1e-5)
 
 
 def test_moment_meter_readout_matches_operator_moment(crossing):

@@ -30,7 +30,6 @@ from weaktime.hilbert import (
     Region,
     inner_product,
     position_space,
-    projector,
 )
 from weaktime.meter import (
     PointerSpec,
@@ -49,7 +48,7 @@ from weaktime.sojourn import (
 )
 
 GRID = Grid(32, 0.0, 15.5)
-SPACE = (position_space(GRID),)
+SPACE = position_space(GRID)
 REGION = Region(7.0, 9.0)
 WINDOW = (0.0, 4.0)
 DT = 0.1
@@ -68,11 +67,11 @@ def ctx():
         ham=ham,
         psi0=psi0,
         psi_final=evolve_eigenbasis(psi0, ham, WINDOW[1]),
-        op=sojourn_matrix(REGION, GRID, ham, WINDOW, 400),
+        op=sojourn_matrix(REGION, ham, WINDOW, 400),
         spec=spec,
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap
-        run=run_meter(spec, psi0, projector(REGION, GRID), 0.0, profile, ham),
+        run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, profile, ham),
         clock_final=evolve(psi0, Propagator(DT, ham), *WINDOW),
     )
 

@@ -5,23 +5,21 @@ from hypothesis import strategies as st
 
 import oracle
 from weaktime.dynamics import Hamiltonian
-from weaktime.errors import DegeneratePostselectionError, ParameterError
+from weaktime.errors import DegeneratePostselectionError, ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
     QuantumState,
     Region,
     basis_cell_state,
-    identity_operator,
     inner_product,
     position_space,
-    projector,
+    spin_space,
 )
 from weaktime.sojourn import (
     _trapezoid_filter,
     conditional_dwell_time,
     conditional_weak_value,
     dwell_time,
-    integrate_heisenberg,
     moment,
     moment_sum,
     second_moment_position_integral,
@@ -31,7 +29,7 @@ from weaktime.sojourn import (
 )
 
 GRID = Grid(32, 0.0, 15.5)
-SPACE = (position_space(GRID),)
+SPACE = position_space(GRID)
 WINDOW = (0.0, 4.0)
 REGION = Region(7.0, 9.0)
 N_SLICES = 400
@@ -59,54 +57,40 @@ def small():
     psi_final = QuantumState(
         SPACE, oracle.evolve_exact(hmat, psi0.amplitudes, WINDOW[1]), WINDOW[1]
     )
-    op = sojourn_matrix(REGION, GRID, ham, WINDOW, N_SLICES)
+    op = sojourn_matrix(REGION, ham, WINDOW, N_SLICES)
     return ham, hmat, psi0, psi_final, op
-
-
-def test_integrated_identity_is_identity():
-    ham = _small_ham()
-    ident = identity_operator(SPACE)
-    out = integrate_heisenberg(ident, ham, WINDOW, 16)
-    np.testing.assert_allclose(out.dense(), ident.matrix, atol=1e-10)
-
-
-def test_integrated_commuting_observable_unchanged():
-    ham = _small_ham()
-    vals, vecs = ham.eigensystem()
-    # a function of H commutes with the free evolution
-    f_of_h = vecs @ np.diag(np.cos(vals)) @ vecs.conj().T
-    obs = f_of_h.__class__  # noqa: F841  (keep linters quiet about reuse)
-    from weaktime.hilbert import OperatorMatrix
-
-    a = OperatorMatrix(SPACE, f_of_h, hermitian=True)
-    out = integrate_heisenberg(a, ham, WINDOW, 8)
-    np.testing.assert_allclose(out.dense(), f_of_h, atol=1e-10)
 
 
 def test_spectral_sum_matches_oracle_slice_loop():
     ham = _small_ham()
-    proj = projector(REGION, GRID)
-    ours = integrate_heisenberg(proj, ham, WINDOW, 64).dense()
-    ref = oracle.time_average(proj.matrix, ham.dense_matrix(), WINDOW, 64)
+    duration = WINDOW[1] - WINDOW[0]
+    ours = sojourn_matrix(REGION, ham, WINDOW, 64).dense() / duration
+    proj = np.diag(REGION.indicator(GRID))
+    ref = oracle.time_average(proj, ham.dense_matrix(), WINDOW, 64)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
 def test_integrated_matches_brute_force_quadrature(small):
     ham, hmat, psi0, psi_final, op = small
-    proj = projector(REGION, GRID)
-    ours = integrate_heisenberg(proj, ham, WINDOW, 200).dense()
-    ref = oracle.time_average(proj.matrix, hmat, WINDOW, 200)
+    duration = WINDOW[1] - WINDOW[0]
+    ours = sojourn_matrix(REGION, ham, WINDOW, 200).dense() / duration
+    ref = oracle.time_average(np.diag(REGION.indicator(GRID)), hmat, WINDOW, 200)
     np.testing.assert_allclose(ours, ref, atol=1e-10)
 
 
 def test_sojourn_full_box_is_window_length():
     ham = _small_ham()
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    op = sojourn_matrix(whole, GRID, ham, WINDOW, 16)
+    op = sojourn_matrix(whole, ham, WINDOW, 16)
     duration = WINDOW[1] - WINDOW[0]
     np.testing.assert_allclose(
         op.dense(), duration * np.eye(GRID.n_points), atol=1e-9
     )
+
+
+def test_sojourn_matrix_needs_position_grid():
+    with pytest.raises(StructureError):
+        sojourn_matrix(REGION, Hamiltonian(spin_space()), WINDOW, 16)
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
@@ -197,6 +181,22 @@ def test_dwell_time_in_range_and_matches_oracle(small):
         op.integrated.dense(), psi_final.amplitudes, GRID.dx
     ).real
     assert tau == pytest.approx(ref, abs=1e-10)
+
+
+def test_dwell_time_is_unclipped():
+    # a whole-box region makes T_op = T up to rounding; on the free box the
+    # dwell time of these states lands a few ulps above T, and dwell_time
+    # returns that value as it is, not snapped onto T
+    ham = Hamiltonian(SPACE)
+    whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
+    op = sojourn_matrix(whole, ham, WINDOW, N_SLICES)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=GRID.n_points) + 1j * rng.normal(size=GRID.n_points)
+        psi = QuantumState(SPACE, amps, WINDOW[1]).normalized()
+        tau = dwell_time(op, psi)
+        assert tau == op.duration * weak_value(op.integrated, psi).value.real
+        assert tau == pytest.approx(op.duration, abs=1e-12)
 
 
 def test_dwell_time_well_half_by_symmetry(well_ctx):
