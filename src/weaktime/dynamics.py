@@ -3,10 +3,16 @@
 A Hamiltonian is stored in its structure: the kinetic stencil plus diagonal
 real and imaginary (absorbing) potentials on a position grid.  Static
 hermitian Hamiltonians evolve exactly in their eigenbasis
-(`evolve_eigenbasis`); all others, in particular the clocks' absorbing
-probes, step with the Cayley/Crank-Nicolson scheme (`evolve`).  Couplings
-to a spin or a pointer are not represented here: the Larmor clock reduces
-to two position-only runs, and the meter factorizes over pointer modes.
+(`evolve_eigenbasis`).  A family H + s_j diag(a) of hermitian Hamiltonians
+that differ by real multiples of one diagonal evolves one start vector
+exactly as one block (`evolve_shifted`): a Chebyshev expansion of
+exp(-iHt) over the family's common Gershgorin interval, applied by the
+three-term recurrence to all columns at once, with no eigensolve.  The
+meter's pointer modes are such a family.  The clocks, in particular their
+absorbing probes, step with the Cayley/Crank-Nicolson scheme (`evolve`).
+Couplings to a spin or a pointer are not represented here: the Larmor
+clock reduces to two position-only runs, and the meter factorizes over
+pointer modes.
 
 Boundary conditions are hard walls (Dirichlet): the kinetic matrix is the
 standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.
@@ -21,11 +27,19 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import daxpy
 
 from .errors import NumericalError, ParameterError, StructureError
 from .hilbert import HBAR, FactorSpace, Grid, QuantumState
 
 _TIME_ATOL = 1e-9
+# truncation of the Chebyshev series of exp(-i t H): the first Bessel
+# coefficient past n = r t at or below this ends it
+_CHEBYSHEV_TOL = 1e-15
+# largest r t expanded.  The sampled phases r t cos(theta) carry a rounding
+# of about 1e-16 r t, which leaves each FFT coefficient off by up to 1e-14
+# at r t = 1e4 and 1e-13 at 1e5 (against a backward-recurrence reference)
+_CHEBYSHEV_MAX_ARG = 1e5
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,106 @@ def evolve_eigenbasis(
     span = t_to - state.representation_time
     amp = vecs @ (np.exp(-1j * vals * span / HBAR) * (vecs.T @ state.amplitudes))
     return QuantumState(state.space, amp, t_to)
+
+
+def _bessel_coefficients(x: float) -> np.ndarray:
+    """J_n(x) for n = 0 .. K-1, K the first n >= x with |J_n(x)| <= 1e-15.
+
+    The coefficients come from one FFT of exp(-i x cos(theta)) =
+    sum_n (-i)^n J_n(x) exp(i n theta) (Jacobi-Anger), sampled at M >= 2x +
+    1024 points so that aliasing stays far below the cut.  Beyond n = x,
+    J_n(x) is positive and falls faster than geometrically in n, so the
+    first small coefficient there bounds the whole tail; before it, a small
+    |J_n(x)| can be a zero of an oscillation and is no cut.
+    """
+    if x > _CHEBYSHEV_MAX_ARG:
+        raise NumericalError(
+            f"Chebyshev argument r t = {x:.3e} above {_CHEBYSHEV_MAX_ARG:g}; "
+            "split the evolution into shorter spans"
+        )
+    m = 1 << int(np.ceil(np.log2(2.0 * x + 1024.0)))
+    theta = (2.0 * np.pi / m) * np.arange(m)
+    c = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: m // 2] / m
+    start = int(np.ceil(x))
+    small = np.nonzero(np.abs(c[start:]) <= _CHEBYSHEV_TOL)[0]
+    if small.size == 0:
+        raise NumericalError(
+            f"Chebyshev series of exp(-i {x:.3e} cos) never falls below "
+            f"{_CHEBYSHEV_TOL:g} in {m // 2} terms"
+        )
+    k = start + small[0]
+    return np.real(c[:k] * np.array([1, 1j, -1, -1j])[np.arange(k) % 4])
+
+
+def evolve_shifted(
+    hamiltonian: Hamiltonian,
+    a: np.ndarray,
+    shifts: np.ndarray,
+    v: np.ndarray,
+    duration: float,
+) -> tuple[np.ndarray, int]:
+    """exp(-i duration (H + s_j diag(a)) / hbar) v for every shift s_j, as
+    the columns of one (dimension, len(shifts)) block, and the number of
+    Chebyshev terms used.
+
+    H is hermitian (its real tridiagonal form), a a real diagonal, the s_j
+    real.  All columns run through one Chebyshev expansion (Tal-Ezer and
+    Kosloff): the spectra lie in the Gershgorin interval [c - r, c + r] of
+    every H + s_j diag(a), and exp(-i t H_j) = exp(-i t c) sum_n (2 -
+    delta_n0) (-i)^n J_n(r t) T_n((H_j - c) / r), with T_n applied by the
+    three-term recurrence in real arithmetic on the interleaved real and
+    imaginary parts.  The series is cut where |J_n(r t)| <= 1e-15.
+    """
+    diag, off = hamiltonian.tridiagonal()
+    shifts = np.asarray(shifts, dtype=float)
+    n, s = diag.size, shifts.size
+    if s == 0:
+        return np.empty((n, 0), dtype=complex), 0
+    # the stencil's off-diagonal is uniform, so every Gershgorin radius is
+    # at most 2 |hop|
+    hop = abs(float(off[0]))
+    cols = diag[:, None] + np.asarray(a, dtype=float)[:, None] * shifts
+    lo, hi = float(np.min(cols)) - 2.0 * hop, float(np.max(cols)) + 2.0 * hop
+    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    t = duration / HBAR
+    bessel = _bessel_coefficients(radius * t)
+    # (2 - delta_n0) (-1)^floor(n/2) J_n: the even terms are real, the odd
+    # ones carry the factor -i, so each sum accumulates with real weights
+    signs = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(bessel.size) % 4]
+    weights = 2.0 * signs * bessel
+    weights[0] = bessel[0]
+
+    # T_{n+1} = 2 Hs T_n - T_{n-1} with Hs = (H_j - c) / r, on (n, 2s) real
+    # views: a real operator acts on real and imaginary parts alike
+    scale = 2.0 / radius if radius > 0.0 else 0.0
+    dh = np.repeat(scale * (cols - center), 2, axis=1)
+    oh = scale * float(off[0])
+    tmp = np.empty((n, 2 * s))
+
+    def step(cur, prev):
+        """prev <- 2 Hs cur - prev, in place (daxpy updates its
+        contiguous float64 y argument in place)."""
+        np.multiply(dh, cur, out=tmp)
+        np.subtract(tmp, prev, out=prev)
+        daxpy(cur[1:].reshape(-1), prev[:-1].reshape(-1), a=oh)
+        daxpy(cur[:-1].reshape(-1), prev[1:].reshape(-1), a=oh)
+
+    block = np.empty((n, s), dtype=complex)
+    block[:] = np.asarray(v)[:, None]
+    cur = block.view(float)
+    even = weights[0] * cur
+    odd = np.zeros_like(even)
+    prev = np.zeros_like(even)
+    step(cur, prev)
+    prev *= 0.5  # T_1 = Hs T_0
+    prev, cur = cur, prev
+    for k in range(1, bessel.size):
+        daxpy(cur.reshape(-1), (odd if k % 2 else even).reshape(-1), a=weights[k])
+        if k + 1 < bessel.size:
+            step(cur, prev)
+            prev, cur = cur, prev
+    out = np.exp(-1j * center * t) * (even.view(complex) - 1j * odd.view(complex))
+    return out, bessel.size
 
 
 @dataclass(eq=False)

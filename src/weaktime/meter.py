@@ -14,8 +14,10 @@ drags an independent system evolution with the scalar coupling
 G h(t) pi_k A.  The meter exploits this: the system lives on one factor
 (a position grid or one spin) and the observable A is diagonal, passed as
 its real 1-D array a, so each mode's generator H + (G/T) pi_k diag(a) is
-real symmetric tridiagonal, and each kept mode costs one real tridiagonal
-eigensolve.  The moment routes (the moment meter and the lambda route)
+real symmetric tridiagonal and differs from the others only by a multiple
+of diag(a).  All kept modes of a run evolve as the columns of one
+Chebyshev block (`dynamics.evolve_shifted`); no mode needs an eigensolve.
+The moment routes (the moment meter and the lambda route)
 couple to the carried-along sojourn operator, which commutes with its own
 history, so each mode is a closed-form phase in that operator's own
 eigenbasis.  They read the operator's stored eigenbasis matrix M, the free
@@ -30,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .clocks import extrapolate_to_zero
-from .dynamics import CouplingProfile, Hamiltonian
+from .dynamics import CouplingProfile, Hamiltonian, evolve_shifted
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
@@ -46,9 +47,10 @@ from .hilbert import (
 from .sojourn import SojournOperator
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
-# which errs in that mode by at most twice its coefficient.  On the
-# default PointerSpec.auto grid (extent_factor=16) the Fourier coefficients
-# of the Gaussian profile fall to a plateau below this cutoff: for
+# which errs in that mode by at most twice its coefficient; each kept mode
+# is one more column of the run's Chebyshev block.  On the default
+# PointerSpec.auto grid (extent_factor=16) the Fourier coefficients of the
+# Gaussian profile fall to a plateau below this cutoff: for
 # auto(width=1.0, max_shift=0.3), the scenario meter pointer, the plateau is
 # 2.6e-10 of the peak and 23 of 256 modes are kept.  MeterRun.modes_kept
 # reports the count.  Pass mode_cutoff=0.0 to keep every mode.
@@ -109,7 +111,9 @@ class MeterRun:
     system state evolved with the meter switched off, used for survival
     probabilities and as the G = 0 reference in derivative identities.
     `modes_kept` counts the pointer modes evolved with the coupling; the
-    others were below the mode cutoff.
+    others were below the mode cutoff.  `chebyshev_terms` is the length of
+    the series that evolved them (columns x terms is the block's work); 0
+    for the moment meter, whose modes are closed-form phases.
     """
 
     spec: PointerSpec
@@ -122,6 +126,7 @@ class MeterRun:
     pointer_initial: QuantumState
     norm_drift: float
     modes_kept: int
+    chebyshev_terms: int
 
     @property
     def system_weight(self) -> float:
@@ -186,7 +191,8 @@ def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) 
 
 
 def _finish_run(
-    spec, coupling, profile, window, label, composite, psi_ref, phi, psi0, modes_kept
+    spec, coupling, profile, window, label, composite, psi_ref, phi, psi0, modes_kept,
+    chebyshev_terms,
 ):
     _edge_check(spec, composite, psi_ref.cell_weight)
     norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(composite)
@@ -202,6 +208,7 @@ def _finish_run(
         pointer_initial=phi,
         norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
         modes_kept=modes_kept,
+        chebyshev_terms=chebyshev_terms,
     )
 
 
@@ -219,11 +226,13 @@ def run_meter(
 
     The observable A = diag(a) is diagonal on the system space and given as
     the real array a of shape (system.dimension,), e.g. a region indicator
-    or [1, -1] for sigma_z.  Each pointer momentum mode above `mode_cutoff`
-    is evolved through the (rectangular) profile window with one real
-    tridiagonal eigensolve of H + (G/T) pi_k diag(a).  A lossy system raises
-    ParameterError (from its cached free eigensystem), an `observable` of
-    another shape or a complex one StructureError.
+    or [1, -1] for sigma_z.  The pointer momentum modes above `mode_cutoff`
+    are evolved through the (rectangular) profile window under
+    H + (G/T) pi_k diag(a) as the columns of one Chebyshev block
+    (`evolve_shifted`); the free flight before and after the profile uses
+    the system's cached eigensystem.  A lossy system raises ParameterError
+    (from its cached free eigensystem), an `observable` of another shape or
+    a complex one StructureError.
     """
     a = np.asarray(observable)
     if a.shape != (system.dimension,) or np.iscomplexobj(a):
@@ -239,8 +248,6 @@ def run_meter(
     phi = spec.initial_state()
 
     vals, vecs = system.eigensystem()
-    diag, off = system.tridiagonal()
-
     psi_eig = vecs.T @ psi0.amplitudes
     pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
     post = np.exp(-1j * vals * (t1 - profile.t_stop) / HBAR)
@@ -254,18 +261,22 @@ def run_meter(
 
     modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
     modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
+    kept = np.nonzero(sig)[0]
     rate = coupling / profile.duration
-    for k in np.nonzero(sig)[0]:
-        wk, uk = scipy.linalg.eigh_tridiagonal(diag + (rate * pi_vals[k]) * a, off)
-        v = uk @ (np.exp(-1j * profile.duration / HBAR * wk) * (uk.T @ v_start))
-        if t1 > profile.t_stop + _TIME_ATOL:
-            v = vecs @ (post * (vecs.T @ v))
-        modes[:, k] = coeffs[k] * v
+    block, terms = evolve_shifted(
+        system, a, rate * pi_vals[kept], v_start, profile.duration
+    )
+    if t1 > profile.t_stop + _TIME_ATOL:
+        # free post-evolution of every column at once; the real eigenvectors
+        # act on the interleaved real and imaginary parts
+        block = (vecs.T @ block.view(float)).view(complex) * post[:, None]
+        block = (vecs @ block.view(float)).view(complex)
+    modes[:, kept] = block * coeffs[kept]
 
     composite = _compose(modes)
     return _finish_run(
         spec, coupling, profile, window, "observable", composite, psi_ref, phi,
-        psi0, np.count_nonzero(sig),
+        psi0, kept.size, terms,
     )
 
 
@@ -325,7 +336,7 @@ def run_moment_meter(
     composite = _compose(modes)
     return _finish_run(
         spec, coupling, CouplingProfile.rectangular(*op.window), op.window,
-        f"region time^{order}", composite, psi_ref, phi, psi0, np.count_nonzero(sig),
+        f"region time^{order}", composite, psi_ref, phi, psi0, np.count_nonzero(sig), 0,
     )
 
 

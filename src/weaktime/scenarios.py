@@ -10,6 +10,7 @@ configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -226,6 +227,13 @@ def catalog() -> dict:
 # -- validation ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _free_hamiltonian(grid: Grid) -> Hamiltonian:
+    """The free Hamiltonian of the last grid validated: scenarios that share
+    a grid share its eigensystem, which the Hamiltonian caches."""
+    return Hamiltonian(position_space(grid))
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Static and dynamic consistency checks; returns a list of warnings.
 
@@ -243,8 +251,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     "packet starts within 5 sigma of the potential feature"
                 )
         # free pre-run: evolve without the potential and inspect the edges
-        free = Hamiltonian(position_space(sc.grid))
-        amp = evolve_eigenbasis(sc.initial_state(), free, sc.window[1]).amplitudes
+        amp = evolve_eigenbasis(
+            sc.initial_state(), _free_hamiltonian(sc.grid), sc.window[1]
+        ).amplitudes
         band = 8
         edge_mass = float(
             (np.sum(np.abs(amp[:band]) ** 2) + np.sum(np.abs(amp[-band:]) ** 2))
@@ -568,8 +577,11 @@ CONFIG_KEYS = frozenset({
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    """Scenario from a parsed config; a key outside CONFIG_KEYS, for example
-    a misspelling, raises ValidationError rather than being dropped."""
+    """Scenario from a parsed config.  A key outside CONFIG_KEYS, for example
+    a misspelling, raises ValidationError rather than being dropped, and so
+    does a known key that the chosen potential kind, postselection mode or
+    initial kind does not read (one `scenario_to_config` omits, so that it
+    could not enter `config_hash`)."""
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
@@ -585,7 +597,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             x2_lo=float(cfg.get("potential.x2_lo", 0.0)),
             x2_hi=float(cfg.get("potential.x2_hi", 0.0)),
         )
-        return Scenario(
+        sc = Scenario(
             name=cfg.get("scenario.name", "custom"),
             grid=grid,
             potential=potential,
@@ -607,6 +619,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ValidationError(f"missing config key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed config value: {exc}") from exc
+    inapplicable = sorted(set(cfg) - set(scenario_to_config(sc)))
+    if inapplicable:
+        raise ValidationError(
+            f"config key {', '.join(map(repr, inapplicable))} does not apply to "
+            "the chosen potential kind, postselection mode or initial kind"
+        )
+    return sc
 
 
 # -- emission --------------------------------------------------------------

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import oracle
+from weaktime import dynamics
 from weaktime.dynamics import (
     CouplingProfile,
     Hamiltonian,
     Propagator,
     evolve,
     evolve_eigenbasis,
+    evolve_shifted,
 )
-from weaktime.errors import ParameterError, StructureError
+from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
     Region,
@@ -135,6 +137,55 @@ def test_evolve_eigenbasis_matches_oracle():
     ref = oracle.evolve_exact(ham.dense_matrix(), psi.amplitudes, 4.0)
     np.testing.assert_allclose(out.amplitudes, ref, atol=1e-12)
     assert out.representation_time == 5.0
+
+
+def _shifted_cases():
+    rng = np.random.default_rng(7)
+    well = Hamiltonian(SPACE, potential_real=0.3 * Region(15.0, 25.0).indicator(GRID))
+    region = Region(12.0, 28.0).indicator(GRID)
+    packet = _packet().amplitudes
+    spin = Hamiltonian(spin_space())
+    up_right = np.array([1.0, 1j]) / np.sqrt(2.0)
+    return {
+        "random_shifts": (well, region, rng.normal(size=6), packet, 3.0),
+        "spin_toy": (spin, np.array([1.0, -1.0]), np.array([0.4, -1.3, 0.0]),
+                     up_right, 2.5),
+        "single_column": (well, region, np.array([0.7]), packet, 1.5),
+        "zero_shifts": (well, region, np.zeros(3), packet, 2.0),
+        "spin_radius_zero": (spin, np.array([1.0, -1.0]), np.zeros(2), up_right, 4.0),
+        "large_rt": (well, region, np.array([-0.5, 0.0, 0.5]), packet, 120.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_shifted_cases()))
+def test_evolve_shifted_matches_oracle(case):
+    ham, a, shifts, v, t = _shifted_cases()[case]
+    block, terms = evolve_shifted(ham, a, shifts, v, t)
+    assert block.shape == (v.size, shifts.size)
+    for j, s in enumerate(shifts):
+        ref = oracle.evolve_exact(ham.dense_matrix() + s * np.diag(a), v, t)
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
+    if case == "large_rt":
+        assert terms > 300
+    if case == "spin_radius_zero":
+        assert terms == 1
+
+
+def test_evolve_shifted_refuses_a_series_it_cannot_resolve():
+    # at r t ~ 1e8 the sampled phases carry a rounding of ~1e-8: refused
+    # before any sampling, never truncated
+    ham = Hamiltonian(SPACE)
+    with pytest.raises(NumericalError):
+        evolve_shifted(ham, np.ones(GRID.n_points), np.zeros(1),
+                       _packet().amplitudes, 1e8)
+
+
+def test_evolve_shifted_refuses_a_cut_below_the_sampling_noise(monkeypatch):
+    # no computed coefficient reaches a cut under the FFT's rounding floor
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_TOL", 1e-30)
+    with pytest.raises(NumericalError, match="never falls below"):
+        evolve_shifted(Hamiltonian(SPACE), np.ones(GRID.n_points), np.zeros(1),
+                       _packet().amplitudes, 3.0)
 
 
 @pytest.mark.parametrize("name", [*catalog(), "spin_toy"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracle
 from weaktime.dynamics import CouplingProfile, Hamiltonian
@@ -114,6 +115,45 @@ def test_norm_conserved_in_hermitian_run(crossing):
     assert norm == pytest.approx(1.0, abs=1e-8)
 
 
+def test_run_meter_needs_no_per_mode_eigensolve(crossing, monkeypatch):
+    # every kept pointer mode is one column of one Chebyshev block: beyond
+    # the Hamiltonian's cached free eigensystem no tridiagonal solve runs
+    ham, psi0, _, _ = crossing
+    ham.eigensystem()
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    profile = CouplingProfile.rectangular(*WINDOW)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    assert run.modes_kept > 1
+    assert len(calls) == 0
+
+
+def test_run_meter_reports_chebyshev_terms(crossing):
+    # the series needs at least r t terms, r the half-width of the spectra of
+    # the kept modes' Hamiltonians; mode 0 (pi = 0) is H itself
+    ham, psi0, _, _ = crossing
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    profile = CouplingProfile.rectangular(*WINDOW)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    vals, _ = ham.eigensystem()
+    half_width = 0.5 * (vals.max() - vals.min())
+    assert run.chebyshev_terms >= half_width * profile.duration
+    assert run.chebyshev_terms < half_width * profile.duration + 100
+    moment_run = run_moment_meter(spec, psi0, crossing[3], 1, 0.1)
+    assert moment_run.chebyshev_terms == 0
+    # a cutoff at the peak keeps no mode: an empty block, no series
+    none_kept = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham,
+                          mode_cutoff=1.0)
+    assert (none_kept.modes_kept, none_kept.chebyshev_terms) == (0, 0)
+
+
 def test_edge_aliasing_guard():
     system, psi0, sz = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64)
@@ -151,6 +191,29 @@ def test_composite_engine_matches_factorized():
         spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
     )
     np.testing.assert_allclose(fac.final, com, atol=1e-10)
+
+
+def test_composite_engine_matches_factorized_with_free_flight():
+    # a window wider than the profile: free flight before and after the
+    # coupled block, applied to every column at once
+    grid = Grid(16, 0.0, 7.5)
+    space = position_space(grid)
+    ham = Hamiltonian(space, potential_real=0.5 * Region(3.0, 5.0).indicator(grid))
+    vals, vecs = ham.eigensystem()
+    psi0 = QuantumState(space, vecs[:, :4] @ np.array([1.0, 0.6j, -0.4, 0.2]),
+                        0.5).normalized()
+    spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
+    profile = CouplingProfile.rectangular(1.0, 2.5)
+    obs = Region(3.0, 5.0).indicator(grid)
+    fac = run_meter(spec, psi0, obs, 0.3, profile, ham, window=(0.5, 3.25),
+                    mode_cutoff=0.0)
+    h = ham.dense_matrix()
+    com = oracle.composite_meter(
+        h, np.diag(obs), oracle.evolve_exact(h, psi0.amplitudes, 0.5),
+        spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
+    )
+    post = np.column_stack([oracle.evolve_exact(h, col, 0.75) for col in com.T])
+    np.testing.assert_allclose(fac.final, post, atol=1e-10)
 
 
 # -- strong regime ------------------------------------------------------------

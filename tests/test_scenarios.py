@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracle
 from weaktime import cli, meter, scenarios
@@ -111,6 +112,24 @@ def test_scenario_from_config_rejects_unknown_keys(typo, replaces):
         scenario_from_config(cfg)
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("free_box", "potential.v0", "3.0"),
+    ("free_box", "potential.x_lo", "60.0"),
+    ("free_box", "potential.x_hi", "62.0"),
+    ("barrier_dwell", "potential.x2_lo", "118.0"),
+    ("barrier_dwell", "postselection.cell", "40"),
+    ("free_box", "initial.eigenstate", "2"),
+])
+def test_scenario_from_config_rejects_inapplicable_keys(name, key, value):
+    # a known key the chosen kind or mode never reads would be dropped, and
+    # config_hash, taken of scenario_to_config, would not see it either
+    cfg = scenario_to_config(catalog()[name])
+    assert key not in cfg
+    cfg[key] = value
+    with pytest.raises(ValidationError, match=f"'{key}' does not apply"):
+        scenario_from_config(cfg)
+
+
 def test_scenario_from_config_reports_malformed_values():
     cfg = scenario_to_config(catalog()["free_box"])
     cfg["grid.n"] = "sixty four"
@@ -124,6 +143,26 @@ def test_scenario_from_config_reports_malformed_values():
 def test_validate_catalog_scenarios_clean():
     for sc in catalog().values():
         assert validate_scenario(sc) == []
+
+
+def test_validate_solves_the_free_hamiltonian_once_per_grid(monkeypatch):
+    # two scenarios on one grid (a grid no other test uses, so the cache
+    # starts cold) share one free eigensystem in their edge pre-runs
+    base = catalog()["barrier_dwell"]
+    grid = Grid(509, base.grid.x_min, base.grid.x_max)
+    pair = [replace(base, grid=grid),
+            replace(catalog()["barrier_farside"], grid=grid)]
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    for sc in pair:
+        assert validate_scenario(sc) == []
+    assert len(calls) == 1
 
 
 def test_validate_rejects_packet_on_top_of_barrier():
@@ -340,6 +379,14 @@ def test_cli_unknown_config_key_is_validation_error(well_config, capsys):
         fh.write("pakcet.k0 = 1.0\n")
     assert cli.main(["validate", "--config", well_config]) == 1
     assert "'pakcet.k0'" in capsys.readouterr().err
+
+
+def test_cli_inapplicable_config_key_is_validation_error(well_config, capsys):
+    # well_halves is free space: a barrier height in its file would be ignored
+    with open(well_config, "a") as fh:
+        fh.write("potential.v0 = 3.0\n")
+    assert cli.main(["validate", "--config", well_config]) == 1
+    assert "'potential.v0'" in capsys.readouterr().err
 
 
 def test_cli_run_and_emit_round_trip(well_config, tmp_path, capsys):
