@@ -54,7 +54,7 @@ from .sojourn import (
     weak_value,
 )
 from .clocks import (
-    ClockConfig,
+    ClockRuns,
     SweepRecord,
     clock_imaginary_potential,
     clock_larmor,

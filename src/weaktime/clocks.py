@@ -6,6 +6,14 @@ small absorbing potential (norm clock) and a small spin precession field
 confined to the region (Larmor clock).  Each is swept over a descending
 ladder of strengths and Richardson-extrapolated to zero strength.
 
+All of them read window-end states of one packet evolved under the system
+Hamiltonian plus a weak complex potential u on the region: u = +-v for the
+phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
+absorber.  A `ClockRuns` table holds those states for one packet, region
+and window, and evolves each distinct u once, on first request, so clocks
+that share a Hamiltonian share its evolution.  The readouts below take a
+strength ladder and the table.
+
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
@@ -28,26 +36,64 @@ from .hilbert import HBAR, QuantumState, Region, checked_overlap, inner_product
 
 MIN_STRENGTH = 1e-7
 ORDER_BAND = (0.8, 2.5)
+# Crank-Nicolson step of every clock evolution (Scenario.dt defaults to it)
+DT = 0.05
+# an absorbing run that loses more of the packet than this is refused: the
+# one-sided Gamma-derivative is no longer in its linear regime
+MAX_ABSORBED_FRACTION = 0.2
 
 
-@dataclass(frozen=True)
-class ClockConfig:
-    """Sweep configuration for one clock method."""
+def _ladder(strengths) -> tuple[float, ...]:
+    s = tuple(float(v) for v in strengths)
+    if len(s) < 3:
+        raise ParameterError("need at least 3 sweep strengths")
+    if any(b >= a for a, b in zip(s, s[1:])):
+        raise ParameterError("strengths must be strictly decreasing")
+    if s[-1] <= MIN_STRENGTH:
+        raise ParameterError(f"smallest strength must exceed {MIN_STRENGTH}")
+    return s
 
-    method: str  # "real_potential" | "imaginary_potential" | "larmor"
-    strengths: tuple[float, ...]
+
+@dataclass
+class ClockRuns:
+    """Window-end states of `psi_initial` under `system` plus a complex
+    potential u on `region`, one Crank-Nicolson evolution per distinct u.
+
+    `final(u)` evolves under system + Re(u) P_region + i Im(u) P_region on
+    first request and caches the state under the exact value of u; u = 0 is
+    the unmodified system.  A run that absorbs more than
+    MAX_ABSORBED_FRACTION of the packet raises ParameterError.
+    """
+
+    system: Hamiltonian
+    psi_initial: QuantumState
     region: Region
     window: tuple[float, float]
+    dt: float = DT
+    _finals: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        s = tuple(float(v) for v in self.strengths)
-        object.__setattr__(self, "strengths", s)
-        if len(s) < 3:
-            raise ParameterError("need at least 3 sweep strengths")
-        if any(b >= a for a, b in zip(s, s[1:])):
-            raise ParameterError("strengths must be strictly decreasing")
-        if s[-1] <= MIN_STRENGTH:
-            raise ParameterError(f"smallest strength must exceed {MIN_STRENGTH}")
+    def final(self, u: complex) -> QuantumState:
+        u = complex(u)
+        phi = self._finals.get(u)
+        if phi is not None:
+            return phi
+        ham = self.system
+        if u:
+            indicator = self.region.indicator(ham.position_grid)
+            ham = ham.with_potential_added(
+                real=u.real * indicator if u.real else None,
+                imag=u.imag * indicator if u.imag else None,
+            )
+        t0, t1 = self.window
+        phi = evolve(self.psi_initial, Propagator(self.dt, ham), t0, t1)
+        absorbed = 1.0 - phi.norm() ** 2
+        if absorbed > MAX_ABSORBED_FRACTION:
+            raise ParameterError(
+                f"absorbed fraction {absorbed:.3f} at u = {u} exceeds "
+                f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
+            )
+        self._finals[u] = phi
+        return phi
 
 
 @dataclass(frozen=True)
@@ -133,40 +179,17 @@ def _unwrap(result, chi):
     return result if isinstance(chi, dict) else result["custom"]
 
 
-def _signed_runs(cfg, system, psi_initial, strengths, dt):
-    """Unperturbed final state and, for each strength v, the final states
-    under the system Hamiltonian plus +v and -v on the region."""
-    t0, t1 = cfg.window
-    indicator = cfg.region.indicator(system.position_grid)
-
-    def run(ham):
-        return evolve(psi_initial, Propagator(dt, ham), t0, t1)
-
-    phi0 = run(system)
-    runs = {
-        v: tuple(run(system.with_potential_added(real=u * indicator)) for u in (v, -v))
-        for v in strengths
-    }
-    return phi0, runs
-
-
-def clock_real_potential(
-    cfg: ClockConfig,
-    system: Hamiltonian,
-    psi_initial: QuantumState,
-    chi,
-    dt: float = 0.05,
-):
+def clock_real_potential(strengths, runs: ClockRuns, chi):
     """Phase clock: evolve under the system Hamiltonian plus a small real
-    potential step on the region, and read i*hbar times the central
+    potential step +-v on the region, and read i*hbar times the central
     potential-derivative of the postselected amplitude.
 
     `chi` may be a single final state or a dict label -> state; a dict
     shares the sweep evolutions across postselections.
     """
-    if cfg.method != "real_potential":
-        raise ParameterError("config method mismatch")
-    phi0, perturbed = _signed_runs(cfg, system, psi_initial, cfg.strengths, dt)
+    strengths = _ladder(strengths)
+    phi0 = runs.final(0.0)
+    perturbed = {v: (runs.final(v), runs.final(-v)) for v in strengths}
 
     meta = {
         "pointer_representation": "potential = coupling * pointer_momentum / window_duration",
@@ -175,83 +198,49 @@ def clock_real_potential(
     for label, chi_state in _chi_items(chi):
         den = checked_overlap(chi_state, phi0)
         readouts = []
-        for v in cfg.strengths:
+        for v in strengths:
             up, down = (inner_product(chi_state, s) for s in perturbed[v])
             deriv = (up - down) / (2.0 * v)
             readouts.append(1j * HBAR * deriv / den)
-        out[label] = _record("real_potential", label, cfg.strengths, readouts, 2, dict(meta))
+        out[label] = _record("real_potential", label, strengths, readouts, 2, dict(meta))
     return _unwrap(out, chi)
 
 
-def clock_imaginary_potential(
-    cfg: ClockConfig,
-    system: Hamiltonian,
-    psi_initial: QuantumState,
-    chi,
-    dt: float = 0.05,
-    max_absorbed_fraction: float = 0.2,
-):
+def clock_imaginary_potential(strengths, runs: ClockRuns, chi):
     """Absorption clock: evolve with -i*Gamma/2 on the region and read
     -2*hbar times the one-sided Gamma-derivative of the postselected
     amplitude ratio."""
-    if cfg.method != "imaginary_potential":
-        raise ParameterError("config method mismatch")
-    t0, t1 = cfg.window
-    indicator = cfg.region.indicator(system.position_grid)
-    prop0 = Propagator(dt, system)
-    phi0 = evolve(psi_initial, prop0, t0, t1)
-
-    perturbed = {}
-    for g in cfg.strengths:
-        ham = system.with_potential_added(imag=-0.5 * g * indicator)
-        perturbed[g] = evolve(psi_initial, Propagator(dt, ham), t0, t1)
-
-    absorbed = 1.0 - perturbed[cfg.strengths[0]].norm() ** 2
-    if absorbed > max_absorbed_fraction:
-        raise ParameterError(
-            f"absorbed fraction {absorbed:.3f} at the largest strength exceeds "
-            f"{max_absorbed_fraction}; shrink the sweep ladder"
-        )
+    strengths = _ladder(strengths)
+    phi0 = runs.final(0.0)
+    perturbed = {g: runs.final(-0.5j * g) for g in strengths}
+    absorbed = 1.0 - perturbed[strengths[0]].norm() ** 2
 
     out = {}
     for label, chi_state in _chi_items(chi):
         den = checked_overlap(chi_state, phi0)
         readouts = []
-        for g in cfg.strengths:
+        for g in strengths:
             ratio = inner_product(chi_state, perturbed[g]) / den
             readouts.append(-2.0 * HBAR * (ratio - 1.0) / g)
         out[label] = _record(
-            "imaginary_potential", label, cfg.strengths, readouts, 1,
+            "imaginary_potential", label, strengths, readouts, 1,
             {"absorbed_fraction_max": absorbed},
         )
     return _unwrap(out, chi)
 
 
-def absorption_survival_dwell(
-    cfg: ClockConfig,
-    system: Hamiltonian,
-    psi_initial: QuantumState,
-    dt: float = 0.05,
-) -> SweepRecord:
+def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
     """Unconditioned absorption clock from total norm loss,
-    -hbar * d/dGamma of the survival probability at zero strength."""
-    t0, t1 = cfg.window
-    indicator = cfg.region.indicator(system.position_grid)
-    readouts = []
-    for g in cfg.strengths:
-        ham = system.with_potential_added(imag=-0.5 * g * indicator)
-        phi = evolve(psi_initial, Propagator(dt, ham), t0, t1)
-        readouts.append(complex(-HBAR * (phi.norm() ** 2 - 1.0) / g))
-    return _record("imaginary_potential_norm", "none", cfg.strengths, readouts, 1)
+    -hbar * d/dGamma of the survival probability at zero strength; it reads
+    the same -i*Gamma/2 runs as `clock_imaginary_potential`."""
+    strengths = _ladder(strengths)
+    readouts = [
+        complex(-HBAR * (runs.final(-0.5j * g).norm() ** 2 - 1.0) / g) for g in strengths
+    ]
+    return _record("imaginary_potential_norm", "none", strengths, readouts, 1)
 
 
-def clock_larmor(
-    cfg: ClockConfig,
-    system: Hamiltonian,
-    psi_initial: QuantumState,
-    chi,
-    dt: float = 0.05,
-):
+def clock_larmor(strengths, runs: ClockRuns, chi):
     """Larmor clock: attach a spin initially polarized along +x, precess it
     in the region, and read the conditional y-polarization per unit
     precession frequency.
@@ -264,25 +253,27 @@ def clock_larmor(
     pointer-derivative identity i (a_up - a_down) / (omega a_up(0)), which is
     the phase clock's central difference at v = hbar omega/2.
     """
-    if cfg.method != "larmor":
-        raise ParameterError("config method mismatch")
-    halves = tuple(0.5 * HBAR * w for w in cfg.strengths)
-    phi0, runs = _signed_runs(cfg, system, psi_initial, halves, dt)
+    strengths = _ladder(strengths)
+    phi0 = runs.final(0.0)
+    spins = {}
+    for w in strengths:
+        v = 0.5 * HBAR * w
+        spins[w] = (runs.final(v), runs.final(-v))
 
     out = {}
     for label, chi_state in _chi_items(chi):
         den = checked_overlap(chi_state, phi0)
         sy_readouts = []
         id_readouts = []
-        for w, v in zip(cfg.strengths, halves):
-            a_up, a_dn = (inner_product(chi_state, s) for s in runs[v])
+        for w in strengths:
+            a_up, a_dn = (inner_product(chi_state, s) for s in spins[w])
             sy = 2.0 * np.imag(np.conj(a_up) * a_dn)
             weight = abs(a_up) ** 2 + abs(a_dn) ** 2
             sy_readouts.append(complex(sy / weight / w))
             id_readouts.append(1j * (a_up - a_dn) / (w * den))
-        value_id, order_id, residual_id = extrapolate_to_zero(cfg.strengths, id_readouts, 2)
+        value_id, order_id, residual_id = extrapolate_to_zero(strengths, id_readouts, 2)
         rec = _record(
-            "larmor", label, cfg.strengths, sy_readouts, 2,
+            "larmor", label, strengths, sy_readouts, 2,
             {
                 "identity_value": value_id,
                 "identity_residual": residual_id,

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .clocks import (
-    ClockConfig,
+    DT,
+    ClockRuns,
     SweepRecord,
     absorption_survival_dwell,
     clock_imaginary_potential,
@@ -127,7 +128,7 @@ class Scenario:
     initial_kind: str = "packet"  # "packet" | "eigenstate"
     eigenstate_index: int = 0
     n_slices: int = DEFAULT_N_SLICES
-    dt: float = 0.05
+    dt: float = DT
 
     def __post_init__(self):
         if not self.window[1] > self.window[0]:
@@ -419,30 +420,22 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
 
 
 def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    window = sc.window
-    region = sc.region
+    runs = ClockRuns(ham, psi0, sc.region, sc.window, sc.dt)
     duration = sc.duration()
+    ladders = {name: tuple(c / duration for c in ladder) for name, ladder in CLOCK_LADDERS.items()}
     methods = {
         "real_potential": clock_real_potential,
         "imaginary_potential": clock_imaginary_potential,
         "larmor": clock_larmor,
     }
     for name, fn in methods.items():
-        ladder = tuple(c / duration for c in CLOCK_LADDERS[name])
-        cfg = ClockConfig(name, ladder, region, window)
-        recs = fn(cfg, ham, psi0, chis, dt=sc.dt)
+        recs = fn(ladders[name], runs, chis)
         bundle.sweeps[name] = {lbl: _sweep_payload(r) for lbl, r in recs.items()}
         for lbl, rec in recs.items():
             bundle.add(method=f"clock_{name}", postselection=lbl, order=1,
                        value=rec.time, tolerance=0.01, residual=rec.residual,
                        flags="order_flagged" if rec.flagged else "")
-    norm_cfg = ClockConfig(
-        "imaginary_potential",
-        tuple(c / duration for c in CLOCK_LADDERS["imaginary_potential"]),
-        region,
-        window,
-    )
-    rec = absorption_survival_dwell(norm_cfg, ham, psi0, dt=sc.dt)
+    rec = absorption_survival_dwell(ladders["imaginary_potential"], runs)
     bundle.sweeps["imaginary_potential_norm"] = {"none": _sweep_payload(rec)}
     bundle.add(method="clock_imaginary_norm", postselection="none", order=1,
                value=rec.time, tolerance=0.01, residual=rec.residual,
@@ -613,7 +606,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             initial_kind=cfg.get("initial.kind", "packet"),
             eigenstate_index=int(cfg.get("initial.eigenstate", 0)),
             n_slices=int(cfg.get("numerics.n_slices", DEFAULT_N_SLICES)),
-            dt=float(cfg.get("numerics.dt", 0.05)),
+            dt=float(cfg.get("numerics.dt", DT)),
         )
     except KeyError as exc:
         raise ValidationError(f"missing config key {exc.args[0]!r}") from exc

@@ -6,6 +6,7 @@ import inspect
 import numpy as np
 
 import weaktime
+from weaktime import clocks
 from weaktime.dynamics import CouplingProfile, Hamiltonian, Propagator
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
 from weaktime.meter import PointerSpec, run_meter
@@ -76,3 +77,22 @@ def test_sojourn_operator_is_stored_once():
     # cached eigenbasis, shared rather than copied
     assert square_fields(op.integrated) == {"eigen_matrix", "vecs"}
     assert op.integrated.vecs is ham.eigensystem()[1]
+
+
+def test_clock_readouts_take_a_ladder_and_a_table():
+    # ClockRuns is the one place that takes a time step; the absorbed-fraction
+    # bound is a module constant and there is no per-clock config object
+    readouts = {
+        clocks.clock_real_potential: ["strengths", "runs", "chi"],
+        clocks.clock_imaginary_potential: ["strengths", "runs", "chi"],
+        clocks.clock_larmor: ["strengths", "runs", "chi"],
+        clocks.absorption_survival_dwell: ["strengths", "runs"],
+    }
+    for fn, params in readouts.items():
+        assert list(inspect.signature(fn).parameters) == params
+    knobs = {"dt", "max_absorbed_fraction", "cfg"}
+    assert [name for name, params in _public_parameters()
+            if getattr(weaktime, name).__module__ == "weaktime.clocks"
+            and name != "ClockRuns" and knobs & set(params)] == []
+    assert "ClockConfig" not in weaktime.__all__
+    assert "ClockRuns" in weaktime.__all__

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import oracle
+from weaktime import clocks
 from weaktime.clocks import (
-    ClockConfig,
+    ClockRuns,
     absorption_survival_dwell,
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
     extrapolate_to_zero,
 )
-from weaktime.dynamics import Hamiltonian
+from weaktime.dynamics import Hamiltonian, Propagator, evolve
 from weaktime.errors import ParameterError
 from weaktime.hilbert import (
     Grid,
@@ -78,20 +79,15 @@ def test_extrapolation_input_validation():
         extrapolate_to_zero([0.2, 0.1, -0.1], [1.0, 1.0, 1.0])
 
 
-def test_config_requires_descending_ladder():
-    with pytest.raises(ParameterError):
-        ClockConfig("real_potential", (0.1, 0.2, 0.3), REGION, WINDOW)
-    with pytest.raises(ParameterError):
-        ClockConfig("real_potential", (0.1, 0.05), REGION, WINDOW)
-    with pytest.raises(ParameterError):
-        ClockConfig("real_potential", (0.1, 0.05, 1e-9), REGION, WINDOW)
-
-
-def test_config_method_mismatch_rejected(crossing):
-    ham, psi0, _, _ = crossing
-    cfg = ClockConfig("larmor", (0.2, 0.1, 0.05), REGION, WINDOW)
-    with pytest.raises(ParameterError):
-        clock_real_potential(cfg, ham, psi0, psi0)
+def test_config_requires_descending_ladder(crossing):
+    ham, psi0, psi_final, _ = crossing
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    for ladder in ((0.1, 0.2, 0.3), (0.1, 0.05), (0.1, 0.05, 1e-9)):
+        for read in (clock_real_potential, clock_imaginary_potential, clock_larmor):
+            with pytest.raises(ParameterError):
+                read(ladder, runs, psi_final)
+        with pytest.raises(ParameterError):
+            absorption_survival_dwell(ladder, runs)
 
 
 # -- full-box exact cases ---------------------------------------------------
@@ -106,8 +102,8 @@ def test_real_potential_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    cfg = ClockConfig("real_potential", (0.12, 0.06, 0.03), whole, WINDOW)
-    rec = clock_real_potential(cfg, ham, psi0, _full_box_chi(ham, psi0))
+    runs = ClockRuns(ham, psi0, whole, WINDOW)
+    rec = clock_real_potential((0.12, 0.06, 0.03), runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
     assert not rec.flagged
@@ -117,8 +113,8 @@ def test_imaginary_potential_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    cfg = ClockConfig("imaginary_potential", (0.02, 0.01, 0.005), whole, WINDOW)
-    rec = clock_imaginary_potential(cfg, ham, psi0, _full_box_chi(ham, psi0))
+    runs = ClockRuns(ham, psi0, whole, WINDOW)
+    rec = clock_imaginary_potential((0.02, 0.01, 0.005), runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -127,8 +123,8 @@ def test_larmor_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    cfg = ClockConfig("larmor", (0.2, 0.1, 0.05), whole, WINDOW)
-    rec = clock_larmor(cfg, ham, psi0, _full_box_chi(ham, psi0))
+    runs = ClockRuns(ham, psi0, whole, WINDOW)
+    rec = clock_larmor((0.2, 0.1, 0.05), runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -138,22 +134,22 @@ def test_larmor_full_box_gives_window_length():
 
 def test_real_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
-    cfg = ClockConfig("real_potential", (0.12, 0.06, 0.03), REGION, WINDOW)
-    rec = clock_real_potential(cfg, ham, psi0, psi_final)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    rec = clock_real_potential((0.12, 0.06, 0.03), runs, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_imaginary_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
-    cfg = ClockConfig("imaginary_potential", (0.04, 0.02, 0.01), REGION, WINDOW)
-    rec = clock_imaginary_potential(cfg, ham, psi0, psi_final)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    rec = clock_imaginary_potential((0.04, 0.02, 0.01), runs, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_larmor_matches_dwell_and_identity_route(crossing):
     ham, psi0, psi_final, tau = crossing
-    cfg = ClockConfig("larmor", (0.2, 0.1, 0.05), REGION, WINDOW)
-    rec = clock_larmor(cfg, ham, psi0, psi_final)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    rec = clock_larmor((0.2, 0.1, 0.05), runs, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
     # the spin-amplitude identity reads the same sweeps a second way
     ident = rec.metadata["identity_value"]
@@ -163,8 +159,8 @@ def test_larmor_matches_dwell_and_identity_route(crossing):
 def test_larmor_matches_position_spin_oracle(crossing):
     ham, psi0, psi_final, _ = crossing
     strengths = (0.2, 0.1, 0.05)
-    cfg = ClockConfig("larmor", strengths, REGION, WINDOW)
-    rec = clock_larmor(cfg, ham, psi0, psi_final)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    rec = clock_larmor(strengths, runs, psi_final)
     spinors = oracle.larmor_spinors(
         ham.dense_matrix(), REGION.indicator(GRID), psi0.amplitudes,
         psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], 0.05,
@@ -184,21 +180,57 @@ def test_larmor_matches_position_spin_oracle(crossing):
 
 def test_norm_loss_route_matches_dwell(crossing):
     ham, psi0, _, tau = crossing
-    cfg = ClockConfig("imaginary_potential", (0.04, 0.02, 0.01), REGION, WINDOW)
-    rec = absorption_survival_dwell(cfg, ham, psi0)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    rec = absorption_survival_dwell((0.04, 0.02, 0.01), runs)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_dict_postselection_shares_sweeps(crossing):
     ham, psi0, psi_final, _ = crossing
-    cfg = ClockConfig("real_potential", (0.12, 0.06, 0.03), REGION, WINDOW)
-    both = clock_real_potential(cfg, ham, psi0, {"a": psi_final, "b": psi_final})
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    both = clock_real_potential((0.12, 0.06, 0.03), runs, {"a": psi_final, "b": psi_final})
     assert both["a"].value == both["b"].value
     assert both["a"].postselection == "a"
 
 
 def test_absorbed_fraction_guard(crossing):
     ham, psi0, psi_final, _ = crossing
-    cfg = ClockConfig("imaginary_potential", (2.0, 1.0, 0.5), REGION, WINDOW)
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
     with pytest.raises(ParameterError):
-        clock_imaginary_potential(cfg, ham, psi0, psi_final)
+        clock_imaginary_potential((2.0, 1.0, 0.5), runs, psi_final)
+
+
+def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
+    # the same ladder that the postselected absorber refuses: 88% of the
+    # packet is absorbed at Gamma = 2, far outside the linear regime
+    ham, psi0, _, _ = crossing
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    with pytest.raises(ParameterError):
+        absorption_survival_dwell((2.0, 1.0, 0.5), runs)
+
+
+# -- the table of evolutions ------------------------------------------------
+
+
+def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
+    ham, psi0, _, _ = crossing
+    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    direct = evolve(psi0, Propagator(0.05, ham), *WINDOW)
+    np.testing.assert_array_equal(runs.final(0).amplitudes, direct.amplitudes)
+    assert runs.final(0.0) is runs.final(0j)
+
+
+def test_larmor_reads_the_phase_clock_runs(crossing, monkeypatch):
+    # omega = 2v puts Larmor's +-omega/2 runs on the phase clock's +-v keys,
+    # so a table filled by the phase clock serves Larmor without evolving
+    ham, psi0, psi_final, _ = crossing
+    fresh = clock_larmor((0.24, 0.12, 0.06), ClockRuns(ham, psi0, REGION, WINDOW), psi_final)
+    shared = ClockRuns(ham, psi0, REGION, WINDOW)
+    clock_real_potential((0.12, 0.06, 0.03), shared, psi_final)
+    calls = []
+    monkeypatch.setattr(clocks, "evolve", lambda *args: calls.append(args) or evolve(*args))
+    reused = clock_larmor((0.24, 0.12, 0.06), shared, psi_final)
+    assert calls == []
+    assert reused.value == fresh.value
+    assert reused.residual == fresh.residual
+    assert reused.readouts == fresh.readouts

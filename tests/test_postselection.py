@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from weaktime.clocks import (
-    ClockConfig,
+    ClockRuns,
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
@@ -96,10 +96,10 @@ def _cell_second_moment(c, eps):
     return second_moment_position_postselected(c.op, psi, CELL)
 
 
-def _clock(fn, method, strengths):
+def _clock(fn, strengths):
     def route(c, eps):
-        cfg = ClockConfig(method, strengths, REGION, WINDOW)
-        return fn(cfg, c.ham, c.psi0, _postselector(c.clock_final, eps), dt=DT)
+        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW, DT)
+        return fn(strengths, runs, _postselector(c.clock_final, eps))
 
     return route
 
@@ -128,11 +128,9 @@ ROUTES = {
         c.op, c.psi0, _postselector(c.psi_final, eps), 1, (0.1, 0.05, 0.025)
     ),
     "derivative_identity_check": _identity_check,
-    "clock_real_potential": _clock(clock_real_potential, "real_potential", (0.02, 0.01, 0.005)),
-    "clock_imaginary_potential": _clock(
-        clock_imaginary_potential, "imaginary_potential", (0.02, 0.01, 0.005)
-    ),
-    "clock_larmor": _clock(clock_larmor, "larmor", (0.04, 0.02, 0.01)),
+    "clock_real_potential": _clock(clock_real_potential, (0.02, 0.01, 0.005)),
+    "clock_imaginary_potential": _clock(clock_imaginary_potential, (0.02, 0.01, 0.005)),
+    "clock_larmor": _clock(clock_larmor, (0.04, 0.02, 0.01)),
 }
 
 

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import cli, meter, scenarios
+from weaktime import cli, clocks, meter, scenarios
+from weaktime.dynamics import evolve
 from weaktime.errors import ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
@@ -327,6 +328,25 @@ def test_clock_pipeline_alone_builds_no_sojourn_operator(monkeypatch):
     assert {r.method for r in bundle.records} == {
         "clock_real_potential", "clock_imaginary_potential", "clock_larmor",
         "clock_imaginary_norm"}
+
+
+def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
+    # 12 distinct Hamiltonians: the unperturbed one, +-v for three phase
+    # strengths, +-omega/2 for the one Larmor strength the phase ladder does
+    # not already cover, and three absorbers shared with the norm clock
+    hamiltonians = []
+
+    def counting_evolve(state, prop, t_from, t_to):
+        ham = prop.hamiltonian
+        hamiltonians.append(tuple(
+            None if p is None else p.tobytes()
+            for p in (ham.potential_real, ham.potential_imag)))
+        return evolve(state, prop, t_from, t_to)
+
+    monkeypatch.setattr(clocks, "evolve", counting_evolve)
+    run_scenario(catalog()["well_halves"], pipelines=("clocks",))
+    assert len(hamiltonians) == 12
+    assert len(set(hamiltonians)) == 12
 
 
 def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
