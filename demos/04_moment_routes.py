@@ -57,7 +57,7 @@ via_cells = second_moment_position_integral(op, psi_final)
 lam_val, lam_rec = lambda_moment_route(op, psi0, chi, 2, (0.2, 0.1, 0.05))
 spec = PointerSpec.auto(width=0.2, max_shift=1.0, n_points=256)
 runs = [run_moment_meter(spec, psi0, op, 2, g) for g in (0.02, 0.01, 0.005)]
-via_meter, meter_rec = meter_moment_readout(runs)
+via_meter = meter_moment_readout(runs).time
 
 print(f"dwell time (first moment): {tau:.8f}")
 print(f"dwell time squared       : {tau**2:.8f}\n")

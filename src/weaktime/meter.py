@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clocks import extrapolate_to_zero
+from .clocks import SweepRecord, extrapolate_to_zero
 from .dynamics import CouplingProfile, Hamiltonian, evolve_shifted
 from .errors import ParameterError, StructureError
 from .hilbert import (
@@ -44,7 +44,7 @@ from .hilbert import (
     fourier_momentum_values,
     gaussian_pointer,
 )
-from .sojourn import SojournOperator
+from .sojourn import SojournOperator, _check_reference_time
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
@@ -118,9 +118,6 @@ class MeterRun:
 
     spec: PointerSpec
     coupling: float
-    profile: CouplingProfile
-    window: tuple[float, float]
-    observable_label: str
     final: np.ndarray
     reference_system_final: QuantumState
     pointer_initial: QuantumState
@@ -141,7 +138,6 @@ class PointerDistribution:
     density: np.ndarray
     mean: float
     variance: float
-    postselection: Optional[str] = None
     probability: float = 1.0
 
     def __post_init__(self):
@@ -170,16 +166,6 @@ def _check_initial_time(psi0: QuantumState, t0: float) -> None:
         )
 
 
-def _significant_modes(coeffs: np.ndarray, cutoff: float) -> np.ndarray:
-    return np.abs(coeffs) > cutoff * np.max(np.abs(coeffs))
-
-
-def _compose(run_modes: np.ndarray) -> np.ndarray:
-    """Assemble the composite array from per-mode system vectors,
-    run_modes[s, k] = c_k psi_k[s], via the inverse pointer transform."""
-    return np.fft.ifft(run_modes, axis=1)
-
-
 def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) -> None:
     f = system_weight * np.sum(np.abs(composite) ** 2, axis=0)
     mass = float((np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx)
@@ -190,25 +176,35 @@ def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) 
         )
 
 
-def _finish_run(
-    spec, coupling, profile, window, label, composite, psi_ref, phi, psi0, modes_kept,
-    chebyshev_terms,
-):
+def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> MeterRun:
+    """The pointer-mode assembly both meters share.
+
+    The pointer profile's Fourier modes above `mode_cutoff` (relative to the
+    largest) are kept; `kept_columns(pi, c)` returns their system vectors
+    c_k psi_k, given the kept modes' momenta pi and coefficients c, with the
+    Chebyshev series length that evolved them.  Every dropped mode is filled
+    as uncoupled, c_k psi_ref, and the inverse pointer transform gives the
+    composite array psi(s, q).
+    """
+    phi = spec.initial_state()
+    coeffs = np.fft.fft(phi.amplitudes)
+    kept = np.nonzero(np.abs(coeffs) > mode_cutoff * np.max(np.abs(coeffs)))[0]
+    modes = np.outer(psi_ref.amplitudes, coeffs)
+    pi_kept = fourier_momentum_values(spec.grid)[kept]
+    modes[:, kept], terms = kept_columns(pi_kept, coeffs[kept])
+    composite = np.fft.ifft(modes, axis=1)
     _edge_check(spec, composite, psi_ref.cell_weight)
     norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(composite)
     composite.flags.writeable = False
     return MeterRun(
         spec=spec,
         coupling=coupling,
-        profile=profile,
-        window=tuple(window),
-        observable_label=label,
         final=composite,
         reference_system_final=psi_ref,
         pointer_initial=phi,
         norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
-        modes_kept=modes_kept,
-        chebyshev_terms=chebyshev_terms,
+        modes_kept=kept.size,
+        chebyshev_terms=terms,
     )
 
 
@@ -245,7 +241,6 @@ def run_meter(
     if not (t0 <= profile.t_start and profile.t_stop <= t1 + _TIME_ATOL):
         raise ParameterError("coupling profile extends outside the run window")
     _check_initial_time(psi0, t0)
-    phi = spec.initial_state()
 
     vals, vecs = system.eigensystem()
     psi_eig = vecs.T @ psi0.amplitudes
@@ -254,30 +249,21 @@ def run_meter(
     during = np.exp(-1j * vals * profile.duration / HBAR)
     psi_ref = QuantumState(psi0.space, vecs @ (post * during * pre * psi_eig), t1)
 
-    coeffs = np.fft.fft(phi.amplitudes)
-    pi_vals = fourier_momentum_values(spec.grid)
-    sig = _significant_modes(coeffs, mode_cutoff)
     v_start = vecs @ (pre * psi_eig)
-
-    modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
-    modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
-    kept = np.nonzero(sig)[0]
     rate = coupling / profile.duration
-    block, terms = evolve_shifted(
-        system, a, rate * pi_vals[kept], v_start, profile.duration
-    )
-    if t1 > profile.t_stop + _TIME_ATOL:
-        # free post-evolution of every column at once; the real eigenvectors
-        # act on the interleaved real and imaginary parts
-        block = (vecs.T @ block.view(float)).view(complex) * post[:, None]
-        block = (vecs @ block.view(float)).view(complex)
-    modes[:, kept] = block * coeffs[kept]
 
-    composite = _compose(modes)
-    return _finish_run(
-        spec, coupling, profile, window, "observable", composite, psi_ref, phi,
-        psi0, kept.size, terms,
-    )
+    def kept_columns(pi_kept, coeffs_kept):
+        block, terms = evolve_shifted(
+            system, a, rate * pi_kept, v_start, profile.duration
+        )
+        if t1 > profile.t_stop + _TIME_ATOL:
+            # free post-evolution of every column at once; the real
+            # eigenvectors act on the interleaved real and imaginary parts
+            block = (vecs.T @ block.view(float)).view(complex) * post[:, None]
+            block = (vecs @ block.view(float)).view(complex)
+        return block * coeffs_kept, terms
+
+    return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
 
 
 # -- moment meters ---------------------------------------------------------
@@ -319,25 +305,15 @@ def run_moment_meter(
     vecs = op.integrated.vecs
     psi_ref = QuantumState(psi0.space, vecs @ free_eig, op.window[1])
 
-    phi = spec.initial_state()
-    coeffs = np.fft.fft(phi.amplitudes)
-    pi_vals = fourier_momentum_values(spec.grid)
-    sig = _significant_modes(coeffs, mode_cutoff)
-    modes = np.empty((psi0.amplitudes.size, spec.grid.n_points), dtype=complex)
-    modes[:, ~sig] = np.outer(psi_ref.amplitudes, coeffs[~sig])
-
     tau = (op.duration * tau) ** order
     z = w.conj().T @ free_eig
-    kept = np.nonzero(sig)[0]
-    phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_vals[kept]))
-    kept_eig = (w @ (phases * z[:, None])) * coeffs[kept]
-    modes[:, kept] = vecs @ kept_eig.real + 1j * (vecs @ kept_eig.imag)
 
-    composite = _compose(modes)
-    return _finish_run(
-        spec, coupling, CouplingProfile.rectangular(*op.window), op.window,
-        f"region time^{order}", composite, psi_ref, phi, psi0, np.count_nonzero(sig), 0,
-    )
+    def kept_columns(pi_kept, coeffs_kept):
+        phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
+        kept_eig = (w @ (phases * z[:, None])) * coeffs_kept
+        return vecs @ kept_eig.real + 1j * (vecs @ kept_eig.imag), 0
+
+    return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
 
 
 # -- pointer statistics ----------------------------------------------------
@@ -350,9 +326,7 @@ def _postselected_pointer_amplitude(run: MeterRun, chi: QuantumState) -> np.ndar
 
 
 def pointer_distribution(
-    run: MeterRun,
-    postselect: Optional[QuantumState] = None,
-    label: Optional[str] = None,
+    run: MeterRun, postselect: Optional[QuantumState] = None
 ) -> PointerDistribution:
     """Pointer probability density, marginal or conditioned on a system
     postselection; the conditional one carries its branch probability."""
@@ -376,7 +350,6 @@ def pointer_distribution(
         density=density,
         mean=mean,
         variance=variance,
-        postselection=label if postselect is not None else None,
         probability=prob,
     )
 
@@ -384,8 +357,7 @@ def pointer_distribution(
 def survival_probability(run: MeterRun) -> float:
     """Probability that the system is still found in its unperturbed
     (freely evolved) state after the measurement."""
-    dist = pointer_distribution(run, postselect=run.reference_system_final,
-                                label="survival")
+    dist = pointer_distribution(run, postselect=run.reference_system_final)
     return dist.probability / run.reference_system_final.norm() ** 2
 
 
@@ -414,17 +386,31 @@ def pointer_shift_fit(runs, postselect: Optional[QuantumState] = None):
     return float(slope), float(intercept)
 
 
-def meter_moment_readout(runs, postselect: Optional[QuantumState] = None):
-    """Extrapolated conditional pointer shift per unit coupling over a
-    descending ladder of runs; returns (value, residual).
+def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> SweepRecord:
+    """Conditional pointer shift per unit coupling over a descending ladder
+    of runs at positive couplings, extrapolated to zero coupling.
 
-    The shift is odd in the coupling for a real-profile pointer, so the
-    leading ladder error is quadratic.
+    Returns the clocks' SweepRecord (method "meter"; postselection "none"
+    for the marginal pointer, "custom" for a postselector), whose `time` is
+    the readout in units of the coupled observable.  The shift is odd in
+    the coupling for a real-profile pointer, so the leading ladder error is
+    quadratic and no run at -G is needed: it is the +G run with the pointer
+    axis mirrored.  The fitted order is reported but never flagged, since
+    on readouts that agree to rounding (free_box) it fits noise.
     """
-    g = [r.coupling for r in runs]
+    g = tuple(r.coupling for r in runs)
     readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]
-    value, _, residual = extrapolate_to_zero(g, readouts, 2)
-    return float(value.real), residual
+    value, order, residual = extrapolate_to_zero(g, readouts, 2)
+    return SweepRecord(
+        method="meter",
+        postselection="none" if postselect is None else "custom",
+        strengths=g,
+        readouts=tuple(complex(v) for v in readouts),
+        value=value,
+        order=order,
+        residual=residual,
+        flagged=False,
+    )
 
 
 # -- derivative identities -------------------------------------------------
@@ -540,10 +526,13 @@ def lambda_moment_route(
     exp(-i lambda T_op) after free flight, and apply (i hbar d/dlambda)^l
     to the postselected amplitude ratio at lambda = 0 by central
     differences.  Returns (value, residual); the real part is the moment.
+    Like every sojourn readout it refuses (ParameterError) a `chi` that is
+    not referenced to the window end.
     """
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
+    _check_reference_time(chi, op.window)
     free_eig, tau, u = _free_flight(op, psi0)
     chi_eig = op.integrated.vecs.T @ chi.amplitudes
     w = psi0.cell_weight

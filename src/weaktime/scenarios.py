@@ -27,7 +27,6 @@ from .clocks import (
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
-    extrapolate_to_zero,
 )
 from .dynamics import CouplingProfile, Hamiltonian, evolve_eigenbasis
 from .errors import ParameterError, ValidationError
@@ -40,7 +39,13 @@ from .hilbert import (
     inner_product,
     position_space,
 )
-from .meter import PointerSpec, pointer_distribution, run_meter
+from .meter import (
+    PointerSpec,
+    meter_moment_readout,
+    # not called here: perfbench/tracing.py wraps it under this module's name
+    pointer_distribution,  # noqa: F401
+    run_meter,
+)
 from .sojourn import (
     conditional_dwell_time,
     dwell_time,
@@ -447,26 +452,14 @@ def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
     indicator = sc.region.indicator(sc.grid)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
     profile = CouplingProfile.rectangular(*sc.window)
-    runs = {}
-    for g in METER_LADDER + tuple(-g for g in METER_LADDER):
-        runs[g] = run_meter(spec, psi0, indicator, g, profile, ham)
+    runs = [run_meter(spec, psi0, indicator, g, profile, ham) for g in METER_LADDER]
     bundle.sweeps["meter"] = {}
     for label, chi in chis.items():
-        readouts = [
-            pointer_distribution(runs[g], chi).mean / g for g in METER_LADDER
-        ]
-        value, order, residual = extrapolate_to_zero(METER_LADDER, readouts, 2)
-        tau = duration * value.real
-        bundle.sweeps["meter"][label] = {
-            "strengths": list(METER_LADDER),
-            "readouts": [[complex(v).real, complex(v).imag] for v in readouts],
-            "value": [value.real, value.imag],
-            "order": order,
-            "residual": residual,
-            "flagged": False,
-        }
+        rec = meter_moment_readout(runs, chi)
+        bundle.sweeps["meter"][label] = _sweep_payload(rec)
         bundle.add(method="meter", postselection=label, order=1,
-                   value=tau, tolerance=0.01, residual=duration * residual)
+                   value=duration * rec.time, tolerance=0.01,
+                   residual=duration * rec.residual)
 
 
 def run_scenario(

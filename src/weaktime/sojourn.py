@@ -206,9 +206,11 @@ def conditional_weak_value(
     observable: str = "observable",
     postselection: str = "custom",
 ) -> WeakValueResult:
-    """Postselected weak value <chi|I(A)|psi> / <chi|psi>; complex in general."""
+    """Postselected weak value <chi|I(A)|psi> / <chi|psi>; complex in general.
+    I(A) is a time average, so a weak value beyond ANOMALY_FACTOR is flagged
+    anomalous, as `conditional_dwell_time` flags T times it."""
     val = _postselected_ratio(integrated, psi_final, chi_final, 1)
-    anomalous = abs(val) > ANOMALY_FACTOR * max(1.0, integrated.duration)
+    anomalous = abs(val) > ANOMALY_FACTOR
     return WeakValueResult(
         value=val,
         observable=observable,

@@ -259,7 +259,7 @@ def test_criterion_6_second_moment_four_routes(barrier_ctx):
         run_moment_meter(spec, ctx.psi0, ctx.op, 2, g)
         for g in (0.02, 0.01, 0.005)
     ]
-    via_meter, _ = meter_moment_readout(runs)
+    via_meter = meter_moment_readout(runs).time
     values = [via_operator, via_cells, lam_val.real, via_meter]
     spread = (max(values) - min(values)) / abs(via_operator)
     ok = spread < 1e-3

@@ -28,6 +28,7 @@ from weaktime.meter import (
     survival_probability,
 )
 from weaktime.sojourn import (
+    conditional_dwell_time,
     conditional_weak_value,
     moment,
     sojourn_matrix,
@@ -293,6 +294,31 @@ def test_conditional_shift_slope_matches_conditional_weak_value(crossing):
     assert abs(intercept) < 1e-6
 
 
+def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
+    # mode k at -G is mode -k at +G, so the -G composite is the +G one with
+    # the pointer axis reversed, q_j <-> q_{n-j}; q_0 has no mirror point on
+    # the grid.  Hence the ladder needs no -G runs: their postselected
+    # pointer means are the negated +G ones.
+    ham, psi0, psi_final, _ = crossing
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    profile = CouplingProfile.rectangular(*WINDOW)
+    x = GRID.points
+    transmitted, reflected = x >= REGION.x_hi, x < REGION.x_lo
+    postselectors = [
+        QuantumState(SPACE, np.where(side, psi_final.amplitudes, 0.0), WINDOW[1])
+        for side in (transmitted, reflected)
+    ]
+    for g in (0.4, 0.1):
+        plus = run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
+        minus = run_meter(spec, psi0, REGION.indicator(GRID), -g, profile, ham)
+        np.testing.assert_allclose(minus.final[:, 1:], plus.final[:, :0:-1],
+                                   rtol=0.0, atol=1e-12)
+        for chi in postselectors:
+            mean = pointer_distribution(plus, chi).mean
+            assert abs(mean) > 1e-3
+            assert pointer_distribution(minus, chi).mean == pytest.approx(-mean, rel=1e-9)
+
+
 def test_conditional_mean_sum_rule_exact(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
@@ -338,9 +364,10 @@ def test_moment_meter_readout_matches_operator_moment(crossing):
             run_moment_meter(spec, psi0, op, order, g)
             for g in ladder
         ]
-        value, residual = meter_moment_readout(runs)
+        rec = meter_moment_readout(runs)
         ref = moment(op, psi_final, psi_final, order)
-        assert value == pytest.approx(ref, rel=1e-6)
+        assert rec.time == pytest.approx(ref, rel=1e-6)
+        assert (rec.method, rec.postselection, rec.strengths) == ("meter", "none", ladder)
 
 
 def test_moment_meter_rejects_bad_order(crossing):
@@ -388,3 +415,14 @@ def test_lambda_route_matches_operator_moments(crossing):
         ref = moment(op, psi_final, chi, order)
         assert value.real == pytest.approx(ref, rel=1e-5)
         assert residual < 1e-4
+
+
+def test_lambda_route_requires_window_end_postselector(barrier_ctx):
+    # a basis cell state defaults to t = 0, not the window end: the lambda
+    # route refuses it like every sojourn readout
+    idx = int(np.argmax(np.abs(barrier_ctx.psi_final.amplitudes)))
+    cell = basis_cell_state(barrier_ctx.scenario.grid, idx)
+    with pytest.raises(ParameterError, match="window end"):
+        conditional_dwell_time(barrier_ctx.op, barrier_ctx.psi_final, cell)
+    with pytest.raises(ParameterError, match="window end"):
+        lambda_moment_route(barrier_ctx.op, barrier_ctx.psi0, cell, 1, (0.1, 0.05, 0.025))

@@ -82,19 +82,38 @@ def test_double_barrier_potential_array_and_interval():
                           x2_lo=12.0, x2_hi=x2_hi)
 
 
-def test_double_barrier_scenario_config_round_trip():
-    base = catalog()["barrier_dwell"]
-    sc = replace(
-        base, name="double_barrier",
-        potential=PotentialSpec(kind="double_barrier", v0=2.0, x_lo=110.0,
-                                x_hi=112.0, x2_lo=118.0, x2_hi=120.0),
-        region=Region(110.0, 120.0),
+def test_double_barrier_scenario_config_round_trip(tmp_path, capsys):
+    # the resonant double barrier of the ROADMAP: valid, with no warnings
+    grid = Grid(1024, 0.0, 480.0)
+    sc = Scenario(
+        name="double_barrier",
+        grid=grid,
+        potential=PotentialSpec(kind="double_barrier", v0=1.5, x_lo=230.0,
+                                x_hi=231.0, x2_lo=235.0, x2_hi=236.0),
+        packet=PacketSpec(x0=150.0, sigma=12.0, k0=1.15),
+        window=(0.0, 95.0),
+        region=Region(230.0, 236.0),
+        postselection="transmitted_reflected",
     )
-    text = format_config(scenario_to_config(sc))
-    assert "potential.x2_lo = 118.0\n" in text and "potential.x2_hi = 120.0\n" in text
+    x = grid.points
+    on_barriers = ((x >= 230.0) & (x < 231.0)) | ((x >= 235.0) & (x < 236.0))
+    assert np.count_nonzero(on_barriers) > 2
+    np.testing.assert_array_equal(sc.potential.array(grid),
+                                  np.where(on_barriers, 1.5, 0.0))
+    assert sc.potential.interval == (230.0, 236.0)
+    cfg = scenario_to_config(sc)
+    text = format_config(cfg)
+    assert "potential.x2_lo = 235.0\n" in text and "potential.x2_hi = 236.0\n" in text
     back = scenario_from_config(parse_config(text))
     assert back == sc
-    assert validate_scenario(back) == []
+    assert config_hash(scenario_to_config(back)) == config_hash(cfg)
+    single = replace(sc, potential=PotentialSpec(kind="barrier", v0=1.5, x_lo=230.0,
+                                                 x_hi=231.0))
+    assert config_hash(scenario_to_config(single)) != config_hash(cfg)
+    path = tmp_path / "double_barrier.cfg"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "double_barrier: valid\n"
 
 
 def test_scenario_from_config_reports_missing_keys():
@@ -347,6 +366,12 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
     assert len(hamiltonians) == 12
     assert len(set(hamiltonians)) == 12
+
+
+def test_meter_pipeline_runs_the_positive_ladder_once(well_meter):
+    # the shift is odd in G, so the -G half of the ladder is never run
+    _, runs = well_meter
+    assert [run.coupling for run in runs] == list(scenarios.METER_LADDER)
 
 
 def test_meter_pipeline_pointer_keeps_few_modes(well_meter):

@@ -16,6 +16,7 @@ from weaktime.hilbert import (
     spin_space,
 )
 from weaktime.sojourn import (
+    ANOMALY_FACTOR,
     _trapezoid_filter,
     conditional_dwell_time,
     conditional_weak_value,
@@ -301,3 +302,24 @@ def test_anomalous_flag_on_blown_up_value(barrier_ctx):
     # the flag must reflect the magnitude, whichever way it comes out
     expected = abs(res.value) > 10.0 * barrier_ctx.op.duration
     assert res.anomalous == expected
+
+
+@pytest.mark.parametrize("target", [5.0, 18.3])
+def test_anomaly_flags_agree_on_one_postselector(barrier_ctx, target):
+    # chi = v/|v| + s psi with v = M psi - <M> psi orthogonal to psi has the
+    # projector weak value <M> + |v|/s.  conditional_weak_value flags a weak
+    # value beyond ANOMALY_FACTOR, conditional_dwell_time a time beyond
+    # ANOMALY_FACTOR window lengths: the same postselectors
+    op, psi = barrier_ctx.op, barrier_ctx.psi_final
+    amps = psi.amplitudes / psi.norm()
+    m_psi = op.integrated.apply(amps)
+    mean = float(np.real(psi.cell_weight * np.vdot(amps, m_psi)))
+    v = QuantumState(psi.space, m_psi - mean * amps, psi.representation_time)
+    s = v.norm() / (target - mean)
+    chi = QuantumState(psi.space, v.amplitudes / v.norm() + s * amps,
+                       psi.representation_time)
+    weak = conditional_weak_value(op.integrated, psi, chi)
+    time = conditional_dwell_time(op, psi, chi)
+    assert weak.value.real == pytest.approx(target, rel=1e-9)
+    assert time.value.real == pytest.approx(target * op.duration, rel=1e-9)
+    assert weak.anomalous == time.anomalous == (target > ANOMALY_FACTOR)
