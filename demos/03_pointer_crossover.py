@@ -18,6 +18,7 @@ from weaktime import (
     PointerSpec,
     QuantumState,
     Region,
+    dwell_time,
     evolve_eigenbasis,
     gaussian_packet,
     pointer_distribution,
@@ -26,7 +27,6 @@ from weaktime import (
     sojourn_matrix,
     spin_space,
     survival_probability,
-    weak_value,
 )
 from weaktime.meter import pointer_shift_fit
 
@@ -60,7 +60,8 @@ packet = gaussian_packet(grid, 13.0, 2.5, 1.0)
 psi_final = evolve_eigenbasis(packet, ham, window[1])
 
 op = sojourn_matrix(region, ham, window, n_slices=4000)
-a_w = weak_value(op.integrated, psi_final).value.real
+# the time-averaged projector's weak value is the dwell time over T
+a_w = dwell_time(op, psi_final) / op.duration
 
 spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
 crossing_profile = CouplingProfile.rectangular(*window)

@@ -41,17 +41,14 @@ from .dynamics import (
     evolve_eigenbasis,
 )
 from .sojourn import (
-    IntegratedOperator,
     SojournOperator,
     WeakValueResult,
     conditional_dwell_time,
-    conditional_weak_value,
     dwell_time,
     moment,
     moment_sum,
     second_moment_position_integral,
     sojourn_matrix,
-    weak_value,
 )
 from .clocks import (
     ClockRuns,

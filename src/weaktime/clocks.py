@@ -19,9 +19,15 @@ in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
 phase clock at v = hbar omega/2.  No spin factor is ever built.
 
-All derivatives are finite differences of full Crank-Nicolson evolutions;
-the perturbed and unperturbed states are propagated with the same time
-step so that time-discretization phase errors largely cancel in the ratios.
+All derivatives are finite differences of full Crank-Nicolson evolutions
+at one time step (`DT` unless `ClockRuns.dt` says otherwise).  The O(dt^2)
+phase errors of those evolutions do not cancel in the ratios: the
+postselectors come from the exact eigenbasis evolution
+(`dynamics.evolve_eigenbasis`), not from the stepped one, so the
+mismatch enters every postselected readout and no clock residual reports
+it.  On `well_halves` postselected on cell 110 the three clocks read
+-0.1093 at the default step against the sojourn route's -0.1054, 3.7% off,
+and -0.1051 (0.26% off) at half the step.
 """
 
 from __future__ import annotations
@@ -191,9 +197,6 @@ def clock_real_potential(strengths, runs: ClockRuns, chi):
     phi0 = runs.final(0.0)
     perturbed = {v: (runs.final(v), runs.final(-v)) for v in strengths}
 
-    meta = {
-        "pointer_representation": "potential = coupling * pointer_momentum / window_duration",
-    }
     out = {}
     for label, chi_state in _chi_items(chi):
         den = checked_overlap(chi_state, phi0)
@@ -202,7 +205,7 @@ def clock_real_potential(strengths, runs: ClockRuns, chi):
             up, down = (inner_product(chi_state, s) for s in perturbed[v])
             deriv = (up - down) / (2.0 * v)
             readouts.append(1j * HBAR * deriv / den)
-        out[label] = _record("real_potential", label, strengths, readouts, 2, dict(meta))
+        out[label] = _record("real_potential", label, strengths, readouts, 2)
     return _unwrap(out, chi)
 
 
@@ -277,7 +280,6 @@ def clock_larmor(strengths, runs: ClockRuns, chi):
             {
                 "identity_value": value_id,
                 "identity_residual": residual_id,
-                "pointer_convention": "pointer momentum = hbar*sigma_z/2, pointer position = sigma_y",
             },
         )
         out[label] = rec

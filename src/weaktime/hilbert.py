@@ -1,7 +1,8 @@
 """Discretized Hilbert-space primitives.
 
-Grids, factor spaces, states, regions, the discrete inner product and the
-one postselection-overlap policy (`checked_overlap`).  Every state lives on
+Grids, factor spaces, states, regions, the discrete inner product, the
+one postselection-overlap policy (`checked_overlap`) and the one check that a
+state refers to a given time (`check_time`).  Every state lives on
 one factor: a position grid or a spin-1/2.  There is no dense operator
 type: the meter's observable is diagonal and is passed as its real 1-D
 diagonal (a region indicator, or [1, -1] for sigma_z), and the sojourn
@@ -32,6 +33,8 @@ HBAR = 1.0
 
 HERMITICITY_TOL = 1e-10
 OVERLAP_FLOOR = 1e-8
+# two instants closer than this are the same representation time
+TIME_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,17 @@ class Region:
         ind = np.zeros(grid.n_points)
         ind[self.indices(grid)] = 1.0
         return ind
+
+
+def check_time(state: QuantumState, t: float, instant: str) -> None:
+    """Raise ParameterError unless `state` is referenced to time `t`, named
+    `instant` in the message (the readouts' "window end", the meter's "run
+    start")."""
+    if abs(state.representation_time - t) > TIME_ATOL:
+        raise ParameterError(
+            f"state at t={state.representation_time} is not referenced to the "
+            f"{instant} t={t}"
+        )
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> complex:

@@ -20,10 +20,10 @@ Chebyshev block (`dynamics.evolve_shifted`); no mode needs an eigensolve.
 The moment routes (the moment meter and the lambda route)
 couple to the carried-along sojourn operator, which commutes with its own
 history, so each mode is a closed-form phase in that operator's own
-eigenbasis.  They read the operator's stored eigenbasis matrix M, the free
-eigensystem it was built in and M's cached eigensystem from the operator
-itself: no position-basis matrix.  A run's final state is the (system,
-pointer) amplitude array.
+eigenbasis.  They read the `SojournOperator`'s fields directly: its
+eigenbasis matrix M, the free eigensystem (`vals`, `vecs`) it was built in
+and M's cached eigensystem; no position-basis matrix is formed.  A run's
+final state is the (system, pointer) amplitude array.
 """
 
 from __future__ import annotations
@@ -38,13 +38,15 @@ from .dynamics import CouplingProfile, Hamiltonian, evolve_shifted
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
+    TIME_ATOL,
     Grid,
     QuantumState,
+    check_time,
     checked_overlap,
     fourier_momentum_values,
     gaussian_pointer,
 )
-from .sojourn import SojournOperator, _check_reference_time
+from .sojourn import SojournOperator
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
@@ -56,7 +58,6 @@ from .sojourn import SojournOperator, _check_reference_time
 # reports the count.  Pass mode_cutoff=0.0 to keep every mode.
 DEFAULT_MODE_CUTOFF = 1e-8
 EDGE_MASS_BUDGET = 1e-7
-_TIME_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,13 +160,6 @@ class PointerDistribution:
         return int(np.count_nonzero(inner))
 
 
-def _check_initial_time(psi0: QuantumState, t0: float) -> None:
-    if abs(psi0.representation_time - t0) > _TIME_ATOL:
-        raise ParameterError(
-            f"initial state at t={psi0.representation_time} but run starts at {t0}"
-        )
-
-
 def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) -> None:
     f = system_weight * np.sum(np.abs(composite) ** 2, axis=0)
     mass = float((np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx)
@@ -238,9 +232,9 @@ def run_meter(
         )
     window = tuple(window) if window else (profile.t_start, profile.t_stop)
     t0, t1 = window
-    if not (t0 <= profile.t_start and profile.t_stop <= t1 + _TIME_ATOL):
+    if not (t0 <= profile.t_start and profile.t_stop <= t1 + TIME_ATOL):
         raise ParameterError("coupling profile extends outside the run window")
-    _check_initial_time(psi0, t0)
+    check_time(psi0, t0, "run start")
 
     vals, vecs = system.eigensystem()
     psi_eig = vecs.T @ psi0.amplitudes
@@ -256,7 +250,7 @@ def run_meter(
         block, terms = evolve_shifted(
             system, a, rate * pi_kept, v_start, profile.duration
         )
-        if t1 > profile.t_stop + _TIME_ATOL:
+        if t1 > profile.t_stop + TIME_ATOL:
             # free post-evolution of every column at once; the real
             # eigenvectors act on the interleaved real and imaginary parts
             block = (vecs.T @ block.view(float)).view(complex) * post[:, None]
@@ -275,10 +269,10 @@ def _free_flight(op: SojournOperator, psi0: QuantumState):
     (tau, W) of the operator's eigenbasis matrix M; tau is the spectrum of
     T_op / T."""
     t0, t1 = op.window
-    _check_initial_time(psi0, t0)
-    vals, vecs = op.integrated.vals, op.integrated.vecs
+    check_time(psi0, t0, "run start")
+    vals, vecs = op.vals, op.vecs
     free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * (vecs.T @ psi0.amplitudes)
-    tau, w = op.integrated.eigensystem()
+    tau, w = op.eigensystem()
     return free_eig, tau, w
 
 
@@ -302,7 +296,7 @@ def run_moment_meter(
     if order < 1 or order > 4:
         raise ParameterError("moment meter supports orders 1..4")
     free_eig, tau, w = _free_flight(op, psi0)
-    vecs = op.integrated.vecs
+    vecs = op.vecs
     psi_ref = QuantumState(psi0.space, vecs @ free_eig, op.window[1])
 
     tau = (op.duration * tau) ** order
@@ -532,9 +526,9 @@ def lambda_moment_route(
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
-    _check_reference_time(chi, op.window)
+    check_time(chi, op.window[1], "window end")
     free_eig, tau, u = _free_flight(op, psi0)
-    chi_eig = op.integrated.vecs.T @ chi.amplitudes
+    chi_eig = op.vecs.T @ chi.amplitudes
     w = psi0.cell_weight
     # the free evolution keeps the norm of psi0
     den = checked_overlap(chi, psi0, w * np.vdot(chi_eig, free_eig))

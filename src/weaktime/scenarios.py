@@ -397,7 +397,7 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
     for label, chi in chis.items():
         if label == "none":
             continue
-        res = conditional_dwell_time(op, psi_final, chi, postselection=label)
+        res = conditional_dwell_time(op, psi_final, chi)
         flags = []
         if res.anomalous:
             flags.append("anomalous")

@@ -1,4 +1,4 @@
-"""Weak values, dwell times and the sojourn-time operator.
+"""Dwell times, postselected traversal times and the sojourn-time operator.
 
 The central object is the time average of the Heisenberg-picture region
 projector P over a window, a trapezoid quadrature of U0(t_f,t) P U0^dag(t_f,t).
@@ -8,7 +8,8 @@ P_eig = V^T P V and F the trapezoid filter of the level differences.  Every
 readout applies it as V M^l V^T to a few vectors; no position-basis matrix
 is formed.  Scaled by the window length T this is the hermitian
 sojourn-time operator T V M V^T, whose matrix elements give dwell times,
-postselected traversal times and their higher moments.
+postselected traversal times and their higher moments; the projector's
+weak value is the dwell time (or, postselected, the traversal time) over T.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -18,7 +19,6 @@ t_stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .hilbert import (
     QuantumState,
     Region,
     basis_cell_state,
+    check_time,
     checked_overlap,
 )
 
@@ -38,38 +39,46 @@ ANOMALY_FACTOR = 10.0
 
 
 @dataclass(frozen=True, eq=False)
-class IntegratedOperator:
-    """Trapezoid time average of the Heisenberg-picture region projector,
-    stored as the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
+class SojournOperator:
+    """Window length T times the time-averaged projector on `region`, stored
+    as the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
     (`vals`, `vecs`) of the free Hamiltonian it was built from; the
-    position-basis operator is V M V^T.  M's own eigensystem is solved on
-    first use and cached, like `Hamiltonian.eigensystem`."""
+    position-basis operator is T V M V^T, hermitian with spectrum within
+    [0, T] up to quadrature tolerance.  T^l enters its powers as a scalar.
+    M's own eigensystem is solved on first use and cached, like
+    `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
+    region: Region
     window: tuple[float, float]
     eigen_matrix: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def duration(self) -> float:
         return self.window[1] - self.window[0]
 
-    def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
-        """V M^power V^T a.  The real V acts on the real and imaginary parts
-        separately, so it is never upcast to complex."""
+    def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
+        """V M^power V^T a, the time-averaged projector's power.  The real V
+        acts on the real and imaginary parts separately, so it is never
+        upcast to complex."""
         vecs = self.vecs
         c = vecs.T @ amplitudes.real + 1j * (vecs.T @ amplitudes.imag)
         for _ in range(power):
             c = self.eigen_matrix @ c
         return vecs @ c.real + 1j * (vecs @ c.imag)
 
+    def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
+        """The operator's power-th power applied to position amplitudes."""
+        return self.duration**power * self._average(amplitudes, power)
+
     def dense(self) -> np.ndarray:
-        """Position-basis matrix V M V^T, meant as input to brute-force
+        """Position-basis matrix T V M V^T, meant as input to brute-force
         cross-checks on small grids."""
         vecs, m = self.vecs, self.eigen_matrix
-        return vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T)
+        return self.duration * (vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T))
 
     def eigensystem(self):
         """Real eigenvalues and unitary eigenvectors (tau, W) of M, so that
@@ -81,38 +90,12 @@ class IntegratedOperator:
         return cached
 
 
-@dataclass(frozen=True, eq=False)
-class SojournOperator:
-    """Window length T times the time-averaged region projector; hermitian,
-    spectrum within [0, T] up to quadrature tolerance.  T^l enters its
-    powers as a scalar."""
-
-    region: Region
-    window: tuple[float, float]
-    integrated: IntegratedOperator
-
-    @property
-    def duration(self) -> float:
-        return self.window[1] - self.window[0]
-
-    def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
-        """The operator's power-th power applied to position amplitudes."""
-        return self.duration**power * self.integrated.apply(amplitudes, power)
-
-    def dense(self) -> np.ndarray:
-        """Position-basis matrix, meant as input to brute-force cross-checks
-        on small grids."""
-        return self.duration * self.integrated.dense()
-
-
 @dataclass(frozen=True)
 class WeakValueResult:
-    """A (possibly conditional) weak value with postselection metadata."""
+    """A postselected time, flagged anomalous beyond ANOMALY_FACTOR window
+    lengths."""
 
     value: complex
-    observable: str
-    window: tuple[float, float]
-    postselection: Optional[str] = None
     anomalous: bool = False
 
 
@@ -158,92 +141,45 @@ def sojourn_matrix(
     defect = np.max(np.abs(m - m_dag))
     if defect >= HERMITICITY_TOL:
         raise ContractError(f"time average not hermitian: |M - M^dag| = {defect:.3e}")
-    integrated = IntegratedOperator(
-        free_hamiltonian.space, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs
+    return SojournOperator(
+        free_hamiltonian.space, region, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs
     )
-    return SojournOperator(region=region, window=tuple(window), integrated=integrated)
-
-
-def _check_reference_time(state: QuantumState, window) -> None:
-    if abs(state.representation_time - window[1]) > 1e-9:
-        raise ParameterError(
-            "readout states must be referenced to the window end "
-            f"(state at t={state.representation_time}, window end {window[1]})"
-        )
 
 
 def _postselected_ratio(
-    integrated: IntegratedOperator,
+    op: SojournOperator,
     psi_final: QuantumState,
     chi_final: QuantumState,
     power: int,
 ) -> complex:
-    """<chi| I^power |psi> / <chi|psi>, with both states referenced to the
-    window end and the overlap guarded by `hilbert.checked_overlap`."""
-    _check_reference_time(psi_final, integrated.window)
-    _check_reference_time(chi_final, integrated.window)
+    """<chi| V M^power V^T |psi> / <chi|psi>, with both states referenced to
+    the window end and the overlap guarded by `hilbert.checked_overlap`."""
+    check_time(psi_final, op.window[1], "window end")
+    check_time(chi_final, op.window[1], "window end")
     den = checked_overlap(chi_final, psi_final)
     num = chi_final.cell_weight * np.vdot(
-        chi_final.amplitudes, integrated.apply(psi_final.amplitudes, power)
+        chi_final.amplitudes, op._average(psi_final.amplitudes, power)
     )
     return complex(num / den)
-
-
-def weak_value(
-    integrated: IntegratedOperator, psi_final: QuantumState, observable: str = "observable"
-) -> WeakValueResult:
-    """Unconditioned weak value <psi|I(A)|psi>; real for hermitian A."""
-    _check_reference_time(psi_final, integrated.window)
-    amps = psi_final.amplitudes
-    val = complex(psi_final.cell_weight * np.vdot(amps, integrated.apply(amps)))
-    return WeakValueResult(value=val, observable=observable, window=integrated.window)
-
-
-def conditional_weak_value(
-    integrated: IntegratedOperator,
-    psi_final: QuantumState,
-    chi_final: QuantumState,
-    observable: str = "observable",
-    postselection: str = "custom",
-) -> WeakValueResult:
-    """Postselected weak value <chi|I(A)|psi> / <chi|psi>; complex in general.
-    I(A) is a time average, so a weak value beyond ANOMALY_FACTOR is flagged
-    anomalous, as `conditional_dwell_time` flags T times it."""
-    val = _postselected_ratio(integrated, psi_final, chi_final, 1)
-    anomalous = abs(val) > ANOMALY_FACTOR
-    return WeakValueResult(
-        value=val,
-        observable=observable,
-        window=integrated.window,
-        postselection=postselection,
-        anomalous=anomalous,
-    )
 
 
 def dwell_time(op: SojournOperator, psi_final: QuantumState) -> float:
     """Unconditioned dwell time T Re<psi|M|psi>, returned unclipped: it lies
     in [0, T] up to rounding (a whole-box region gives T plus a few ulps)."""
-    res = weak_value(op.integrated, psi_final, observable="region projector")
-    return op.duration * res.value.real
+    check_time(psi_final, op.window[1], "window end")
+    amps = psi_final.amplitudes
+    weak = complex(psi_final.cell_weight * np.vdot(amps, op._average(amps, 1)))
+    return op.duration * weak.real
 
 
 def conditional_dwell_time(
-    op: SojournOperator,
-    psi_final: QuantumState,
-    chi_final: QuantumState,
-    postselection: str = "custom",
+    op: SojournOperator, psi_final: QuantumState, chi_final: QuantumState
 ) -> WeakValueResult:
     """Postselected mean time in the region: window length times the
     conditional projector weak value.  May be negative or exceed the window;
-    flagged anomalous outside ten window lengths."""
-    val = op.duration * _postselected_ratio(op.integrated, psi_final, chi_final, 1)
-    return WeakValueResult(
-        value=val,
-        observable="region time",
-        window=op.window,
-        postselection=postselection,
-        anomalous=abs(val) > ANOMALY_FACTOR * op.duration,
-    )
+    flagged anomalous outside ANOMALY_FACTOR window lengths."""
+    val = op.duration * _postselected_ratio(op, psi_final, chi_final, 1)
+    return WeakValueResult(value=val, anomalous=abs(val) > ANOMALY_FACTOR * op.duration)
 
 
 def moment(
@@ -258,7 +194,7 @@ def moment(
         raise ParameterError("moment order must be >= 1")
     if order > 4:
         raise ParameterError("moments implemented for order <= 4")
-    ratio = _postselected_ratio(op.integrated, psi_final, chi_final, order)
+    ratio = _postselected_ratio(op, psi_final, chi_final, order)
     return float((op.duration**order * ratio).real)
 
 
@@ -289,8 +225,8 @@ def second_moment_position_integral(op: SojournOperator, psi_final: QuantumState
     product with the cell amplitude cancelled, so cells where psi vanishes
     contribute their correct (zero) weight without dividing by zero.
     """
-    dx = op.integrated.space.grid.dx
-    _check_reference_time(psi_final, op.window)
+    dx = op.space.grid.dx
+    check_time(psi_final, op.window[1], "window end")
     w = op.apply(psi_final.amplitudes)
     return float(np.sum(np.abs(w) ** 2) * dx)
 
@@ -313,11 +249,8 @@ def second_moment_position_postselected(
     Returns the operator form together with the symmetrized alternative;
     the two differ in general.
     """
-    cell = basis_cell_state(
-        op.integrated.space.grid, cell_index, time=psi_final.representation_time
-    )
-    ratio = _postselected_ratio(op.integrated, psi_final, cell, 2)
-    operator_form = float((op.duration**2 * ratio).real)
+    cell = basis_cell_state(op.space.grid, cell_index, time=psi_final.representation_time)
+    operator_form = moment(op, psi_final, cell, 2)
     t_psi = op.apply(psi_final.amplitudes)
     symmetrized = float(np.abs(t_psi[cell_index]) ** 2 / np.abs(psi_final.amplitudes[cell_index]) ** 2)
     return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)

@@ -50,14 +50,12 @@ from weaktime.scenarios import (
 )
 from weaktime.sojourn import (
     conditional_dwell_time,
-    conditional_weak_value,
     dwell_time,
     moment,
     moment_sum,
     second_moment_position_integral,
     second_moment_position_postselected,
     sojourn_matrix,
-    weak_value,
 )
 
 
@@ -111,13 +109,9 @@ def test_criterion_1_oracle_equivalence():
 
     errs = {
         "matrix": float(np.max(np.abs(op.dense() - t_ref))),
-        "weak": abs(
-            weak_value(op.integrated, psi_final).value
-            - oracle.weak_value(t_ref, psi, dx) / op.duration
-        ),
         "cond": abs(
-            conditional_weak_value(op.integrated, psi_final, chi).value
-            - oracle.conditional_weak_value(t_ref, psi, chi.amplitudes, dx) / op.duration
+            conditional_dwell_time(op, psi_final, chi).value
+            - oracle.conditional_weak_value(t_ref, psi, chi.amplitudes, dx)
         ),
         "dwell": abs(
             dwell_time(op, psi_final) - oracle.weak_value(t_ref, psi, dx).real
@@ -171,7 +165,7 @@ def test_criterion_3_meter_linearity(crossing):
     grid, region, window, ham, psi0, psi_final, op = crossing
     idx = int(np.argmax(np.abs(psi_final.amplitudes)))
     chi = basis_cell_state(grid, idx, time=window[1])
-    ref = conditional_weak_value(op.integrated, psi_final, chi).value.real
+    ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*window)
     ladder = (0.2, 0.15, 0.1, 0.05)
@@ -270,9 +264,7 @@ def test_criterion_6_second_moment_four_routes(barrier_ctx):
 def test_criterion_7_negative_conditional_time(farside_ctx):
     ctx = farside_ctx
     tau = dwell_time(ctx.op, ctx.psi_final)
-    refl = conditional_dwell_time(
-        ctx.op, ctx.psi_final, ctx.chi_r, postselection="reflected"
-    )
+    refl = conditional_dwell_time(ctx.op, ctx.psi_final, ctx.chi_r)
     duration = ctx.scenario.duration()
     ok = refl.value.real < 0.0 and 0.0 <= tau <= duration
     _report(7, ok, f"reflected far-side time {refl.value.real:.4f} < 0, "

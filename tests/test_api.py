@@ -72,11 +72,17 @@ def test_sojourn_operator_is_stored_once():
             if np.shape(getattr(obj, f.name)) == (n, n)
         }
 
-    assert square_fields(op) == set()
-    # M is the one N x N array the operator owns; V is the Hamiltonian's
-    # cached eigenbasis, shared rather than copied
-    assert square_fields(op.integrated) == {"eigen_matrix", "vecs"}
-    assert op.integrated.vecs is ham.eigensystem()[1]
+    # one operator type: M is the one N x N array it owns; V is the
+    # Hamiltonian's cached eigenbasis, shared rather than copied
+    assert square_fields(op) == {"eigen_matrix", "vecs"}
+    assert op.vecs is ham.eigensystem()[1]
+    # the projector's weak value is dwell_time / T, so neither the wrapped
+    # operator nor a second readout of it is public, and a postselected time
+    # carries only its value and anomaly flag
+    deleted = {"IntegratedOperator", "weak_value", "conditional_weak_value"}
+    assert deleted & set(weaktime.__all__) == set()
+    assert [f.name for f in dataclasses.fields(weaktime.WeakValueResult)] == [
+        "value", "anomalous"]
 
 
 def test_clock_readouts_take_a_ladder_and_a_table():

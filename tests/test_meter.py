@@ -29,10 +29,9 @@ from weaktime.meter import (
 )
 from weaktime.sojourn import (
     conditional_dwell_time,
-    conditional_weak_value,
+    dwell_time,
     moment,
     sojourn_matrix,
-    weak_value,
 )
 
 GRID = Grid(64, 0.0, 48.0)
@@ -264,7 +263,7 @@ def test_crossover_from_two_peaks_to_one():
 
 def test_weak_shift_slope_equals_weak_value(crossing):
     ham, psi0, psi_final, op = crossing
-    a_w = weak_value(op.integrated, psi_final).value.real
+    a_w = dwell_time(op, psi_final) / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.4, 0.3, 0.2, 0.1)
@@ -281,7 +280,7 @@ def test_conditional_shift_slope_matches_conditional_weak_value(crossing):
     ham, psi0, psi_final, op = crossing
     idx = int(np.argmax(np.abs(psi_final.amplitudes)))
     chi = basis_cell_state(GRID, idx, time=WINDOW[1])
-    ref = conditional_weak_value(op.integrated, psi_final, chi).value.real
+    ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.2, 0.15, 0.1, 0.05)

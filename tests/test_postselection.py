@@ -41,7 +41,6 @@ from weaktime.meter import (
 )
 from weaktime.sojourn import (
     conditional_dwell_time,
-    conditional_weak_value,
     moment,
     second_moment_position_postselected,
     sojourn_matrix,
@@ -113,9 +112,6 @@ def _identity_check(c, eps):
 
 
 ROUTES = {
-    "conditional_weak_value": lambda c, eps: conditional_weak_value(
-        c.op.integrated, c.psi_final, _postselector(c.psi_final, eps)
-    ),
     "conditional_dwell_time": lambda c, eps: conditional_dwell_time(
         c.op, c.psi_final, _postselector(c.psi_final, eps)
     ),

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import cli, clocks, meter, scenarios
+from weaktime import cli, clocks, meter, scenarios, sojourn
 from weaktime.dynamics import evolve
 from weaktime.errors import ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
@@ -509,6 +509,38 @@ def test_cli_position_cell_validates_and_runs(well_cell_config, tmp_path, capsys
         "sojourn", "clock_real_potential", "clock_imaginary_potential", "clock_larmor"}
     records = json.loads((out / "well_halves.json").read_text())["records"]
     assert sum(r["postselection"] == "cell" for r in records) == 5
+
+
+def test_config_numerics_reach_the_operator_and_the_clock_runs(tmp_path, monkeypatch, capsys):
+    # non-default numerics.n_slices and numerics.dt in a config file are the
+    # values the sojourn operator is built with and the clock table steps at
+    cfg = scenario_to_config(catalog()["well_halves"])
+    assert cfg["numerics.n_slices"] != "5000" and cfg["numerics.dt"] != "0.025"
+    cfg["numerics.n_slices"] = "5000"
+    cfg["numerics.dt"] = "0.025"
+    path = tmp_path / "numerics.cfg"
+    path.write_text(format_config(cfg))
+    calls, steps = [], set()
+
+    def recording_sojourn_matrix(region, ham, window, n_slices):
+        calls.append(("sojourn_matrix", n_slices))
+        return sojourn.sojourn_matrix(region, ham, window, n_slices)
+
+    def recording_clock_runs(*args):
+        runs = clocks.ClockRuns(*args)
+        calls.append(("ClockRuns", runs.dt))
+        return runs
+
+    def recording_evolve(state, prop, t_from, t_to):
+        steps.add(prop.dt)
+        return evolve(state, prop, t_from, t_to)
+
+    monkeypatch.setattr(scenarios, "sojourn_matrix", recording_sojourn_matrix)
+    monkeypatch.setattr(scenarios, "ClockRuns", recording_clock_runs)
+    monkeypatch.setattr(clocks, "evolve", recording_evolve)
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [("sojourn_matrix", 5000), ("ClockRuns", 0.025)]
+    assert steps == {0.025}
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -19,14 +19,12 @@ from weaktime.sojourn import (
     ANOMALY_FACTOR,
     _trapezoid_filter,
     conditional_dwell_time,
-    conditional_weak_value,
     dwell_time,
     moment,
     moment_sum,
     second_moment_position_integral,
     second_moment_position_postselected,
     sojourn_matrix,
-    weak_value,
 )
 
 GRID = Grid(32, 0.0, 15.5)
@@ -98,7 +96,7 @@ def test_sojourn_matrix_needs_position_grid():
 def test_catalog_sojourn_spectrum_within_window(ctx, request):
     op = request.getfixturevalue(ctx).op
     # the stored eigenbasis matrix M has the spectrum of T_op / T
-    vals = op.duration * np.linalg.eigvalsh(op.integrated.eigen_matrix)
+    vals = op.duration * np.linalg.eigvalsh(op.eigen_matrix)
     assert vals.min() >= -1e-9
     assert vals.max() <= op.duration + 1e-9
 
@@ -141,34 +139,41 @@ def test_sojourn_spectrum_within_window(small):
     assert vals.max() < duration + 1e-6
 
 
+def _projector_expectation(op, psi):
+    # <psi| T_op |psi> / T, the unconditioned weak value of the time-averaged
+    # region projector, with the operator applied in its eigenbasis form
+    amps = psi.amplitudes
+    return complex(psi.cell_weight * np.vdot(amps, op.apply(amps))) / op.duration
+
+
 def test_unconditioned_weak_value_is_real(small):
     _, _, _, psi_final, op = small
-    res = weak_value(op.integrated, psi_final)
-    assert abs(res.value.imag) < 1e-9
-    assert 0.0 < res.value.real < 1.0
+    value = _projector_expectation(op, psi_final)
+    assert abs(value.imag) < 1e-9
+    assert 0.0 < value.real < 1.0
+    assert dwell_time(op, psi_final) / op.duration == pytest.approx(value.real, abs=1e-14)
 
 
 def test_weak_value_matches_oracle(small):
+    # the eigenbasis apply against the oracle's weak value of dense()
     _, _, _, psi_final, op = small
-    res = weak_value(op.integrated, psi_final)
-    ref = oracle.weak_value(op.integrated.dense(), psi_final.amplitudes, GRID.dx)
-    assert res.value == pytest.approx(ref, abs=1e-10)
+    ref = oracle.weak_value(op.dense() / op.duration, psi_final.amplitudes, GRID.dx)
+    assert _projector_expectation(op, psi_final) == pytest.approx(ref, abs=1e-10)
 
 
 def test_conditional_reduces_to_unconditioned(small):
     _, _, _, psi_final, op = small
-    cond = conditional_weak_value(op.integrated, psi_final, psi_final)
-    flat = weak_value(op.integrated, psi_final)
-    assert cond.value == pytest.approx(flat.value, abs=1e-10)
+    cond = conditional_dwell_time(op, psi_final, psi_final)
+    assert cond.value == pytest.approx(dwell_time(op, psi_final), abs=1e-10)
 
 
 def test_conditional_matches_oracle_on_cells(small):
     _, _, _, psi_final, op = small
     idx = int(np.argmax(np.abs(psi_final.amplitudes)))
     cell = basis_cell_state(GRID, idx, time=WINDOW[1])
-    res = conditional_weak_value(op.integrated, psi_final, cell)
+    res = conditional_dwell_time(op, psi_final, cell)
     ref = oracle.conditional_weak_value(
-        op.integrated.dense(), psi_final.amplitudes, cell.amplitudes, GRID.dx
+        op.dense(), psi_final.amplitudes, cell.amplitudes, GRID.dx
     )
     assert res.value == pytest.approx(ref, abs=1e-10)
 
@@ -178,9 +183,7 @@ def test_dwell_time_in_range_and_matches_oracle(small):
     tau = dwell_time(op, psi_final)
     duration = WINDOW[1] - WINDOW[0]
     assert 0.0 <= tau <= duration
-    ref = duration * oracle.weak_value(
-        op.integrated.dense(), psi_final.amplitudes, GRID.dx
-    ).real
+    ref = oracle.weak_value(op.dense(), psi_final.amplitudes, GRID.dx).real
     assert tau == pytest.approx(ref, abs=1e-10)
 
 
@@ -196,7 +199,9 @@ def test_dwell_time_is_unclipped():
         amps = rng.normal(size=GRID.n_points) + 1j * rng.normal(size=GRID.n_points)
         psi = QuantumState(SPACE, amps, WINDOW[1]).normalized()
         tau = dwell_time(op, psi)
-        assert tau == op.duration * weak_value(op.integrated, psi).value.real
+        amps = psi.amplitudes
+        raw = complex(psi.cell_weight * np.vdot(amps, op._average(amps, 1)))
+        assert tau == op.duration * raw.real
         assert tau == pytest.approx(op.duration, abs=1e-12)
 
 
@@ -209,7 +214,7 @@ def test_dwell_time_well_half_by_symmetry(well_ctx):
 def test_readout_requires_window_end_reference(small):
     _, _, psi0, _, op = small
     with pytest.raises(ParameterError):
-        weak_value(op.integrated, psi0)
+        dwell_time(op, psi0)
 
 
 def test_degenerate_postselection_raises(small):
@@ -223,7 +228,7 @@ def test_degenerate_postselection_raises(small):
     ov = inner_product(psi_final, perp) / inner_product(psi_final, psi_final)
     perp = QuantumState(SPACE, perp.amplitudes - ov * psi_final.amplitudes, WINDOW[1])
     with pytest.raises(DegeneratePostselectionError):
-        conditional_weak_value(op.integrated, psi_final, perp)
+        conditional_dwell_time(op, psi_final, perp)
 
 
 def test_moments_match_oracle_through_order_four(small):
@@ -307,19 +312,17 @@ def test_anomalous_flag_on_blown_up_value(barrier_ctx):
 @pytest.mark.parametrize("target", [5.0, 18.3])
 def test_anomaly_flags_agree_on_one_postselector(barrier_ctx, target):
     # chi = v/|v| + s psi with v = M psi - <M> psi orthogonal to psi has the
-    # projector weak value <M> + |v|/s.  conditional_weak_value flags a weak
-    # value beyond ANOMALY_FACTOR, conditional_dwell_time a time beyond
-    # ANOMALY_FACTOR window lengths: the same postselectors
+    # projector weak value <M> + |v|/s, so conditional_dwell_time reads T
+    # times it and flags it exactly when that weak value is beyond
+    # ANOMALY_FACTOR
     op, psi = barrier_ctx.op, barrier_ctx.psi_final
     amps = psi.amplitudes / psi.norm()
-    m_psi = op.integrated.apply(amps)
+    m_psi = op.apply(amps) / op.duration
     mean = float(np.real(psi.cell_weight * np.vdot(amps, m_psi)))
     v = QuantumState(psi.space, m_psi - mean * amps, psi.representation_time)
     s = v.norm() / (target - mean)
     chi = QuantumState(psi.space, v.amplitudes / v.norm() + s * amps,
                        psi.representation_time)
-    weak = conditional_weak_value(op.integrated, psi, chi)
     time = conditional_dwell_time(op, psi, chi)
-    assert weak.value.real == pytest.approx(target, rel=1e-9)
     assert time.value.real == pytest.approx(target * op.duration, rel=1e-9)
-    assert weak.anomalous == time.anomalous == (target > ANOMALY_FACTOR)
+    assert time.anomalous == (target > ANOMALY_FACTOR)
