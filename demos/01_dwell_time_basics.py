@@ -31,7 +31,7 @@ window = (0.0, 24.0)
 ham = Hamiltonian(space)
 psi0 = gaussian_packet(grid, 24.0, 4.0, 1.0)  # group velocity 2 k0 = 2
 
-op = sojourn_matrix(region, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window)
 psi_final = evolve_eigenbasis(psi0, ham, window[1])
 tau = dwell_time(op, psi_final)
 
@@ -54,13 +54,13 @@ print("   and dwell weights each component by 1/velocity)")
 
 # sanity case 1: the region is the whole box, so the answer is the window
 whole = Region(grid.x_min - 1.0, grid.x_max + 1.0)
-op_all = sojourn_matrix(whole, ham, window, n_slices=200)
+op_all = sojourn_matrix(whole, ham, window)
 print(f"\nregion = whole box  -> {dwell_time(op_all, psi_final):.6f}"
       f"  (window length {window[1] - window[0]:g})")
 
 # sanity case 2: a box eigenstate spends half its time in either half
 left = Region(grid.x_min - 1.0, 0.5 * (grid.x_min + grid.x_max))
-op_half = sojourn_matrix(left, ham, window, n_slices=400)
+op_half = sojourn_matrix(left, ham, window)
 _, vecs = ham.eigensystem()
 eig2 = QuantumState(space, vecs[:, 2] / np.sqrt(grid.dx), window[1])
 print(f"eigenstate, left half -> {dwell_time(op_half, eig2):.6f}"

@@ -38,7 +38,7 @@ psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
 psi_final = evolve_eigenbasis(psi0, ham, window[1])
 
-op = sojourn_matrix(region, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window)
 tau = dwell_time(op, psi_final)
 print(f"sojourn-operator dwell time: {tau:.6f}\n")
 

@@ -59,7 +59,7 @@ packet = gaussian_packet(grid, 13.0, 2.5, 1.0)
 
 psi_final = evolve_eigenbasis(packet, ham, window[1])
 
-op = sojourn_matrix(region, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window)
 # the time-averaged projector's weak value is the dwell time over T
 a_w = dwell_time(op, psi_final) / op.duration
 

@@ -49,7 +49,7 @@ psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
 psi_final = evolve_eigenbasis(psi0, ham, window[1])
 chi = psi_final.normalized()
 
-op = sojourn_matrix(region, ham, window, n_slices=4000)
+op = sojourn_matrix(region, ham, window)
 tau = dwell_time(op, psi_final)
 
 via_operator = moment(op, psi_final, chi, 2)

@@ -12,7 +12,6 @@ Units: hbar = 1, particle mass 1/2, so kinetic energy is -d^2/dx^2.
 """
 
 from .errors import (
-    ContractError,
     DegeneratePostselectionError,
     EmptyRegionError,
     NumericalError,

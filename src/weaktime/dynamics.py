@@ -172,8 +172,16 @@ def evolve_eigenbasis(
     the static hermitian Hamiltonian, as phases in its eigenbasis."""
     vals, vecs = hamiltonian.eigensystem()
     span = t_to - state.representation_time
-    amp = vecs @ (np.exp(-1j * vals * span / HBAR) * (vecs.T @ state.amplitudes))
+    phases = np.exp(-1j * vals * span / HBAR)
+    amp = apply_real(vecs, phases * apply_real(vecs.T, state.amplitudes))
     return QuantumState(state.space, amp, t_to)
+
+
+def apply_real(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """matrix @ z for a real matrix and complex z, applied to the real and
+    imaginary parts separately so that the matrix is never upcast to
+    complex."""
+    return matrix @ z.real + 1j * (matrix @ z.imag)
 
 
 def _bessel_coefficients(x: float) -> np.ndarray:

@@ -17,10 +17,6 @@ class EmptyRegionError(WeaktimeError):
     """A spatial region resolves to no grid points."""
 
 
-class ContractError(WeaktimeError):
-    """An operator violates a declared property (e.g. hermiticity)."""
-
-
 class DegeneratePostselectionError(WeaktimeError):
     """Postselection overlap below the floor; the conditional value diverges."""
 

@@ -31,7 +31,6 @@ from .errors import (
 
 HBAR = 1.0
 
-HERMITICITY_TOL = 1e-10
 OVERLAP_FLOOR = 1e-8
 # two instants closer than this are the same representation time
 TIME_ATOL = 1e-9

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clocks import SweepRecord, extrapolate_to_zero
-from .dynamics import CouplingProfile, Hamiltonian, evolve_shifted
+from .dynamics import CouplingProfile, Hamiltonian, apply_real, evolve_shifted
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
@@ -237,13 +237,13 @@ def run_meter(
     check_time(psi0, t0, "run start")
 
     vals, vecs = system.eigensystem()
-    psi_eig = vecs.T @ psi0.amplitudes
+    psi_eig = apply_real(vecs.T, psi0.amplitudes)
     pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
     post = np.exp(-1j * vals * (t1 - profile.t_stop) / HBAR)
     during = np.exp(-1j * vals * profile.duration / HBAR)
-    psi_ref = QuantumState(psi0.space, vecs @ (post * during * pre * psi_eig), t1)
+    psi_ref = QuantumState(psi0.space, apply_real(vecs, post * during * pre * psi_eig), t1)
 
-    v_start = vecs @ (pre * psi_eig)
+    v_start = apply_real(vecs, pre * psi_eig)
     rate = coupling / profile.duration
 
     def kept_columns(pi_kept, coeffs_kept):
@@ -271,7 +271,8 @@ def _free_flight(op: SojournOperator, psi0: QuantumState):
     t0, t1 = op.window
     check_time(psi0, t0, "run start")
     vals, vecs = op.vals, op.vecs
-    free_eig = np.exp(-1j * vals * (t1 - t0) / HBAR) * (vecs.T @ psi0.amplitudes)
+    phases = np.exp(-1j * vals * (t1 - t0) / HBAR)
+    free_eig = phases * apply_real(vecs.T, psi0.amplitudes)
     tau, w = op.eigensystem()
     return free_eig, tau, w
 
@@ -297,7 +298,7 @@ def run_moment_meter(
         raise ParameterError("moment meter supports orders 1..4")
     free_eig, tau, w = _free_flight(op, psi0)
     vecs = op.vecs
-    psi_ref = QuantumState(psi0.space, vecs @ free_eig, op.window[1])
+    psi_ref = QuantumState(psi0.space, apply_real(vecs, free_eig), op.window[1])
 
     tau = (op.duration * tau) ** order
     z = w.conj().T @ free_eig
@@ -305,7 +306,7 @@ def run_moment_meter(
     def kept_columns(pi_kept, coeffs_kept):
         phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
         kept_eig = (w @ (phases * z[:, None])) * coeffs_kept
-        return vecs @ kept_eig.real + 1j * (vecs @ kept_eig.imag), 0
+        return apply_real(vecs, kept_eig), 0
 
     return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
 
@@ -528,7 +529,7 @@ def lambda_moment_route(
     lambdas = tuple(float(v) for v in lambdas)
     check_time(chi, op.window[1], "window end")
     free_eig, tau, u = _free_flight(op, psi0)
-    chi_eig = op.vecs.T @ chi.amplitudes
+    chi_eig = apply_real(op.vecs.T, chi.amplitudes)
     w = psi0.cell_weight
     # the free evolution keeps the norm of psi0
     den = checked_overlap(chi, psi0, w * np.vdot(chi_eig, free_eig))

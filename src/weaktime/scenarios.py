@@ -57,7 +57,6 @@ from .sojourn import (
 
 VERSION = "0.1.0"
 
-DEFAULT_N_SLICES = 20000
 BARRIER_CLEARANCE_BUDGET = 1e-3
 EDGE_BUDGET = 1e-6
 # an unconditioned dwell time is flagged out_of_range only beyond this
@@ -132,7 +131,6 @@ class Scenario:
     cell_index: int = 0
     initial_kind: str = "packet"  # "packet" | "eigenstate"
     eigenstate_index: int = 0
-    n_slices: int = DEFAULT_N_SLICES
     dt: float = DT
 
     def __post_init__(self):
@@ -480,7 +478,7 @@ def run_scenario(
     psi_final = evolve_eigenbasis(psi0, ham, scenario.window[1])
     chis = _postselectors(scenario, psi_final)
     if "sojourn" in pipelines:
-        op = sojourn_matrix(scenario.region, ham, scenario.window, scenario.n_slices)
+        op = sojourn_matrix(scenario.region, ham, scenario.window)
         _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
     if "clocks" in pipelines:
         _clock_pipeline(scenario, bundle, ham, psi0, chis)
@@ -535,7 +533,6 @@ def scenario_to_config(sc: Scenario) -> dict:
         "region.x_hi": repr(sc.region.x_hi),
         "postselection.mode": sc.postselection,
         "initial.kind": sc.initial_kind,
-        "numerics.n_slices": str(sc.n_slices),
         "numerics.dt": repr(sc.dt),
     }
     if sc.potential.kind != "free":
@@ -558,7 +555,7 @@ CONFIG_KEYS = frozenset({
     "potential.x2_lo", "potential.x2_hi", "packet.x0", "packet.sigma", "packet.k0",
     "window.t_start", "window.t_stop", "region.x_lo", "region.x_hi",
     "postselection.mode", "postselection.cell", "initial.kind", "initial.eigenstate",
-    "numerics.n_slices", "numerics.dt",
+    "numerics.dt",
 })
 
 
@@ -598,7 +595,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             cell_index=int(cfg.get("postselection.cell", 0)),
             initial_kind=cfg.get("initial.kind", "packet"),
             eigenstate_index=int(cfg.get("initial.eigenstate", 0)),
-            n_slices=int(cfg.get("numerics.n_slices", DEFAULT_N_SLICES)),
             dt=float(cfg.get("numerics.dt", DT)),
         )
     except KeyError as exc:

@@ -1,15 +1,19 @@
 """Dwell times, postselected traversal times and the sojourn-time operator.
 
 The central object is the time average of the Heisenberg-picture region
-projector P over a window, a trapezoid quadrature of U0(t_f,t) P U0^dag(t_f,t).
-It is evaluated exactly, and stored once, in the real eigenbasis V of the
-free Hamiltonian: as the hermitian matrix M = sym(P_eig * F), with
-P_eig = V^T P V and F the trapezoid filter of the level differences.  Every
-readout applies it as V M^l V^T to a few vectors; no position-basis matrix
-is formed.  Scaled by the window length T this is the hermitian
-sojourn-time operator T V M V^T, whose matrix elements give dwell times,
-postselected traversal times and their higher moments; the projector's
-weak value is the dwell time (or, postselected, the traversal time) over T.
+projector P over a window, (1/T) times the integral of
+U0(t_f,t) P U0^dag(t_f,t) over t.  It is evaluated exactly, and stored
+once, in the real eigenbasis V of the free Hamiltonian: as the elementwise
+product M = P_eig * F, with P_eig = V^T P V and F the closed-form window
+filter sinc(phi) exp(-i phi) of the level differences,
+phi = (E_i - E_j) T / 2 hbar.
+P_eig is symmetric and F_ji = conj(F_ij), so M is hermitian by
+construction, bit for bit.  Every readout applies it as V M^l V^T to a few
+vectors; no position-basis matrix is formed.  Scaled by the window length T
+this is the hermitian sojourn-time operator T V M V^T, with spectrum in
+[0, T] up to rounding, whose matrix elements give dwell times, postselected
+traversal times and their higher moments; the projector's weak value is the
+dwell time (or, postselected, the traversal time) over T.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -22,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Hamiltonian
-from .errors import ContractError, ParameterError, StructureError
+from .dynamics import Hamiltonian, apply_real
+from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
-    HERMITICITY_TOL,
     FactorSpace,
     QuantumState,
     Region,
@@ -40,16 +43,15 @@ ANOMALY_FACTOR = 10.0
 
 @dataclass(frozen=True, eq=False)
 class SojournOperator:
-    """Window length T times the time-averaged projector on `region`, stored
-    as the hermitian matrix `eigen_matrix` (M) in the real eigenbasis
-    (`vals`, `vecs`) of the free Hamiltonian it was built from; the
-    position-basis operator is T V M V^T, hermitian with spectrum within
-    [0, T] up to quadrature tolerance.  T^l enters its powers as a scalar.
-    M's own eigensystem is solved on first use and cached, like
+    """Window length T times the exact time average of a region projector,
+    stored as the matrix `eigen_matrix` (M) in the real eigenbasis (`vals`,
+    `vecs`) of the free Hamiltonian it was built from.  M is hermitian by
+    construction, bit for bit; the position-basis operator is T V M V^T,
+    with spectrum in [0, T] up to rounding.  T^l enters its powers as a
+    scalar.  M's own eigensystem is solved on first use and cached, like
     `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
-    region: Region
     window: tuple[float, float]
     eigen_matrix: np.ndarray
     vals: np.ndarray
@@ -61,14 +63,11 @@ class SojournOperator:
         return self.window[1] - self.window[0]
 
     def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
-        """V M^power V^T a, the time-averaged projector's power.  The real V
-        acts on the real and imaginary parts separately, so it is never
-        upcast to complex."""
-        vecs = self.vecs
-        c = vecs.T @ amplitudes.real + 1j * (vecs.T @ amplitudes.imag)
+        """V M^power V^T a, the time-averaged projector's power."""
+        c = apply_real(self.vecs.T, amplitudes)
         for _ in range(power):
             c = self.eigen_matrix @ c
-        return vecs @ c.real + 1j * (vecs @ c.imag)
+        return apply_real(self.vecs, c)
 
     def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
         """The operator's power-th power applied to position amplitudes."""
@@ -99,27 +98,20 @@ class WeakValueResult:
     anomalous: bool = False
 
 
-def _trapezoid_filter(omega: np.ndarray, duration: float, n_slices: int) -> np.ndarray:
-    """Trapezoid sum of exp(-i omega s)/T over s in [0, T] with n_slices panels.
-
-    Closed trig form (delta/T) cot(omega delta/2) sin(omega T/2) exp(-i omega T/2)
-    with delta = T/n_slices: no cancellation at small omega delta, exactly 1
-    only at omega == 0, and n_slices costs nothing.
-    """
-    half = (0.5 * duration / n_slices) * omega
-    zero = half == 0.0
-    half = np.where(zero, 1.0, half)
-    phase = 0.5 * duration * omega
-    sin_phase = np.sin(phase)
-    amp = sin_phase / (n_slices * np.tan(half))
-    return np.where(zero, 1.0, amp * np.cos(phase) - 1j * (amp * sin_phase))
+def _window_filter(phi: np.ndarray) -> np.ndarray:
+    """(1/T) times the integral of exp(-i omega s) over s in [0, T], as
+    sinc(phi) exp(-i phi) with phi = omega T / 2: no cancellation at any phi,
+    exactly 1 at phi == 0, and made of the odd sin and the even cos alone, so
+    that the filter of -phi is the exact conjugate of the filter of phi."""
+    sin_phi = np.sin(phi)
+    sinc = np.divide(sin_phi, phi, out=np.ones_like(phi), where=phi != 0.0)
+    return sinc * np.cos(phi) - 1j * (sinc * sin_phi)
 
 
 def sojourn_matrix(
     region: Region,
     free_hamiltonian: Hamiltonian,
     window: tuple[float, float],
-    n_slices: int,
 ) -> SojournOperator:
     """Sojourn-time operator for `region` over `window`, on the position grid
     of `free_hamiltonian`.  The region projector is diagonal, so its
@@ -127,23 +119,17 @@ def sojourn_matrix(
     grid = free_hamiltonian.position_grid
     if grid is None:
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
-    if n_slices < 2:
-        raise ParameterError("n_slices must be at least 2")
     t_start, t_stop = window
     duration = t_stop - t_start
     if duration <= 0:
         raise ParameterError("window must have positive duration")
     vals, vecs = free_hamiltonian.eigensystem()
     rows = vecs[region.indices(grid)]
-    omega = (vals[:, None] - vals[None, :]) / HBAR
-    m = (rows.T @ rows) * _trapezoid_filter(omega, duration, n_slices)
-    m_dag = m.conj().T
-    defect = np.max(np.abs(m - m_dag))
-    if defect >= HERMITICITY_TOL:
-        raise ContractError(f"time average not hermitian: |M - M^dag| = {defect:.3e}")
-    return SojournOperator(
-        free_hamiltonian.space, region, (t_start, t_stop), 0.5 * (m + m_dag), vals, vecs
-    )
+    # phi is exactly antisymmetric and numpy forms rows.T @ rows as a
+    # symmetric rank-k update, so M is hermitian bit for bit
+    phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
+    m = (rows.T @ rows) * _window_filter(phi)
+    return SojournOperator(free_hamiltonian.space, (t_start, t_stop), m, vals, vecs)
 
 
 def _postselected_ratio(

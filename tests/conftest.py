@@ -37,7 +37,7 @@ def _build_context(name):
     ham = sc.hamiltonian()
     psi0 = sc.initial_state()
     psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
-    op = sojourn_matrix(sc.region, ham, sc.window, sc.n_slices)
+    op = sojourn_matrix(sc.region, ham, sc.window)
     ctx = ScenarioContext(sc, ham, psi0, psi_final, op)
     if sc.postselection == "transmitted_reflected":
         ctx.chi_t, ctx.chi_r, ctx.p_t, ctx.p_r = postselect_transmitted_reflected(

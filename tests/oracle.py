@@ -1,9 +1,9 @@
 """Independent brute-force reference implementation.
 
-Everything here is deliberately written against raw numpy arrays with an
-explicit per-slice trapezoid loop, eigendecomposition-based propagation and
-literal tensor products (system (x) pointer, position (x) spin), sharing no
-code with the package beyond the numbers it is fed.  It is slow and only
+Everything here is deliberately written against raw numpy arrays with a
+Van Loan block exponential for time averages, eigendecomposition-based
+propagation and literal tensor products (system (x) pointer, position (x)
+spin), sharing no code with the package beyond the numbers it is fed.  It is slow and only
 meant for small grids.
 """
 
@@ -17,29 +17,25 @@ def evolve_exact(h_matrix, psi, duration):
     return vecs @ (np.exp(-1j * vals * duration) * (vecs.conj().T @ psi))
 
 
-def time_average(a_matrix, h_matrix, window, n_slices):
-    """Trapezoid average of U0(t_f,t) A U0(t_f,t)^dag over the window,
-    accumulated slice by slice with explicit propagators."""
-    t0, t1 = window
-    delta = (t1 - t0) / n_slices
-    vals, vecs = scipy.linalg.eigh(h_matrix)
-
-    def u_of(span):
-        # U0(t_f, t) with t_f - t = span
-        return vecs @ np.diag(np.exp(-1j * vals * span)) @ vecs.conj().T
-
-    acc = np.zeros_like(a_matrix, dtype=complex)
-    for j in range(n_slices + 1):
-        u = u_of(t1 - (t0 + j * delta))
-        w = 0.5 if j in (0, n_slices) else 1.0
-        acc = acc + w * (u @ a_matrix @ u.conj().T)
-    return acc * delta / (t1 - t0)
+def time_average(a_matrix, h_matrix, window):
+    """Exact average of U0(t_f,t) A U0(t_f,t)^dag over the window, from one
+    dense matrix exponential (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)): the upper-right block of expm(T [[-iH, A], [0, -iH]]) is the
+    integral of exp(-iH(T-s)) A exp(-iHs) over s in [0, T], and exp(iHT) on
+    the right turns it into the integral of U0(u) A U0(u)^dag over u."""
+    duration = window[1] - window[0]
+    n = h_matrix.shape[0]
+    gen = np.zeros((2 * n, 2 * n), dtype=complex)
+    gen[:n, :n] = gen[n:, n:] = -1j * h_matrix
+    gen[:n, n:] = a_matrix
+    block = scipy.linalg.expm(duration * gen)[:n, n:]
+    return block @ scipy.linalg.expm(1j * duration * h_matrix) / duration
 
 
-def sojourn(region_mask, h_matrix, window, n_slices):
+def sojourn(region_mask, h_matrix, window):
     """Window length times the time-averaged projector onto the masked cells."""
     proj = np.diag(region_mask.astype(complex))
-    return (window[1] - window[0]) * time_average(proj, h_matrix, window, n_slices)
+    return (window[1] - window[0]) * time_average(proj, h_matrix, window)
 
 
 def weak_value(matrix, psi, dx):

@@ -79,7 +79,7 @@ def crossing():
         oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, window[1]),
         window[1],
     )
-    op = sojourn_matrix(region, ham, window, 4000)
+    op = sojourn_matrix(region, ham, window)
     return grid, region, window, ham, psi0, psi_final, op
 
 
@@ -89,7 +89,6 @@ def test_criterion_1_oracle_equivalence():
     space = position_space(grid)
     window = (0.0, 4.0)
     region = Region(7.0, 9.0)
-    n_slices = 300
     ham = Hamiltonian(space, potential_real=1.0 * region.indicator(grid))
     hmat = ham.dense_matrix()
     vals, vecs = ham.eigensystem()
@@ -99,8 +98,8 @@ def test_criterion_1_oracle_equivalence():
     psi_final = QuantumState(
         space, oracle.evolve_exact(hmat, psi0.amplitudes, window[1]), window[1]
     )
-    op = sojourn_matrix(region, ham, window, n_slices)
-    t_ref = oracle.sojourn(region.indicator(grid), hmat, window, n_slices)
+    op = sojourn_matrix(region, ham, window)
+    t_ref = oracle.sojourn(region.indicator(grid), hmat, window)
     dx = grid.dx
     psi = psi_final.amplitudes
     idx = int(np.argmax(np.abs(psi)))
@@ -212,7 +211,7 @@ def test_criterion_5_sum_rules():
         ham = sc.hamiltonian()
         psi0 = sc.initial_state()
         psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
-        op = sojourn_matrix(sc.region, ham, sc.window, 2000)
+        op = sojourn_matrix(sc.region, ham, sc.window)
         if sc.postselection == "transmitted_reflected":
             _, family = postselection_family(psi_final, sc.potential.interval)
         else:

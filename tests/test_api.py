@@ -62,7 +62,7 @@ def test_one_factor_per_state_and_no_dense_operator_layer():
 def test_sojourn_operator_is_stored_once():
     grid = Grid(16, 0.0, 7.5)
     ham = Hamiltonian(position_space(grid))
-    op = sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0), 50)
+    op = sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0))
     n = grid.n_points
 
     def square_fields(obj):
@@ -76,6 +76,8 @@ def test_sojourn_operator_is_stored_once():
     # Hamiltonian's cached eigenbasis, shared rather than copied
     assert square_fields(op) == {"eigen_matrix", "vecs"}
     assert op.vecs is ham.eigensystem()[1]
+    # the region is the caller's; the operator keeps only what it reads
+    assert "region" not in {f.name for f in dataclasses.fields(op)}
     # the projector's weak value is dwell_time / T, so neither the wrapped
     # operator nor a second readout of it is public, and a postselected time
     # carries only its value and anomaly flag
@@ -83,6 +85,15 @@ def test_sojourn_operator_is_stored_once():
     assert deleted & set(weaktime.__all__) == set()
     assert [f.name for f in dataclasses.fields(weaktime.WeakValueResult)] == [
         "value", "anomalous"]
+
+
+def test_exact_time_average_has_no_quadrature_knob():
+    # the window average is the closed-form filter, hermitian by
+    # construction: no slice count anywhere, and no hermiticity repair
+    # whose failure would need its own error type
+    assert [name for name, params in _public_parameters() if "n_slices" in params] == []
+    assert "n_slices" not in {f.name for f in dataclasses.fields(weaktime.Scenario)}
+    assert "ContractError" not in weaktime.__all__
 
 
 def test_clock_readouts_take_a_ladder_and_a_table():

@@ -39,7 +39,7 @@ def crossing():
         oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
-    op = sojourn_matrix(REGION, ham, WINDOW, 4000)
+    op = sojourn_matrix(REGION, ham, WINDOW)
     tau = dwell_time(op, psi_final)
     return ham, psi0, psi_final, tau
 

@@ -66,7 +66,7 @@ def ctx():
         ham=ham,
         psi0=psi0,
         psi_final=evolve_eigenbasis(psi0, ham, WINDOW[1]),
-        op=sojourn_matrix(REGION, ham, WINDOW, 400),
+        op=sojourn_matrix(REGION, ham, WINDOW),
         spec=spec,
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap

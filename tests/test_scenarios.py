@@ -132,6 +132,16 @@ def test_scenario_from_config_rejects_unknown_keys(typo, replaces):
         scenario_from_config(cfg)
 
 
+def test_scenario_from_config_rejects_n_slices():
+    # the time average is exact, so a quadrature slice count is a key no
+    # scenario reads; a config still setting it is refused, not ignored
+    cfg = scenario_to_config(catalog()["well_halves"])
+    assert "numerics.n_slices" not in cfg
+    cfg["numerics.n_slices"] = "20000"
+    with pytest.raises(ValidationError, match="unknown config key 'numerics.n_slices'"):
+        scenario_from_config(cfg)
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("free_box", "potential.v0", "3.0"),
     ("free_box", "potential.x_lo", "60.0"),
@@ -512,19 +522,18 @@ def test_cli_position_cell_validates_and_runs(well_cell_config, tmp_path, capsys
 
 
 def test_config_numerics_reach_the_operator_and_the_clock_runs(tmp_path, monkeypatch, capsys):
-    # non-default numerics.n_slices and numerics.dt in a config file are the
-    # values the sojourn operator is built with and the clock table steps at
+    # a non-default numerics.dt in a config file is the step the clock table
+    # takes, and the sojourn operator is built once over the config's window
     cfg = scenario_to_config(catalog()["well_halves"])
-    assert cfg["numerics.n_slices"] != "5000" and cfg["numerics.dt"] != "0.025"
-    cfg["numerics.n_slices"] = "5000"
+    assert cfg["numerics.dt"] != "0.025"
     cfg["numerics.dt"] = "0.025"
     path = tmp_path / "numerics.cfg"
     path.write_text(format_config(cfg))
     calls, steps = [], set()
 
-    def recording_sojourn_matrix(region, ham, window, n_slices):
-        calls.append(("sojourn_matrix", n_slices))
-        return sojourn.sojourn_matrix(region, ham, window, n_slices)
+    def recording_sojourn_matrix(region, ham, window):
+        calls.append(("sojourn_matrix", window))
+        return sojourn.sojourn_matrix(region, ham, window)
 
     def recording_clock_runs(*args):
         runs = clocks.ClockRuns(*args)
@@ -539,7 +548,8 @@ def test_config_numerics_reach_the_operator_and_the_clock_runs(tmp_path, monkeyp
     monkeypatch.setattr(scenarios, "ClockRuns", recording_clock_runs)
     monkeypatch.setattr(clocks, "evolve", recording_evolve)
     assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == [("sojourn_matrix", 5000), ("ClockRuns", 0.025)]
+    window = (float(cfg["window.t_start"]), float(cfg["window.t_stop"]))
+    assert calls == [("sojourn_matrix", window), ("ClockRuns", 0.025)]
     assert steps == {0.025}
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from weaktime.hilbert import (
 )
 from weaktime.sojourn import (
     ANOMALY_FACTOR,
-    _trapezoid_filter,
+    _window_filter,
     conditional_dwell_time,
     dwell_time,
     moment,
@@ -31,7 +32,6 @@ GRID = Grid(32, 0.0, 15.5)
 SPACE = position_space(GRID)
 WINDOW = (0.0, 4.0)
 REGION = Region(7.0, 9.0)
-N_SLICES = 400
 
 
 def _small_ham():
@@ -56,31 +56,33 @@ def small():
     psi_final = QuantumState(
         SPACE, oracle.evolve_exact(hmat, psi0.amplitudes, WINDOW[1]), WINDOW[1]
     )
-    op = sojourn_matrix(REGION, ham, WINDOW, N_SLICES)
+    op = sojourn_matrix(REGION, ham, WINDOW)
     return ham, hmat, psi0, psi_final, op
 
 
-def test_spectral_sum_matches_oracle_slice_loop():
+def test_spectral_sum_matches_oracle_block_exponential():
+    # the exact average, against the oracle's dense Van Loan exponential,
+    # from a window far shorter than one level spacing to one that many
+    # level differences wind through hundreds of turns
     ham = _small_ham()
-    duration = WINDOW[1] - WINDOW[0]
-    ours = sojourn_matrix(REGION, ham, WINDOW, 64).dense() / duration
     proj = np.diag(REGION.indicator(GRID))
-    ref = oracle.time_average(proj, ham.dense_matrix(), WINDOW, 64)
-    np.testing.assert_allclose(ours, ref, atol=1e-12)
+    for window in ((0.0, 0.01), (1.0, 5.0), (0.0, 200.0)):
+        duration = window[1] - window[0]
+        ours = sojourn_matrix(REGION, ham, window).dense() / duration
+        ref = oracle.time_average(proj, ham.dense_matrix(), window)
+        np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
 def test_integrated_matches_brute_force_quadrature(small):
     ham, hmat, psi0, psi_final, op = small
-    duration = WINDOW[1] - WINDOW[0]
-    ours = sojourn_matrix(REGION, ham, WINDOW, 200).dense() / duration
-    ref = oracle.time_average(np.diag(REGION.indicator(GRID)), hmat, WINDOW, 200)
-    np.testing.assert_allclose(ours, ref, atol=1e-10)
+    ref = oracle.sojourn(REGION.indicator(GRID), hmat, WINDOW)
+    np.testing.assert_allclose(op.dense(), ref, atol=1e-13)
 
 
 def test_sojourn_full_box_is_window_length():
     ham = _small_ham()
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    op = sojourn_matrix(whole, ham, WINDOW, 16)
+    op = sojourn_matrix(whole, ham, WINDOW)
     duration = WINDOW[1] - WINDOW[0]
     np.testing.assert_allclose(
         op.dense(), duration * np.eye(GRID.n_points), atol=1e-9
@@ -89,46 +91,77 @@ def test_sojourn_full_box_is_window_length():
 
 def test_sojourn_matrix_needs_position_grid():
     with pytest.raises(StructureError):
-        sojourn_matrix(REGION, Hamiltonian(spin_space()), WINDOW, 16)
+        sojourn_matrix(REGION, Hamiltonian(spin_space()), WINDOW)
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_spectrum_within_window(ctx, request):
     op = request.getfixturevalue(ctx).op
-    # the stored eigenbasis matrix M has the spectrum of T_op / T
-    vals = op.duration * np.linalg.eigvalsh(op.eigen_matrix)
-    assert vals.min() >= -1e-9
-    assert vals.max() <= op.duration + 1e-9
+    # the stored eigenbasis matrix M has the spectrum of T_op / T, inside
+    # [0, 1] up to rounding now that the average is exact
+    tau = np.linalg.eigvalsh(op.eigen_matrix)
+    assert tau.min() >= -1e-12
+    assert tau.max() <= 1.0 + 1e-12
 
 
-def _direct_trapezoid(omega, duration, n_slices):
-    delta = duration / n_slices
-    weights = np.ones(n_slices + 1)
-    weights[[0, -1]] = 0.5
-    s = delta * np.arange(n_slices + 1)
-    return np.sum(weights * np.exp(-1j * omega * s)) * delta / duration
+@pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
+def test_catalog_sojourn_matrix_is_exactly_hermitian(ctx, request):
+    m = request.getfixturevalue(ctx).op.eigen_matrix
+    assert np.array_equal(m, m.conj().T)
 
 
-@settings(max_examples=200, deadline=None)
-@example(log_omega=np.log10(3e-10), duration=50.0, n_slices=20000)
+@settings(max_examples=30, deadline=None)
 @given(
-    st.floats(min_value=-14.0, max_value=2.0),
-    st.floats(min_value=1.0, max_value=60.0),
-    st.integers(min_value=2, max_value=20000),
+    st.integers(min_value=3, max_value=48),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=1e-3, max_value=300.0),
 )
-def test_trapezoid_filter_matches_direct_sum(log_omega, duration, n_slices):
-    omega = 10.0**log_omega
-    f = _trapezoid_filter(np.array([omega, -omega]), duration, n_slices)
-    ref = _direct_trapezoid(omega, duration, n_slices)
-    assert abs(f[0] - ref) <= 1e-12
-    assert abs(f[1] - np.conj(ref)) <= 1e-12
+def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
+    # M = (V_R^T V_R) * F with F(-phi) = conj F(phi) bit for bit, so no
+    # symmetrization is needed on any grid, potential or window
+    grid = Grid(n, 0.0, dx * (n - 1))
+    first = int(lo * (n - 1))
+    last = first + int(width * (n - 1 - first))
+    region = Region((first - 0.5) * dx, (last + 0.5) * dx)
+    ham = Hamiltonian(position_space(grid), potential_real=v0 * region.indicator(grid))
+    m = sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix
+    assert np.array_equal(m, m.conj().T)
 
 
-def test_trapezoid_filter_is_one_only_at_zero_frequency():
-    f = _trapezoid_filter(np.array([0.0, 3e-10]), 50.0, 20000)
+def _mp_filter(phi):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(phi)
+        return complex(mpmath.sin(x) / x * mpmath.exp(-1j * x))
+
+
+@settings(max_examples=300, deadline=None)
+@example(log_phi=None, sign=1.0)
+@example(log_phi=-14.0, sign=-1.0)
+@example(log_phi=3.0, sign=1.0)
+@given(
+    st.one_of(st.none(), st.floats(min_value=-14.0, max_value=3.0)),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_window_filter_matches_mpmath(log_phi, sign):
+    # sinc(phi) exp(-i phi) against 40-digit arithmetic over |phi| in
+    # [1e-14, 1e3]; log_phi None is phi == 0, where the filter is exactly 1
+    if log_phi is None:
+        assert _window_filter(np.array([0.0]))[0] == 1.0
+        return
+    phi = sign * 10.0**log_phi
+    assert abs(_window_filter(np.array([phi]))[0] - _mp_filter(phi)) <= 1e-15
+
+
+def test_window_filter_is_one_only_at_zero_frequency():
+    # omega = 3e-10 over T = 50 gives phi = omega T / 2 = 7.5e-9
+    f = _window_filter(np.array([0.0, 7.5e-9]))
     assert f[0] == 1.0
-    # small omega: 1 - i omega T / 2 to first order
-    assert f[1].imag == pytest.approx(-0.5 * 3e-10 * 50.0, rel=1e-6)
+    assert f[1] != 1.0
+    # small phi: 1 - i phi to first order
+    assert f[1].imag == pytest.approx(-7.5e-9, rel=1e-6)
 
 
 def test_sojourn_spectrum_within_window(small):
@@ -193,7 +226,7 @@ def test_dwell_time_is_unclipped():
     # returns that value as it is, not snapped onto T
     ham = Hamiltonian(SPACE)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    op = sojourn_matrix(whole, ham, WINDOW, N_SLICES)
+    op = sojourn_matrix(whole, ham, WINDOW)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=GRID.n_points) + 1j * rng.normal(size=GRID.n_points)
