@@ -1,18 +1,18 @@
 """Pointer distributions from strong projective readout to weak shifts.
 
 A Gaussian pointer couples to a diagonal observable, given as the real
-array of its diagonal entries, during a finite window.  When the pointer is
-narrow compared with the coupling, the distribution splits into one peak
-per observable eigenvalue (a projective measurement).  When the pointer is
-broad, the peaks merge into a single Gaussian whose small displacement
-grows linearly with the coupling, with slope equal to the weak value of
-the time-averaged observable.
+array of its diagonal entries, with strength G/T over a window (t_start,
+t_stop) of length T, the same window the sojourn operator averages over.
+When the pointer is narrow compared with the coupling, the distribution
+splits into one peak per observable eigenvalue (a projective measurement).
+When the pointer is broad, the peaks merge into a single Gaussian whose
+small displacement grows linearly with the coupling, with slope equal to
+the weak value of the time-averaged observable.
 """
 
 import numpy as np
 
 from weaktime import (
-    CouplingProfile,
     Grid,
     Hamiltonian,
     PointerSpec,
@@ -35,14 +35,14 @@ space = spin_space()
 system = Hamiltonian(space)  # on a spin factor: the zero matrix
 psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
 sz = np.array([1.0, -1.0])  # the diagonal of sigma_z
-profile = CouplingProfile.rectangular(0.0, 1.0)
+spin_window = (0.0, 1.0)  # the coupling is on during this window
 
 print("two-level system, coupling strength 1, eigenvalues +1 and -1")
 print(f"{'pointer width':>14}{'peaks':>7}{'mean':>10}{'survival':>10}")
 for width in (0.1, 0.3, 1.0, 3.0, 10.0):
     spec = PointerSpec.auto(width=width, max_shift=1.0, n_points=512,
                             extent_factor=14.0)
-    run = run_meter(spec, psi0, sz, 1.0, profile, system)
+    run = run_meter(spec, psi0, sz, 1.0, spin_window, system)
     dist = pointer_distribution(run)
     print(f"{width:>14.1f}{dist.peak_count():>7d}{dist.mean:>10.4f}"
           f"{survival_probability(run):>10.4f}")
@@ -64,10 +64,9 @@ op = sojourn_matrix(region, ham, window)
 a_w = dwell_time(op, psi_final) / op.duration
 
 spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-crossing_profile = CouplingProfile.rectangular(*window)
 ladder = (0.4, 0.3, 0.2, 0.1)
 runs = [
-    run_meter(spec, packet, region.indicator(grid), g, crossing_profile, ham)
+    run_meter(spec, packet, region.indicator(grid), g, window, ham)
     for g in ladder + tuple(-g for g in ladder)
 ]
 slope, intercept = pointer_shift_fit(runs)

@@ -33,7 +33,6 @@ from .hilbert import (
     spin_space,
 )
 from .dynamics import (
-    CouplingProfile,
     Hamiltonian,
     Propagator,
     evolve,

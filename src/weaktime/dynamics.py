@@ -36,33 +36,9 @@ _TIME_ATOL = 1e-9
 # truncation of the Chebyshev series of exp(-i t H): the first Bessel
 # coefficient past n = r t at or below this ends it
 _CHEBYSHEV_TOL = 1e-15
-# largest r t expanded.  The sampled phases r t cos(theta) carry a rounding
-# of about 1e-16 r t, which leaves each FFT coefficient off by up to 1e-14
-# at r t = 1e4 and 1e-13 at 1e5 (against a backward-recurrence reference)
+# largest r t expanded, a bound on work: the series has about r t terms, each
+# one sweep over the block, so a longer span should be split
 _CHEBYSHEV_MAX_ARG = 1e5
-
-
-@dataclass(frozen=True)
-class CouplingProfile:
-    """Normalized time profile h(t) of the meter coupling, area 1.
-
-    Rectangular: h = 1/(t_stop - t_start) on [t_start, t_stop), else 0.
-    """
-
-    t_start: float
-    t_stop: float
-
-    def __post_init__(self):
-        if not self.t_stop > self.t_start:
-            raise ParameterError("profile needs t_start < t_stop")
-
-    @classmethod
-    def rectangular(cls, t_start: float, t_stop: float) -> "CouplingProfile":
-        return cls(t_start, t_stop)
-
-    @property
-    def duration(self) -> float:
-        return self.t_stop - self.t_start
 
 
 @dataclass(eq=False)
@@ -187,30 +163,34 @@ def apply_real(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _bessel_coefficients(x: float) -> np.ndarray:
     """J_n(x) for n = 0 .. K-1, K the first n >= x with |J_n(x)| <= 1e-15.
 
-    The coefficients come from one FFT of exp(-i x cos(theta)) =
-    sum_n (-i)^n J_n(x) exp(i n theta) (Jacobi-Anger), sampled at M >= 2x +
-    1024 points so that aliasing stays far below the cut.  Beyond n = x,
-    J_n(x) is positive and falls faster than geometrically in n, so the
-    first small coefficient there bounds the whole tail; before it, a small
-    |J_n(x)| can be a zero of an oscillation and is no cut.
+    Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from (1, 0)
+    at n = x + 20 x^(1/3) + 60, far past the cut, where J is the growing
+    solution; rescaled before overflow, normalized by J_0 + 2 sum J_2k = 1.
+    Beyond n = x, J_n(x) is positive and falls faster than geometrically,
+    so the first small coefficient there bounds the whole tail; before it a
+    small |J_n(x)| can be a zero of an oscillation and is no cut.  Below
+    x = 2e-15, J_1(x) ~ x/2 is already under the cut.
     """
-    if x > _CHEBYSHEV_MAX_ARG:
+    if not 0.0 <= x <= _CHEBYSHEV_MAX_ARG:
         raise NumericalError(
-            f"Chebyshev argument r t = {x:.3e} above {_CHEBYSHEV_MAX_ARG:g}; "
-            "split the evolution into shorter spans"
+            f"Chebyshev argument r t = {x:.3e} outside [0, {_CHEBYSHEV_MAX_ARG:g}]; "
+            "split a long evolution into shorter spans"
         )
-    m = 1 << int(np.ceil(np.log2(2.0 * x + 1024.0)))
-    theta = (2.0 * np.pi / m) * np.arange(m)
-    c = np.fft.fft(np.exp(-1j * x * np.cos(theta)))[: m // 2] / m
+    if x <= 2.0 * _CHEBYSHEV_TOL:
+        return np.ones(1)
+    top = int(x + 20.0 * x ** (1.0 / 3.0) + 60.0)
+    j = [0.0] * top + [1.0, 0.0]
+    for n in range(top, 0, -1):
+        j[n - 1] = (2.0 * n / x) * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:
+            j[n - 1 :] = [v * 1e-250 for v in j[n - 1 :]]
+    j = np.array(j[: top + 1])
+    j /= j[0] + 2.0 * np.sum(j[2::2])
     start = int(np.ceil(x))
-    small = np.nonzero(np.abs(c[start:]) <= _CHEBYSHEV_TOL)[0]
+    small = np.nonzero(np.abs(j[start:]) <= _CHEBYSHEV_TOL)[0]
     if small.size == 0:
-        raise NumericalError(
-            f"Chebyshev series of exp(-i {x:.3e} cos) never falls below "
-            f"{_CHEBYSHEV_TOL:g} in {m // 2} terms"
-        )
-    k = start + small[0]
-    return np.real(c[:k] * np.array([1, 1j, -1, -1j])[np.arange(k) % 4])
+        raise NumericalError(f"no Bessel cut at x = {x:.3e} below n = {top}")
+    return j[: start + small[0]]
 
 
 def evolve_shifted(

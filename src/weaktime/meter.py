@@ -1,29 +1,29 @@
 """Explicit simulation of the von Neumann measurement scheme.
 
 A pointer with coordinate q couples to a system observable A through
-H_int = G h(t) pi (x) A, where pi is the pointer momentum and h(t) a
-normalized profile.  This module evolves the composite system-pointer
-state, extracts pointer distributions (unconditioned and postselected),
-survival probabilities, and the pointer readouts of time-moment meters,
-and cross-checks the derivative identities relating pointer statistics
-to weak values.
+H_int = (G/T) pi (x) A over the window (t_start, t_stop) of length T that
+the sojourn operator averages over, pi the pointer momentum.  This module
+evolves the composite system-pointer state, extracts pointer distributions
+(unconditioned and postselected), survival probabilities, and the pointer
+readouts of time-moment meters, and cross-checks the derivative identities
+relating pointer statistics to weak values.
 
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
 drags an independent system evolution with the scalar coupling
-G h(t) pi_k A.  The meter exploits this: the system lives on one factor
+(G/T) pi_k A.  The meter exploits this: the system lives on one factor
 (a position grid or one spin) and the observable A is diagonal, passed as
 its real 1-D array a, so each mode's generator H + (G/T) pi_k diag(a) is
 real symmetric tridiagonal and differs from the others only by a multiple
 of diag(a).  All kept modes of a run evolve as the columns of one
 Chebyshev block (`dynamics.evolve_shifted`); no mode needs an eigensolve.
-The moment routes (the moment meter and the lambda route)
-couple to the carried-along sojourn operator, which commutes with its own
-history, so each mode is a closed-form phase in that operator's own
-eigenbasis.  They read the `SojournOperator`'s fields directly: its
-eigenbasis matrix M, the free eigensystem (`vals`, `vecs`) it was built in
-and M's cached eigensystem; no position-basis matrix is formed.  A run's
-final state is the (system, pointer) amplitude array.
+The moment routes (the moment meter and the lambda route) couple to the
+carried-along sojourn operator, which commutes with its own history, so
+each mode is a closed-form phase in that operator's own eigenbasis.  They
+read the `SojournOperator`'s fields directly: its eigenbasis matrix M, the
+free eigensystem (`vals`, `vecs`) it was built in and M's cached
+eigensystem; no position-basis matrix is formed.  A run's final state is
+the (system, pointer) amplitude array.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clocks import SweepRecord, extrapolate_to_zero
-from .dynamics import CouplingProfile, Hamiltonian, apply_real, evolve_shifted
+from .dynamics import Hamiltonian, apply_real, evolve_eigenbasis, evolve_shifted
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
-    TIME_ATOL,
     Grid,
     QuantumState,
     check_time,
@@ -207,22 +206,18 @@ def run_meter(
     psi0: QuantumState,
     observable: np.ndarray,
     coupling: float,
-    profile: CouplingProfile,
+    window: tuple[float, float],
     system: Hamiltonian,
-    window: Optional[tuple[float, float]] = None,
     mode_cutoff: float = DEFAULT_MODE_CUTOFF,
 ) -> MeterRun:
-    """Evolve psi0 (x) Gaussian pointer under H + G h(t) pi (x) A.
-
-    The observable A = diag(a) is diagonal on the system space and given as
-    the real array a of shape (system.dimension,), e.g. a region indicator
-    or [1, -1] for sigma_z.  The pointer momentum modes above `mode_cutoff`
-    are evolved through the (rectangular) profile window under
-    H + (G/T) pi_k diag(a) as the columns of one Chebyshev block
-    (`evolve_shifted`); the free flight before and after the profile uses
-    the system's cached eigensystem.  A lossy system raises ParameterError
-    (from its cached free eigensystem), an `observable` of another shape or
-    a complex one StructureError.
+    """Evolve psi0 (x) Gaussian pointer under H + (G/T) pi (x) A over the
+    window (t_start, t_stop) of length T.  The observable A = diag(a) is
+    given as the real array a of shape (system.dimension,), e.g. a region
+    indicator or [1, -1] for sigma_z.  The pointer momentum modes above
+    `mode_cutoff` evolve under H + (G/T) pi_k diag(a) as the columns of one
+    Chebyshev block (`evolve_shifted`).  An empty window or a lossy system
+    raises ParameterError, an `observable` of another shape or a complex
+    one StructureError.
     """
     a = np.asarray(observable)
     if a.shape != (system.dimension,) or np.iscomplexobj(a):
@@ -230,31 +225,16 @@ def run_meter(
             f"the meter needs a real diagonal of shape ({system.dimension},), "
             f"got a {a.dtype} array of shape {a.shape}"
         )
-    window = tuple(window) if window else (profile.t_start, profile.t_stop)
     t0, t1 = window
-    if not (t0 <= profile.t_start and profile.t_stop <= t1 + TIME_ATOL):
-        raise ParameterError("coupling profile extends outside the run window")
+    if not t1 > t0:
+        raise ParameterError("window needs t_start < t_stop")
     check_time(psi0, t0, "run start")
-
-    vals, vecs = system.eigensystem()
-    psi_eig = apply_real(vecs.T, psi0.amplitudes)
-    pre = np.exp(-1j * vals * (profile.t_start - t0) / HBAR)
-    post = np.exp(-1j * vals * (t1 - profile.t_stop) / HBAR)
-    during = np.exp(-1j * vals * profile.duration / HBAR)
-    psi_ref = QuantumState(psi0.space, apply_real(vecs, post * during * pre * psi_eig), t1)
-
-    v_start = apply_real(vecs, pre * psi_eig)
-    rate = coupling / profile.duration
+    psi_ref = evolve_eigenbasis(psi0, system, t1)
+    duration = t1 - t0
 
     def kept_columns(pi_kept, coeffs_kept):
-        block, terms = evolve_shifted(
-            system, a, rate * pi_kept, v_start, profile.duration
-        )
-        if t1 > profile.t_stop + TIME_ATOL:
-            # free post-evolution of every column at once; the real
-            # eigenvectors act on the interleaved real and imaginary parts
-            block = (vecs.T @ block.view(float)).view(complex) * post[:, None]
-            block = (vecs @ block.view(float)).view(complex)
+        shifts = (coupling / duration) * pi_kept
+        block, terms = evolve_shifted(system, a, shifts, psi0.amplitudes, duration)
         return block * coeffs_kept, terms
 
     return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
@@ -516,8 +496,8 @@ def lambda_moment_route(
     lambdas,
 ):
     """Moments from scalar-coupling derivatives: evolve under the
-    Hamiltonian the operator was built from plus lambda h(t) times the
-    carried-along time-in-region operator, in closed form
+    Hamiltonian the operator was built from plus lambda times the
+    carried-along region projector over the window, in closed form
     exp(-i lambda T_op) after free flight, and apply (i hbar d/dlambda)^l
     to the postselected amplitude ratio at lambda = 0 by central
     differences.  Returns (value, residual); the real part is the moment.

@@ -28,7 +28,7 @@ from .clocks import (
     clock_larmor,
     clock_real_potential,
 )
-from .dynamics import CouplingProfile, Hamiltonian, evolve_eigenbasis
+from .dynamics import Hamiltonian, evolve_eigenbasis
 from .errors import ParameterError, ValidationError
 from .hilbert import (
     Grid,
@@ -101,20 +101,22 @@ class PotentialSpec:
         if self.kind == "double_barrier" and not self.x2_hi > self.x2_lo:
             raise ParameterError("second barrier needs x2_lo < x2_hi")
 
+    @property
+    def barriers(self) -> list[tuple[float, float]]:
+        """The (x_lo, x_hi) interval of each barrier; none in free space."""
+        pairs = [(self.x_lo, self.x_hi), (self.x2_lo, self.x2_hi)]
+        return {"free": [], "barrier": pairs[:1], "double_barrier": pairs}[self.kind]
+
     def array(self, grid: Grid) -> Optional[np.ndarray]:
         if self.kind == "free":
             return None
-        v = self.v0 * Region(self.x_lo, self.x_hi).indicator(grid)
-        if self.kind == "double_barrier":
-            v = v + self.v0 * Region(self.x2_lo, self.x2_hi).indicator(grid)
-        return v
+        return sum(self.v0 * Region(*b).indicator(grid) for b in self.barriers)
 
     @property
     def interval(self) -> tuple[float, float]:
         if self.kind == "free":
             raise ParameterError("free potential has no barrier interval")
-        hi = self.x2_hi if self.kind == "double_barrier" else self.x_hi
-        return (self.x_lo, hi)
+        return (self.x_lo, self.barriers[-1][1])
 
 
 @dataclass(frozen=True)
@@ -241,19 +243,19 @@ def _free_hamiltonian(grid: Grid) -> Hamiltonian:
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Static and dynamic consistency checks; returns a list of warnings.
 
-    Raises ValidationError when the configuration is unusable: packet too
-    close to potential features, or boundary reflections above budget in a
-    free pre-run over the window.
+    Raises ValidationError when the configuration is unusable: packet
+    center within 5 sigma of a barrier (or inside one), or boundary
+    reflections above budget in a free pre-run over the window.
     """
     notes = []
     sc = scenario
     if sc.initial_kind == "packet":
-        if sc.potential.kind != "free":
-            gap = sc.potential.x_lo - sc.packet.x0
-            if abs(gap) < 5.0 * sc.packet.sigma:
-                raise ValidationError(
-                    "packet starts within 5 sigma of the potential feature"
-                )
+        x0 = sc.packet.x0
+        # distance from x0 to each barrier interval, negative inside it
+        gap = min((max(lo - x0, x0 - hi) for lo, hi in sc.potential.barriers),
+                  default=np.inf)
+        if gap < 5.0 * sc.packet.sigma:
+            raise ValidationError("packet starts within 5 sigma of a barrier")
         # free pre-run: evolve without the potential and inspect the edges
         amp = evolve_eigenbasis(
             sc.initial_state(), _free_hamiltonian(sc.grid), sc.window[1]
@@ -449,8 +451,7 @@ def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
     duration = sc.duration()
     indicator = sc.region.indicator(sc.grid)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
-    profile = CouplingProfile.rectangular(*sc.window)
-    runs = [run_meter(spec, psi0, indicator, g, profile, ham) for g in METER_LADDER]
+    runs = [run_meter(spec, psi0, indicator, g, sc.window, ham) for g in METER_LADDER]
     bundle.sweeps["meter"] = {}
     for label, chi in chis.items():
         rec = meter_moment_readout(runs, chi)

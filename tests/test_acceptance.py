@@ -14,7 +14,6 @@ import pytest
 
 import oracle
 from weaktime.dynamics import (
-    CouplingProfile,
     Hamiltonian,
     Propagator,
     evolve,
@@ -166,10 +165,9 @@ def test_criterion_3_meter_linearity(crossing):
     chi = basis_cell_state(grid, idx, time=window[1])
     ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*window)
     ladder = (0.2, 0.15, 0.1, 0.05)
     runs = [
-        run_meter(spec, psi0, region.indicator(grid), g, profile, ham)
+        run_meter(spec, psi0, region.indicator(grid), g, window, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs, chi)
@@ -185,8 +183,8 @@ def test_criterion_4_strong_measurement_statistics():
     psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
-    profile = CouplingProfile.rectangular(0.0, 1.0)
-    run = run_meter(spec, psi0, np.array([1.0, -1.0]), g, profile, system)
+    window = (0.0, 1.0)
+    run = run_meter(spec, psi0, np.array([1.0, -1.0]), g, window, system)
     dist = pointer_distribution(run)
     q = spec.grid.points
     dq = spec.grid.dx
@@ -226,9 +224,8 @@ def test_criterion_5_sum_rules():
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
         # conditional pointer-mean decomposition at finite coupling
         spec = PointerSpec.auto(width=1.0, max_shift=0.3)
-        profile = CouplingProfile.rectangular(*sc.window)
         run = run_meter(
-            spec, psi0, sc.region.indicator(sc.grid), 0.3, profile, ham
+            spec, psi0, sc.region.indicator(sc.grid), 0.3, sc.window, ham
         )
         cells = [basis_cell_state(sc.grid, j) for j in range(sc.grid.n_points)]
         acc, total = conditional_mean_sum(run, cells)
@@ -273,11 +270,10 @@ def test_criterion_7_negative_conditional_time(farside_ctx):
 def test_criterion_8_survival_scaling(crossing):
     grid, region, window, ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*window)
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
     for g in ladder:
-        run = run_meter(spec, psi0, region.indicator(grid), g, profile, ham)
+        run = run_meter(spec, psi0, region.indicator(grid), g, window, ham)
         deficits.append(1.0 - survival_probability(run))
     order, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     ok = order >= 1.5

@@ -4,10 +4,12 @@ import dataclasses
 import inspect
 
 import numpy as np
+import pytest
 
 import weaktime
 from weaktime import clocks
-from weaktime.dynamics import CouplingProfile, Hamiltonian, Propagator
+from weaktime.dynamics import Hamiltonian, Propagator
+from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
 from weaktime.meter import PointerSpec, run_meter
 from weaktime.sojourn import sojourn_matrix
@@ -54,8 +56,8 @@ def test_one_factor_per_state_and_no_dense_operator_layer():
     assert isinstance(QuantumState(position_space(grid), np.ones(8)).space, FactorSpace)
     spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
-    run = run_meter(spec, spin, np.array([1.0, -1.0]), 0.5,
-                    CouplingProfile.rectangular(0.0, 1.0), Hamiltonian(spin_space()))
+    run = run_meter(spec, spin, np.array([1.0, -1.0]), 0.5, (0.0, 1.0),
+                    Hamiltonian(spin_space()))
     assert run.final.shape == (2, spec.grid.n_points)
 
 
@@ -113,3 +115,19 @@ def test_clock_readouts_take_a_ladder_and_a_table():
             and name != "ClockRuns" and knobs & set(params)] == []
     assert "ClockConfig" not in weaktime.__all__
     assert "ClockRuns" in weaktime.__all__
+
+
+def test_meter_runs_over_one_window():
+    # the meter couples over exactly the (t_start, t_stop) window that the
+    # sojourn operator and the clock runs take: no separate coupling profile,
+    # no wider run window with free flight around it
+    assert "CouplingProfile" not in weaktime.__all__
+    assert [name for name, params in _public_parameters() if "profile" in params] == []
+    assert list(inspect.signature(run_meter).parameters) == [
+        "spec", "psi0", "observable", "coupling", "window", "system", "mode_cutoff"]
+    spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
+    for empty in ((1.0, 1.0), (3.0, 1.0)):
+        with pytest.raises(ParameterError, match="t_start < t_stop"):
+            run_meter(spec, spin.at_time(empty[0]), np.array([1.0, -1.0]), 0.5,
+                      empty, Hamiltonian(spin_space()))

@@ -1,10 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 import oracle
 from weaktime import dynamics
 from weaktime.dynamics import (
-    CouplingProfile,
     Hamiltonian,
     Propagator,
     evolve,
@@ -27,15 +27,6 @@ SPACE = position_space(GRID)
 
 def _packet():
     return gaussian_packet(GRID, 20.0, 3.0, 0.4)
-
-
-def test_profile_rectangular_area_one():
-    # height 1/duration on [t_start, t_stop): the area is one
-    prof = CouplingProfile.rectangular(1.0, 3.0)
-    assert (prof.t_start, prof.t_stop) == (1.0, 3.0)
-    assert prof.duration == pytest.approx(2.0)
-    with pytest.raises(ParameterError):
-        CouplingProfile.rectangular(3.0, 3.0)
 
 
 def test_kinetic_matrix_matches_reference_stencil():
@@ -172,20 +163,53 @@ def test_evolve_shifted_matches_oracle(case):
 
 
 def test_evolve_shifted_refuses_a_series_it_cannot_resolve():
-    # at r t ~ 1e8 the sampled phases carry a rounding of ~1e-8: refused
-    # before any sampling, never truncated
+    # r t ~ 1e8 would take ~1e8 terms, and a negative span has no forward
+    # series: both refused before any work, never truncated or ignored
     ham = Hamiltonian(SPACE)
-    with pytest.raises(NumericalError):
-        evolve_shifted(ham, np.ones(GRID.n_points), np.zeros(1),
-                       _packet().amplitudes, 1e8)
+    for duration in (1e8, -1.0):
+        with pytest.raises(NumericalError):
+            evolve_shifted(ham, np.ones(GRID.n_points), np.zeros(1),
+                           _packet().amplitudes, duration)
 
 
-def test_evolve_shifted_refuses_a_cut_below_the_sampling_noise(monkeypatch):
-    # no computed coefficient reaches a cut under the FFT's rounding floor
-    monkeypatch.setattr(dynamics, "_CHEBYSHEV_TOL", 1e-30)
-    with pytest.raises(NumericalError, match="never falls below"):
-        evolve_shifted(Hamiltonian(SPACE), np.ones(GRID.n_points), np.zeros(1),
-                       _packet().amplitudes, 3.0)
+def _bessel_reference(x: float, count: int) -> np.ndarray:
+    """J_n(x) for n < count at 50 digits: mpmath.besselj at the two highest
+    orders, carried down by the exact three-term recurrence, in which J
+    grows and so stays accurate."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        j = [mpmath.mpf(0)] * count
+        j[-1] = mpmath.besselj(count - 1, x)
+        j[-2] = mpmath.besselj(count - 2, x)
+        for n in range(count - 2, 0, -1):
+            j[n - 1] = 2 * n / x * j[n] - j[n + 1]
+        return np.array([float(v) for v in j])
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 5.0, 120.0, 520.0, 2000.0])
+def test_bessel_coefficients_match_mpmath(x):
+    # the Chebyshev weights J_n(x) and the cut: the first n >= x with
+    # |J_n(x)| <= 1e-15
+    coeffs = dynamics._bessel_coefficients(x)
+    if x == 0.0:
+        np.testing.assert_array_equal(coeffs, [1.0])
+        return
+    ref = _bessel_reference(x, coeffs.size + 8)
+    start = int(np.ceil(x))
+    cut = start + int(np.nonzero(np.abs(ref[start:]) <= 1e-15)[0][0])
+    assert coeffs.size == cut
+    np.testing.assert_allclose(coeffs, ref[:cut], rtol=0, atol=1e-15)
+    # the recurrence carried the reference down correctly
+    with mpmath.workdps(50):
+        direct = [float(mpmath.besselj(n, x)) for n in (0, start)]
+    np.testing.assert_allclose(ref[[0, start]], direct, rtol=1e-14, atol=0)
+
+
+def test_bessel_coefficients_refuse_a_series_without_a_cut(monkeypatch):
+    # a cut no coefficient can meet is an error, never a silent truncation
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_TOL", -1.0)
+    with pytest.raises(NumericalError, match="no Bessel cut"):
+        dynamics._bessel_coefficients(5.0)
 
 
 @pytest.mark.parametrize("name", [*catalog(), "spin_toy"])

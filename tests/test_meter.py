@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime.dynamics import CouplingProfile, Hamiltonian
+from weaktime.dynamics import Hamiltonian
 from weaktime.errors import ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
@@ -86,8 +86,7 @@ def test_pointer_spec_rejects_grid_without_origin():
 def test_zero_coupling_leaves_product_state(crossing):
     ham, psi0, psi_final, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.0, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham)
     expected = np.outer(run.reference_system_final.amplitudes,
                         run.pointer_initial.amplitudes)
     np.testing.assert_allclose(run.final, expected, atol=1e-12)
@@ -97,8 +96,7 @@ def test_identity_observable_translates_pointer(crossing):
     ham, psi0, _, _ = crossing
     g = 0.8
     spec = PointerSpec.auto(width=1.0, max_shift=2.0, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, np.ones(GRID.n_points), g, profile, ham)
+    run = run_meter(spec, psi0, np.ones(GRID.n_points), g, WINDOW, ham)
     dist = pointer_distribution(run)
     assert dist.mean == pytest.approx(g, abs=1e-9)
     assert survival_probability(run) == pytest.approx(1.0, abs=1e-10)
@@ -107,8 +105,7 @@ def test_identity_observable_translates_pointer(crossing):
 def test_norm_conserved_in_hermitian_run(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
     assert run.norm_drift < 1e-8
     assert run.final.shape == (GRID.n_points, spec.grid.n_points)
     norm = np.sqrt(GRID.dx * spec.grid.dx) * np.linalg.norm(run.final)
@@ -129,8 +126,7 @@ def test_run_meter_needs_no_per_mode_eigensolve(crossing, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
     assert run.modes_kept > 1
     assert len(calls) == 0
 
@@ -140,16 +136,16 @@ def test_run_meter_reports_chebyshev_terms(crossing):
     # the kept modes' Hamiltonians; mode 0 (pi = 0) is H itself
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
     vals, _ = ham.eigensystem()
     half_width = 0.5 * (vals.max() - vals.min())
-    assert run.chebyshev_terms >= half_width * profile.duration
-    assert run.chebyshev_terms < half_width * profile.duration + 100
+    duration = WINDOW[1] - WINDOW[0]
+    assert run.chebyshev_terms >= half_width * duration
+    assert run.chebyshev_terms < half_width * duration + 100
     moment_run = run_moment_meter(spec, psi0, crossing[3], 1, 0.1)
     assert moment_run.chebyshev_terms == 0
     # a cutoff at the peak keeps no mode: an empty block, no series
-    none_kept = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham,
+    none_kept = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham,
                           mode_cutoff=1.0)
     assert (none_kept.modes_kept, none_kept.chebyshev_terms) == (0, 0)
 
@@ -157,20 +153,20 @@ def test_run_meter_reports_chebyshev_terms(crossing):
 def test_edge_aliasing_guard():
     system, psi0, sz = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64)
-    profile = CouplingProfile.rectangular(0.0, 1.0)
+    window = (0.0, 1.0)
     with pytest.raises(ParameterError):
-        run_meter(spec, psi0, sz, 10.0, profile, system)
+        run_meter(spec, psi0, sz, 10.0, window, system)
 
 
 def test_factorized_engine_rejects_unstructured_problems():
     system, psi0, _ = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=64)
-    profile = CouplingProfile.rectangular(0.0, 1.0)
+    window = (0.0, 1.0)
     # the observable is the real diagonal of A: a matrix (here sigma_x), a
     # diagonal of the wrong length or a complex one is refused
     for bad in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(3), np.array([1.0, 1j])):
         with pytest.raises(StructureError):
-            run_meter(spec, psi0, bad, 0.1, profile, system)
+            run_meter(spec, psi0, bad, 0.1, window, system)
     # a two-factor system cannot even be built as a Hamiltonian
     with pytest.raises(StructureError):
         Hamiltonian((position_space(Grid(8, 0.0, 7.0)), spin_space()))
@@ -183,37 +179,14 @@ def test_composite_engine_matches_factorized():
     vals, vecs = ham.eigensystem()
     psi0 = QuantumState(space, vecs[:, :4] @ np.array([1.0, 0.6j, -0.4, 0.2])).normalized()
     spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
-    profile = CouplingProfile.rectangular(0.0, 2.0)
+    window = (0.0, 2.0)
     obs = Region(3.0, 5.0).indicator(grid)
-    fac = run_meter(spec, psi0, obs, 0.3, profile, ham, mode_cutoff=0.0)
+    fac = run_meter(spec, psi0, obs, 0.3, window, ham, mode_cutoff=0.0)
     com = oracle.composite_meter(
         ham.dense_matrix(), np.diag(obs), psi0.amplitudes,
-        spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
+        spec.initial_state().amplitudes, spec.grid.dx, 0.3, window[1] - window[0],
     )
     np.testing.assert_allclose(fac.final, com, atol=1e-10)
-
-
-def test_composite_engine_matches_factorized_with_free_flight():
-    # a window wider than the profile: free flight before and after the
-    # coupled block, applied to every column at once
-    grid = Grid(16, 0.0, 7.5)
-    space = position_space(grid)
-    ham = Hamiltonian(space, potential_real=0.5 * Region(3.0, 5.0).indicator(grid))
-    vals, vecs = ham.eigensystem()
-    psi0 = QuantumState(space, vecs[:, :4] @ np.array([1.0, 0.6j, -0.4, 0.2]),
-                        0.5).normalized()
-    spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
-    profile = CouplingProfile.rectangular(1.0, 2.5)
-    obs = Region(3.0, 5.0).indicator(grid)
-    fac = run_meter(spec, psi0, obs, 0.3, profile, ham, window=(0.5, 3.25),
-                    mode_cutoff=0.0)
-    h = ham.dense_matrix()
-    com = oracle.composite_meter(
-        h, np.diag(obs), oracle.evolve_exact(h, psi0.amplitudes, 0.5),
-        spec.initial_state().amplitudes, spec.grid.dx, 0.3, profile.duration,
-    )
-    post = np.column_stack([oracle.evolve_exact(h, col, 0.75) for col in com.T])
-    np.testing.assert_allclose(fac.final, post, atol=1e-10)
 
 
 # -- strong regime ------------------------------------------------------------
@@ -223,8 +196,8 @@ def test_strong_two_level_peaks_and_weights():
     system, psi0, sz = _toy()
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
-    profile = CouplingProfile.rectangular(0.0, 1.0)
-    run = run_meter(spec, psi0, sz, g, profile, system)
+    window = (0.0, 1.0)
+    run = run_meter(spec, psi0, sz, g, window, system)
     dist = pointer_distribution(run)
     assert dist.peak_count() == 2
     q = spec.grid.points
@@ -239,19 +212,19 @@ def test_survival_is_one_for_observable_eigenstate():
     system, _, sz = _toy()
     up = QuantumState(spin_space(), np.array([1.0, 0.0]))
     spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=256, extent_factor=8.0)
-    profile = CouplingProfile.rectangular(0.0, 1.0)
-    run = run_meter(spec, up, sz, 1.0, profile, system)
+    window = (0.0, 1.0)
+    run = run_meter(spec, up, sz, 1.0, window, system)
     assert survival_probability(run) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_crossover_from_two_peaks_to_one():
     system, psi0, sz = _toy()
-    profile = CouplingProfile.rectangular(0.0, 1.0)
+    window = (0.0, 1.0)
     counts = []
     for width in (0.1, 1.0, 10.0):
         spec = PointerSpec.auto(width=width, max_shift=1.0, n_points=512,
                                 extent_factor=14.0)
-        run = run_meter(spec, psi0, sz, 1.0, profile, system)
+        run = run_meter(spec, psi0, sz, 1.0, window, system)
         counts.append(pointer_distribution(run).peak_count())
     assert counts[0] == 2
     assert counts[-1] == 1
@@ -265,10 +238,9 @@ def test_weak_shift_slope_equals_weak_value(crossing):
     ham, psi0, psi_final, op = crossing
     a_w = dwell_time(op, psi_final) / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.4, 0.3, 0.2, 0.1)
     runs = [
-        run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
+        run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs)
@@ -282,10 +254,9 @@ def test_conditional_shift_slope_matches_conditional_weak_value(crossing):
     chi = basis_cell_state(GRID, idx, time=WINDOW[1])
     ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
     ladder = (0.2, 0.15, 0.1, 0.05)
     runs = [
-        run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
+        run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
         for g in ladder + tuple(-g for g in ladder)
     ]
     slope, intercept = pointer_shift_fit(runs, chi)
@@ -300,7 +271,6 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
     # pointer means are the negated +G ones.
     ham, psi0, psi_final, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
     x = GRID.points
     transmitted, reflected = x >= REGION.x_hi, x < REGION.x_lo
     postselectors = [
@@ -308,8 +278,8 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
         for side in (transmitted, reflected)
     ]
     for g in (0.4, 0.1):
-        plus = run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
-        minus = run_meter(spec, psi0, REGION.indicator(GRID), -g, profile, ham)
+        plus = run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
+        minus = run_meter(spec, psi0, REGION.indicator(GRID), -g, WINDOW, ham)
         np.testing.assert_allclose(minus.final[:, 1:], plus.final[:, :0:-1],
                                    rtol=0.0, atol=1e-12)
         for chi in postselectors:
@@ -321,8 +291,7 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
 def test_conditional_mean_sum_rule_exact(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, profile, ham)
+    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
     family = [basis_cell_state(GRID, j) for j in range(GRID.n_points)]
     acc, total = conditional_mean_sum(run, family)
     assert acc == pytest.approx(total, abs=1e-10)
@@ -331,11 +300,10 @@ def test_conditional_mean_sum_rule_exact(crossing):
 def test_survival_deficit_scales_quadratically(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    profile = CouplingProfile.rectangular(*WINDOW)
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
     for g in ladder:
-        run = run_meter(spec, psi0, REGION.indicator(GRID), g, profile, ham)
+        run = run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
         deficits.append(1.0 - survival_probability(run))
     slope, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     assert slope >= 1.5

@@ -17,7 +17,6 @@ from weaktime.clocks import (
     clock_real_potential,
 )
 from weaktime.dynamics import (
-    CouplingProfile,
     Hamiltonian,
     Propagator,
     evolve,
@@ -61,7 +60,6 @@ def ctx():
     coeff = np.array([1.0, 0.8j, -0.5, 0.3 + 0.2j, 0.1])
     psi0 = QuantumState(SPACE, vecs[:, :5] @ coeff).normalized()
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
-    profile = CouplingProfile.rectangular(*WINDOW)
     return SimpleNamespace(
         ham=ham,
         psi0=psi0,
@@ -70,7 +68,7 @@ def ctx():
         spec=spec,
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap
-        run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, profile, ham),
+        run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham),
         clock_final=evolve(psi0, Propagator(DT, ham), *WINDOW),
     )
 

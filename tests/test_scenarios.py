@@ -206,6 +206,26 @@ def test_validate_rejects_packet_on_top_of_barrier():
         validate_scenario(bad)
 
 
+@pytest.mark.parametrize("potential, x0", [
+    # 1 sigma beyond the far edge of a barrier wider than 5 sigma
+    (PotentialSpec(kind="barrier", v0=2.0, x_lo=110.0, x_hi=150.0), 156.0),
+    # inside a barrier, more than 5 sigma from its near edge
+    (PotentialSpec(kind="barrier", v0=2.0, x_lo=60.0, x_hi=150.0), 120.0),
+    # between the barriers, 1 sigma before the second one
+    (PotentialSpec(kind="double_barrier", v0=2.0, x_lo=110.0, x_hi=112.0,
+                   x2_lo=150.0, x2_hi=152.0), 144.0),
+])
+def test_validate_measures_clearance_to_every_barrier(potential, x0):
+    sc = catalog()["barrier_dwell"]
+    bad = Scenario(
+        name="bad", grid=sc.grid, potential=potential,
+        packet=PacketSpec(x0=x0, sigma=6.0, k0=1.0),
+        window=(0.0, 10.0), region=sc.region,
+    )
+    with pytest.raises(ValidationError, match="5 sigma"):
+        validate_scenario(bad)
+
+
 def test_validate_rejects_boundary_reflection():
     grid = Grid(256, 0.0, 160.0)
     bad = Scenario(
@@ -400,6 +420,21 @@ def test_meter_pipeline_well_reports_half_window(well_meter):
     rec = [r for r in bundle.records if r.method == "meter"][0]
     half = 0.5 * catalog()["well_halves"].duration()
     assert rec.value == pytest.approx(half, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, pipelines", [
+    ("barrier_dwell", ("sojourn", "meter")),
+    ("well_halves", ("sojourn", "clocks", "meter")),
+])
+def test_shifted_window_gives_identical_records(name, pipelines):
+    # the Hamiltonian is static, so only the window's length matters: every
+    # route, the meter's coupled window included, starts at t_start
+    sc = catalog()[name]
+    shifted = replace(sc, window=(sc.window[0] + 5.0, sc.window[1] + 5.0))
+    assert shifted.duration() == sc.duration()
+    records = run_scenario(sc, pipelines).records
+    assert {r.method for r in records} >= {"sojourn", "meter"}
+    assert run_scenario(shifted, pipelines).records == records
 
 
 # -- command line ---------------------------------------------------------------
