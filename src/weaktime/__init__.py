@@ -54,6 +54,7 @@ from .clocks import (
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
+    clock_shifts,
     extrapolate_to_zero,
 )
 from .meter import (

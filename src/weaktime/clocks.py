@@ -10,24 +10,25 @@ All of them read window-end states of one packet evolved under the system
 Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
 absorber.  A `ClockRuns` table holds those states for one packet, region
-and window, and evolves each distinct u once, on first request, so clocks
-that share a Hamiltonian share its evolution.  The readouts below take a
-strength ladder and the table.
+and window under their exact u, so clocks that share a Hamiltonian share
+its evolution.  The keys it is told to expect (`clock_shifts`; 12 for the
+scenario pipeline's ladders, 9 real and 3 absorbing) are evolved together,
+as the columns of one `dynamics.evolve_shifted` Chebyshev block, on the
+first request.  The readouts below take a strength ladder and the table.
 
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
 phase clock at v = hbar omega/2.  No spin factor is ever built.
 
-All derivatives are finite differences of full Crank-Nicolson evolutions
-at one time step (`DT` unless `ClockRuns.dt` says otherwise).  The O(dt^2)
-phase errors of those evolutions do not cancel in the ratios: the
-postselectors come from the exact eigenbasis evolution
-(`dynamics.evolve_eigenbasis`), not from the stepped one, so the
-mismatch enters every postselected readout and no clock residual reports
-it.  On `well_halves` postselected on cell 110 the three clocks read
--0.1093 at the default step against the sojourn route's -0.1054, 3.7% off,
-and -0.1051 (0.26% off) at half the step.
+The block has no time step: its series is cut where the truncation bound,
+widened for the absorbers' imaginary extent, falls below 1e-15 (see
+`evolve_shifted`).  Its columns agree with a dense matrix exponential to a
+few 1e-14 on the catalog, as do the postselectors, which come from the
+exact eigenbasis evolution (`dynamics.evolve_eigenbasis`).  So the finite
+differences resolve the weak-potential response, not a stepping error: the
+real and Larmor clocks meet the sojourn weak values to 1e-10 relative on
+both catalog barriers.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Hamiltonian, Propagator, evolve
+# not called here: perfbench/tracing.py wraps `evolve` under this module's
+# name, so the import stays until that hook moves
+from .dynamics import Hamiltonian, evolve, evolve_shifted  # noqa: F401
 from .errors import ParameterError
 from .hilbert import HBAR, QuantumState, Region, checked_overlap, inner_product
 
 MIN_STRENGTH = 1e-7
 ORDER_BAND = (0.8, 2.5)
-# Crank-Nicolson step of every clock evolution (Scenario.dt defaults to it)
-DT = 0.05
 # an absorbing run that loses more of the packet than this is refused: the
 # one-sided Gamma-derivative is no longer in its linear regime
 MAX_ABSORBED_FRACTION = 0.2
@@ -60,46 +61,62 @@ def _ladder(strengths) -> tuple[float, ...]:
     return s
 
 
+def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
+    """Every key u that `clock_real_potential`, `clock_imaginary_potential`
+    (and `absorption_survival_dwell`), and `clock_larmor` read from a
+    `ClockRuns` at these ladders, u = 0 first and each once: +-v, +-hbar
+    omega/2 and -i Gamma/2, computed as the readouts compute them."""
+    keys = [0j]
+    for v in real_potential:
+        keys += [v, -v]
+    for w in larmor:
+        v = 0.5 * HBAR * w
+        keys += [v, -v]
+    keys += [-0.5j * g for g in imaginary_potential]
+    return tuple(dict.fromkeys(complex(u) for u in keys))
+
+
 @dataclass
 class ClockRuns:
     """Window-end states of `psi_initial` under `system` plus a complex
-    potential u on `region`, one Crank-Nicolson evolution per distinct u.
+    potential u on `region`.
 
-    `final(u)` evolves under system + Re(u) P_region + i Im(u) P_region on
-    first request and caches the state under the exact value of u; u = 0 is
-    the unmodified system.  A run that absorbs more than
-    MAX_ABSORBED_FRACTION of the packet raises ParameterError.
+    `final(u)` is the state evolved under system + Re(u) P_region +
+    i Im(u) P_region, u = 0 the unmodified system, cached under the exact
+    value of u.  A request for a missing key evolves it together with every
+    key of `shifts` not yet evolved, as the columns of one
+    `evolve_shifted` block, so declaring the keys that the readouts will
+    read (`clock_shifts`) evolves them all at once.  A run that absorbs
+    more than MAX_ABSORBED_FRACTION of the packet raises ParameterError.
     """
 
     system: Hamiltonian
     psi_initial: QuantumState
     region: Region
     window: tuple[float, float]
-    dt: float = DT
+    shifts: tuple = ()
     _finals: dict = field(default_factory=dict, init=False, repr=False)
 
     def final(self, u: complex) -> QuantumState:
         u = complex(u)
-        phi = self._finals.get(u)
-        if phi is not None:
-            return phi
-        ham = self.system
-        if u:
-            indicator = self.region.indicator(ham.position_grid)
-            ham = ham.with_potential_added(
-                real=u.real * indicator if u.real else None,
-                imag=u.imag * indicator if u.imag else None,
+        if u not in self._finals:
+            keys = [k for k in dict.fromkeys(map(complex, (u, *self.shifts)))
+                    if k not in self._finals]
+            t0, t1 = self.window
+            block, _ = evolve_shifted(
+                self.system, self.region.indicator(self.system.position_grid), keys,
+                self.psi_initial.amplitudes, t1 - t0,
             )
-        t0, t1 = self.window
-        phi = evolve(self.psi_initial, Propagator(self.dt, ham), t0, t1)
-        absorbed = 1.0 - phi.norm() ** 2
-        if absorbed > MAX_ABSORBED_FRACTION:
-            raise ParameterError(
-                f"absorbed fraction {absorbed:.3f} at u = {u} exceeds "
-                f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
-            )
-        self._finals[u] = phi
-        return phi
+            finals = [QuantumState(self.psi_initial.space, col, t1) for col in block.T]
+            for key, phi in zip(keys, finals):
+                absorbed = 1.0 - phi.norm() ** 2
+                if absorbed > MAX_ABSORBED_FRACTION:
+                    raise ParameterError(
+                        f"absorbed fraction {absorbed:.3f} at u = {key} exceeds "
+                        f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
+                    )
+            self._finals.update(zip(keys, finals))
+        return self._finals[u]
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .clocks import (
-    DT,
     ClockRuns,
     SweepRecord,
     absorption_survival_dwell,
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
+    clock_shifts,
 )
 from .dynamics import Hamiltonian, evolve_eigenbasis
 from .errors import ParameterError, ValidationError
@@ -100,6 +100,9 @@ class PotentialSpec:
             raise ParameterError("barrier needs x_lo < x_hi")
         if self.kind == "double_barrier" and not self.x2_hi > self.x2_lo:
             raise ParameterError("second barrier needs x2_lo < x2_hi")
+        if self.kind == "double_barrier" and self.x2_lo < self.x_hi:
+            raise ParameterError("second barrier must start where the first ends "
+                                 "or beyond it (x_hi <= x2_lo)")
 
     @property
     def barriers(self) -> list[tuple[float, float]]:
@@ -133,7 +136,6 @@ class Scenario:
     cell_index: int = 0
     initial_kind: str = "packet"  # "packet" | "eigenstate"
     eigenstate_index: int = 0
-    dt: float = DT
 
     def __post_init__(self):
         if not self.window[1] > self.window[0]:
@@ -425,9 +427,9 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
 
 
 def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    runs = ClockRuns(ham, psi0, sc.region, sc.window, sc.dt)
     duration = sc.duration()
     ladders = {name: tuple(c / duration for c in ladder) for name, ladder in CLOCK_LADDERS.items()}
+    runs = ClockRuns(ham, psi0, sc.region, sc.window, clock_shifts(**ladders))
     methods = {
         "real_potential": clock_real_potential,
         "imaginary_potential": clock_imaginary_potential,
@@ -534,7 +536,6 @@ def scenario_to_config(sc: Scenario) -> dict:
         "region.x_hi": repr(sc.region.x_hi),
         "postselection.mode": sc.postselection,
         "initial.kind": sc.initial_kind,
-        "numerics.dt": repr(sc.dt),
     }
     if sc.potential.kind != "free":
         cfg["potential.v0"] = repr(sc.potential.v0)
@@ -556,7 +557,6 @@ CONFIG_KEYS = frozenset({
     "potential.x2_lo", "potential.x2_hi", "packet.x0", "packet.sigma", "packet.k0",
     "window.t_start", "window.t_stop", "region.x_lo", "region.x_hi",
     "postselection.mode", "postselection.cell", "initial.kind", "initial.eigenstate",
-    "numerics.dt",
 })
 
 
@@ -596,7 +596,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             cell_index=int(cfg.get("postselection.cell", 0)),
             initial_kind=cfg.get("initial.kind", "packet"),
             eigenstate_index=int(cfg.get("initial.eigenstate", 0)),
-            dt=float(cfg.get("numerics.dt", DT)),
         )
     except KeyError as exc:
         raise ValidationError(f"missing config key {exc.args[0]!r}") from exc

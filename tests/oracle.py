@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against raw numpy arrays with a
 Van Loan block exponential for time averages, eigendecomposition-based
-propagation and literal tensor products (system (x) pointer, position (x)
-spin), sharing no code with the package beyond the numbers it is fed.  It is slow and only
-meant for small grids.
+propagation (a dense exponential with an absorber) and literal tensor
+products (system (x) pointer, position (x) spin), sharing no code with the
+package beyond the numbers it is fed.  It is slow and only meant for small
+grids.
 """
 
 import numpy as np
@@ -12,7 +13,11 @@ import scipy.linalg
 
 
 def evolve_exact(h_matrix, psi, duration):
-    """Propagate an amplitude vector by exp(-i H t) via eigendecomposition."""
+    """Propagate an amplitude vector by exp(-i H t): via eigendecomposition
+    for a hermitian H, by a dense matrix exponential for one with an
+    absorbing (imaginary) part."""
+    if not np.array_equal(h_matrix, h_matrix.conj().T):
+        return scipy.linalg.expm(-1j * duration * h_matrix) @ psi
     vals, vecs = scipy.linalg.eigh(h_matrix)
     return vecs @ (np.exp(-1j * vals * duration) * (vecs.conj().T @ psi))
 
@@ -119,28 +124,22 @@ def stepped_moment_meter(h_matrix, t_matrix, order, psi0, phi, dq, coupling,
     return np.fft.ifft(modes, axis=1)
 
 
-def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dt, dx):
+def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):
     """Postselected spinors (a_up, a_down) of the literal position (x) spin
     Larmor clock, one per precession frequency.
 
     The spin starts along +x; H (x) 1 + (omega/2) P_region (x) sigma_z is
-    stepped by Crank-Nicolson with a dense solve, and the position factor is
-    projected on chi.
+    exponentiated by eigendecomposition of the 2N x 2N matrix, and the
+    position factor is projected on chi.
     """
     n = psi0.size
     sigma_z = np.diag([1.0, -1.0])
     state0 = np.kron(psi0, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    steps = int(round(duration / dt))
     out = []
     for omega in omegas:
         gen = np.kron(h_matrix, np.eye(2)) + 0.5 * omega * np.kron(
             np.diag(region_mask.astype(float)), sigma_z
         )
-        half = 0.5j * dt * gen
-        eye = np.eye(2 * n)
-        step = np.linalg.solve(eye + half, eye - half)
-        v = state0
-        for _ in range(steps):
-            v = step @ v
+        v = evolve_exact(gen, state0, duration)
         out.append(dx * (chi.conj() @ v.reshape(n, 2)))
     return out

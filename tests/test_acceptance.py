@@ -18,6 +18,7 @@ from weaktime.dynamics import (
     Propagator,
     evolve,
     evolve_eigenbasis,
+    evolve_shifted,
 )
 from weaktime.hilbert import (
     Grid,
@@ -296,16 +297,31 @@ def test_criterion_9_numerical_hygiene(crossing):
     herm = evolve(psi0, Propagator(0.05, ham), *window)
     drift = abs(herm.norm() - 1.0)
     # monotone decay under absorption
-    lossy = ham.with_potential_added(imag=-0.5 * 0.3 * region.indicator(grid))
+    lossy = Hamiltonian(ham.space, potential_imag=-0.5 * 0.3 * region.indicator(grid))
     prop = Propagator(0.1, lossy)
     state, norms = psi0, [1.0]
     for j in range(20):
         state = evolve(state, prop, 0.4 * j, 0.4 * (j + 1))
         norms.append(state.norm())
     monotone = bool(np.all(np.diff(norms) < 0))
-    ok = 3.5 <= ratio <= 4.5 and drift < 1e-8 and monotone
+    # the clocks' Chebyshev block: real and absorbing columns against the
+    # dense exponential, and absorbing norms falling with Gamma
+    mask = region.indicator(grid)
+    shifts = np.array([0.0, 0.05, -0.05, *(-0.5j * np.array([0.05, 0.1, 0.3]))])
+    block, _ = evolve_shifted(ham, mask, shifts, psi0.amplitudes, 2.0)
+    block_err = max(
+        np.linalg.norm(block[:, j] - oracle.evolve_exact(
+            ham.dense_matrix() + u * np.diag(mask), psi0.amplitudes, 2.0))
+        / np.linalg.norm(psi0.amplitudes)
+        for j, u in enumerate(shifts)
+    )
+    block_norms = np.linalg.norm(block[:, [0, 3, 4, 5]], axis=0)
+    block_monotone = bool(np.all(np.diff(block_norms) < 0))
+    ok = (3.5 <= ratio <= 4.5 and drift < 1e-8 and monotone
+          and block_err <= 1e-12 and block_monotone)
     _report(9, ok, f"dt ratio {ratio:.2f}, norm drift {drift:.1e}, "
-                   f"absorption monotone: {monotone}")
+                   f"absorption monotone: {monotone}, block error {block_err:.1e}, "
+                   f"block absorption monotone: {block_monotone}")
 
 
 def test_criterion_10_determinism():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import weaktime
-from weaktime import clocks
+from weaktime import clocks, scenarios
 from weaktime.dynamics import Hamiltonian, Propagator
 from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
@@ -99,7 +99,7 @@ def test_exact_time_average_has_no_quadrature_knob():
 
 
 def test_clock_readouts_take_a_ladder_and_a_table():
-    # ClockRuns is the one place that takes a time step; the absorbed-fraction
+    # nothing on the clock path takes a time step; the absorbed-fraction
     # bound is a module constant and there is no per-clock config object
     readouts = {
         clocks.clock_real_potential: ["strengths", "runs", "chi"],
@@ -112,9 +112,20 @@ def test_clock_readouts_take_a_ladder_and_a_table():
     knobs = {"dt", "max_absorbed_fraction", "cfg"}
     assert [name for name, params in _public_parameters()
             if getattr(weaktime, name).__module__ == "weaktime.clocks"
-            and name != "ClockRuns" and knobs & set(params)] == []
+            and knobs & set(params)] == []
     assert "ClockConfig" not in weaktime.__all__
     assert "ClockRuns" in weaktime.__all__
+
+
+def test_clocks_evolve_exactly_with_no_time_step():
+    # the clock states come from one Chebyshev block, so no scenario, table,
+    # module constant or config key carries a Crank-Nicolson step
+    assert "dt" not in {f.name for f in dataclasses.fields(weaktime.Scenario)}
+    assert "dt" not in {f.name for f in dataclasses.fields(clocks.ClockRuns)}
+    assert not hasattr(clocks, "DT")
+    assert "numerics.dt" not in scenarios.CONFIG_KEYS
+    assert list(inspect.signature(clocks.ClockRuns).parameters) == [
+        "system", "psi_initial", "region", "window", "shifts"]
 
 
 def test_meter_runs_over_one_window():

@@ -11,7 +11,7 @@ from weaktime.clocks import (
     clock_real_potential,
     extrapolate_to_zero,
 )
-from weaktime.dynamics import Hamiltonian, Propagator, evolve
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import ParameterError
 from weaktime.hilbert import (
     Grid,
@@ -163,8 +163,7 @@ def test_larmor_matches_position_spin_oracle(crossing):
     rec = clock_larmor(strengths, runs, psi_final)
     spinors = oracle.larmor_spinors(
         ham.dense_matrix(), REGION.indicator(GRID), psi0.amplitudes,
-        psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], 0.05,
-        GRID.dx,
+        psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], GRID.dx,
     )
     a_up0 = spinors[0][0]
     sy, ident = [], []
@@ -215,9 +214,40 @@ def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
 def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
     ham, psi0, _, _ = crossing
     runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    direct = evolve(psi0, Propagator(0.05, ham), *WINDOW)
-    np.testing.assert_array_equal(runs.final(0).amplitudes, direct.amplitudes)
+    exact = evolve_eigenbasis(psi0, ham, WINDOW[1])
+    np.testing.assert_allclose(runs.final(0).amplitudes, exact.amplitudes,
+                               rtol=0, atol=1e-13)
+    assert runs.final(0).representation_time == WINDOW[1]
     assert runs.final(0.0) is runs.final(0j)
+
+
+def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
+    # the first request evolves the requested key and every declared one as
+    # the columns of one block; later requests read the table
+    ham, psi0, psi_final, _ = crossing
+    shifts = clocks.clock_shifts(real_potential=(0.12, 0.06, 0.03),
+                                 imaginary_potential=(0.04, 0.02, 0.01),
+                                 larmor=(0.24, 0.12, 0.06))
+    assert len(shifts) == 1 + 6 + 3
+    blocks = []
+    evolve_shifted = clocks.evolve_shifted
+    monkeypatch.setattr(clocks, "evolve_shifted",
+                        lambda *args: blocks.append(list(args[2])) or evolve_shifted(*args))
+    runs = ClockRuns(ham, psi0, REGION, WINDOW, shifts)
+    clock_real_potential((0.12, 0.06, 0.03), runs, psi_final)
+    clock_imaginary_potential((0.04, 0.02, 0.01), runs, psi_final)
+    absorption_survival_dwell((0.04, 0.02, 0.01), runs)
+    clock_larmor((0.24, 0.12, 0.06), runs, psi_final)
+    assert blocks == [list(shifts)]
+    # each column is exp(-i T (H + u P_region)) psi0
+    h = ham.dense_matrix()
+    for u in shifts:
+        ref = oracle.evolve_exact(h + u * np.diag(REGION.indicator(GRID)),
+                                  psi0.amplitudes, WINDOW[1] - WINDOW[0])
+        np.testing.assert_allclose(runs.final(u).amplitudes, ref, rtol=0, atol=1e-12)
+    # a key outside the declared ones still evolves, in a block of its own
+    runs.final(0.5)
+    assert blocks[1:] == [[0.5]]
 
 
 def test_larmor_reads_the_phase_clock_runs(crossing, monkeypatch):
@@ -228,7 +258,9 @@ def test_larmor_reads_the_phase_clock_runs(crossing, monkeypatch):
     shared = ClockRuns(ham, psi0, REGION, WINDOW)
     clock_real_potential((0.12, 0.06, 0.03), shared, psi_final)
     calls = []
-    monkeypatch.setattr(clocks, "evolve", lambda *args: calls.append(args) or evolve(*args))
+    evolve_shifted = clocks.evolve_shifted
+    monkeypatch.setattr(clocks, "evolve_shifted",
+                        lambda *args: calls.append(args) or evolve_shifted(*args))
     reused = clock_larmor((0.24, 0.12, 0.06), shared, psi_final)
     assert calls == []
     assert reused.value == fresh.value

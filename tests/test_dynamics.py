@@ -19,7 +19,8 @@ from weaktime.hilbert import (
     position_space,
     spin_space,
 )
-from weaktime.scenarios import catalog
+from weaktime.clocks import clock_shifts
+from weaktime.scenarios import CLOCK_LADDERS, catalog
 
 GRID = Grid(48, 0.0, 40.0)
 SPACE = position_space(GRID)
@@ -160,6 +161,94 @@ def test_evolve_shifted_matches_oracle(case):
         assert terms > 300
     if case == "spin_radius_zero":
         assert terms == 1
+
+
+def _clock_block(name, gamma_scale):
+    """A catalog scenario's clock keys, the absorbers scaled by gamma_scale."""
+    sc = catalog()[name]
+    t = sc.duration()
+    ladders = {k: tuple(c / t for c in v) for k, v in CLOCK_LADDERS.items()}
+    ladders["imaginary_potential"] = tuple(
+        gamma_scale * g for g in ladders["imaginary_potential"])
+    return sc, np.array(clock_shifts(**ladders))
+
+
+@pytest.mark.parametrize("gamma_scale", [1.0, 10.0])
+@pytest.mark.parametrize("name", ["well_halves", "free_box"])
+def test_evolve_shifted_complex_columns_match_oracle(name, gamma_scale):
+    # the clocks' 12-key block; well_halves has the catalog's largest Gamma
+    # (0.15 / T at T = 20), free_box an absorber over the whole box
+    sc, shifts = _clock_block(name, gamma_scale)
+    assert shifts.size == 12 and np.count_nonzero(shifts.imag) == 3
+    ham, a = sc.hamiltonian(), sc.region.indicator(sc.grid)
+    v = sc.initial_state().amplitudes
+    block, _ = evolve_shifted(ham, a, shifts, v, sc.duration())
+    lossy = np.nonzero(shifts.imag)[0]
+    # the dense exponential costs 0.2 s at N=256: check the strongest there
+    checked = lossy if sc.grid.n_points <= 128 else lossy[:1]
+    for j in checked:
+        ref = oracle.evolve_exact(ham.dense_matrix() + shifts[j] * np.diag(a), v,
+                                  sc.duration())
+        assert np.linalg.norm(block[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", list(catalog()))
+def test_evolve_shifted_absorbing_norms_fall_with_gamma(name):
+    # the catalog ladder and ten times it, strongest last: each stronger
+    # absorber leaves less of the packet
+    sc = catalog()[name]
+    gammas = 0.15 / sc.duration() * np.array([0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0])
+    block, _ = evolve_shifted(sc.hamiltonian(), sc.region.indicator(sc.grid),
+                              -0.5j * gammas, sc.initial_state().amplitudes,
+                              sc.duration())
+    assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
+
+
+def test_evolve_shifted_splits_the_span_for_strong_absorbers():
+    # Gamma T = 12 and 48 would let rounding grow past the bound in one
+    # span; the halved spans stay exact
+    ham = Hamiltonian(SPACE)
+    a = Region(12.0, 28.0).indicator(GRID)
+    v = _packet().amplitudes
+    shifts = -0.5j * np.array([2.0, 8.0])
+    block, terms = evolve_shifted(ham, a, shifts, v, 6.0)
+    _, one_span = evolve_shifted(ham, a, np.zeros(1), v, 6.0)
+    assert terms > 2 * one_span
+    for j, u in enumerate(shifts):
+        ref = oracle.evolve_exact(ham.dense_matrix() + u * np.diag(a), v, 6.0)
+        assert np.linalg.norm(block[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("g, t", [(0.3, 4.0), (1.0, 2.0), (1.0, 6.0)])
+def test_evolve_shifted_cut_covers_the_imaginary_extent(g, t):
+    # on the spin toy, H + s diag(1, -1) with s = -i g has eigenvalues -+i g
+    # on the bounding ellipse itself, where |T_n| reaches rho^n: a cut that
+    # ignored rho^n would leave up to 6e-12 here
+    ham = Hamiltonian(spin_space())
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    block, _ = evolve_shifted(ham, np.array([1.0, -1.0]), np.array([-1j * g]), v, t)
+    exact = np.exp(np.array([-g * t, g * t])) * v
+    np.testing.assert_allclose(block[:, 0], exact, rtol=2e-14, atol=0)
+
+
+def test_evolve_shifted_real_path_ignores_zero_imaginary_parts():
+    # complex keys with no imaginary part run the meter's real arithmetic
+    ham = Hamiltonian(SPACE)
+    a = Region(12.0, 28.0).indicator(GRID)
+    shifts = np.array([0.0, 0.3, -0.2])
+    real, terms = evolve_shifted(ham, a, shifts, _packet().amplitudes, 3.0)
+    cplx, terms_c = evolve_shifted(ham, a, shifts + 0j, _packet().amplitudes, 3.0)
+    np.testing.assert_array_equal(real, cplx)
+    assert terms == terms_c
+
+
+def test_evolve_shifted_refuses_an_absorber_it_cannot_resolve():
+    # an absorber this strong needs so many short spans that the work bound
+    # is passed: refused, never truncated
+    ham = Hamiltonian(SPACE)
+    with pytest.raises(NumericalError, match="weaken the absorber"):
+        evolve_shifted(ham, np.ones(GRID.n_points), np.array([-1000j]),
+                       _packet().amplitudes, 10.0)
 
 
 def test_evolve_shifted_refuses_a_series_it_cannot_resolve():

@@ -16,12 +16,7 @@ from weaktime.clocks import (
     clock_larmor,
     clock_real_potential,
 )
-from weaktime.dynamics import (
-    Hamiltonian,
-    Propagator,
-    evolve,
-    evolve_eigenbasis,
-)
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import DegeneratePostselectionError
 from weaktime.hilbert import (
     Grid,
@@ -49,7 +44,6 @@ GRID = Grid(32, 0.0, 15.5)
 SPACE = position_space(GRID)
 REGION = Region(7.0, 9.0)
 WINDOW = (0.0, 4.0)
-DT = 0.1
 CELL = 10
 
 
@@ -69,7 +63,8 @@ def ctx():
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap
         run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham),
-        clock_final=evolve(psi0, Propagator(DT, ham), *WINDOW),
+        # the clock table's own unperturbed final state
+        clock_final=ClockRuns(ham, psi0, REGION, WINDOW).final(0),
     )
 
 
@@ -95,7 +90,7 @@ def _cell_second_moment(c, eps):
 
 def _clock(fn, strengths):
     def route(c, eps):
-        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW, DT)
+        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW)
         return fn(strengths, runs, _postselector(c.clock_final, eps))
 
     return route

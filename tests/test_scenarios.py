@@ -7,7 +7,6 @@ import scipy.linalg
 
 import oracle
 from weaktime import cli, clocks, meter, scenarios, sojourn
-from weaktime.dynamics import evolve
 from weaktime.errors import ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
@@ -80,6 +79,22 @@ def test_double_barrier_potential_array_and_interval():
         with pytest.raises(ParameterError):
             PotentialSpec(kind="double_barrier", v0=3.0, x_lo=5.0, x_hi=7.0,
                           x2_lo=12.0, x2_hi=x2_hi)
+
+
+@pytest.mark.parametrize("x_hi, second", [
+    (231.0, (200.0, 201.0)),  # reversed: interval would be (230, 201)
+    (236.0, (232.0, 234.0)),  # nested: interval (230, 234) would cut the first
+])
+def test_double_barrier_refuses_a_second_barrier_before_the_first_ends(x_hi, second):
+    with pytest.raises(ParameterError, match="x_hi <= x2_lo"):
+        PotentialSpec(kind="double_barrier", v0=1.5, x_lo=230.0, x_hi=x_hi,
+                      x2_lo=second[0], x2_hi=second[1])
+    cfg = scenario_to_config(catalog()["barrier_dwell"])
+    cfg.update({"potential.kind": "double_barrier", "potential.x_lo": "230.0",
+                "potential.x_hi": repr(x_hi), "potential.x2_lo": repr(second[0]),
+                "potential.x2_hi": repr(second[1])})
+    with pytest.raises(ParameterError, match="x_hi <= x2_lo"):
+        scenario_from_config(cfg)
 
 
 def test_double_barrier_scenario_config_round_trip(tmp_path, capsys):
@@ -380,22 +395,24 @@ def test_clock_pipeline_alone_builds_no_sojourn_operator(monkeypatch):
 
 
 def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
-    # 12 distinct Hamiltonians: the unperturbed one, +-v for three phase
-    # strengths, +-omega/2 for the one Larmor strength the phase ladder does
-    # not already cover, and three absorbers shared with the norm clock
-    hamiltonians = []
+    # one block of 12 distinct keys: the unperturbed system, +-v for three
+    # phase strengths, +-omega/2 for the one Larmor strength the phase ladder
+    # does not already cover (9 real), and three absorbers shared with the
+    # norm clock
+    blocks = []
+    evolve_shifted = clocks.evolve_shifted
 
-    def counting_evolve(state, prop, t_from, t_to):
-        ham = prop.hamiltonian
-        hamiltonians.append(tuple(
-            None if p is None else p.tobytes()
-            for p in (ham.potential_real, ham.potential_imag)))
-        return evolve(state, prop, t_from, t_to)
+    def counting_evolve_shifted(ham, a, shifts, v, duration):
+        blocks.append(list(shifts))
+        return evolve_shifted(ham, a, shifts, v, duration)
 
-    monkeypatch.setattr(clocks, "evolve", counting_evolve)
+    monkeypatch.setattr(clocks, "evolve_shifted", counting_evolve_shifted)
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
-    assert len(hamiltonians) == 12
-    assert len(set(hamiltonians)) == 12
+    assert len(blocks) == 1
+    [keys] = blocks
+    assert len(keys) == len(set(keys)) == 12
+    assert sum(u.imag == 0.0 for u in keys) == 9
+    assert all(u.real == 0.0 and u.imag < 0.0 for u in keys if u.imag)
 
 
 def test_meter_pipeline_runs_the_positive_ladder_once(well_meter):
@@ -556,15 +573,14 @@ def test_cli_position_cell_validates_and_runs(well_cell_config, tmp_path, capsys
     assert sum(r["postselection"] == "cell" for r in records) == 5
 
 
-def test_config_numerics_reach_the_operator_and_the_clock_runs(tmp_path, monkeypatch, capsys):
-    # a non-default numerics.dt in a config file is the step the clock table
-    # takes, and the sojourn operator is built once over the config's window
+def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeypatch, capsys):
+    # a config file's window is the one the sojourn operator is built over,
+    # once, and the one the clock table evolves over
     cfg = scenario_to_config(catalog()["well_halves"])
-    assert cfg["numerics.dt"] != "0.025"
-    cfg["numerics.dt"] = "0.025"
-    path = tmp_path / "numerics.cfg"
+    cfg["window.t_stop"] = "18.0"
+    path = tmp_path / "window.cfg"
     path.write_text(format_config(cfg))
-    calls, steps = [], set()
+    calls = []
 
     def recording_sojourn_matrix(region, ham, window):
         calls.append(("sojourn_matrix", window))
@@ -572,27 +588,42 @@ def test_config_numerics_reach_the_operator_and_the_clock_runs(tmp_path, monkeyp
 
     def recording_clock_runs(*args):
         runs = clocks.ClockRuns(*args)
-        calls.append(("ClockRuns", runs.dt))
+        calls.append(("ClockRuns", runs.window))
         return runs
-
-    def recording_evolve(state, prop, t_from, t_to):
-        steps.add(prop.dt)
-        return evolve(state, prop, t_from, t_to)
 
     monkeypatch.setattr(scenarios, "sojourn_matrix", recording_sojourn_matrix)
     monkeypatch.setattr(scenarios, "ClockRuns", recording_clock_runs)
-    monkeypatch.setattr(clocks, "evolve", recording_evolve)
     assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-    window = (float(cfg["window.t_start"]), float(cfg["window.t_stop"]))
-    assert calls == [("sojourn_matrix", window), ("ClockRuns", 0.025)]
-    assert steps == {0.025}
+    window = (0.0, 18.0)
+    assert calls == [("sojourn_matrix", window), ("ClockRuns", window)]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the clocks' Crank-Nicolson step (dt = 0.05) puts their "
-    "cell-postselected time 3.7% from the sojourn value here"))
+def test_config_has_no_time_step():
+    # the clocks evolve exactly, so a config that still sets numerics.dt is
+    # refused like any other unknown key
+    cfg = scenario_to_config(catalog()["well_halves"])
+    assert not any(key.startswith("numerics.") for key in cfg)
+    cfg["numerics.dt"] = "0.05"
+    with pytest.raises(ValidationError, match="unknown config key 'numerics.dt'"):
+        scenario_from_config(cfg)
+
+
 def test_cli_compare_position_cell_agrees(well_cell_config, capsys):
     assert cli.main(["compare", "--config", well_cell_config]) == 0
+
+
+@pytest.mark.parametrize("name", ["barrier_dwell", "barrier_farside"])
+def test_real_and_larmor_clocks_match_sojourn_on_the_barriers(name):
+    # with exact evolution, the central-difference clocks agree with the
+    # sojourn weak values to extrapolation and rounding error
+    bundle = run_scenario(catalog()[name], pipelines=("sojourn", "clocks"))
+    ref = {r.postselection: r.value for r in bundle.records
+           if r.method == "sojourn" and r.order == 1}
+    clocks_read = [r for r in bundle.records
+                   if r.method in ("clock_real_potential", "clock_larmor")]
+    assert len(clocks_read) == 6
+    for rec in clocks_read:
+        assert abs(rec.value - ref[rec.postselection]) <= 1e-10 * abs(ref[rec.postselection])
 
 
 @pytest.mark.parametrize("offset, flagged", [
