@@ -229,10 +229,10 @@ def clock_real_potential(strengths, runs: ClockRuns, chi):
 def clock_imaginary_potential(strengths, runs: ClockRuns, chi):
     """Absorption clock: evolve with -i*Gamma/2 on the region and read
     -2*hbar times the one-sided Gamma-derivative of the postselected
-    amplitude ratio.  The one-sided ladder divides rounding in its inputs
-    by strengths down to 0.0375/T, amplifying it about 10^3 (a 1.6e-15
-    relative change in `psi_final` moves records by up to 6.5e-11
-    relative), so record-equality checks on it hold only to ~1e-11."""
+    amplitude ratio.  Its one-sided ladder (Gamma down to 0.0375/T)
+    amplifies input rounding about 10^3: a 1.6e-15 relative change in
+    `psi_final` moved records up to 6.5e-11 relative, so no record-equality
+    check tighter than ~1e-11 relative holds across a rounding change."""
     strengths = _ladder(strengths)
     phi0 = runs.final(0.0)
     perturbed = {g: runs.final(-0.5j * g) for g in strengths}

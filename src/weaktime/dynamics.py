@@ -51,7 +51,7 @@ class Hamiltonian:
     hard-wall kinetic stencil plus diagonal real and imaginary potentials;
     on a spin, the zero matrix.
 
-    Treat instances as immutable after construction.
+    Instances are shared, so potentials and the cached eigensystem are read-only.
     """
 
     space: FactorSpace
@@ -66,9 +66,10 @@ class Hamiltonian:
         for name in ("potential_real", "potential_imag"):
             v = getattr(self, name)
             if v is not None:
-                v = np.asarray(v, dtype=float)
+                v = np.array(v, dtype=float)
                 if grid is None or v.shape != (grid.n_points,):
                     raise StructureError(f"{name} does not match the position grid")
+                v.flags.writeable = False
                 setattr(self, name, v)
 
     @property
@@ -126,6 +127,8 @@ class Hamiltonian:
         cached = self._cache.get("eig")
         if cached is None:
             cached = scipy.linalg.eigh_tridiagonal(*self.tridiagonal())
+            for arr in cached:
+                arr.flags.writeable = False
             self._cache["eig"] = cached
         return cached
 

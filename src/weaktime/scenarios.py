@@ -147,9 +147,8 @@ class Scenario:
             raise ParameterError(f"unknown initial kind {self.initial_kind!r}")
 
     def hamiltonian(self) -> Hamiltonian:
-        return Hamiltonian(
-            position_space(self.grid), potential_real=self.potential.array(self.grid)
-        )
+        """The shared, read-only Hamiltonian of this grid and potential."""
+        return _hamiltonian(self.grid, self.potential)
 
     def initial_state(self) -> QuantumState:
         if self.initial_kind == "eigenstate":
@@ -163,6 +162,13 @@ class Scenario:
 
     def duration(self) -> float:
         return self.window[1] - self.window[0]
+
+
+@functools.lru_cache(maxsize=2)
+def _hamiltonian(grid: Grid, potential: PotentialSpec) -> Hamiltonian:
+    """One Hamiltonian, and so one eigensystem, per (grid, potential); a barrier
+    scenario asks for two, its free one (validation) and its own."""
+    return Hamiltonian(position_space(grid), potential_real=potential.array(grid))
 
 
 # -- catalog ---------------------------------------------------------------
@@ -235,13 +241,6 @@ def catalog() -> dict:
 # -- validation ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _free_hamiltonian(grid: Grid) -> Hamiltonian:
-    """The free Hamiltonian of the last grid validated: scenarios that share
-    a grid share its eigensystem, which the Hamiltonian caches."""
-    return Hamiltonian(position_space(grid))
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Static and dynamic consistency checks; returns a list of warnings.
 
@@ -260,7 +259,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             raise ValidationError("packet starts within 5 sigma of a barrier")
         # free pre-run: evolve without the potential and inspect the edges
         amp = evolve_eigenbasis(
-            sc.initial_state(), _free_hamiltonian(sc.grid), sc.window[1]
+            sc.initial_state(), _hamiltonian(sc.grid, PotentialSpec()), sc.window[1]
         ).amplitudes
         band = 8
         edge_mass = float(

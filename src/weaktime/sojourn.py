@@ -6,10 +6,11 @@ U0(t_f,t) P U0^dag(t_f,t) over t.  It is evaluated exactly, and stored
 once, in the real eigenbasis V of the free Hamiltonian: as the elementwise
 product M = P_eig * F, with P_eig = V^T P V and F the closed-form window
 filter sinc(phi) exp(-i phi) of the level differences,
-phi = (E_i - E_j) T / 2 hbar.
-P_eig is symmetric and F_ji = conj(F_ij), so M is hermitian by
-construction, bit for bit.  Every readout applies it as V M^l V^T to a few
-vectors; no position-basis matrix is formed.  Scaled by the window length T
+phi = (E_i - E_j) T / 2 hbar.  P_eig is symmetric and F_ji = conj(F_ij),
+so M is hermitian by construction, bit for bit; it is built in row blocks
+mirrored by conjugation, one filter evaluation per level pair.  Every
+readout applies it as V M^l V^T to a few vectors (one ladder M^l V^T a per
+state); no position-basis matrix is formed.  Scaled by the window length T
 this is the hermitian sojourn-time operator T V M V^T, with spectrum in
 [0, T] up to rounding, whose matrix elements give dwell times, postselected
 traversal times and their higher moments; the projector's weak value is the
@@ -39,6 +40,7 @@ from .hilbert import (
 )
 
 ANOMALY_FACTOR = 10.0
+_BLOCK = 64  # rows of M per block of sojourn_matrix's build
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +65,19 @@ class SojournOperator:
         return self.window[1] - self.window[0]
 
     def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
-        """V M^power V^T a, the time-averaged projector's power."""
-        c = apply_real(self.vecs.T, amplitudes)
-        for _ in range(power):
-            c = self.eigen_matrix @ c
-        return apply_real(self.vecs, c)
+        """V M^power V^T a, read-only.  The ladder M^l V^T a and its back
+        transforms are kept for the last read-only `amplitudes`, by identity."""
+        memo = self._cache.get("ladder", (None,))
+        if memo[0] is not amplitudes or amplitudes.flags.writeable:
+            key = None if amplitudes.flags.writeable else amplitudes
+            memo = self._cache["ladder"] = (key, [apply_real(self.vecs.T, amplitudes)], {})
+        _, ladder, back = memo
+        while len(ladder) <= power:
+            ladder.append(self.eigen_matrix @ ladder[-1])
+        if power not in back:
+            back[power] = apply_real(self.vecs, ladder[power])
+            back[power].flags.writeable = False
+        return back[power]
 
     def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
         """The operator's power-th power applied to position amplitudes."""
@@ -125,10 +135,13 @@ def sojourn_matrix(
         raise ParameterError("window must have positive duration")
     vals, vecs = free_hamiltonian.eigensystem()
     rows = vecs[region.indices(grid)]
-    # phi is exactly antisymmetric and numpy forms rows.T @ rows as a
-    # symmetric rank-k update, so M is hermitian bit for bit
-    phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
-    m = (rows.T @ rows) * _window_filter(phi)
+    # rows.T @ rows is exactly symmetric (syrk), phi antisymmetric: mirroring is exact
+    m = (rows.T @ rows).astype(complex)
+    scale = 0.5 * duration / HBAR
+    for i0 in range(0, vals.size, _BLOCK):
+        i1 = i0 + _BLOCK  # the slices stop at N
+        m[i0:i1, i0:] *= _window_filter((vals[i0:i1, None] - vals[None, i0:]) * scale)
+        m[i1:, i0:i1] = m[i0:i1, i1:].conj().T
     return SojournOperator(free_hamiltonian.space, (t_start, t_stop), m, vals, vecs)
 
 

@@ -4,12 +4,17 @@ Everything here is deliberately written against raw numpy arrays with a
 Van Loan block exponential for time averages, eigendecomposition-based
 propagation (a dense exponential with an absorber) and literal tensor
 products (system (x) pointer, position (x) spin), sharing no code with the
-package beyond the numbers it is fed.  It is slow and only meant for small
-grids.
+package beyond the numbers it is fed; `full_eigen_matrix` alone reuses the
+package's window filter, because it pins the blocked arrangement of M and
+not the filter (which is checked against mpmath).  It is slow and only
+meant for small grids.
 """
 
 import numpy as np
 import scipy.linalg
+
+from weaktime.hilbert import HBAR
+from weaktime.sojourn import _window_filter
 
 
 def evolve_exact(h_matrix, psi, duration):
@@ -35,6 +40,14 @@ def time_average(a_matrix, h_matrix, window):
     gen[:n, n:] = a_matrix
     block = scipy.linalg.expm(duration * gen)[:n, n:]
     return block @ scipy.linalg.expm(1j * duration * h_matrix) / duration
+
+
+def full_eigen_matrix(rows, vals, duration):
+    """The sojourn operator's eigenbasis matrix M = (V_R^T V_R) * F(phi) in
+    one full N x N build, every level pair filtered, as `sojourn_matrix`
+    formed it before it built M in row blocks."""
+    phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
+    return (rows.T @ rows) * _window_filter(phi)
 
 
 def sojourn(region_mask, h_matrix, window):

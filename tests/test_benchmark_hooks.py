@@ -2,9 +2,11 @@
 
 `perfbench/tracing.py` patches named functions of the package from
 outside; a renamed or moved entry point would only show as a KeyError in a
-traced benchmark run.  These tests enter its patches on a clocks-only and a
-meter-only scenario: every clock layer has a span and no clock steps with
-Crank-Nicolson, and every meter run is one span per coupling of the ladder.
+traced benchmark run.  These tests enter its patches on a clocks-only, a
+meter-only and two sojourn-only scenarios: every clock layer has a span
+and no clock steps with Crank-Nicolson, every meter run is one span per
+coupling of the ladder, and scenarios that share a Hamiltonian share its
+eigensystem.
 """
 
 import importlib.util
@@ -61,3 +63,18 @@ def test_trace_hooks_see_one_meter_run_per_coupling():
         assert tracer.spans[span["parent"]]["name"] == "scenarios.run_scenario"
         assert span["modes_kept_computed"] == run.modes_kept
     assert tracing.layer_metrics(tracer, 1)["meter.run_meter.calls"] == len(runs)
+
+
+def test_trace_hooks_see_sojourn_spans_and_one_shared_eigensystem():
+    # two sweep-style scenarios on barrier_dwell's grid and potential ask
+    # for two Hamiltonians between them: the free one validates, the
+    # barrier one runs both
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for name in ("barrier_dwell", "barrier_farside"):
+            scenarios.run_scenario(catalog()[name], pipelines=("sojourn",))
+    names = {s["name"] for s in tracer.spans}
+    assert {"sojourn.sojourn_matrix", "sojourn.readout"} <= names
+    assert tracer.distinct_hamiltonians <= 2
+    assert tracing.layer_metrics(tracer, 1)["sojourn.sojourn_matrix.calls"] == 2

@@ -190,13 +190,26 @@ def test_validate_catalog_scenarios_clean():
         assert validate_scenario(sc) == []
 
 
-def test_validate_solves_the_free_hamiltonian_once_per_grid(monkeypatch):
-    # two scenarios on one grid (a grid no other test uses, so the cache
-    # starts cold) share one free eigensystem in their edge pre-runs
-    base = catalog()["barrier_dwell"]
-    grid = Grid(509, base.grid.x_min, base.grid.x_max)
-    pair = [replace(base, grid=grid),
-            replace(catalog()["barrier_farside"], grid=grid)]
+def _on_fresh_grid(sc, n_points, **changes):
+    # a grid no other test uses, so the Hamiltonian cache starts cold
+    grid = Grid(n_points, sc.grid.x_min, sc.grid.x_max)
+    if sc.name == "free_box":
+        changes["region"] = Region(grid.x_min - grid.dx, grid.x_max + grid.dx)
+    return replace(sc, grid=grid, **changes)
+
+
+@pytest.mark.parametrize("case", ["free_box", "well_halves", "barrier_pair"])
+def test_run_scenario_solves_each_hamiltonian_once(case, monkeypatch):
+    # free_box: validation and the run share the free Hamiltonian;
+    # well_halves: the eigenstate and the run share one; two barrier
+    # scenarios that differ in window and region: one free, one barrier
+    cat = catalog()
+    runs, solves = {
+        "free_box": ([_on_fresh_grid(cat["free_box"], 253)], 1),
+        "well_halves": ([_on_fresh_grid(cat["well_halves"], 125)], 1),
+        "barrier_pair": ([_on_fresh_grid(cat["barrier_dwell"], 509),
+                          _on_fresh_grid(cat["barrier_farside"], 509, window=(0.0, 55.0))], 2),
+    }[case]
     calls = []
     solve = scipy.linalg.eigh_tridiagonal
 
@@ -205,9 +218,18 @@ def test_validate_solves_the_free_hamiltonian_once_per_grid(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
-    for sc in pair:
-        assert validate_scenario(sc) == []
-    assert len(calls) == 1
+    for sc in runs:
+        bundle = run_scenario(sc, pipelines=("sojourn",))
+        assert bundle.provenance["warnings"] == []
+    assert len(calls) == solves
+
+
+def test_shared_hamiltonian_is_read_only():
+    ham = catalog()["barrier_dwell"].hamiltonian()
+    assert catalog()["barrier_farside"].hamiltonian() is ham
+    for arr in (ham.potential_real, *ham.eigensystem()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_validate_rejects_packet_on_top_of_barrier():

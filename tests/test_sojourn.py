@@ -110,25 +110,58 @@ def test_catalog_sojourn_matrix_is_exactly_hermitian(ctx, request):
     assert np.array_equal(m, m.conj().T)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=3, max_value=48),
+@pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
+def test_catalog_sojourn_matrix_equals_full_build(ctx, request):
+    # the row blocks and their mirrored conjugates are bit for bit the
+    # matrix that filters every level pair at once
+    c = request.getfixturevalue(ctx)
+    vals, vecs = c.ham.eigensystem()
+    rows = vecs[c.scenario.region.indices(c.scenario.grid)]
+    full = oracle.full_eigen_matrix(rows, vals, c.scenario.duration())
+    assert np.array_equal(c.op.eigen_matrix, full)
+
+
+# grids up to 200 points cross the block edges at 64 and 128
+RANDOM_CASES = (
+    st.integers(min_value=3, max_value=200),
     st.floats(min_value=0.05, max_value=3.0),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=-5.0, max_value=5.0),
     st.floats(min_value=1e-3, max_value=300.0),
 )
-def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
-    # M = (V_R^T V_R) * F with F(-phi) = conj F(phi) bit for bit, so no
-    # symmetrization is needed on any grid, potential or window
+
+
+def _random_case(n, dx, lo, width, v0):
     grid = Grid(n, 0.0, dx * (n - 1))
     first = int(lo * (n - 1))
     last = first + int(width * (n - 1 - first))
     region = Region((first - 0.5) * dx, (last + 0.5) * dx)
     ham = Hamiltonian(position_space(grid), potential_real=v0 * region.indicator(grid))
+    return region, ham
+
+
+@settings(max_examples=30, deadline=None)
+@given(*RANDOM_CASES)
+def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
+    # M = (V_R^T V_R) * F with F(-phi) = conj F(phi) bit for bit, so no
+    # symmetrization is needed on any grid, potential or window
+    region, ham = _random_case(n, dx, lo, width, v0)
     m = sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix
     assert np.array_equal(m, m.conj().T)
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=64, dx=0.5, lo=0.2, width=0.3, v0=1.0, duration=5.0)
+@example(n=65, dx=0.5, lo=0.0, width=1.0, v0=-2.0, duration=50.0)
+@example(n=129, dx=0.3, lo=0.5, width=0.1, v0=3.0, duration=0.01)
+@example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0)
+@given(*RANDOM_CASES)
+def test_sojourn_matrix_equals_full_build(n, dx, lo, width, v0, duration):
+    region, ham = _random_case(n, dx, lo, width, v0)
+    vals, vecs = ham.eigensystem()
+    full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    assert np.array_equal(sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix, full)
 
 
 def _mp_filter(phi):
@@ -236,6 +269,41 @@ def test_dwell_time_is_unclipped():
         raw = complex(psi.cell_weight * np.vdot(amps, op._average(amps, 1)))
         assert tau == op.duration * raw.real
         assert tau == pytest.approx(op.duration, abs=1e-12)
+
+
+def test_average_is_read_only_and_kept_for_the_last_state(small):
+    _, _, _, psi_final, op = small
+    second = op._average(psi_final.amplitudes, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        second[0] = 0.0
+    assert op._average(psi_final.amplitudes, 2) is second
+
+
+def test_writable_amplitudes_are_never_read_from_the_memo(small):
+    ham, _, _, psi_final, op = small
+    amps = np.array(psi_final.amplitudes)
+    before = op.apply(amps)
+    amps[3] += 1.0
+    after = op.apply(amps)
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, sojourn_matrix(REGION, ham, WINDOW).apply(amps))
+
+
+def test_readouts_on_alternating_states_match_fresh_operators(small):
+    # one operator read on two states in turn gives, bit for bit, what a
+    # fresh operator gives on each
+    ham, _, _, psi_final, op = small
+    chi = psi_final.normalized()
+    tilted = np.exp(0.3j * GRID.points) * psi_final.amplitudes
+    states = [psi_final, QuantumState(SPACE, tilted, WINDOW[1]).normalized()]
+
+    def readouts(o, psi):
+        return (dwell_time(o, psi), conditional_dwell_time(o, psi, chi).value,
+                moment(o, psi, chi, 2), moment(o, psi, chi, 3),
+                second_moment_position_integral(o, psi))
+
+    for psi in states + states:
+        assert readouts(op, psi) == readouts(sojourn_matrix(REGION, ham, WINDOW), psi)
 
 
 def test_dwell_time_well_half_by_symmetry(well_ctx):
