@@ -14,6 +14,7 @@ operator, with corrections vanishing as the coupling shrinks.
 import numpy as np
 
 from weaktime import (
+    HBAR,
     ClockRuns,
     Grid,
     Hamiltonian,
@@ -52,25 +53,28 @@ configs = [
 print(f"{'clock':<22}{'time':>12}{'dev vs ref':>14}{'fit order':>11}{'residual':>12}")
 # one table of evolutions serves all three clocks: every potential on the
 # region that their ladders read is declared here, and all of them are
-# evolved together, as one Chebyshev block, when the first clock asks
+# evolved together, as one Chebyshev block, when the table is built
 runs = ClockRuns(ham, psi0, region, window,
                  clock_shifts(**{name: ladder for name, _, ladder in configs}))
+records = {}
 for name, fn, ladder in configs:
-    rec = fn(ladder, runs, psi_final)
+    rec = records[name] = fn(ladder, runs, {"none": psi_final})["none"]
     print(f"{name:<22}{rec.time:>12.6f}{rec.time - tau:>14.2e}"
           f"{rec.order:>11.2f}{rec.residual:>12.2e}")
 
-# the Larmor sweeps also support a second, amplitude-based readout: the
-# spin-up and spin-down runs are the phase clock's +-v runs at v = omega/2,
-# so i (a_up - a_down) / (omega a_up(0)) is its central difference; both
-# readings come from the same two evolutions per strength and must agree;
-# the table already holds them, so this reads without evolving again
-rec = clock_larmor((0.2, 0.1, 0.05), runs, psi_final)
-ident = rec.metadata["identity_value"]
-print(f"\nlarmor amplitude identity: {ident.real:.6f}"
-      f"  (precession readout {rec.time:.6f})")
+# the Larmor spin-up and spin-down runs are the phase clock's +-v runs at
+# v = hbar omega/2, so the amplitude identity i (a_up - a_down) / (omega
+# a_up(0)) is the phase clock read at those strengths; both readings come
+# from the same two evolutions per strength, already in the table, and
+# must agree
+larmor = records["larmor"]
+omegas = larmor.strengths
+ident = clock_real_potential(tuple(0.5 * HBAR * w for w in omegas), runs,
+                             {"none": psi_final})["none"]
+print(f"\nlarmor amplitude identity (phase clock at hbar omega/2): {ident.time:.6f}"
+      f"  (precession readout {larmor.time:.6f})")
 
 # raw sweep points, to show what the extrapolation removes
 print("\nlarmor raw readouts vs strength:")
-for s, r in zip(rec.strengths, rec.readouts):
+for s, r in zip(larmor.strengths, larmor.readouts):
     print(f"  strength {s:7.3f} -> {np.real(r):.6f}")

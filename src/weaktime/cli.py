@@ -92,7 +92,7 @@ def _cmd_compare(args) -> int:
     ok = True
     print("method,postselection,value,reference,deviation,allowed")
     for r in bundle.records:
-        if not r.method.startswith("clock_") or r.method == "clock_imaginary_norm":
+        if not r.method.startswith("clock_"):
             continue
         key = (r.postselection, r.order)
         ref = reference.get(("none", r.order) if key not in reference else key)

@@ -11,10 +11,12 @@ Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
 absorber.  A `ClockRuns` table holds those states for one packet, region
 and window under their exact u, so clocks that share a Hamiltonian share
-its evolution.  The keys it is told to expect (`clock_shifts`; 12 for the
+its evolution.  The keys it is built with (`clock_shifts`; 12 for the
 scenario pipeline's ladders, 9 real and 3 absorbing) are evolved together,
-as the columns of one `dynamics.evolve_shifted` Chebyshev block, on the
-first request.  The readouts below take a strength ladder and the table.
+as the columns of one `dynamics.evolve_shifted` Chebyshev block, when the
+table is built.  The readouts below take a strength ladder, the table and a
+map label -> postselected final state, and return one `SweepRecord` per
+label.
 
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
@@ -79,59 +81,58 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
 @dataclass
 class ClockRuns:
     """Window-end states of `psi_initial` under `system` plus a complex
-    potential u on `region`.
+    potential u on `region`, for every u in `shifts`.
 
-    `final(u)` is the state evolved under system + Re(u) P_region +
-    i Im(u) P_region, u = 0 the unmodified system, cached under the exact
-    value of u.  A request for a missing key evolves it together with every
-    key of `shifts` not yet evolved, as the columns of one
-    `evolve_shifted` block, so declaring the keys that the readouts will
-    read (`clock_shifts`) evolves them all at once.  A run that absorbs
-    more than MAX_ABSORBED_FRACTION of the packet raises ParameterError.
+    Construction evolves the declared keys (`clock_shifts`) as the columns
+    of one `evolve_shifted` block.  `final(u)` is then the state evolved
+    under system + Re(u) P_region + i Im(u) P_region, u = 0 the unmodified
+    system, looked up under the exact value of u; an undeclared u raises
+    ParameterError, and so does a run that absorbs more than
+    MAX_ABSORBED_FRACTION of the packet.
     """
 
     system: Hamiltonian
     psi_initial: QuantumState
     region: Region
     window: tuple[float, float]
-    shifts: tuple = ()
-    _finals: dict = field(default_factory=dict, init=False, repr=False)
+    shifts: tuple
+    _finals: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        keys = [complex(u) for u in self.shifts]
+        t0, t1 = self.window
+        block, _ = evolve_shifted(
+            self.system, self.region.indicator(self.system.position_grid), keys,
+            self.psi_initial.amplitudes, t1 - t0,
+        )
+        self._finals = {}
+        for key, col in zip(keys, block.T):
+            phi = QuantumState(self.psi_initial.space, col, t1)
+            absorbed = 1.0 - phi.norm() ** 2
+            if absorbed > MAX_ABSORBED_FRACTION:
+                raise ParameterError(
+                    f"absorbed fraction {absorbed:.3f} at u = {key} exceeds "
+                    f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
+                )
+            self._finals[key] = phi
 
     def final(self, u: complex) -> QuantumState:
-        u = complex(u)
-        if u not in self._finals:
-            keys = [k for k in dict.fromkeys(map(complex, (u, *self.shifts)))
-                    if k not in self._finals]
-            t0, t1 = self.window
-            block, _ = evolve_shifted(
-                self.system, self.region.indicator(self.system.position_grid), keys,
-                self.psi_initial.amplitudes, t1 - t0,
-            )
-            finals = [QuantumState(self.psi_initial.space, col, t1) for col in block.T]
-            for key, phi in zip(keys, finals):
-                absorbed = 1.0 - phi.norm() ** 2
-                if absorbed > MAX_ABSORBED_FRACTION:
-                    raise ParameterError(
-                        f"absorbed fraction {absorbed:.3f} at u = {key} exceeds "
-                        f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
-                    )
-            self._finals.update(zip(keys, finals))
-        return self._finals[u]
+        try:
+            return self._finals[complex(u)]
+        except KeyError:
+            raise ParameterError(f"u = {u} is not among the declared shifts") from None
 
 
 @dataclass(frozen=True)
 class SweepRecord:
     """Per-strength readouts with the zero-strength extrapolation."""
 
-    method: str
-    postselection: str
     strengths: tuple[float, ...]
     readouts: tuple[complex, ...]
     value: complex
     order: float
     residual: float
     flagged: bool
-    metadata: dict = field(default_factory=dict)
 
     @property
     def time(self) -> float:
@@ -176,80 +177,60 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
     return complex(value), order, residual
 
 
-def _record(method, label, strengths, readouts, error_order, metadata=None) -> SweepRecord:
+def _record(strengths, readouts, error_order) -> SweepRecord:
     value, order, residual = extrapolate_to_zero(strengths, readouts, error_order)
-    flagged = not (ORDER_BAND[0] <= order <= ORDER_BAND[1])
     return SweepRecord(
-        method=method,
-        postselection=label,
         strengths=tuple(strengths),
         readouts=tuple(complex(r) for r in readouts),
         value=value,
         order=order,
         residual=residual,
-        flagged=flagged,
-        metadata=metadata or {},
+        flagged=not (ORDER_BAND[0] <= order <= ORDER_BAND[1]),
     )
 
 
-def _chi_items(chi):
-    if isinstance(chi, dict):
-        return list(chi.items())
-    return [("custom", chi)]
-
-
-def _unwrap(result, chi):
-    return result if isinstance(chi, dict) else result["custom"]
-
-
-def clock_real_potential(strengths, runs: ClockRuns, chi):
+def clock_real_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     """Phase clock: evolve under the system Hamiltonian plus a small real
     potential step +-v on the region, and read i*hbar times the central
-    potential-derivative of the postselected amplitude.
-
-    `chi` may be a single final state or a dict label -> state; a dict
-    shares the sweep evolutions across postselections.
-    """
+    potential-derivative of the postselected amplitude, one record per
+    label of `chis` (label -> final state), all from the same runs."""
     strengths = _ladder(strengths)
     phi0 = runs.final(0.0)
     perturbed = {v: (runs.final(v), runs.final(-v)) for v in strengths}
 
     out = {}
-    for label, chi_state in _chi_items(chi):
-        den = checked_overlap(chi_state, phi0)
+    for label, chi in chis.items():
+        den = checked_overlap(chi, phi0)
         readouts = []
         for v in strengths:
-            up, down = (inner_product(chi_state, s) for s in perturbed[v])
+            up, down = (inner_product(chi, s) for s in perturbed[v])
             deriv = (up - down) / (2.0 * v)
             readouts.append(1j * HBAR * deriv / den)
-        out[label] = _record("real_potential", label, strengths, readouts, 2)
-    return _unwrap(out, chi)
+        out[label] = _record(strengths, readouts, 2)
+    return out
 
 
-def clock_imaginary_potential(strengths, runs: ClockRuns, chi):
+def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     """Absorption clock: evolve with -i*Gamma/2 on the region and read
     -2*hbar times the one-sided Gamma-derivative of the postselected
-    amplitude ratio.  Its one-sided ladder (Gamma down to 0.0375/T)
-    amplifies input rounding about 10^3: a 1.6e-15 relative change in
-    `psi_final` moved records up to 6.5e-11 relative, so no record-equality
-    check tighter than ~1e-11 relative holds across a rounding change."""
+    amplitude ratio, one record per label of `chis`.  Its one-sided ladder
+    (Gamma down to 0.0375/T) amplifies input rounding about 10^3: a 1.6e-15
+    relative change in `psi_final` moved records up to 6.5e-11 relative, so
+    no record-equality check tighter than ~1e-11 relative holds across a
+    rounding change."""
     strengths = _ladder(strengths)
     phi0 = runs.final(0.0)
     perturbed = {g: runs.final(-0.5j * g) for g in strengths}
-    absorbed = 1.0 - perturbed[strengths[0]].norm() ** 2
 
     out = {}
-    for label, chi_state in _chi_items(chi):
-        den = checked_overlap(chi_state, phi0)
+    for label, chi in chis.items():
+        den = checked_overlap(chi, phi0)
         readouts = []
         for g in strengths:
-            ratio = inner_product(chi_state, perturbed[g]) / den
+            ratio = inner_product(chi, perturbed[g]) / den
             readouts.append(-2.0 * HBAR * (ratio - 1.0) / g)
-        out[label] = _record(
-            "imaginary_potential", label, strengths, readouts, 1,
-            {"absorbed_fraction_max": absorbed},
-        )
-    return _unwrap(out, chi)
+        out[label] = _record(strengths, readouts, 1)
+    return out
 
 
 def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
@@ -260,21 +241,20 @@ def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
     readouts = [
         complex(-HBAR * (runs.final(-0.5j * g).norm() ** 2 - 1.0) / g) for g in strengths
     ]
-    return _record("imaginary_potential_norm", "none", strengths, readouts, 1)
+    return _record(strengths, readouts, 1)
 
 
-def clock_larmor(strengths, runs: ClockRuns, chi):
+def clock_larmor(strengths, runs: ClockRuns, chis: dict) -> dict:
     """Larmor clock: attach a spin initially polarized along +x, precess it
     in the region, and read the conditional y-polarization per unit
-    precession frequency.
+    precession frequency, one record per label of `chis`.
 
     The spin-up and spin-down amplitudes behind the postselector are
     a_up = <chi|psi_+>/sqrt(2) and a_down = <chi|psi_->/sqrt(2), with psi_+-
     evolved under H +- hbar omega/2 on the region; the common 1/sqrt(2)
-    cancels from both readouts and is left out.  Each record's metadata
-    carries `identity_value`, the same sweep read through the
-    pointer-derivative identity i (a_up - a_down) / (omega a_up(0)), which is
-    the phase clock's central difference at v = hbar omega/2.
+    cancels from the readout and is left out.  Read through the identity
+    i (a_up - a_down) / (omega a_up(0)), the same amplitudes give the phase
+    clock at v = hbar omega/2.
     """
     strengths = _ladder(strengths)
     phi0 = runs.final(0.0)
@@ -284,23 +264,15 @@ def clock_larmor(strengths, runs: ClockRuns, chi):
         spins[w] = (runs.final(v), runs.final(-v))
 
     out = {}
-    for label, chi_state in _chi_items(chi):
-        den = checked_overlap(chi_state, phi0)
-        sy_readouts = []
-        id_readouts = []
+    for label, chi in chis.items():
+        # the readout has no <chi|phi0> denominator, but a degenerate
+        # postselector is refused as on every other route
+        checked_overlap(chi, phi0)
+        readouts = []
         for w in strengths:
-            a_up, a_dn = (inner_product(chi_state, s) for s in spins[w])
+            a_up, a_dn = (inner_product(chi, s) for s in spins[w])
             sy = 2.0 * np.imag(np.conj(a_up) * a_dn)
             weight = abs(a_up) ** 2 + abs(a_dn) ** 2
-            sy_readouts.append(complex(sy / weight / w))
-            id_readouts.append(1j * (a_up - a_dn) / (w * den))
-        value_id, order_id, residual_id = extrapolate_to_zero(strengths, id_readouts, 2)
-        rec = _record(
-            "larmor", label, strengths, sy_readouts, 2,
-            {
-                "identity_value": value_id,
-                "identity_residual": residual_id,
-            },
-        )
-        out[label] = rec
-    return _unwrap(out, chi)
+            readouts.append(complex(sy / weight / w))
+        out[label] = _record(strengths, readouts, 2)
+    return out

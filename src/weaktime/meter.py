@@ -365,20 +365,17 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     """Conditional pointer shift per unit coupling over a descending ladder
     of runs at positive couplings, extrapolated to zero coupling.
 
-    Returns the clocks' SweepRecord (method "meter"; postselection "none"
-    for the marginal pointer, "custom" for a postselector), whose `time` is
-    the readout in units of the coupled observable.  The shift is odd in
-    the coupling for a real-profile pointer, so the leading ladder error is
-    quadratic and no run at -G is needed: it is the +G run with the pointer
-    axis mirrored.  The fitted order is reported but never flagged, since
+    Returns the clocks' SweepRecord, whose `time` is the readout in units
+    of the coupled observable; with no postselector it reads the marginal
+    pointer.  The shift is odd in the coupling for a real-profile pointer,
+    so the leading ladder error is quadratic and no run at -G is needed: it
+    is the +G run with the pointer axis mirrored.  The fitted order is reported but never flagged, since
     on readouts that agree to rounding (free_box) it fits noise.
     """
     g = tuple(r.coupling for r in runs)
     readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]
     value, order, residual = extrapolate_to_zero(g, readouts, 2)
     return SweepRecord(
-        method="meter",
-        postselection="none" if postselect is None else "custom",
         strengths=g,
         readouts=tuple(complex(v) for v in readouts),
         value=value,

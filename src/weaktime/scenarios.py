@@ -14,7 +14,8 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -145,6 +146,11 @@ class Scenario:
             raise ParameterError(f"unknown postselection mode {self.postselection!r}")
         if self.initial_kind not in ("packet", "eigenstate"):
             raise ParameterError(f"unknown initial kind {self.initial_kind!r}")
+        for what, index in (("eigenstate", self.eigenstate_index),
+                            ("postselection cell", self.cell_index)):
+            if not 0 <= index < self.grid.n_points:
+                raise ParameterError(f"{what} index {index} outside "
+                                     f"[0, {self.grid.n_points})")
 
     def hamiltonian(self) -> Hamiltonian:
         """The shared, read-only Hamiltonian of this grid and potential."""
@@ -600,6 +606,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ValidationError(f"missing config key {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed config value: {exc}") from exc
+    except ParameterError as exc:
+        raise ValidationError(f"refused config value: {exc}") from exc
     inapplicable = sorted(set(cfg) - set(scenario_to_config(sc)))
     if inapplicable:
         raise ValidationError(
@@ -611,49 +619,27 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 # -- emission --------------------------------------------------------------
 
-CSV_HEADER = "scenario,method,postselection,l,value,tolerance,residual,flags"
+# the emitted record schema: ResultRecord's fields in order, `order` as `l`
+COLUMNS = ("scenario", "method", "postselection", "l", "value", "tolerance",
+           "residual", "flags")
+# a record's values in that order (dataclasses.astuple, without its deep copy)
+_row = attrgetter(*(f.name for f in fields(ResultRecord)))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def bundle_to_csv(bundle: ResultBundle) -> str:
-    lines = [CSV_HEADER]
-    for r in bundle.records:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    r.method,
-                    r.postselection,
-                    str(r.order),
-                    _fmt(r.value),
-                    _fmt(r.tolerance),
-                    _fmt(r.residual),
-                    r.flags,
-                ]
-            )
-        )
+    lines = [",".join(COLUMNS)]
+    lines += [",".join(map(_fmt, _row(r))) for r in bundle.records]
     return "\n".join(lines) + "\n"
 
 
 def bundle_to_dict(bundle: ResultBundle) -> dict:
     return {
         "scenario": bundle.scenario,
-        "records": [
-            {
-                "scenario": r.scenario,
-                "method": r.method,
-                "postselection": r.postselection,
-                "l": r.order,
-                "value": r.value,
-                "tolerance": r.tolerance,
-                "residual": r.residual,
-                "flags": r.flags,
-            }
-            for r in bundle.records
-        ],
+        "records": [dict(zip(COLUMNS, _row(r))) for r in bundle.records],
         "sweeps": bundle.sweeps,
         "provenance": bundle.provenance,
     }
@@ -667,16 +653,7 @@ def bundle_from_dict(data: dict) -> ResultBundle:
     )
     for r in data.get("records", []):
         bundle.records.append(
-            ResultRecord(
-                scenario=r["scenario"],
-                method=r["method"],
-                postselection=r["postselection"],
-                order=r["l"],
-                value=r["value"],
-                tolerance=r["tolerance"],
-                residual=r["residual"],
-                flags=r.get("flags", ""),
-            )
+            ResultRecord(*(r[c] for c in COLUMNS[:-1]), flags=r.get("flags", ""))
         )
     return bundle
 

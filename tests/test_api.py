@@ -100,11 +100,12 @@ def test_exact_time_average_has_no_quadrature_knob():
 
 def test_clock_readouts_take_a_ladder_and_a_table():
     # nothing on the clock path takes a time step; the absorbed-fraction
-    # bound is a module constant and there is no per-clock config object
+    # bound is a module constant and there is no per-clock config object;
+    # the postselected readouts take one shape, a label -> state map
     readouts = {
-        clocks.clock_real_potential: ["strengths", "runs", "chi"],
-        clocks.clock_imaginary_potential: ["strengths", "runs", "chi"],
-        clocks.clock_larmor: ["strengths", "runs", "chi"],
+        clocks.clock_real_potential: ["strengths", "runs", "chis"],
+        clocks.clock_imaginary_potential: ["strengths", "runs", "chis"],
+        clocks.clock_larmor: ["strengths", "runs", "chis"],
         clocks.absorption_survival_dwell: ["strengths", "runs"],
     }
     for fn, params in readouts.items():
@@ -115,6 +116,23 @@ def test_clock_readouts_take_a_ladder_and_a_table():
             and knobs & set(params)] == []
     assert "ClockConfig" not in weaktime.__all__
     assert "ClockRuns" in weaktime.__all__
+    assert not hasattr(clocks, "_chi_items") and not hasattr(clocks, "_unwrap")
+
+
+def test_clock_table_fills_once_and_records_keep_what_is_emitted():
+    # the table is filled when it is built, from the keys it must declare;
+    # a lookup never evolves
+    params = inspect.signature(clocks.ClockRuns).parameters
+    assert params["shifts"].default is inspect.Parameter.empty
+    grid = Grid(16, 0.0, 7.5)
+    psi0 = QuantumState(position_space(grid), np.ones(16)).normalized()
+    runs = clocks.ClockRuns(Hamiltonian(position_space(grid)), psi0,
+                            Region(3.0, 5.0), (0.0, 1.0), (0.0, 0.1))
+    with pytest.raises(ParameterError):
+        runs.final(0.2)
+    # a sweep record carries only what the emitted sweep payload reads
+    assert [f.name for f in dataclasses.fields(clocks.SweepRecord)] == [
+        "strengths", "readouts", "value", "order", "residual", "flagged"]
 
 
 def test_clocks_evolve_exactly_with_no_time_step():

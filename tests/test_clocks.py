@@ -9,11 +9,13 @@ from weaktime.clocks import (
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
+    clock_shifts,
     extrapolate_to_zero,
 )
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import ParameterError
 from weaktime.hilbert import (
+    HBAR,
     Grid,
     QuantumState,
     Region,
@@ -26,6 +28,16 @@ GRID = Grid(64, 0.0, 48.0)
 SPACE = position_space(GRID)
 REGION = Region(20.0, 28.0)
 WINDOW = (0.0, 8.0)
+
+
+def _runs(ham, psi0, region=REGION, **ladders):
+    """A table holding exactly the keys that these ladders read."""
+    return ClockRuns(ham, psi0, region, WINDOW, clock_shifts(**ladders))
+
+
+def _one(read, strengths, runs, chi):
+    """The record of a single postselector."""
+    return read(strengths, runs, {"chi": chi})["chi"]
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +93,11 @@ def test_extrapolation_input_validation():
 
 def test_config_requires_descending_ladder(crossing):
     ham, psi0, psi_final, _ = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    runs = _runs(ham, psi0)
     for ladder in ((0.1, 0.2, 0.3), (0.1, 0.05), (0.1, 0.05, 1e-9)):
         for read in (clock_real_potential, clock_imaginary_potential, clock_larmor):
-            with pytest.raises(ParameterError):
-                read(ladder, runs, psi_final)
+            with pytest.raises(ParameterError, match="strength"):
+                read(ladder, runs, {"chi": psi_final})
         with pytest.raises(ParameterError):
             absorption_survival_dwell(ladder, runs)
 
@@ -102,8 +114,9 @@ def test_real_potential_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    runs = ClockRuns(ham, psi0, whole, WINDOW)
-    rec = clock_real_potential((0.12, 0.06, 0.03), runs, _full_box_chi(ham, psi0))
+    ladder = (0.12, 0.06, 0.03)
+    runs = _runs(ham, psi0, whole, real_potential=ladder)
+    rec = _one(clock_real_potential, ladder, runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
     assert not rec.flagged
@@ -113,8 +126,9 @@ def test_imaginary_potential_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    runs = ClockRuns(ham, psi0, whole, WINDOW)
-    rec = clock_imaginary_potential((0.02, 0.01, 0.005), runs, _full_box_chi(ham, psi0))
+    ladder = (0.02, 0.01, 0.005)
+    runs = _runs(ham, psi0, whole, imaginary_potential=ladder)
+    rec = _one(clock_imaginary_potential, ladder, runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -123,8 +137,9 @@ def test_larmor_full_box_gives_window_length():
     ham = Hamiltonian(SPACE)
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
-    runs = ClockRuns(ham, psi0, whole, WINDOW)
-    rec = clock_larmor((0.2, 0.1, 0.05), runs, _full_box_chi(ham, psi0))
+    ladder = (0.2, 0.1, 0.05)
+    runs = _runs(ham, psi0, whole, larmor=ladder)
+    rec = _one(clock_larmor, ladder, runs, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -134,33 +149,38 @@ def test_larmor_full_box_gives_window_length():
 
 def test_real_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    rec = clock_real_potential((0.12, 0.06, 0.03), runs, psi_final)
+    ladder = (0.12, 0.06, 0.03)
+    rec = _one(clock_real_potential, ladder, _runs(ham, psi0, real_potential=ladder), psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_imaginary_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    rec = clock_imaginary_potential((0.04, 0.02, 0.01), runs, psi_final)
+    ladder = (0.04, 0.02, 0.01)
+    rec = _one(clock_imaginary_potential, ladder,
+               _runs(ham, psi0, imaginary_potential=ladder), psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_larmor_matches_dwell_and_identity_route(crossing):
     ham, psi0, psi_final, tau = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    rec = clock_larmor((0.2, 0.1, 0.05), runs, psi_final)
+    omegas = (0.2, 0.1, 0.05)
+    runs = _runs(ham, psi0, larmor=omegas)
+    rec = _one(clock_larmor, omegas, runs, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
-    # the spin-amplitude identity reads the same sweeps a second way
-    ident = rec.metadata["identity_value"]
-    assert ident.real == pytest.approx(rec.time, rel=1e-4)
+    # the spin-amplitude identity i (a_up - a_down) / (omega a_up(0)) is the
+    # phase clock at v = hbar omega/2, read from the same table
+    phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in omegas), runs, psi_final)
+    assert phase.time == pytest.approx(rec.time, rel=1e-4)
 
 
 def test_larmor_matches_position_spin_oracle(crossing):
     ham, psi0, psi_final, _ = crossing
     strengths = (0.2, 0.1, 0.05)
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    rec = clock_larmor(strengths, runs, psi_final)
+    runs = _runs(ham, psi0, larmor=strengths)
+    rec = _one(clock_larmor, strengths, runs, psi_final)
+    phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in strengths),
+                 runs, psi_final)
     spinors = oracle.larmor_spinors(
         ham.dense_matrix(), REGION.indicator(GRID), psi0.amplitudes,
         psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], GRID.dx,
@@ -174,37 +194,42 @@ def test_larmor_matches_position_spin_oracle(crossing):
     np.testing.assert_allclose(np.real(rec.readouts), sy, rtol=1e-9)
     np.testing.assert_allclose(np.imag(rec.readouts), 0.0, atol=0.0)
     ident_value, _, _ = extrapolate_to_zero(strengths, ident, 2)
-    assert abs(rec.metadata["identity_value"] - ident_value) <= 1e-9 * abs(ident_value)
+    assert abs(phase.value - ident_value) <= 1e-9 * abs(ident_value)
 
 
 def test_norm_loss_route_matches_dwell(crossing):
     ham, psi0, _, tau = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    rec = absorption_survival_dwell((0.04, 0.02, 0.01), runs)
+    ladder = (0.04, 0.02, 0.01)
+    rec = absorption_survival_dwell(ladder, _runs(ham, psi0, imaginary_potential=ladder))
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_dict_postselection_shares_sweeps(crossing):
     ham, psi0, psi_final, _ = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    both = clock_real_potential((0.12, 0.06, 0.03), runs, {"a": psi_final, "b": psi_final})
-    assert both["a"].value == both["b"].value
-    assert both["a"].postselection == "a"
+    ladder = (0.12, 0.06, 0.03)
+    runs = _runs(ham, psi0, real_potential=ladder)
+    both = clock_real_potential(ladder, runs, {"a": psi_final, "b": psi_final})
+    assert list(both) == ["a", "b"]
+    assert both["a"] == both["b"]
 
 
 def test_absorbed_fraction_guard(crossing):
-    ham, psi0, psi_final, _ = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    with pytest.raises(ParameterError):
-        clock_imaginary_potential((2.0, 1.0, 0.5), runs, psi_final)
+    # 88% of the packet is absorbed at Gamma = 2, far outside the linear
+    # regime: the table refuses to be built
+    ham, psi0, _, _ = crossing
+    with pytest.raises(ParameterError, match="absorbed fraction"):
+        _runs(ham, psi0, imaginary_potential=(2.0, 1.0, 0.5))
 
 
 def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
-    # the same ladder that the postselected absorber refuses: 88% of the
-    # packet is absorbed at Gamma = 2, far outside the linear regime
+    # the guard is per key, so both absorption readouts share it: one
+    # over-absorbing key refuses the table, and a table without it cannot
+    # serve the ladder that would read it
     ham, psi0, _, _ = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="absorbed fraction"):
+        ClockRuns(ham, psi0, REGION, WINDOW, (0j, -1.0j))
+    runs = _runs(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
+    with pytest.raises(ParameterError, match="not among the declared shifts"):
         absorption_survival_dwell((2.0, 1.0, 0.5), runs)
 
 
@@ -213,7 +238,7 @@ def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
 
 def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
     ham, psi0, _, _ = crossing
-    runs = ClockRuns(ham, psi0, REGION, WINDOW)
+    runs = _runs(ham, psi0)
     exact = evolve_eigenbasis(psi0, ham, WINDOW[1])
     np.testing.assert_allclose(runs.final(0).amplitudes, exact.amplitudes,
                                rtol=0, atol=1e-13)
@@ -221,23 +246,30 @@ def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
     assert runs.final(0.0) is runs.final(0j)
 
 
-def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
-    # the first request evolves the requested key and every declared one as
-    # the columns of one block; later requests read the table
-    ham, psi0, psi_final, _ = crossing
-    shifts = clocks.clock_shifts(real_potential=(0.12, 0.06, 0.03),
-                                 imaginary_potential=(0.04, 0.02, 0.01),
-                                 larmor=(0.24, 0.12, 0.06))
-    assert len(shifts) == 1 + 6 + 3
+def _counting_blocks(monkeypatch):
     blocks = []
     evolve_shifted = clocks.evolve_shifted
     monkeypatch.setattr(clocks, "evolve_shifted",
                         lambda *args: blocks.append(list(args[2])) or evolve_shifted(*args))
+    return blocks
+
+
+def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
+    # the declared keys are evolved when the table is built, as the columns
+    # of one block; the readouts only read the table
+    ham, psi0, psi_final, _ = crossing
+    shifts = clock_shifts(real_potential=(0.12, 0.06, 0.03),
+                          imaginary_potential=(0.04, 0.02, 0.01),
+                          larmor=(0.24, 0.12, 0.06))
+    assert len(shifts) == 1 + 6 + 3
+    blocks = _counting_blocks(monkeypatch)
     runs = ClockRuns(ham, psi0, REGION, WINDOW, shifts)
-    clock_real_potential((0.12, 0.06, 0.03), runs, psi_final)
-    clock_imaginary_potential((0.04, 0.02, 0.01), runs, psi_final)
+    assert blocks == [list(shifts)]
+    chis = {"chi": psi_final}
+    clock_real_potential((0.12, 0.06, 0.03), runs, chis)
+    clock_imaginary_potential((0.04, 0.02, 0.01), runs, chis)
     absorption_survival_dwell((0.04, 0.02, 0.01), runs)
-    clock_larmor((0.24, 0.12, 0.06), runs, psi_final)
+    clock_larmor((0.24, 0.12, 0.06), runs, chis)
     assert blocks == [list(shifts)]
     # each column is exp(-i T (H + u P_region)) psi0
     h = ham.dense_matrix()
@@ -245,24 +277,28 @@ def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
         ref = oracle.evolve_exact(h + u * np.diag(REGION.indicator(GRID)),
                                   psi0.amplitudes, WINDOW[1] - WINDOW[0])
         np.testing.assert_allclose(runs.final(u).amplitudes, ref, rtol=0, atol=1e-12)
-    # a key outside the declared ones still evolves, in a block of its own
-    runs.final(0.5)
-    assert blocks[1:] == [[0.5]]
 
 
-def test_larmor_reads_the_phase_clock_runs(crossing, monkeypatch):
-    # omega = 2v puts Larmor's +-omega/2 runs on the phase clock's +-v keys,
-    # so a table filled by the phase clock serves Larmor without evolving
+def test_runs_refuse_an_undeclared_key(crossing, monkeypatch):
+    # no lazy fill: a key outside the declared ones is an error, not a
+    # second evolution
     ham, psi0, psi_final, _ = crossing
-    fresh = clock_larmor((0.24, 0.12, 0.06), ClockRuns(ham, psi0, REGION, WINDOW), psi_final)
-    shared = ClockRuns(ham, psi0, REGION, WINDOW)
-    clock_real_potential((0.12, 0.06, 0.03), shared, psi_final)
-    calls = []
-    evolve_shifted = clocks.evolve_shifted
-    monkeypatch.setattr(clocks, "evolve_shifted",
-                        lambda *args: calls.append(args) or evolve_shifted(*args))
-    reused = clock_larmor((0.24, 0.12, 0.06), shared, psi_final)
-    assert calls == []
-    assert reused.value == fresh.value
-    assert reused.residual == fresh.residual
-    assert reused.readouts == fresh.readouts
+    runs = _runs(ham, psi0, real_potential=(0.12, 0.06, 0.03))
+    blocks = _counting_blocks(monkeypatch)
+    for u in (0.5, 0.12j, -0.5j * 0.04):
+        with pytest.raises(ParameterError, match="not among the declared shifts"):
+            runs.final(u)
+    with pytest.raises(ParameterError, match="not among the declared shifts"):
+        clock_imaginary_potential((0.04, 0.02, 0.01), runs, {"chi": psi_final})
+    assert blocks == []
+
+
+def test_larmor_reads_the_phase_clock_runs(crossing):
+    # omega = 2v puts Larmor's +-omega/2 runs on the phase clock's +-v keys,
+    # so a table declared for the phase clock serves Larmor
+    ham, psi0, psi_final, _ = crossing
+    omegas, vs = (0.24, 0.12, 0.06), (0.12, 0.06, 0.03)
+    assert clock_shifts(larmor=omegas) == clock_shifts(real_potential=vs)
+    fresh = _one(clock_larmor, omegas, _runs(ham, psi0, larmor=omegas), psi_final)
+    shared = _one(clock_larmor, omegas, _runs(ham, psi0, real_potential=vs), psi_final)
+    assert shared == fresh

@@ -334,7 +334,7 @@ def test_moment_meter_readout_matches_operator_moment(crossing):
         rec = meter_moment_readout(runs)
         ref = moment(op, psi_final, psi_final, order)
         assert rec.time == pytest.approx(ref, rel=1e-6)
-        assert (rec.method, rec.postselection, rec.strengths) == ("meter", "none", ladder)
+        assert rec.strengths == ladder
 
 
 def test_moment_meter_rejects_bad_order(crossing):

@@ -15,6 +15,7 @@ from weaktime.clocks import (
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
+    clock_shifts,
 )
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import DegeneratePostselectionError
@@ -64,7 +65,7 @@ def ctx():
         # <chi|phi> times the pointer profile, so its norm is the overlap
         run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham),
         # the clock table's own unperturbed final state
-        clock_final=ClockRuns(ham, psi0, REGION, WINDOW).final(0),
+        clock_final=ClockRuns(ham, psi0, REGION, WINDOW, clock_shifts()).final(0),
     )
 
 
@@ -88,10 +89,10 @@ def _cell_second_moment(c, eps):
     return second_moment_position_postselected(c.op, psi, CELL)
 
 
-def _clock(fn, strengths):
+def _clock(fn, name, strengths):
     def route(c, eps):
-        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW)
-        return fn(strengths, runs, _postselector(c.clock_final, eps))
+        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW, clock_shifts(**{name: strengths}))
+        return fn(strengths, runs, {"chi": _postselector(c.clock_final, eps)})
 
     return route
 
@@ -117,9 +118,11 @@ ROUTES = {
         c.op, c.psi0, _postselector(c.psi_final, eps), 1, (0.1, 0.05, 0.025)
     ),
     "derivative_identity_check": _identity_check,
-    "clock_real_potential": _clock(clock_real_potential, (0.02, 0.01, 0.005)),
-    "clock_imaginary_potential": _clock(clock_imaginary_potential, (0.02, 0.01, 0.005)),
-    "clock_larmor": _clock(clock_larmor, (0.04, 0.02, 0.01)),
+    "clock_real_potential": _clock(clock_real_potential, "real_potential",
+                                   (0.02, 0.01, 0.005)),
+    "clock_imaginary_potential": _clock(clock_imaginary_potential, "imaginary_potential",
+                                        (0.02, 0.01, 0.005)),
+    "clock_larmor": _clock(clock_larmor, "larmor", (0.04, 0.02, 0.01)),
 }
 
 

@@ -93,7 +93,8 @@ def test_double_barrier_refuses_a_second_barrier_before_the_first_ends(x_hi, sec
     cfg.update({"potential.kind": "double_barrier", "potential.x_lo": "230.0",
                 "potential.x_hi": repr(x_hi), "potential.x2_lo": repr(second[0]),
                 "potential.x2_hi": repr(second[1])})
-    with pytest.raises(ParameterError, match="x_hi <= x2_lo"):
+    # from a config file the same refusal is a validation failure
+    with pytest.raises(ValidationError, match="x_hi <= x2_lo"):
         scenario_from_config(cfg)
 
 
@@ -369,6 +370,7 @@ def test_bundle_json_round_trip():
     assert back.scenario == bundle.scenario
     assert back.records == bundle.records
     assert back.provenance == bundle.provenance
+    assert bundle_to_csv(back).splitlines()[1] == "demo,sojourn,none,1,1.25,0,0,"
 
 
 def test_emit_writes_requested_formats(tmp_path):
@@ -518,6 +520,37 @@ def test_cli_inapplicable_config_key_is_validation_error(well_config, capsys):
     assert "'potential.v0'" in capsys.readouterr().err
 
 
+def _set_keys(path, values):
+    cfg = parse_config(open(path).read())
+    cfg.update(values)
+    with open(path, "w") as fh:
+        fh.write(format_config(cfg))
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"window.t_stop": "-1.0"}, "t_start < t_stop"),
+    ({"potential.kind": "bogus"}, "unknown potential kind"),
+    ({"initial.eigenstate": "-1"}, "eigenstate index -1 outside [0, 128)"),
+    ({"initial.eigenstate": "500"}, "eigenstate index 500 outside [0, 128)"),
+])
+def test_cli_refused_config_value_is_validation_error(well_config, values, message, capsys):
+    # a value the scenario's own types refuse is a validation failure (exit
+    # 1), not a numerical one, and is caught before anything runs
+    _set_keys(well_config, values)
+    assert cli.main(["validate", "--config", well_config]) == 1
+    assert message in capsys.readouterr().err
+    assert cli.main(["run", "--config", well_config]) == 1
+
+
+@pytest.mark.parametrize("cell", ["-1", "128"])
+def test_cli_postselection_cell_outside_the_grid_is_validation_error(
+        well_cell_config, cell, capsys):
+    _set_keys(well_cell_config, {"postselection.cell": cell})
+    assert cli.main(["validate", "--config", well_cell_config]) == 1
+    assert f"postselection cell index {cell} outside [0, 128)" in capsys.readouterr().err
+    assert cli.main(["run", "--config", well_cell_config]) == 1
+
+
 def test_cli_run_and_emit_round_trip(well_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", well_config,
@@ -540,6 +573,10 @@ def test_cli_compare_agrees_on_well(well_config, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "agreement: ok" in out
+    # every clock is compared, the norm-loss route against the dwell time
+    rows = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:-1]}
+    assert rows == {(f"clock_{name}", "none") for name in (
+        "real_potential", "imaginary_potential", "larmor", "imaginary_norm")}
 
 
 def test_cli_sweep_writes_every_clock_sweep(well_config, tmp_path, capsys):
