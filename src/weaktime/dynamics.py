@@ -51,7 +51,8 @@ class Hamiltonian:
     hard-wall kinetic stencil plus diagonal real and imaginary potentials;
     on a spin, the zero matrix.
 
-    Instances are shared, so potentials and the cached eigensystem are read-only.
+    Instances are shared, so potentials and what is cached on them (the
+    eigensystem, `sojourn`'s window filters) are read-only.
     """
 
     space: FactorSpace

@@ -20,10 +20,10 @@ Chebyshev block (`dynamics.evolve_shifted`); no mode needs an eigensolve.
 The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
-read the `SojournOperator`'s fields directly: its eigenbasis matrix M, the
-free eigensystem (`vals`, `vecs`) it was built in and M's cached
-eigensystem; no position-basis matrix is formed.  A run's final state is
-the (system, pointer) amplitude array.
+read the `SojournOperator` directly: the free eigensystem (`vals`,
+`vecs`) it was built in and the cached eigensystem of its eigenbasis
+matrix M, which it assembles on first use; no position-basis matrix is
+formed.  A run's final state is the (system, pointer) amplitude array.
 """
 
 from __future__ import annotations

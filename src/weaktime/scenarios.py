@@ -170,10 +170,12 @@ class Scenario:
         return self.window[1] - self.window[0]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=8)
 def _hamiltonian(grid: Grid, potential: PotentialSpec) -> Hamiltonian:
-    """One Hamiltonian, and so one eigensystem, per (grid, potential); a barrier
-    scenario asks for two, its free one (validation) and its own."""
+    """One Hamiltonian, and so one eigensystem and one set of window filters,
+    per (grid, potential); a barrier scenario asks for two, its free one
+    (validation) and its own.  Eight hold the catalog's four pairs, or the
+    five of a run cycling through meter scenarios, with room to spare."""
     return Hamiltonian(position_space(grid), potential_real=potential.array(grid))
 
 
@@ -646,15 +648,19 @@ def bundle_to_dict(bundle: ResultBundle) -> dict:
 
 
 def bundle_from_dict(data: dict) -> ResultBundle:
-    bundle = ResultBundle(
-        scenario=data["scenario"],
-        sweeps=data.get("sweeps", {}),
-        provenance=data.get("provenance", {}),
-    )
-    for r in data.get("records", []):
-        bundle.records.append(
-            ResultRecord(*(r[c] for c in COLUMNS[:-1]), flags=r.get("flags", ""))
+    """Inverse of `bundle_to_dict`; a missing key raises ValidationError."""
+    try:
+        bundle = ResultBundle(
+            scenario=data["scenario"],
+            sweeps=data.get("sweeps", {}),
+            provenance=data.get("provenance", {}),
         )
+        for r in data.get("records", []):
+            bundle.records.append(
+                ResultRecord(*(r[c] for c in COLUMNS[:-1]), flags=r.get("flags", ""))
+            )
+    except KeyError as exc:
+        raise ValidationError(f"bundle lacks key {exc}") from None
     return bundle
 
 

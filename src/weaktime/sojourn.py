@@ -2,17 +2,21 @@
 
 The central object is the time average of the Heisenberg-picture region
 projector P over a window, (1/T) times the integral of
-U0(t_f,t) P U0^dag(t_f,t) over t.  It is evaluated exactly, and stored
-once, in the real eigenbasis V of the free Hamiltonian: as the elementwise
-product M = P_eig * F, with P_eig = V^T P V and F the closed-form window
-filter sinc(phi) exp(-i phi) of the level differences,
-phi = (E_i - E_j) T / 2 hbar.  P_eig is symmetric and F_ji = conj(F_ij),
-so M is hermitian by construction, bit for bit; it is built in row blocks
-mirrored by conjugation, one filter evaluation per level pair.  Every
-readout applies it as V M^l V^T to a few vectors (one ladder M^l V^T a per
-state); no position-basis matrix is formed.  Scaled by the window length T
-this is the hermitian sojourn-time operator T V M V^T, with spectrum in
-[0, T] up to rounding, whose matrix elements give dwell times, postselected
+U0(t_f,t) P U0^dag(t_f,t) over t.  It is evaluated exactly in the real
+eigenbasis V of the free Hamiltonian, as the elementwise product
+M = (V_R^T V_R) * F, with V_R the region's rows of V and F the closed-form
+window filter sinc(phi) exp(-i phi) of the level differences,
+phi = (E_i - E_j) T / 2 hbar.  F depends only on the levels and T, so its
+upper block rows are evaluated once per (Hamiltonian, window length), one
+evaluation per level pair, and cached on the Hamiltonian; an operator keeps
+only V_R and that shared filter, and M is formed block row by block row
+when it is applied.  V_R^T V_R is symmetric and F_ji = conj(F_ij), so the
+conjugate of each block row is M's column block below the diagonal, and M
+assembled whole from one (syrk) Gram product is hermitian by construction,
+bit for bit.  Every readout applies M as V M^l V^T to a few vectors (one
+ladder M^l V^T a per state); no position-basis matrix is formed.  Scaled by the window length T this is
+the hermitian sojourn-time operator T V M V^T, with spectrum in [0, T] up
+to rounding, whose matrix elements give dwell times, postselected
 traversal times and their higher moments; the projector's weak value is the
 dwell time (or, postselected, the traversal time) over T.
 
@@ -24,6 +28,7 @@ t_stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,28 +39,34 @@ from .hilbert import (
     FactorSpace,
     QuantumState,
     Region,
-    basis_cell_state,
     check_time,
     checked_overlap,
 )
 
 ANOMALY_FACTOR = 10.0
-_BLOCK = 64  # rows of M per block of sojourn_matrix's build
+_BLOCK = 64  # rows of M per block row
+# window lengths whose filter one Hamiltonian keeps, least recently used dropped
+_FILTERS_KEPT = 4
 
 
 @dataclass(frozen=True, eq=False)
 class SojournOperator:
     """Window length T times the exact time average of a region projector,
-    stored as the matrix `eigen_matrix` (M) in the real eigenbasis (`vals`,
-    `vecs`) of the free Hamiltonian it was built from.  M is hermitian by
-    construction, bit for bit; the position-basis operator is T V M V^T,
-    with spectrum in [0, T] up to rounding.  T^l enters its powers as a
-    scalar.  M's own eigensystem is solved on first use and cached, like
-    `Hamiltonian.eigensystem`."""
+    held in the real eigenbasis (`vals`, `vecs`) of the free Hamiltonian it
+    was built from as the region's rows `rows` (V_R, K x N) of V and the
+    window filter's upper block rows `filter`, shared by every operator on
+    that Hamiltonian and window length.  Its eigenbasis matrix
+    M = (V_R^T V_R) * F is formed block row by block row where it is applied
+    (`_blocks`); `eigen_matrix` assembles it whole on first use, hermitian
+    bit for bit.  The position-basis operator is T V M V^T, with spectrum
+    in [0, T] up to rounding.  T^l enters its
+    powers as a scalar.  M's own eigensystem is solved on first use and
+    cached, like `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
     window: tuple[float, float]
-    eigen_matrix: np.ndarray
+    rows: np.ndarray
+    filter: tuple
     vals: np.ndarray
     vecs: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -63,6 +74,38 @@ class SojournOperator:
     @property
     def duration(self) -> float:
         return self.window[1] - self.window[0]
+
+    def _blocks(self, gram: np.ndarray | None = None):
+        """(i0, i1, M[i0:i1, i0:]) for each block row of M's upper triangle,
+        whose conjugate is M's column block below it.  The rows of V_R^T V_R
+        are each block's own product, with no N x N temporary, unless the
+        whole `gram` is given."""
+        rows = self.rows
+        for i0, f in zip(range(0, self.vals.size, _BLOCK), self.filter):
+            i1 = i0 + _BLOCK  # the slices stop at N
+            g = rows[:, i0:i1].T @ rows[:, i0:] if gram is None else gram[i0:i1, i0:]
+            yield i0, i1, g * f
+
+    def _apply_eigen(self, x: np.ndarray) -> np.ndarray:
+        """M x, from the block rows and their conjugate mirrors."""
+        y = np.zeros(x.shape, dtype=complex)
+        for i0, i1, block in self._blocks():
+            y[i0:i1] += block @ x[i0:]
+            y[i1:] += (x[i0:i1].conj() @ block[:, _BLOCK:]).conj()
+        return y
+
+    @cached_property
+    def eigen_matrix(self) -> np.ndarray:
+        """M as one N x N array, assembled from `_blocks` on first use and
+        kept: the input of `dense`, `eigensystem` and the moment routes.  Its
+        Gram matrix is one syrk product, exactly symmetric, so M is exactly
+        hermitian."""
+        n = self.vals.size
+        m = np.empty((n, n), dtype=complex)
+        for i0, i1, block in self._blocks(self.rows.T @ self.rows):
+            m[i0:i1, i0:] = block
+            m[i1:, i0:i1] = block[:, _BLOCK:].conj().T
+        return m
 
     def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
         """V M^power V^T a, read-only.  The ladder M^l V^T a and its back
@@ -73,7 +116,7 @@ class SojournOperator:
             memo = self._cache["ladder"] = (key, [apply_real(self.vecs.T, amplitudes)], {})
         _, ladder, back = memo
         while len(ladder) <= power:
-            ladder.append(self.eigen_matrix @ ladder[-1])
+            ladder.append(self._apply_eigen(ladder[-1]))
         if power not in back:
             back[power] = apply_real(self.vecs, ladder[power])
             back[power].flags.writeable = False
@@ -118,6 +161,29 @@ def _window_filter(phi: np.ndarray) -> np.ndarray:
     return sinc * np.cos(phi) - 1j * (sinc * sin_phi)
 
 
+def _filter_blocks(hamiltonian: Hamiltonian, vals: np.ndarray, duration: float) -> tuple:
+    """Upper block rows F[i0:i0+64, i0:] of the window filter of the levels
+    `vals` of `hamiltonian` over `duration`, read-only and cached on the
+    Hamiltonian for its _FILTERS_KEPT most recently used window lengths.
+    One entry is N^2/2 + 32N complex values (2.4 MB at N = 512), so the
+    worst case is _FILTERS_KEPT entries per live Hamiltonian: 9.7 MB at
+    N = 512, times the eight Hamiltonians `Scenario.hamiltonian` keeps."""
+    filters = hamiltonian._cache.setdefault("filters", {})
+    blocks = filters.pop(duration, None)
+    if blocks is None:
+        scale = 0.5 * duration / HBAR
+        blocks = tuple(
+            _window_filter((vals[i0:i0 + _BLOCK, None] - vals[None, i0:]) * scale)
+            for i0 in range(0, vals.size, _BLOCK)
+        )
+        for block in blocks:
+            block.flags.writeable = False
+        while len(filters) >= _FILTERS_KEPT:
+            del filters[next(iter(filters))]
+    filters[duration] = blocks  # (re)inserted last: the dict runs oldest first
+    return blocks
+
+
 def sojourn_matrix(
     region: Region,
     free_hamiltonian: Hamiltonian,
@@ -134,15 +200,9 @@ def sojourn_matrix(
     if duration <= 0:
         raise ParameterError("window must have positive duration")
     vals, vecs = free_hamiltonian.eigensystem()
-    rows = vecs[region.indices(grid)]
-    # rows.T @ rows is exactly symmetric (syrk), phi antisymmetric: mirroring is exact
-    m = (rows.T @ rows).astype(complex)
-    scale = 0.5 * duration / HBAR
-    for i0 in range(0, vals.size, _BLOCK):
-        i1 = i0 + _BLOCK  # the slices stop at N
-        m[i0:i1, i0:] *= _window_filter((vals[i0:i1, None] - vals[None, i0:]) * scale)
-        m[i1:, i0:i1] = m[i0:i1, i1:].conj().T
-    return SojournOperator(free_hamiltonian.space, (t_start, t_stop), m, vals, vecs)
+    blocks = _filter_blocks(free_hamiltonian, vals, duration)
+    return SojournOperator(free_hamiltonian.space, (t_start, t_stop),
+                           vecs[region.indices(grid)], blocks, vals, vecs)
 
 
 def _postselected_ratio(
@@ -228,28 +288,3 @@ def second_moment_position_integral(op: SojournOperator, psi_final: QuantumState
     check_time(psi_final, op.window[1], "window end")
     w = op.apply(psi_final.amplitudes)
     return float(np.sum(np.abs(w) ** 2) * dx)
-
-
-@dataclass(frozen=True)
-class PositionSecondMoment:
-    """Both definitions of a cell-postselected second moment."""
-
-    operator_form: float      # Re <r| t_op^2 |psi> / <r|psi>
-    symmetrized_form: float   # <psi| t_op P_r t_op |psi> / <psi| P_r |psi>
-
-
-def second_moment_position_postselected(
-    op: SojournOperator,
-    psi_final: QuantumState,
-    cell_index: int,
-) -> PositionSecondMoment:
-    """Second moment conditioned on finding the particle in one grid cell.
-
-    Returns the operator form together with the symmetrized alternative;
-    the two differ in general.
-    """
-    cell = basis_cell_state(op.space.grid, cell_index, time=psi_final.representation_time)
-    operator_form = moment(op, psi_final, cell, 2)
-    t_psi = op.apply(psi_final.amplitudes)
-    symmetrized = float(np.abs(t_psi[cell_index]) ** 2 / np.abs(psi_final.amplitudes[cell_index]) ** 2)
-    return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)

@@ -4,17 +4,21 @@ Everything here is deliberately written against raw numpy arrays with a
 Van Loan block exponential for time averages, eigendecomposition-based
 propagation (a dense exponential with an absorber) and literal tensor
 products (system (x) pointer, position (x) spin), sharing no code with the
-package beyond the numbers it is fed; `full_eigen_matrix` alone reuses the
-package's window filter, because it pins the blocked arrangement of M and
-not the filter (which is checked against mpmath).  It is slow and only
-meant for small grids.
+package beyond the numbers it is fed.  Two exceptions: `full_eigen_matrix`
+reuses the package's window filter, because it pins the blocked arrangement
+of M and not the filter (which is checked against mpmath); and
+`second_moment_position_postselected` composes the package's own guarded
+readouts, because it compares two definitions of one moment rather than
+the package against a reference.  It is slow and only meant for small grids.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from weaktime.hilbert import HBAR
-from weaktime.sojourn import _window_filter
+from weaktime.hilbert import HBAR, basis_cell_state
+from weaktime.sojourn import _window_filter, moment
 
 
 def evolve_exact(h_matrix, psi, duration):
@@ -48,6 +52,26 @@ def full_eigen_matrix(rows, vals, duration):
     formed it before it built M in row blocks."""
     phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
     return (rows.T @ rows) * _window_filter(phi)
+
+
+@dataclass(frozen=True)
+class PositionSecondMoment:
+    """Both definitions of a cell-postselected second moment."""
+
+    operator_form: float      # Re <r| t_op^2 |psi> / <r|psi>
+    symmetrized_form: float   # <psi| t_op P_r t_op |psi> / <psi| P_r |psi>
+
+
+def second_moment_position_postselected(op, psi_final, cell_index):
+    """Second moment of a `SojournOperator` conditioned on finding the
+    particle in one grid cell, in the operator form (through the package's
+    `moment`, so its overlap guard applies) and the symmetrized alternative;
+    the two differ in general."""
+    cell = basis_cell_state(op.space.grid, cell_index, time=psi_final.representation_time)
+    operator_form = moment(op, psi_final, cell, 2)
+    t_psi = op.apply(psi_final.amplitudes)
+    symmetrized = float(np.abs(t_psi[cell_index]) ** 2 / np.abs(psi_final.amplitudes[cell_index]) ** 2)
+    return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)
 
 
 def sojourn(region_mask, h_matrix, window):

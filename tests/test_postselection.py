@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracle
 from weaktime.clocks import (
     ClockRuns,
     clock_imaginary_potential,
@@ -37,7 +38,6 @@ from weaktime.meter import (
 from weaktime.sojourn import (
     conditional_dwell_time,
     moment,
-    second_moment_position_postselected,
     sojourn_matrix,
 )
 
@@ -86,7 +86,7 @@ def _cell_second_moment(c, eps):
     norm = QuantumState(SPACE, amps).norm()
     amps[CELL] = eps * norm / np.sqrt(GRID.dx)
     psi = QuantumState(SPACE, amps, WINDOW[1])
-    return second_moment_position_postselected(c.op, psi, CELL)
+    return oracle.second_moment_position_postselected(c.op, psi, CELL)
 
 
 def _clock(fn, name, strengths):

@@ -225,6 +225,26 @@ def test_run_scenario_solves_each_hamiltonian_once(case, monkeypatch):
     assert len(calls) == solves
 
 
+def test_two_catalog_passes_solve_each_hamiltonian_once(monkeypatch):
+    # the catalog cycles through more (grid, potential) pairs than a
+    # two-entry cache holds; every pair must still be solved only once
+    scenarios._hamiltonian.cache_clear()
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    cat = catalog().values()
+    for _ in range(2):
+        for sc in cat:
+            run_scenario(sc, pipelines=("sojourn", "clocks"))
+    pairs = {(sc.grid, p) for sc in cat for p in (sc.potential, PotentialSpec())}
+    assert len(calls) == len(pairs) == 4
+
+
 def test_shared_hamiltonian_is_read_only():
     ham = catalog()["barrier_dwell"].hamiltonian()
     assert catalog()["barrier_farside"].hamiltonian() is ham
@@ -566,6 +586,20 @@ def test_cli_run_and_emit_round_trip(well_config, tmp_path, capsys):
                      "--out-dir", str(redo), "--format", "csv"])
     assert code == 0
     assert (redo / "well_halves.csv").read_text() == csv_path.read_text()
+
+
+def test_cli_emit_of_a_bundle_missing_a_record_key_is_validation_error(
+        well_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", well_config, "--out-dir", str(out),
+                     "--format", "json"]) == 0
+    data = json.loads((out / "well_halves.json").read_text())
+    del data["records"][0]["value"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["emit", "--config", str(broken), "--out-dir", str(tmp_path / "redo")]) == 1
+    assert "validation error: bundle lacks key 'value'" in capsys.readouterr().err
 
 
 def test_cli_compare_agrees_on_well(well_config, capsys):

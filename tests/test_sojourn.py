@@ -24,7 +24,6 @@ from weaktime.sojourn import (
     moment,
     moment_sum,
     second_moment_position_integral,
-    second_moment_position_postselected,
     sojourn_matrix,
 )
 
@@ -162,6 +161,26 @@ def test_sojourn_matrix_equals_full_build(n, dx, lo, width, v0, duration):
     vals, vecs = ham.eigensystem()
     full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
     assert np.array_equal(sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix, full)
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=64, dx=0.5, lo=0.2, width=0.3, v0=1.0, duration=5.0, seed=0)
+@example(n=65, dx=0.5, lo=0.0, width=1.0, v0=-2.0, duration=50.0, seed=1)
+@example(n=129, dx=0.3, lo=0.5, width=0.1, v0=3.0, duration=0.01, seed=2)
+@example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0, seed=3)
+@given(*RANDOM_CASES, st.integers(min_value=0, max_value=2**32 - 1))
+def test_block_application_matches_full_build(n, dx, lo, width, v0, duration, seed):
+    # the readouts apply M from its block rows and their mirrors, never
+    # forming it: the full build's product up to rounding, bounded by
+    # 1e-14 ||M||_F ||x||
+    region, ham = _random_case(n, dx, lo, width, v0)
+    vals, vecs = ham.eigensystem()
+    full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = sojourn_matrix(region, ham, (0.0, duration))._apply_eigen(x)
+    bound = 1e-14 * np.linalg.norm(full) * np.linalg.norm(x)
+    assert np.linalg.norm(got - full @ x) <= bound
 
 
 def _mp_filter(phi):
@@ -391,7 +410,7 @@ def test_cell_second_moment_two_forms_differ_in_general(barrier_ctx):
     psi_final = barrier_ctx.psi_final
     grid = barrier_ctx.scenario.grid
     idx = int(np.argmax(np.abs(psi_final.amplitudes)))
-    both = second_moment_position_postselected(barrier_ctx.op, psi_final, idx)
+    both = oracle.second_moment_position_postselected(barrier_ctx.op, psi_final, idx)
     rel = abs(both.operator_form - both.symmetrized_form) / abs(both.symmetrized_form)
     assert rel > 1e-3
 
