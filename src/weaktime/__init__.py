@@ -61,7 +61,6 @@ from .meter import (
     MeterRun,
     PointerDistribution,
     PointerSpec,
-    derivative_identity_check,
     lambda_moment_route,
     pointer_distribution,
     run_meter,

@@ -16,7 +16,7 @@ scenario pipeline's ladders, 9 real and 3 absorbing) are evolved together,
 as the columns of one `dynamics.evolve_shifted` Chebyshev block, when the
 table is built.  The readouts below take a strength ladder, the table and a
 map label -> postselected final state, and return one `SweepRecord` per
-label.
+label; `checked_overlap` refuses a state not referenced to the window end.
 
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and

@@ -1,19 +1,19 @@
 """Hamiltonians and time evolution.
 
-A Hamiltonian is stored in its structure: the kinetic stencil plus diagonal
-real and imaginary (absorbing) potentials on a position grid.  Static
-hermitian Hamiltonians evolve exactly in their eigenbasis
-(`evolve_eigenbasis`).  A family H + s_j diag(a) of Hamiltonians that
-differ by multiples of one real diagonal evolves one start vector exactly
-as one block (`evolve_shifted`): a Chebyshev expansion of exp(-iHt) over
-the family's common spectral interval, applied by the three-term
-recurrence to all columns at once, with no eigensolve.  The meter's
-pointer modes are such a family with real s_j, the clocks' keys one with
-complex s_j (an imaginary part is an absorber, and the series cut widens
-for it).  No production path steps with Cayley/Crank-Nicolson (`evolve`).
-Couplings to a spin or a pointer are not represented here: the Larmor
-clock reduces to two position-only runs, and the meter factorizes over
-pointer modes.
+A Hamiltonian is hermitian and stored in its structure: the kinetic
+stencil plus a diagonal real potential on a position grid, its real
+tridiagonal form (`tridiagonal`).  Static Hamiltonians evolve exactly in
+their eigenbasis (`evolve_eigenbasis`).  A family H + s_j diag(a) of
+Hamiltonians that differ by multiples of one real diagonal evolves one
+start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
+of exp(-iHt) over the family's common spectral interval, applied by the
+three-term recurrence to all columns at once, with no eigensolve.  The
+meter's pointer modes are such a family with real s_j, the clocks' keys one
+with complex s_j: an imaginary part is an absorber, the one form absorbers
+take in the package, and the series cut widens for it.  No production path
+steps with Cayley/Crank-Nicolson (`evolve`).  Couplings to a spin or a
+pointer are not represented here: the Larmor clock reduces to two
+position-only runs, and the meter factorizes over pointer modes.
 
 Boundary conditions are hard walls (Dirichlet): the kinetic matrix is the
 standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.
@@ -47,31 +47,28 @@ _CHEBYSHEV_MAX_GROWTH = 1e3
 
 @dataclass(eq=False)
 class Hamiltonian:
-    """Structured generator on one factor space: on a position grid, the
-    hard-wall kinetic stencil plus diagonal real and imaginary potentials;
-    on a spin, the zero matrix.
+    """Hermitian generator on one factor space: on a position grid, the
+    hard-wall kinetic stencil plus a diagonal real potential; on a spin,
+    the zero matrix.
 
-    Instances are shared, so potentials and what is cached on them (the
-    eigensystem, `sojourn`'s window filters) are read-only.
+    Instances are shared, so the potential and what is cached on the
+    instance (the eigensystem, `sojourn`'s window filters) are read-only.
     """
 
     space: FactorSpace
     potential_real: Optional[np.ndarray] = None
-    potential_imag: Optional[np.ndarray] = None  # -Gamma/2 convention, enters as +i*diag
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.space, FactorSpace):
             raise StructureError("a Hamiltonian acts on exactly one FactorSpace")
-        grid = self.position_grid
-        for name in ("potential_real", "potential_imag"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.array(v, dtype=float)
-                if grid is None or v.shape != (grid.n_points,):
-                    raise StructureError(f"{name} does not match the position grid")
-                v.flags.writeable = False
-                setattr(self, name, v)
+        if self.potential_real is not None:
+            v = np.array(self.potential_real, dtype=float)
+            grid = self.position_grid
+            if grid is None or v.shape != (grid.n_points,):
+                raise StructureError("potential_real does not match the position grid")
+            v.flags.writeable = False
+            self.potential_real = v
 
     @property
     def dimension(self) -> int:
@@ -81,9 +78,9 @@ class Hamiltonian:
     def position_grid(self) -> Grid | None:
         return self.space.grid
 
-    def _stencil(self):
-        """Real (diag, off) of the kinetic stencil plus the real potential,
-        zeros when there is neither."""
+    def tridiagonal(self):
+        """Real (diag, off): the kinetic stencil plus the real potential on
+        the diagonal, zeros when there is neither."""
         n = self.dimension
         diag = np.zeros(n)
         off = np.zeros(n - 1)
@@ -96,35 +93,9 @@ class Hamiltonian:
             diag += self.potential_real
         return diag, off
 
-    def _diagonal(self) -> np.ndarray:
-        """Main diagonal: the stencil's, plus i times an imaginary potential."""
-        diag, _ = self._stencil()
-        if self.potential_imag is None:
-            return diag
-        return diag + 1j * self.potential_imag
-
-    def dense_matrix(self) -> np.ndarray:
-        """Dense matrix (complex with an absorbing potential), meant as input
-        to brute-force cross-checks on small grids."""
-        _, off = self._stencil()
-        return np.diag(self._diagonal()) + np.diag(off, 1) + np.diag(off, -1)
-
-    def is_hermitian(self) -> bool:
-        return self.potential_imag is None or not np.any(self.potential_imag)
-
-    def tridiagonal(self):
-        """Real (diag, off) of a hermitian Hamiltonian: the kinetic stencil
-        plus the real potential on the diagonal, zeros when there is
-        neither."""
-        if not self.is_hermitian():
-            raise StructureError("tridiagonal form needs a hermitian Hamiltonian")
-        return self._stencil()
-
     def eigensystem(self):
-        """Real eigenvalues and float64 orthonormal eigenvectors of a hermitian
-        Hamiltonian, from one tridiagonal solve (see `tridiagonal`); cached."""
-        if not self.is_hermitian():
-            raise ParameterError("eigensystem requires a hermitian Hamiltonian")
+        """Real eigenvalues and float64 orthonormal eigenvectors, from one
+        tridiagonal solve (see `tridiagonal`); cached."""
         cached = self._cache.get("eig")
         if cached is None:
             cached = scipy.linalg.eigh_tridiagonal(*self.tridiagonal())
@@ -138,7 +109,7 @@ def evolve_eigenbasis(
     state: QuantumState, hamiltonian: Hamiltonian, t_to: float
 ) -> QuantumState:
     """Exact evolution of `state` from its representation time to t_to under
-    the static hermitian Hamiltonian, as phases in its eigenbasis."""
+    the static Hamiltonian, as phases in its eigenbasis."""
     vals, vecs = hamiltonian.eigensystem()
     span = t_to - state.representation_time
     phases = np.exp(-1j * vals * span / HBAR)
@@ -213,7 +184,7 @@ def evolve_shifted(
     the columns of one (dimension, len(shifts)) block, and the number of
     Chebyshev terms used.
 
-    H is hermitian (its real tridiagonal form), a a real diagonal.  All
+    H is the Hamiltonian's real tridiagonal form, a a real diagonal.  All
     columns run through one Chebyshev expansion (Tal-Ezer and Kosloff):
     exp(-i t H_j) = exp(-i t c) sum_n (2 - delta_n0) (-i)^n J_n(r t)
     T_n((H_j - c) / r), T_n applied by the three-term recurrence in real
@@ -332,7 +303,8 @@ class Propagator:
     """Crank-Nicolson stepping bound to a Hamiltonian and a fixed time step.
 
     No production path steps: `evolve` stays for criterion 9's convergence
-    checks and for the benchmark's trace hook on `clocks.evolve`."""
+    checks and for the benchmark's trace hook on `clocks.evolve`; an
+    absorber is a complex shift of `evolve_shifted`, never a stepped run."""
 
     dt: float
     hamiltonian: Hamiltonian
@@ -358,17 +330,16 @@ def evolve(
     """Propagate `state` from t_from to t_to in steps of prop.dt.
 
     Each step applies the Cayley form (1 + i H dt/2)^-1 (1 - i H dt/2) of the
-    tridiagonal Hamiltonian: unitary for a hermitian H, norm-decreasing with
-    an absorbing potential, second order in dt.  One sparse LU factorization
-    serves every step.
+    tridiagonal Hamiltonian: unitary, second order in dt.  One sparse LU
+    factorization serves every step.
     """
     ham = prop.hamiltonian
     if state.space != ham.space:
         raise StructureError("state and propagator live on different spaces")
     n = _check_steps(prop.dt, t_from, t_to)
-    _, off = ham._stencil()
+    diag, off = ham.tridiagonal()
     half = (0.5j * prop.dt / HBAR) * scipy.sparse.diags(
-        [off, ham._diagonal(), off], [-1, 0, 1], format="csc", dtype=complex
+        [off, diag, off], [-1, 0, 1], format="csc", dtype=complex
     )
     eye = scipy.sparse.identity(ham.dimension, format="csc", dtype=complex)
     rhs = (eye - half).tocsr()

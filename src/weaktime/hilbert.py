@@ -189,14 +189,16 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
 
 def checked_overlap(chi: QuantumState, psi: QuantumState, overlap=None) -> complex:
     """The postselection overlap `overlap` (default <chi|psi>), or raise if
-    it is degenerate.
+    it is degenerate or chi is referenced to another instant than psi.
 
     The one policy for every postselected ratio in the package: the
     postselection of psi on chi is degenerate, and DegeneratePostselectionError
-    raised, when |<chi|psi>| <= OVERLAP_FLOOR * ||chi|| * ||psi||.  A caller
+    raised, when |<chi|psi>| <= OVERLAP_FLOOR * ||chi|| * ||psi||; a chi not
+    referenced to psi's time raises ParameterError (`check_time`).  A caller
     that already holds the overlap passes it; for a meter run it is the norm
     of the postselected pointer amplitude <chi|psi(q)>.
     """
+    check_time(chi, psi.representation_time, "postselection instant")
     if overlap is None:
         overlap = inner_product(chi, psi)
     if abs(overlap) <= OVERLAP_FLOOR * chi.norm() * psi.norm():
@@ -241,8 +243,9 @@ def fourier_momentum_values(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * HBAR * np.fft.fftfreq(grid.n_points, d=grid.dx)
 
 
-def basis_cell_state(grid: Grid, index: int, time: float = 0.0) -> QuantumState:
-    """Normalized indicator of a single grid cell (cell-averaged postselector)."""
+def basis_cell_state(grid: Grid, index: int, time: float) -> QuantumState:
+    """Normalized indicator of a single grid cell (cell-averaged postselector)
+    referenced to `time`."""
     if not 0 <= index < grid.n_points:
         raise ParameterError("cell index outside grid")
     amps = np.zeros(grid.n_points, dtype=complex)

@@ -5,8 +5,9 @@ H_int = (G/T) pi (x) A over the window (t_start, t_stop) of length T that
 the sojourn operator averages over, pi the pointer momentum.  This module
 evolves the composite system-pointer state, extracts pointer distributions
 (unconditioned and postselected), survival probabilities, and the pointer
-readouts of time-moment meters, and cross-checks the derivative identities
-relating pointer statistics to weak values.
+readouts of time-moment meters.  The derivative identities that re-derive
+weak values from pointer statistics are cross-checks and live with the
+test oracle, not here.
 
 Because the pointer has no free Hamiltonian, the evolution factorizes
 over pointer momentum modes: each Fourier mode of the pointer profile
@@ -28,8 +29,8 @@ formed.  A run's final state is the (system, pointer) amplitude array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -109,7 +110,8 @@ class MeterRun:
     `final` holds the read-only composite amplitudes psi(s, q), shaped
     (system dimension, pointer points).  `reference_system_final` is the
     system state evolved with the meter switched off, used for survival
-    probabilities and as the G = 0 reference in derivative identities.
+    probabilities and as the unperturbed state that postselected readouts
+    guard their overlap against.
     `modes_kept` counts the pointer modes evolved with the coupling; the
     others were below the mode cutoff.  `chebyshev_terms` is the length of
     the series that evolved them (columns x terms is the block's work); 0
@@ -294,12 +296,6 @@ def run_moment_meter(
 # -- pointer statistics ----------------------------------------------------
 
 
-def _postselected_pointer_amplitude(run: MeterRun, chi: QuantumState) -> np.ndarray:
-    if chi.space != run.reference_system_final.space:
-        raise StructureError("postselector must live on the system space")
-    return run.system_weight * (chi.amplitudes.conj() @ run.final)
-
-
 def pointer_distribution(
     run: MeterRun, postselect: Optional[QuantumState] = None
 ) -> PointerDistribution:
@@ -311,7 +307,9 @@ def pointer_distribution(
         raw = run.system_weight * np.sum(np.abs(run.final) ** 2, axis=0)
         prob = float(np.sum(raw) * dq)
     else:
-        amp = _postselected_pointer_amplitude(run, postselect)
+        if postselect.space != run.reference_system_final.space:
+            raise StructureError("postselector must live on the system space")
+        amp = run.system_weight * (postselect.amplitudes.conj() @ run.final)
         raw = np.abs(amp) ** 2
         prob = float(np.sum(raw) * dq)
         # the composite's norm is the reference state's, up to norm_drift
@@ -334,20 +332,6 @@ def survival_probability(run: MeterRun) -> float:
     (freely evolved) state after the measurement."""
     dist = pointer_distribution(run, postselect=run.reference_system_final)
     return dist.probability / run.reference_system_final.norm() ** 2
-
-
-def conditional_mean_sum(run: MeterRun, chi_family) -> tuple[float, float]:
-    """Left and right side of the conditional-mean decomposition: the
-    branch-weighted sum of conditional pointer means against the marginal
-    mean.  Exact when the family is orthonormal and complete on the
-    system's support."""
-    total = pointer_distribution(run).mean
-    acc = 0.0
-    for chi in chi_family:
-        amp = _postselected_pointer_amplitude(run, chi)
-        raw = np.abs(amp) ** 2
-        acc += float(np.sum(run.spec.grid.points * raw) * run.spec.grid.dx)
-    return acc, total
 
 
 def pointer_shift_fit(runs, postselect: Optional[QuantumState] = None):
@@ -385,106 +369,6 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     )
 
 
-# -- derivative identities -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Weak values recovered from pointer statistics by finite differences,
-    with discrepancies against reference values where supplied."""
-
-    pointer_weak_value: complex
-    pointer_residual: float
-    momentum_projected: dict
-    momentum_residuals: dict
-    discrepancies: dict = field(default_factory=dict)
-
-
-def derivative_identity_check(
-    run_factory: Callable[[float], MeterRun],
-    strengths,
-    chi: QuantumState,
-    orders=(1, 2),
-    reference: Optional[dict] = None,
-) -> IdentityReport:
-    """Recover conditional weak values from the pointer in two ways.
-
-    (i) the coupling-derivative of the pointer-position matrix element
-    projected on the zero-momentum pointer component, and (ii) for each
-    requested order l, (i hbar / pi d/dG)^l of the fixed-small-momentum
-    amplitude; both by central differences over a ladder of +-G runs
-    produced by `run_factory`.
-    """
-    strengths = tuple(float(g) for g in strengths)
-    if len(strengths) < 3:
-        raise ParameterError("need at least 3 ladder strengths")
-    runs = {g: run_factory(g) for g in strengths}
-    runs_neg = {g: run_factory(-g) for g in strengths}
-
-    probe = runs[strengths[0]]
-    ref_sys = probe.reference_system_final
-    den0 = checked_overlap(chi, ref_sys)
-    grid = probe.spec.grid
-    q = grid.points
-    phi0 = probe.pointer_initial.amplitudes
-    # zero-momentum projection = plain sum over the pointer axis
-    denom_q = den0 * np.sum(phi0)
-
-    pi1 = fourier_momentum_values(grid)[1]
-    a0 = den0 * np.fft.fft(phi0)[1]
-
-    # discrete response factor of the q-weighted readout: the q-sum applied
-    # to the trigonometric interpolant of the discretely modulated pointer
-    # differs from the ideal derivative at zero momentum by this computable
-    # factor (close to 1); dividing by it makes the identity exact on the grid
-    coeffs = np.fft.fft(phi0)
-    response = complex(
-        -1j
-        * np.sum(coeffs * fourier_momentum_values(grid) * np.fft.ifft(q))
-        / coeffs[0]
-    )
-
-    q_readouts = []
-    mom_readouts = {l: [] for l in orders}
-    for g in strengths:
-        amp_p = _postselected_pointer_amplitude(runs[g], chi)
-        amp_m = _postselected_pointer_amplitude(runs_neg[g], chi)
-        nq = np.sum(q * amp_p) - np.sum(q * amp_m)
-        q_readouts.append(nq / (2.0 * g * denom_q * response))
-        ap = np.fft.fft(amp_p)[1]
-        am = np.fft.fft(amp_m)[1]
-        for l in orders:
-            if l == 1:
-                d = (ap - am) / (2.0 * g)
-            elif l == 2:
-                d = (ap - 2.0 * a0 + am) / g**2
-            else:
-                raise ParameterError("momentum-projected check implemented for l <= 2")
-            mom_readouts[l].append((1j * HBAR / pi1) ** l * d / a0)
-
-    pw, _, pres = extrapolate_to_zero(strengths, q_readouts, 2)
-    mom_vals, mom_res = {}, {}
-    for l in orders:
-        v, _, r = extrapolate_to_zero(strengths, mom_readouts[l], 2)
-        mom_vals[l] = v
-        mom_res[l] = r
-
-    disc = {}
-    if reference:
-        for l, ref_val in reference.items():
-            if l in mom_vals:
-                disc[l] = abs(mom_vals[l] - ref_val)
-        if 1 in reference:
-            disc["pointer"] = abs(pw - reference[1])
-    return IdentityReport(
-        pointer_weak_value=pw,
-        pointer_residual=pres,
-        momentum_projected=mom_vals,
-        momentum_residuals=mom_res,
-        discrepancies=disc,
-    )
-
-
 def lambda_moment_route(
     op: SojournOperator,
     psi0: QuantumState,
@@ -508,8 +392,10 @@ def lambda_moment_route(
     free_eig, tau, u = _free_flight(op, psi0)
     chi_eig = apply_real(op.vecs.T, chi.amplitudes)
     w = psi0.cell_weight
-    # the free evolution keeps the norm of psi0
-    den = checked_overlap(chi, psi0, w * np.vdot(chi_eig, free_eig))
+    # the free evolution keeps the norm of psi0, so psi0 at the window end
+    # stands in for the freely evolved state in the overlap guard
+    den = checked_overlap(chi, psi0.at_time(op.window[1]),
+                          w * np.vdot(chi_eig, free_eig))
 
     tau = op.duration * tau
     z = u.conj().T @ free_eig

@@ -59,7 +59,7 @@ class SojournOperator:
     M = (V_R^T V_R) * F is formed block row by block row where it is applied
     (`_blocks`); `eigen_matrix` assembles it whole on first use, hermitian
     bit for bit.  The position-basis operator is T V M V^T, with spectrum
-    in [0, T] up to rounding.  T^l enters its
+    in [0, T] up to rounding; the package never forms it.  T^l enters its
     powers as a scalar.  M's own eigensystem is solved on first use and
     cached, like `Hamiltonian.eigensystem`."""
 
@@ -97,7 +97,7 @@ class SojournOperator:
     @cached_property
     def eigen_matrix(self) -> np.ndarray:
         """M as one N x N array, assembled from `_blocks` on first use and
-        kept: the input of `dense`, `eigensystem` and the moment routes.  Its
+        kept: the input of `eigensystem` and the moment routes.  Its
         Gram matrix is one syrk product, exactly symmetric, so M is exactly
         hermitian."""
         n = self.vals.size
@@ -125,12 +125,6 @@ class SojournOperator:
     def apply(self, amplitudes: np.ndarray, power: int = 1) -> np.ndarray:
         """The operator's power-th power applied to position amplitudes."""
         return self.duration**power * self._average(amplitudes, power)
-
-    def dense(self) -> np.ndarray:
-        """Position-basis matrix T V M V^T, meant as input to brute-force
-        cross-checks on small grids."""
-        vecs, m = self.vecs, self.eigen_matrix
-        return self.duration * (vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T))
 
     def eigensystem(self):
         """Real eigenvalues and unitary eigenvectors (tau, W) of M, so that
@@ -265,11 +259,14 @@ def moment_sum(
 ) -> float:
     """Sum of |overlap|^2-weighted conditional moments over a family of
     orthonormal final states, evaluated in numerator form so that cells with
-    vanishing overlap contribute zero instead of 0/0."""
+    vanishing overlap contribute zero instead of 0/0.  Having no overlap
+    guard, it checks the time of every state itself."""
+    check_time(psi_final, op.window[1], "window end")
     vec = op.apply(psi_final.amplitudes, order)
     total = 0.0
     w = psi_final.cell_weight
     for chi in chi_family:
+        check_time(chi, op.window[1], "window end")
         p = w * np.vdot(chi.amplitudes, psi_final.amplitudes)
         num = w * np.vdot(chi.amplitudes, vec)
         total += (np.conj(p) * num).real

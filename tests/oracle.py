@@ -4,12 +4,18 @@ Everything here is deliberately written against raw numpy arrays with a
 Van Loan block exponential for time averages, eigendecomposition-based
 propagation (a dense exponential with an absorber) and literal tensor
 products (system (x) pointer, position (x) spin), sharing no code with the
-package beyond the numbers it is fed.  Two exceptions: `full_eigen_matrix`
-reuses the package's window filter, because it pins the blocked arrangement
-of M and not the filter (which is checked against mpmath); and
-`second_moment_position_postselected` composes the package's own guarded
-readouts, because it compares two definitions of one moment rather than
-the package against a reference.  It is slow and only meant for small grids.
+package beyond the numbers it is fed; the dense matrices of the package's
+Hamiltonian and sojourn operator are built here too (`dense_hamiltonian`
+from the kinetic stencil, not from `Hamiltonian.tridiagonal`).  The
+exceptions compare two definitions of one quantity rather than the package
+against a reference, so they compose the package's own pieces:
+`full_eigen_matrix` reuses the window filter, because it pins the blocked
+arrangement of M and not the filter (which is checked against mpmath);
+`second_moment_position_postselected` composes the guarded readouts;
+`conditional_mean_sum` reads the marginal pointer through
+`pointer_distribution`; and `derivative_identity_check` guards its
+postselection with `checked_overlap` and extrapolates with
+`extrapolate_to_zero`.  It is slow and only meant for small grids.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from weaktime.hilbert import HBAR, basis_cell_state
+from weaktime.clocks import extrapolate_to_zero
+from weaktime.errors import ParameterError
+from weaktime.hilbert import HBAR, basis_cell_state, checked_overlap, fourier_momentum_values
+from weaktime.meter import pointer_distribution
 from weaktime.sojourn import _window_filter, moment
 
 
@@ -74,6 +83,12 @@ def second_moment_position_postselected(op, psi_final, cell_index):
     return PositionSecondMoment(operator_form=operator_form, symmetrized_form=symmetrized)
 
 
+def dense_sojourn(op):
+    """Position-basis matrix T V M V^T of a `SojournOperator`."""
+    vecs, m = op.vecs, op.eigen_matrix
+    return op.duration * (vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T))
+
+
 def sojourn(region_mask, h_matrix, window):
     """Window length times the time-averaged projector onto the masked cells."""
     proj = np.diag(region_mask.astype(complex))
@@ -107,6 +122,18 @@ def kinetic_matrix(n, dx):
     m -= inv2 * np.eye(n, k=1)
     m -= inv2 * np.eye(n, k=-1)
     return m
+
+
+def dense_hamiltonian(ham):
+    """Dense matrix of a `Hamiltonian`: the hard-wall kinetic stencil plus
+    diag(potential_real) on a position grid, zeros on a spin."""
+    grid = ham.position_grid
+    if grid is None:
+        return np.zeros((ham.dimension, ham.dimension))
+    h = kinetic_matrix(grid.n_points, grid.dx)
+    if ham.potential_real is not None:
+        h += np.diag(ham.potential_real)
+    return h
 
 
 def dft_momentum(n, dq):
@@ -180,3 +207,98 @@ def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):
         v = evolve_exact(gen, state0, duration)
         out.append(dx * (chi.conj() @ v.reshape(n, 2)))
     return out
+
+
+def _pointer_amplitude(run, chi):
+    """Postselected pointer amplitude <chi|psi(q)> of a meter run."""
+    return run.system_weight * (chi.amplitudes.conj() @ run.final)
+
+
+def conditional_mean_sum(run, chi_family):
+    """Left and right side of the conditional-mean decomposition: the
+    branch-weighted sum of conditional pointer means against the marginal
+    mean.  Exact when the family is orthonormal and complete on the
+    system's support."""
+    total = pointer_distribution(run).mean
+    q, dq = run.spec.grid.points, run.spec.grid.dx
+    acc = 0.0
+    for chi in chi_family:
+        acc += float(np.sum(q * np.abs(_pointer_amplitude(run, chi)) ** 2) * dq)
+    return acc, total
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Weak values recovered from pointer statistics by finite differences."""
+
+    pointer_weak_value: complex
+    pointer_residual: float
+    momentum_projected: dict
+    momentum_residuals: dict
+
+
+def derivative_identity_check(run_factory, strengths, chi, orders=(1, 2)):
+    """Recover conditional weak values from the pointer in two ways.
+
+    (i) the coupling-derivative of the pointer-position matrix element
+    projected on the zero-momentum pointer component, and (ii) for each
+    requested order l, (i hbar / pi d/dG)^l of the fixed-small-momentum
+    amplitude; both by central differences over a ladder of +-G runs
+    produced by `run_factory`.
+    """
+    strengths = tuple(float(g) for g in strengths)
+    if len(strengths) < 3:
+        raise ParameterError("need at least 3 ladder strengths")
+    runs = {g: run_factory(g) for g in strengths}
+    runs_neg = {g: run_factory(-g) for g in strengths}
+
+    probe = runs[strengths[0]]
+    den0 = checked_overlap(chi, probe.reference_system_final)
+    grid = probe.spec.grid
+    q = grid.points
+    phi0 = probe.pointer_initial.amplitudes
+    # zero-momentum projection = plain sum over the pointer axis
+    denom_q = den0 * np.sum(phi0)
+
+    pi1 = fourier_momentum_values(grid)[1]
+    a0 = den0 * np.fft.fft(phi0)[1]
+
+    # discrete response factor of the q-weighted readout: the q-sum applied
+    # to the trigonometric interpolant of the discretely modulated pointer
+    # differs from the ideal derivative at zero momentum by this computable
+    # factor (close to 1); dividing by it makes the identity exact on the grid
+    coeffs = np.fft.fft(phi0)
+    response = complex(
+        -1j
+        * np.sum(coeffs * fourier_momentum_values(grid) * np.fft.ifft(q))
+        / coeffs[0]
+    )
+
+    q_readouts = []
+    mom_readouts = {l: [] for l in orders}
+    for g in strengths:
+        amp_p = _pointer_amplitude(runs[g], chi)
+        amp_m = _pointer_amplitude(runs_neg[g], chi)
+        nq = np.sum(q * amp_p) - np.sum(q * amp_m)
+        q_readouts.append(nq / (2.0 * g * denom_q * response))
+        ap = np.fft.fft(amp_p)[1]
+        am = np.fft.fft(amp_m)[1]
+        for l in orders:
+            if l == 1:
+                d = (ap - am) / (2.0 * g)
+            elif l == 2:
+                d = (ap - 2.0 * a0 + am) / g**2
+            else:
+                raise ParameterError("momentum-projected check implemented for l <= 2")
+            mom_readouts[l].append((1j * HBAR / pi1) ** l * d / a0)
+
+    pw, _, pres = extrapolate_to_zero(strengths, q_readouts, 2)
+    mom_vals, mom_res = {}, {}
+    for l in orders:
+        mom_vals[l], _, mom_res[l] = extrapolate_to_zero(strengths, mom_readouts[l], 2)
+    return IdentityReport(
+        pointer_weak_value=pw,
+        pointer_residual=pres,
+        momentum_projected=mom_vals,
+        momentum_residuals=mom_res,
+    )

@@ -32,7 +32,6 @@ from weaktime.hilbert import (
 )
 from weaktime.meter import (
     PointerSpec,
-    conditional_mean_sum,
     lambda_moment_route,
     meter_moment_readout,
     pointer_distribution,
@@ -75,7 +74,7 @@ def crossing():
     psi0 = gaussian_packet(grid, 13.0, 2.5, 1.0)
     psi_final = QuantumState(
         space,
-        oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, window[1]),
+        oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi0.amplitudes, window[1]),
         window[1],
     )
     op = sojourn_matrix(region, ham, window)
@@ -89,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
     window = (0.0, 4.0)
     region = Region(7.0, 9.0)
     ham = Hamiltonian(space, potential_real=1.0 * region.indicator(grid))
-    hmat = ham.dense_matrix()
+    hmat = oracle.dense_hamiltonian(ham)
     vals, vecs = ham.eigensystem()
     psi0 = QuantumState(
         space, vecs[:, :6] @ np.array([1.0, 0.8j, -0.5, 0.3 + 0.2j, 0.1, -0.2j])
@@ -106,7 +105,7 @@ def test_criterion_1_oracle_equivalence():
     chi = QuantumState(space, vecs[:, 1:4] @ np.array([0.7, -0.3j, 0.4]), window[1]).normalized()
 
     errs = {
-        "matrix": float(np.max(np.abs(op.dense() - t_ref))),
+        "matrix": float(np.max(np.abs(oracle.dense_sojourn(op) - t_ref))),
         "cond": abs(
             conditional_dwell_time(op, psi_final, chi).value
             - oracle.conditional_weak_value(t_ref, psi, chi.amplitudes, dx)
@@ -227,8 +226,9 @@ def test_criterion_5_sum_rules():
         run = run_meter(
             spec, psi0, sc.region.indicator(sc.grid), 0.3, sc.window, ham
         )
-        cells = [basis_cell_state(sc.grid, j) for j in range(sc.grid.n_points)]
-        acc, total = conditional_mean_sum(run, cells)
+        cells = [basis_cell_state(sc.grid, j, time=sc.window[1])
+                 for j in range(sc.grid.n_points)]
+        acc, total = oracle.conditional_mean_sum(run, cells)
         worst = max(worst, abs(acc - total))
     ok = worst < 1e-8
     _report(5, ok, f"conditional decomposition and pointer-mean sum rules, "
@@ -283,7 +283,7 @@ def test_criterion_8_survival_scaling(crossing):
 def test_criterion_9_numerical_hygiene(crossing):
     grid, region, window, ham, psi0, _, _ = crossing
     # second-order dt convergence of the implicit stepper
-    ref = oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, 2.0)
+    ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi0.amplitudes, 2.0)
     errs = [
         np.linalg.norm(
             evolve(psi0, Propagator(dt, ham), 0.0, 2.0).amplitudes
@@ -295,14 +295,6 @@ def test_criterion_9_numerical_hygiene(crossing):
     # norm conservation in a hermitian clock-style run
     herm = evolve(psi0, Propagator(0.05, ham), *window)
     drift = abs(herm.norm() - 1.0)
-    # monotone decay under absorption
-    lossy = Hamiltonian(ham.space, potential_imag=-0.5 * 0.3 * region.indicator(grid))
-    prop = Propagator(0.1, lossy)
-    state, norms = psi0, [1.0]
-    for j in range(20):
-        state = evolve(state, prop, 0.4 * j, 0.4 * (j + 1))
-        norms.append(state.norm())
-    monotone = bool(np.all(np.diff(norms) < 0))
     # the clocks' Chebyshev block: real and absorbing columns against the
     # dense exponential, and absorbing norms falling with Gamma
     mask = region.indicator(grid)
@@ -310,16 +302,16 @@ def test_criterion_9_numerical_hygiene(crossing):
     block, _ = evolve_shifted(ham, mask, shifts, psi0.amplitudes, 2.0)
     block_err = max(
         np.linalg.norm(block[:, j] - oracle.evolve_exact(
-            ham.dense_matrix() + u * np.diag(mask), psi0.amplitudes, 2.0))
+            oracle.dense_hamiltonian(ham) + u * np.diag(mask), psi0.amplitudes, 2.0))
         / np.linalg.norm(psi0.amplitudes)
         for j, u in enumerate(shifts)
     )
     block_norms = np.linalg.norm(block[:, [0, 3, 4, 5]], axis=0)
     block_monotone = bool(np.all(np.diff(block_norms) < 0))
-    ok = (3.5 <= ratio <= 4.5 and drift < 1e-8 and monotone
+    ok = (3.5 <= ratio <= 4.5 and drift < 1e-8
           and block_err <= 1e-12 and block_monotone)
     _report(9, ok, f"dt ratio {ratio:.2f}, norm drift {drift:.1e}, "
-                   f"absorption monotone: {monotone}, block error {block_err:.1e}, "
+                   f"block error {block_err:.1e}, "
                    f"block absorption monotone: {block_monotone}")
 
 

@@ -1,7 +1,9 @@
 """Surface checks on the public API."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
 from weaktime.meter import PointerSpec, run_meter
 from weaktime.sojourn import sojourn_matrix
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "weaktime"
 
 
 def _public_parameters():
@@ -43,8 +48,11 @@ def test_one_overlap_policy_and_no_kinetic_flag():
     # the postselection-overlap floor is one package-wide definition
     # (hilbert.checked_overlap), not a per-call setting
     assert [name for name, params in _public_parameters() if "overlap_floor" in params] == []
-    # kinetic energy is present exactly when the factor is a position grid
-    assert "kinetic" not in {f.name for f in dataclasses.fields(Hamiltonian)}
+    # kinetic energy is present exactly when the factor is a position grid,
+    # and the Hamiltonian is hermitian: an absorber is a complex shift of
+    # evolve_shifted, not a second, imaginary potential
+    assert [f.name for f in dataclasses.fields(Hamiltonian)] == [
+        "space", "potential_real", "_cache"]
 
 
 def test_one_factor_per_state_and_no_dense_operator_layer():
@@ -180,3 +188,42 @@ def test_meter_runs_over_one_window():
         with pytest.raises(ParameterError, match="t_start < t_stop"):
             run_meter(spec, spin.at_time(empty[0]), np.array([1.0, -1.0]), 0.5,
                       empty, Hamiltonian(spin_space()))
+
+
+def _public_definitions():
+    """(module, name) of every public module-level function, class and
+    constant of the package, and of every public method of its classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+                if isinstance(node, ast.ClassDef):
+                    names += [sub.name for sub in node.body
+                              if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            yield from ((path.stem, n) for n in names if not n.startswith("_"))
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # cross-checks live in tests/oracle.py: whatever the package defines is
+    # read by the package itself, a demo or the benchmark, as a name, an
+    # attribute or (for the benchmark's patches) a string.  __init__ only
+    # re-exports, which is no use.  Matching is by name, so a definition is
+    # also counted as used where another of the same name is read.
+    used = set()
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unused = [f"{module}.{name}" for module, name in _public_definitions()
+              if name not in used]
+    assert unused == []

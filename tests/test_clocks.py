@@ -48,7 +48,7 @@ def crossing():
     psi0 = gaussian_packet(GRID, 13.0, 2.5, 1.0)
     psi_final = QuantumState(
         SPACE,
-        oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1]),
+        oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi0.amplitudes, WINDOW[1]),
         WINDOW[1],
     )
     op = sojourn_matrix(REGION, ham, WINDOW)
@@ -106,7 +106,7 @@ def test_config_requires_descending_ladder(crossing):
 
 
 def _full_box_chi(ham, psi0):
-    amps = oracle.evolve_exact(ham.dense_matrix(), psi0.amplitudes, WINDOW[1])
+    amps = oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi0.amplitudes, WINDOW[1])
     return QuantumState(SPACE, amps, WINDOW[1])
 
 
@@ -182,7 +182,7 @@ def test_larmor_matches_position_spin_oracle(crossing):
     phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in strengths),
                  runs, psi_final)
     spinors = oracle.larmor_spinors(
-        ham.dense_matrix(), REGION.indicator(GRID), psi0.amplitudes,
+        oracle.dense_hamiltonian(ham), REGION.indicator(GRID), psi0.amplitudes,
         psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], GRID.dx,
     )
     a_up0 = spinors[0][0]
@@ -272,7 +272,7 @@ def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
     clock_larmor((0.24, 0.12, 0.06), runs, chis)
     assert blocks == [list(shifts)]
     # each column is exp(-i T (H + u P_region)) psi0
-    h = ham.dense_matrix()
+    h = oracle.dense_hamiltonian(ham)
     for u in shifts:
         ref = oracle.evolve_exact(h + u * np.diag(REGION.indicator(GRID)),
                                   psi0.amplitudes, WINDOW[1] - WINDOW[0])

@@ -147,7 +147,11 @@ def test_fourier_momentum_values_match_operator_spectrum():
 
 def test_basis_cell_state_unit_norm():
     grid = Grid(10, 0.0, 4.5)
-    cell = basis_cell_state(grid, 3)
+    cell = basis_cell_state(grid, 3, time=1.5)
     assert cell.norm() == pytest.approx(1.0)
+    assert cell.representation_time == 1.5
     with pytest.raises(ParameterError):
-        basis_cell_state(grid, 10)
+        basis_cell_state(grid, 10, time=0.0)
+    # a postselector's instant is always the caller's choice, never a default
+    with pytest.raises(TypeError):
+        basis_cell_state(grid, 3)

@@ -343,7 +343,7 @@ def test_split_probabilities_sum_to_one(barrier_ctx):
 
 def test_transmission_matches_brute_force(barrier_ctx):
     sc = barrier_ctx.scenario
-    hmat = sc.hamiltonian().dense_matrix()
+    hmat = oracle.dense_hamiltonian(sc.hamiltonian())
     psi = oracle.evolve_exact(hmat, barrier_ctx.psi0.amplitudes, sc.duration())
     x = sc.grid.points
     p_t_ref = float(np.sum(np.abs(psi[x >= 112.0]) ** 2) * sc.grid.dx)
@@ -352,7 +352,7 @@ def test_transmission_matches_brute_force(barrier_ctx):
 
 def test_split_requires_cleared_barrier(barrier_ctx):
     sc = barrier_ctx.scenario
-    hmat = sc.hamiltonian().dense_matrix()
+    hmat = oracle.dense_hamiltonian(sc.hamiltonian())
     early = QuantumState(
         barrier_ctx.psi0.space,
         oracle.evolve_exact(hmat, barrier_ctx.psi0.amplitudes, 26.0),

@@ -51,7 +51,7 @@ def _initial_state(ham):
 def small():
     ham = _small_ham()
     psi0 = _initial_state(ham)
-    hmat = ham.dense_matrix()
+    hmat = oracle.dense_hamiltonian(ham)
     psi_final = QuantumState(
         SPACE, oracle.evolve_exact(hmat, psi0.amplitudes, WINDOW[1]), WINDOW[1]
     )
@@ -67,15 +67,15 @@ def test_spectral_sum_matches_oracle_block_exponential():
     proj = np.diag(REGION.indicator(GRID))
     for window in ((0.0, 0.01), (1.0, 5.0), (0.0, 200.0)):
         duration = window[1] - window[0]
-        ours = sojourn_matrix(REGION, ham, window).dense() / duration
-        ref = oracle.time_average(proj, ham.dense_matrix(), window)
+        ours = oracle.dense_sojourn(sojourn_matrix(REGION, ham, window)) / duration
+        ref = oracle.time_average(proj, oracle.dense_hamiltonian(ham), window)
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
 def test_integrated_matches_brute_force_quadrature(small):
     ham, hmat, psi0, psi_final, op = small
     ref = oracle.sojourn(REGION.indicator(GRID), hmat, WINDOW)
-    np.testing.assert_allclose(op.dense(), ref, atol=1e-13)
+    np.testing.assert_allclose(oracle.dense_sojourn(op), ref, atol=1e-13)
 
 
 def test_sojourn_full_box_is_window_length():
@@ -84,7 +84,7 @@ def test_sojourn_full_box_is_window_length():
     op = sojourn_matrix(whole, ham, WINDOW)
     duration = WINDOW[1] - WINDOW[0]
     np.testing.assert_allclose(
-        op.dense(), duration * np.eye(GRID.n_points), atol=1e-9
+        oracle.dense_sojourn(op), duration * np.eye(GRID.n_points), atol=1e-9
     )
 
 
@@ -218,7 +218,7 @@ def test_window_filter_is_one_only_at_zero_frequency():
 
 def test_sojourn_spectrum_within_window(small):
     _, _, _, _, op = small
-    vals = np.linalg.eigvalsh(op.dense())
+    vals = np.linalg.eigvalsh(oracle.dense_sojourn(op))
     duration = WINDOW[1] - WINDOW[0]
     assert vals.min() > -1e-6
     assert vals.max() < duration + 1e-6
@@ -242,7 +242,7 @@ def test_unconditioned_weak_value_is_real(small):
 def test_weak_value_matches_oracle(small):
     # the eigenbasis apply against the oracle's weak value of dense()
     _, _, _, psi_final, op = small
-    ref = oracle.weak_value(op.dense() / op.duration, psi_final.amplitudes, GRID.dx)
+    ref = oracle.weak_value(oracle.dense_sojourn(op) / op.duration, psi_final.amplitudes, GRID.dx)
     assert _projector_expectation(op, psi_final) == pytest.approx(ref, abs=1e-10)
 
 
@@ -258,7 +258,7 @@ def test_conditional_matches_oracle_on_cells(small):
     cell = basis_cell_state(GRID, idx, time=WINDOW[1])
     res = conditional_dwell_time(op, psi_final, cell)
     ref = oracle.conditional_weak_value(
-        op.dense(), psi_final.amplitudes, cell.amplitudes, GRID.dx
+        oracle.dense_sojourn(op), psi_final.amplitudes, cell.amplitudes, GRID.dx
     )
     assert res.value == pytest.approx(ref, abs=1e-10)
 
@@ -268,7 +268,7 @@ def test_dwell_time_in_range_and_matches_oracle(small):
     tau = dwell_time(op, psi_final)
     duration = WINDOW[1] - WINDOW[0]
     assert 0.0 <= tau <= duration
-    ref = oracle.weak_value(op.dense(), psi_final.amplitudes, GRID.dx).real
+    ref = oracle.weak_value(oracle.dense_sojourn(op), psi_final.amplitudes, GRID.dx).real
     assert tau == pytest.approx(ref, abs=1e-10)
 
 
@@ -358,7 +358,7 @@ def test_moments_match_oracle_through_order_four(small):
     for order in (1, 2, 3, 4):
         ours = moment(op, psi_final, cell, order)
         ref = oracle.conditional_moment(
-            op.dense(), psi_final.amplitudes, cell.amplitudes, order, GRID.dx
+            oracle.dense_sojourn(op), psi_final.amplitudes, cell.amplitudes, order, GRID.dx
         )
         assert ours == pytest.approx(ref, abs=1e-9)
 
@@ -390,12 +390,24 @@ def test_cell_family_sum_rule_is_exact(small):
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def test_cell_family_sum_rule_refuses_states_off_the_window_end(small):
+    # the sum rule has no overlap guard, so it checks every state's instant
+    # itself: a packet or a cell at t = 0 is refused, never summed
+    _, _, _, psi_final, op = small
+    family = [basis_cell_state(GRID, j, time=WINDOW[1]) for j in range(GRID.n_points)]
+    with pytest.raises(ParameterError, match="window end"):
+        moment_sum(op, psi_final.at_time(0.0), family, 1)
+    family[3] = basis_cell_state(GRID, 3, time=0.0)
+    with pytest.raises(ParameterError, match="window end"):
+        moment_sum(op, psi_final, family, 1)
+
+
 def test_second_moment_position_integral_equals_operator_route(small):
     _, _, _, psi_final, op = small
     via_cells = second_moment_position_integral(op, psi_final)
     via_operator = moment(op, psi_final, psi_final, 2)
     assert via_cells == pytest.approx(via_operator, abs=1e-10)
-    ref = oracle.second_moment_cells(op.dense(), psi_final.amplitudes, GRID.dx)
+    ref = oracle.second_moment_cells(oracle.dense_sojourn(op), psi_final.amplitudes, GRID.dx)
     assert via_cells == pytest.approx(ref, abs=1e-10)
 
 
