@@ -9,14 +9,16 @@ ladder of strengths and Richardson-extrapolated to zero strength.
 All of them read window-end states of one packet evolved under the system
 Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
-absorber.  A `ClockRuns` table holds those states for one packet, region
-and window under their exact u, so clocks that share a Hamiltonian share
-its evolution.  The keys it is built with (`clock_shifts`; 12 for the
-scenario pipeline's ladders, 9 real and 3 absorbing) are evolved together,
-as the columns of one `dynamics.evolve_shifted` Chebyshev block, when the
-table is built.  The readouts below take a strength ladder, the table and a
-map label -> postselected final state, and return one `SweepRecord` per
-label; `checked_overlap` refuses a state not referenced to the window end.
+absorber, stated once per clock in `CLOCK_KEYS`.  A `ClockRuns` table holds
+those states for one packet, region and window under their exact u, so
+clocks that share a Hamiltonian share its evolution.  The keys it is built
+with (`clock_shifts`; 12 for the scenario pipeline's ladders, 9 real and 3
+absorbing) are evolved together, as the columns of one
+`dynamics.evolve_shifted` Chebyshev block, when the table is built.  The
+postselected readouts share one skeleton (`_sweep`) and differ only in their
+formula: each takes a strength ladder, the table and a map label ->
+postselected final state, and returns one `SweepRecord` per label;
+`checked_overlap` refuses a state not referenced to the window end.
 
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
@@ -42,14 +44,21 @@ import numpy as np
 # not called here: perfbench/tracing.py wraps `evolve` under this module's
 # name, so the import stays until that hook moves
 from .dynamics import Hamiltonian, evolve, evolve_shifted  # noqa: F401
-from .errors import ParameterError
-from .hilbert import HBAR, QuantumState, Region, checked_overlap, inner_product
+from .errors import ParameterError, StructureError
+from .hilbert import HBAR, QuantumState, Region, check_time, checked_overlap, inner_product
 
 MIN_STRENGTH = 1e-7
 ORDER_BAND = (0.8, 2.5)
 # an absorbing run that loses more of the packet than this is refused: the
 # one-sided Gamma-derivative is no longer in its linear regime
 MAX_ABSORBED_FRACTION = 0.2
+# each clock's keys u at strength s, the weak potentials on the region that
+# its readout compares with u = 0; `clock_shifts` lists them in this order
+CLOCK_KEYS = {
+    "real_potential": lambda v: (v, -v),
+    "larmor": lambda w: (0.5 * HBAR * w, -0.5 * HBAR * w),
+    "imaginary_potential": lambda g: (-0.5j * g,),
+}
 
 
 def _ladder(strengths) -> tuple[float, ...]:
@@ -66,15 +75,12 @@ def _ladder(strengths) -> tuple[float, ...]:
 def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
     """Every key u that `clock_real_potential`, `clock_imaginary_potential`
     (and `absorption_survival_dwell`), and `clock_larmor` read from a
-    `ClockRuns` at these ladders, u = 0 first and each once: +-v, +-hbar
-    omega/2 and -i Gamma/2, computed as the readouts compute them."""
+    `ClockRuns` at these ladders, u = 0 first and each once, in
+    `CLOCK_KEYS` order."""
+    ladders = locals()  # the three ladders, by clock name
     keys = [0j]
-    for v in real_potential:
-        keys += [v, -v]
-    for w in larmor:
-        v = 0.5 * HBAR * w
-        keys += [v, -v]
-    keys += [-0.5j * g for g in imaginary_potential]
+    for clock, at in CLOCK_KEYS.items():
+        keys += [u for s in ladders[clock] for u in at(s)]
     return tuple(dict.fromkeys(complex(u) for u in keys))
 
 
@@ -87,8 +93,9 @@ class ClockRuns:
     of one `evolve_shifted` block.  `final(u)` is then the state evolved
     under system + Re(u) P_region + i Im(u) P_region, u = 0 the unmodified
     system, looked up under the exact value of u; an undeclared u raises
-    ParameterError, and so does a run that absorbs more than
-    MAX_ABSORBED_FRACTION of the packet.
+    ParameterError, as do a run absorbing more than MAX_ABSORBED_FRACTION of
+    the packet and a `psi_initial` not at the window start (on another space
+    than `system`, StructureError).
     """
 
     system: Hamiltonian
@@ -101,6 +108,9 @@ class ClockRuns:
     def __post_init__(self):
         keys = [complex(u) for u in self.shifts]
         t0, t1 = self.window
+        if self.psi_initial.space != self.system.space:
+            raise StructureError("initial state and Hamiltonian live on different spaces")
+        check_time(self.psi_initial, t0, "run start")
         block, _ = evolve_shifted(
             self.system, self.region.indicator(self.system.position_grid), keys,
             self.psi_initial.amplitudes, t1 - t0,
@@ -189,25 +199,29 @@ def _record(strengths, readouts, error_order) -> SweepRecord:
     )
 
 
+def _sweep(strengths, runs: ClockRuns, chis: dict, clock: str, error_order: int, read) -> dict:
+    """The postselected readouts' shared skeleton: for each label of `chis`
+    (label -> final state), `read(s, <chi|phi0>, *<chi|final(u)>)` at each
+    strength s, u over `CLOCK_KEYS[clock](s)`, extrapolated to zero."""
+    strengths = _ladder(strengths)
+    phi0 = runs.final(0.0)
+    finals = {s: [runs.final(u) for u in CLOCK_KEYS[clock](s)] for s in strengths}
+    out = {}
+    for label, chi in chis.items():
+        den = checked_overlap(chi, phi0)
+        readouts = [read(s, den, *(inner_product(chi, phi) for phi in finals[s]))
+                    for s in strengths]
+        out[label] = _record(strengths, readouts, error_order)
+    return out
+
+
 def clock_real_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     """Phase clock: evolve under the system Hamiltonian plus a small real
     potential step +-v on the region, and read i*hbar times the central
     potential-derivative of the postselected amplitude, one record per
     label of `chis` (label -> final state), all from the same runs."""
-    strengths = _ladder(strengths)
-    phi0 = runs.final(0.0)
-    perturbed = {v: (runs.final(v), runs.final(-v)) for v in strengths}
-
-    out = {}
-    for label, chi in chis.items():
-        den = checked_overlap(chi, phi0)
-        readouts = []
-        for v in strengths:
-            up, down = (inner_product(chi, s) for s in perturbed[v])
-            deriv = (up - down) / (2.0 * v)
-            readouts.append(1j * HBAR * deriv / den)
-        out[label] = _record(strengths, readouts, 2)
-    return out
+    return _sweep(strengths, runs, chis, "real_potential", 2,
+                  lambda v, den, up, down: 1j * HBAR * ((up - down) / (2.0 * v)) / den)
 
 
 def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
@@ -218,19 +232,8 @@ def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     relative change in `psi_final` moved records up to 6.5e-11 relative, so
     no record-equality check tighter than ~1e-11 relative holds across a
     rounding change."""
-    strengths = _ladder(strengths)
-    phi0 = runs.final(0.0)
-    perturbed = {g: runs.final(-0.5j * g) for g in strengths}
-
-    out = {}
-    for label, chi in chis.items():
-        den = checked_overlap(chi, phi0)
-        readouts = []
-        for g in strengths:
-            ratio = inner_product(chi, perturbed[g]) / den
-            readouts.append(-2.0 * HBAR * (ratio - 1.0) / g)
-        out[label] = _record(strengths, readouts, 1)
-    return out
+    return _sweep(strengths, runs, chis, "imaginary_potential", 1,
+                  lambda g, den, a: -2.0 * HBAR * (a / den - 1.0) / g)
 
 
 def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
@@ -238,10 +241,16 @@ def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
     -hbar * d/dGamma of the survival probability at zero strength; it reads
     the same -i*Gamma/2 runs as `clock_imaginary_potential`."""
     strengths = _ladder(strengths)
-    readouts = [
-        complex(-HBAR * (runs.final(-0.5j * g).norm() ** 2 - 1.0) / g) for g in strengths
-    ]
+    readouts = [-HBAR * (runs.final(u).norm() ** 2 - 1.0) / g
+                for g in strengths for u in CLOCK_KEYS["imaginary_potential"](g)]
     return _record(strengths, readouts, 1)
+
+
+def _spin_y(w, den, a_up, a_dn):
+    # no <chi|phi0> denominator, but `_sweep` refuses a degenerate chi
+    sy = 2.0 * np.imag(np.conj(a_up) * a_dn)
+    weight = abs(a_up) ** 2 + abs(a_dn) ** 2
+    return sy / weight / w
 
 
 def clock_larmor(strengths, runs: ClockRuns, chis: dict) -> dict:
@@ -256,23 +265,4 @@ def clock_larmor(strengths, runs: ClockRuns, chis: dict) -> dict:
     i (a_up - a_down) / (omega a_up(0)), the same amplitudes give the phase
     clock at v = hbar omega/2.
     """
-    strengths = _ladder(strengths)
-    phi0 = runs.final(0.0)
-    spins = {}
-    for w in strengths:
-        v = 0.5 * HBAR * w
-        spins[w] = (runs.final(v), runs.final(-v))
-
-    out = {}
-    for label, chi in chis.items():
-        # the readout has no <chi|phi0> denominator, but a degenerate
-        # postselector is refused as on every other route
-        checked_overlap(chi, phi0)
-        readouts = []
-        for w in strengths:
-            a_up, a_dn = (inner_product(chi, s) for s in spins[w])
-            sy = 2.0 * np.imag(np.conj(a_up) * a_dn)
-            weight = abs(a_up) ** 2 + abs(a_dn) ** 2
-            readouts.append(complex(sy / weight / w))
-        out[label] = _record(strengths, readouts, 2)
-    return out
+    return _sweep(strengths, runs, chis, "larmor", 2, _spin_y)

@@ -109,7 +109,10 @@ def evolve_eigenbasis(
     state: QuantumState, hamiltonian: Hamiltonian, t_to: float
 ) -> QuantumState:
     """Exact evolution of `state` from its representation time to t_to under
-    the static Hamiltonian, as phases in its eigenbasis."""
+    the static Hamiltonian, as phases in its eigenbasis; a state on another
+    space than the Hamiltonian's raises StructureError."""
+    if state.space != hamiltonian.space:
+        raise StructureError("state and Hamiltonian live on different spaces")
     vals, vecs = hamiltonian.eigensystem()
     span = t_to - state.representation_time
     phases = np.exp(-1j * vals * span / HBAR)

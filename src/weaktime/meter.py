@@ -46,7 +46,7 @@ from .hilbert import (
     fourier_momentum_values,
     gaussian_pointer,
 )
-from .sojourn import SojournOperator
+from .sojourn import SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
@@ -122,7 +122,6 @@ class MeterRun:
     coupling: float
     final: np.ndarray
     reference_system_final: QuantumState
-    pointer_initial: QuantumState
     norm_drift: float
     modes_kept: int
     chebyshev_terms: int
@@ -139,7 +138,6 @@ class PointerDistribution:
     grid: Grid
     density: np.ndarray
     mean: float
-    variance: float
     probability: float = 1.0
 
     def __post_init__(self):
@@ -147,8 +145,6 @@ class PointerDistribution:
         total = float(np.sum(d) * self.grid.dx)
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"density normalization off by {total - 1.0:.3e}")
-        if self.variance < -1e-12:
-            raise ParameterError("negative pointer variance")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "density", d)
@@ -196,7 +192,6 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
         coupling=coupling,
         final=composite,
         reference_system_final=psi_ref,
-        pointer_initial=phi,
         norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
         modes_kept=kept.size,
         chebyshev_terms=terms,
@@ -251,7 +246,7 @@ def _free_flight(op: SojournOperator, psi0: QuantumState):
     (tau, W) of the operator's eigenbasis matrix M; tau is the spectrum of
     T_op / T."""
     t0, t1 = op.window
-    check_time(psi0, t0, "run start")
+    _check_state(op, psi0, "run start")
     vals, vecs = op.vals, op.vecs
     phases = np.exp(-1j * vals * (t1 - t0) / HBAR)
     free_eig = phases * apply_real(vecs.T, psi0.amplitudes)
@@ -315,16 +310,8 @@ def pointer_distribution(
         # the composite's norm is the reference state's, up to norm_drift
         checked_overlap(postselect, run.reference_system_final, np.sqrt(prob))
     density = raw / prob
-    q = grid.points
-    mean = float(np.sum(q * density) * dq)
-    variance = float(np.sum((q - mean) ** 2 * density) * dq)
-    return PointerDistribution(
-        grid=grid,
-        density=density,
-        mean=mean,
-        variance=variance,
-        probability=prob,
-    )
+    mean = float(np.sum(grid.points * density) * dq)
+    return PointerDistribution(grid=grid, density=density, mean=mean, probability=prob)
 
 
 def survival_probability(run: MeterRun) -> float:
@@ -388,7 +375,7 @@ def lambda_moment_route(
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
-    check_time(chi, op.window[1], "window end")
+    _check_state(op, chi)
     free_eig, tau, u = _free_flight(op, psi0)
     chi_eig = apply_real(op.vecs.T, chi.amplitudes)
     w = psi0.cell_weight

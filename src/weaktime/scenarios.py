@@ -22,7 +22,6 @@ import numpy as np
 
 from .clocks import (
     ClockRuns,
-    SweepRecord,
     absorption_survival_dwell,
     clock_imaginary_potential,
     clock_larmor,
@@ -367,15 +366,24 @@ class ResultBundle:
         self.records.append(ResultRecord(scenario=self.scenario, **kwargs))
 
 
-def _sweep_payload(rec: SweepRecord) -> dict:
-    return {
-        "strengths": list(rec.strengths),
-        "readouts": [[v.real, v.imag] for v in rec.readouts],
-        "value": [rec.value.real, rec.value.imag],
-        "order": rec.order,
-        "residual": rec.residual,
-        "flagged": rec.flagged,
+def _add_sweep(bundle: ResultBundle, name: str, method: str, recs: dict, scale=1.0):
+    """One swept route: its sweep payload per label under `name`, and one
+    record per label, value and residual times `scale` (the meter's T)."""
+    bundle.sweeps[name] = {
+        lbl: {
+            "strengths": list(rec.strengths),
+            "readouts": [[v.real, v.imag] for v in rec.readouts],
+            "value": [rec.value.real, rec.value.imag],
+            "order": rec.order,
+            "residual": rec.residual,
+            "flagged": rec.flagged,
+        }
+        for lbl, rec in recs.items()
     }
+    for lbl, rec in recs.items():
+        bundle.add(method=method, postselection=lbl, order=1,
+                   value=scale * rec.time, tolerance=0.01, residual=scale * rec.residual,
+                   flags="order_flagged" if rec.flagged else "")
 
 
 # -- pipelines -------------------------------------------------------------
@@ -443,31 +451,17 @@ def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
         "larmor": clock_larmor,
     }
     for name, fn in methods.items():
-        recs = fn(ladders[name], runs, chis)
-        bundle.sweeps[name] = {lbl: _sweep_payload(r) for lbl, r in recs.items()}
-        for lbl, rec in recs.items():
-            bundle.add(method=f"clock_{name}", postselection=lbl, order=1,
-                       value=rec.time, tolerance=0.01, residual=rec.residual,
-                       flags="order_flagged" if rec.flagged else "")
+        _add_sweep(bundle, name, f"clock_{name}", fn(ladders[name], runs, chis))
     rec = absorption_survival_dwell(ladders["imaginary_potential"], runs)
-    bundle.sweeps["imaginary_potential_norm"] = {"none": _sweep_payload(rec)}
-    bundle.add(method="clock_imaginary_norm", postselection="none", order=1,
-               value=rec.time, tolerance=0.01, residual=rec.residual,
-               flags="order_flagged" if rec.flagged else "")
+    _add_sweep(bundle, "imaginary_potential_norm", "clock_imaginary_norm", {"none": rec})
 
 
 def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    duration = sc.duration()
     indicator = sc.region.indicator(sc.grid)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
     runs = [run_meter(spec, psi0, indicator, g, sc.window, ham) for g in METER_LADDER]
-    bundle.sweeps["meter"] = {}
-    for label, chi in chis.items():
-        rec = meter_moment_readout(runs, chi)
-        bundle.sweeps["meter"][label] = _sweep_payload(rec)
-        bundle.add(method="meter", postselection=label, order=1,
-                   value=duration * rec.time, tolerance=0.01,
-                   residual=duration * rec.residual)
+    recs = {label: meter_moment_readout(runs, chi) for label, chi in chis.items()}
+    _add_sweep(bundle, "meter", "meter", recs, scale=sc.duration())
 
 
 def run_scenario(

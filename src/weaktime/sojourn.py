@@ -199,6 +199,14 @@ def sojourn_matrix(
                            vecs[region.indices(grid)], blocks, vals, vecs)
 
 
+def _check_state(op: SojournOperator, state: QuantumState, instant: str = "window end"):
+    """StructureError for a state on another space than the operator's,
+    ParameterError for one not at the window end (start, for "run start")."""
+    if state.space != op.space:
+        raise StructureError("state and sojourn operator live on different spaces")
+    check_time(state, op.window[0] if instant == "run start" else op.window[1], instant)
+
+
 def _postselected_ratio(
     op: SojournOperator,
     psi_final: QuantumState,
@@ -207,8 +215,8 @@ def _postselected_ratio(
 ) -> complex:
     """<chi| V M^power V^T |psi> / <chi|psi>, with both states referenced to
     the window end and the overlap guarded by `hilbert.checked_overlap`."""
-    check_time(psi_final, op.window[1], "window end")
-    check_time(chi_final, op.window[1], "window end")
+    _check_state(op, psi_final)
+    _check_state(op, chi_final)
     den = checked_overlap(chi_final, psi_final)
     num = chi_final.cell_weight * np.vdot(
         chi_final.amplitudes, op._average(psi_final.amplitudes, power)
@@ -219,7 +227,7 @@ def _postselected_ratio(
 def dwell_time(op: SojournOperator, psi_final: QuantumState) -> float:
     """Unconditioned dwell time T Re<psi|M|psi>, returned unclipped: it lies
     in [0, T] up to rounding (a whole-box region gives T plus a few ulps)."""
-    check_time(psi_final, op.window[1], "window end")
+    _check_state(op, psi_final)
     amps = psi_final.amplitudes
     weak = complex(psi_final.cell_weight * np.vdot(amps, op._average(amps, 1)))
     return op.duration * weak.real
@@ -260,13 +268,13 @@ def moment_sum(
     """Sum of |overlap|^2-weighted conditional moments over a family of
     orthonormal final states, evaluated in numerator form so that cells with
     vanishing overlap contribute zero instead of 0/0.  Having no overlap
-    guard, it checks the time of every state itself."""
-    check_time(psi_final, op.window[1], "window end")
+    guard, it checks the space and time of every state itself."""
+    _check_state(op, psi_final)
     vec = op.apply(psi_final.amplitudes, order)
     total = 0.0
     w = psi_final.cell_weight
     for chi in chi_family:
-        check_time(chi, op.window[1], "window end")
+        _check_state(op, chi)
         p = w * np.vdot(chi.amplitudes, psi_final.amplitudes)
         num = w * np.vdot(chi.amplitudes, vec)
         total += (np.conj(p) * num).real
@@ -282,6 +290,6 @@ def second_moment_position_integral(op: SojournOperator, psi_final: QuantumState
     contribute their correct (zero) weight without dividing by zero.
     """
     dx = op.space.grid.dx
-    check_time(psi_final, op.window[1], "window end")
+    _check_state(op, psi_final)
     w = op.apply(psi_final.amplitudes)
     return float(np.sum(np.abs(w) ** 2) * dx)

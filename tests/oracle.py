@@ -256,7 +256,7 @@ def derivative_identity_check(run_factory, strengths, chi, orders=(1, 2)):
     den0 = checked_overlap(chi, probe.reference_system_final)
     grid = probe.spec.grid
     q = grid.points
-    phi0 = probe.pointer_initial.amplitudes
+    phi0 = probe.spec.initial_state().amplitudes
     # zero-momentum projection = plain sum over the pointer axis
     denom_q = den0 * np.sum(phi0)
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime.dynamics import Hamiltonian
+from weaktime.clocks import ClockRuns, clock_shifts
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
@@ -29,6 +30,8 @@ from weaktime.sojourn import (
     conditional_dwell_time,
     dwell_time,
     moment,
+    moment_sum,
+    second_moment_position_integral,
     sojourn_matrix,
 )
 
@@ -86,7 +89,7 @@ def test_zero_coupling_leaves_product_state(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     run = run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham)
     expected = np.outer(run.reference_system_final.amplitudes,
-                        run.pointer_initial.amplitudes)
+                        run.spec.initial_state().amplitudes)
     np.testing.assert_allclose(run.final, expected, atol=1e-12)
 
 
@@ -389,3 +392,56 @@ def test_lambda_route_requires_window_end_postselector(barrier_ctx):
         conditional_dwell_time(barrier_ctx.op, barrier_ctx.psi_final, cell)
     with pytest.raises(ParameterError, match="window end"):
         lambda_moment_route(barrier_ctx.op, barrier_ctx.psi0, cell, 1, (0.1, 0.05, 0.025))
+
+
+# -- refused inputs of the production routes -----------------------------------
+
+
+def _start_routes(crossing):
+    """Each route that evolves a packet from the window start, on the
+    crossing's Hamiltonian or operator, as a function of the packet."""
+    ham, _, psi_final, op = crossing
+    spec = PointerSpec.auto(width=1.0, max_shift=0.3, n_points=64)
+    return {
+        "ClockRuns": lambda s: ClockRuns(ham, s, REGION, WINDOW, clock_shifts()),
+        "run_meter": lambda s: run_meter(spec, s, REGION.indicator(GRID), 0.1, WINDOW, ham),
+        "run_moment_meter": lambda s: run_moment_meter(spec, s, op, 1, 0.1),
+        "lambda_moment_route": lambda s: lambda_moment_route(op, s, psi_final, 1,
+                                                             (0.3, 0.2, 0.1)),
+    }
+
+
+@pytest.mark.parametrize("route", ["ClockRuns", "run_meter", "run_moment_meter",
+                                   "lambda_moment_route"])
+def test_run_start_routes_refuse_a_packet_at_another_time(crossing, route):
+    # a packet referenced to t=3 would be evolved over the whole window and
+    # its final state stamped as the window end's
+    psi0 = crossing[1]
+    with pytest.raises(ParameterError, match="run start"):
+        _start_routes(crossing)[route](psi0.at_time(3.0))
+
+
+@pytest.mark.parametrize("route", [
+    "evolve_eigenbasis", "ClockRuns", "run_meter", "run_moment_meter",
+    "lambda_moment_route", "dwell_time", "conditional_dwell_time", "moment_sum",
+    "second_moment_position_integral"])
+def test_routes_refuse_a_packet_on_another_grid(crossing, route):
+    # same number of points, another dx: the amplitudes have the right
+    # length, so only the space check stops them being read on the wrong grid
+    ham, _, _, op = crossing
+    packet = gaussian_packet(Grid(64, 0.0, 50.0), 13.0, 2.5, 1.0)
+    # the sojourn readouts take the packet referenced to the window end
+    end_routes = {
+        "dwell_time": lambda s: dwell_time(op, s),
+        "conditional_dwell_time": lambda s: conditional_dwell_time(op, s, s),
+        "moment_sum": lambda s: moment_sum(op, s, [s], 1),
+        "second_moment_position_integral": lambda s: second_moment_position_integral(op, s),
+    }
+    routes = {
+        **_start_routes(crossing),
+        **end_routes,
+        "evolve_eigenbasis": lambda s: evolve_eigenbasis(s, ham, WINDOW[1]),
+    }
+    state = packet.at_time(WINDOW[1]) if route in end_routes else packet
+    with pytest.raises(StructureError, match="different spaces"):
+        routes[route](state)

@@ -471,7 +471,7 @@ def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
     for run in runs:
         assert run.spec.grid.n_points == 256
         assert run.modes_kept <= 32
-        coeffs = np.abs(np.fft.fft(run.pointer_initial.amplitudes))
+        coeffs = np.abs(np.fft.fft(run.spec.initial_state().amplitudes))
         dropped = np.sort(coeffs)[: coeffs.size - run.modes_kept]
         assert np.all(dropped <= meter.DEFAULT_MODE_CUTOFF * coeffs.max())
 
@@ -689,6 +689,25 @@ def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeyp
     assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     window = (0.0, 18.0)
     assert calls == [("sojourn_matrix", window), ("ClockRuns", window)]
+
+
+def test_clock_block_holds_no_unread_column(monkeypatch):
+    # the pipeline declares exactly the keys its readouts look up: every
+    # column of the clock block is read, and nothing outside it is asked for
+    tables, looked_up = [], []
+    final = clocks.ClockRuns.final
+
+    def recording_final(runs, u):
+        tables.append(runs)
+        looked_up.append(complex(u))
+        return final(runs, u)
+
+    monkeypatch.setattr(clocks.ClockRuns, "final", recording_final)
+    run_scenario(catalog()["barrier_dwell"], ("clocks",))
+    runs = tables[0]
+    assert all(t is runs for t in tables)
+    assert len(runs.shifts) == 12
+    assert set(looked_up) == set(runs.shifts)
 
 
 def test_config_has_no_time_step():
