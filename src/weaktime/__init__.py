@@ -32,12 +32,7 @@ from .hilbert import (
     position_space,
     spin_space,
 )
-from .dynamics import (
-    Hamiltonian,
-    Propagator,
-    evolve,
-    evolve_eigenbasis,
-)
+from .dynamics import Hamiltonian, evolve_eigenbasis
 from .sojourn import (
     SojournOperator,
     WeakValueResult,

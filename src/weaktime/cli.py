@@ -61,9 +61,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args, pipelines=("sojourn", "clocks")) -> int:
+def _cmd_run(args) -> int:
     scenario = _load_scenario(args.config)
-    bundle = run_scenario(scenario, pipelines=pipelines)
+    bundle = run_scenario(scenario)
     for path in emit(bundle, fmt=args.format, out_dir=args.out_dir):
         print(path)
     return EXIT_OK

@@ -10,8 +10,8 @@ of exp(-iHt) over the family's common spectral interval, applied by the
 three-term recurrence to all columns at once, with no eigensolve.  The
 meter's pointer modes are such a family with real s_j, the clocks' keys one
 with complex s_j: an imaginary part is an absorber, the one form absorbers
-take in the package, and the series cut widens for it.  No production path
-steps with Cayley/Crank-Nicolson (`evolve`).  Couplings to a spin or a
+take in the package, and the series cut widens for it.  These two are the
+only propagators: neither has a time step.  Couplings to a spin or a
 pointer are not represented here: the Larmor clock reduces to two
 position-only runs, and the meter factorizes over pointer modes.
 
@@ -26,14 +26,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 from scipy.linalg.blas import daxpy
 
-from .errors import NumericalError, ParameterError, StructureError
+from .errors import NumericalError, StructureError
 from .hilbert import HBAR, FactorSpace, Grid, QuantumState
 
-_TIME_ATOL = 1e-9
 # truncation of the Chebyshev series of exp(-i t H): the first Bessel
 # coefficient past n = r t at or below this ends it
 _CHEBYSHEV_TOL = 1e-15
@@ -299,60 +296,3 @@ def evolve_shifted(
                 prev, cur = cur, prev
         out = np.exp(-1j * center * t) * (even.view(complex) - 1j * odd.view(complex))
     return out, spans * bessel.size
-
-
-@dataclass(eq=False)
-class Propagator:
-    """Crank-Nicolson stepping bound to a Hamiltonian and a fixed time step.
-
-    No production path steps: `evolve` stays for criterion 9's convergence
-    checks and for the benchmark's trace hook on `clocks.evolve`; an
-    absorber is a complex shift of `evolve_shifted`, never a stepped run."""
-
-    dt: float
-    hamiltonian: Hamiltonian
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-
-
-def _check_steps(dt: float, t_from: float, t_to: float) -> int:
-    span = t_to - t_from
-    if span < -_TIME_ATOL:
-        raise ParameterError("t_to must be >= t_from")
-    n = int(round(span / dt))
-    if abs(n * dt - span) > _TIME_ATOL * max(1.0, abs(span)):
-        raise ParameterError(f"dt = {dt} does not divide the interval {span}")
-    return n
-
-
-def evolve(
-    state: QuantumState, prop: Propagator, t_from: float, t_to: float
-) -> QuantumState:
-    """Propagate `state` from t_from to t_to in steps of prop.dt.
-
-    Each step applies the Cayley form (1 + i H dt/2)^-1 (1 - i H dt/2) of the
-    tridiagonal Hamiltonian: unitary, second order in dt.  One sparse LU
-    factorization serves every step.
-    """
-    ham = prop.hamiltonian
-    if state.space != ham.space:
-        raise StructureError("state and propagator live on different spaces")
-    n = _check_steps(prop.dt, t_from, t_to)
-    diag, off = ham.tridiagonal()
-    half = (0.5j * prop.dt / HBAR) * scipy.sparse.diags(
-        [off, diag, off], [-1, 0, 1], format="csc", dtype=complex
-    )
-    eye = scipy.sparse.identity(ham.dimension, format="csc", dtype=complex)
-    rhs = (eye - half).tocsr()
-    try:
-        lu = scipy.sparse.linalg.splu((eye + half).tocsc())
-    except RuntimeError as exc:
-        raise NumericalError(f"Cayley factorization failed: {exc}") from exc
-    vec = state.amplitudes.copy()
-    for _ in range(n):
-        vec = lu.solve(rhs @ vec)
-    if not np.all(np.isfinite(vec)):
-        raise NumericalError("Cayley solve produced non-finite amplitudes")
-    return QuantumState(state.space, vec, t_to)

@@ -467,7 +467,12 @@ def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
 def run_scenario(
     scenario: Scenario, pipelines: tuple[str, ...] = ("sojourn", "clocks")
 ) -> ResultBundle:
-    """Execute the requested pipelines and assemble the result bundle."""
+    """Execute the requested pipelines and assemble the result bundle; a
+    name outside sojourn, clocks and meter raises ParameterError."""
+    unknown = sorted(set(pipelines) - {"sojourn", "clocks", "meter"})
+    if unknown:
+        raise ParameterError(
+            f"unknown pipelines {unknown}; choose from sojourn, clocks, meter")
     notes = validate_scenario(scenario)
     bundle = ResultBundle(
         scenario=scenario.name,

@@ -191,8 +191,8 @@ def sojourn_matrix(
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
     t_start, t_stop = window
     duration = t_stop - t_start
-    if duration <= 0:
-        raise ParameterError("window must have positive duration")
+    if not duration > 0:
+        raise ParameterError("window needs t_start < t_stop")
     vals, vecs = free_hamiltonian.eigensystem()
     blocks = _filter_blocks(free_hamiltonian, vals, duration)
     return SojournOperator(free_hamiltonian.space, (t_start, t_stop),

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from weaktime.dynamics import (
-    Hamiltonian,
-    Propagator,
-    evolve,
-    evolve_eigenbasis,
-    evolve_shifted,
-)
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.hilbert import (
     Grid,
     QuantumState,
@@ -281,22 +275,10 @@ def test_criterion_8_survival_scaling(crossing):
 
 
 def test_criterion_9_numerical_hygiene(crossing):
-    grid, region, window, ham, psi0, _, _ = crossing
-    # second-order dt convergence of the implicit stepper
-    ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi0.amplitudes, 2.0)
-    errs = [
-        np.linalg.norm(
-            evolve(psi0, Propagator(dt, ham), 0.0, 2.0).amplitudes
-            - ref
-        )
-        for dt in (0.1, 0.05)
-    ]
-    ratio = errs[0] / errs[1]
-    # norm conservation in a hermitian clock-style run
-    herm = evolve(psi0, Propagator(0.05, ham), *window)
-    drift = abs(herm.norm() - 1.0)
+    grid, region, _, ham, psi0, _, _ = crossing
     # the clocks' Chebyshev block: real and absorbing columns against the
-    # dense exponential, and absorbing norms falling with Gamma
+    # dense exponential, norm conservation on the real columns, and
+    # absorbing norms falling with Gamma
     mask = region.indicator(grid)
     shifts = np.array([0.0, 0.05, -0.05, *(-0.5j * np.array([0.05, 0.1, 0.3]))])
     block, _ = evolve_shifted(ham, mask, shifts, psi0.amplitudes, 2.0)
@@ -306,12 +288,11 @@ def test_criterion_9_numerical_hygiene(crossing):
         / np.linalg.norm(psi0.amplitudes)
         for j, u in enumerate(shifts)
     )
-    block_norms = np.linalg.norm(block[:, [0, 3, 4, 5]], axis=0)
-    block_monotone = bool(np.all(np.diff(block_norms) < 0))
-    ok = (3.5 <= ratio <= 4.5 and drift < 1e-8
-          and block_err <= 1e-12 and block_monotone)
-    _report(9, ok, f"dt ratio {ratio:.2f}, norm drift {drift:.1e}, "
-                   f"block error {block_err:.1e}, "
+    norms = np.linalg.norm(block, axis=0) / np.linalg.norm(psi0.amplitudes)
+    drift = float(np.max(np.abs(norms[:3] - 1.0)))
+    block_monotone = bool(np.all(np.diff(norms[[0, 3, 4, 5]]) < 0))
+    ok = drift < 1e-8 and block_err <= 1e-12 and block_monotone
+    _report(9, ok, f"norm drift {drift:.1e}, block error {block_err:.1e}, "
                    f"block absorption monotone: {block_monotone}")
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import weaktime
-from weaktime import clocks, scenarios, sojourn
-from weaktime.dynamics import Hamiltonian, Propagator
+from weaktime import clocks, dynamics, scenarios, sojourn
+from weaktime.dynamics import Hamiltonian
 from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
 from weaktime.meter import PointerSpec, run_meter
@@ -41,7 +41,29 @@ def test_public_callables_have_one_engine():
         if p in params
     ]
     assert offenders == []
-    assert "method" not in {f.name for f in dataclasses.fields(Propagator)}
+
+
+def _imports_scipy_sparse(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.") for n in names):
+            return True
+    return False
+
+
+def test_two_propagators_and_no_sparse_solver():
+    # static Hamiltonians evolve in their eigenbasis and shift families as
+    # one Chebyshev block: no Crank-Nicolson stepper and no sparse
+    # factorization is left in the package
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if _imports_scipy_sparse(ast.parse(path.read_text()))] == []
+    assert {"Propagator", "evolve"} & set(weaktime.__all__) == set()
+    assert not hasattr(dynamics, "Propagator")
 
 
 def test_one_overlap_policy_and_no_kinetic_flag():
@@ -184,10 +206,17 @@ def test_meter_runs_over_one_window():
         "spec", "psi0", "observable", "coupling", "window", "system", "mode_cutoff"]
     spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
+    grid = Grid(16, 0.0, 7.5)
+    free, region = Hamiltonian(position_space(grid)), Region(3.0, 5.0)
+    packet = QuantumState(position_space(grid), np.ones(16)).normalized()
     for empty in ((1.0, 1.0), (3.0, 1.0)):
         with pytest.raises(ParameterError, match="t_start < t_stop"):
             run_meter(spec, spin.at_time(empty[0]), np.array([1.0, -1.0]), 0.5,
                       empty, Hamiltonian(spin_space()))
+        with pytest.raises(ParameterError, match="t_start < t_stop"):
+            clocks.ClockRuns(free, packet.at_time(empty[0]), region, empty, (0.0,))
+        with pytest.raises(ParameterError, match="t_start < t_stop"):
+            sojourn_matrix(region, free, empty)
 
 
 def _public_definitions():

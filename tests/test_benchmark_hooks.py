@@ -4,9 +4,9 @@
 outside; a renamed or moved entry point would only show as a KeyError in a
 traced benchmark run.  These tests enter its patches on a clocks-only, a
 meter-only and two sojourn-only scenarios: every clock layer has a span
-and no clock steps with Crank-Nicolson, every meter run is one span per
-coupling of the ladder, and scenarios that share a Hamiltonian share its
-eigensystem.
+and the hook on the placeholder `clocks.evolve` never fires, every meter
+run is one span per coupling of the ladder, and scenarios that share a
+Hamiltonian share its eigensystem.
 """
 
 import importlib.util
@@ -28,7 +28,7 @@ def _tracing():
 
 
 def test_trace_hooks_see_every_clock_and_no_stepped_evolution():
-    # the clocks read one Chebyshev block, so the Crank-Nicolson hook on
+    # the clocks read one Chebyshev block, so the hook on the placeholder
     # `clocks.evolve` still installs but never fires
     tracing = _tracing()
     tracer = tracing.Tracer()

@@ -4,14 +4,8 @@ import pytest
 
 import oracle
 from weaktime import dynamics
-from weaktime.dynamics import (
-    Hamiltonian,
-    Propagator,
-    evolve,
-    evolve_eigenbasis,
-    evolve_shifted,
-)
-from weaktime.errors import NumericalError, ParameterError, StructureError
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
+from weaktime.errors import NumericalError, StructureError
 from weaktime.hilbert import (
     Grid,
     Region,
@@ -38,24 +32,6 @@ def test_kinetic_matrix_matches_reference_stencil():
     )
 
 
-def test_implicit_step_conserves_norm():
-    ham = Hamiltonian(SPACE)
-    out = evolve(_packet(), Propagator(0.1, ham), 0.0, 5.0)
-    assert abs(out.norm() - 1.0) < 1e-10
-
-
-def test_implicit_step_second_order_in_dt():
-    ham = Hamiltonian(SPACE)
-    psi = _packet()
-    ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham), psi.amplitudes, 2.0)
-    errs = []
-    for dt in (0.1, 0.05):
-        out = evolve(psi, Propagator(dt, ham), 0.0, 2.0)
-        errs.append(np.linalg.norm(out.amplitudes - ref))
-    ratio = errs[0] / errs[1]
-    assert 3.5 < ratio < 4.5
-
-
 def test_absorbing_potential_decays_norm_monotonically():
     # an absorber is a complex shift -i Gamma/2 on its region: the norm
     # left after each successive duration is below the one before
@@ -68,18 +44,6 @@ def test_absorbing_potential_decays_norm_monotonically():
         norms.append(np.sqrt(GRID.dx) * np.linalg.norm(block[:, 0]))
     diffs = np.diff(norms)
     assert np.all(diffs < 0)
-
-
-def test_dt_must_divide_interval():
-    ham = Hamiltonian(SPACE)
-    with pytest.raises(ParameterError):
-        evolve(_packet(), Propagator(0.3, ham), 0.0, 1.0)
-
-
-def test_space_mismatch_rejected():
-    other = Hamiltonian(position_space(Grid(12, 0.0, 11.0)))
-    with pytest.raises(StructureError):
-        evolve(_packet(), Propagator(0.5, other), 0.0, 1.0)
 
 
 def _catalog_or_spin_toy(name):

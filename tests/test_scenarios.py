@@ -412,6 +412,13 @@ def test_run_scenario_well_reports_half_window(well_ctx):
     assert bundle.provenance["config_hash"]
 
 
+def test_run_scenario_refuses_an_unknown_pipeline():
+    # a misspelled pipeline is refused, never run as an empty bundle
+    for pipelines in (("sojurn",), ("sojourn", "meters")):
+        with pytest.raises(ParameterError, match="unknown pipelines"):
+            run_scenario(catalog()["free_box"], pipelines=pipelines)
+
+
 @pytest.fixture(scope="module")
 def well_meter():
     """The meter pipeline on well_halves, with the MeterRuns it made."""
