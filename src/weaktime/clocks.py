@@ -233,10 +233,11 @@ def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     """Absorption clock: evolve with -i*Gamma/2 on the region and read
     -2*hbar times the one-sided Gamma-derivative of the postselected
     amplitude ratio, one record per label of `chis`.  Its one-sided ladder
-    (Gamma down to 0.0375/T) amplifies input rounding about 10^3: a 1.6e-15
-    relative change in `psi_final` moved records up to 6.5e-11 relative, so
-    no record-equality check tighter than ~1e-11 relative holds across a
-    rounding change."""
+    (Gamma down to 0.0375/T) amplifies input rounding about 10^3: a 1.1e-15
+    relative change in `psi_final` moved `barrier_farside`'s reflected
+    record by 1.3e-10 relative (3.2e-12 absolute, against its residual of
+    9.4e-9), so no record-equality check tighter than ~1e-10 relative holds
+    across a rounding change."""
     return _sweep(strengths, runs, chis, "imaginary_potential", 1,
                   lambda g, den, a: -2.0 * HBAR * (a / den - 1.0) / g)
 

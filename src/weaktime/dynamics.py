@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import daxpy
 
-from .errors import NumericalError, StructureError
+from .errors import NumericalError, ParameterError, StructureError
 from .hilbert import HBAR, FactorSpace, Grid, QuantumState
 
 # truncation of the Chebyshev series of exp(-i t H): the first Bessel
@@ -118,10 +118,13 @@ def evolve_eigenbasis(
 
 
 def apply_real(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """matrix @ z for a real matrix and complex z, applied to the real and
-    imaginary parts separately so that the matrix is never upcast to
-    complex."""
-    return matrix @ z.real + 1j * (matrix @ z.imag)
+    """matrix @ z for a real matrix and a vector or block z, as one real
+    product with the interleaved real and imaginary parts of z (its float
+    view, (N, 2) or (N, 2s)), so that the matrix is read once and never
+    upcast to complex.  A z that is not contiguous complex is copied."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = (matrix @ (z.reshape(-1, 1) if z.ndim == 1 else z).view(float)).view(complex)
+    return out[:, 0] if z.ndim == 1 else out
 
 
 def _bessel_coefficients(x: float, growth: float = 1.0) -> np.ndarray:
@@ -209,8 +212,11 @@ def evolve_shifted(
     1e3 the span is halved until it does not, and the pieces are applied
     in turn.  With b = 3 g / r0, rho^K ~ exp(sqrt(10) g t), so only g t >
     ~2 splits (the clock ladders reach g t = 0.075).  NumericalError is
-    raised where the split series would take more than 1e5 terms.
+    raised where the split series would take more than 1e5 terms, and
+    ParameterError for a negative duration, which has no forward series.
     """
+    if not duration >= 0.0:
+        raise ParameterError(f"evolve_shifted needs duration >= 0, got {duration!r}")
     diag, off = hamiltonian.tridiagonal()
     a = np.asarray(a, dtype=float)
     shifts = np.asarray(shifts)

@@ -8,17 +8,21 @@ M = (V_R^T V_R) * F, with V_R the region's rows of V and F the closed-form
 window filter sinc(phi) exp(-i phi) of the level differences,
 phi = (E_i - E_j) T / 2 hbar.  F depends only on the levels and T, so its
 upper block rows are evaluated once per (Hamiltonian, window length), one
-evaluation per level pair, and cached on the Hamiltonian; an operator keeps
-only V_R and that shared filter, and M is formed block row by block row
-when it is applied.  V_R^T V_R is symmetric and F_ji = conj(F_ij), so the
-conjugate of each block row is M's column block below the diagonal, and M
-assembled whole from one (syrk) Gram product is hermitian by construction,
-bit for bit.  Every readout applies M as V M^l V^T to a few vectors (one
-ladder M^l V^T a per state); no position-basis matrix is formed.  Scaled by the window length T this is
-the hermitian sojourn-time operator T V M V^T, with spectrum in [0, T] up
-to rounding, whose matrix elements give dwell times, postselected
-traversal times and their higher moments; the projector's weak value is the
-dwell time (or, postselected, the traversal time) over T.
+evaluation per level pair, and cached on the Hamiltonian.  An operator
+keeps V_R and that shared filter; the first time it is applied it forms
+M's upper block rows, each its own block of V_R^T V_R times the filter's,
+and keeps them read-only for its lifetime (N^2/2 + 32N complex values,
+2.4 MB at N = 512), so every later ladder step reuses them.  No N x N
+Gram is formed for that.  V_R^T V_R is symmetric and F_ji = conj(F_ij),
+so the conjugate of each block row is M's column block below the
+diagonal, and M assembled whole from one (syrk) Gram product is hermitian
+by construction, bit for bit.  Every readout applies M as V M^l V^T to a
+few vectors (one ladder M^l V^T a per state); no position-basis matrix
+is formed.  Scaled by the window length T this is the hermitian
+sojourn-time operator T V M V^T, with spectrum in [0, T] up to rounding,
+whose matrix elements give dwell times, postselected traversal times and
+their higher moments; the projector's weak value is the dwell time (or,
+postselected, the traversal time) over T.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -56,12 +60,14 @@ class SojournOperator:
     was built from as the region's rows `rows` (V_R, K x N) of V and the
     window filter's upper block rows `filter`, shared by every operator on
     that Hamiltonian and window length.  Its eigenbasis matrix
-    M = (V_R^T V_R) * F is formed block row by block row where it is applied
-    (`_blocks`); `eigen_matrix` assembles it whole on first use, hermitian
-    bit for bit.  The position-basis operator is T V M V^T, with spectrum
-    in [0, T] up to rounding; the package never forms it.  T^l enters its
-    powers as a scalar.  M's own eigensystem is solved on first use and
-    cached, like `Hamiltonian.eigensystem`."""
+    M = (V_R^T V_R) * F is applied from its upper block rows (`_blocks`),
+    formed on the first application and kept read-only in `_cache` for the
+    operator's lifetime: N^2/2 + 32N complex values, 2.4 MB at N = 512.
+    `eigen_matrix` assembles M whole on first use from one syrk Gram,
+    hermitian bit for bit.  The position-basis operator is T V M V^T, with
+    spectrum in [0, T] up to rounding; the package never forms it.  T^l
+    enters its powers as a scalar.  M's own eigensystem is solved on first
+    use and cached, like `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
     window: tuple[float, float]
@@ -87,9 +93,15 @@ class SojournOperator:
             yield i0, i1, g * f
 
     def _apply_eigen(self, x: np.ndarray) -> np.ndarray:
-        """M x, from the block rows and their conjugate mirrors."""
+        """M x, from the block rows and their conjugate mirrors.  The block
+        rows are formed by `_blocks` on first use and kept read-only."""
+        blocks = self._cache.get("blocks")
+        if blocks is None:
+            blocks = self._cache["blocks"] = tuple(self._blocks())
+            for _, _, block in blocks:
+                block.flags.writeable = False
         y = np.zeros(x.shape, dtype=complex)
-        for i0, i1, block in self._blocks():
+        for i0, i1, block in blocks:
             y[i0:i1] += block @ x[i0:]
             y[i1:] += (x[i0:i1].conj() @ block[:, _BLOCK:]).conj()
         return y

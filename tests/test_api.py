@@ -105,9 +105,10 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
             and getattr(obj, f.name).shape == (n, n)
         }
 
-    # no N x N array of its own: M is formed block row by block row where
-    # it is applied; V is the Hamiltonian's cached eigenbasis, shared
-    # rather than copied
+    # no N x N array of its own: M's upper block rows are formed on the
+    # first application and kept in `_cache` (N^2/2 + 32N values), never a
+    # whole Gram; V is the Hamiltonian's cached eigenbasis, shared rather
+    # than copied
     assert square_fields(op) == {"vecs"}
     assert op.vecs is ham.eigensystem()[1]
     # the filter depends on the levels and the window length alone: one

@@ -5,7 +5,7 @@ import pytest
 import oracle
 from weaktime import dynamics
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
-from weaktime.errors import NumericalError, StructureError
+from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
     Region,
@@ -201,13 +201,49 @@ def test_evolve_shifted_refuses_an_absorber_it_cannot_resolve():
 
 
 def test_evolve_shifted_refuses_a_series_it_cannot_resolve():
-    # r t ~ 1e8 would take ~1e8 terms, and a negative span has no forward
-    # series: both refused before any work, never truncated or ignored
-    ham = Hamiltonian(SPACE)
-    for duration in (1e8, -1.0):
-        with pytest.raises(NumericalError):
-            evolve_shifted(ham, np.ones(GRID.n_points), np.zeros(1),
-                           _packet().amplitudes, duration)
+    # r t ~ 1e8 would take ~1e8 terms: refused before any work, never
+    # truncated
+    with pytest.raises(NumericalError, match="split a long evolution"):
+        evolve_shifted(Hamiltonian(SPACE), np.ones(GRID.n_points), np.zeros(1),
+                       _packet().amplitudes, 1e8)
+
+
+@pytest.mark.parametrize("shifts", [np.zeros(1), np.array([0.1, -0.05j])])
+def test_evolve_shifted_refuses_a_negative_duration(shifts, monkeypatch):
+    # a backward span has no forward series: an argument error naming the
+    # duration, raised before any Bessel coefficient is computed
+    calls = []
+    monkeypatch.setattr(dynamics, "_bessel_coefficients",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ParameterError, match=r"duration >= 0, got -1\.0"):
+        evolve_shifted(Hamiltonian(SPACE), np.ones(GRID.n_points), shifts,
+                       _packet().amplitudes, -1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["vector", "block", "strided", "fortran", "real", "empty"])
+def test_apply_real_matches_the_split_parts(case):
+    # one real product on the interleaved parts of z: the product with the
+    # real and imaginary parts taken apart, up to rounding, whatever z's
+    # layout or dtype, and z itself untouched
+    rng = np.random.default_rng(6)
+    matrix = rng.standard_normal((40, 30))
+    block = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+    z = {
+        "vector": block[:30, 0].copy(),
+        "block": block[:30].copy(),
+        "strided": block[::2, 1],
+        "fortran": np.asfortranarray(block[:30]),
+        "real": block[:30].real.copy(),
+        "empty": block[:30, :0],
+    }[case]
+    before = z.copy()
+    got = dynamics.apply_real(matrix, z)
+    ref = matrix @ z.real + 1j * (matrix @ np.imag(z))
+    assert got.dtype == complex and got.shape == ref.shape
+    bound = 1e-15 * np.linalg.norm(matrix) * np.linalg.norm(z)
+    assert np.linalg.norm(got - ref) <= bound
+    assert np.array_equal(z, before)
 
 
 def _bessel_reference(x: float, count: int) -> np.ndarray:

@@ -16,8 +16,11 @@ from weaktime.hilbert import (
     position_space,
     spin_space,
 )
+from weaktime.scenarios import catalog, run_scenario
 from weaktime.sojourn import (
     ANOMALY_FACTOR,
+    SojournOperator,
+    _BLOCK,
     _window_filter,
     conditional_dwell_time,
     dwell_time,
@@ -181,6 +184,57 @@ def test_block_application_matches_full_build(n, dx, lo, width, v0, duration, se
     got = sojourn_matrix(region, ham, (0.0, duration))._apply_eigen(x)
     bound = 1e-14 * np.linalg.norm(full) * np.linalg.norm(x)
     assert np.linalg.norm(got - full @ x) <= bound
+
+
+def _counting_rows(monkeypatch):
+    """Every (operator, first row) block row `_blocks` forms from here on."""
+    formed = []
+    blocks = SojournOperator._blocks
+
+    def counting(op, gram=None):
+        for i0, i1, block in blocks(op, gram):
+            formed.append((op, i0))
+            yield i0, i1, block
+
+    monkeypatch.setattr(SojournOperator, "_blocks", counting)
+    return formed
+
+
+def test_sojourn_pipeline_forms_each_block_row_once(monkeypatch):
+    # the readouts climb the ladder to M^2 on one operator, and the moment
+    # sums and the position integral read it again: every block row of M
+    # is formed once, on the first application, and kept
+    sc = catalog()["barrier_dwell"]
+    assert sc.postselection == "transmitted_reflected"
+    formed = _counting_rows(monkeypatch)
+    records = run_scenario(sc, ("sojourn",)).records
+    assert {r.order for r in records if r.method == "sojourn"} == {1, 2}
+    assert len({id(op) for op, _ in formed}) == 1
+    assert [i0 for _, i0 in formed] == list(range(0, sc.grid.n_points, _BLOCK))
+
+
+def test_kept_block_rows_are_read_only_and_reused(monkeypatch):
+    # the kept rows are M's upper block rows, N^2/2 + 32N values and no
+    # whole Gram; a second application reads them and gives, bit for bit,
+    # what a fresh operator gives
+    grid = Grid(192, 0.0, 95.5)
+    ham = Hamiltonian(position_space(grid),
+                      potential_real=1.5 * Region(40.0, 44.0).indicator(grid))
+    region, window = Region(38.0, 50.0), (0.0, 30.0)
+    n = grid.n_points
+    rng = np.random.default_rng(4)
+    x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    op = sojourn_matrix(region, ham, window)
+    op._apply_eigen(x)
+    kept = op._cache["blocks"]
+    assert sum(block.size for _, _, block in kept) == n * n // 2 + 32 * n
+    for _, _, block in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+    formed = _counting_rows(monkeypatch)
+    second = op._apply_eigen(y)
+    assert formed == [] and op._cache["blocks"] is kept
+    assert np.array_equal(second, sojourn_matrix(region, ham, window)._apply_eigen(y))
 
 
 def _mp_filter(phi):
