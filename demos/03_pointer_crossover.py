@@ -13,6 +13,7 @@ the weak value of the time-averaged observable.
 import numpy as np
 
 from weaktime import (
+    CoupledSystem,
     Grid,
     Hamiltonian,
     PointerSpec,
@@ -37,12 +38,16 @@ psi0 = QuantumState(space, np.array([1.0, 1.0]) / np.sqrt(2.0))
 sz = np.array([1.0, -1.0])  # the diagonal of sigma_z
 spin_window = (0.0, 1.0)  # the coupling is on during this window
 
+# every pointer width couples the same system: one coupled system shares
+# its evolved nodes with every run
+coupled = CoupledSystem(system, psi0, sz, spin_window)
+
 print("two-level system, coupling strength 1, eigenvalues +1 and -1")
 print(f"{'pointer width':>14}{'peaks':>7}{'mean':>10}{'survival':>10}")
 for width in (0.1, 0.3, 1.0, 3.0, 10.0):
     spec = PointerSpec.auto(width=width, max_shift=1.0, n_points=512,
                             extent_factor=14.0)
-    run = run_meter(spec, psi0, sz, 1.0, spin_window, system)
+    run = run_meter(spec, coupled, 1.0)
     dist = pointer_distribution(run)
     print(f"{width:>14.1f}{dist.peak_count():>7d}{dist.mean:>10.4f}"
           f"{survival_probability(run):>10.4f}")
@@ -65,10 +70,10 @@ a_w = dwell_time(op, psi_final) / op.duration
 
 spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
 ladder = (0.4, 0.3, 0.2, 0.1)
-runs = [
-    run_meter(spec, packet, region.indicator(grid), g, window, ham)
-    for g in ladder + tuple(-g for g in ladder)
-]
+# the 8 runs of the ladder interpolate from one node block: the largest
+# coupling comes first and its shifts span the others'
+coupled = CoupledSystem(ham, packet, region.indicator(grid), window)
+runs = [run_meter(spec, coupled, g) for g in ladder + tuple(-g for g in ladder)]
 slope, intercept = pointer_shift_fit(runs)
 
 print("weak regime, packet crossing a region:")

@@ -53,6 +53,7 @@ from .clocks import (
     extrapolate_to_zero,
 )
 from .meter import (
+    CoupledSystem,
     MeterRun,
     PointerDistribution,
     PointerSpec,

@@ -8,12 +8,13 @@ Hamiltonians that differ by multiples of one real diagonal evolves one
 start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
 of exp(-iHt) over the family's common spectral interval, applied by the
 three-term recurrence to all columns at once, with no eigensolve.  The
-meter's pointer modes are such a family with real s_j, the clocks' keys one
-with complex s_j: an imaginary part is an absorber, the one form absorbers
-take in the package, and the series cut widens for it.  These two are the
-only propagators: neither has a time step.  Couplings to a spin or a
-pointer are not represented here: the Larmor clock reduces to two
-position-only runs, and the meter factorizes over pointer modes.
+meter's Chebyshev nodes in the coupling shift are such a family with real
+s_j, the clocks' keys one with complex s_j: an imaginary part is an
+absorber, the one form absorbers take in the package, and the series cut
+widens for it.  These two are the only propagators: neither has a time
+step.  Couplings to a spin or a pointer are not represented here: the
+Larmor clock reduces to two position-only runs, and the meter factorizes
+over pointer modes.
 
 Boundary conditions are hard walls (Dirichlet): the kinetic matrix is the
 standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.

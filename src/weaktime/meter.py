@@ -16,8 +16,11 @@ drags an independent system evolution with the scalar coupling
 (a position grid or one spin) and the observable A is diagonal, passed as
 its real 1-D array a, so each mode's generator H + (G/T) pi_k diag(a) is
 real symmetric tridiagonal and differs from the others only by a multiple
-of diag(a).  All kept modes of a run evolve as the columns of one
-Chebyshev block (`dynamics.evolve_shifted`); no mode needs an eigensolve.
+of diag(a).  The evolved state psi(s) = exp(-iT(H + s diag(a)))psi0 is
+entire in the shift s, so a `CoupledSystem` evolves it once, at Chebyshev
+nodes spanning every shift it is asked for, as the columns of one block
+(`dynamics.evolve_shifted`), and interpolates every kept mode of every
+run that shares it from those nodes; no mode needs an eigensolve.
 The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
@@ -36,7 +39,7 @@ import numpy as np
 
 from .clocks import SweepRecord, extrapolate_to_zero
 from .dynamics import Hamiltonian, apply_real, evolve_eigenbasis, evolve_shifted
-from .errors import ParameterError, StructureError
+from .errors import NumericalError, ParameterError, StructureError
 from .hilbert import (
     HBAR,
     Grid,
@@ -50,7 +53,7 @@ from .sojourn import SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
-# is one more column of the run's Chebyshev block.  On the default
+# is one more column interpolated from the node block.  On the default
 # PointerSpec.auto grid (extent_factor=16) the Fourier coefficients of the
 # Gaussian profile fall to a plateau below this cutoff: for
 # auto(width=1.0, max_shift=0.3), the scenario meter pointer, the plateau is
@@ -58,6 +61,12 @@ from .sojourn import SojournOperator, _check_state
 # reports the count.  Pass mode_cutoff=0.0 to keep every mode.
 DEFAULT_MODE_CUTOFF = 1e-8
 EDGE_MASS_BUDGET = 1e-7
+# CoupledSystem's Chebyshev interpolant in the coupling shift: the first
+# degree n (n + 1 Lobatto nodes), the bound on its coefficient tail relative
+# to ||psi0||, and the largest degree doubling may reach
+_FIRST_DEGREE = 16
+_NODE_TAIL = 1e-13
+_MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,14 @@ class MeterRun:
     probabilities and as the unperturbed state that postselected readouts
     guard their overlap against.
     `modes_kept` counts the pointer modes evolved with the coupling; the
-    others were below the mode cutoff.  `chebyshev_terms` is the length of
-    the series that evolved them (columns x terms is the block's work); 0
-    for the moment meter, whose modes are closed-form phases.
+    others were below the mode cutoff.  The kept modes are interpolated
+    from a node block in the coupling shift (see `CoupledSystem`):
+    `nodes` columns evolved by a series of `chebyshev_terms` terms (nodes x
+    terms is the block's work, shared by every run of one CoupledSystem),
+    and `node_tail` the larger norm of the interpolant's last two
+    Chebyshev coefficients relative to ||psi0||.  All three are 0 for the
+    moment meter, whose modes are closed-form phases, and for a run whose
+    kept shifts are all zero.
     """
 
     spec: PointerSpec
@@ -124,7 +138,9 @@ class MeterRun:
     reference_system_final: QuantumState
     norm_drift: float
     modes_kept: int
-    chebyshev_terms: int
+    chebyshev_terms: int = 0
+    nodes: int = 0
+    node_tail: float = 0.0
 
     @property
     def system_weight(self) -> float:
@@ -157,6 +173,17 @@ class PointerDistribution:
         return int(np.count_nonzero(inner))
 
 
+def _lobatto_fit(n: int) -> np.ndarray:
+    """DCT-I: the (n + 1, n + 1) real matrix taking values at the Lobatto
+    nodes x_j = cos(j pi / n) to the coefficients c_k of their interpolant
+    sum_k c_k T_k(x)."""
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+    fit = (2.0 / n) * np.cos(np.pi * jk / n)
+    fit[:, [0, n]] *= 0.5
+    fit[[0, n], :] *= 0.5
+    return fit
+
+
 def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) -> None:
     f = system_weight * np.sum(np.abs(composite) ** 2, axis=0)
     mass = float((np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx)
@@ -173,16 +200,16 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
     The pointer profile's Fourier modes above `mode_cutoff` (relative to the
     largest) are kept; `kept_columns(pi, c)` returns their system vectors
     c_k psi_k, given the kept modes' momenta pi and coefficients c, with the
-    Chebyshev series length that evolved them.  Every dropped mode is filled
-    as uncoupled, c_k psi_ref, and the inverse pointer transform gives the
-    composite array psi(s, q).
+    MeterRun fields that report how they were evolved.  Every dropped mode
+    is filled as uncoupled, c_k psi_ref, and the inverse pointer transform
+    gives the composite array psi(s, q).
     """
     phi = spec.initial_state()
     coeffs = np.fft.fft(phi.amplitudes)
     kept = np.nonzero(np.abs(coeffs) > mode_cutoff * np.max(np.abs(coeffs)))[0]
     modes = np.outer(psi_ref.amplitudes, coeffs)
     pi_kept = fourier_momentum_values(spec.grid)[kept]
-    modes[:, kept], terms = kept_columns(pi_kept, coeffs[kept])
+    modes[:, kept], report = kept_columns(pi_kept, coeffs[kept])
     composite = np.fft.ifft(modes, axis=1)
     _edge_check(spec, composite, psi_ref.cell_weight)
     norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(composite)
@@ -194,47 +221,115 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
         reference_system_final=psi_ref,
         norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
         modes_kept=kept.size,
-        chebyshev_terms=terms,
+        **report,
     )
+
+
+class CoupledSystem:
+    """psi0 coupled over the window (t_start, t_stop) of length T through
+    the real diagonal observable a: psi(s) = exp(-iT(H + s diag(a)) / hbar)
+    psi0 for any coupling shift s.
+
+    psi(s) is entire in s, so on [-S, S] its Chebyshev interpolant through
+    the Lobatto nodes S cos(j pi / n), j = 0..n, matches it to rounding
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    The first `columns` request sets S to its largest |s| and evolves the
+    n = 16 nodes as one `evolve_shifted` block.  n doubles, evolving only
+    the new nested nodes, until the interpolant's last two coefficients are
+    below 1e-13 ||psi0||; past n = 1024 NumericalError is raised.  A later
+    request wider than S rebuilds on its own interval.
+
+    The constructor raises StructureError for an observable that is not a
+    real array of shape (system.dimension,), and ParameterError unless
+    t_start < t_stop and psi0 is referenced to t_start.
+    """
+
+    def __init__(self, system: Hamiltonian, psi0: QuantumState,
+                 observable: np.ndarray, window: tuple[float, float]):
+        a = np.asarray(observable)
+        if a.shape != (system.dimension,) or np.iscomplexobj(a):
+            raise StructureError(
+                f"the meter needs a real diagonal of shape ({system.dimension},), "
+                f"got a {a.dtype} array of shape {a.shape}"
+            )
+        t0, t1 = window
+        if not t1 > t0:
+            raise ParameterError("window needs t_start < t_stop")
+        check_time(psi0, t0, "run start")
+        self.system, self.psi0, self.observable = system, psi0, a
+        self.duration = t1 - t0
+        self.reference_system_final = evolve_eigenbasis(psi0, system, t1)
+        self._interval = 0.0
+        self._coeffs = None
+        self._report = {}
+
+    def _fit(self, interval: float) -> None:
+        """Evolve the Lobatto nodes on [-interval, interval] and keep the
+        interpolant's Chebyshev coefficients, doubling n until their tail
+        is below _NODE_TAIL ||psi0||."""
+        n, values, terms = _FIRST_DEGREE, None, 0
+        scale = np.linalg.norm(self.psi0.amplitudes)
+        while True:
+            j = np.arange(n + 1) if values is None else np.arange(1, n, 2)
+            block, used = evolve_shifted(self.system, self.observable,
+                                         interval * np.cos(j * np.pi / n),
+                                         self.psi0.amplitudes, self.duration)
+            terms = max(terms, used)
+            if values is None:
+                values = block.T
+            else:
+                values = np.insert(values, np.arange(1, n // 2 + 1), block.T, axis=0)
+            coeffs = apply_real(_lobatto_fit(n), values)
+            tail = max(np.linalg.norm(coeffs[-1]), np.linalg.norm(coeffs[-2]))
+            if tail <= _NODE_TAIL * scale:
+                break
+            if n >= _MAX_DEGREE:
+                raise NumericalError(
+                    f"coupling shifts up to {interval:.3e} need more than "
+                    f"{_MAX_DEGREE + 1} Chebyshev nodes (tail {tail / scale:.1e})"
+                )
+            n *= 2
+        self._interval, self._coeffs = interval, coeffs
+        self._report = dict(chebyshev_terms=terms, nodes=n + 1, node_tail=tail / scale)
+
+    def columns(self, shifts):
+        """psi(s_j) for each shift s_j as the columns of one (dimension,
+        len(shifts)) block, and the MeterRun fields reporting the node block
+        they were interpolated from; all-zero shifts are the reference
+        state, with no block."""
+        shifts = np.asarray(shifts, dtype=float)
+        if not np.any(shifts):
+            ref = self.reference_system_final.amplitudes
+            return np.repeat(ref[:, None], shifts.size, axis=1), {}
+        interval = float(np.max(np.abs(shifts)))
+        if interval > self._interval:
+            self._fit(interval)
+        degree = self._coeffs.shape[0] - 1
+        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, degree)
+        return apply_real(basis, self._coeffs).T, self._report
 
 
 def run_meter(
     spec: PointerSpec,
-    psi0: QuantumState,
-    observable: np.ndarray,
+    coupled: CoupledSystem,
     coupling: float,
-    window: tuple[float, float],
-    system: Hamiltonian,
     mode_cutoff: float = DEFAULT_MODE_CUTOFF,
 ) -> MeterRun:
     """Evolve psi0 (x) Gaussian pointer under H + (G/T) pi (x) A over the
-    window (t_start, t_stop) of length T.  The observable A = diag(a) is
-    given as the real array a of shape (system.dimension,), e.g. a region
-    indicator or [1, -1] for sigma_z.  The pointer momentum modes above
-    `mode_cutoff` evolve under H + (G/T) pi_k diag(a) as the columns of one
-    Chebyshev block (`evolve_shifted`).  An empty window or a lossy system
-    raises ParameterError, an `observable` of another shape or a complex
-    one StructureError.
+    coupled system's window of length T, A = diag(a) its observable (e.g. a
+    region indicator or [1, -1] for sigma_z).  The pointer momentum modes
+    above `mode_cutoff` evolve under H + (G/T) pi_k diag(a): their columns
+    are interpolated from the coupled system's node block, which every run
+    of a ladder shares, so a ladder run largest coupling first evolves one
+    block.
     """
-    a = np.asarray(observable)
-    if a.shape != (system.dimension,) or np.iscomplexobj(a):
-        raise StructureError(
-            f"the meter needs a real diagonal of shape ({system.dimension},), "
-            f"got a {a.dtype} array of shape {a.shape}"
-        )
-    t0, t1 = window
-    if not t1 > t0:
-        raise ParameterError("window needs t_start < t_stop")
-    check_time(psi0, t0, "run start")
-    psi_ref = evolve_eigenbasis(psi0, system, t1)
-    duration = t1 - t0
 
     def kept_columns(pi_kept, coeffs_kept):
-        shifts = (coupling / duration) * pi_kept
-        block, terms = evolve_shifted(system, a, shifts, psi0.amplitudes, duration)
-        return block * coeffs_kept, terms
+        block, report = coupled.columns((coupling / coupled.duration) * pi_kept)
+        return block * coeffs_kept, report
 
-    return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
+    return _assemble_run(spec, coupling, coupled.psi0, coupled.reference_system_final,
+                         mode_cutoff, kept_columns)
 
 
 # -- moment meters ---------------------------------------------------------
@@ -283,7 +378,7 @@ def run_moment_meter(
     def kept_columns(pi_kept, coeffs_kept):
         phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
         kept_eig = (w @ (phases * z[:, None])) * coeffs_kept
-        return apply_real(vecs, kept_eig), 0
+        return apply_real(vecs, kept_eig), {}
 
     return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
 
@@ -340,8 +435,9 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     of the coupled observable; with no postselector it reads the marginal
     pointer.  The shift is odd in the coupling for a real-profile pointer,
     so the leading ladder error is quadratic and no run at -G is needed: it
-    is the +G run with the pointer axis mirrored.  The fitted order is reported but never flagged, since
-    on readouts that agree to rounding (free_box) it fits noise.
+    is the +G run with the pointer axis mirrored.  The fitted order is
+    reported but never flagged, since on readouts that agree to rounding
+    (free_box) it fits noise.
     """
     g = tuple(r.coupling for r in runs)
     readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]

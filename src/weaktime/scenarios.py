@@ -40,6 +40,7 @@ from .hilbert import (
     position_space,
 )
 from .meter import (
+    CoupledSystem,
     PointerSpec,
     meter_moment_readout,
     # not called here: perfbench/tracing.py wraps it under this module's name
@@ -457,9 +458,11 @@ def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
 
 
 def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    indicator = sc.region.indicator(sc.grid)
+    coupled = CoupledSystem(ham, psi0, sc.region.indicator(sc.grid), sc.window)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
-    runs = [run_meter(spec, psi0, indicator, g, sc.window, ham) for g in METER_LADDER]
+    # largest coupling first: its shifts span the others', so the first run
+    # evolves the one node block every run interpolates from
+    runs = [run_meter(spec, coupled, g) for g in METER_LADDER]
     recs = {label: meter_moment_readout(runs, chi) for label, chi in chis.items()}
     _add_sweep(bundle, "meter", "meter", recs, scale=sc.duration())
 

@@ -25,6 +25,7 @@ from weaktime.hilbert import (
     spin_space,
 )
 from weaktime.meter import (
+    CoupledSystem,
     PointerSpec,
     lambda_moment_route,
     meter_moment_readout,
@@ -159,10 +160,8 @@ def test_criterion_3_meter_linearity(crossing):
     ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     ladder = (0.2, 0.15, 0.1, 0.05)
-    runs = [
-        run_meter(spec, psi0, region.indicator(grid), g, window, ham)
-        for g in ladder + tuple(-g for g in ladder)
-    ]
+    coupled = CoupledSystem(ham, psi0, region.indicator(grid), window)
+    runs = [run_meter(spec, coupled, g) for g in ladder + tuple(-g for g in ladder)]
     slope, intercept = pointer_shift_fit(runs, chi)
     slope_err = abs(slope - ref) / abs(ref)
     ok = slope_err < 0.01 and abs(intercept) < 1e-6
@@ -177,7 +176,7 @@ def test_criterion_4_strong_measurement_statistics():
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
     window = (0.0, 1.0)
-    run = run_meter(spec, psi0, np.array([1.0, -1.0]), g, window, system)
+    run = run_meter(spec, CoupledSystem(system, psi0, np.array([1.0, -1.0]), window), g)
     dist = pointer_distribution(run)
     q = spec.grid.points
     dq = spec.grid.dx
@@ -218,7 +217,7 @@ def test_criterion_5_sum_rules():
         # conditional pointer-mean decomposition at finite coupling
         spec = PointerSpec.auto(width=1.0, max_shift=0.3)
         run = run_meter(
-            spec, psi0, sc.region.indicator(sc.grid), 0.3, sc.window, ham
+            spec, CoupledSystem(ham, psi0, sc.region.indicator(sc.grid), sc.window), 0.3
         )
         cells = [basis_cell_state(sc.grid, j, time=sc.window[1])
                  for j in range(sc.grid.n_points)]
@@ -266,8 +265,9 @@ def test_criterion_8_survival_scaling(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
+    coupled = CoupledSystem(ham, psi0, region.indicator(grid), window)
     for g in ladder:
-        run = run_meter(spec, psi0, region.indicator(grid), g, window, ham)
+        run = run_meter(spec, coupled, g)
         deficits.append(1.0 - survival_probability(run))
     order, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     ok = order >= 1.5

@@ -13,7 +13,7 @@ from weaktime import clocks, dynamics, scenarios, sojourn
 from weaktime.dynamics import Hamiltonian
 from weaktime.errors import ParameterError
 from weaktime.hilbert import FactorSpace, Grid, QuantumState, Region, position_space, spin_space
-from weaktime.meter import PointerSpec, run_meter
+from weaktime.meter import CoupledSystem, PointerSpec, run_meter
 from weaktime.sojourn import sojourn_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -86,8 +86,8 @@ def test_one_factor_per_state_and_no_dense_operator_layer():
     assert isinstance(QuantumState(position_space(grid), np.ones(8)).space, FactorSpace)
     spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
-    run = run_meter(spec, spin, np.array([1.0, -1.0]), 0.5, (0.0, 1.0),
-                    Hamiltonian(spin_space()))
+    coupled = CoupledSystem(Hamiltonian(spin_space()), spin, np.array([1.0, -1.0]), (0.0, 1.0))
+    run = run_meter(spec, coupled, 0.5)
     assert run.final.shape == (2, spec.grid.n_points)
 
 
@@ -203,17 +203,18 @@ def test_meter_runs_over_one_window():
     # no wider run window with free flight around it
     assert "CouplingProfile" not in weaktime.__all__
     assert [name for name, params in _public_parameters() if "profile" in params] == []
+    assert list(inspect.signature(CoupledSystem).parameters) == [
+        "system", "psi0", "observable", "window"]
     assert list(inspect.signature(run_meter).parameters) == [
-        "spec", "psi0", "observable", "coupling", "window", "system", "mode_cutoff"]
+        "spec", "coupled", "coupling", "mode_cutoff"]
     spin = QuantumState(spin_space(), np.ones(2) / np.sqrt(2.0))
-    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
     grid = Grid(16, 0.0, 7.5)
     free, region = Hamiltonian(position_space(grid)), Region(3.0, 5.0)
     packet = QuantumState(position_space(grid), np.ones(16)).normalized()
     for empty in ((1.0, 1.0), (3.0, 1.0)):
         with pytest.raises(ParameterError, match="t_start < t_stop"):
-            run_meter(spec, spin.at_time(empty[0]), np.array([1.0, -1.0]), 0.5,
-                      empty, Hamiltonian(spin_space()))
+            CoupledSystem(Hamiltonian(spin_space()), spin.at_time(empty[0]),
+                          np.array([1.0, -1.0]), empty)
         with pytest.raises(ParameterError, match="t_start < t_stop"):
             clocks.ClockRuns(free, packet.at_time(empty[0]), region, empty, (0.0,))
         with pytest.raises(ParameterError, match="t_start < t_stop"):

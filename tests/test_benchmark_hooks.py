@@ -5,8 +5,9 @@ outside; a renamed or moved entry point would only show as a KeyError in a
 traced benchmark run.  These tests enter its patches on a clocks-only, a
 meter-only and two sojourn-only scenarios: every clock layer has a span
 and the hook on the placeholder `clocks.evolve` never fires, every meter
-run is one span per coupling of the ladder, and scenarios that share a
-Hamiltonian share its eigensystem.
+run is one span per coupling of the ladder and the meter's node block is
+evolved inside one of them, and scenarios that share a Hamiltonian share
+its eigensystem.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from weaktime import meter, scenarios
+from weaktime.dynamics import evolve_shifted
 from weaktime.scenarios import catalog
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -48,13 +50,20 @@ def test_trace_hooks_see_one_meter_run_per_coupling():
     tracing = _tracing()
     tracer = tracing.Tracer()
     runs = []
+    open_spans = []
 
     def recording_run_meter(*args, **kwargs):
         runs.append(meter.run_meter(*args, **kwargs))
         return runs[-1]
 
+    def recording_evolve_shifted(*args, **kwargs):
+        # the node block is evolved lazily, by the first run that needs it
+        open_spans.append([tracer.spans[i]["name"] for i in tracer._stack])
+        return evolve_shifted(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "run_meter", recording_run_meter)
+        mp.setattr(meter, "evolve_shifted", recording_evolve_shifted)
         with tracer.installed():
             scenarios.run_scenario(catalog()["well_halves"], pipelines=("meter",))
     spans = [s for s in tracer.spans if s["name"] == "meter.run_meter"]
@@ -63,6 +72,9 @@ def test_trace_hooks_see_one_meter_run_per_coupling():
         assert tracer.spans[span["parent"]]["name"] == "scenarios.run_scenario"
         assert span["modes_kept_computed"] == run.modes_kept
     assert tracing.layer_metrics(tracer, 1)["meter.run_meter.calls"] == len(runs)
+    # so meter.run_meter.busy_s counts the block
+    assert open_spans
+    assert all("meter.run_meter" in names for names in open_spans)
 
 
 def test_trace_hooks_see_sojourn_spans_and_one_shared_eigensystem():

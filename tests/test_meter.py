@@ -3,20 +3,23 @@ import pytest
 import scipy.linalg
 
 import oracle
+from weaktime import meter
 from weaktime.clocks import ClockRuns, clock_shifts
-from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
-from weaktime.errors import ParameterError, StructureError
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
+from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
     Grid,
     QuantumState,
     Region,
     basis_cell_state,
+    fourier_momentum_values,
     gaussian_packet,
     inner_product,
     position_space,
     spin_space,
 )
 from weaktime.meter import (
+    CoupledSystem,
     PointerSpec,
     lambda_moment_route,
     meter_moment_readout,
@@ -25,6 +28,14 @@ from weaktime.meter import (
     run_meter,
     run_moment_meter,
     survival_probability,
+)
+from weaktime.scenarios import (
+    METER_LADDER,
+    PacketSpec,
+    PotentialSpec,
+    Scenario,
+    catalog,
+    run_scenario,
 )
 from weaktime.sojourn import (
     conditional_dwell_time,
@@ -87,17 +98,19 @@ def test_pointer_spec_rejects_grid_without_origin():
 def test_zero_coupling_leaves_product_state(crossing):
     ham, psi0, psi_final, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham)
+    run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0)
     expected = np.outer(run.reference_system_final.amplitudes,
                         run.spec.initial_state().amplitudes)
     np.testing.assert_allclose(run.final, expected, atol=1e-12)
+    # every shift is zero: the reference state, with no node block
+    assert (run.nodes, run.chebyshev_terms, run.node_tail) == (0, 0, 0.0)
 
 
 def test_identity_observable_translates_pointer(crossing):
     ham, psi0, _, _ = crossing
     g = 0.8
     spec = PointerSpec.auto(width=1.0, max_shift=2.0, n_points=128)
-    run = run_meter(spec, psi0, np.ones(GRID.n_points), g, WINDOW, ham)
+    run = run_meter(spec, CoupledSystem(ham, psi0, np.ones(GRID.n_points), WINDOW), g)
     dist = pointer_distribution(run)
     assert dist.mean == pytest.approx(g, abs=1e-9)
     assert survival_probability(run) == pytest.approx(1.0, abs=1e-10)
@@ -106,7 +119,7 @@ def test_identity_observable_translates_pointer(crossing):
 def test_norm_conserved_in_hermitian_run(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
+    run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4)
     assert run.norm_drift < 1e-8
     assert run.final.shape == (GRID.n_points, spec.grid.n_points)
     norm = np.sqrt(GRID.dx * spec.grid.dx) * np.linalg.norm(run.final)
@@ -114,8 +127,9 @@ def test_norm_conserved_in_hermitian_run(crossing):
 
 
 def test_run_meter_needs_no_per_mode_eigensolve(crossing, monkeypatch):
-    # every kept pointer mode is one column of one Chebyshev block: beyond
-    # the Hamiltonian's cached free eigensystem no tridiagonal solve runs
+    # every kept pointer mode is interpolated from one Chebyshev node block:
+    # beyond the Hamiltonian's cached free eigensystem no tridiagonal solve
+    # runs
     ham, psi0, _, _ = crossing
     ham.eigensystem()
     calls = []
@@ -127,7 +141,7 @@ def test_run_meter_needs_no_per_mode_eigensolve(crossing, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
+    run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4)
     assert run.modes_kept > 1
     assert len(calls) == 0
 
@@ -137,7 +151,8 @@ def test_run_meter_reports_chebyshev_terms(crossing):
     # the kept modes' Hamiltonians; mode 0 (pi = 0) is H itself
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    run = run_meter(spec, coupled, 0.4)
     vals, _ = ham.eigensystem()
     half_width = 0.5 * (vals.max() - vals.min())
     duration = WINDOW[1] - WINDOW[0]
@@ -146,8 +161,7 @@ def test_run_meter_reports_chebyshev_terms(crossing):
     moment_run = run_moment_meter(spec, psi0, crossing[3], 1, 0.1)
     assert moment_run.chebyshev_terms == 0
     # a cutoff at the peak keeps no mode: an empty block, no series
-    none_kept = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham,
-                          mode_cutoff=1.0)
+    none_kept = run_meter(spec, coupled, 0.4, mode_cutoff=1.0)
     assert (none_kept.modes_kept, none_kept.chebyshev_terms) == (0, 0)
 
 
@@ -156,7 +170,7 @@ def test_edge_aliasing_guard():
     spec = PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64)
     window = (0.0, 1.0)
     with pytest.raises(ParameterError):
-        run_meter(spec, psi0, sz, 10.0, window, system)
+        run_meter(spec, CoupledSystem(system, psi0, sz, window), 10.0)
 
 
 def test_factorized_engine_rejects_unstructured_problems():
@@ -167,7 +181,7 @@ def test_factorized_engine_rejects_unstructured_problems():
     # diagonal of the wrong length or a complex one is refused
     for bad in (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(3), np.array([1.0, 1j])):
         with pytest.raises(StructureError):
-            run_meter(spec, psi0, bad, 0.1, window, system)
+            CoupledSystem(system, psi0, bad, window)
     # a two-factor system cannot even be built as a Hamiltonian
     with pytest.raises(StructureError):
         Hamiltonian((position_space(Grid(8, 0.0, 7.0)), spin_space()))
@@ -182,12 +196,121 @@ def test_composite_engine_matches_factorized():
     spec = PointerSpec.auto(width=0.5, max_shift=0.5, n_points=64)
     window = (0.0, 2.0)
     obs = Region(3.0, 5.0).indicator(grid)
-    fac = run_meter(spec, psi0, obs, 0.3, window, ham, mode_cutoff=0.0)
+    fac = run_meter(spec, CoupledSystem(ham, psi0, obs, window), 0.3, mode_cutoff=0.0)
     com = oracle.composite_meter(
         oracle.dense_hamiltonian(ham), np.diag(obs), psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.3, window[1] - window[0],
     )
     np.testing.assert_allclose(fac.final, com, atol=1e-10)
+
+
+# -- coupled system: kept columns from Chebyshev nodes in the shift -----------
+
+
+def _meter_barrier_n96():
+    """A meter-benchmark-style tunnelling scenario on a 96-point lattice:
+    the region is the barrier, the packet below its top."""
+    return Scenario(
+        name="meter_barrier_n96",
+        grid=Grid(96, 0.0, 95.0),
+        potential=PotentialSpec(kind="barrier", v0=2.88, x_lo=38.0, x_hi=39.5),
+        packet=PacketSpec(x0=18.5, sigma=3.5, k0=1.2),
+        window=(0.0, 21.0),
+        region=Region(38.0, 39.5),
+        postselection="transmitted_reflected",
+    )
+
+
+def _kept_shifts(spec, coupling, duration):
+    """(G/T) pi_k over the pointer modes above the default cutoff."""
+    coeffs = np.abs(np.fft.fft(spec.initial_state().amplitudes))
+    kept = coeffs > meter.DEFAULT_MODE_CUTOFF * coeffs.max()
+    return (coupling / duration) * fourier_momentum_values(spec.grid)[kept]
+
+
+def _worst_column_error(coupled, shifts):
+    """Largest column error of the interpolated block against the direct
+    Chebyshev block, relative to ||psi0||."""
+    direct, _ = evolve_shifted(coupled.system, coupled.observable, shifts,
+                               coupled.psi0.amplitudes, coupled.duration)
+    interpolated, _ = coupled.columns(shifts)
+    return (np.max(np.linalg.norm(interpolated - direct, axis=0))
+            / np.linalg.norm(coupled.psi0.amplitudes))
+
+
+@pytest.mark.parametrize("scenario", [catalog()["well_halves"], catalog()["barrier_dwell"],
+                                      _meter_barrier_n96()], ids=lambda sc: sc.name)
+def test_coupled_system_columns_match_the_direct_block(scenario):
+    coupled = CoupledSystem(scenario.hamiltonian(), scenario.initial_state(),
+                            scenario.region.indicator(scenario.grid), scenario.window)
+    spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
+    for g in METER_LADDER:
+        shifts = _kept_shifts(spec, g, coupled.duration)
+        assert _worst_column_error(coupled, shifts) <= 1e-13
+    _, report = coupled.columns(shifts)
+    assert report["node_tail"] <= 1e-13
+
+
+def test_coupled_system_doubles_its_nodes_for_a_narrow_pointer():
+    # demo 03's sigma_z spin read by a pointer of width 0.1: its kept
+    # shifts reach |s| T ~ 60, beyond what 17 nodes resolve
+    system, psi0, sz = _toy()
+    coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
+    spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=512, extent_factor=14.0)
+    run = run_meter(spec, coupled, 1.0)
+    assert run.nodes > 17
+    assert run.node_tail <= 1e-13
+    assert _worst_column_error(coupled, _kept_shifts(spec, 1.0, 1.0)) <= 1e-13
+
+
+def test_coupled_system_rebuilds_for_a_wider_request(monkeypatch):
+    sc = catalog()["well_halves"]
+    args = (sc.hamiltonian(), sc.initial_state(), sc.region.indicator(sc.grid), sc.window)
+    spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
+    narrow, wide = (_kept_shifts(spec, g, sc.duration()) for g in (0.1, 0.3))
+    blocks = []
+    monkeypatch.setattr(meter, "evolve_shifted",
+                        lambda *a: blocks.append(a[2]) or evolve_shifted(*a))
+    coupled = CoupledSystem(*args)
+    coupled.columns(narrow)
+    coupled.columns(narrow / 2)
+    assert len(blocks) == 1
+    later, _ = coupled.columns(wide)
+    assert len(blocks) == 2
+    assert np.max(np.abs(blocks[1])) == pytest.approx(np.max(np.abs(wide)), rel=1e-15)
+    fresh, _ = CoupledSystem(*args).columns(wide)
+    assert (np.max(np.linalg.norm(later - fresh, axis=0))
+            <= 1e-13 * np.linalg.norm(sc.initial_state().amplitudes))
+
+
+@pytest.mark.parametrize("name", ["well_halves", "barrier_farside"])
+def test_meter_pipeline_evolves_one_node_block(monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(meter, "evolve_shifted",
+                        lambda *a: calls.append(a[2].size) or evolve_shifted(*a))
+    bundle = run_scenario(catalog()[name], pipelines=("meter",))
+    assert any(r.method == "meter" for r in bundle.records)
+    assert calls == [17]
+
+
+def test_coupled_system_refuses_what_run_meter_refused():
+    # the constructor raises the errors, with the messages, that a meter
+    # run raised before it evolved anything
+    system, psi0, sz = _toy()
+    with pytest.raises(StructureError, match=r"real diagonal of shape \(2,\)"):
+        CoupledSystem(system, psi0, np.array([1.0, 1j]), (0.0, 1.0))
+    with pytest.raises(ParameterError, match="t_start < t_stop"):
+        CoupledSystem(system, psi0, sz, (0.0, 0.0))
+    with pytest.raises(ParameterError, match="run start"):
+        CoupledSystem(system, psi0, sz, (1.0, 2.0))
+
+
+def test_coupled_system_refuses_shifts_past_the_node_cap():
+    # psi(s) = exp(-i s T sigma_z) psi0 needs a degree about |s| T > 1024
+    system, psi0, sz = _toy()
+    coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
+    with pytest.raises(NumericalError, match="Chebyshev nodes"):
+        coupled.columns(np.array([2000.0]))
 
 
 # -- strong regime ------------------------------------------------------------
@@ -198,7 +321,7 @@ def test_strong_two_level_peaks_and_weights():
     g = 1.0
     spec = PointerSpec.auto(width=0.1, max_shift=g, n_points=256, extent_factor=8.0)
     window = (0.0, 1.0)
-    run = run_meter(spec, psi0, sz, g, window, system)
+    run = run_meter(spec, CoupledSystem(system, psi0, sz, window), g)
     dist = pointer_distribution(run)
     assert dist.peak_count() == 2
     q = spec.grid.points
@@ -214,7 +337,7 @@ def test_survival_is_one_for_observable_eigenstate():
     up = QuantumState(spin_space(), np.array([1.0, 0.0]))
     spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=256, extent_factor=8.0)
     window = (0.0, 1.0)
-    run = run_meter(spec, up, sz, 1.0, window, system)
+    run = run_meter(spec, CoupledSystem(system, up, sz, window), 1.0)
     assert survival_probability(run) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -222,10 +345,11 @@ def test_crossover_from_two_peaks_to_one():
     system, psi0, sz = _toy()
     window = (0.0, 1.0)
     counts = []
+    coupled = CoupledSystem(system, psi0, sz, window)
     for width in (0.1, 1.0, 10.0):
         spec = PointerSpec.auto(width=width, max_shift=1.0, n_points=512,
                                 extent_factor=14.0)
-        run = run_meter(spec, psi0, sz, 1.0, window, system)
+        run = run_meter(spec, coupled, 1.0)
         counts.append(pointer_distribution(run).peak_count())
     assert counts[0] == 2
     assert counts[-1] == 1
@@ -240,10 +364,8 @@ def test_weak_shift_slope_equals_weak_value(crossing):
     a_w = dwell_time(op, psi_final) / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     ladder = (0.4, 0.3, 0.2, 0.1)
-    runs = [
-        run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
-        for g in ladder + tuple(-g for g in ladder)
-    ]
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    runs = [run_meter(spec, coupled, g) for g in ladder + tuple(-g for g in ladder)]
     slope, intercept = pointer_shift_fit(runs)
     assert slope == pytest.approx(a_w, rel=0.01)
     assert abs(intercept) < 1e-6
@@ -256,10 +378,8 @@ def test_conditional_shift_slope_matches_conditional_weak_value(crossing):
     ref = conditional_dwell_time(op, psi_final, chi).value.real / op.duration
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     ladder = (0.2, 0.15, 0.1, 0.05)
-    runs = [
-        run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
-        for g in ladder + tuple(-g for g in ladder)
-    ]
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    runs = [run_meter(spec, coupled, g) for g in ladder + tuple(-g for g in ladder)]
     slope, intercept = pointer_shift_fit(runs, chi)
     assert slope == pytest.approx(ref, rel=0.01)
     assert abs(intercept) < 1e-6
@@ -278,9 +398,10 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
         QuantumState(SPACE, np.where(side, psi_final.amplitudes, 0.0), WINDOW[1])
         for side in (transmitted, reflected)
     ]
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
     for g in (0.4, 0.1):
-        plus = run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
-        minus = run_meter(spec, psi0, REGION.indicator(GRID), -g, WINDOW, ham)
+        plus = run_meter(spec, coupled, g)
+        minus = run_meter(spec, coupled, -g)
         np.testing.assert_allclose(minus.final[:, 1:], plus.final[:, :0:-1],
                                    rtol=0.0, atol=1e-12)
         for chi in postselectors:
@@ -292,7 +413,7 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
 def test_conditional_mean_sum_rule_exact(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, psi0, REGION.indicator(GRID), 0.4, WINDOW, ham)
+    run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4)
     family = [basis_cell_state(GRID, j, time=WINDOW[1]) for j in range(GRID.n_points)]
     acc, total = oracle.conditional_mean_sum(run, family)
     assert acc == pytest.approx(total, abs=1e-10)
@@ -303,8 +424,9 @@ def test_survival_deficit_scales_quadratically(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     ladder = np.array([0.4, 0.2, 0.1])
     deficits = []
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
     for g in ladder:
-        run = run_meter(spec, psi0, REGION.indicator(GRID), g, WINDOW, ham)
+        run = run_meter(spec, coupled, g)
         deficits.append(1.0 - survival_probability(run))
     slope, _ = np.polyfit(np.log(ladder), np.log(deficits), 1)
     assert slope >= 1.5
@@ -404,7 +526,8 @@ def _start_routes(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=0.3, n_points=64)
     return {
         "ClockRuns": lambda s: ClockRuns(ham, s, REGION, WINDOW, clock_shifts()),
-        "run_meter": lambda s: run_meter(spec, s, REGION.indicator(GRID), 0.1, WINDOW, ham),
+        "run_meter": lambda s: run_meter(spec, CoupledSystem(ham, s, REGION.indicator(GRID),
+                                                             WINDOW), 0.1),
         "run_moment_meter": lambda s: run_moment_meter(spec, s, op, 1, 0.1),
         "lambda_moment_route": lambda s: lambda_moment_route(op, s, psi_final, 1,
                                                              (0.3, 0.2, 0.1)),

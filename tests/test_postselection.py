@@ -29,6 +29,7 @@ from weaktime.hilbert import (
     position_space,
 )
 from weaktime.meter import (
+    CoupledSystem,
     PointerSpec,
     lambda_moment_route,
     pointer_distribution,
@@ -63,7 +64,7 @@ def ctx():
         spec=spec,
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap
-        run=run_meter(spec, psi0, REGION.indicator(GRID), 0.0, WINDOW, ham),
+        run=run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0),
         # the clock table's own unperturbed final state
         clock_final=ClockRuns(ham, psi0, REGION, WINDOW, clock_shifts()).final(0),
     )

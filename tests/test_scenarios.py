@@ -483,6 +483,14 @@ def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
         assert np.all(dropped <= meter.DEFAULT_MODE_CUTOFF * coeffs.max())
 
 
+def test_meter_pipeline_runs_share_one_node_block(well_meter):
+    # the three runs interpolate from the nodes the first one evolved
+    _, runs = well_meter
+    assert len({(run.nodes, run.chebyshev_terms) for run in runs}) == 1
+    assert runs[0].nodes >= 17
+    assert all(run.node_tail <= 1e-13 for run in runs)
+
+
 def test_meter_pipeline_well_reports_half_window(well_meter):
     bundle, _ = well_meter
     rec = [r for r in bundle.records if r.method == "meter"][0]
