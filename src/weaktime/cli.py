@@ -4,7 +4,8 @@ Verbs:
   validate  check a scenario configuration, print warnings
   run       execute the configured pipelines and emit results
   sweep     run the clock sweeps only and emit the sweep data as JSON
-  compare   run sojourn and clock pipelines and report their agreement
+  compare   run all three pipelines and report the clocks' and the meter's
+            agreement with sojourn
   emit      re-emit a previously written JSON bundle in another format
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure, 3 IO.
@@ -82,7 +83,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = _load_scenario(args.config)
-    bundle = run_scenario(scenario, pipelines=("sojourn", "clocks"))
+    bundle = run_scenario(scenario, pipelines=("sojourn", "clocks", "meter"))
     reference = {
         (r.postselection, r.order): r.value
         for r in bundle.records
@@ -92,7 +93,7 @@ def _cmd_compare(args) -> int:
     ok = True
     print("method,postselection,value,reference,deviation,allowed")
     for r in bundle.records:
-        if not r.method.startswith("clock_"):
+        if not (r.method.startswith("clock_") or r.method == "meter"):
             continue
         key = (r.postselection, r.order)
         ref = reference.get(("none", r.order) if key not in reference else key)

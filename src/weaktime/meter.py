@@ -27,11 +27,19 @@ each mode is a closed-form phase in that operator's own eigenbasis.  They
 read the `SojournOperator` directly: the free eigensystem (`vals`,
 `vecs`) it was built in and the cached eigensystem of its eigenbasis
 matrix M, which it assembles on first use; no position-basis matrix is
-formed.  A run's final state is the (system, pointer) amplitude array.
+formed.
+
+A run never forms its (system, pointer) amplitude array psi(s, q).  Only
+the K kept modes differ from c_k psi_ref, so that array is B @ R: B =
+[psi_ref | kept columns] is (N, K + 1) and R, the pointer rows, is
+(K + 1, n), cached per (pointer spec, mode cutoff).  The pointer
+statistics read it through one small QR of B, which costs N (K + 1)^2 +
+(K + 1)^2 n per run instead of the N n log n transform of the whole array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +61,9 @@ from .sojourn import SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
-# is one more column interpolated from the node block.  On the default
+# is one more column interpolated from the node block, one more column of a
+# run's system factor B and one more of its cached pointer rows, so a run
+# costs N (K + 1)^2 + (K + 1)^2 n for K kept modes.  On the default
 # PointerSpec.auto grid (extent_factor=16) the Fourier coefficients of the
 # Gaussian profile fall to a plateau below this cutoff: for
 # auto(width=1.0, max_shift=0.3), the scenario meter pointer, the plateau is
@@ -114,13 +124,21 @@ class PointerSpec:
 
 @dataclass(frozen=True, eq=False)
 class MeterRun:
-    """One measurement experiment: composite final state plus context.
+    """One measurement experiment: the composite final state as factors,
+    plus context.
 
-    `final` holds the read-only composite amplitudes psi(s, q), shaped
-    (system dimension, pointer points).  `reference_system_final` is the
-    system state evolved with the meter switched off, used for survival
-    probabilities and as the unperturbed state that postselected readouts
-    guard their overlap against.
+    The composite amplitudes psi(s, q) are `system_block @ pointer_rows`
+    and are never formed.  `system_block` is B = [psi_ref | c_k psi_k for
+    the kept modes k], shaped (system dimension, modes_kept + 1);
+    `pointer_rows` is R, shaped (modes_kept + 1, pointer points): the
+    inverse pointer transform of the dropped modes' coefficients, then the
+    kept modes' inverse-transform rows.  `marginal` is the unconditioned
+    pointer density w sum_s |psi(s, q)|^2, w the system cell weight, not
+    normalized.  All three are read-only, and `pointer_rows` is shared by
+    every run with the same spec and mode cutoff.
+    `reference_system_final` is the system state evolved with the meter
+    switched off, used for survival probabilities and as the unperturbed
+    state that postselected readouts guard their overlap against.
     `modes_kept` counts the pointer modes evolved with the coupling; the
     others were below the mode cutoff.  The kept modes are interpolated
     from a node block in the coupling shift (see `CoupledSystem`):
@@ -134,7 +152,9 @@ class MeterRun:
 
     spec: PointerSpec
     coupling: float
-    final: np.ndarray
+    system_block: np.ndarray
+    pointer_rows: np.ndarray
+    marginal: np.ndarray
     reference_system_final: QuantumState
     norm_drift: float
     modes_kept: int
@@ -184,14 +204,25 @@ def _lobatto_fit(n: int) -> np.ndarray:
     return fit
 
 
-def _edge_check(spec: PointerSpec, composite: np.ndarray, system_weight: float) -> None:
-    f = system_weight * np.sum(np.abs(composite) ** 2, axis=0)
-    mass = float((np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx)
-    if mass > EDGE_MASS_BUDGET:
-        raise ParameterError(
-            f"pointer support reaches the grid edge (mass {mass:.3e}); "
-            "enlarge the pointer grid"
-        )
+@functools.lru_cache(maxsize=8)
+def _pointer_modes(spec: PointerSpec, mode_cutoff: float):
+    """What a run needs of its pointer, which depends only on the spec and
+    the cutoff: the kept modes' momenta and coefficients, the norm of the
+    initial profile and the read-only (K + 1, n) pointer rows R.  R's first
+    row is the inverse transform of the coefficients with the kept ones
+    zeroed, its others the kept modes' inverse-transform rows, taken by
+    ifft of unit rows so that every phase is reduced mod n."""
+    phi = spec.initial_state()
+    coeffs = np.fft.fft(phi.amplitudes)
+    kept = np.nonzero(np.abs(coeffs) > mode_cutoff * np.max(np.abs(coeffs)))[0]
+    dropped = coeffs.copy()
+    dropped[kept] = 0.0
+    rows = np.fft.ifft(np.vstack([dropped, np.eye(coeffs.size)[kept]]), axis=1)
+    pi_kept = fourier_momentum_values(spec.grid)[kept]
+    coeffs_kept = coeffs[kept]
+    for a in (pi_kept, coeffs_kept, rows):
+        a.flags.writeable = False
+    return pi_kept, coeffs_kept, phi.norm(), rows
 
 
 def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> MeterRun:
@@ -201,26 +232,36 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
     largest) are kept; `kept_columns(pi, c)` returns their system vectors
     c_k psi_k, given the kept modes' momenta pi and coefficients c, with the
     MeterRun fields that report how they were evolved.  Every dropped mode
-    is filled as uncoupled, c_k psi_ref, and the inverse pointer transform
-    gives the composite array psi(s, q).
+    is uncoupled, c_k psi_ref, so the composite is B @ R with B = [psi_ref |
+    kept columns] and R the cached pointer rows (`_pointer_modes`).  With
+    B = Q R_b (R_b from one QR, square or, for N < K + 1, wide), every
+    pointer column of the composite has the norm of the same column of
+    R_b @ R: the marginal and the norm come from that (K + 1, n) product,
+    at N (K + 1)^2 + (K + 1)^2 n per run, and the composite is never formed.
     """
-    phi = spec.initial_state()
-    coeffs = np.fft.fft(phi.amplitudes)
-    kept = np.nonzero(np.abs(coeffs) > mode_cutoff * np.max(np.abs(coeffs)))[0]
-    modes = np.outer(psi_ref.amplitudes, coeffs)
-    pi_kept = fourier_momentum_values(spec.grid)[kept]
-    modes[:, kept], report = kept_columns(pi_kept, coeffs[kept])
-    composite = np.fft.ifft(modes, axis=1)
-    _edge_check(spec, composite, psi_ref.cell_weight)
-    norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(composite)
-    composite.flags.writeable = False
+    pi_kept, coeffs_kept, phi_norm, rows = _pointer_modes(spec, mode_cutoff)
+    columns, report = kept_columns(pi_kept, coeffs_kept)
+    block = np.column_stack([psi_ref.amplitudes, columns])
+    reduced = np.linalg.qr(block, mode="r") @ rows
+    marginal = psi_ref.cell_weight * np.sum(np.abs(reduced) ** 2, axis=0)
+    mass = float((np.sum(marginal[:2]) + np.sum(marginal[-2:])) * spec.grid.dx)
+    if mass > EDGE_MASS_BUDGET:
+        raise ParameterError(
+            f"pointer support reaches the grid edge (mass {mass:.3e}); "
+            "enlarge the pointer grid"
+        )
+    norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(reduced)
+    block.flags.writeable = False
+    marginal.flags.writeable = False
     return MeterRun(
         spec=spec,
         coupling=coupling,
-        final=composite,
+        system_block=block,
+        pointer_rows=rows,
+        marginal=marginal,
         reference_system_final=psi_ref,
-        norm_drift=float(abs(norm - psi0.norm() * phi.norm())),
-        modes_kept=kept.size,
+        norm_drift=float(abs(norm - psi0.norm() * phi_norm)),
+        modes_kept=coeffs_kept.size,
         **report,
     )
 
@@ -394,12 +435,13 @@ def pointer_distribution(
     grid = run.spec.grid
     dq = grid.dx
     if postselect is None:
-        raw = run.system_weight * np.sum(np.abs(run.final) ** 2, axis=0)
+        raw = run.marginal
         prob = float(np.sum(raw) * dq)
     else:
         if postselect.space != run.reference_system_final.space:
             raise StructureError("postselector must live on the system space")
-        amp = run.system_weight * (postselect.amplitudes.conj() @ run.final)
+        amp = run.system_weight * ((postselect.amplitudes.conj() @ run.system_block)
+                                   @ run.pointer_rows)
         raw = np.abs(amp) ** 2
         prob = float(np.sum(raw) * dq)
         # the composite's norm is the reference state's, up to norm_drift

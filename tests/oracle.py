@@ -209,9 +209,15 @@ def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):
     return out
 
 
+def meter_composite(run):
+    """The (system, pointer) amplitude array psi(s, q) of a meter run,
+    rebuilt densely from its factors; the package never forms it."""
+    return run.system_block @ run.pointer_rows
+
+
 def _pointer_amplitude(run, chi):
     """Postselected pointer amplitude <chi|psi(q)> of a meter run."""
-    return run.system_weight * (chi.amplitudes.conj() @ run.final)
+    return run.system_weight * (chi.amplitudes.conj() @ meter_composite(run))
 
 
 def conditional_mean_sum(run, chi_family):

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import oracle
 import weaktime
 from weaktime import clocks, dynamics, scenarios, sojourn
 from weaktime.dynamics import Hamiltonian
@@ -79,7 +80,7 @@ def test_one_overlap_policy_and_no_kinetic_flag():
 
 def test_one_factor_per_state_and_no_dense_operator_layer():
     # states live on one FactorSpace, observables are real diagonals, and a
-    # meter run's final state is its (system, pointer) array
+    # meter run's final state is its (system, pointer) array, kept as factors
     deleted = {"OperatorMatrix", "projector", "pointer_space", "integrate_heisenberg"}
     assert deleted & set(weaktime.__all__) == set()
     grid = Grid(8, 0.0, 7.0)
@@ -88,7 +89,7 @@ def test_one_factor_per_state_and_no_dense_operator_layer():
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
     coupled = CoupledSystem(Hamiltonian(spin_space()), spin, np.array([1.0, -1.0]), (0.0, 1.0))
     run = run_meter(spec, coupled, 0.5)
-    assert run.final.shape == (2, spec.grid.n_points)
+    assert oracle.meter_composite(run).shape == (2, spec.grid.n_points)
 
 
 def test_sojourn_operator_shares_one_window_filter(monkeypatch):

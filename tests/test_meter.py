@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -101,7 +103,7 @@ def test_zero_coupling_leaves_product_state(crossing):
     run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0)
     expected = np.outer(run.reference_system_final.amplitudes,
                         run.spec.initial_state().amplitudes)
-    np.testing.assert_allclose(run.final, expected, atol=1e-12)
+    np.testing.assert_allclose(oracle.meter_composite(run), expected, atol=1e-12)
     # every shift is zero: the reference state, with no node block
     assert (run.nodes, run.chebyshev_terms, run.node_tail) == (0, 0, 0.0)
 
@@ -121,8 +123,9 @@ def test_norm_conserved_in_hermitian_run(crossing):
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4)
     assert run.norm_drift < 1e-8
-    assert run.final.shape == (GRID.n_points, spec.grid.n_points)
-    norm = np.sqrt(GRID.dx * spec.grid.dx) * np.linalg.norm(run.final)
+    final = oracle.meter_composite(run)
+    assert final.shape == (GRID.n_points, spec.grid.n_points)
+    norm = np.sqrt(GRID.dx * spec.grid.dx) * np.linalg.norm(final)
     assert norm == pytest.approx(1.0, abs=1e-8)
 
 
@@ -173,6 +176,113 @@ def test_edge_aliasing_guard():
         run_meter(spec, CoupledSystem(system, psi0, sz, window), 10.0)
 
 
+def test_edge_guard_passes_a_pointer_just_inside_its_budget():
+    # the sigma_z branches shift the pointer by +-G: at G = 2.3 the two edge
+    # points on each side hold between half and all of the budget, read
+    # from the marginal as from the dense composite; G = 2.4 is refused
+    system, psi0, sz = _toy()
+    spec = PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64)
+    coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
+    run = run_meter(spec, coupled, 2.3)
+    dense = psi0.cell_weight * np.sum(np.abs(oracle.meter_composite(run)) ** 2, axis=0)
+    for f in (run.marginal, dense):
+        mass = (np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx
+        assert 0.5 * meter.EDGE_MASS_BUDGET < mass <= meter.EDGE_MASS_BUDGET
+    with pytest.raises(ParameterError, match="pointer support reaches the grid edge"):
+        run_meter(spec, coupled, 2.4)
+
+
+# -- factored runs: B @ R, never the composite --------------------------------
+
+
+def _factored_cases(crossing):
+    """(run, psi0, postselectors) on the crossing fixture, on demo 03's sigma_z
+    spin with a 0.1-wide pointer (N = 2 < K + 1: a wide system block) and
+    on a moment meter run."""
+    ham, psi0, psi_final, op = crossing
+    x = GRID.points
+    sides = [QuantumState(SPACE, np.where(side, psi_final.amplitudes, 0.0), WINDOW[1])
+             for side in (x >= REGION.x_hi, x < REGION.x_lo)]
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    system, spin, sz = _toy()
+    spin_spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=512, extent_factor=14.0)
+    spin_chis = [QuantumState(spin.space, amps, 1.0)
+                 for amps in (np.array([1.0, 0.0]), np.array([0.6, 0.8j]))]
+    return [
+        (run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4),
+         psi0, sides),
+        (run_meter(spin_spec, CoupledSystem(system, spin, sz, (0.0, 1.0)), 1.0),
+         spin, spin_chis),
+        (run_moment_meter(spec, psi0, op, 1, 0.1), psi0, sides),
+    ]
+
+
+def test_factored_readouts_match_the_dense_composite(crossing):
+    cases = _factored_cases(crossing)
+    assert cases[1][0].modes_kept + 1 > cases[1][0].system_block.shape[0]
+    for run, psi0, chis in cases:
+        composite = oracle.meter_composite(run)
+        w, dq = run.system_weight, run.spec.grid.dx
+        dense = w * np.sum(np.abs(composite) ** 2, axis=0)
+        dist = pointer_distribution(run)
+        for got in (run.marginal, dist.density * dist.probability):
+            np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13 * dense.max())
+        for chi in chis:
+            dense = np.abs(w * (chi.amplitudes.conj() @ composite)) ** 2
+            dist = pointer_distribution(run, chi)
+            np.testing.assert_allclose(dist.density * dist.probability, dense,
+                                       rtol=0.0, atol=1e-13 * dense.max())
+        norm = np.sqrt(w * dq) * np.linalg.norm(composite)
+        drift = abs(norm - psi0.norm() * run.spec.initial_state().norm())
+        assert run.norm_drift == pytest.approx(drift, abs=1e-14)
+
+
+def test_pointer_rows_are_cached_read_only_unit_transforms(crossing):
+    ham, psi0, _, _ = crossing
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    first, second = run_meter(spec, coupled, 0.4), run_meter(spec, coupled, 0.1)
+    assert second.pointer_rows is first.pointer_rows
+    pi_kept, coeffs_kept, _, rows = meter._pointer_modes(spec, meter.DEFAULT_MODE_CUTOFF)
+    n = spec.grid.n_points
+    coeffs = np.fft.fft(spec.initial_state().amplitudes)
+    kept = np.nonzero(np.abs(coeffs) > meter.DEFAULT_MODE_CUTOFF * np.abs(coeffs).max())[0]
+    assert rows.shape == (first.modes_kept + 1, n) == (kept.size + 1, n)
+    units = np.zeros((kept.size, n))
+    units[np.arange(kept.size), kept] = 1.0
+    np.testing.assert_allclose(rows[1:], np.fft.ifft(units, axis=1), rtol=0.0, atol=1e-16)
+    # the phases are reduced mod n before the exponential
+    kj = np.outer(kept, np.arange(n)) % n
+    np.testing.assert_allclose(rows[1:], np.exp(2j * np.pi * kj / n) / n, rtol=0.0, atol=1e-16)
+    np.testing.assert_array_equal(pi_kept, fourier_momentum_values(spec.grid)[kept])
+    np.testing.assert_array_equal(coeffs_kept, coeffs[kept])
+    coeffs[kept] = 0.0
+    np.testing.assert_allclose(rows[0], np.fft.ifft(coeffs), rtol=0.0, atol=1e-16)
+    for a in (pi_kept, coeffs_kept, rows, first.system_block, first.marginal):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        first.pointer_rows[0, 0] = 0.0
+
+
+def test_second_meter_run_forms_no_composite():
+    # with the node block fitted and the pointer rows cached, a run holds
+    # only (N, K + 1) and (K + 1, n) arrays: its allocation peak stays far
+    # below one (N, n) complex array
+    sc = catalog()["barrier_dwell"]
+    coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            sc.region.indicator(sc.grid), sc.window)
+    spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
+    run_meter(spec, coupled, max(METER_LADDER))
+    composite_bytes = sc.grid.n_points * spec.grid.n_points * 16
+    tracemalloc.start()
+    try:
+        run_meter(spec, coupled, min(METER_LADDER))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < composite_bytes / 2
+
+
 def test_factorized_engine_rejects_unstructured_problems():
     system, psi0, _ = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=64)
@@ -201,7 +311,7 @@ def test_composite_engine_matches_factorized():
         oracle.dense_hamiltonian(ham), np.diag(obs), psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.3, window[1] - window[0],
     )
-    np.testing.assert_allclose(fac.final, com, atol=1e-10)
+    np.testing.assert_allclose(oracle.meter_composite(fac), com, atol=1e-10)
 
 
 # -- coupled system: kept columns from Chebyshev nodes in the shift -----------
@@ -402,7 +512,8 @@ def test_negative_coupling_run_is_the_mirrored_positive_run(crossing):
     for g in (0.4, 0.1):
         plus = run_meter(spec, coupled, g)
         minus = run_meter(spec, coupled, -g)
-        np.testing.assert_allclose(minus.final[:, 1:], plus.final[:, :0:-1],
+        np.testing.assert_allclose(oracle.meter_composite(minus)[:, 1:],
+                                   oracle.meter_composite(plus)[:, :0:-1],
                                    rtol=0.0, atol=1e-12)
         for chi in postselectors:
             mean = pointer_distribution(plus, chi).mean
@@ -443,7 +554,7 @@ def test_moment_meter_engines_agree(crossing):
         oracle.dense_hamiltonian(ham), oracle.dense_sojourn(op), 1, psi0.amplitudes,
         spec.initial_state().amplitudes, spec.grid.dx, 0.1, op.window, 0.05,
     )
-    np.testing.assert_allclose(stepped, exact.final, atol=1e-5)
+    np.testing.assert_allclose(stepped, oracle.meter_composite(exact), atol=1e-5)
 
 
 def test_moment_meter_readout_matches_operator_moment(crossing):

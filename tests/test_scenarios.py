@@ -622,10 +622,12 @@ def test_cli_compare_agrees_on_well(well_config, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "agreement: ok" in out
-    # every clock is compared, the norm-loss route against the dwell time
+    # every clock and the meter are compared, the norm-loss route against
+    # the dwell time
     rows = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:-1]}
     assert rows == {(f"clock_{name}", "none") for name in (
-        "real_potential", "imaginary_potential", "larmor", "imaginary_norm")}
+        "real_potential", "imaginary_potential", "larmor", "imaginary_norm")} | {
+        ("meter", "none")}
 
 
 def test_cli_sweep_writes_every_clock_sweep(well_config, tmp_path, capsys):
