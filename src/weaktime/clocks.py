@@ -122,14 +122,18 @@ class ClockRuns:
         )
         self._finals = {}
         for key, col in zip(keys, block.T):
-            phi = QuantumState(self.psi_initial.space, col, t1)
-            absorbed = 1.0 - phi.norm() ** 2
+            self._finals[key] = QuantumState(self.psi_initial.space, col, t1)
+            absorbed = 1.0 - self.survival(key)
             if absorbed > MAX_ABSORBED_FRACTION:
                 raise ParameterError(
                     f"absorbed fraction {absorbed:.3f} at u = {key} exceeds "
                     f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
                 )
-            self._finals[key] = phi
+
+    def survival(self, u: complex) -> float:
+        """||final(u)||^2 / ||psi_initial||^2, the share of the packet kept
+        at u whatever its norm."""
+        return self.final(u).norm() ** 2 / self.psi_initial.norm() ** 2
 
     def final(self, u: complex) -> QuantumState:
         try:
@@ -154,6 +158,18 @@ class SweepRecord:
         return float(self.value.real)
 
 
+def _checked_strengths(strengths) -> np.ndarray:
+    """The strengths as a float array; ParameterError unless there are at
+    least 3, positive and distinct, the points `extrapolate_to_zero` needs.
+    Routes that divide by a strength call it first."""
+    g = np.asarray(strengths, dtype=float)
+    if g.size < 3:
+        raise ParameterError("need at least 3 points to extrapolate")
+    if np.unique(g).size != g.size or np.any(g <= 0):
+        raise ParameterError("strengths must be positive and distinct")
+    return g
+
+
 def extrapolate_to_zero(strengths, values, error_order: int = 2):
     """Polynomial (Richardson) extrapolation of readouts to zero strength.
 
@@ -161,12 +177,8 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
     (2 for central differences, 1 for one-sided), with higher corrections in
     successive powers.  Returns (value, fitted_order, residual).
     """
-    g = np.asarray(strengths, dtype=float)
+    g = _checked_strengths(strengths)
     f = np.asarray(values, dtype=complex)
-    if g.size < 3:
-        raise ParameterError("need at least 3 points to extrapolate")
-    if np.unique(g).size != g.size or np.any(g <= 0):
-        raise ParameterError("strengths must be positive and distinct")
 
     def _intercept(gv, fv):
         m = gv.size
@@ -247,7 +259,7 @@ def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
     -hbar * d/dGamma of the survival probability at zero strength; it reads
     the same -i*Gamma/2 runs as `clock_imaginary_potential`."""
     strengths = _ladder(strengths)
-    readouts = [-HBAR * (runs.final(u).norm() ** 2 - 1.0) / g
+    readouts = [-HBAR * (runs.survival(u) - 1.0) / g
                 for g in strengths for u in CLOCK_KEYS["imaginary_potential"](g)]
     return _record(strengths, readouts, 1)
 

@@ -49,8 +49,9 @@ class Hamiltonian:
     hard-wall kinetic stencil plus a diagonal real potential; on a spin,
     the zero matrix.
 
-    Instances are shared, so the potential and what is cached on the
-    instance (the eigensystem, `sojourn`'s window filters) are read-only.
+    Instances are shared, so the potential and the eigensystem cached on
+    the instance are read-only.  `sojourn._filter_blocks` keeps the window
+    filters per (Hamiltonian, window length) in its own LRU cache.
     """
 
     space: FactorSpace

@@ -26,8 +26,8 @@ carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
 read the `SojournOperator` directly: the free eigensystem (`vals`,
 `vecs`) it was built in and the cached eigensystem of its eigenbasis
-matrix M, which it assembles on first use; no position-basis matrix is
-formed.
+matrix M, one hermitian eigh of M filled in from the operator's kept
+block rows; no position-basis matrix is formed.
 
 A run never forms its (system, pointer) amplitude array psi(s, q).  Only
 the K kept modes differ from c_k psi_ref, so that array is B @ R: B =
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import SweepRecord, extrapolate_to_zero
+from .clocks import SweepRecord, _checked_strengths, extrapolate_to_zero
 from .dynamics import Hamiltonian, apply_real, evolve_eigenbasis, evolve_shifted
 from .errors import NumericalError, ParameterError, StructureError
 from .hilbert import (
@@ -379,7 +379,8 @@ def run_meter(
 def _free_flight(op: SojournOperator, psi0: QuantumState):
     """The moment routes' shared start: psi0 freely evolved over the
     operator's window, in the free eigenbasis, and the cached eigensystem
-    (tau, W) of the operator's eigenbasis matrix M; tau is the spectrum of
+    (tau, W) of the operator's eigenbasis matrix M, solved from its kept
+    block rows (`SojournOperator.eigensystem`); tau is the spectrum of
     T_op / T."""
     t0, t1 = op.window
     _check_state(op, psi0, "run start")
@@ -482,6 +483,7 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     (free_box) it fits noise.
     """
     g = tuple(r.coupling for r in runs)
+    _checked_strengths(g)
     readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]
     value, order, residual = extrapolate_to_zero(g, readouts, 2)
     return SweepRecord(
@@ -513,6 +515,7 @@ def lambda_moment_route(
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
     lambdas = tuple(float(v) for v in lambdas)
+    _checked_strengths(lambdas)
     _check_state(op, chi)
     free_eig, tau, u = _free_flight(op, psi0)
     chi_eig = apply_real(op.vecs.T, chi.amplitudes)

@@ -172,8 +172,9 @@ class Scenario:
 
 @functools.lru_cache(maxsize=8)
 def _hamiltonian(grid: Grid, potential: PotentialSpec) -> Hamiltonian:
-    """One Hamiltonian, and so one eigensystem and one set of window filters,
-    per (grid, potential); a barrier scenario asks for two, its free one
+    """One Hamiltonian per (grid, potential), so one eigensystem, and one
+    window filter per window length in `sojourn._filter_blocks`, which is
+    keyed by the Hamiltonian; a barrier scenario asks for two, its free one
     (validation) and its own.  Eight hold the catalog's four pairs, or the
     five of a run cycling through meter scenarios, with room to spare."""
     return Hamiltonian(position_space(grid), potential_real=potential.array(grid))

@@ -8,21 +8,19 @@ M = (V_R^T V_R) * F, with V_R the region's rows of V and F the closed-form
 window filter sinc(phi) exp(-i phi) of the level differences,
 phi = (E_i - E_j) T / 2 hbar.  F depends only on the levels and T, so its
 upper block rows are evaluated once per (Hamiltonian, window length), one
-evaluation per level pair, and cached on the Hamiltonian.  An operator
-keeps V_R and that shared filter; the first time it is applied it forms
-M's upper block rows, each its own block of V_R^T V_R times the filter's,
-and keeps them read-only for its lifetime (N^2/2 + 32N complex values,
-2.4 MB at N = 512), so every later ladder step reuses them.  No N x N
-Gram is formed for that.  V_R^T V_R is symmetric and F_ji = conj(F_ij),
-so the conjugate of each block row is M's column block below the
-diagonal, and M assembled whole from one (syrk) Gram product is hermitian
-by construction, bit for bit.  Every readout applies M as V M^l V^T to a
-few vectors (one ladder M^l V^T a per state); no position-basis matrix
-is formed.  Scaled by the window length T this is the hermitian
-sojourn-time operator T V M V^T, with spectrum in [0, T] up to rounding,
-whose matrix elements give dwell times, postselected traversal times and
-their higher moments; the projector's weak value is the dwell time (or,
-postselected, the traversal time) over T.
+evaluation per level pair, and kept for the eight most recently used pairs
+(`functools.lru_cache`).  `sojourn_matrix` forms M once, as its upper
+block rows only, each its own block of V_R^T V_R times the filter's, and
+the operator keeps them read-only for its lifetime (N^2/2 + 32N complex
+values, 2.4 MB at N = 512); no N x N Gram is formed.  V_R^T V_R is
+symmetric and F_ji = conj(F_ij), so the conjugate of each block row is
+M's column block below the diagonal.  Every readout applies M as
+V M^l V^T to a few vectors (one ladder M^l V^T a per state); no
+position-basis matrix is formed.  Scaled by the window length T this is
+the hermitian sojourn-time operator T V M V^T, with spectrum in [0, T] up
+to rounding, whose matrix elements give dwell times, postselected
+traversal times and their higher moments; the projector's weak value is
+the dwell time (or, postselected, the traversal time) over T.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -31,8 +29,8 @@ t_stop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,30 +47,24 @@ from .hilbert import (
 
 ANOMALY_FACTOR = 10.0
 _BLOCK = 64  # rows of M per block row
-# window lengths whose filter one Hamiltonian keeps, least recently used dropped
-_FILTERS_KEPT = 4
 
 
 @dataclass(frozen=True, eq=False)
 class SojournOperator:
     """Window length T times the exact time average of a region projector,
     held in the real eigenbasis (`vals`, `vecs`) of the free Hamiltonian it
-    was built from as the region's rows `rows` (V_R, K x N) of V and the
-    window filter's upper block rows `filter`, shared by every operator on
-    that Hamiltonian and window length.  Its eigenbasis matrix
-    M = (V_R^T V_R) * F is applied from its upper block rows (`_blocks`),
-    formed on the first application and kept read-only in `_cache` for the
-    operator's lifetime: N^2/2 + 32N complex values, 2.4 MB at N = 512.
-    `eigen_matrix` assembles M whole on first use from one syrk Gram,
-    hermitian bit for bit.  The position-basis operator is T V M V^T, with
-    spectrum in [0, T] up to rounding; the package never forms it.  T^l
-    enters its powers as a scalar.  M's own eigensystem is solved on first
-    use and cached, like `Hamiltonian.eigensystem`."""
+    was built from as the upper block rows `blocks` of its eigenbasis
+    matrix M = (V_R^T V_R) * F: (i0, i1, M[i0:i1, i0:]) for i0 in steps of
+    64, read-only, N^2/2 + 32N complex values (2.4 MB at N = 512).  The
+    conjugate of each block row is M's column block below the diagonal.
+    The position-basis operator is T V M V^T, with spectrum in [0, T] up to
+    rounding; the package never forms it.  T^l enters its powers as a
+    scalar.  M's own eigensystem is solved on first use and cached, like
+    `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
     window: tuple[float, float]
-    rows: np.ndarray
-    filter: tuple
+    blocks: tuple
     vals: np.ndarray
     vecs: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -81,43 +73,13 @@ class SojournOperator:
     def duration(self) -> float:
         return self.window[1] - self.window[0]
 
-    def _blocks(self, gram: np.ndarray | None = None):
-        """(i0, i1, M[i0:i1, i0:]) for each block row of M's upper triangle,
-        whose conjugate is M's column block below it.  The rows of V_R^T V_R
-        are each block's own product, with no N x N temporary, unless the
-        whole `gram` is given."""
-        rows = self.rows
-        for i0, f in zip(range(0, self.vals.size, _BLOCK), self.filter):
-            i1 = i0 + _BLOCK  # the slices stop at N
-            g = rows[:, i0:i1].T @ rows[:, i0:] if gram is None else gram[i0:i1, i0:]
-            yield i0, i1, g * f
-
     def _apply_eigen(self, x: np.ndarray) -> np.ndarray:
-        """M x, from the block rows and their conjugate mirrors.  The block
-        rows are formed by `_blocks` on first use and kept read-only."""
-        blocks = self._cache.get("blocks")
-        if blocks is None:
-            blocks = self._cache["blocks"] = tuple(self._blocks())
-            for _, _, block in blocks:
-                block.flags.writeable = False
+        """M x, from the block rows and their conjugate mirrors."""
         y = np.zeros(x.shape, dtype=complex)
-        for i0, i1, block in blocks:
+        for i0, i1, block in self.blocks:
             y[i0:i1] += block @ x[i0:]
             y[i1:] += (x[i0:i1].conj() @ block[:, _BLOCK:]).conj()
         return y
-
-    @cached_property
-    def eigen_matrix(self) -> np.ndarray:
-        """M as one N x N array, assembled from `_blocks` on first use and
-        kept: the input of `eigensystem` and the moment routes.  Its
-        Gram matrix is one syrk product, exactly symmetric, so M is exactly
-        hermitian."""
-        n = self.vals.size
-        m = np.empty((n, n), dtype=complex)
-        for i0, i1, block in self._blocks(self.rows.T @ self.rows):
-            m[i0:i1, i0:] = block
-            m[i1:, i0:i1] = block[:, _BLOCK:].conj().T
-        return m
 
     def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
         """V M^power V^T a, read-only.  The ladder M^l V^T a and its back
@@ -140,11 +102,15 @@ class SojournOperator:
 
     def eigensystem(self):
         """Real eigenvalues and unitary eigenvectors (tau, W) of M, so that
-        M = W diag(tau) W^dag; one hermitian eigh, cached."""
+        M = W diag(tau) W^dag; one hermitian eigh of M's lower triangle,
+        filled with the conjugate transposed block rows, cached."""
         cached = self._cache.get("eig")
         if cached is None:
-            cached = np.linalg.eigh(self.eigen_matrix)
-            self._cache["eig"] = cached
+            n = self.vals.size
+            lower = np.zeros((n, n), dtype=complex)
+            for i0, i1, block in self.blocks:
+                lower[i0:, i0:i1] = block.conj().T
+            cached = self._cache["eig"] = np.linalg.eigh(lower)
         return cached
 
 
@@ -167,26 +133,20 @@ def _window_filter(phi: np.ndarray) -> np.ndarray:
     return sinc * np.cos(phi) - 1j * (sinc * sin_phi)
 
 
-def _filter_blocks(hamiltonian: Hamiltonian, vals: np.ndarray, duration: float) -> tuple:
+@functools.lru_cache(maxsize=8)
+def _filter_blocks(hamiltonian: Hamiltonian, duration: float) -> tuple:
     """Upper block rows F[i0:i0+64, i0:] of the window filter of the levels
-    `vals` of `hamiltonian` over `duration`, read-only and cached on the
-    Hamiltonian for its _FILTERS_KEPT most recently used window lengths.
-    One entry is N^2/2 + 32N complex values (2.4 MB at N = 512), so the
-    worst case is _FILTERS_KEPT entries per live Hamiltonian: 9.7 MB at
-    N = 512, times the eight Hamiltonians `Scenario.hamiltonian` keeps."""
-    filters = hamiltonian._cache.setdefault("filters", {})
-    blocks = filters.pop(duration, None)
-    if blocks is None:
-        scale = 0.5 * duration / HBAR
-        blocks = tuple(
-            _window_filter((vals[i0:i0 + _BLOCK, None] - vals[None, i0:]) * scale)
-            for i0 in range(0, vals.size, _BLOCK)
-        )
-        for block in blocks:
-            block.flags.writeable = False
-        while len(filters) >= _FILTERS_KEPT:
-            del filters[next(iter(filters))]
-    filters[duration] = blocks  # (re)inserted last: the dict runs oldest first
+    of `hamiltonian` over `duration`, read-only.  One entry is N^2/2 + 32N
+    complex values (2.4 MB at N = 512), so the cache holds at most 19 MB at
+    N = 512."""
+    vals = hamiltonian.eigensystem()[0]
+    scale = 0.5 * duration / HBAR
+    blocks = tuple(
+        _window_filter((vals[i0:i0 + _BLOCK, None] - vals[None, i0:]) * scale)
+        for i0 in range(0, vals.size, _BLOCK)
+    )
+    for block in blocks:
+        block.flags.writeable = False
     return blocks
 
 
@@ -196,8 +156,9 @@ def sojourn_matrix(
     window: tuple[float, float],
 ) -> SojournOperator:
     """Sojourn-time operator for `region` over `window`, on the position grid
-    of `free_hamiltonian`.  The region projector is diagonal, so its
-    eigenbasis matrix needs only the region's rows of V."""
+    of `free_hamiltonian`.  The region projector is diagonal, so M needs
+    only the region's rows V_R of V: each upper block row is its own block
+    of V_R^T V_R times the filter's."""
     grid = free_hamiltonian.position_grid
     if grid is None:
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
@@ -206,9 +167,13 @@ def sojourn_matrix(
     if not duration > 0:
         raise ParameterError("window needs t_start < t_stop")
     vals, vecs = free_hamiltonian.eigensystem()
-    blocks = _filter_blocks(free_hamiltonian, vals, duration)
-    return SojournOperator(free_hamiltonian.space, (t_start, t_stop),
-                           vecs[region.indices(grid)], blocks, vals, vecs)
+    rows = vecs[region.indices(grid)]
+    blocks = []
+    for i0, f in zip(range(0, vals.size, _BLOCK), _filter_blocks(free_hamiltonian, duration)):
+        block = rows[:, i0:i0 + _BLOCK].T @ rows[:, i0:] * f  # the slices stop at N
+        block.flags.writeable = False
+        blocks.append((i0, i0 + _BLOCK, block))
+    return SojournOperator(free_hamiltonian.space, (t_start, t_stop), tuple(blocks), vals, vecs)
 
 
 def _check_state(op: SojournOperator, state: QuantumState, instant: str = "window end"):

@@ -6,11 +6,13 @@ propagation (a dense exponential with an absorber) and literal tensor
 products (system (x) pointer, position (x) spin), sharing no code with the
 package beyond the numbers it is fed; the dense matrices of the package's
 Hamiltonian and sojourn operator are built here too (`dense_hamiltonian`
-from the kinetic stencil, not from `Hamiltonian.tridiagonal`).  The
-exceptions compare two definitions of one quantity rather than the package
-against a reference, so they compose the package's own pieces:
-`full_eigen_matrix` reuses the window filter, because it pins the blocked
-arrangement of M and not the filter (which is checked against mpmath);
+from the kinetic stencil, not from `Hamiltonian.tridiagonal`;
+`eigen_matrix` assembles M whole from a `SojournOperator`'s upper block
+rows, the one form of M the package keeps).  The exceptions compare two
+definitions of one quantity rather than the package against a reference,
+so they compose the package's own pieces: `full_eigen_matrix` reuses the
+window filter, because it pins the blocked arrangement of M and not the
+filter (which is checked against mpmath);
 `second_moment_position_postselected` composes the guarded readouts;
 `conditional_mean_sum` reads the marginal pointer through
 `pointer_distribution`; and `derivative_identity_check` guards its
@@ -55,6 +57,17 @@ def time_average(a_matrix, h_matrix, window):
     return block @ scipy.linalg.expm(1j * duration * h_matrix) / duration
 
 
+def eigen_matrix(op):
+    """A `SojournOperator`'s eigenbasis matrix M as one N x N array: its
+    upper block rows, with their conjugates as the column blocks below."""
+    n = op.vals.size
+    m = np.empty((n, n), dtype=complex)
+    for i0, i1, block in op.blocks:
+        m[i0:i1, i0:] = block
+        m[i1:, i0:i1] = block[:, i1 - i0:].conj().T
+    return m
+
+
 def full_eigen_matrix(rows, vals, duration):
     """The sojourn operator's eigenbasis matrix M = (V_R^T V_R) * F(phi) in
     one full N x N build, every level pair filtered, as `sojourn_matrix`
@@ -85,7 +98,7 @@ def second_moment_position_postselected(op, psi_final, cell_index):
 
 def dense_sojourn(op):
     """Position-basis matrix T V M V^T of a `SojournOperator`."""
-    vecs, m = op.vecs, op.eigen_matrix
+    vecs, m = op.vecs, eigen_matrix(op)
     return op.duration * (vecs @ m.real @ vecs.T + 1j * (vecs @ m.imag @ vecs.T))
 
 

@@ -106,15 +106,16 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
             and getattr(obj, f.name).shape == (n, n)
         }
 
-    # no N x N array of its own: M's upper block rows are formed on the
-    # first application and kept in `_cache` (N^2/2 + 32N values), never a
-    # whole Gram; V is the Hamiltonian's cached eigenbasis, shared rather
-    # than copied
+    # no N x N array of its own: M is kept only as its upper block rows
+    # (N^2/2 + 32N values), never a whole Gram; V is the Hamiltonian's
+    # cached eigenbasis, shared rather than copied
+    assert [f.name for f in dataclasses.fields(op)] == [
+        "space", "window", "blocks", "vals", "vecs", "_cache"]
     assert square_fields(op) == {"vecs"}
     assert op.vecs is ham.eigensystem()[1]
     # the filter depends on the levels and the window length alone: one
-    # object per (Hamiltonian, length), whatever the region or window start
-    assert sojourn_matrix(Region(1.0, 6.0), ham, (1.0, 3.0)).filter is op.filter
+    # evaluation per (Hamiltonian, length), whatever the region or window
+    # start, kept in one module-level LRU and not on the Hamiltonian
     calls = []
     evaluate = sojourn._window_filter
 
@@ -123,13 +124,11 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
         return evaluate(phi)
 
     monkeypatch.setattr(sojourn, "_window_filter", counting)
-    sojourn_matrix(Region(3.0, 5.0), ham, (0.0, 2.0))
+    sojourn_matrix(Region(1.0, 6.0), ham, (1.0, 3.0))
     assert calls == []
-    # the cache keeps the most recently used lengths, no more
-    for length in range(3, 4 + sojourn._FILTERS_KEPT):
-        sojourn_matrix(Region(3.0, 5.0), ham, (0.0, float(length)))
-    assert list(ham._cache["filters"]) == [
-        float(length) for length in range(4, 4 + sojourn._FILTERS_KEPT)]
+    assert sojourn._filter_blocks(ham, 2.0) is sojourn._filter_blocks(ham, 2.0)
+    assert sojourn._filter_blocks.cache_info().maxsize == 8
+    assert set(ham._cache) == {"eig"}
     # the region is the caller's; the operator keeps only what it reads
     assert "region" not in {f.name for f in dataclasses.fields(op)}
     # the projector's weak value is dwell_time / T, so neither the wrapped

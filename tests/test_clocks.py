@@ -233,6 +233,22 @@ def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
         absorption_survival_dwell((2.0, 1.0, 0.5), runs)
 
 
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_absorption_reads_survival_relative_to_the_packet_norm(crossing, scale):
+    # the norm clock and the absorbed-fraction guard measure the share of
+    # the packet kept, so a packet of any norm gives the normalized one's
+    # record and passes the guard where it passes
+    ham, psi0, _, _ = crossing
+    ladder = (0.04, 0.02, 0.01)
+    scaled = QuantumState(SPACE, scale * psi0.amplitudes, psi0.representation_time)
+    ref = absorption_survival_dwell(ladder, _runs(ham, psi0, imaginary_potential=ladder))
+    rec = absorption_survival_dwell(ladder, _runs(ham, scaled, imaginary_potential=ladder))
+    assert rec.value == pytest.approx(ref.value, rel=1e-12)
+    assert rec.readouts == pytest.approx(ref.readouts, rel=1e-12)
+    with pytest.raises(ParameterError, match="absorbed fraction"):
+        _runs(ham, scaled, imaginary_potential=(2.0, 1.0, 0.5))
+
+
 # -- the table of evolutions ------------------------------------------------
 
 

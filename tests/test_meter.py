@@ -616,6 +616,20 @@ def test_lambda_route_matches_operator_moments(crossing):
         assert residual < 1e-4
 
 
+def test_moment_readouts_refuse_a_zero_strength(crossing):
+    # a zero strength is refused as a ParameterError before either route
+    # divides by it
+    ham, psi0, psi_final, op = crossing
+    ladder = (0.3, 0.2, 0.0)
+    with pytest.raises(ParameterError, match="strengths must be positive"):
+        lambda_moment_route(op, psi0, psi_final, 1, ladder)
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    runs = [run_meter(spec, coupled, g) for g in ladder]
+    with pytest.raises(ParameterError, match="strengths must be positive"):
+        meter_moment_readout(runs)
+
+
 def test_lambda_route_requires_window_end_postselector(barrier_ctx):
     # a basis cell state at t = 0, not the window end: the lambda route
     # refuses it like every sojourn readout

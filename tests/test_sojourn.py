@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from weaktime import scenarios
 from weaktime.dynamics import Hamiltonian
 from weaktime.errors import DegeneratePostselectionError, ParameterError, StructureError
 from weaktime.hilbert import (
@@ -19,7 +20,6 @@ from weaktime.hilbert import (
 from weaktime.scenarios import catalog, run_scenario
 from weaktime.sojourn import (
     ANOMALY_FACTOR,
-    SojournOperator,
     _BLOCK,
     _window_filter,
     conditional_dwell_time,
@@ -101,14 +101,14 @@ def test_catalog_sojourn_spectrum_within_window(ctx, request):
     op = request.getfixturevalue(ctx).op
     # the stored eigenbasis matrix M has the spectrum of T_op / T, inside
     # [0, 1] up to rounding now that the average is exact
-    tau = np.linalg.eigvalsh(op.eigen_matrix)
+    tau = np.linalg.eigvalsh(oracle.eigen_matrix(op))
     assert tau.min() >= -1e-12
     assert tau.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_matrix_is_exactly_hermitian(ctx, request):
-    m = request.getfixturevalue(ctx).op.eigen_matrix
+    m = oracle.eigen_matrix(request.getfixturevalue(ctx).op)
     assert np.array_equal(m, m.conj().T)
 
 
@@ -120,7 +120,7 @@ def test_catalog_sojourn_matrix_equals_full_build(ctx, request):
     vals, vecs = c.ham.eigensystem()
     rows = vecs[c.scenario.region.indices(c.scenario.grid)]
     full = oracle.full_eigen_matrix(rows, vals, c.scenario.duration())
-    assert np.array_equal(c.op.eigen_matrix, full)
+    assert np.array_equal(oracle.eigen_matrix(c.op), full)
 
 
 # grids up to 200 points cross the block edges at 64 and 128
@@ -149,7 +149,7 @@ def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
     # M = (V_R^T V_R) * F with F(-phi) = conj F(phi) bit for bit, so no
     # symmetrization is needed on any grid, potential or window
     region, ham = _random_case(n, dx, lo, width, v0)
-    m = sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix
+    m = oracle.eigen_matrix(sojourn_matrix(region, ham, (0.0, duration)))
     assert np.array_equal(m, m.conj().T)
 
 
@@ -160,10 +160,44 @@ def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
 @example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0)
 @given(*RANDOM_CASES)
 def test_sojourn_matrix_equals_full_build(n, dx, lo, width, v0, duration):
+    # the block rows' Gram products are not the full build's one syrk, so
+    # off the catalog they agree to rounding: 1e-15 ||M||_F
     region, ham = _random_case(n, dx, lo, width, v0)
     vals, vecs = ham.eigensystem()
     full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
-    assert np.array_equal(sojourn_matrix(region, ham, (0.0, duration)).eigen_matrix, full)
+    m = oracle.eigen_matrix(sojourn_matrix(region, ham, (0.0, duration)))
+    assert np.linalg.norm(m - full) <= 1e-15 * np.linalg.norm(full)
+
+
+def _check_eigensystem(op, full):
+    # tau is the spectrum of T_op / T, W is unitary and W diag(tau) W^dag is
+    # M; the eigh reads only the block rows, and its result is kept
+    tau, w = op.eigensystem()
+    n = op.vals.size
+    assert tau.min() >= -1e-12 and tau.max() <= 1.0 + 1e-12
+    assert np.abs(w.conj().T @ w - np.eye(n)).max() <= 1e-13
+    assert np.linalg.norm((w * tau) @ w.conj().T - full) <= 1e-13 * np.linalg.norm(full)
+    again = op.eigensystem()
+    assert again[0] is tau and again[1] is w
+
+
+@pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
+def test_catalog_eigensystem_diagonalizes_the_eigenbasis_matrix(ctx, request):
+    c = request.getfixturevalue(ctx)
+    vals, vecs = c.ham.eigensystem()
+    rows = vecs[c.scenario.region.indices(c.scenario.grid)]
+    _check_eigensystem(c.op, oracle.full_eigen_matrix(rows, vals, c.scenario.duration()))
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=64, dx=0.5, lo=0.2, width=0.3, v0=1.0, duration=5.0)
+@example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0)
+@given(*RANDOM_CASES)
+def test_eigensystem_diagonalizes_the_eigenbasis_matrix(n, dx, lo, width, v0, duration):
+    region, ham = _random_case(n, dx, lo, width, v0)
+    vals, vecs = ham.eigensystem()
+    full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    _check_eigensystem(sojourn_matrix(region, ham, (0.0, duration)), full)
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,36 +220,25 @@ def test_block_application_matches_full_build(n, dx, lo, width, v0, duration, se
     assert np.linalg.norm(got - full @ x) <= bound
 
 
-def _counting_rows(monkeypatch):
-    """Every (operator, first row) block row `_blocks` forms from here on."""
-    formed = []
-    blocks = SojournOperator._blocks
-
-    def counting(op, gram=None):
-        for i0, i1, block in blocks(op, gram):
-            formed.append((op, i0))
-            yield i0, i1, block
-
-    monkeypatch.setattr(SojournOperator, "_blocks", counting)
-    return formed
-
-
 def test_sojourn_pipeline_forms_each_block_row_once(monkeypatch):
     # the readouts climb the ladder to M^2 on one operator, and the moment
     # sums and the position integral read it again: every block row of M
-    # is formed once, on the first application, and kept
+    # is formed once, by `sojourn_matrix`, and read from then on
     sc = catalog()["barrier_dwell"]
     assert sc.postselection == "transmitted_reflected"
-    formed = _counting_rows(monkeypatch)
+    built = []
+    build = scenarios.sojourn_matrix
+    monkeypatch.setattr(scenarios, "sojourn_matrix",
+                        lambda *args: built.append(build(*args)) or built[-1])
     records = run_scenario(sc, ("sojourn",)).records
     assert {r.order for r in records if r.method == "sojourn"} == {1, 2}
-    assert len({id(op) for op, _ in formed}) == 1
-    assert [i0 for _, i0 in formed] == list(range(0, sc.grid.n_points, _BLOCK))
+    assert len(built) == 1
+    assert [i0 for i0, _, _ in built[0].blocks] == list(range(0, sc.grid.n_points, _BLOCK))
 
 
-def test_kept_block_rows_are_read_only_and_reused(monkeypatch):
+def test_kept_block_rows_are_read_only_and_reused():
     # the kept rows are M's upper block rows, N^2/2 + 32N values and no
-    # whole Gram; a second application reads them and gives, bit for bit,
+    # whole Gram; every application reads them and gives, bit for bit,
     # what a fresh operator gives
     grid = Grid(192, 0.0, 95.5)
     ham = Hamiltonian(position_space(grid),
@@ -225,15 +248,14 @@ def test_kept_block_rows_are_read_only_and_reused(monkeypatch):
     rng = np.random.default_rng(4)
     x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     op = sojourn_matrix(region, ham, window)
-    op._apply_eigen(x)
-    kept = op._cache["blocks"]
+    kept = op.blocks
     assert sum(block.size for _, _, block in kept) == n * n // 2 + 32 * n
-    for _, _, block in kept:
+    for i0, i1, block in kept:
+        assert block.shape == (min(i1, n) - i0, n - i0)
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 0.0
-    formed = _counting_rows(monkeypatch)
+    op._apply_eigen(x)
     second = op._apply_eigen(y)
-    assert formed == [] and op._cache["blocks"] is kept
     assert np.array_equal(second, sojourn_matrix(region, ham, window)._apply_eigen(y))
 
 
