@@ -7,14 +7,16 @@ their eigenbasis (`evolve_eigenbasis`).  A family H + s_j diag(a) of
 Hamiltonians that differ by multiples of one real diagonal evolves one
 start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
 of exp(-iHt) over the family's common spectral interval, applied by the
-three-term recurrence to all columns at once, with no eigensolve.  The
-meter's Chebyshev nodes in the coupling shift are such a family with real
-s_j, the clocks' keys one with complex s_j: an imaginary part is an
-absorber, the one form absorbers take in the package, and the series cut
-widens for it.  These two are the only propagators: neither has a time
-step.  Couplings to a spin or a pointer are not represented here: the
-Larmor clock reduces to two position-only runs, and the meter factorizes
-over pointer modes.
+three-term recurrence to all columns at once, with no eigensolve.  A term
+costs one complex multiply by the family's diagonals and two real updates
+for the shared off-diagonal; the terms are summed eight at a time by one
+matrix product.  The meter's Chebyshev nodes in the coupling shift are
+such a family with real s_j, the clocks' keys one with complex s_j: an
+imaginary part is an absorber, the one form absorbers take in the
+package, and the series cut widens for it.  These two are the only
+propagators: neither has a time step.  Couplings to a spin or a pointer
+are not represented here: the Larmor clock reduces to two position-only
+runs, and the meter factorizes over pointer modes.
 
 Boundary conditions are hard walls (Dirichlet): the kinetic matrix is the
 standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.
@@ -41,6 +43,8 @@ _CHEBYSHEV_MAX_ARG = 1e5
 # largest rho^K of one span with complex shifts, a bound on how far rounding
 # in the recurrence can grow; a longer span is halved (see evolve_shifted)
 _CHEBYSHEV_MAX_GROWTH = 1e3
+# Chebyshev terms kept before one matrix product adds them to the sums
+_RING = 8
 
 
 @dataclass(eq=False)
@@ -192,18 +196,22 @@ def evolve_shifted(
     H is the Hamiltonian's real tridiagonal form, a a real diagonal.  All
     columns run through one Chebyshev expansion (Tal-Ezer and Kosloff):
     exp(-i t H_j) = exp(-i t c) sum_n (2 - delta_n0) (-i)^n J_n(r t)
-    T_n((H_j - c) / r), T_n applied by the three-term recurrence in real
-    arithmetic on the interleaved real and imaginary parts.
+    T_n((H_j - c) / r).  T_n is applied by the three-term recurrence to
+    the whole block: the diagonal of every 2 (H_j - c) / r, complex where
+    an absorber makes it so, is one complex multiply, and the uniform
+    off-diagonal two real updates of the row-shifted block.  The last
+    _RING terms are kept in a ring and summed into the even and odd parts
+    of the series by one matrix product per _RING terms.
 
     Real s_j: [c - r, c + r] is the Gershgorin interval of every H_j, and
     the series is cut at the first n >= r t with |J_n(r t)| <= 1e-15.
 
-    Complex s_j: the imaginary diagonal enters the recurrence as a second
-    real term.  The numerical range of every H_j lies in [c - r0, c + r0] x
-    i[-g, g], r0 the Gershgorin half-width of the real parts and g = max
-    |Im(s_j) a|.  Padding the half-width to r = sqrt(r0^2 / (1 + b^2) +
-    (g / b)^2), b = min(3 g / r0, 1/4), puts that rectangle, scaled, inside
-    the Bernstein ellipse E_rho, rho = b + sqrt(1 + b^2).  There |T_n| <=
+    Complex s_j whose absorber Im(s_j) a reaches some row: the numerical
+    range of every H_j lies in [c - r0, c + r0] x i[-g, g], r0 the
+    Gershgorin half-width of the real parts and g = max |Im(s_j) a|.
+    Padding the half-width to r = sqrt(r0^2 / (1 + b^2) + (g / b)^2),
+    b = min(3 g / r0, 1/4), puts that rectangle, scaled, inside the
+    Bernstein ellipse E_rho, rho = b + sqrt(1 + b^2).  There |T_n| <=
     rho^n, so ||T_n(.)|| <= (1 + sqrt 2) rho^n (Crouzeix-Palencia), and a
     column's truncation error is at most
 
@@ -213,21 +221,19 @@ def evolve_shifted(
     Rounding grows by at most (1 + sqrt 2) rho^K: where rho^K would pass
     1e3 the span is halved until it does not, and the pieces are applied
     in turn.  With b = 3 g / r0, rho^K ~ exp(sqrt(10) g t), so only g t >
-    ~2 splits (the clock ladders reach g t = 0.075).  NumericalError is
-    raised where the split series would take more than 1e5 terms, and
-    ParameterError for a negative duration, which has no forward series.
+    ~2 splits (the clock ladders reach g t = 0.075).  Complex s_j whose
+    absorbers reach no row give the block of their real parts, bit for
+    bit.  NumericalError is raised where the split series would take more
+    than 1e5 terms, and ParameterError for a negative duration, which has
+    no forward series.
     """
     if not duration >= 0.0:
         raise ParameterError(f"evolve_shifted needs duration >= 0, got {duration!r}")
     diag, off = hamiltonian.tridiagonal()
     a = np.asarray(a, dtype=float)
     shifts = np.asarray(shifts)
-    absorb = None
-    if np.iscomplexobj(shifts):
-        if np.any(shifts.imag):
-            absorb = a[:, None] * shifts.imag
-        shifts = shifts.real
-    shifts = np.asarray(shifts, dtype=float)
+    absorb = a[:, None] * shifts.imag
+    shifts = np.asarray(shifts.real, dtype=float)
     n, s = diag.size, shifts.size
     if s == 0:
         return np.empty((n, 0), dtype=complex), 0
@@ -239,8 +245,8 @@ def evolve_shifted(
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     t = duration / HBAR
     growth = 1.0
-    if absorb is not None:
-        extent = float(np.max(np.abs(absorb)))
+    extent = float(np.max(np.abs(absorb)))
+    if extent > 0.0:
         minor = 0.25 if 12.0 * extent >= radius else 3.0 * extent / radius
         radius = float(np.sqrt(radius**2 / (1.0 + minor**2) + (extent / minor) ** 2))
         growth = minor + np.sqrt(1.0 + minor**2)
@@ -254,53 +260,52 @@ def evolve_shifted(
             f"{_CHEBYSHEV_MAX_ARG:g} Chebyshev terms; weaken the absorber"
         )
     t /= spans
+    terms = bessel.size
     # (2 - delta_n0) (-1)^floor(n/2) J_n: the even terms are real, the odd
-    # ones carry the factor -i, so each sum accumulates with real weights
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(bessel.size) % 4]
-    weights = 2.0 * signs * bessel
-    weights[0] = bessel[0]
+    # ones carry the factor -i, so each sum accumulates with real weights,
+    # term n's in row n % 2
+    signs = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(terms) % 4]
+    weights = np.zeros((2, terms))
+    weights[np.arange(terms) % 2, np.arange(terms)] = 2.0 * signs * bessel
+    weights[0, 0] = bessel[0]
 
-    # T_{n+1} = 2 Hs T_n - T_{n-1} with Hs = (H_j - c) / r, on (n, 2s) real
-    # views: a real operator acts on real and imaginary parts alike, and
-    # i e (x + i y) = -e y + i e x swaps them
+    # T_{k+1} = 2 Hs T_k - T_{k-1} with Hs = (H_j - c) / r, T_k in ring
+    # slot k % _RING: a flat real row holding an (n, s) complex block, kept
+    # with its complex view and its views without the first (tail) and the
+    # last (head) block row, on which the real off-diagonal acts
     scale = 2.0 / radius if radius > 0.0 else 0.0
-    dh = np.repeat(scale * (cols - center), 2, axis=1)
+    twice = scale * (cols - center) + 1j * scale * absorb
     oh = scale * float(off[0])
-    tmp = np.empty((n, 2 * s))
-    if absorb is not None:
-        # only the rows and columns that some absorber reaches
-        rows = np.nonzero(np.any(absorb, axis=1))[0]
-        lossy = np.nonzero(np.any(absorb, axis=0))[0]
-        box = (slice(rows[0], rows[-1] + 1), slice(lossy[0], lossy[-1] + 1))
-        swap = scale * absorb[box][:, :, None] * np.array([-1.0, 1.0])
-        swapped = np.empty(swap.shape)
-        tmp_box = tmp.reshape(n, s, 2)[box]
+    width = 2 * s
+    ring = np.empty((_RING, n * width))
+    slots = [(row.reshape(n, width).view(complex), row, row[width:], row[:-width])
+             for row in ring]
 
-    def step(cur, prev):
-        """prev <- 2 Hs cur - prev, in place (daxpy updates its
-        contiguous float64 y argument in place)."""
-        np.multiply(dh, cur, out=tmp)
-        if absorb is not None:
-            np.multiply(swap, cur.reshape(n, s, 2)[box][:, :, ::-1], out=swapped)
-            np.add(tmp_box, swapped, out=tmp_box)
-        np.subtract(tmp, prev, out=prev)
-        daxpy(cur[1:].reshape(-1), prev[:-1].reshape(-1), a=oh)
-        daxpy(cur[:-1].reshape(-1), prev[1:].reshape(-1), a=oh)
+    def step(k):
+        """T_k from T_{k-1} and T_{k-2} (zero for k = 1) into its slot
+        (daxpy updates its contiguous float64 y argument in place)."""
+        cur, _, cur_tail, cur_head = slots[(k - 1) % _RING]
+        nxt, nxt_flat, nxt_tail, nxt_head = slots[k % _RING]
+        np.multiply(twice, cur, out=nxt)
+        if k > 1:
+            daxpy(slots[(k - 2) % _RING][1], nxt_flat, a=-1.0)
+        daxpy(cur_tail, nxt_head, a=oh)
+        daxpy(cur_head, nxt_tail, a=oh)
+        if k == 1:
+            nxt_flat *= 0.5  # T_1 = Hs T_0
 
     out = np.empty((n, s), dtype=complex)
     out[:] = np.asarray(v)[:, None]
+    sums = np.empty((2, n * width))
     for _ in range(spans):
-        cur = out.view(float)
-        even = weights[0] * cur
-        odd = np.zeros_like(even)
-        prev = np.zeros_like(even)
-        step(cur, prev)
-        prev *= 0.5  # T_1 = Hs T_0
-        prev, cur = cur, prev
-        for k in range(1, bessel.size):
-            daxpy(cur.reshape(-1), (odd if k % 2 else even).reshape(-1), a=weights[k])
-            if k + 1 < bessel.size:
-                step(cur, prev)
-                prev, cur = cur, prev
-        out = np.exp(-1j * center * t) * (even.view(complex) - 1j * odd.view(complex))
-    return out, spans * bessel.size
+        slots[0][0][:] = out
+        sums[:] = 0.0
+        for k in range(1, terms):
+            step(k)
+            if k % _RING == _RING - 1:
+                sums += weights[:, k + 1 - _RING : k + 1] @ ring
+        done = terms - terms % _RING
+        sums += weights[:, done:terms] @ ring[: terms - done]
+        even, odd = (row.reshape(n, width).view(complex) for row in sums)
+        out = np.exp(-1j * center * t) * (even - 1j * odd)
+    return out, spans * terms

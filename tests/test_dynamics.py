@@ -7,6 +7,7 @@ from weaktime import dynamics
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
+    HBAR,
     Grid,
     Region,
     gaussian_packet,
@@ -189,6 +190,81 @@ def test_evolve_shifted_real_path_ignores_zero_imaginary_parts():
     cplx, terms_c = evolve_shifted(ham, a, shifts + 0j, _packet().amplitudes, 3.0)
     np.testing.assert_array_equal(real, cplx)
     assert terms == terms_c
+
+
+def _argument_for_terms(k):
+    """An r t in the middle of the range where the Bessel series has
+    exactly k terms, bisected on the cut's size."""
+    def first(m):
+        lo, hi = 0.0, float(m)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if dynamics._bessel_coefficients(mid).size < m else (lo, mid)
+        return hi
+    x = 0.5 * (first(k) + first(k + 1))
+    assert dynamics._bessel_coefficients(x).size == k
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25])
+def test_evolve_shifted_ring_edges_match_oracle(k):
+    # term counts below the ring's 8 slots and on either side of a multiple
+    # of 8: the last partial group of terms is summed like a full one
+    ham = Hamiltonian(SPACE, potential_real=0.3 * Region(15.0, 25.0).indicator(GRID))
+    a, v = Region(12.0, 28.0).indicator(GRID), _packet().amplitudes
+    shifts = np.array([-0.5, 0.0, 0.5])
+    diag, off = ham.tridiagonal()
+    cols = diag[:, None] + a[:, None] * shifts
+    radius = 0.5 * (np.max(cols) - np.min(cols)) + 2.0 * abs(off[0])
+    duration = HBAR * _argument_for_terms(k) / radius
+    block, terms = evolve_shifted(ham, a, shifts, v, duration)
+    assert terms == k
+    for j, s in enumerate(shifts):
+        ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham) + s * np.diag(a), v, duration)
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma, duration, rem", [(2.0, 1.5, 1), (2.0, 2.5, 7), (3.0, 1.0, 0)])
+def test_evolve_shifted_restarts_the_ring_on_each_span(gamma, duration, rem, monkeypatch):
+    # a split series sums each span's terms from a fresh ring; per-span
+    # term counts 1, 7 and 0 past a multiple of 8
+    sizes, bessel = [], dynamics._bessel_coefficients
+    monkeypatch.setattr(dynamics, "_bessel_coefficients",
+                        lambda *args: sizes.append(bessel(*args).size) or bessel(*args))
+    ham = Hamiltonian(SPACE)
+    a, v = Region(12.0, 28.0).indicator(GRID), _packet().amplitudes
+    shifts = np.array([0.3, -0.5j * gamma])
+    block, terms = evolve_shifted(ham, a, shifts, v, duration)
+    assert terms > sizes[-1] and terms % sizes[-1] == 0 and sizes[-1] % 8 == rem
+    for j, u in enumerate(shifts):
+        ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham) + u * np.diag(a), v, duration)
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, terms", [
+    ("free_box", 219), ("well_halves", 157), ("barrier_dwell", 615), ("barrier_farside", 615)])
+def test_catalog_clock_block_term_counts(name, terms):
+    # the series cut of the four catalog clock blocks, pinned
+    sc, shifts = _clock_block(name, 1.0)
+    _, used = evolve_shifted(sc.hamiltonian(), sc.region.indicator(sc.grid), shifts,
+                             sc.initial_state().amplitudes, sc.duration())
+    assert used == terms
+
+
+def test_evolve_shifted_absorber_reaching_no_row_is_the_real_block():
+    # an imaginary shift on a zero diagonal absorbs nothing: the block of
+    # the real parts, bit for bit, not an ellipse of zero minor axis
+    grid = Grid(64, 0.0, 31.5)
+    ham = Hamiltonian(position_space(grid))
+    v = gaussian_packet(grid, 15.0, 3.0, 0.4).amplitudes
+    a = np.zeros(grid.n_points)
+    block, terms = evolve_shifted(ham, a, np.array([0.0, -0.05j]), v, 3.0)
+    real, terms_r = evolve_shifted(ham, a, np.zeros(2), v, 3.0)
+    np.testing.assert_array_equal(block, real)
+    assert terms == terms_r
+    ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham), v, 3.0)
+    for col in block.T:
+        np.testing.assert_allclose(col, ref, rtol=0, atol=1e-12)
 
 
 def test_evolve_shifted_refuses_an_absorber_it_cannot_resolve():

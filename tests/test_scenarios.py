@@ -755,6 +755,22 @@ def test_real_and_larmor_clocks_match_sojourn_on_the_barriers(name):
         assert abs(rec.value - ref[rec.postselection]) <= 1e-10 * abs(ref[rec.postselection])
 
 
+@pytest.mark.parametrize("name", list(catalog()))
+def test_every_clock_and_meter_record_meets_sojourn_within_its_residual(name):
+    # the three routes agree to each record's own residual, far inside the
+    # emitted 1% tolerance: a propagator error of 1e-3 would show here
+    bundle = run_scenario(catalog()[name], pipelines=("sojourn", "clocks", "meter"))
+    ref = {(r.postselection, r.order): r.value for r in bundle.records
+           if r.method == "sojourn"}
+    routes = [r for r in bundle.records if r.method.startswith("clock_") or r.method == "meter"]
+    assert {r.method for r in routes} == {
+        "clock_real_potential", "clock_imaginary_potential", "clock_larmor",
+        "clock_imaginary_norm", "meter"}
+    for rec in routes:
+        want = ref[(rec.postselection, rec.order)]
+        assert abs(rec.value - want) <= max(rec.residual, 1e-9 * abs(want)), rec
+
+
 @pytest.mark.parametrize("offset, flagged", [
     (5e-10, False), (2e-9, True), (-5e-10, False), (-2e-9, True)])
 def test_dwell_flagged_only_beyond_rounding_margin(monkeypatch, offset, flagged):
