@@ -16,6 +16,7 @@ import numpy as np
 from weaktime import (
     HBAR,
     ClockRuns,
+    CoupledSystem,
     Grid,
     Hamiltonian,
     Region,
@@ -52,10 +53,11 @@ configs = [
 
 print(f"{'clock':<22}{'time':>12}{'dev vs ref':>14}{'fit order':>11}{'residual':>12}")
 # one table of evolutions serves all three clocks: every potential on the
-# region that their ladders read is declared here, and all of them are
-# evolved together, as one Chebyshev block, when the table is built
-runs = ClockRuns(ham, psi0, region, window,
-                 clock_shifts(**{name: ladder for name, _, ladder in configs}))
+# region that their ladders read is declared here, and all of them are read
+# off one node block of the packet coupled to the region when the table is
+# built, the absorbing ones by analytic continuation
+coupled = CoupledSystem(ham, psi0, region.indicator(grid), window)
+runs = ClockRuns(coupled, clock_shifts(**{name: ladder for name, _, ladder in configs}))
 records = {}
 for name, fn, ladder in configs:
     rec = records[name] = fn(ladder, runs, {"none": psi_final})["none"]

@@ -32,7 +32,7 @@ from .hilbert import (
     position_space,
     spin_space,
 )
-from .dynamics import Hamiltonian, evolve_eigenbasis
+from .dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis
 from .sojourn import (
     SojournOperator,
     WeakValueResult,
@@ -53,7 +53,6 @@ from .clocks import (
     extrapolate_to_zero,
 )
 from .meter import (
-    CoupledSystem,
     MeterRun,
     PointerDistribution,
     PointerSpec,

@@ -9,14 +9,14 @@ ladder of strengths and Richardson-extrapolated to zero strength.
 All of them read window-end states of one packet evolved under the system
 Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
-absorber, stated once per clock in `CLOCK_KEYS`.  A `ClockRuns` table holds
-those states for one packet, region and window under their exact u, so
-clocks that share a Hamiltonian share its evolution.  The keys it is built
-with (`clock_shifts`; 12 for the scenario pipeline's ladders, 9 real and 3
-absorbing) are evolved together, as the columns of one
-`dynamics.evolve_shifted` Chebyshev block, when the table is built.  The
-postselected readouts share one skeleton (`_sweep`) and differ only in their
-formula: each takes a strength ladder, the table and a map label ->
+absorber, stated once per clock in `CLOCK_KEYS`.  These are the coupled
+family psi(u) = exp(-iT(H + u P_region))psi0 of a `dynamics.CoupledSystem`
+observing the region, the one the meter reads at real u, so in a scenario
+clocks and meter share one node block.  A `ClockRuns` table reads the keys
+it is built with (`clock_shifts`) off that system's node interpolant: the
+real keys by interpolation, the absorbing ones by analytic continuation.
+The postselected readouts share one skeleton (`_sweep`) and differ only in
+their formula: each takes a strength ladder, the table and a map label ->
 postselected final state, and returns one `SweepRecord` per label;
 `checked_overlap` refuses a state not referenced to the window end.
 
@@ -25,16 +25,14 @@ in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
 phase clock at v = hbar omega/2.  No spin factor is ever built.
 
-The block has no time step: its series is cut where the truncation bound,
-widened for the absorbers' imaginary extent, falls below 1e-15 (see
-`evolve_shifted`).  Its columns agree with a dense evolution (an
-eigendecomposition for the real keys, a matrix exponential for the
-absorbing ones) to 1e-13 in any entry and 3e-13 relative in norm on the
-catalog, as do the postselectors, which come from the exact eigenbasis
-evolution (`dynamics.evolve_eigenbasis`).  So the finite
-differences resolve the weak-potential response, not a stepping error: the
-real and Larmor clocks meet the sojourn weak values to 1e-10 relative on
-both catalog barriers.
+The table has no time step: on the catalog ladders 12 nodes bound the
+interpolant's dropped tail by 1e-13 ||psi0|| at every key (see
+`CoupledSystem`), and the keys, absorbing ones included, agree with a dense
+evolution to 1e-12 in any entry, as do the postselectors, which come from
+the exact eigenbasis evolution (`dynamics.evolve_eigenbasis`).  So the
+finite differences resolve the weak-potential response, not an evolution
+error: the real and Larmor clocks meet the sojourn weak values to 1e-10
+relative on both catalog barriers.
 """
 
 from __future__ import annotations
@@ -43,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Hamiltonian, evolve_shifted
-from .errors import ParameterError, StructureError
-from .hilbert import HBAR, QuantumState, Region, check_time, checked_overlap, inner_product
+from .dynamics import CoupledSystem
+from .errors import ParameterError
+from .hilbert import HBAR, QuantumState, checked_overlap, inner_product
 
 # a placeholder that nothing calls: perfbench/tracing.py patches `evolve`
 # under this module's name, and the benchmark change that moves that hook
@@ -91,40 +89,29 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
 
 @dataclass
 class ClockRuns:
-    """Window-end states of `psi_initial` under `system` plus a complex
-    potential u on `region`, for every u in `shifts`.
+    """Window-end states of the coupled system's packet under its
+    Hamiltonian plus a complex potential u on its observable's support
+    (the clock region), for every u in `shifts`.
 
-    Construction evolves the declared keys (`clock_shifts`) as the columns
-    of one `evolve_shifted` block.  `final(u)` is then the state evolved
-    under system + Re(u) P_region + i Im(u) P_region, u = 0 the unmodified
-    system, looked up under the exact value of u; an undeclared u raises
-    ParameterError, as do an empty or reversed window, a run absorbing more
-    than MAX_ABSORBED_FRACTION of the packet and a `psi_initial` not at the
-    window start (on another space than `system`, StructureError).
+    Construction reads the declared keys (`clock_shifts`) off the coupled
+    system's node interpolant in one request.  `final(u)` is then the
+    state evolved under system + Re(u) P_region + i Im(u) P_region, u = 0
+    the unmodified system, looked up under the exact value of u; an
+    undeclared u raises ParameterError, as does a run absorbing more than
+    MAX_ABSORBED_FRACTION of the packet.
     """
 
-    system: Hamiltonian
-    psi_initial: QuantumState
-    region: Region
-    window: tuple[float, float]
+    coupled: CoupledSystem
     shifts: tuple
     _finals: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         keys = [complex(u) for u in self.shifts]
-        t0, t1 = self.window
-        if not t1 > t0:
-            raise ParameterError("window needs t_start < t_stop")
-        if self.psi_initial.space != self.system.space:
-            raise StructureError("initial state and Hamiltonian live on different spaces")
-        check_time(self.psi_initial, t0, "run start")
-        block, _ = evolve_shifted(
-            self.system, self.region.indicator(self.system.position_grid), keys,
-            self.psi_initial.amplitudes, t1 - t0,
-        )
+        block, _ = self.coupled.columns(keys)
+        space, t1 = self.coupled.psi0.space, self.coupled.window[1]
         self._finals = {}
         for key, col in zip(keys, block.T):
-            self._finals[key] = QuantumState(self.psi_initial.space, col, t1)
+            self._finals[key] = QuantumState(space, col, t1)
             absorbed = 1.0 - self.survival(key)
             if absorbed > MAX_ABSORBED_FRACTION:
                 raise ParameterError(
@@ -133,9 +120,9 @@ class ClockRuns:
                 )
 
     def survival(self, u: complex) -> float:
-        """||final(u)||^2 / ||psi_initial||^2, the share of the packet kept
-        at u whatever its norm."""
-        return self.final(u).norm() ** 2 / self.psi_initial.norm() ** 2
+        """||final(u)||^2 / ||psi0||^2, the share of the packet kept at u
+        whatever its norm."""
+        return self.final(u).norm() ** 2 / self.coupled.psi0.norm() ** 2
 
     def final(self, u: complex) -> QuantumState:
         try:
@@ -167,7 +154,7 @@ def _checked_strengths(strengths) -> np.ndarray:
     g = np.asarray(strengths, dtype=float)
     if g.size < 3:
         raise ParameterError("need at least 3 points to extrapolate")
-    if np.unique(g).size != g.size or np.any(g <= 0):
+    if np.any(g <= 0) or np.any(np.diff(np.sort(g)) == 0):
         raise ParameterError("strengths must be positive and distinct")
     return g
 
@@ -177,30 +164,28 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
 
     Assumes the leading error is proportional to strength**error_order
     (2 for central differences, 1 for one-sided), with higher corrections in
-    successive powers.  Returns (value, fitted_order, residual).
+    successive powers.  Returns (value, fitted_order, residual): the order
+    is the least-squares slope of log|readout - value| against log strength
+    over the readouts that differ from the value by more than rounding.
     """
     g = _checked_strengths(strengths)
     f = np.asarray(values, dtype=complex)
+    powers = np.arange(g.size)
+    if error_order == 2:
+        powers = 2 * powers
+    vand = np.float_power(g[:, None], powers)
 
-    def _intercept(gv, fv):
-        m = gv.size
-        if error_order == 2:
-            powers = [0] + [2 * k for k in range(1, m)]
-        else:
-            powers = list(range(m))
-        vand = np.array([[x**p for p in powers] for x in gv])
-        coeffs = np.linalg.solve(vand, fv)
-        return coeffs[0]
-
-    value = _intercept(g, f)
-    reduced = _intercept(g[1:], f[1:])  # drop the largest strength
+    value = np.linalg.solve(vand, f)[0]
+    # drop the largest strength
+    reduced = np.linalg.solve(vand[1:, :-1], f[1:])[0]
     residual = float(abs(value - reduced))
 
     err = np.abs(f - value)
     mask = err > 1e-14 * max(1.0, float(np.max(np.abs(f))))
     if np.count_nonzero(mask) >= 2:
-        slope, _ = np.polyfit(np.log(g[mask]), np.log(err[mask]), 1)
-        order = float(slope)
+        x, y = np.log(g[mask]), np.log(err[mask])
+        x = x - x.mean()
+        order = float(x @ (y - y.mean()) / (x @ x))
     else:
         order = float(error_order)
     return complex(value), order, residual

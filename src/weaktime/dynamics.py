@@ -4,19 +4,21 @@ A Hamiltonian is hermitian and stored in its structure: the kinetic
 stencil plus a diagonal real potential on a position grid, its real
 tridiagonal form (`tridiagonal`).  Static Hamiltonians evolve exactly in
 their eigenbasis (`evolve_eigenbasis`).  A family H + s_j diag(a) of
-Hamiltonians that differ by multiples of one real diagonal evolves one
+Hamiltonians that differ by real multiples of one real diagonal evolves one
 start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
 of exp(-iHt) over the family's common spectral interval, applied by the
 three-term recurrence to all columns at once, with no eigensolve.  A term
-costs one complex multiply by the family's diagonals and two real updates
-for the shared off-diagonal; the terms are summed eight at a time by one
-matrix product.  The meter's Chebyshev nodes in the coupling shift are
-such a family with real s_j, the clocks' keys one with complex s_j: an
-imaginary part is an absorber, the one form absorbers take in the
-package, and the series cut widens for it.  These two are the only
-propagators: neither has a time step.  Couplings to a spin or a pointer
-are not represented here: the Larmor clock reduces to two position-only
-runs, and the meter factorizes over pointer modes.
+costs one real multiply by the family's diagonals and two real updates for
+the shared off-diagonal; the terms are summed eight at a time by one matrix
+product.
+
+The coupled family psi(s) = exp(-iT(H + s diag(a)))psi0 is entire in the
+shift s, so a `CoupledSystem` evolves it once, at Chebyshev nodes in s as
+one such block, and reads every other shift off their interpolant: the
+meter's pointer modes at real s, the clocks' keys also at complex s, whose
+imaginary part is an absorber, the one form absorbers take in the package.
+Neither propagator has a time step.  The Larmor clock reduces to two
+position-only runs, and the meter factorizes over pointer modes.
 
 Boundary conditions are hard walls (Dirichlet): the kinetic matrix is the
 standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.
@@ -24,6 +26,7 @@ standard tridiagonal -d^2/dx^2 stencil with implicit zeros outside the box.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +35,7 @@ import scipy.linalg
 from scipy.linalg.blas import daxpy
 
 from .errors import NumericalError, ParameterError, StructureError
-from .hilbert import HBAR, FactorSpace, Grid, QuantumState
+from .hilbert import HBAR, FactorSpace, Grid, QuantumState, check_time
 
 # truncation of the Chebyshev series of exp(-i t H): the first Bessel
 # coefficient past n = r t at or below this ends it
@@ -40,11 +43,19 @@ _CHEBYSHEV_TOL = 1e-15
 # largest r t expanded, a bound on work: the series has about r t terms, each
 # one sweep over the block, so a longer span should be split
 _CHEBYSHEV_MAX_ARG = 1e5
-# largest rho^K of one span with complex shifts, a bound on how far rounding
-# in the recurrence can grow; a longer span is halved (see evolve_shifted)
-_CHEBYSHEV_MAX_GROWTH = 1e3
 # Chebyshev terms kept before one matrix product adds them to the sums
 _RING = 8
+# CoupledSystem's Chebyshev interpolant in the coupling shift: the bound on
+# the series terms it drops, relative to ||psi0||; the largest degree n it
+# may take; the largest |Im s| / S it continues to, S the half-width of its
+# node interval; the largest rho0^n, about the factor by which continuing to
+# a shift of Bernstein parameter rho0 amplifies the nodes' rounding; and the
+# ratios rho / rho0 over which the bound is minimized
+_NODE_TAIL = 1e-13
+_MAX_DEGREE = 1024
+_OFF_AXIS = 0.125
+_MAX_GAIN = 1e3
+_RHO_RATIOS = np.geomspace(1.0 + 1e-6, 1e4, 2048)
 
 
 @dataclass(eq=False)
@@ -133,16 +144,16 @@ def apply_real(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out[:, 0] if z.ndim == 1 else out
 
 
-def _bessel_coefficients(x: float, growth: float = 1.0) -> np.ndarray:
-    """J_n(x) for n = 0 .. K-1, K the first n >= x with
-    |J_n(x)| growth^n <= 1e-15.
+@functools.lru_cache(maxsize=64)
+def _bessel_coefficients(x: float) -> np.ndarray:
+    """J_n(x) for n = 0 .. K-1, K the first n >= x with |J_n(x)| <= 1e-15,
+    read-only and cached, since every pass of a scenario asks for the same x.
 
     Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from (1, 0)
     at n = x + 20 x^(1/3) + 60, far past the cut, where J is the growing
     solution; rescaled before overflow, normalized by J_0 + 2 sum J_2k = 1.
     Beyond n = x, J_n(x) is positive and falls faster than geometrically,
-    so the first small term there bounds the whole tail (for a growth
-    factor up to the one `evolve_shifted` admits); before it a small
+    so the first small term there bounds the whole tail; before it a small
     |J_n(x)| can be a zero of an oscillation and is no cut.  Below
     x = 2e-15, J_1(x) ~ x/2 is already under the cut.
     """
@@ -152,34 +163,23 @@ def _bessel_coefficients(x: float, growth: float = 1.0) -> np.ndarray:
             "split a long evolution into shorter spans"
         )
     if x <= 2.0 * _CHEBYSHEV_TOL:
-        return np.ones(1)
-    top = int(x + 20.0 * x ** (1.0 / 3.0) + 60.0)
-    j = [0.0] * top + [1.0, 0.0]
-    for n in range(top, 0, -1):
-        j[n - 1] = (2.0 * n / x) * j[n] - j[n + 1]
-        if abs(j[n - 1]) > 1e250:
-            j[n - 1 :] = [v * 1e-250 for v in j[n - 1 :]]
-    j = np.array(j[: top + 1])
-    j /= j[0] + 2.0 * np.sum(j[2::2])
-    start = int(np.ceil(x))
-    # growth^-n underflows to 0 harmlessly where growth^n would overflow
-    small = np.nonzero(
-        np.abs(j[start:]) <= _CHEBYSHEV_TOL * growth ** -np.arange(start, top + 1.0)
-    )[0]
-    if small.size == 0:
-        raise NumericalError(f"no Bessel cut at x = {x:.3e} below n = {top}")
-    return j[: start + small[0]]
-
-
-def _span_coefficients(x: float, growth: float):
-    """`_bessel_coefficients(x, growth)`, or None where growth^K would pass
-    _CHEBYSHEV_MAX_GROWTH; since K >= x, a long span is refused before its
-    coefficients are computed."""
-    limit = np.log(_CHEBYSHEV_MAX_GROWTH)
-    if x * np.log(growth) > limit:
-        return None
-    bessel = _bessel_coefficients(x, growth)
-    return bessel if bessel.size * np.log(growth) <= limit else None
+        j = np.ones(1)
+    else:
+        top = int(x + 20.0 * x ** (1.0 / 3.0) + 60.0)
+        j = [0.0] * top + [1.0, 0.0]
+        for n in range(top, 0, -1):
+            j[n - 1] = (2.0 * n / x) * j[n] - j[n + 1]
+            if abs(j[n - 1]) > 1e250:
+                j[n - 1 :] = [v * 1e-250 for v in j[n - 1 :]]
+        j = np.array(j[: top + 1])
+        j /= j[0] + 2.0 * np.sum(j[2::2])
+        start = int(np.ceil(x))
+        small = np.nonzero(np.abs(j[start:]) <= _CHEBYSHEV_TOL)[0]
+        if small.size == 0:
+            raise NumericalError(f"no Bessel cut at x = {x:.3e} below n = {top}")
+        j = j[: start + small[0]]
+    j.flags.writeable = False
+    return j
 
 
 def evolve_shifted(
@@ -189,51 +189,35 @@ def evolve_shifted(
     v: np.ndarray,
     duration: float,
 ) -> tuple[np.ndarray, int]:
-    """exp(-i duration (H + s_j diag(a)) / hbar) v for every shift s_j, as
-    the columns of one (dimension, len(shifts)) block, and the number of
+    """exp(-i duration (H + s_j diag(a)) / hbar) v for every real shift s_j,
+    as the columns of one (dimension, len(shifts)) block, and the number of
     Chebyshev terms used.
 
     H is the Hamiltonian's real tridiagonal form, a a real diagonal.  All
     columns run through one Chebyshev expansion (Tal-Ezer and Kosloff):
     exp(-i t H_j) = exp(-i t c) sum_n (2 - delta_n0) (-i)^n J_n(r t)
-    T_n((H_j - c) / r).  T_n is applied by the three-term recurrence to
-    the whole block: the diagonal of every 2 (H_j - c) / r, complex where
-    an absorber makes it so, is one complex multiply, and the uniform
-    off-diagonal two real updates of the row-shifted block.  The last
-    _RING terms are kept in a ring and summed into the even and odd parts
-    of the series by one matrix product per _RING terms.
+    T_n((H_j - c) / r), [c - r, c + r] the Gershgorin interval of every H_j,
+    cut at the first n >= r t with |J_n(r t)| <= 1e-15.  T_n is applied by
+    the three-term recurrence to the whole block: the real diagonal of
+    every 2 (H_j - c) / r is one real multiply of the block's interleaved
+    parts, and the uniform off-diagonal two real updates of the row-shifted
+    block.  The last _RING terms are kept in a ring and summed into the even
+    and odd parts of the series by one matrix product per _RING terms.
 
-    Real s_j: [c - r, c + r] is the Gershgorin interval of every H_j, and
-    the series is cut at the first n >= r t with |J_n(r t)| <= 1e-15.
-
-    Complex s_j whose absorber Im(s_j) a reaches some row: the numerical
-    range of every H_j lies in [c - r0, c + r0] x i[-g, g], r0 the
-    Gershgorin half-width of the real parts and g = max |Im(s_j) a|.
-    Padding the half-width to r = sqrt(r0^2 / (1 + b^2) + (g / b)^2),
-    b = min(3 g / r0, 1/4), puts that rectangle, scaled, inside the
-    Bernstein ellipse E_rho, rho = b + sqrt(1 + b^2).  There |T_n| <=
-    rho^n, so ||T_n(.)|| <= (1 + sqrt 2) rho^n (Crouzeix-Palencia), and a
-    column's truncation error is at most
-
-        2 (1 + sqrt 2) ||v|| sum_{n >= K} |J_n(r t)| rho^n;
-
-    the series is cut at the first n >= r t with |J_n(r t)| rho^n <= 1e-15.
-    Rounding grows by at most (1 + sqrt 2) rho^K: where rho^K would pass
-    1e3 the span is halved until it does not, and the pieces are applied
-    in turn.  With b = 3 g / r0, rho^K ~ exp(sqrt(10) g t), so only g t >
-    ~2 splits (the clock ladders reach g t = 0.075).  Complex s_j whose
-    absorbers reach no row give the block of their real parts, bit for
-    bit.  NumericalError is raised where the split series would take more
-    than 1e5 terms, and ParameterError for a negative duration, which has
-    no forward series.
+    ParameterError is raised for a shift with a nonzero imaginary part (a
+    `CoupledSystem` continues its real node block to complex shifts) and
+    for a negative duration, which has no forward series; NumericalError
+    where the series would take more than 1e5 terms.
     """
     if not duration >= 0.0:
         raise ParameterError(f"evolve_shifted needs duration >= 0, got {duration!r}")
+    shifts = np.asarray(shifts)
+    if np.any(shifts.imag):
+        raise ParameterError(
+            "evolve_shifted takes real shifts only; read complex ones off a CoupledSystem")
+    shifts = np.asarray(shifts.real, dtype=float)
     diag, off = hamiltonian.tridiagonal()
     a = np.asarray(a, dtype=float)
-    shifts = np.asarray(shifts)
-    absorb = a[:, None] * shifts.imag
-    shifts = np.asarray(shifts.real, dtype=float)
     n, s = diag.size, shifts.size
     if s == 0:
         return np.empty((n, 0), dtype=complex), 0
@@ -244,22 +228,7 @@ def evolve_shifted(
     lo, hi = float(np.min(cols)) - 2.0 * hop, float(np.max(cols)) + 2.0 * hop
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
     t = duration / HBAR
-    growth = 1.0
-    extent = float(np.max(np.abs(absorb)))
-    if extent > 0.0:
-        minor = 0.25 if 12.0 * extent >= radius else 3.0 * extent / radius
-        radius = float(np.sqrt(radius**2 / (1.0 + minor**2) + (extent / minor) ** 2))
-        growth = minor + np.sqrt(1.0 + minor**2)
-    spans, bessel = 1, _span_coefficients(radius * t, growth)
-    while bessel is None and spans <= _CHEBYSHEV_MAX_ARG:
-        spans *= 2
-        bessel = _span_coefficients(radius * t / spans, growth)
-    if bessel is None or (spans > 1 and spans * bessel.size > _CHEBYSHEV_MAX_ARG):
-        raise NumericalError(
-            f"imaginary extent {extent:.3e} over t = {t:.3e} needs more than "
-            f"{_CHEBYSHEV_MAX_ARG:g} Chebyshev terms; weaken the absorber"
-        )
-    t /= spans
+    bessel = _bessel_coefficients(radius * t)
     terms = bessel.size
     # (2 - delta_n0) (-1)^floor(n/2) J_n: the even terms are real, the odd
     # ones carry the factor -i, so each sum accumulates with real weights,
@@ -270,16 +239,16 @@ def evolve_shifted(
     weights[0, 0] = bessel[0]
 
     # T_{k+1} = 2 Hs T_k - T_{k-1} with Hs = (H_j - c) / r, T_k in ring
-    # slot k % _RING: a flat real row holding an (n, s) complex block, kept
-    # with its complex view and its views without the first (tail) and the
-    # last (head) block row, on which the real off-diagonal acts
+    # slot k % _RING: a flat real row holding an (n, s) complex block as its
+    # (n, 2 s) interleaved parts, kept with that view and its views without
+    # the first (tail) and the last (head) block row, on which the real
+    # off-diagonal acts; the diagonal, repeated for both parts, scales it
     scale = 2.0 / radius if radius > 0.0 else 0.0
-    twice = scale * (cols - center) + 1j * scale * absorb
+    twice = np.repeat(scale * (cols - center), 2, axis=1)
     oh = scale * float(off[0])
     width = 2 * s
     ring = np.empty((_RING, n * width))
-    slots = [(row.reshape(n, width).view(complex), row, row[width:], row[:-width])
-             for row in ring]
+    slots = [(row.reshape(n, width), row, row[width:], row[:-width]) for row in ring]
 
     def step(k):
         """T_k from T_{k-1} and T_{k-2} (zero for k = 1) into its slot
@@ -294,18 +263,152 @@ def evolve_shifted(
         if k == 1:
             nxt_flat *= 0.5  # T_1 = Hs T_0
 
-    out = np.empty((n, s), dtype=complex)
-    out[:] = np.asarray(v)[:, None]
-    sums = np.empty((2, n * width))
-    for _ in range(spans):
-        slots[0][0][:] = out
-        sums[:] = 0.0
-        for k in range(1, terms):
-            step(k)
-            if k % _RING == _RING - 1:
-                sums += weights[:, k + 1 - _RING : k + 1] @ ring
-        done = terms - terms % _RING
-        sums += weights[:, done:terms] @ ring[: terms - done]
-        even, odd = (row.reshape(n, width).view(complex) for row in sums)
-        out = np.exp(-1j * center * t) * (even - 1j * odd)
-    return out, spans * terms
+    slots[0][0].view(complex)[:] = np.asarray(v)[:, None]
+    sums = np.zeros((2, n * width))
+    for k in range(1, terms):
+        step(k)
+        if k % _RING == _RING - 1:
+            sums += weights[:, k + 1 - _RING : k + 1] @ ring
+    done = terms - terms % _RING
+    sums += weights[:, done:terms] @ ring[: terms - done]
+    even, odd = (row.reshape(n, width).view(complex) for row in sums)
+    return np.exp(-1j * center * t) * (even - 1j * odd), terms
+
+
+def _lobatto_fit(n: int) -> np.ndarray:
+    """DCT-I: the (n + 1, n + 1) real matrix taking values at the Lobatto
+    nodes x_j = cos(j pi / n) to the coefficients c_k of their interpolant
+    sum_k c_k T_k(x)."""
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
+    fit = (2.0 / n) * np.cos(np.pi * jk / n)
+    fit[:, [0, n]] *= 0.5
+    fit[[0, n], :] *= 0.5
+    return fit
+
+
+def _bernstein(z: np.ndarray) -> float:
+    """The largest rho of the Bernstein ellipses E_rho (foci -1 and 1, rho
+    the sum of its semi-axes) through the points z; 1 for z in [-1, 1]."""
+    w = np.abs(z + np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j))
+    return float(np.max(np.maximum(w, 1.0 / w)))
+
+
+def _node_tail(reach: float, rho0: float, degree: Optional[int] = None):
+    """(n, bound): the least degree n with bound <= _NODE_TAIL, or the one
+    given, of the Chebyshev interpolant of psi(S z) on [-1, 1], and the
+    bound, relative to ||psi0||, on its series terms past n at any z of
+    Bernstein parameter rho0: the minimum over rho = rho0 _RHO_RATIOS of
+
+        2 exp(reach (rho - 1/rho) / 2) (rho0/rho)^(n+1) / (1 - rho0/rho),
+
+    reach = T S max|a| / hbar.  On the ellipse E_rho, |Im z| <= (rho -
+    1/rho) / 2 and ||exp(-iT(H + s diag(a)))|| <= exp(T |Im s| max|a| /
+    hbar), which bounds the k-th coefficient by 2 exp(.) rho^-k; at z,
+    |T_k(z)| <= rho0^k.
+    """
+    q = _RHO_RATIOS
+    rho = rho0 * q
+    base = np.log(2.0) + 0.5 * reach * (rho - 1.0 / rho) - np.log1p(-1.0 / q)
+    if degree is None:
+        degree = int(np.min(np.ceil((base - np.log(_NODE_TAIL)) / np.log(q)))) - 1
+    return degree, float(np.exp(np.min(base - (degree + 1) * np.log(q))))
+
+
+class CoupledSystem:
+    """psi0 coupled over the window (t_start, t_stop) of length T through
+    the real diagonal observable a: psi(s) = exp(-iT(H + s diag(a)) / hbar)
+    psi0 for any coupling shift s, complex ones (absorbers) included.
+
+    psi(s) is entire in s, so its Chebyshev interpolant through the real
+    Lobatto nodes S cos(j pi / n), j = 0..n, converges to it in the whole
+    plane (Trefethen, Approximation Theory and Approximation Practice, ch.
+    8).  A request is served by the interpolant held if the a-priori bound
+    on its dropped tail (`_node_tail`) is at most 1e-13 ||psi0|| at every
+    shift asked for; otherwise it is refitted to the request: S is the
+    largest |Re s|, widened to 8 |Im s| where that is larger, so that every
+    s / S lies within the Bernstein ellipse rho0 = 1.13 (rho0 = 1 for real
+    shifts), and n is the least degree whose bound is at most 1e-13; the
+    n + 1 nodes are one `evolve_shifted` block.  Off the real axis the
+    interpolant amplifies the nodes' rounding by about rho0^n: a request
+    past 1e3 (an absorber with T |Im s| max|a| beyond about 2.5) raises
+    ParameterError, one past n = 1024 NumericalError.
+
+    The constructor raises StructureError for an observable that is not a
+    real array of shape (system.dimension,), and ParameterError unless
+    t_start < t_stop and psi0 is referenced to t_start.
+    """
+
+    def __init__(self, system: Hamiltonian, psi0: QuantumState,
+                 observable: np.ndarray, window: tuple[float, float]):
+        a = np.asarray(observable)
+        if a.shape != (system.dimension,) or np.iscomplexobj(a):
+            raise StructureError(
+                f"the meter needs a real diagonal of shape ({system.dimension},), "
+                f"got a {a.dtype} array of shape {a.shape}"
+            )
+        t0, t1 = window
+        if not t1 > t0:
+            raise ParameterError("window needs t_start < t_stop")
+        check_time(psi0, t0, "run start")
+        if psi0.space != system.space:
+            raise StructureError("state and Hamiltonian live on different spaces")
+        self.system, self.psi0, self.observable = system, psi0, a
+        self.window, self.duration = (t0, t1), t1 - t0
+        self._interval = self._reach = 0.0
+        self._coeffs = None
+        self._report = {}
+
+    @functools.cached_property
+    def reference_system_final(self) -> QuantumState:
+        """psi0 evolved over the window with the coupling off, exactly."""
+        return evolve_eigenbasis(self.psi0, self.system, self.window[1])
+
+    def cover(self, shifts) -> float:
+        """Make the interpolant serve every shift, refitting it to them
+        unless the one held already does (or all are zero, which `columns`
+        serves exactly); returns the tail bound at these shifts."""
+        shifts = np.asarray(shifts, dtype=complex)
+        if not np.any(shifts):
+            return 0.0
+        if self._coeffs is not None:
+            degree = self._coeffs.shape[0] - 1
+            rho0 = _bernstein(shifts / self._interval)
+            _, tail = _node_tail(self._reach, rho0, degree)
+            if tail <= _NODE_TAIL and rho0**degree <= _MAX_GAIN:
+                return tail
+        interval = max(float(np.max(np.abs(shifts.real))),
+                       float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
+        reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
+        rho0 = _bernstein(shifts / interval)
+        degree, tail = _node_tail(reach, rho0)
+        if rho0**degree > _MAX_GAIN:
+            raise ParameterError(
+                f"continuing {degree + 1} real nodes to |Im s| T = "
+                f"{np.max(np.abs(shifts.imag)) * self.duration:.3e} amplifies their "
+                f"rounding {rho0**degree:.1e}-fold (at most {_MAX_GAIN:g}); weaken the absorber")
+        if degree > _MAX_DEGREE:
+            raise NumericalError(
+                f"coupling shifts up to {interval:.3e} need more than "
+                f"{_MAX_DEGREE + 1} Chebyshev nodes ({degree + 1})"
+            )
+        block, terms = evolve_shifted(self.system, self.observable,
+                                      interval * np.cos(np.arange(degree + 1) * np.pi / degree),
+                                      self.psi0.amplitudes, self.duration)
+        self._coeffs = apply_real(_lobatto_fit(degree), block.T)
+        self._interval, self._reach = interval, reach
+        self._report = dict(chebyshev_terms=terms, nodes=degree + 1)
+        return tail
+
+    def columns(self, shifts):
+        """psi(s_j) for each shift s_j as the columns of one (dimension,
+        len(shifts)) block, and the MeterRun fields reporting the node block
+        they were interpolated from (`node_tail` the tail bound at these
+        shifts); all-zero shifts are the reference state, with no block."""
+        shifts = np.asarray(shifts)
+        if not np.any(shifts):
+            ref = self.reference_system_final.amplitudes
+            return np.repeat(ref[:, None], shifts.size, axis=1), {}
+        tail = self.cover(shifts)
+        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval,
+                                                   self._coeffs.shape[0] - 1)
+        return (basis @ self._coeffs).T, dict(self._report, node_tail=tail)

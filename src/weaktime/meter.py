@@ -17,10 +17,10 @@ drags an independent system evolution with the scalar coupling
 its real 1-D array a, so each mode's generator H + (G/T) pi_k diag(a) is
 real symmetric tridiagonal and differs from the others only by a multiple
 of diag(a).  The evolved state psi(s) = exp(-iT(H + s diag(a)))psi0 is
-entire in the shift s, so a `CoupledSystem` evolves it once, at Chebyshev
-nodes spanning every shift it is asked for, as the columns of one block
-(`dynamics.evolve_shifted`), and interpolates every kept mode of every
-run that shares it from those nodes; no mode needs an eigensolve.
+the coupled family of `dynamics.CoupledSystem`, which evolves it once, at
+Chebyshev nodes in s as one block, and interpolates every kept mode of
+every run that shares it from those nodes; no mode needs an eigensolve.
+In a scenario the clocks read their keys off the same node block.
 The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
@@ -46,13 +46,12 @@ from typing import Optional
 import numpy as np
 
 from .clocks import SweepRecord, _checked_strengths, extrapolate_to_zero
-from .dynamics import Hamiltonian, apply_real, evolve_eigenbasis, evolve_shifted
-from .errors import NumericalError, ParameterError, StructureError
+from .dynamics import CoupledSystem, apply_real
+from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
     Grid,
     QuantumState,
-    check_time,
     checked_overlap,
     fourier_momentum_values,
     gaussian_pointer,
@@ -71,12 +70,6 @@ from .sojourn import SojournOperator, _check_state
 # reports the count.  Pass mode_cutoff=0.0 to keep every mode.
 DEFAULT_MODE_CUTOFF = 1e-8
 EDGE_MASS_BUDGET = 1e-7
-# CoupledSystem's Chebyshev interpolant in the coupling shift: the first
-# degree n (n + 1 Lobatto nodes), the bound on its coefficient tail relative
-# to ||psi0||, and the largest degree doubling may reach
-_FIRST_DEGREE = 16
-_NODE_TAIL = 1e-13
-_MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -144,8 +137,8 @@ class MeterRun:
     from a node block in the coupling shift (see `CoupledSystem`):
     `nodes` columns evolved by a series of `chebyshev_terms` terms (nodes x
     terms is the block's work, shared by every run of one CoupledSystem),
-    and `node_tail` the larger norm of the interpolant's last two
-    Chebyshev coefficients relative to ||psi0||.  All three are 0 for the
+    and `node_tail` the a-priori bound, relative to ||psi0||, on the series
+    terms the interpolant drops at the run's shifts.  All three are 0 for the
     moment meter, whose modes are closed-form phases, and for a run whose
     kept shifts are all zero.
     """
@@ -191,17 +184,6 @@ class PointerDistribution:
         floor = threshold * np.max(d)
         inner = (d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:]) & (d[1:-1] > floor)
         return int(np.count_nonzero(inner))
-
-
-def _lobatto_fit(n: int) -> np.ndarray:
-    """DCT-I: the (n + 1, n + 1) real matrix taking values at the Lobatto
-    nodes x_j = cos(j pi / n) to the coefficients c_k of their interpolant
-    sum_k c_k T_k(x)."""
-    jk = np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)
-    fit = (2.0 / n) * np.cos(np.pi * jk / n)
-    fit[:, [0, n]] *= 0.5
-    fit[[0, n], :] *= 0.5
-    return fit
 
 
 @functools.lru_cache(maxsize=8)
@@ -266,88 +248,11 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
     )
 
 
-class CoupledSystem:
-    """psi0 coupled over the window (t_start, t_stop) of length T through
-    the real diagonal observable a: psi(s) = exp(-iT(H + s diag(a)) / hbar)
-    psi0 for any coupling shift s.
-
-    psi(s) is entire in s, so on [-S, S] its Chebyshev interpolant through
-    the Lobatto nodes S cos(j pi / n), j = 0..n, matches it to rounding
-    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    The first `columns` request sets S to its largest |s| and evolves the
-    n = 16 nodes as one `evolve_shifted` block.  n doubles, evolving only
-    the new nested nodes, until the interpolant's last two coefficients are
-    below 1e-13 ||psi0||; past n = 1024 NumericalError is raised.  A later
-    request wider than S rebuilds on its own interval.
-
-    The constructor raises StructureError for an observable that is not a
-    real array of shape (system.dimension,), and ParameterError unless
-    t_start < t_stop and psi0 is referenced to t_start.
-    """
-
-    def __init__(self, system: Hamiltonian, psi0: QuantumState,
-                 observable: np.ndarray, window: tuple[float, float]):
-        a = np.asarray(observable)
-        if a.shape != (system.dimension,) or np.iscomplexobj(a):
-            raise StructureError(
-                f"the meter needs a real diagonal of shape ({system.dimension},), "
-                f"got a {a.dtype} array of shape {a.shape}"
-            )
-        t0, t1 = window
-        if not t1 > t0:
-            raise ParameterError("window needs t_start < t_stop")
-        check_time(psi0, t0, "run start")
-        self.system, self.psi0, self.observable = system, psi0, a
-        self.duration = t1 - t0
-        self.reference_system_final = evolve_eigenbasis(psi0, system, t1)
-        self._interval = 0.0
-        self._coeffs = None
-        self._report = {}
-
-    def _fit(self, interval: float) -> None:
-        """Evolve the Lobatto nodes on [-interval, interval] and keep the
-        interpolant's Chebyshev coefficients, doubling n until their tail
-        is below _NODE_TAIL ||psi0||."""
-        n, values, terms = _FIRST_DEGREE, None, 0
-        scale = np.linalg.norm(self.psi0.amplitudes)
-        while True:
-            j = np.arange(n + 1) if values is None else np.arange(1, n, 2)
-            block, used = evolve_shifted(self.system, self.observable,
-                                         interval * np.cos(j * np.pi / n),
-                                         self.psi0.amplitudes, self.duration)
-            terms = max(terms, used)
-            if values is None:
-                values = block.T
-            else:
-                values = np.insert(values, np.arange(1, n // 2 + 1), block.T, axis=0)
-            coeffs = apply_real(_lobatto_fit(n), values)
-            tail = max(np.linalg.norm(coeffs[-1]), np.linalg.norm(coeffs[-2]))
-            if tail <= _NODE_TAIL * scale:
-                break
-            if n >= _MAX_DEGREE:
-                raise NumericalError(
-                    f"coupling shifts up to {interval:.3e} need more than "
-                    f"{_MAX_DEGREE + 1} Chebyshev nodes (tail {tail / scale:.1e})"
-                )
-            n *= 2
-        self._interval, self._coeffs = interval, coeffs
-        self._report = dict(chebyshev_terms=terms, nodes=n + 1, node_tail=tail / scale)
-
-    def columns(self, shifts):
-        """psi(s_j) for each shift s_j as the columns of one (dimension,
-        len(shifts)) block, and the MeterRun fields reporting the node block
-        they were interpolated from; all-zero shifts are the reference
-        state, with no block."""
-        shifts = np.asarray(shifts, dtype=float)
-        if not np.any(shifts):
-            ref = self.reference_system_final.amplitudes
-            return np.repeat(ref[:, None], shifts.size, axis=1), {}
-        interval = float(np.max(np.abs(shifts)))
-        if interval > self._interval:
-            self._fit(interval)
-        degree = self._coeffs.shape[0] - 1
-        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, degree)
-        return apply_real(basis, self._coeffs).T, self._report
+def coupling_shifts(spec: PointerSpec, coupling: float, duration: float,
+                    mode_cutoff: float = DEFAULT_MODE_CUTOFF) -> np.ndarray:
+    """(G/T) pi_k over the pointer modes above `mode_cutoff`: the shifts a
+    `run_meter` at coupling G reads off a CoupledSystem of window length T."""
+    return (coupling / duration) * _pointer_modes(spec, mode_cutoff)[0]
 
 
 def run_meter(
@@ -365,8 +270,9 @@ def run_meter(
     block.
     """
 
-    def kept_columns(pi_kept, coeffs_kept):
-        block, report = coupled.columns((coupling / coupled.duration) * pi_kept)
+    def kept_columns(_, coeffs_kept):
+        block, report = coupled.columns(
+            coupling_shifts(spec, coupling, coupled.duration, mode_cutoff))
         return block * coeffs_kept, report
 
     return _assemble_run(spec, coupling, coupled.psi0, coupled.reference_system_final,

@@ -28,7 +28,7 @@ from .clocks import (
     clock_real_potential,
     clock_shifts,
 )
-from .dynamics import Hamiltonian, evolve_eigenbasis
+from .dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis
 from .errors import ParameterError, ValidationError
 from .hilbert import (
     Grid,
@@ -40,8 +40,8 @@ from .hilbert import (
     position_space,
 )
 from .meter import (
-    CoupledSystem,
     PointerSpec,
+    coupling_shifts,
     meter_moment_readout,
     # not called here: perfbench/tracing.py wraps it under this module's name
     pointer_distribution,  # noqa: F401
@@ -74,6 +74,7 @@ CLOCK_LADDERS = {
     "larmor": (0.6, 0.3, 0.15),
 }
 METER_LADDER = (0.3, 0.2, 0.1)
+METER_POINTER = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
 
 
 @dataclass(frozen=True)
@@ -443,10 +444,8 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
                        flags="" if abs(lhs - rhs) <= 1e-8 else "violated")
 
 
-def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    duration = sc.duration()
-    ladders = {name: tuple(c / duration for c in ladder) for name, ladder in CLOCK_LADDERS.items()}
-    runs = ClockRuns(ham, psi0, sc.region, sc.window, clock_shifts(**ladders))
+def _clock_pipeline(bundle: ResultBundle, coupled, chis, ladders):
+    runs = ClockRuns(coupled, clock_shifts(**ladders))
     methods = {
         "real_potential": clock_real_potential,
         "imaginary_potential": clock_imaginary_potential,
@@ -458,12 +457,8 @@ def _clock_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
     _add_sweep(bundle, "imaginary_potential_norm", "clock_imaginary_norm", {"none": rec})
 
 
-def _meter_pipeline(sc: Scenario, bundle: ResultBundle, ham, psi0, chis):
-    coupled = CoupledSystem(ham, psi0, sc.region.indicator(sc.grid), sc.window)
-    spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
-    # largest coupling first: its shifts span the others', so the first run
-    # evolves the one node block every run interpolates from
-    runs = [run_meter(spec, coupled, g) for g in METER_LADDER]
+def _meter_pipeline(sc: Scenario, bundle: ResultBundle, coupled, chis):
+    runs = [run_meter(METER_POINTER, coupled, g) for g in METER_LADDER]
     recs = {label: meter_moment_readout(runs, chi) for label, chi in chis.items()}
     _add_sweep(bundle, "meter", "meter", recs, scale=sc.duration())
 
@@ -493,10 +488,21 @@ def run_scenario(
     if "sojourn" in pipelines:
         op = sojourn_matrix(scenario.region, ham, scenario.window)
         _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
+    if "clocks" in pipelines or "meter" in pipelines:
+        # one node block per scenario: the clocks and the meter read one
+        # coupled system, fitted on the union of the shifts they read
+        coupled = CoupledSystem(ham, psi0, scenario.region.indicator(scenario.grid),
+                                scenario.window)
+        t = scenario.duration()
+        ladders = {name: tuple(c / t for c in lad) for name, lad in CLOCK_LADDERS.items()}
+        shifts = [*clock_shifts(**ladders)] if "clocks" in pipelines else []
+        if "meter" in pipelines:
+            shifts += [*coupling_shifts(METER_POINTER, max(METER_LADDER), t)]
+        coupled.cover(shifts)
     if "clocks" in pipelines:
-        _clock_pipeline(scenario, bundle, ham, psi0, chis)
+        _clock_pipeline(bundle, coupled, chis, ladders)
     if "meter" in pipelines:
-        _meter_pipeline(scenario, bundle, ham, psi0, chis)
+        _meter_pipeline(scenario, bundle, coupled, chis)
     return bundle
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
+from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.hilbert import (
     Grid,
     QuantumState,
@@ -276,12 +276,12 @@ def test_criterion_8_survival_scaling(crossing):
 
 def test_criterion_9_numerical_hygiene(crossing):
     grid, region, _, ham, psi0, _, _ = crossing
-    # the clocks' Chebyshev block: real and absorbing columns against the
-    # dense exponential, norm conservation on the real columns, and
-    # absorbing norms falling with Gamma
+    # the clocks' keys off the coupled system's node block: real and
+    # absorbing columns against the dense exponential, norm conservation on
+    # the real columns, and absorbing norms falling with Gamma
     mask = region.indicator(grid)
     shifts = np.array([0.0, 0.05, -0.05, *(-0.5j * np.array([0.05, 0.1, 0.3]))])
-    block, _ = evolve_shifted(ham, mask, shifts, psi0.amplitudes, 2.0)
+    block, _ = CoupledSystem(ham, psi0, mask, (0.0, 2.0)).columns(shifts)
     block_err = max(
         np.linalg.norm(block[:, j] - oracle.evolve_exact(
             oracle.dense_hamiltonian(ham) + u * np.diag(mask), psi0.amplitudes, 2.0))

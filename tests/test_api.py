@@ -72,8 +72,8 @@ def test_one_overlap_policy_and_no_kinetic_flag():
     # (hilbert.checked_overlap), not a per-call setting
     assert [name for name, params in _public_parameters() if "overlap_floor" in params] == []
     # kinetic energy is present exactly when the factor is a position grid,
-    # and the Hamiltonian is hermitian: an absorber is a complex shift of
-    # evolve_shifted, not a second, imaginary potential
+    # and the Hamiltonian is hermitian: an absorber is a complex shift of a
+    # CoupledSystem, not a second, imaginary potential
     assert [f.name for f in dataclasses.fields(Hamiltonian)] == [
         "space", "potential_real", "_cache"]
 
@@ -177,8 +177,9 @@ def test_clock_table_fills_once_and_records_keep_what_is_emitted():
     assert params["shifts"].default is inspect.Parameter.empty
     grid = Grid(16, 0.0, 7.5)
     psi0 = QuantumState(position_space(grid), np.ones(16)).normalized()
-    runs = clocks.ClockRuns(Hamiltonian(position_space(grid)), psi0,
-                            Region(3.0, 5.0), (0.0, 1.0), (0.0, 0.1))
+    coupled = CoupledSystem(Hamiltonian(position_space(grid)), psi0,
+                            Region(3.0, 5.0).indicator(grid), (0.0, 1.0))
+    runs = clocks.ClockRuns(coupled, (0.0, 0.1))
     with pytest.raises(ParameterError):
         runs.final(0.2)
     # a sweep record carries only what the emitted sweep payload reads
@@ -187,20 +188,20 @@ def test_clock_table_fills_once_and_records_keep_what_is_emitted():
 
 
 def test_clocks_evolve_exactly_with_no_time_step():
-    # the clock states come from one Chebyshev block, so no scenario, table,
-    # module constant or config key carries a Crank-Nicolson step
+    # the clock states come from one Chebyshev node block, so no scenario,
+    # table, module constant or config key carries a Crank-Nicolson step
     assert "dt" not in {f.name for f in dataclasses.fields(weaktime.Scenario)}
     assert "dt" not in {f.name for f in dataclasses.fields(clocks.ClockRuns)}
     assert not hasattr(clocks, "DT")
     assert "numerics.dt" not in scenarios.CONFIG_KEYS
-    assert list(inspect.signature(clocks.ClockRuns).parameters) == [
-        "system", "psi_initial", "region", "window", "shifts"]
+    assert list(inspect.signature(clocks.ClockRuns).parameters) == ["coupled", "shifts"]
 
 
 def test_meter_runs_over_one_window():
     # the meter couples over exactly the (t_start, t_stop) window that the
-    # sojourn operator and the clock runs take: no separate coupling profile,
-    # no wider run window with free flight around it
+    # sojourn operator and the clock runs take (the clocks read the same
+    # CoupledSystem): no separate coupling profile, no wider run window with
+    # free flight around it
     assert "CouplingProfile" not in weaktime.__all__
     assert [name for name, params in _public_parameters() if "profile" in params] == []
     assert list(inspect.signature(CoupledSystem).parameters) == [
@@ -216,7 +217,7 @@ def test_meter_runs_over_one_window():
             CoupledSystem(Hamiltonian(spin_space()), spin.at_time(empty[0]),
                           np.array([1.0, -1.0]), empty)
         with pytest.raises(ParameterError, match="t_start < t_stop"):
-            clocks.ClockRuns(free, packet.at_time(empty[0]), region, empty, (0.0,))
+            CoupledSystem(free, packet.at_time(empty[0]), region.indicator(grid), empty)
         with pytest.raises(ParameterError, match="t_start < t_stop"):
             sojourn_matrix(region, free, empty)
 

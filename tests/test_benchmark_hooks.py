@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from weaktime import meter, scenarios
+from weaktime import dynamics, meter, scenarios
 from weaktime.dynamics import evolve_shifted
 from weaktime.scenarios import catalog
 
@@ -57,13 +57,14 @@ def test_trace_hooks_see_one_meter_run_per_coupling():
         return runs[-1]
 
     def recording_evolve_shifted(*args, **kwargs):
-        # the node block is evolved lazily, by the first run that needs it
+        # the node block is evolved when run_scenario fits the coupled
+        # system, before the first run
         open_spans.append([tracer.spans[i]["name"] for i in tracer._stack])
         return evolve_shifted(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "run_meter", recording_run_meter)
-        mp.setattr(meter, "evolve_shifted", recording_evolve_shifted)
+        mp.setattr(dynamics, "evolve_shifted", recording_evolve_shifted)
         with tracer.installed():
             scenarios.run_scenario(catalog()["well_halves"], pipelines=("meter",))
     spans = [s for s in tracer.spans if s["name"] == "meter.run_meter"]
@@ -72,9 +73,8 @@ def test_trace_hooks_see_one_meter_run_per_coupling():
         assert tracer.spans[span["parent"]]["name"] == "scenarios.run_scenario"
         assert span["modes_kept_computed"] == run.modes_kept
     assert tracing.layer_metrics(tracer, 1)["meter.run_meter.calls"] == len(runs)
-    # so meter.run_meter.busy_s counts the block
-    assert open_spans
-    assert all("meter.run_meter" in names for names in open_spans)
+    # so meter.run_meter.busy_s leaves the block out
+    assert open_spans == [["scenarios.run_scenario"]]
 
 
 def test_trace_hooks_see_sojourn_spans_and_one_shared_eigensystem():

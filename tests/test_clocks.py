@@ -12,7 +12,8 @@ from weaktime.clocks import (
     clock_shifts,
     extrapolate_to_zero,
 )
-from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
+from weaktime import dynamics
+from weaktime.dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis
 from weaktime.errors import ParameterError
 from weaktime.hilbert import (
     HBAR,
@@ -30,9 +31,13 @@ REGION = Region(20.0, 28.0)
 WINDOW = (0.0, 8.0)
 
 
+def _coupled(ham, psi0, region=REGION):
+    return CoupledSystem(ham, psi0, region.indicator(GRID), WINDOW)
+
+
 def _runs(ham, psi0, region=REGION, **ladders):
     """A table holding exactly the keys that these ladders read."""
-    return ClockRuns(ham, psi0, region, WINDOW, clock_shifts(**ladders))
+    return ClockRuns(_coupled(ham, psi0, region), clock_shifts(**ladders))
 
 
 def _one(read, strengths, runs, chi):
@@ -214,11 +219,21 @@ def test_dict_postselection_shares_sweeps(crossing):
 
 
 def test_absorbed_fraction_guard(crossing):
-    # 88% of the packet is absorbed at Gamma = 2, far outside the linear
+    # 69% of the packet is absorbed at Gamma = 0.4, far outside the linear
     # regime: the table refuses to be built
     ham, psi0, _, _ = crossing
-    with pytest.raises(ParameterError, match="absorbed fraction"):
-        _runs(ham, psi0, imaginary_potential=(2.0, 1.0, 0.5))
+    with pytest.raises(ParameterError, match="absorbed fraction 0.69"):
+        _runs(ham, psi0, imaginary_potential=(0.4, 0.2, 0.1))
+
+
+def test_runs_refuse_an_absorber_too_far_off_the_real_axis(crossing):
+    # Gamma T = 16 puts u = -i at T |Im u| = 8: continued from real nodes,
+    # its column would carry the nodes' rounding amplified ~1e6-fold, so the
+    # table is refused before any absorbed fraction is read
+    ham, psi0, _, _ = crossing
+    for keys in (clock_shifts(imaginary_potential=(2.0, 1.0, 0.5)), (0j, -1.0j)):
+        with pytest.raises(ParameterError, match="weaken the absorber"):
+            ClockRuns(_coupled(ham, psi0), keys)
 
 
 def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
@@ -227,7 +242,7 @@ def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
     # serve the ladder that would read it
     ham, psi0, _, _ = crossing
     with pytest.raises(ParameterError, match="absorbed fraction"):
-        ClockRuns(ham, psi0, REGION, WINDOW, (0j, -1.0j))
+        ClockRuns(_coupled(ham, psi0), (0j, -0.2j))
     runs = _runs(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
     with pytest.raises(ParameterError, match="not among the declared shifts"):
         absorption_survival_dwell((2.0, 1.0, 0.5), runs)
@@ -246,7 +261,7 @@ def test_absorption_reads_survival_relative_to_the_packet_norm(crossing, scale):
     assert rec.value == pytest.approx(ref.value, rel=1e-12)
     assert rec.readouts == pytest.approx(ref.readouts, rel=1e-12)
     with pytest.raises(ParameterError, match="absorbed fraction"):
-        _runs(ham, scaled, imaginary_potential=(2.0, 1.0, 0.5))
+        _runs(ham, scaled, imaginary_potential=(0.4, 0.2, 0.1))
 
 
 # -- the table of evolutions ------------------------------------------------
@@ -264,29 +279,31 @@ def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
 
 def _counting_blocks(monkeypatch):
     blocks = []
-    evolve_shifted = clocks.evolve_shifted
-    monkeypatch.setattr(clocks, "evolve_shifted",
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(list(args[2])) or evolve_shifted(*args))
     return blocks
 
 
 def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
-    # the declared keys are evolved when the table is built, as the columns
-    # of one block; the readouts only read the table
+    # the declared keys are read off one node block when the table is built,
+    # its interval the largest real key (8 times the largest absorber here);
+    # the readouts only read the table
     ham, psi0, psi_final, _ = crossing
     shifts = clock_shifts(real_potential=(0.12, 0.06, 0.03),
                           imaginary_potential=(0.04, 0.02, 0.01),
                           larmor=(0.24, 0.12, 0.06))
     assert len(shifts) == 1 + 6 + 3
     blocks = _counting_blocks(monkeypatch)
-    runs = ClockRuns(ham, psi0, REGION, WINDOW, shifts)
-    assert blocks == [list(shifts)]
+    runs = ClockRuns(_coupled(ham, psi0), shifts)
+    [nodes] = blocks
+    assert np.max(np.abs(nodes)) == pytest.approx(0.16, rel=1e-15)
     chis = {"chi": psi_final}
     clock_real_potential((0.12, 0.06, 0.03), runs, chis)
     clock_imaginary_potential((0.04, 0.02, 0.01), runs, chis)
     absorption_survival_dwell((0.04, 0.02, 0.01), runs)
     clock_larmor((0.24, 0.12, 0.06), runs, chis)
-    assert blocks == [list(shifts)]
+    assert blocks == [nodes]
     # each column is exp(-i T (H + u P_region)) psi0
     h = oracle.dense_hamiltonian(ham)
     for u in shifts:

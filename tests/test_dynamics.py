@@ -4,17 +4,18 @@ import pytest
 
 import oracle
 from weaktime import dynamics
-from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
+from weaktime.dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
     HBAR,
     Grid,
+    QuantumState,
     Region,
     gaussian_packet,
     position_space,
     spin_space,
 )
-from weaktime.clocks import clock_shifts
+from weaktime.clocks import ClockRuns, clock_shifts
 from weaktime.scenarios import CLOCK_LADDERS, catalog
 
 GRID = Grid(48, 0.0, 40.0)
@@ -34,14 +35,15 @@ def test_kinetic_matrix_matches_reference_stencil():
 
 
 def test_absorbing_potential_decays_norm_monotonically():
-    # an absorber is a complex shift -i Gamma/2 on its region: the norm
-    # left after each successive duration is below the one before
-    ham, region = Hamiltonian(SPACE), Region(15.0, 25.0).indicator(GRID)
+    # an absorber is a complex shift -i Gamma/2 on its region, read off a
+    # coupled system's real nodes: the norm left after each successive
+    # duration is below the one before
+    region = Region(15.0, 25.0).indicator(GRID)
     psi = _packet()
     norms = [psi.norm()]
     for j in range(1, 11):
-        block, _ = evolve_shifted(ham, region, np.array([-0.5j * 0.4]), psi.amplitudes,
-                                  0.2 * j)
+        coupled = CoupledSystem(Hamiltonian(SPACE), psi, region, (0.0, 0.2 * j))
+        block, _ = coupled.columns([-0.5j * 0.4])
         norms.append(np.sqrt(GRID.dx) * np.linalg.norm(block[:, 0]))
     diffs = np.diff(norms)
     assert np.all(diffs < 0)
@@ -113,76 +115,69 @@ def test_evolve_shifted_matches_oracle(case):
         assert terms == 1
 
 
-def _clock_block(name, gamma_scale):
-    """A catalog scenario's clock keys, the absorbers scaled by gamma_scale."""
+def _clock_keys(name, gamma_scale):
+    """A catalog scenario, its coupled system and its clock keys at the
+    catalog ladders, the absorbers scaled by gamma_scale."""
     sc = catalog()[name]
     t = sc.duration()
     ladders = {k: tuple(c / t for c in v) for k, v in CLOCK_LADDERS.items()}
     ladders["imaginary_potential"] = tuple(
         gamma_scale * g for g in ladders["imaginary_potential"])
-    return sc, np.array(clock_shifts(**ladders))
+    coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            sc.region.indicator(sc.grid), sc.window)
+    return sc, coupled, clock_shifts(**ladders)
 
 
 @pytest.mark.parametrize("gamma_scale", [1.0, 10.0])
 @pytest.mark.parametrize("name", ["well_halves", "free_box"])
-def test_evolve_shifted_complex_columns_match_oracle(name, gamma_scale):
-    # the clocks' 12-key block; well_halves has the catalog's largest Gamma
-    # (0.15 / T at T = 20), free_box an absorber over the whole box
-    sc, shifts = _clock_block(name, gamma_scale)
+def test_clock_runs_complex_keys_match_oracle(name, gamma_scale):
+    # the clocks' absorbing keys off the node interpolant, through a clock
+    # table at the catalog ladder and straight from the coupled system at
+    # ten times its absorbers (past the table's absorbed-fraction guard);
+    # well_halves has the catalog's largest Gamma (0.15 / T at T = 20),
+    # free_box an absorber over the whole box
+    sc, coupled, keys = _clock_keys(name, gamma_scale)
+    shifts = np.array(keys)
     assert shifts.size == 12 and np.count_nonzero(shifts.imag) == 3
-    ham, a = sc.hamiltonian(), sc.region.indicator(sc.grid)
-    v = sc.initial_state().amplitudes
-    block, _ = evolve_shifted(ham, a, shifts, v, sc.duration())
+    if gamma_scale == 1.0:
+        runs = ClockRuns(coupled, keys)
+        block = np.column_stack([runs.final(u).amplitudes for u in keys])
+    else:
+        block, _ = coupled.columns(keys)
+    h = oracle.dense_hamiltonian(sc.hamiltonian())
+    a, v = sc.region.indicator(sc.grid), sc.initial_state().amplitudes
     lossy = np.nonzero(shifts.imag)[0]
     # the dense exponential costs 0.2 s at N=256: check the strongest there
-    checked = lossy if sc.grid.n_points <= 128 else lossy[:1]
-    for j in checked:
-        ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham) + shifts[j] * np.diag(a), v,
-                                  sc.duration())
-        assert np.linalg.norm(block[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
+    for j in (lossy if sc.grid.n_points <= 128 else lossy[:1]):
+        ref = oracle.evolve_exact(h + shifts[j] * np.diag(a), v, sc.duration())
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", list(catalog()))
-def test_evolve_shifted_absorbing_norms_fall_with_gamma(name):
+def test_coupled_system_absorbing_norms_fall_with_gamma(name):
     # the catalog ladder and ten times it, strongest last: each stronger
     # absorber leaves less of the packet
-    sc = catalog()[name]
+    sc, coupled, _ = _clock_keys(name, 1.0)
     gammas = 0.15 / sc.duration() * np.array([0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0])
-    block, _ = evolve_shifted(sc.hamiltonian(), sc.region.indicator(sc.grid),
-                              -0.5j * gammas, sc.initial_state().amplitudes,
-                              sc.duration())
+    block, _ = coupled.columns(-0.5j * gammas)
     assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
 
 
-def test_evolve_shifted_splits_the_span_for_strong_absorbers():
-    # Gamma T = 12 and 48 would let rounding grow past the bound in one
-    # span; the halved spans stay exact
-    ham = Hamiltonian(SPACE)
-    a = Region(12.0, 28.0).indicator(GRID)
-    v = _packet().amplitudes
-    shifts = -0.5j * np.array([2.0, 8.0])
-    block, terms = evolve_shifted(ham, a, shifts, v, 6.0)
-    _, one_span = evolve_shifted(ham, a, np.zeros(1), v, 6.0)
-    assert terms > 2 * one_span
-    for j, u in enumerate(shifts):
-        ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham) + u * np.diag(a), v, 6.0)
-        assert np.linalg.norm(block[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("g, t", [(0.3, 4.0), (1.0, 2.0), (1.0, 6.0)])
-def test_evolve_shifted_cut_covers_the_imaginary_extent(g, t):
-    # on the spin toy, H + s diag(1, -1) with s = -i g has eigenvalues -+i g
-    # on the bounding ellipse itself, where |T_n| reaches rho^n: a cut that
-    # ignored rho^n would leave up to 6e-12 here
-    ham = Hamiltonian(spin_space())
+@pytest.mark.parametrize("g, t", [(0.3, 4.0), (1.0, 2.0)])
+def test_coupled_system_continues_to_the_imaginary_extent(g, t):
+    # on the spin toy, H + s diag(1, -1) with s = -i g has eigenvalues -+i g,
+    # so the growing column meets the bound's exp(T |Im s| max|a|) itself
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    block, _ = evolve_shifted(ham, np.array([1.0, -1.0]), np.array([-1j * g]), v, t)
+    coupled = CoupledSystem(Hamiltonian(spin_space()), QuantumState(spin_space(), v),
+                            np.array([1.0, -1.0]), (0.0, t))
+    block, report = coupled.columns([-1j * g])
+    assert report["node_tail"] <= 1e-13
     exact = np.exp(np.array([-g * t, g * t])) * v
-    np.testing.assert_allclose(block[:, 0], exact, rtol=2e-14, atol=0)
+    np.testing.assert_allclose(block[:, 0], exact, rtol=0, atol=1e-12)
 
 
 def test_evolve_shifted_real_path_ignores_zero_imaginary_parts():
-    # complex keys with no imaginary part run the meter's real arithmetic
+    # complex keys with no imaginary part are real shifts: the same block
     ham = Hamiltonian(SPACE)
     a = Region(12.0, 28.0).indicator(GRID)
     shifts = np.array([0.0, 0.3, -0.2])
@@ -224,54 +219,36 @@ def test_evolve_shifted_ring_edges_match_oracle(k):
         np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("gamma, duration, rem", [(2.0, 1.5, 1), (2.0, 2.5, 7), (3.0, 1.0, 0)])
-def test_evolve_shifted_restarts_the_ring_on_each_span(gamma, duration, rem, monkeypatch):
-    # a split series sums each span's terms from a fresh ring; per-span
-    # term counts 1, 7 and 0 past a multiple of 8
-    sizes, bessel = [], dynamics._bessel_coefficients
-    monkeypatch.setattr(dynamics, "_bessel_coefficients",
-                        lambda *args: sizes.append(bessel(*args).size) or bessel(*args))
-    ham = Hamiltonian(SPACE)
-    a, v = Region(12.0, 28.0).indicator(GRID), _packet().amplitudes
-    shifts = np.array([0.3, -0.5j * gamma])
-    block, terms = evolve_shifted(ham, a, shifts, v, duration)
-    assert terms > sizes[-1] and terms % sizes[-1] == 0 and sizes[-1] % 8 == rem
-    for j, u in enumerate(shifts):
-        ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham) + u * np.diag(a), v, duration)
-        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("name, nodes, terms", [
+    ("free_box", 12, 209), ("well_halves", 12, 151), ("barrier_dwell", 12, 586),
+    ("barrier_farside", 12, 586)])
+def test_catalog_clock_block_term_counts(name, nodes, terms, monkeypatch):
+    # the node block behind each catalog clock table, pinned: T S = 0.6 and
+    # |Im u| / S = 0.125 on every scenario ask for 12 nodes
+    blocks = []
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: blocks.append(evolve_shifted(*args)) or blocks[-1])
+    _, coupled, keys = _clock_keys(name, 1.0)
+    ClockRuns(coupled, keys)
+    [(block, used)] = blocks
+    assert (block.shape[1], used) == (nodes, terms)
 
 
-@pytest.mark.parametrize("name, terms", [
-    ("free_box", 219), ("well_halves", 157), ("barrier_dwell", 615), ("barrier_farside", 615)])
-def test_catalog_clock_block_term_counts(name, terms):
-    # the series cut of the four catalog clock blocks, pinned
-    sc, shifts = _clock_block(name, 1.0)
-    _, used = evolve_shifted(sc.hamiltonian(), sc.region.indicator(sc.grid), shifts,
-                             sc.initial_state().amplitudes, sc.duration())
-    assert used == terms
-
-
-def test_evolve_shifted_absorber_reaching_no_row_is_the_real_block():
-    # an imaginary shift on a zero diagonal absorbs nothing: the block of
-    # the real parts, bit for bit, not an ellipse of zero minor axis
-    grid = Grid(64, 0.0, 31.5)
-    ham = Hamiltonian(position_space(grid))
-    v = gaussian_packet(grid, 15.0, 3.0, 0.4).amplitudes
-    a = np.zeros(grid.n_points)
-    block, terms = evolve_shifted(ham, a, np.array([0.0, -0.05j]), v, 3.0)
-    real, terms_r = evolve_shifted(ham, a, np.zeros(2), v, 3.0)
-    np.testing.assert_array_equal(block, real)
-    assert terms == terms_r
-    ref = oracle.evolve_exact(oracle.dense_hamiltonian(ham), v, 3.0)
-    for col in block.T:
-        np.testing.assert_allclose(col, ref, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("shifts", [np.array([0.0, -0.05j]), np.array([0.3, -0.5j * 0.4])])
+def test_evolve_shifted_refuses_a_complex_shift(shifts):
+    # an imaginary part is an absorber, read off a CoupledSystem's real
+    # nodes, never evolved here: refused before any work, also where the
+    # absorber would reach no row
+    with pytest.raises(ParameterError, match="real shifts only"):
+        evolve_shifted(Hamiltonian(SPACE), np.zeros(GRID.n_points), shifts,
+                       _packet().amplitudes, 3.0)
 
 
 def test_evolve_shifted_refuses_an_absorber_it_cannot_resolve():
-    # an absorber this strong needs so many short spans that the work bound
-    # is passed: refused, never truncated
+    # an absorber this strong, as any other, is refused: the block is real
     ham = Hamiltonian(SPACE)
-    with pytest.raises(NumericalError, match="weaken the absorber"):
+    with pytest.raises(ParameterError, match="real shifts only"):
         evolve_shifted(ham, np.ones(GRID.n_points), np.array([-1000j]),
                        _packet().amplitudes, 10.0)
 
@@ -357,6 +334,8 @@ def test_bessel_coefficients_match_mpmath(x):
 
 def test_bessel_coefficients_refuse_a_series_without_a_cut(monkeypatch):
     # a cut no coefficient can meet is an error, never a silent truncation
+    # (nor a cached series)
+    dynamics._bessel_coefficients.cache_clear()
     monkeypatch.setattr(dynamics, "_CHEBYSHEV_TOL", -1.0)
     with pytest.raises(NumericalError, match="no Bessel cut"):
         dynamics._bessel_coefficients(5.0)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import meter
+from weaktime import dynamics, meter
 from weaktime.clocks import ClockRuns, clock_shifts
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
@@ -100,12 +100,14 @@ def test_pointer_spec_rejects_grid_without_origin():
 def test_zero_coupling_leaves_product_state(crossing):
     ham, psi0, psi_final, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
-    run = run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    run = run_meter(spec, coupled, 0.0)
     expected = np.outer(run.reference_system_final.amplitudes,
                         run.spec.initial_state().amplitudes)
     np.testing.assert_allclose(oracle.meter_composite(run), expected, atol=1e-12)
-    # every shift is zero: the reference state, with no node block
+    # every shift is zero: the reference state, with no node block to fit
     assert (run.nodes, run.chebyshev_terms, run.node_tail) == (0, 0, 0.0)
+    assert coupled.cover(np.zeros(3)) == 0.0 and coupled._coeffs is None
 
 
 def test_identity_observable_translates_pointer(crossing):
@@ -361,14 +363,14 @@ def test_coupled_system_columns_match_the_direct_block(scenario):
     assert report["node_tail"] <= 1e-13
 
 
-def test_coupled_system_doubles_its_nodes_for_a_narrow_pointer():
+def test_coupled_system_sizes_its_nodes_for_a_narrow_pointer():
     # demo 03's sigma_z spin read by a pointer of width 0.1: its kept
-    # shifts reach |s| T ~ 60, beyond what 17 nodes resolve
+    # shifts reach |s| T = 42.6, for which the a-priori bound asks 80 nodes
     system, psi0, sz = _toy()
     coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
     spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=512, extent_factor=14.0)
     run = run_meter(spec, coupled, 1.0)
-    assert run.nodes > 17
+    assert run.nodes == 80
     assert run.node_tail <= 1e-13
     assert _worst_column_error(coupled, _kept_shifts(spec, 1.0, 1.0)) <= 1e-13
 
@@ -379,7 +381,7 @@ def test_coupled_system_rebuilds_for_a_wider_request(monkeypatch):
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
     narrow, wide = (_kept_shifts(spec, g, sc.duration()) for g in (0.1, 0.3))
     blocks = []
-    monkeypatch.setattr(meter, "evolve_shifted",
+    monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *a: blocks.append(a[2]) or evolve_shifted(*a))
     coupled = CoupledSystem(*args)
     coupled.columns(narrow)
@@ -396,11 +398,11 @@ def test_coupled_system_rebuilds_for_a_wider_request(monkeypatch):
 @pytest.mark.parametrize("name", ["well_halves", "barrier_farside"])
 def test_meter_pipeline_evolves_one_node_block(monkeypatch, name):
     calls = []
-    monkeypatch.setattr(meter, "evolve_shifted",
+    monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *a: calls.append(a[2].size) or evolve_shifted(*a))
     bundle = run_scenario(catalog()[name], pipelines=("meter",))
     assert any(r.method == "meter" for r in bundle.records)
-    assert calls == [17]
+    assert calls == [15]
 
 
 def test_coupled_system_refuses_what_run_meter_refused():
@@ -650,7 +652,8 @@ def _start_routes(crossing):
     ham, _, psi_final, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.3, n_points=64)
     return {
-        "ClockRuns": lambda s: ClockRuns(ham, s, REGION, WINDOW, clock_shifts()),
+        "ClockRuns": lambda s: ClockRuns(CoupledSystem(ham, s, REGION.indicator(GRID), WINDOW),
+                                         clock_shifts()),
         "run_meter": lambda s: run_meter(spec, CoupledSystem(ham, s, REGION.indicator(GRID),
                                                              WINDOW), 0.1),
         "run_moment_meter": lambda s: run_moment_meter(spec, s, op, 1, 0.1),

@@ -66,7 +66,8 @@ def ctx():
         # <chi|phi> times the pointer profile, so its norm is the overlap
         run=run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0),
         # the clock table's own unperturbed final state
-        clock_final=ClockRuns(ham, psi0, REGION, WINDOW, clock_shifts()).final(0),
+        clock_final=ClockRuns(CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW),
+                              clock_shifts()).final(0),
     )
 
 
@@ -94,7 +95,8 @@ def _cell_second_moment(c, eps, time=None):
 
 def _clock(fn, name, strengths):
     def route(c, eps, time=None):
-        runs = ClockRuns(c.ham, c.psi0, REGION, WINDOW, clock_shifts(**{name: strengths}))
+        runs = ClockRuns(CoupledSystem(c.ham, c.psi0, REGION.indicator(GRID), WINDOW),
+                         clock_shifts(**{name: strengths}))
         return fn(strengths, runs, {"chi": _postselector(c.clock_final, eps, time)})
 
     return route

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import cli, clocks, meter, scenarios, sojourn
-from weaktime.errors import ParameterError, ValidationError
+from weaktime import cli, clocks, dynamics, meter, scenarios, sojourn
+from weaktime.errors import NumericalError, ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
     PacketSpec,
@@ -446,24 +446,42 @@ def test_clock_pipeline_alone_builds_no_sojourn_operator(monkeypatch):
 
 
 def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
-    # one block of 12 distinct keys: the unperturbed system, +-v for three
-    # phase strengths, +-omega/2 for the one Larmor strength the phase ladder
-    # does not already cover (9 real), and three absorbers shared with the
-    # norm clock
-    blocks = []
-    evolve_shifted = clocks.evolve_shifted
-
-    def counting_evolve_shifted(ham, a, shifts, v, duration):
-        blocks.append(list(shifts))
-        return evolve_shifted(ham, a, shifts, v, duration)
-
-    monkeypatch.setattr(clocks, "evolve_shifted", counting_evolve_shifted)
+    # one node block serves the 12 distinct keys: the unperturbed system,
+    # +-v for three phase strengths, +-omega/2 for the one Larmor strength
+    # the phase ladder does not already cover (9 real), and three absorbers
+    # shared with the norm clock; T S = 0.6 and |Im u| / S = 0.125 ask for
+    # 12 nodes
+    blocks, tables = [], []
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: blocks.append(args[2]) or evolve_shifted(*args))
+    monkeypatch.setattr(scenarios, "ClockRuns",
+                        lambda *args: tables.append(clocks.ClockRuns(*args)) or tables[-1])
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
-    assert len(blocks) == 1
-    [keys] = blocks
+    [nodes] = blocks
+    assert nodes.size == 12 and np.isrealobj(nodes)
+    [runs] = tables
+    keys = runs.shifts
     assert len(keys) == len(set(keys)) == 12
     assert sum(u.imag == 0.0 for u in keys) == 9
     assert all(u.real == 0.0 and u.imag < 0.0 for u in keys if u.imag)
+    assert np.max(np.abs(nodes)) == max(abs(u.real) for u in keys)
+
+
+@pytest.mark.parametrize("pipelines, nodes", [
+    (("sojourn", "clocks", "meter"), 15), (("clocks",), 12), (("meter",), 15)])
+def test_one_node_block_per_scenario(monkeypatch, pipelines, nodes):
+    # the clocks and the meter read one coupled system, fitted once on the
+    # union of the shifts they read: one block per scenario, whichever of
+    # them run, with the clocks' 12 keys inside the meter's 15 nodes
+    sizes = []
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: sizes.append(len(args[2])) or evolve_shifted(*args))
+    for sc in catalog().values():
+        sizes.clear()
+        run_scenario(sc, pipelines)
+        assert sizes == [nodes]
 
 
 def test_meter_pipeline_runs_the_positive_ladder_once(well_meter):
@@ -484,10 +502,11 @@ def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
 
 
 def test_meter_pipeline_runs_share_one_node_block(well_meter):
-    # the three runs interpolate from the nodes the first one evolved
+    # the three runs interpolate from one node block: T S = 1.29 asks for
+    # 15 nodes
     _, runs = well_meter
     assert len({(run.nodes, run.chebyshev_terms) for run in runs}) == 1
-    assert runs[0].nodes >= 17
+    assert runs[0].nodes == 15
     assert all(run.node_tail <= 1e-13 for run in runs)
 
 
@@ -630,6 +649,58 @@ def test_cli_compare_agrees_on_well(well_config, capsys):
         ("meter", "none")}
 
 
+def _compare_bundle(*records):
+    """A bundle of (method, postselection, order, value, tolerance,
+    residual) records, as `weaktime compare` receives it."""
+    bundle = ResultBundle(scenario="well_halves")
+    for method, label, order, value, tolerance, residual in records:
+        bundle.add(method=method, postselection=label, order=order, value=value,
+                   tolerance=tolerance, residual=residual)
+    return bundle
+
+
+def test_cli_compare_fails_a_record_past_its_allowance(well_config, monkeypatch, capsys):
+    # 0.5 off a reference of 10 is five times the 0.01 |ref| allowance
+    bundle = _compare_bundle(("sojourn", "none", 1, 10.0, 0.0, 0.0),
+                             ("clock_larmor", "none", 1, 10.05, 0.01, 1e-6),
+                             ("clock_real_potential", "none", 1, 10.5, 0.01, 1e-6))
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: bundle)
+    code = cli.main(["compare", "--config", well_config])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[-1] == "agreement: FAILED (worst ratio 5.000)"
+
+
+def test_cli_compare_skips_a_record_with_no_sojourn_reference(well_config, monkeypatch,
+                                                              capsys):
+    # no sojourn record at order 2, under the label or unconditioned: the
+    # clock record is left out of the comparison, not failed
+    bundle = _compare_bundle(("sojourn", "none", 1, 10.0, 0.0, 0.0),
+                             ("clock_larmor", "transmitted", 2, 99.0, 0.01, 0.0))
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: bundle)
+    code = cli.main(["compare", "--config", well_config])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == ["method,postselection,value,reference,deviation,allowed",
+                                "agreement: ok (worst ratio 0.000)"]
+
+
+@pytest.mark.parametrize("error, prefix", [
+    (NumericalError("no Bessel cut"), "numerical error: no Bessel cut"),
+    (ParameterError("shrink the sweep ladder"), "error: shrink the sweep ladder")])
+def test_cli_numerical_and_other_package_errors_exit_2(well_config, monkeypatch, capsys,
+                                                       error, prefix):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    code = cli.main(["run", "--config", well_config])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == prefix + "\n"
+
+
 def test_cli_sweep_writes_every_clock_sweep(well_config, tmp_path, capsys):
     out = tmp_path / "sweeps"
     code = cli.main(["sweep", "--config", well_config, "--out-dir", str(out)])
@@ -698,7 +769,7 @@ def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeyp
 
     def recording_clock_runs(*args):
         runs = clocks.ClockRuns(*args)
-        calls.append(("ClockRuns", runs.window))
+        calls.append(("ClockRuns", runs.coupled.window))
         return runs
 
     monkeypatch.setattr(scenarios, "sojourn_matrix", recording_sojourn_matrix)
