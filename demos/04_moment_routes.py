@@ -13,10 +13,11 @@ couplings extrapolated to zero, so they carry small residuals.  Agreement
 across all four is the consistency check this module exists for.
 
 Every route reads the one stored form of the operator: its matrix M in the
-energy eigenbasis V of the free Hamiltonian.  The lambda and meter routes
-take their free evolution from that same eigenbasis, so they need no
-Hamiltonian argument, and share one eigendecomposition of M, solved on
-first use and cached on the operator.
+energy eigenbasis V of the free Hamiltonian, kept as the real symmetric
+K = D_u^dag M D_u of the window midpoint, u = exp(-i E T / 2 hbar).  The
+lambda and meter routes take their free evolution from that same
+eigenbasis, so they need no Hamiltonian argument, and share one real
+eigendecomposition of K, solved on first use and cached on the operator.
 """
 
 from weaktime import (

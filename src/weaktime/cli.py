@@ -27,6 +27,7 @@ from .scenarios import (
     run_scenario,
     scenario_from_config,
     validate_scenario,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -75,8 +76,7 @@ def _cmd_sweep(args) -> int:
     bundle = run_scenario(scenario, pipelines=("clocks",))
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{bundle.scenario}_sweeps.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(bundle.sweeps, sort_keys=True, indent=1) + "\n")
+    write_text(path, json.dumps(bundle.sweeps, sort_keys=True, indent=1) + "\n")
     print(path)
     return EXIT_OK
 

@@ -66,7 +66,7 @@ class Hamiltonian:
 
     Instances are shared, so the potential and the eigensystem cached on
     the instance are read-only.  `sojourn._filter_blocks` keeps the window
-    filters per (Hamiltonian, window length) in its own LRU cache.
+    filter's sinc per (Hamiltonian, window length) in its own LRU cache.
     """
 
     space: FactorSpace
@@ -125,13 +125,19 @@ def evolve_eigenbasis(
     """Exact evolution of `state` from its representation time to t_to under
     the static Hamiltonian, as phases in its eigenbasis; a state on another
     space than the Hamiltonian's raises StructureError."""
+    coeffs = _eigen_coefficients(state, hamiltonian, t_to)
+    return QuantumState(state.space, apply_real(hamiltonian.eigensystem()[1], coeffs), t_to)
+
+
+def _eigen_coefficients(state: QuantumState, hamiltonian: Hamiltonian,
+                        t_to: float) -> np.ndarray:
+    """V^T psi(t_to): `state` evolved to t_to, in the real eigenbasis V of
+    the static Hamiltonian, which `evolve_eigenbasis` transforms back."""
     if state.space != hamiltonian.space:
         raise StructureError("state and Hamiltonian live on different spaces")
     vals, vecs = hamiltonian.eigensystem()
     span = t_to - state.representation_time
-    phases = np.exp(-1j * vals * span / HBAR)
-    amp = apply_real(vecs, phases * apply_real(vecs.T, state.amplitudes))
-    return QuantumState(state.space, amp, t_to)
+    return np.exp(-1j * vals * span / HBAR) * apply_real(vecs.T, state.amplitudes)
 
 
 def apply_real(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:

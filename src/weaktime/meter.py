@@ -25,9 +25,10 @@ The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
 read the `SojournOperator` directly: the free eigensystem (`vals`,
-`vecs`) it was built in and the cached eigensystem of its eigenbasis
-matrix M, one hermitian eigh of M filled in from the operator's kept
-block rows; no position-basis matrix is formed.
+`vecs`) it was built in and the cached eigensystem (tau, W_K) of its real
+symmetric midpoint matrix K, one real eigh filled in from the operator's
+kept block rows, rotated by its midpoint phases u into the eigensystem
+W = D_u W_K of M; no position-basis matrix is formed.
 
 A run never forms its (system, pointer) amplitude array psi(s, q).  Only
 the K kept modes differ from c_k psi_ref, so that array is B @ R: B =
@@ -284,17 +285,17 @@ def run_meter(
 
 def _free_flight(op: SojournOperator, psi0: QuantumState):
     """The moment routes' shared start: psi0 freely evolved over the
-    operator's window, in the free eigenbasis, and the cached eigensystem
-    (tau, W) of the operator's eigenbasis matrix M, solved from its kept
-    block rows (`SojournOperator.eigensystem`); tau is the spectrum of
-    T_op / T."""
+    operator's window in the free eigenbasis, free_eig, its coordinates
+    z = W^dag free_eig = W_K^T (conj(u) free_eig) in M's eigenbasis
+    W = D_u W_K, and the cached eigensystem (tau, W_K) of the real K
+    (`SojournOperator.eigensystem`); tau is the spectrum of T_op / T."""
     t0, t1 = op.window
     _check_state(op, psi0, "run start")
     vals, vecs = op.vals, op.vecs
     phases = np.exp(-1j * vals * (t1 - t0) / HBAR)
     free_eig = phases * apply_real(vecs.T, psi0.amplitudes)
     tau, w = op.eigensystem()
-    return free_eig, tau, w
+    return free_eig, apply_real(w.T, op.midpoint_phases.conj() * free_eig), tau, w
 
 
 def run_moment_meter(
@@ -316,16 +317,16 @@ def run_moment_meter(
     """
     if order < 1 or order > 4:
         raise ParameterError("moment meter supports orders 1..4")
-    free_eig, tau, w = _free_flight(op, psi0)
+    free_eig, z, tau, w = _free_flight(op, psi0)
     vecs = op.vecs
     psi_ref = QuantumState(psi0.space, apply_real(vecs, free_eig), op.window[1])
 
     tau = (op.duration * tau) ** order
-    z = w.conj().T @ free_eig
+    u = op.midpoint_phases[:, None]
 
     def kept_columns(pi_kept, coeffs_kept):
         phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
-        kept_eig = (w @ (phases * z[:, None])) * coeffs_kept
+        kept_eig = u * apply_real(w, phases * z[:, None]) * coeffs_kept
         return apply_real(vecs, kept_eig), {}
 
     return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
@@ -423,20 +424,19 @@ def lambda_moment_route(
     lambdas = tuple(float(v) for v in lambdas)
     _checked_strengths(lambdas)
     _check_state(op, chi)
-    free_eig, tau, u = _free_flight(op, psi0)
+    free_eig, z, tau, w = _free_flight(op, psi0)
     chi_eig = apply_real(op.vecs.T, chi.amplitudes)
-    w = psi0.cell_weight
+    weight = psi0.cell_weight
     # the free evolution keeps the norm of psi0, so psi0 at the window end
     # stands in for the freely evolved state in the overlap guard
     den = checked_overlap(chi, psi0.at_time(op.window[1]),
-                          w * np.vdot(chi_eig, free_eig))
+                          weight * np.vdot(chi_eig, free_eig))
 
     tau = op.duration * tau
-    z = u.conj().T @ free_eig
+    chi_z = apply_real(w.T, op.midpoint_phases.conj() * chi_eig)
 
     def ratio(lam: float) -> complex:
-        v = u @ (np.exp(-1j * lam * tau / HBAR) * z)
-        return complex(w * np.vdot(chi_eig, v) / den)
+        return complex(weight * np.vdot(chi_z, np.exp(-1j * lam * tau / HBAR) * z) / den)
 
     readouts = []
     for lam in lambdas:

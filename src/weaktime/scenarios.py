@@ -28,7 +28,7 @@ from .clocks import (
     clock_real_potential,
     clock_shifts,
 )
-from .dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis
+from .dynamics import CoupledSystem, Hamiltonian, _eigen_coefficients, apply_real
 from .errors import ParameterError, ValidationError
 from .hilbert import (
     Grid,
@@ -158,6 +158,12 @@ class Scenario:
         return _hamiltonian(self.grid, self.potential)
 
     def initial_state(self) -> QuantumState:
+        """The read-only state at the window start, built once per scenario
+        (validation and run share it)."""
+        return self._initial_state
+
+    @functools.cached_property
+    def _initial_state(self) -> QuantumState:
         if self.initial_kind == "eigenstate":
             vals, vecs = self.hamiltonian().eigensystem()
             amps = vecs[:, self.eigenstate_index] / np.sqrt(self.grid.dx)
@@ -174,7 +180,7 @@ class Scenario:
 @functools.lru_cache(maxsize=8)
 def _hamiltonian(grid: Grid, potential: PotentialSpec) -> Hamiltonian:
     """One Hamiltonian per (grid, potential), so one eigensystem, and one
-    window filter per window length in `sojourn._filter_blocks`, which is
+    sinc filter per window length in `sojourn._filter_blocks`, which is
     keyed by the Hamiltonian; a barrier scenario asks for two, its free one
     (validation) and its own.  Eight hold the catalog's four pairs, or the
     five of a run cycling through meter scenarios, with room to spare."""
@@ -267,15 +273,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                   default=np.inf)
         if gap < 5.0 * sc.packet.sigma:
             raise ValidationError("packet starts within 5 sigma of a barrier")
-        # free pre-run: evolve without the potential and inspect the edges
-        amp = evolve_eigenbasis(
-            sc.initial_state(), _hamiltonian(sc.grid, PotentialSpec()), sc.window[1]
-        ).amplitudes
-        band = 8
-        edge_mass = float(
-            (np.sum(np.abs(amp[:band]) ** 2) + np.sum(np.abs(amp[-band:]) ** 2))
-            * sc.grid.dx
-        )
+        # free pre-run: evolve without the potential and inspect the edges,
+        # transforming back only the 8 rows at each wall
+        free = _hamiltonian(sc.grid, PotentialSpec())
+        vecs = free.eigensystem()[1]
+        edges = apply_real(np.vstack([vecs[:8], vecs[-8:]]),
+                           _eigen_coefficients(sc.initial_state(), free, sc.window[1]))
+        edge_mass = float(np.sum(np.abs(edges) ** 2) * sc.grid.dx)
         if edge_mass > EDGE_BUDGET:
             raise ValidationError(
                 f"boundary reflection budget exceeded (edge mass {edge_mass:.3e})"
@@ -371,14 +375,15 @@ class ResultBundle:
 
 def _add_sweep(bundle: ResultBundle, name: str, method: str, recs: dict, scale=1.0):
     """One swept route: its sweep payload per label under `name`, and one
-    record per label, value and residual times `scale` (the meter's T)."""
+    record per label; in both, readouts, value and residual are times
+    `scale` (the meter's T, making them times), strengths stay couplings."""
     bundle.sweeps[name] = {
         lbl: {
             "strengths": list(rec.strengths),
-            "readouts": [[v.real, v.imag] for v in rec.readouts],
-            "value": [rec.value.real, rec.value.imag],
+            "readouts": [[scale * v.real, scale * v.imag] for v in rec.readouts],
+            "value": [scale * rec.value.real, scale * rec.value.imag],
             "order": rec.order,
-            "residual": rec.residual,
+            "residual": scale * rec.residual,
             "flagged": rec.flagged,
         }
         for lbl, rec in recs.items()
@@ -483,10 +488,14 @@ def run_scenario(
     )
     ham = scenario.hamiltonian()
     psi0 = scenario.initial_state()
-    psi_final = evolve_eigenbasis(psi0, ham, scenario.window[1])
+    # one forward transform feeds the final state and the sojourn ladder
+    coeffs = _eigen_coefficients(psi0, ham, scenario.window[1])
+    psi_final = QuantumState(psi0.space, apply_real(ham.eigensystem()[1], coeffs),
+                             scenario.window[1])
     chis = _postselectors(scenario, psi_final)
     if "sojourn" in pipelines:
         op = sojourn_matrix(scenario.region, ham, scenario.window)
+        op._start(psi_final.amplitudes, coeffs)
         _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
     if "clocks" in pipelines or "meter" in pipelines:
         # one node block per scenario: the clocks and the meter read one
@@ -684,14 +693,17 @@ def emit(bundle: ResultBundle, fmt: str = "csv", out_dir: str = ".") -> list[str
         raise ParameterError(f"unknown emit format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{bundle.scenario}.csv")
-        with open(path, "w") as fh:
-            fh.write(bundle_to_csv(bundle))
-        paths.append(path)
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{bundle.scenario}.json")
-        with open(path, "w") as fh:
-            fh.write(bundle_to_json(bundle))
-        paths.append(path)
+    for ext, render in (("csv", bundle_to_csv), ("json", bundle_to_json)):
+        if fmt in (ext, "both"):
+            paths.append(os.path.join(out_dir, f"{bundle.scenario}.{ext}"))
+            write_text(paths[-1], render(bundle))
     return paths
+
+
+def write_text(path: str, text: str) -> None:
+    """`text` as the whole file at `path`, written over it and cut to length:
+    truncating first makes ext4 (auto_da_alloc) allocate the blocks at
+    close, 110-380 us against 18 us for rewriting a 6 kB file."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()

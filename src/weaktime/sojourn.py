@@ -2,25 +2,24 @@
 
 The central object is the time average of the Heisenberg-picture region
 projector P over a window, (1/T) times the integral of
-U0(t_f,t) P U0^dag(t_f,t) over t.  It is evaluated exactly in the real
-eigenbasis V of the free Hamiltonian, as the elementwise product
-M = (V_R^T V_R) * F, with V_R the region's rows of V and F the closed-form
-window filter sinc(phi) exp(-i phi) of the level differences,
-phi = (E_i - E_j) T / 2 hbar.  F depends only on the levels and T, so its
-upper block rows are evaluated once per (Hamiltonian, window length), one
-evaluation per level pair, and kept for the eight most recently used pairs
-(`functools.lru_cache`).  `sojourn_matrix` forms M once, as its upper
-block rows only, each its own block of V_R^T V_R times the filter's, and
-the operator keeps them read-only for its lifetime (N^2/2 + 32N complex
-values, 2.4 MB at N = 512); no N x N Gram is formed.  V_R^T V_R is
-symmetric and F_ji = conj(F_ij), so the conjugate of each block row is
-M's column block below the diagonal.  Every readout applies M as
-V M^l V^T to a few vectors (one ladder M^l V^T a per state); no
-position-basis matrix is formed.  Scaled by the window length T this is
-the hermitian sojourn-time operator T V M V^T, with spectrum in [0, T] up
-to rounding, whose matrix elements give dwell times, postselected
-traversal times and their higher moments; the projector's weak value is
-the dwell time (or, postselected, the traversal time) over T.
+U0(t_f,t) P U0^dag(t_f,t) over t, evaluated exactly in the real
+eigenbasis V of the free Hamiltonian.  Its window filter sinc(phi)
+exp(-i phi), phi = (E_i - E_j) T / 2 hbar, factors as sinc(phi) u_i
+conj(u_j) with u = exp(-i E T / 2 hbar), so M = D_u K D_u^dag: K =
+(V_R^T V_R) * sinc(phi), V_R the region's rows of V, is the same average
+about the window midpoint, real symmetric since the Hamiltonian is real.
+sinc(phi) depends only on the levels and T, so its upper block rows are
+evaluated once per (Hamiltonian, window length) and kept for the eight
+most recently used pairs (`functools.lru_cache`; N^2/2 + 32N float64
+values, 1.2 MB at N = 512, so at most 9.6 MB).  `sojourn_matrix` forms
+K's upper block rows once, each its own block of V_R^T V_R scaled in
+place by sinc's, and the operator keeps them (1.2 MB at N = 512).  Every
+readout applies M as V D_u K^l D_u^dag V^T to a few vectors; no
+position-basis matrix is formed.  Scaled by T this is the hermitian
+sojourn-time operator T V M V^T, with spectrum in [0, T] up to rounding,
+whose matrix elements give dwell times, postselected traversal times and
+their higher moments; the projector's weak value is the dwell time (or,
+postselected, the traversal time) over T.
 
 All states passed to the readout functions are Heisenberg-representation
 states referenced to the window end, i.e. Schroedinger states evolved to
@@ -46,20 +45,21 @@ from .hilbert import (
 )
 
 ANOMALY_FACTOR = 10.0
-_BLOCK = 64  # rows of M per block row
+_BLOCK = 64  # rows of K per block row
 
 
 @dataclass(frozen=True, eq=False)
 class SojournOperator:
     """Window length T times the exact time average of a region projector,
     held in the real eigenbasis (`vals`, `vecs`) of the free Hamiltonian it
-    was built from as the upper block rows `blocks` of its eigenbasis
-    matrix M = (V_R^T V_R) * F: (i0, i1, M[i0:i1, i0:]) for i0 in steps of
-    64, read-only, N^2/2 + 32N complex values (2.4 MB at N = 512).  The
-    conjugate of each block row is M's column block below the diagonal.
+    was built from as M = D_u K D_u^dag, u = `midpoint_phases` and K the
+    real symmetric average about the window midpoint, kept as its upper
+    block rows `blocks`: (i0, i1, K[i0:i1, i0:]) for i0 in steps of 64,
+    float64, read-only, N^2/2 + 32N values (1.2 MB at N = 512).  The
+    transpose of each block row is K's column block below the diagonal.
     The position-basis operator is T V M V^T, with spectrum in [0, T] up to
     rounding; the package never forms it.  T^l enters its powers as a
-    scalar.  M's own eigensystem is solved on first use and cached, like
+    scalar.  K's own eigensystem is solved on first use and cached, like
     `Hamiltonian.eigensystem`."""
 
     space: FactorSpace
@@ -73,26 +73,40 @@ class SojournOperator:
     def duration(self) -> float:
         return self.window[1] - self.window[0]
 
-    def _apply_eigen(self, x: np.ndarray) -> np.ndarray:
-        """M x, from the block rows and their conjugate mirrors."""
-        y = np.zeros(x.shape, dtype=complex)
+    @functools.cached_property
+    def midpoint_phases(self) -> np.ndarray:
+        """u = exp(-i E T / 2 hbar), read-only: M = D_u K D_u^dag."""
+        u = np.exp(-1j * (self.vals * (0.5 * self.duration / HBAR)))
+        u.flags.writeable = False
+        return u
+
+    def _apply_k(self, x: np.ndarray) -> np.ndarray:
+        """K x for a contiguous complex x, from the block rows and their
+        transposed mirrors, as real products on its interleaved float view."""
+        xf = x.view(float).reshape(-1, 2)
+        y = np.zeros_like(xf)
         for i0, i1, block in self.blocks:
-            y[i0:i1] += block @ x[i0:]
-            y[i1:] += (x[i0:i1].conj() @ block[:, _BLOCK:]).conj()
-        return y
+            y[i0:i1] += block @ xf[i0:]
+            y[i1:] += block[:, _BLOCK:].T @ xf[i0:i1]
+        return y.view(complex)[:, 0]
+
+    def _start(self, amplitudes: np.ndarray, coefficients: np.ndarray):
+        """Start the readout ladder of `amplitudes` from their eigenbasis
+        coefficients V^T a; kept, by identity, only for read-only ones."""
+        key = None if amplitudes.flags.writeable else amplitudes
+        self._cache["ladder"] = (key, [self.midpoint_phases.conj() * coefficients], {})
 
     def _average(self, amplitudes: np.ndarray, power: int) -> np.ndarray:
-        """V M^power V^T a, read-only.  The ladder M^l V^T a and its back
-        transforms are kept for the last read-only `amplitudes`, by identity."""
+        """V M^power V^T a, read-only.  The ladder K^l D_u^dag V^T a and its
+        back transforms are kept for the last read-only `amplitudes`."""
         memo = self._cache.get("ladder", (None,))
         if memo[0] is not amplitudes or amplitudes.flags.writeable:
-            key = None if amplitudes.flags.writeable else amplitudes
-            memo = self._cache["ladder"] = (key, [apply_real(self.vecs.T, amplitudes)], {})
-        _, ladder, back = memo
+            self._start(amplitudes, apply_real(self.vecs.T, amplitudes))
+        _, ladder, back = self._cache["ladder"]
         while len(ladder) <= power:
-            ladder.append(self._apply_eigen(ladder[-1]))
+            ladder.append(self._apply_k(ladder[-1]))
         if power not in back:
-            back[power] = apply_real(self.vecs, ladder[power])
+            back[power] = apply_real(self.vecs, self.midpoint_phases * ladder[power])
             back[power].flags.writeable = False
         return back[power]
 
@@ -101,15 +115,15 @@ class SojournOperator:
         return self.duration**power * self._average(amplitudes, power)
 
     def eigensystem(self):
-        """Real eigenvalues and unitary eigenvectors (tau, W) of M, so that
-        M = W diag(tau) W^dag; one hermitian eigh of M's lower triangle,
-        filled with the conjugate transposed block rows, cached."""
+        """Eigenvalues and real orthogonal eigenvectors (tau, W_K) of K, so
+        M = W diag(tau) W^dag with W = D_u W_K; one real symmetric eigh of
+        K's lower triangle, filled with the transposed block rows, cached."""
         cached = self._cache.get("eig")
         if cached is None:
             n = self.vals.size
-            lower = np.zeros((n, n), dtype=complex)
+            lower = np.zeros((n, n))
             for i0, i1, block in self.blocks:
-                lower[i0:, i0:i1] = block.conj().T
+                lower[i0:, i0:i1] = block.T
             cached = self._cache["eig"] = np.linalg.eigh(lower)
         return cached
 
@@ -123,26 +137,25 @@ class WeakValueResult:
     anomalous: bool = False
 
 
-def _window_filter(phi: np.ndarray) -> np.ndarray:
-    """(1/T) times the integral of exp(-i omega s) over s in [0, T], as
-    sinc(phi) exp(-i phi) with phi = omega T / 2: no cancellation at any phi,
-    exactly 1 at phi == 0, and made of the odd sin and the even cos alone, so
-    that the filter of -phi is the exact conjugate of the filter of phi."""
+def _window_sinc(phi: np.ndarray) -> np.ndarray:
+    """sinc(phi) = sin(phi) / phi, the real factor of the window filter
+    (1/T) times the integral of exp(-i omega s) over s in [0, T], phi =
+    omega T / 2: no cancellation at any phi, exactly 1 at phi == 0, and,
+    sin being odd, exactly even, so that K is exactly symmetric."""
     sin_phi = np.sin(phi)
-    sinc = np.divide(sin_phi, phi, out=np.ones_like(phi), where=phi != 0.0)
-    return sinc * np.cos(phi) - 1j * (sinc * sin_phi)
+    return np.divide(sin_phi, phi, out=np.ones_like(phi), where=phi != 0.0)
 
 
 @functools.lru_cache(maxsize=8)
 def _filter_blocks(hamiltonian: Hamiltonian, duration: float) -> tuple:
-    """Upper block rows F[i0:i0+64, i0:] of the window filter of the levels
-    of `hamiltonian` over `duration`, read-only.  One entry is N^2/2 + 32N
-    complex values (2.4 MB at N = 512), so the cache holds at most 19 MB at
-    N = 512."""
+    """Upper block rows S[i0:i0+64, i0:] of sinc(phi) over the levels of
+    `hamiltonian` and `duration`, float64, read-only.  One entry is
+    N^2/2 + 32N values (1.2 MB at N = 512), so the cache holds at most
+    9.6 MB at N = 512."""
     vals = hamiltonian.eigensystem()[0]
     scale = 0.5 * duration / HBAR
     blocks = tuple(
-        _window_filter((vals[i0:i0 + _BLOCK, None] - vals[None, i0:]) * scale)
+        _window_sinc((vals[i0:i0 + _BLOCK, None] - vals[None, i0:]) * scale)
         for i0 in range(0, vals.size, _BLOCK)
     )
     for block in blocks:
@@ -156,9 +169,9 @@ def sojourn_matrix(
     window: tuple[float, float],
 ) -> SojournOperator:
     """Sojourn-time operator for `region` over `window`, on the position grid
-    of `free_hamiltonian`.  The region projector is diagonal, so M needs
+    of `free_hamiltonian`.  The region projector is diagonal, so K needs
     only the region's rows V_R of V: each upper block row is its own block
-    of V_R^T V_R times the filter's."""
+    of V_R^T V_R scaled in place by sinc's."""
     grid = free_hamiltonian.position_grid
     if grid is None:
         raise StructureError("sojourn operator requires a position-only Hamiltonian")
@@ -169,8 +182,9 @@ def sojourn_matrix(
     vals, vecs = free_hamiltonian.eigensystem()
     rows = vecs[region.indices(grid)]
     blocks = []
-    for i0, f in zip(range(0, vals.size, _BLOCK), _filter_blocks(free_hamiltonian, duration)):
-        block = rows[:, i0:i0 + _BLOCK].T @ rows[:, i0:] * f  # the slices stop at N
+    for i0, s in zip(range(0, vals.size, _BLOCK), _filter_blocks(free_hamiltonian, duration)):
+        block = rows[:, i0:i0 + _BLOCK].T @ rows[:, i0:]  # the slices stop at N
+        block *= s
         block.flags.writeable = False
         blocks.append((i0, i0 + _BLOCK, block))
     return SojournOperator(free_hamiltonian.space, (t_start, t_stop), tuple(blocks), vals, vecs)

@@ -6,13 +6,15 @@ propagation (a dense exponential with an absorber) and literal tensor
 products (system (x) pointer, position (x) spin), sharing no code with the
 package beyond the numbers it is fed; the dense matrices of the package's
 Hamiltonian and sojourn operator are built here too (`dense_hamiltonian`
-from the kinetic stencil, not from `Hamiltonian.tridiagonal`;
-`eigen_matrix` assembles M whole from a `SojournOperator`'s upper block
-rows, the one form of M the package keeps).  The exceptions compare two
-definitions of one quantity rather than the package against a reference,
-so they compose the package's own pieces: `full_eigen_matrix` reuses the
-window filter, because it pins the blocked arrangement of M and not the
-filter (which is checked against mpmath);
+from the kinetic stencil, not from `Hamiltonian.tridiagonal`; `k_matrix`
+assembles K whole from a `SojournOperator`'s upper block rows, the one
+form of M = D_u K D_u^dag the package keeps, and `eigen_matrix` rotates
+it by phases computed here; `full_eigen_matrix` builds M with the
+unfactored complex filter).  The exceptions compare two definitions of
+one quantity rather than the package against a reference, so they
+compose the package's own pieces: `full_k_matrix` reuses the sinc
+filter, because it pins the blocked arrangement of K and not the filter
+(which is checked against mpmath);
 `second_moment_position_postselected` composes the guarded readouts;
 `conditional_mean_sum` reads the marginal pointer through
 `pointer_distribution`; and `derivative_identity_check` guards its
@@ -29,7 +31,7 @@ from weaktime.clocks import extrapolate_to_zero
 from weaktime.errors import ParameterError
 from weaktime.hilbert import HBAR, basis_cell_state, checked_overlap, fourier_momentum_values
 from weaktime.meter import pointer_distribution
-from weaktime.sojourn import _window_filter, moment
+from weaktime.sojourn import _window_sinc, moment
 
 
 def evolve_exact(h_matrix, psi, duration):
@@ -57,23 +59,45 @@ def time_average(a_matrix, h_matrix, window):
     return block @ scipy.linalg.expm(1j * duration * h_matrix) / duration
 
 
-def eigen_matrix(op):
-    """A `SojournOperator`'s eigenbasis matrix M as one N x N array: its
-    upper block rows, with their conjugates as the column blocks below."""
+def k_matrix(op):
+    """A `SojournOperator`'s real midpoint matrix K as one N x N array: its
+    upper block rows, with their transposes as the column blocks below."""
     n = op.vals.size
-    m = np.empty((n, n), dtype=complex)
+    k = np.empty((n, n))
     for i0, i1, block in op.blocks:
-        m[i0:i1, i0:] = block
-        m[i1:, i0:i1] = block[:, i1 - i0:].conj().T
-    return m
+        k[i0:i1, i0:] = block
+        k[i1:, i0:i1] = block[:, i1 - i0:].T
+    return k
+
+
+def midpoint_phases(vals, duration):
+    """u = exp(-i E T / 2 hbar), the free phases over half the window."""
+    return np.exp(-0.5j * vals * duration / HBAR)
+
+
+def eigen_matrix(op):
+    """A `SojournOperator`'s eigenbasis matrix M = D_u K D_u^dag as one
+    N x N array, u from the levels and window length (`midpoint_phases`)."""
+    u = midpoint_phases(op.vals, op.duration)
+    return u[:, None] * k_matrix(op) * u.conj()[None, :]
+
+
+def full_k_matrix(rows, vals, duration):
+    """The sojourn operator's midpoint matrix K = (V_R^T V_R) * sinc(phi) in
+    one full N x N build, every level pair filtered at once."""
+    phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
+    return (rows.T @ rows) * _window_sinc(phi)
 
 
 def full_eigen_matrix(rows, vals, duration):
     """The sojourn operator's eigenbasis matrix M = (V_R^T V_R) * F(phi) in
-    one full N x N build, every level pair filtered, as `sojourn_matrix`
-    formed it before it built M in row blocks."""
+    one full N x N build, with the unfactored window filter F(phi) = sinc(phi)
+    exp(-i phi) = sinc(phi) cos(phi) - i sinc(phi) sin(phi) of every level
+    pair, as `sojourn_matrix` formed it before it kept the midpoint K."""
     phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
-    return (rows.T @ rows) * _window_filter(phi)
+    sin_phi = np.sin(phi)
+    sinc = np.divide(sin_phi, phi, out=np.ones_like(phi), where=phi != 0.0)
+    return (rows.T @ rows) * (sinc * np.cos(phi) - 1j * (sinc * sin_phi))
 
 
 @dataclass(frozen=True)
@@ -187,18 +211,18 @@ def stepped_moment_meter(h_matrix, t_matrix, order, psi0, phi, dq, coupling,
         return (vecs * np.exp(-1j * vals * s)) @ vecs.conj().T
 
     power = np.linalg.matrix_power(t_matrix, order)
-    conj = [u0(tf - (t0 + (j + 0.5) * dt)) for j in range(n)]
+    frames = [u0(tf - (t0 + (j + 0.5) * dt)) for j in range(n)]
+    frames = [(c, c.conj().T) for c in frames]
     p = 2.0 * np.pi * np.fft.fftfreq(phi.size, d=dq)
     coeffs = np.fft.fft(phi)
-    modes = np.empty((psi0.size, phi.size), dtype=complex)
-    for k in range(phi.size):
-        w, u = scipy.linalg.eigh(h_matrix + (coupling * p[k] / span) * power)
-        step = (u * np.exp(-1j * dt * w)) @ u.conj().T
-        v = psi0
-        for c in conj:
-            v = c.conj().T @ (step @ (c @ v))
-        modes[:, k] = coeffs[k] * v
-    return np.fft.ifft(modes, axis=1)
+    # every mode at once: one step matrix per mode, stacked (mode, N, N),
+    # and the modes' states as the columns of one (N, mode) block
+    w, u = np.linalg.eigh(h_matrix + (coupling * p[:, None, None] / span) * power)
+    steps = (u * np.exp(-1j * dt * w)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    v = np.repeat(psi0[:, None].astype(complex), phi.size, axis=1)
+    for c, c_dag in frames:
+        v = c_dag @ (steps @ (c @ v).T[:, :, None])[:, :, 0].T
+    return np.fft.ifft(coeffs * v, axis=1)
 
 
 def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):

@@ -106,8 +106,8 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
             and getattr(obj, f.name).shape == (n, n)
         }
 
-    # no N x N array of its own: M is kept only as its upper block rows
-    # (N^2/2 + 32N values), never a whole Gram; V is the Hamiltonian's
+    # no N x N array of its own: M = D_u K D_u^dag is kept only as K's upper
+    # block rows (N^2/2 + 32N real values), never a whole Gram; V is the Hamiltonian's
     # cached eigenbasis, shared rather than copied
     assert [f.name for f in dataclasses.fields(op)] == [
         "space", "window", "blocks", "vals", "vecs", "_cache"]
@@ -117,13 +117,13 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
     # evaluation per (Hamiltonian, length), whatever the region or window
     # start, kept in one module-level LRU and not on the Hamiltonian
     calls = []
-    evaluate = sojourn._window_filter
+    evaluate = sojourn._window_sinc
 
     def counting(phi):
         calls.append(1)
         return evaluate(phi)
 
-    monkeypatch.setattr(sojourn, "_window_filter", counting)
+    monkeypatch.setattr(sojourn, "_window_sinc", counting)
     sojourn_matrix(Region(1.0, 6.0), ham, (1.0, 3.0))
     assert calls == []
     assert sojourn._filter_blocks(ham, 2.0) is sojourn._filter_blocks(ham, 2.0)
@@ -141,8 +141,8 @@ def test_sojourn_operator_shares_one_window_filter(monkeypatch):
 
 
 def test_exact_time_average_has_no_quadrature_knob():
-    # the window average is the closed-form filter, hermitian by
-    # construction: no slice count anywhere, and no hermiticity repair
+    # the window average is the closed-form filter, its midpoint form K
+    # symmetric by construction: no slice count anywhere, and no hermiticity repair
     # whose failure would need its own error type
     assert [name for name, params in _public_parameters() if "n_slices" in params] == []
     assert "n_slices" not in {f.name for f in dataclasses.fields(weaktime.Scenario)}

@@ -405,6 +405,24 @@ def test_emit_writes_requested_formats(tmp_path):
     assert len(rows[1].split(",")) == 8
 
 
+def test_emit_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path):
+    # the files are rewritten in place and cut to the written length, never
+    # truncated first: a fresh directory gets new files, and re-emitting
+    # over longer ones leaves exactly the new bytes
+    bundle = ResultBundle(scenario="demo")
+    bundle.add(method="sojourn", postselection="none", order=1,
+               value=2.0, tolerance=0.0, residual=0.0)
+    expected = [bundle_to_csv(bundle).encode(), bundle_to_json(bundle).encode()]
+    out = tmp_path / "fresh"
+    paths = emit(bundle, fmt="both", out_dir=str(out))
+    assert [open(p, "rb").read() for p in paths] == expected
+    for path, data in zip(paths, expected):
+        with open(path, "wb") as fh:
+            fh.write(b"#" * (3 * len(data)))
+    assert emit(bundle, fmt="both", out_dir=str(out)) == paths
+    assert [open(p, "rb").read() for p in paths] == expected
+
+
 def test_run_scenario_well_reports_half_window(well_ctx):
     bundle = run_scenario(well_ctx.scenario, pipelines=("sojourn",))
     rec = [r for r in bundle.records if r.method == "sojourn"][0]
@@ -515,6 +533,21 @@ def test_meter_pipeline_well_reports_half_window(well_meter):
     rec = [r for r in bundle.records if r.method == "meter"][0]
     half = 0.5 * catalog()["well_halves"].duration()
     assert rec.value == pytest.approx(half, abs=1e-9)
+
+
+def test_meter_sweep_payload_is_in_time_units_like_every_sweep():
+    # the meter's sweep readouts, value and residual are times, scaled by T
+    # like its record and like the clock sweeps; its strengths stay couplings
+    sc = catalog()["well_halves"]
+    bundle = run_scenario(sc, pipelines=("clocks", "meter"))
+    sweep = bundle.sweeps["meter"]["none"]
+    [rec] = [r for r in bundle.records if r.method == "meter"]
+    half = 0.5 * sc.duration()
+    assert sweep["value"][0] == rec.value == pytest.approx(half, abs=1e-9)
+    assert bundle.sweeps["larmor"]["none"]["value"][0] == pytest.approx(half, rel=1e-6)
+    assert sweep["residual"] == rec.residual
+    assert sweep["strengths"] == list(scenarios.METER_LADDER)
+    assert all(re == pytest.approx(half, rel=1e-3) for re, _ in sweep["readouts"])
 
 
 @pytest.mark.parametrize("name, pipelines", [

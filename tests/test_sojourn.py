@@ -9,6 +9,7 @@ from weaktime import scenarios
 from weaktime.dynamics import Hamiltonian
 from weaktime.errors import DegeneratePostselectionError, ParameterError, StructureError
 from weaktime.hilbert import (
+    HBAR,
     Grid,
     QuantumState,
     Region,
@@ -21,7 +22,9 @@ from weaktime.scenarios import catalog, run_scenario
 from weaktime.sojourn import (
     ANOMALY_FACTOR,
     _BLOCK,
-    _window_filter,
+    SojournOperator,
+    _filter_blocks,
+    _window_sinc,
     conditional_dwell_time,
     dwell_time,
     moment,
@@ -99,28 +102,32 @@ def test_sojourn_matrix_needs_position_grid():
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_spectrum_within_window(ctx, request):
     op = request.getfixturevalue(ctx).op
-    # the stored eigenbasis matrix M has the spectrum of T_op / T, inside
-    # [0, 1] up to rounding now that the average is exact
-    tau = np.linalg.eigvalsh(oracle.eigen_matrix(op))
+    # the stored midpoint matrix K, unitarily similar to M, has the
+    # spectrum of T_op / T, inside [0, 1] up to rounding now that the
+    # average is exact
+    tau = np.linalg.eigvalsh(oracle.k_matrix(op))
     assert tau.min() >= -1e-12
     assert tau.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_matrix_is_exactly_hermitian(ctx, request):
-    m = oracle.eigen_matrix(request.getfixturevalue(ctx).op)
-    assert np.array_equal(m, m.conj().T)
+    # the kept form of M is the real K, so hermitian means exactly symmetric
+    op = request.getfixturevalue(ctx).op
+    assert all(block.dtype == np.float64 for _, _, block in op.blocks)
+    k = oracle.k_matrix(op)
+    assert np.array_equal(k, k.T)
 
 
 @pytest.mark.parametrize("ctx", ["barrier_ctx", "farside_ctx", "free_box_ctx", "well_ctx"])
 def test_catalog_sojourn_matrix_equals_full_build(ctx, request):
-    # the row blocks and their mirrored conjugates are bit for bit the
-    # matrix that filters every level pair at once
+    # the row blocks and their mirrored transposes are bit for bit the
+    # K that filters every level pair at once
     c = request.getfixturevalue(ctx)
     vals, vecs = c.ham.eigensystem()
     rows = vecs[c.scenario.region.indices(c.scenario.grid)]
-    full = oracle.full_eigen_matrix(rows, vals, c.scenario.duration())
-    assert np.array_equal(oracle.eigen_matrix(c.op), full)
+    full = oracle.full_k_matrix(rows, vals, c.scenario.duration())
+    assert np.array_equal(oracle.k_matrix(c.op), full)
 
 
 # grids up to 200 points cross the block edges at 64 and 128
@@ -146,11 +153,16 @@ def _random_case(n, dx, lo, width, v0):
 @settings(max_examples=30, deadline=None)
 @given(*RANDOM_CASES)
 def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
-    # M = (V_R^T V_R) * F with F(-phi) = conj F(phi) bit for bit, so no
-    # symmetrization is needed on any grid, potential or window
+    # the kept K = (V_R^T V_R) * sinc(phi) is real, with phi exactly
+    # antisymmetric and sinc(-phi) == sinc(phi) bit for bit, so it is
+    # exactly symmetric, with no symmetrization, on any grid, potential or
+    # window
     region, ham = _random_case(n, dx, lo, width, v0)
-    m = oracle.eigen_matrix(sojourn_matrix(region, ham, (0.0, duration)))
-    assert np.array_equal(m, m.conj().T)
+    vals = ham.eigensystem()[0]
+    phi = (vals[:, None] - vals[None, :]) * (0.5 * duration / HBAR)
+    assert np.array_equal(_window_sinc(-phi), _window_sinc(phi))
+    k = oracle.k_matrix(sojourn_matrix(region, ham, (0.0, duration)))
+    assert np.array_equal(k, k.T)
 
 
 @settings(max_examples=30, deadline=None)
@@ -161,22 +173,52 @@ def test_sojourn_matrix_is_exactly_hermitian(n, dx, lo, width, v0, duration):
 @given(*RANDOM_CASES)
 def test_sojourn_matrix_equals_full_build(n, dx, lo, width, v0, duration):
     # the block rows' Gram products are not the full build's one syrk, so
-    # off the catalog they agree to rounding: 1e-15 ||M||_F
+    # off the catalog they agree to rounding: 1e-15 ||K||_F
+    region, ham = _random_case(n, dx, lo, width, v0)
+    vals, vecs = ham.eigensystem()
+    full = oracle.full_k_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    k = oracle.k_matrix(sojourn_matrix(region, ham, (0.0, duration)))
+    assert np.linalg.norm(k - full) <= 1e-15 * np.linalg.norm(full)
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=64, dx=0.5, lo=0.2, width=0.3, v0=1.0, duration=5.0)
+@example(n=65, dx=0.5, lo=0.0, width=1.0, v0=-2.0, duration=50.0)
+@example(n=129, dx=0.3, lo=0.5, width=0.1, v0=3.0, duration=0.01)
+@example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0)
+@given(*RANDOM_CASES)
+def test_midpoint_rotation_matches_the_complex_filter_build(n, dx, lo, width, v0, duration):
+    # D_u K D_u^dag against M = (V_R^T V_R) * sinc(phi) exp(-i phi) built
+    # whole.  Entry by entry they differ only in how the phase is rounded:
+    # theta_i = E_i T / 2 hbar rounds with error <= eps |theta_i| <= eps
+    # Theta, Theta = max|E| T / 2 hbar, so theta_i - theta_j is off by at
+    # most 2 eps Theta, and phi_ij = (E_i - E_j) T / 2 hbar, at most
+    # 2 Theta in size, by at most 2 eps |phi_ij| <= 4 eps Theta; the two
+    # exponentials, the products by u_i, conj(u_j) and the full build's
+    # sinc cos and sinc sin add a few eps more.  So |dM_ij| <= (6 Theta +
+    # c) eps |M_ij|, and over the Frobenius norm, with room, 8 eps (Theta +
+    # 1) ||M||_F
     region, ham = _random_case(n, dx, lo, width, v0)
     vals, vecs = ham.eigensystem()
     full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
-    m = oracle.eigen_matrix(sojourn_matrix(region, ham, (0.0, duration)))
-    assert np.linalg.norm(m - full) <= 1e-15 * np.linalg.norm(full)
+    op = sojourn_matrix(region, ham, (0.0, duration))
+    u = op.midpoint_phases
+    rotated = u[:, None] * oracle.k_matrix(op) * u.conj()[None, :]
+    theta = np.abs(vals).max() * 0.5 * duration / HBAR
+    bound = 8.0 * np.finfo(float).eps * (theta + 1.0) * np.linalg.norm(full)
+    assert np.linalg.norm(rotated - full) <= bound
 
 
 def _check_eigensystem(op, full):
-    # tau is the spectrum of T_op / T, W is unitary and W diag(tau) W^dag is
-    # M; the eigh reads only the block rows, and its result is kept
+    # tau is the spectrum of T_op / T, W_K is real orthogonal and W_K
+    # diag(tau) W_K^T is K; the real eigh reads only the block rows, and its
+    # result is kept
     tau, w = op.eigensystem()
     n = op.vals.size
+    assert w.dtype == np.float64
     assert tau.min() >= -1e-12 and tau.max() <= 1.0 + 1e-12
-    assert np.abs(w.conj().T @ w - np.eye(n)).max() <= 1e-13
-    assert np.linalg.norm((w * tau) @ w.conj().T - full) <= 1e-13 * np.linalg.norm(full)
+    assert np.abs(w.T @ w - np.eye(n)).max() <= 1e-13
+    assert np.linalg.norm((w * tau) @ w.T - full) <= 1e-13 * np.linalg.norm(full)
     again = op.eigensystem()
     assert again[0] is tau and again[1] is w
 
@@ -186,7 +228,7 @@ def test_catalog_eigensystem_diagonalizes_the_eigenbasis_matrix(ctx, request):
     c = request.getfixturevalue(ctx)
     vals, vecs = c.ham.eigensystem()
     rows = vecs[c.scenario.region.indices(c.scenario.grid)]
-    _check_eigensystem(c.op, oracle.full_eigen_matrix(rows, vals, c.scenario.duration()))
+    _check_eigensystem(c.op, oracle.full_k_matrix(rows, vals, c.scenario.duration()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,7 +238,7 @@ def test_catalog_eigensystem_diagonalizes_the_eigenbasis_matrix(ctx, request):
 def test_eigensystem_diagonalizes_the_eigenbasis_matrix(n, dx, lo, width, v0, duration):
     region, ham = _random_case(n, dx, lo, width, v0)
     vals, vecs = ham.eigensystem()
-    full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    full = oracle.full_k_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
     _check_eigensystem(sojourn_matrix(region, ham, (0.0, duration)), full)
 
 
@@ -207,22 +249,22 @@ def test_eigensystem_diagonalizes_the_eigenbasis_matrix(n, dx, lo, width, v0, du
 @example(n=200, dx=1.0, lo=0.9, width=1.0, v0=0.0, duration=300.0, seed=3)
 @given(*RANDOM_CASES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_block_application_matches_full_build(n, dx, lo, width, v0, duration, seed):
-    # the readouts apply M from its block rows and their mirrors, never
+    # the readouts apply K from its block rows and their mirrors, never
     # forming it: the full build's product up to rounding, bounded by
-    # 1e-14 ||M||_F ||x||
+    # 1e-14 ||K||_F ||x||
     region, ham = _random_case(n, dx, lo, width, v0)
     vals, vecs = ham.eigensystem()
-    full = oracle.full_eigen_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
+    full = oracle.full_k_matrix(vecs[region.indices(ham.position_grid)], vals, duration)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = sojourn_matrix(region, ham, (0.0, duration))._apply_eigen(x)
+    got = sojourn_matrix(region, ham, (0.0, duration))._apply_k(x)
     bound = 1e-14 * np.linalg.norm(full) * np.linalg.norm(x)
     assert np.linalg.norm(got - full @ x) <= bound
 
 
 def test_sojourn_pipeline_forms_each_block_row_once(monkeypatch):
     # the readouts climb the ladder to M^2 on one operator, and the moment
-    # sums and the position integral read it again: every block row of M
+    # sums and the position integral read it again: every block row of K
     # is formed once, by `sojourn_matrix`, and read from then on
     sc = catalog()["barrier_dwell"]
     assert sc.postselection == "transmitted_reflected"
@@ -237,9 +279,10 @@ def test_sojourn_pipeline_forms_each_block_row_once(monkeypatch):
 
 
 def test_kept_block_rows_are_read_only_and_reused():
-    # the kept rows are M's upper block rows, N^2/2 + 32N values and no
-    # whole Gram; every application reads them and gives, bit for bit,
-    # what a fresh operator gives
+    # the kept rows are K's upper block rows, N^2/2 + 32N float64 values and
+    # no whole Gram, scaled by the cached sinc rows of the same shape; every
+    # application reads them and gives, bit for bit, what a fresh operator
+    # gives
     grid = Grid(192, 0.0, 95.5)
     ham = Hamiltonian(position_space(grid),
                       potential_real=1.5 * Region(40.0, 44.0).indicator(grid))
@@ -250,19 +293,21 @@ def test_kept_block_rows_are_read_only_and_reused():
     op = sojourn_matrix(region, ham, window)
     kept = op.blocks
     assert sum(block.size for _, _, block in kept) == n * n // 2 + 32 * n
-    for i0, i1, block in kept:
-        assert block.shape == (min(i1, n) - i0, n - i0)
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0] = 0.0
-    op._apply_eigen(x)
-    second = op._apply_eigen(y)
-    assert np.array_equal(second, sojourn_matrix(region, ham, window)._apply_eigen(y))
+    for (i0, i1, block), sinc in zip(kept, _filter_blocks(ham, 30.0), strict=True):
+        assert block.shape == sinc.shape == (min(i1, n) - i0, n - i0)
+        assert block.dtype == sinc.dtype == np.float64
+        for arr in (block, sinc):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+    op._apply_k(x)
+    second = op._apply_k(y)
+    assert np.array_equal(second, sojourn_matrix(region, ham, window)._apply_k(y))
 
 
-def _mp_filter(phi):
+def _mp_sinc(phi):
     with mpmath.workdps(40):
         x = mpmath.mpf(phi)
-        return complex(mpmath.sin(x) / x * mpmath.exp(-1j * x))
+        return float(mpmath.sin(x) / x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -274,22 +319,29 @@ def _mp_filter(phi):
     st.sampled_from([1.0, -1.0]),
 )
 def test_window_filter_matches_mpmath(log_phi, sign):
-    # sinc(phi) exp(-i phi) against 40-digit arithmetic over |phi| in
-    # [1e-14, 1e3]; log_phi None is phi == 0, where the filter is exactly 1
+    # the filter's kept factor sinc(phi) against 40-digit arithmetic over
+    # |phi| in [1e-14, 1e3]; log_phi None is phi == 0, where it is exactly 1
     if log_phi is None:
-        assert _window_filter(np.array([0.0]))[0] == 1.0
+        assert _window_sinc(np.array([0.0]))[0] == 1.0
         return
     phi = sign * 10.0**log_phi
-    assert abs(_window_filter(np.array([phi]))[0] - _mp_filter(phi)) <= 1e-15
+    assert abs(_window_sinc(np.array([phi]))[0] - _mp_sinc(phi)) <= 1e-15
 
 
 def test_window_filter_is_one_only_at_zero_frequency():
-    # omega = 3e-10 over T = 50 gives phi = omega T / 2 = 7.5e-9
-    f = _window_filter(np.array([0.0, 7.5e-9]))
-    assert f[0] == 1.0
-    assert f[1] != 1.0
+    # a level pair omega = 3e-10 apart over T = 50: phi = omega T / 2 =
+    # 7.5e-9, and the factored filter sinc(phi) u_i conj(u_j) of the pair
+    # is not 1, while sinc is exactly 1 at phi == 0
+    vals = np.array([0.5 + 3e-10, 0.5])
+    op = SojournOperator(spin_space(), (0.0, 50.0), (), vals, np.eye(2))
+    phi = (vals[0] - vals[1]) * 25.0 / HBAR
+    assert phi == pytest.approx(7.5e-9, rel=1e-6)
+    assert _window_sinc(np.array([0.0]))[0] == 1.0
+    u = op.midpoint_phases
+    f = _window_sinc(np.array([phi]))[0] * u[0] * u[1].conj()
+    assert f != 1.0
     # small phi: 1 - i phi to first order
-    assert f[1].imag == pytest.approx(-7.5e-9, rel=1e-6)
+    assert f.imag == pytest.approx(-7.5e-9, rel=1e-6)
 
 
 def test_sojourn_spectrum_within_window(small):
