@@ -15,7 +15,6 @@ import numpy as np
 
 from weaktime import (
     HBAR,
-    ClockRuns,
     CoupledSystem,
     Grid,
     Hamiltonian,
@@ -52,26 +51,25 @@ configs = [
 ]
 
 print(f"{'clock':<22}{'time':>12}{'dev vs ref':>14}{'fit order':>11}{'residual':>12}")
-# one table of evolutions serves all three clocks: every potential on the
-# region that their ladders read is declared here, and all of them are read
-# off one node block of the packet coupled to the region when the table is
-# built, the absorbing ones by analytic continuation
+# one coupled system serves all three clocks: covering every potential on
+# the region that their ladders read fits one node block of the packet
+# coupled to the region, and each clock reads its potentials off it, the
+# absorbing ones by analytic continuation
 coupled = CoupledSystem(ham, psi0, region.indicator(grid), window)
-runs = ClockRuns(coupled, clock_shifts(**{name: ladder for name, _, ladder in configs}))
+coupled.cover(clock_shifts(**{name: ladder for name, _, ladder in configs}))
 records = {}
 for name, fn, ladder in configs:
-    rec = records[name] = fn(ladder, runs, {"none": psi_final})["none"]
+    rec = records[name] = fn(ladder, coupled, {"none": psi_final})["none"]
     print(f"{name:<22}{rec.time:>12.6f}{rec.time - tau:>14.2e}"
           f"{rec.order:>11.2f}{rec.residual:>12.2e}")
 
 # the Larmor spin-up and spin-down runs are the phase clock's +-v runs at
 # v = hbar omega/2, so the amplitude identity i (a_up - a_down) / (omega
 # a_up(0)) is the phase clock read at those strengths; both readings come
-# from the same two evolutions per strength, already in the table, and
-# must agree
+# from the same two columns per strength, already covered, and must agree
 larmor = records["larmor"]
 omegas = larmor.strengths
-ident = clock_real_potential(tuple(0.5 * HBAR * w for w in omegas), runs,
+ident = clock_real_potential(tuple(0.5 * HBAR * w for w in omegas), coupled,
                              {"none": psi_final})["none"]
 print(f"\nlarmor amplitude identity (phase clock at hbar omega/2): {ident.time:.6f}"
       f"  (precession readout {larmor.time:.6f})")

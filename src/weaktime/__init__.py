@@ -44,7 +44,6 @@ from .sojourn import (
     sojourn_matrix,
 )
 from .clocks import (
-    ClockRuns,
     SweepRecord,
     clock_imaginary_potential,
     clock_larmor,

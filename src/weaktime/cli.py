@@ -21,7 +21,6 @@ import sys
 from .errors import NumericalError, ValidationError, WeaktimeError
 from .scenarios import (
     bundle_from_dict,
-    bundle_to_json,
     emit,
     parse_config,
     run_scenario,
@@ -76,7 +75,7 @@ def _cmd_sweep(args) -> int:
     bundle = run_scenario(scenario, pipelines=("clocks",))
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, f"{bundle.scenario}_sweeps.json")
-    write_text(path, json.dumps(bundle.sweeps, sort_keys=True, indent=1) + "\n")
+    write_text(path, json.dumps(bundle.sweeps, sort_keys=True) + "\n")
     print(path)
     return EXIT_OK
 

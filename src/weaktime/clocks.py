@@ -11,12 +11,15 @@ Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
 absorber, stated once per clock in `CLOCK_KEYS`.  These are the coupled
 family psi(u) = exp(-iT(H + u P_region))psi0 of a `dynamics.CoupledSystem`
-observing the region, the one the meter reads at real u, so in a scenario
-clocks and meter share one node block.  A `ClockRuns` table reads the keys
-it is built with (`clock_shifts`) off that system's node interpolant: the
-real keys by interpolation, the absorbing ones by analytic continuation.
-The postselected readouts share one skeleton (`_sweep`) and differ only in
-their formula: each takes a strength ladder, the table and a map label ->
+observing the region, the one the meter reads at real u, and the clocks
+read it the way the meter does: each readout asks the coupled system for
+u = 0 and its keys in one `columns` call, the real keys interpolated
+between its real nodes, the absorbing ones by analytic continuation, and
+a key outside the interpolant held refits it.  In a scenario
+`run_scenario` first covers every key the clocks and the meter read
+(`clock_shifts`), so they all share one node block.  The postselected
+readouts share one skeleton (`_sweep`) and differ only in their formula:
+each takes a strength ladder, the coupled system and a map label ->
 postselected final state, and returns one `SweepRecord` per label;
 `checked_overlap` refuses a state not referenced to the window end.
 
@@ -25,7 +28,7 @@ in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
 phase clock at v = hbar omega/2.  No spin factor is ever built.
 
-The table has no time step: on the catalog ladders 12 nodes bound the
+Nothing here has a time step: on the catalog ladders 12 nodes bound the
 interpolant's dropped tail by 1e-13 ||psi0|| at every key (see
 `CoupledSystem`), and the keys, absorbing ones included, agree with a dense
 evolution to 1e-12 in any entry, as do the postselectors, which come from
@@ -37,13 +40,13 @@ relative on both catalog barriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CoupledSystem
-from .errors import ParameterError
-from .hilbert import HBAR, QuantumState, checked_overlap, inner_product
+from .errors import ParameterError, StructureError
+from .hilbert import HBAR, QuantumState, checked_overlap
 
 # a placeholder that nothing calls: perfbench/tracing.py patches `evolve`
 # under this module's name, and the benchmark change that moves that hook
@@ -78,8 +81,9 @@ def _ladder(strengths) -> tuple[float, ...]:
 def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
     """Every key u that `clock_real_potential`, `clock_imaginary_potential`
     (and `absorption_survival_dwell`), and `clock_larmor` read from a
-    `ClockRuns` at these ladders, u = 0 first and each once, in
-    `CLOCK_KEYS` order."""
+    `CoupledSystem` at these ladders, u = 0 first and each once, in
+    `CLOCK_KEYS` order: what `CoupledSystem.cover` must serve for the
+    readouts to evolve nothing more."""
     ladders = locals()  # the three ladders, by clock name
     keys = [0j]
     for clock, at in CLOCK_KEYS.items():
@@ -87,48 +91,23 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
     return tuple(dict.fromkeys(complex(u) for u in keys))
 
 
-@dataclass
-class ClockRuns:
-    """Window-end states of the coupled system's packet under its
-    Hamiltonian plus a complex potential u on its observable's support
-    (the clock region), for every u in `shifts`.
-
-    Construction reads the declared keys (`clock_shifts`) off the coupled
-    system's node interpolant in one request.  `final(u)` is then the
-    state evolved under system + Re(u) P_region + i Im(u) P_region, u = 0
-    the unmodified system, looked up under the exact value of u; an
-    undeclared u raises ParameterError, as does a run absorbing more than
-    MAX_ABSORBED_FRACTION of the packet.
-    """
-
-    coupled: CoupledSystem
-    shifts: tuple
-    _finals: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        keys = [complex(u) for u in self.shifts]
-        block, _ = self.coupled.columns(keys)
-        space, t1 = self.coupled.psi0.space, self.coupled.window[1]
-        self._finals = {}
-        for key, col in zip(keys, block.T):
-            self._finals[key] = QuantumState(space, col, t1)
-            absorbed = 1.0 - self.survival(key)
-            if absorbed > MAX_ABSORBED_FRACTION:
-                raise ParameterError(
-                    f"absorbed fraction {absorbed:.3f} at u = {key} exceeds "
-                    f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
-                )
-
-    def survival(self, u: complex) -> float:
-        """||final(u)||^2 / ||psi0||^2, the share of the packet kept at u
-        whatever its norm."""
-        return self.final(u).norm() ** 2 / self.coupled.psi0.norm() ** 2
-
-    def final(self, u: complex) -> QuantumState:
-        try:
-            return self._finals[complex(u)]
-        except KeyError:
-            raise ParameterError(f"u = {u} is not among the declared shifts") from None
+def _read(coupled: CoupledSystem, keys: list):
+    """psi(u) for each key u as the columns of one `coupled.columns` block,
+    and each column's survival ||psi(u)||^2 / ||psi0||^2, the share of the
+    packet kept at u whatever its norm; ParameterError for a column that
+    absorbs more than MAX_ABSORBED_FRACTION of the packet."""
+    block = coupled.columns(keys)
+    w, norm0 = np.sqrt(coupled.psi0.cell_weight), coupled.psi0.norm()
+    # column by column, as `QuantumState.norm` sums: another summation order
+    # moves the norm clock's one-sided readouts by about 1e-12 relative
+    survival = [float(w * np.linalg.norm(col)) ** 2 / norm0**2 for col in block.T]
+    for u, kept in zip(keys, survival):
+        if 1.0 - kept > MAX_ABSORBED_FRACTION:
+            raise ParameterError(
+                f"absorbed fraction {1.0 - kept:.3f} at u = {u} exceeds "
+                f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
+            )
+    return block, survival
 
 
 @dataclass(frozen=True)
@@ -203,32 +182,41 @@ def _record(strengths, readouts, error_order) -> SweepRecord:
     )
 
 
-def _sweep(strengths, runs: ClockRuns, chis: dict, clock: str, error_order: int, read) -> dict:
+def _sweep(strengths, coupled: CoupledSystem, chis: dict, clock: str, error_order: int,
+           read) -> dict:
     """The postselected readouts' shared skeleton: for each label of `chis`
-    (label -> final state), `read(s, <chi|phi0>, *<chi|final(u)>)` at each
-    strength s, u over `CLOCK_KEYS[clock](s)`, extrapolated to zero."""
+    (label -> final state), `read(s, <chi|psi(0)>, *<chi|psi(u)>)` at each
+    strength s, u over `CLOCK_KEYS[clock](s)`, extrapolated to zero.  One
+    `_read` of u = 0 and the keys, and one product of the postselectors with
+    that block for every overlap."""
     strengths = _ladder(strengths)
-    phi0 = runs.final(0.0)
-    finals = {s: [runs.final(u) for u in CLOCK_KEYS[clock](s)] for s in strengths}
+    space = coupled.psi0.space
+    if any(chi.space != space for chi in chis.values()):
+        raise StructureError("postselector and packet live on different spaces")
+    keys = [u for s in strengths for u in CLOCK_KEYS[clock](s)]
+    block, _ = _read(coupled, [0j, *keys])
+    phi0 = QuantumState(space, block[:, 0], coupled.window[1])
+    chi_rows = np.reshape([chi.amplitudes for chi in chis.values()], (-1, space.dimension))
+    overlaps = space.weight * (chi_rows.conj() @ block)
     out = {}
-    for label, chi in chis.items():
-        den = checked_overlap(chi, phi0)
-        readouts = [read(s, den, *(inner_product(chi, phi) for phi in finals[s]))
-                    for s in strengths]
+    for (label, chi), row in zip(chis.items(), overlaps):
+        den = checked_overlap(chi, phi0, row[0])
+        per_strength = row[1:].reshape(len(strengths), -1)
+        readouts = [read(s, den, *amps) for s, amps in zip(strengths, per_strength)]
         out[label] = _record(strengths, readouts, error_order)
     return out
 
 
-def clock_real_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
+def clock_real_potential(strengths, coupled: CoupledSystem, chis: dict) -> dict:
     """Phase clock: evolve under the system Hamiltonian plus a small real
     potential step +-v on the region, and read i*hbar times the central
     potential-derivative of the postselected amplitude, one record per
-    label of `chis` (label -> final state), all from the same runs."""
-    return _sweep(strengths, runs, chis, "real_potential", 2,
+    label of `chis` (label -> final state), all from the same columns."""
+    return _sweep(strengths, coupled, chis, "real_potential", 2,
                   lambda v, den, up, down: 1j * HBAR * ((up - down) / (2.0 * v)) / den)
 
 
-def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
+def clock_imaginary_potential(strengths, coupled: CoupledSystem, chis: dict) -> dict:
     """Absorption clock: evolve with -i*Gamma/2 on the region and read
     -2*hbar times the one-sided Gamma-derivative of the postselected
     amplitude ratio, one record per label of `chis`.  Its one-sided ladder
@@ -237,17 +225,17 @@ def clock_imaginary_potential(strengths, runs: ClockRuns, chis: dict) -> dict:
     record by 1.3e-10 relative (3.2e-12 absolute, against its residual of
     9.4e-9), so no record-equality check tighter than ~1e-10 relative holds
     across a rounding change."""
-    return _sweep(strengths, runs, chis, "imaginary_potential", 1,
+    return _sweep(strengths, coupled, chis, "imaginary_potential", 1,
                   lambda g, den, a: -2.0 * HBAR * (a / den - 1.0) / g)
 
 
-def absorption_survival_dwell(strengths, runs: ClockRuns) -> SweepRecord:
+def absorption_survival_dwell(strengths, coupled: CoupledSystem) -> SweepRecord:
     """Unconditioned absorption clock from total norm loss,
     -hbar * d/dGamma of the survival probability at zero strength; it reads
-    the same -i*Gamma/2 runs as `clock_imaginary_potential`."""
+    the same -i*Gamma/2 columns as `clock_imaginary_potential`."""
     strengths = _ladder(strengths)
-    readouts = [-HBAR * (runs.survival(u) - 1.0) / g
-                for g in strengths for u in CLOCK_KEYS["imaginary_potential"](g)]
+    _, survival = _read(coupled, [CLOCK_KEYS["imaginary_potential"](g)[0] for g in strengths])
+    readouts = [-HBAR * (p - 1.0) / g for g, p in zip(strengths, survival)]
     return _record(strengths, readouts, 1)
 
 
@@ -258,7 +246,7 @@ def _spin_y(w, den, a_up, a_dn):
     return sy / weight / w
 
 
-def clock_larmor(strengths, runs: ClockRuns, chis: dict) -> dict:
+def clock_larmor(strengths, coupled: CoupledSystem, chis: dict) -> dict:
     """Larmor clock: attach a spin initially polarized along +x, precess it
     in the region, and read the conditional y-polarization per unit
     precession frequency, one record per label of `chis`.
@@ -270,4 +258,4 @@ def clock_larmor(strengths, runs: ClockRuns, chis: dict) -> dict:
     i (a_up - a_down) / (omega a_up(0)), the same amplitudes give the phase
     clock at v = hbar omega/2.
     """
-    return _sweep(strengths, runs, chis, "larmor", 2, _spin_y)
+    return _sweep(strengths, coupled, chis, "larmor", 2, _spin_y)

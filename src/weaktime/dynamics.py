@@ -339,6 +339,13 @@ class CoupledSystem:
     past 1e3 (an absorber with T |Im s| max|a| beyond about 2.5) raises
     ParameterError, one past n = 1024 NumericalError.
 
+    The clocks and the meter read the family through `columns`, and the
+    coupled system reports the one node block behind them: `nodes` columns
+    evolved by a series of `chebyshev_terms` terms (nodes x terms is its
+    work), and `node_tail`, the largest tail bound at any shift served
+    since the block was fitted; all three are 0 until a nonzero shift is
+    asked for.
+
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
     t_start < t_stop and psi0 is referenced to t_start.
@@ -362,26 +369,28 @@ class CoupledSystem:
         self.window, self.duration = (t0, t1), t1 - t0
         self._interval = self._reach = 0.0
         self._coeffs = None
-        self._report = {}
+        self.nodes = self.chebyshev_terms = 0
+        self.node_tail = 0.0
 
     @functools.cached_property
     def reference_system_final(self) -> QuantumState:
         """psi0 evolved over the window with the coupling off, exactly."""
         return evolve_eigenbasis(self.psi0, self.system, self.window[1])
 
-    def cover(self, shifts) -> float:
+    def cover(self, shifts) -> None:
         """Make the interpolant serve every shift, refitting it to them
         unless the one held already does (or all are zero, which `columns`
-        serves exactly); returns the tail bound at these shifts."""
+        serves exactly), and raise `node_tail` to the tail bound at them."""
         shifts = np.asarray(shifts, dtype=complex)
         if not np.any(shifts):
-            return 0.0
+            return
         if self._coeffs is not None:
-            degree = self._coeffs.shape[0] - 1
+            degree = self.nodes - 1
             rho0 = _bernstein(shifts / self._interval)
             _, tail = _node_tail(self._reach, rho0, degree)
             if tail <= _NODE_TAIL and rho0**degree <= _MAX_GAIN:
-                return tail
+                self.node_tail = max(self.node_tail, tail)
+                return
         interval = max(float(np.max(np.abs(shifts.real))),
                        float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
         reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
@@ -402,19 +411,16 @@ class CoupledSystem:
                                       self.psi0.amplitudes, self.duration)
         self._coeffs = apply_real(_lobatto_fit(degree), block.T)
         self._interval, self._reach = interval, reach
-        self._report = dict(chebyshev_terms=terms, nodes=degree + 1)
-        return tail
+        self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
 
-    def columns(self, shifts):
+    def columns(self, shifts) -> np.ndarray:
         """psi(s_j) for each shift s_j as the columns of one (dimension,
-        len(shifts)) block, and the MeterRun fields reporting the node block
-        they were interpolated from (`node_tail` the tail bound at these
-        shifts); all-zero shifts are the reference state, with no block."""
+        len(shifts)) block, read off the interpolant after `cover`; all-zero
+        shifts are the reference state, with no block."""
         shifts = np.asarray(shifts)
         if not np.any(shifts):
             ref = self.reference_system_final.amplitudes
-            return np.repeat(ref[:, None], shifts.size, axis=1), {}
-        tail = self.cover(shifts)
-        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval,
-                                                   self._coeffs.shape[0] - 1)
-        return (basis @ self._coeffs).T, dict(self._report, node_tail=tail)
+            return np.repeat(ref[:, None], shifts.size, axis=1)
+        self.cover(shifts)
+        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, self.nodes - 1)
+        return (basis @ self._coeffs).T

@@ -20,7 +20,7 @@ of diag(a).  The evolved state psi(s) = exp(-iT(H + s diag(a)))psi0 is
 the coupled family of `dynamics.CoupledSystem`, which evolves it once, at
 Chebyshev nodes in s as one block, and interpolates every kept mode of
 every run that shares it from those nodes; no mode needs an eigensolve.
-In a scenario the clocks read their keys off the same node block.
+In a scenario the clocks read their keys off the same coupled system.
 The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator, which commutes with its own history, so
 each mode is a closed-form phase in that operator's own eigenbasis.  They
@@ -134,14 +134,9 @@ class MeterRun:
     switched off, used for survival probabilities and as the unperturbed
     state that postselected readouts guard their overlap against.
     `modes_kept` counts the pointer modes evolved with the coupling; the
-    others were below the mode cutoff.  The kept modes are interpolated
-    from a node block in the coupling shift (see `CoupledSystem`):
-    `nodes` columns evolved by a series of `chebyshev_terms` terms (nodes x
-    terms is the block's work, shared by every run of one CoupledSystem),
-    and `node_tail` the a-priori bound, relative to ||psi0||, on the series
-    terms the interpolant drops at the run's shifts.  All three are 0 for the
-    moment meter, whose modes are closed-form phases, and for a run whose
-    kept shifts are all zero.
+    others were below the mode cutoff.  A `run_meter` run interpolates its
+    kept modes from the node block of the `CoupledSystem` it reads, which
+    reports that block; the moment meter's modes are closed-form phases.
     """
 
     spec: PointerSpec
@@ -152,9 +147,6 @@ class MeterRun:
     reference_system_final: QuantumState
     norm_drift: float
     modes_kept: int
-    chebyshev_terms: int = 0
-    nodes: int = 0
-    node_tail: float = 0.0
 
     @property
     def system_weight(self) -> float:
@@ -213,18 +205,17 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
 
     The pointer profile's Fourier modes above `mode_cutoff` (relative to the
     largest) are kept; `kept_columns(pi, c)` returns their system vectors
-    c_k psi_k, given the kept modes' momenta pi and coefficients c, with the
-    MeterRun fields that report how they were evolved.  Every dropped mode
-    is uncoupled, c_k psi_ref, so the composite is B @ R with B = [psi_ref |
-    kept columns] and R the cached pointer rows (`_pointer_modes`).  With
-    B = Q R_b (R_b from one QR, square or, for N < K + 1, wide), every
-    pointer column of the composite has the norm of the same column of
-    R_b @ R: the marginal and the norm come from that (K + 1, n) product,
-    at N (K + 1)^2 + (K + 1)^2 n per run, and the composite is never formed.
+    c_k psi_k, given the kept modes' momenta pi and coefficients c.  Every
+    dropped mode is uncoupled, c_k psi_ref, so the composite is B @ R with
+    B = [psi_ref | kept columns] and R the cached pointer rows
+    (`_pointer_modes`).  With B = Q R_b (R_b from one QR, square or, for
+    N < K + 1, wide), every pointer column of the composite has the norm of
+    the same column of R_b @ R: the marginal and the norm come from that
+    (K + 1, n) product, at N (K + 1)^2 + (K + 1)^2 n per run, and the
+    composite is never formed.
     """
     pi_kept, coeffs_kept, phi_norm, rows = _pointer_modes(spec, mode_cutoff)
-    columns, report = kept_columns(pi_kept, coeffs_kept)
-    block = np.column_stack([psi_ref.amplitudes, columns])
+    block = np.column_stack([psi_ref.amplitudes, kept_columns(pi_kept, coeffs_kept)])
     reduced = np.linalg.qr(block, mode="r") @ rows
     marginal = psi_ref.cell_weight * np.sum(np.abs(reduced) ** 2, axis=0)
     mass = float((np.sum(marginal[:2]) + np.sum(marginal[-2:])) * spec.grid.dx)
@@ -245,7 +236,6 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
         reference_system_final=psi_ref,
         norm_drift=float(abs(norm - psi0.norm() * phi_norm)),
         modes_kept=coeffs_kept.size,
-        **report,
     )
 
 
@@ -272,9 +262,8 @@ def run_meter(
     """
 
     def kept_columns(_, coeffs_kept):
-        block, report = coupled.columns(
-            coupling_shifts(spec, coupling, coupled.duration, mode_cutoff))
-        return block * coeffs_kept, report
+        return coupled.columns(
+            coupling_shifts(spec, coupling, coupled.duration, mode_cutoff)) * coeffs_kept
 
     return _assemble_run(spec, coupling, coupled.psi0, coupled.reference_system_final,
                          mode_cutoff, kept_columns)
@@ -327,7 +316,7 @@ def run_moment_meter(
     def kept_columns(pi_kept, coeffs_kept):
         phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
         kept_eig = u * apply_real(w, phases * z[:, None]) * coeffs_kept
-        return apply_real(vecs, kept_eig), {}
+        return apply_real(vecs, kept_eig)
 
     return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
 

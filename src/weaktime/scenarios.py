@@ -21,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .clocks import (
-    ClockRuns,
     absorption_survival_dwell,
     clock_imaginary_potential,
     clock_larmor,
@@ -331,19 +330,17 @@ def postselect_transmitted_reflected(
 
 
 def postselection_family(
-    psi_final: QuantumState, barrier: tuple[float, float]
+    chi_t: QuantumState, chi_r: QuantumState, barrier: tuple[float, float]
 ) -> tuple[list[str], list[QuantumState]]:
-    """Orthonormal family complete on the support of psi: the transmitted
-    and reflected states plus one cell state per barrier cell."""
-    chi_t, chi_r, _, _ = postselect_transmitted_reflected(psi_final, barrier)
-    grid = psi_final.space.grid
+    """Orthonormal family complete on the support of the state that
+    `postselect_transmitted_reflected` split into chi_t and chi_r: those two
+    plus one cell state per barrier cell, at their time."""
+    grid = chi_t.space.grid
     labels = ["transmitted", "reflected"]
     states = [chi_t, chi_r]
     for idx in Region(*barrier).indices(grid):
         labels.append(f"cell_{idx}")
-        states.append(
-            basis_cell_state(grid, int(idx), time=psi_final.representation_time)
-        )
+        states.append(basis_cell_state(grid, int(idx), time=chi_t.representation_time))
     return labels, states
 
 
@@ -436,7 +433,8 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
                    value=m2, tolerance=0.0, residual=0.0)
 
     if sc.postselection == "transmitted_reflected":
-        _, family = postselection_family(psi_final, sc.potential.interval)
+        _, family = postselection_family(chis["transmitted"], chis["reflected"],
+                                         sc.potential.interval)
         for l in (1, 2):
             lhs = moment_sum(op, psi_final, family, l)
             if l == 1:
@@ -450,15 +448,14 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
 
 
 def _clock_pipeline(bundle: ResultBundle, coupled, chis, ladders):
-    runs = ClockRuns(coupled, clock_shifts(**ladders))
     methods = {
         "real_potential": clock_real_potential,
         "imaginary_potential": clock_imaginary_potential,
         "larmor": clock_larmor,
     }
     for name, fn in methods.items():
-        _add_sweep(bundle, name, f"clock_{name}", fn(ladders[name], runs, chis))
-    rec = absorption_survival_dwell(ladders["imaginary_potential"], runs)
+        _add_sweep(bundle, name, f"clock_{name}", fn(ladders[name], coupled, chis))
+    rec = absorption_survival_dwell(ladders["imaginary_potential"], coupled)
     _add_sweep(bundle, "imaginary_potential_norm", "clock_imaginary_norm", {"none": rec})
 
 
@@ -499,7 +496,8 @@ def run_scenario(
         _sojourn_pipeline(scenario, bundle, psi_final, chis, op)
     if "clocks" in pipelines or "meter" in pipelines:
         # one node block per scenario: the clocks and the meter read one
-        # coupled system, fitted on the union of the shifts they read
+        # coupled system, fitted on the union of the shifts they read, so
+        # that no readout refits it
         coupled = CoupledSystem(ham, psi0, scenario.region.indicator(scenario.grid),
                                 scenario.window)
         t = scenario.duration()
@@ -683,7 +681,7 @@ def bundle_from_dict(data: dict) -> ResultBundle:
 
 
 def bundle_to_json(bundle: ResultBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), sort_keys=True, indent=1) + "\n"
+    return json.dumps(bundle_to_dict(bundle), sort_keys=True) + "\n"
 
 
 def emit(bundle: ResultBundle, fmt: str = "csv", out_dir: str = ".") -> list[str]:

@@ -39,6 +39,7 @@ from weaktime.scenarios import (
     bundle_to_csv,
     bundle_to_json,
     catalog,
+    postselect_transmitted_reflected,
     postselection_family,
     run_scenario,
 )
@@ -203,7 +204,9 @@ def test_criterion_5_sum_rules():
         psi_final = evolve_eigenbasis(psi0, ham, sc.window[1])
         op = sojourn_matrix(sc.region, ham, sc.window)
         if sc.postselection == "transmitted_reflected":
-            _, family = postselection_family(psi_final, sc.potential.interval)
+            chi_t, chi_r, _, _ = postselect_transmitted_reflected(
+                psi_final, sc.potential.interval)
+            _, family = postselection_family(chi_t, chi_r, sc.potential.interval)
         else:
             family = [
                 basis_cell_state(sc.grid, j, time=sc.window[1])
@@ -281,7 +284,7 @@ def test_criterion_9_numerical_hygiene(crossing):
     # the real columns, and absorbing norms falling with Gamma
     mask = region.indicator(grid)
     shifts = np.array([0.0, 0.05, -0.05, *(-0.5j * np.array([0.05, 0.1, 0.3]))])
-    block, _ = CoupledSystem(ham, psi0, mask, (0.0, 2.0)).columns(shifts)
+    block = CoupledSystem(ham, psi0, mask, (0.0, 2.0)).columns(shifts)
     block_err = max(
         np.linalg.norm(block[:, j] - oracle.evolve_exact(
             oracle.dense_hamiltonian(ham) + u * np.diag(mask), psi0.amplitudes, 2.0))

@@ -150,14 +150,16 @@ def test_exact_time_average_has_no_quadrature_knob():
 
 
 def test_clock_readouts_take_a_ladder_and_a_table():
+    # the clocks read the coupled family straight off the scenario's
+    # CoupledSystem, the meter's, with no table of their own in between;
     # nothing on the clock path takes a time step; the absorbed-fraction
     # bound is a module constant and there is no per-clock config object;
     # the postselected readouts take one shape, a label -> state map
     readouts = {
-        clocks.clock_real_potential: ["strengths", "runs", "chis"],
-        clocks.clock_imaginary_potential: ["strengths", "runs", "chis"],
-        clocks.clock_larmor: ["strengths", "runs", "chis"],
-        clocks.absorption_survival_dwell: ["strengths", "runs"],
+        clocks.clock_real_potential: ["strengths", "coupled", "chis"],
+        clocks.clock_imaginary_potential: ["strengths", "coupled", "chis"],
+        clocks.clock_larmor: ["strengths", "coupled", "chis"],
+        clocks.absorption_survival_dwell: ["strengths", "coupled"],
     }
     for fn, params in readouts.items():
         assert list(inspect.signature(fn).parameters) == params
@@ -166,22 +168,23 @@ def test_clock_readouts_take_a_ladder_and_a_table():
             if getattr(weaktime, name).__module__ == "weaktime.clocks"
             and knobs & set(params)] == []
     assert "ClockConfig" not in weaktime.__all__
-    assert "ClockRuns" in weaktime.__all__
+    assert "ClockRuns" not in weaktime.__all__ and not hasattr(clocks, "ClockRuns")
     assert not hasattr(clocks, "_chi_items") and not hasattr(clocks, "_unwrap")
 
 
 def test_clock_table_fills_once_and_records_keep_what_is_emitted():
-    # the table is filled when it is built, from the keys it must declare;
-    # a lookup never evolves
-    params = inspect.signature(clocks.ClockRuns).parameters
-    assert params["shifts"].default is inspect.Parameter.empty
+    # the coupled family is filled once, as one node block, and read as one
+    # array; the report on that block lives on the coupled system only
     grid = Grid(16, 0.0, 7.5)
     psi0 = QuantumState(position_space(grid), np.ones(16)).normalized()
     coupled = CoupledSystem(Hamiltonian(position_space(grid)), psi0,
                             Region(3.0, 5.0).indicator(grid), (0.0, 1.0))
-    runs = clocks.ClockRuns(coupled, (0.0, 0.1))
-    with pytest.raises(ParameterError):
-        runs.final(0.2)
+    assert coupled.columns([0.0, 0.1]).shape == (16, 2)
+    held = coupled._coeffs
+    assert coupled.columns([0.05]).shape == (16, 1) and coupled._coeffs is held
+    assert coupled.nodes > 0 and coupled.chebyshev_terms > 0
+    assert not {"nodes", "chebyshev_terms", "node_tail"} & {
+        f.name for f in dataclasses.fields(weaktime.MeterRun)}
     # a sweep record carries only what the emitted sweep payload reads
     assert [f.name for f in dataclasses.fields(clocks.SweepRecord)] == [
         "strengths", "readouts", "value", "order", "residual", "flagged"]
@@ -191,10 +194,10 @@ def test_clocks_evolve_exactly_with_no_time_step():
     # the clock states come from one Chebyshev node block, so no scenario,
     # table, module constant or config key carries a Crank-Nicolson step
     assert "dt" not in {f.name for f in dataclasses.fields(weaktime.Scenario)}
-    assert "dt" not in {f.name for f in dataclasses.fields(clocks.ClockRuns)}
     assert not hasattr(clocks, "DT")
     assert "numerics.dt" not in scenarios.CONFIG_KEYS
-    assert list(inspect.signature(clocks.ClockRuns).parameters) == ["coupled", "shifts"]
+    assert list(inspect.signature(CoupledSystem).parameters) == [
+        "system", "psi0", "observable", "window"]
 
 
 def test_meter_runs_over_one_window():

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
-from weaktime import clocks
 from weaktime.clocks import (
-    ClockRuns,
     absorption_survival_dwell,
     clock_imaginary_potential,
     clock_larmor,
@@ -14,7 +12,7 @@ from weaktime.clocks import (
 )
 from weaktime import dynamics
 from weaktime.dynamics import CoupledSystem, Hamiltonian, evolve_eigenbasis
-from weaktime.errors import ParameterError
+from weaktime.errors import ParameterError, StructureError
 from weaktime.hilbert import (
     HBAR,
     Grid,
@@ -35,14 +33,17 @@ def _coupled(ham, psi0, region=REGION):
     return CoupledSystem(ham, psi0, region.indicator(GRID), WINDOW)
 
 
-def _runs(ham, psi0, region=REGION, **ladders):
-    """A table holding exactly the keys that these ladders read."""
-    return ClockRuns(_coupled(ham, psi0, region), clock_shifts(**ladders))
+def _covered(ham, psi0, region=REGION, **ladders):
+    """A coupled system fitted on exactly the keys that these ladders read,
+    as `run_scenario` fits it."""
+    coupled = _coupled(ham, psi0, region)
+    coupled.cover(clock_shifts(**ladders))
+    return coupled
 
 
-def _one(read, strengths, runs, chi):
+def _one(read, strengths, coupled, chi):
     """The record of a single postselector."""
-    return read(strengths, runs, {"chi": chi})["chi"]
+    return read(strengths, coupled, {"chi": chi})["chi"]
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +99,13 @@ def test_extrapolation_input_validation():
 
 def test_config_requires_descending_ladder(crossing):
     ham, psi0, psi_final, _ = crossing
-    runs = _runs(ham, psi0)
+    coupled = _coupled(ham, psi0)
     for ladder in ((0.1, 0.2, 0.3), (0.1, 0.05), (0.1, 0.05, 1e-9)):
         for read in (clock_real_potential, clock_imaginary_potential, clock_larmor):
             with pytest.raises(ParameterError, match="strength"):
-                read(ladder, runs, {"chi": psi_final})
+                read(ladder, coupled, {"chi": psi_final})
         with pytest.raises(ParameterError):
-            absorption_survival_dwell(ladder, runs)
+            absorption_survival_dwell(ladder, coupled)
 
 
 # -- full-box exact cases ---------------------------------------------------
@@ -120,8 +121,8 @@ def test_real_potential_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.12, 0.06, 0.03)
-    runs = _runs(ham, psi0, whole, real_potential=ladder)
-    rec = _one(clock_real_potential, ladder, runs, _full_box_chi(ham, psi0))
+    coupled = _covered(ham, psi0, whole, real_potential=ladder)
+    rec = _one(clock_real_potential, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
     assert not rec.flagged
@@ -132,8 +133,8 @@ def test_imaginary_potential_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.02, 0.01, 0.005)
-    runs = _runs(ham, psi0, whole, imaginary_potential=ladder)
-    rec = _one(clock_imaginary_potential, ladder, runs, _full_box_chi(ham, psi0))
+    coupled = _covered(ham, psi0, whole, imaginary_potential=ladder)
+    rec = _one(clock_imaginary_potential, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -143,8 +144,8 @@ def test_larmor_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.2, 0.1, 0.05)
-    runs = _runs(ham, psi0, whole, larmor=ladder)
-    rec = _one(clock_larmor, ladder, runs, _full_box_chi(ham, psi0))
+    coupled = _covered(ham, psi0, whole, larmor=ladder)
+    rec = _one(clock_larmor, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
 
@@ -155,7 +156,8 @@ def test_larmor_full_box_gives_window_length():
 def test_real_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
     ladder = (0.12, 0.06, 0.03)
-    rec = _one(clock_real_potential, ladder, _runs(ham, psi0, real_potential=ladder), psi_final)
+    rec = _one(clock_real_potential, ladder, _covered(ham, psi0, real_potential=ladder),
+               psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
@@ -163,29 +165,30 @@ def test_imaginary_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
     ladder = (0.04, 0.02, 0.01)
     rec = _one(clock_imaginary_potential, ladder,
-               _runs(ham, psi0, imaginary_potential=ladder), psi_final)
+               _covered(ham, psi0, imaginary_potential=ladder), psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_larmor_matches_dwell_and_identity_route(crossing):
     ham, psi0, psi_final, tau = crossing
     omegas = (0.2, 0.1, 0.05)
-    runs = _runs(ham, psi0, larmor=omegas)
-    rec = _one(clock_larmor, omegas, runs, psi_final)
+    coupled = _covered(ham, psi0, larmor=omegas)
+    rec = _one(clock_larmor, omegas, coupled, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
     # the spin-amplitude identity i (a_up - a_down) / (omega a_up(0)) is the
-    # phase clock at v = hbar omega/2, read from the same table
-    phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in omegas), runs, psi_final)
+    # phase clock at v = hbar omega/2, read from the same columns
+    phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in omegas), coupled,
+                 psi_final)
     assert phase.time == pytest.approx(rec.time, rel=1e-4)
 
 
 def test_larmor_matches_position_spin_oracle(crossing):
     ham, psi0, psi_final, _ = crossing
     strengths = (0.2, 0.1, 0.05)
-    runs = _runs(ham, psi0, larmor=strengths)
-    rec = _one(clock_larmor, strengths, runs, psi_final)
+    coupled = _covered(ham, psi0, larmor=strengths)
+    rec = _one(clock_larmor, strengths, coupled, psi_final)
     phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in strengths),
-                 runs, psi_final)
+                 coupled, psi_final)
     spinors = oracle.larmor_spinors(
         oracle.dense_hamiltonian(ham), REGION.indicator(GRID), psi0.amplitudes,
         psi_final.amplitudes, (0.0, *strengths), WINDOW[1] - WINDOW[0], GRID.dx,
@@ -205,47 +208,54 @@ def test_larmor_matches_position_spin_oracle(crossing):
 def test_norm_loss_route_matches_dwell(crossing):
     ham, psi0, _, tau = crossing
     ladder = (0.04, 0.02, 0.01)
-    rec = absorption_survival_dwell(ladder, _runs(ham, psi0, imaginary_potential=ladder))
+    rec = absorption_survival_dwell(ladder, _covered(ham, psi0, imaginary_potential=ladder))
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_dict_postselection_shares_sweeps(crossing):
     ham, psi0, psi_final, _ = crossing
     ladder = (0.12, 0.06, 0.03)
-    runs = _runs(ham, psi0, real_potential=ladder)
-    both = clock_real_potential(ladder, runs, {"a": psi_final, "b": psi_final})
+    coupled = _covered(ham, psi0, real_potential=ladder)
+    both = clock_real_potential(ladder, coupled, {"a": psi_final, "b": psi_final})
     assert list(both) == ["a", "b"]
     assert both["a"] == both["b"]
 
 
 def test_absorbed_fraction_guard(crossing):
     # 69% of the packet is absorbed at Gamma = 0.4, far outside the linear
-    # regime: the table refuses to be built
-    ham, psi0, _, _ = crossing
+    # regime: both absorption readouts refuse the column they read
+    ham, psi0, psi_final, _ = crossing
+    ladder = (0.4, 0.2, 0.1)
+    coupled = _coupled(ham, psi0)
     with pytest.raises(ParameterError, match="absorbed fraction 0.69"):
-        _runs(ham, psi0, imaginary_potential=(0.4, 0.2, 0.1))
+        clock_imaginary_potential(ladder, coupled, {"chi": psi_final})
+    with pytest.raises(ParameterError, match="absorbed fraction 0.69"):
+        absorption_survival_dwell(ladder, coupled)
 
 
 def test_runs_refuse_an_absorber_too_far_off_the_real_axis(crossing):
     # Gamma T = 16 puts u = -i at T |Im u| = 8: continued from real nodes,
     # its column would carry the nodes' rounding amplified ~1e6-fold, so the
-    # table is refused before any absorbed fraction is read
-    ham, psi0, _, _ = crossing
-    for keys in (clock_shifts(imaginary_potential=(2.0, 1.0, 0.5)), (0j, -1.0j)):
-        with pytest.raises(ParameterError, match="weaken the absorber"):
-            ClockRuns(_coupled(ham, psi0), keys)
+    # coupled system refuses to serve it before any absorbed fraction is read
+    ham, psi0, psi_final, _ = crossing
+    ladder = (2.0, 1.0, 0.5)
+    with pytest.raises(ParameterError, match="weaken the absorber"):
+        _coupled(ham, psi0).cover(clock_shifts(imaginary_potential=ladder))
+    with pytest.raises(ParameterError, match="weaken the absorber"):
+        clock_imaginary_potential(ladder, _coupled(ham, psi0), {"chi": psi_final})
+    with pytest.raises(ParameterError, match="weaken the absorber"):
+        absorption_survival_dwell(ladder, _covered(ham, psi0, real_potential=(0.12, 0.06)))
 
 
 def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
-    # the guard is per key, so both absorption readouts share it: one
-    # over-absorbing key refuses the table, and a table without it cannot
-    # serve the ladder that would read it
+    # the guard is per column read, so it refuses the one over-absorbing
+    # key wherever it stands in the ladder, and a coupled system that has
+    # served a weaker ladder refuses it all the same
     ham, psi0, _, _ = crossing
-    with pytest.raises(ParameterError, match="absorbed fraction"):
-        ClockRuns(_coupled(ham, psi0), (0j, -0.2j))
-    runs = _runs(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
-    with pytest.raises(ParameterError, match="not among the declared shifts"):
-        absorption_survival_dwell((2.0, 1.0, 0.5), runs)
+    coupled = _covered(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
+    absorption_survival_dwell((0.04, 0.02, 0.01), coupled)
+    with pytest.raises(ParameterError, match=r"absorbed fraction 0.69\d at u = -0.2j"):
+        absorption_survival_dwell((0.4, 0.02, 0.01), coupled)
 
 
 @pytest.mark.parametrize("scale", [2.0, 0.5])
@@ -256,25 +266,40 @@ def test_absorption_reads_survival_relative_to_the_packet_norm(crossing, scale):
     ham, psi0, _, _ = crossing
     ladder = (0.04, 0.02, 0.01)
     scaled = QuantumState(SPACE, scale * psi0.amplitudes, psi0.representation_time)
-    ref = absorption_survival_dwell(ladder, _runs(ham, psi0, imaginary_potential=ladder))
-    rec = absorption_survival_dwell(ladder, _runs(ham, scaled, imaginary_potential=ladder))
+    ref = absorption_survival_dwell(ladder, _covered(ham, psi0, imaginary_potential=ladder))
+    rec = absorption_survival_dwell(ladder, _covered(ham, scaled, imaginary_potential=ladder))
     assert rec.value == pytest.approx(ref.value, rel=1e-12)
     assert rec.readouts == pytest.approx(ref.readouts, rel=1e-12)
     with pytest.raises(ParameterError, match="absorbed fraction"):
-        _runs(ham, scaled, imaginary_potential=(0.4, 0.2, 0.1))
+        absorption_survival_dwell((0.4, 0.2, 0.1), _coupled(ham, scaled))
 
 
-# -- the table of evolutions ------------------------------------------------
+def test_readouts_refuse_a_postselector_on_another_space(crossing):
+    # the overlaps are one product of the postselectors with the columns,
+    # so a postselector of the right length on another grid is refused
+    # before it is read
+    ham, psi0, psi_final, _ = crossing
+    other = gaussian_packet(Grid(64, 0.0, 50.0), 13.0, 2.5, 1.0).at_time(WINDOW[1])
+    with pytest.raises(StructureError, match="different spaces"):
+        clock_real_potential((0.12, 0.06, 0.03), _coupled(ham, psi0),
+                             {"chi": psi_final, "other": other})
+
+
+# -- reading the coupled family ----------------------------------------------
 
 
 def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
+    # the readouts' u = 0 column, read with their keys off the node block,
+    # is the exact unperturbed evolution; alone it is that evolution itself
     ham, psi0, _, _ = crossing
-    runs = _runs(ham, psi0)
+    shifts = clock_shifts(real_potential=(0.12, 0.06, 0.03),
+                          imaginary_potential=(0.04, 0.02, 0.01))
+    coupled = _covered(ham, psi0, real_potential=(0.12, 0.06, 0.03),
+                       imaginary_potential=(0.04, 0.02, 0.01))
     exact = evolve_eigenbasis(psi0, ham, WINDOW[1])
-    np.testing.assert_allclose(runs.final(0).amplitudes, exact.amplitudes,
+    np.testing.assert_allclose(coupled.columns(shifts)[:, 0], exact.amplitudes,
                                rtol=0, atol=1e-13)
-    assert runs.final(0).representation_time == WINDOW[1]
-    assert runs.final(0.0) is runs.final(0j)
+    np.testing.assert_array_equal(coupled.columns([0j])[:, 0], exact.amplitudes)
 
 
 def _counting_blocks(monkeypatch):
@@ -286,52 +311,62 @@ def _counting_blocks(monkeypatch):
 
 
 def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
-    # the declared keys are read off one node block when the table is built,
-    # its interval the largest real key (8 times the largest absorber here);
-    # the readouts only read the table
+    # covering the ladders' keys fits one node block, its interval the
+    # largest real key (8 times the largest absorber here); the readouts
+    # then only read it
     ham, psi0, psi_final, _ = crossing
     shifts = clock_shifts(real_potential=(0.12, 0.06, 0.03),
                           imaginary_potential=(0.04, 0.02, 0.01),
                           larmor=(0.24, 0.12, 0.06))
     assert len(shifts) == 1 + 6 + 3
     blocks = _counting_blocks(monkeypatch)
-    runs = ClockRuns(_coupled(ham, psi0), shifts)
+    coupled = _coupled(ham, psi0)
+    coupled.cover(shifts)
     [nodes] = blocks
     assert np.max(np.abs(nodes)) == pytest.approx(0.16, rel=1e-15)
     chis = {"chi": psi_final}
-    clock_real_potential((0.12, 0.06, 0.03), runs, chis)
-    clock_imaginary_potential((0.04, 0.02, 0.01), runs, chis)
-    absorption_survival_dwell((0.04, 0.02, 0.01), runs)
-    clock_larmor((0.24, 0.12, 0.06), runs, chis)
+    clock_real_potential((0.12, 0.06, 0.03), coupled, chis)
+    clock_imaginary_potential((0.04, 0.02, 0.01), coupled, chis)
+    absorption_survival_dwell((0.04, 0.02, 0.01), coupled)
+    clock_larmor((0.24, 0.12, 0.06), coupled, chis)
     assert blocks == [nodes]
+    assert (coupled.nodes, coupled.chebyshev_terms) == (len(nodes), 62)
+    assert 0.0 < coupled.node_tail <= 1e-13
     # each column is exp(-i T (H + u P_region)) psi0
     h = oracle.dense_hamiltonian(ham)
-    for u in shifts:
+    block = coupled.columns(shifts)
+    for j, u in enumerate(shifts):
         ref = oracle.evolve_exact(h + u * np.diag(REGION.indicator(GRID)),
                                   psi0.amplitudes, WINDOW[1] - WINDOW[0])
-        np.testing.assert_allclose(runs.final(u).amplitudes, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
 
 
-def test_runs_refuse_an_undeclared_key(crossing, monkeypatch):
-    # no lazy fill: a key outside the declared ones is an error, not a
-    # second evolution
+def test_readout_outside_the_cover_refits_once(crossing, monkeypatch):
+    # a coupled system fitted on the phase clock's keys up to v = 0.12 does
+    # not serve v = 0.3: the stronger ladder's first readout refits it, once,
+    # and later readouts of those keys, Larmor's at omega = 2v included, read
+    # the new block, which agrees with one fitted on them from the start
     ham, psi0, psi_final, _ = crossing
-    runs = _runs(ham, psi0, real_potential=(0.12, 0.06, 0.03))
+    coupled = _covered(ham, psi0, real_potential=(0.12, 0.06, 0.03))
     blocks = _counting_blocks(monkeypatch)
-    for u in (0.5, 0.12j, -0.5j * 0.04):
-        with pytest.raises(ParameterError, match="not among the declared shifts"):
-            runs.final(u)
-    with pytest.raises(ParameterError, match="not among the declared shifts"):
-        clock_imaginary_potential((0.04, 0.02, 0.01), runs, {"chi": psi_final})
-    assert blocks == []
+    ladder, chis = (0.3, 0.15, 0.075), {"chi": psi_final}
+    rec = clock_real_potential(ladder, coupled, chis)
+    assert len(blocks) == 1
+    assert np.max(np.abs(blocks[0])) == pytest.approx(0.3, rel=1e-15)
+    assert clock_real_potential(ladder, coupled, chis) == rec
+    clock_larmor((0.6, 0.3, 0.15), coupled, chis)
+    assert len(blocks) == 1
+    fresh = _one(clock_real_potential, ladder, _covered(ham, psi0, real_potential=ladder),
+                 psi_final)
+    assert fresh.value == pytest.approx(rec["chi"].value, rel=1e-12)
 
 
 def test_larmor_reads_the_phase_clock_runs(crossing):
     # omega = 2v puts Larmor's +-omega/2 runs on the phase clock's +-v keys,
-    # so a table declared for the phase clock serves Larmor
+    # so a coupled system fitted for the phase clock serves Larmor
     ham, psi0, psi_final, _ = crossing
     omegas, vs = (0.24, 0.12, 0.06), (0.12, 0.06, 0.03)
     assert clock_shifts(larmor=omegas) == clock_shifts(real_potential=vs)
-    fresh = _one(clock_larmor, omegas, _runs(ham, psi0, larmor=omegas), psi_final)
-    shared = _one(clock_larmor, omegas, _runs(ham, psi0, real_potential=vs), psi_final)
+    fresh = _one(clock_larmor, omegas, _covered(ham, psi0, larmor=omegas), psi_final)
+    shared = _one(clock_larmor, omegas, _covered(ham, psi0, real_potential=vs), psi_final)
     assert shared == fresh

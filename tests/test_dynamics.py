@@ -15,7 +15,7 @@ from weaktime.hilbert import (
     position_space,
     spin_space,
 )
-from weaktime.clocks import ClockRuns, clock_shifts
+from weaktime.clocks import clock_shifts
 from weaktime.scenarios import CLOCK_LADDERS, catalog
 
 GRID = Grid(48, 0.0, 40.0)
@@ -43,7 +43,7 @@ def test_absorbing_potential_decays_norm_monotonically():
     norms = [psi.norm()]
     for j in range(1, 11):
         coupled = CoupledSystem(Hamiltonian(SPACE), psi, region, (0.0, 0.2 * j))
-        block, _ = coupled.columns([-0.5j * 0.4])
+        block = coupled.columns([-0.5j * 0.4])
         norms.append(np.sqrt(GRID.dx) * np.linalg.norm(block[:, 0]))
     diffs = np.diff(norms)
     assert np.all(diffs < 0)
@@ -131,19 +131,15 @@ def _clock_keys(name, gamma_scale):
 @pytest.mark.parametrize("gamma_scale", [1.0, 10.0])
 @pytest.mark.parametrize("name", ["well_halves", "free_box"])
 def test_clock_runs_complex_keys_match_oracle(name, gamma_scale):
-    # the clocks' absorbing keys off the node interpolant, through a clock
-    # table at the catalog ladder and straight from the coupled system at
-    # ten times its absorbers (past the table's absorbed-fraction guard);
+    # the clocks' absorbing keys off the node interpolant, at the catalog
+    # ladder and at ten times its absorbers (past the clocks'
+    # absorbed-fraction guard, which the coupled system does not apply);
     # well_halves has the catalog's largest Gamma (0.15 / T at T = 20),
     # free_box an absorber over the whole box
     sc, coupled, keys = _clock_keys(name, gamma_scale)
     shifts = np.array(keys)
     assert shifts.size == 12 and np.count_nonzero(shifts.imag) == 3
-    if gamma_scale == 1.0:
-        runs = ClockRuns(coupled, keys)
-        block = np.column_stack([runs.final(u).amplitudes for u in keys])
-    else:
-        block, _ = coupled.columns(keys)
+    block = coupled.columns(keys)
     h = oracle.dense_hamiltonian(sc.hamiltonian())
     a, v = sc.region.indicator(sc.grid), sc.initial_state().amplitudes
     lossy = np.nonzero(shifts.imag)[0]
@@ -159,8 +155,29 @@ def test_coupled_system_absorbing_norms_fall_with_gamma(name):
     # absorber leaves less of the packet
     sc, coupled, _ = _clock_keys(name, 1.0)
     gammas = 0.15 / sc.duration() * np.array([0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0])
-    block, _ = coupled.columns(-0.5j * gammas)
+    block = coupled.columns(-0.5j * gammas)
     assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
+
+
+def test_coupled_system_reports_the_largest_tail_it_served(monkeypatch):
+    # fitted on the Larmor keys +-0.6 / T of well_halves, 12 nodes serve
+    # absorbers up to Gamma = 0.05 / T too, each at a larger bound than the
+    # fit's; node_tail keeps the largest, and a weaker real key leaves it
+    sc = catalog()["well_halves"]
+    t = sc.duration()
+    coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            sc.region.indicator(sc.grid), sc.window)
+    coupled.cover([0.6 / t, -0.6 / t])
+    fitted = coupled.node_tail
+    blocks = []
+    monkeypatch.setattr(dynamics, "evolve_shifted", lambda *args: blocks.append(args))
+    tails = []
+    for gamma in (0.01, 0.05, 0.02):
+        coupled.columns([-0.5j * gamma / t])
+        tails.append(coupled.node_tail)
+    coupled.columns([0.3 / t])
+    assert blocks == [] and coupled.nodes == 12
+    assert fitted < tails[0] < tails[1] == tails[2] == coupled.node_tail <= 1e-13
 
 
 @pytest.mark.parametrize("g, t", [(0.3, 4.0), (1.0, 2.0)])
@@ -170,8 +187,8 @@ def test_coupled_system_continues_to_the_imaginary_extent(g, t):
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
     coupled = CoupledSystem(Hamiltonian(spin_space()), QuantumState(spin_space(), v),
                             np.array([1.0, -1.0]), (0.0, t))
-    block, report = coupled.columns([-1j * g])
-    assert report["node_tail"] <= 1e-13
+    block = coupled.columns([-1j * g])
+    assert coupled.node_tail <= 1e-13
     exact = np.exp(np.array([-g * t, g * t])) * v
     np.testing.assert_allclose(block[:, 0], exact, rtol=0, atol=1e-12)
 
@@ -223,16 +240,18 @@ def test_evolve_shifted_ring_edges_match_oracle(k):
     ("free_box", 12, 209), ("well_halves", 12, 151), ("barrier_dwell", 12, 586),
     ("barrier_farside", 12, 586)])
 def test_catalog_clock_block_term_counts(name, nodes, terms, monkeypatch):
-    # the node block behind each catalog clock table, pinned: T S = 0.6 and
-    # |Im u| / S = 0.125 on every scenario ask for 12 nodes
+    # the node block behind each catalog scenario's clocks, pinned, and
+    # reported by the coupled system: T S = 0.6 and |Im u| / S = 0.125 on
+    # every scenario ask for 12 nodes
     blocks = []
     evolve_shifted = dynamics.evolve_shifted
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(evolve_shifted(*args)) or blocks[-1])
     _, coupled, keys = _clock_keys(name, 1.0)
-    ClockRuns(coupled, keys)
+    coupled.cover(keys)
     [(block, used)] = blocks
     assert (block.shape[1], used) == (nodes, terms)
+    assert (coupled.nodes, coupled.chebyshev_terms) == (nodes, terms)
 
 
 @pytest.mark.parametrize("shifts", [np.array([0.0, -0.05j]), np.array([0.3, -0.5j * 0.4])])

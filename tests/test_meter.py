@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import scipy.linalg
 
 import oracle
 from weaktime import dynamics, meter
-from weaktime.clocks import ClockRuns, clock_shifts
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
@@ -106,8 +106,9 @@ def test_zero_coupling_leaves_product_state(crossing):
                         run.spec.initial_state().amplitudes)
     np.testing.assert_allclose(oracle.meter_composite(run), expected, atol=1e-12)
     # every shift is zero: the reference state, with no node block to fit
-    assert (run.nodes, run.chebyshev_terms, run.node_tail) == (0, 0, 0.0)
-    assert coupled.cover(np.zeros(3)) == 0.0 and coupled._coeffs is None
+    coupled.cover(np.zeros(3))
+    assert (coupled.nodes, coupled.chebyshev_terms, coupled.node_tail) == (0, 0, 0.0)
+    assert coupled._coeffs is None
 
 
 def test_identity_observable_translates_pointer(crossing):
@@ -152,22 +153,24 @@ def test_run_meter_needs_no_per_mode_eigensolve(crossing, monkeypatch):
 
 
 def test_run_meter_reports_chebyshev_terms(crossing):
-    # the series needs at least r t terms, r the half-width of the spectra of
-    # the kept modes' Hamiltonians; mode 0 (pi = 0) is H itself
+    # the coupled system a run reads reports its node block: the series
+    # needs at least r t terms, r the half-width of the spectra of the kept
+    # modes' Hamiltonians; mode 0 (pi = 0) is H itself
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    # a cutoff at the peak keeps no mode: an empty block, no series
     coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
-    run = run_meter(spec, coupled, 0.4)
+    none_kept = run_meter(spec, coupled, 0.4, mode_cutoff=1.0)
+    assert (none_kept.modes_kept, coupled.nodes, coupled.chebyshev_terms) == (0, 0, 0)
+    run_meter(spec, coupled, 0.4)
     vals, _ = ham.eigensystem()
     half_width = 0.5 * (vals.max() - vals.min())
     duration = WINDOW[1] - WINDOW[0]
-    assert run.chebyshev_terms >= half_width * duration
-    assert run.chebyshev_terms < half_width * duration + 100
-    moment_run = run_moment_meter(spec, psi0, crossing[3], 1, 0.1)
-    assert moment_run.chebyshev_terms == 0
-    # a cutoff at the peak keeps no mode: an empty block, no series
-    none_kept = run_meter(spec, coupled, 0.4, mode_cutoff=1.0)
-    assert (none_kept.modes_kept, none_kept.chebyshev_terms) == (0, 0)
+    assert coupled.chebyshev_terms >= half_width * duration
+    assert coupled.chebyshev_terms < half_width * duration + 100
+    # a run keeps no copy of that report
+    assert not {"nodes", "chebyshev_terms", "node_tail"} & {
+        f.name for f in dataclasses.fields(meter.MeterRun)}
 
 
 def test_edge_aliasing_guard():
@@ -345,7 +348,7 @@ def _worst_column_error(coupled, shifts):
     Chebyshev block, relative to ||psi0||."""
     direct, _ = evolve_shifted(coupled.system, coupled.observable, shifts,
                                coupled.psi0.amplitudes, coupled.duration)
-    interpolated, _ = coupled.columns(shifts)
+    interpolated = coupled.columns(shifts)
     return (np.max(np.linalg.norm(interpolated - direct, axis=0))
             / np.linalg.norm(coupled.psi0.amplitudes))
 
@@ -359,8 +362,7 @@ def test_coupled_system_columns_match_the_direct_block(scenario):
     for g in METER_LADDER:
         shifts = _kept_shifts(spec, g, coupled.duration)
         assert _worst_column_error(coupled, shifts) <= 1e-13
-    _, report = coupled.columns(shifts)
-    assert report["node_tail"] <= 1e-13
+    assert 0.0 < coupled.node_tail <= 1e-13
 
 
 def test_coupled_system_sizes_its_nodes_for_a_narrow_pointer():
@@ -369,9 +371,9 @@ def test_coupled_system_sizes_its_nodes_for_a_narrow_pointer():
     system, psi0, sz = _toy()
     coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
     spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=512, extent_factor=14.0)
-    run = run_meter(spec, coupled, 1.0)
-    assert run.nodes == 80
-    assert run.node_tail <= 1e-13
+    run_meter(spec, coupled, 1.0)
+    assert coupled.nodes == 80
+    assert coupled.node_tail <= 1e-13
     assert _worst_column_error(coupled, _kept_shifts(spec, 1.0, 1.0)) <= 1e-13
 
 
@@ -387,10 +389,10 @@ def test_coupled_system_rebuilds_for_a_wider_request(monkeypatch):
     coupled.columns(narrow)
     coupled.columns(narrow / 2)
     assert len(blocks) == 1
-    later, _ = coupled.columns(wide)
+    later = coupled.columns(wide)
     assert len(blocks) == 2
     assert np.max(np.abs(blocks[1])) == pytest.approx(np.max(np.abs(wide)), rel=1e-15)
-    fresh, _ = CoupledSystem(*args).columns(wide)
+    fresh = CoupledSystem(*args).columns(wide)
     assert (np.max(np.linalg.norm(later - fresh, axis=0))
             <= 1e-13 * np.linalg.norm(sc.initial_state().amplitudes))
 
@@ -648,12 +650,12 @@ def test_lambda_route_requires_window_end_postselector(barrier_ctx):
 
 def _start_routes(crossing):
     """Each route that evolves a packet from the window start, on the
-    crossing's Hamiltonian or operator, as a function of the packet."""
+    crossing's Hamiltonian or operator, as a function of the packet; the
+    clocks read the `CoupledSystem` built here, as `run_meter` does."""
     ham, _, psi_final, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.3, n_points=64)
     return {
-        "ClockRuns": lambda s: ClockRuns(CoupledSystem(ham, s, REGION.indicator(GRID), WINDOW),
-                                         clock_shifts()),
+        "CoupledSystem": lambda s: CoupledSystem(ham, s, REGION.indicator(GRID), WINDOW),
         "run_meter": lambda s: run_meter(spec, CoupledSystem(ham, s, REGION.indicator(GRID),
                                                              WINDOW), 0.1),
         "run_moment_meter": lambda s: run_moment_meter(spec, s, op, 1, 0.1),
@@ -662,7 +664,7 @@ def _start_routes(crossing):
     }
 
 
-@pytest.mark.parametrize("route", ["ClockRuns", "run_meter", "run_moment_meter",
+@pytest.mark.parametrize("route", ["CoupledSystem", "run_meter", "run_moment_meter",
                                    "lambda_moment_route"])
 def test_run_start_routes_refuse_a_packet_at_another_time(crossing, route):
     # a packet referenced to t=3 would be evolved over the whole window and
@@ -673,7 +675,7 @@ def test_run_start_routes_refuse_a_packet_at_another_time(crossing, route):
 
 
 @pytest.mark.parametrize("route", [
-    "evolve_eigenbasis", "ClockRuns", "run_meter", "run_moment_meter",
+    "evolve_eigenbasis", "CoupledSystem", "run_meter", "run_moment_meter",
     "lambda_moment_route", "dwell_time", "conditional_dwell_time", "moment_sum",
     "second_moment_position_integral"])
 def test_routes_refuse_a_packet_on_another_grid(crossing, route):

@@ -13,11 +13,9 @@ import pytest
 
 import oracle
 from weaktime.clocks import (
-    ClockRuns,
     clock_imaginary_potential,
     clock_larmor,
     clock_real_potential,
-    clock_shifts,
 )
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis
 from weaktime.errors import DegeneratePostselectionError, ParameterError
@@ -65,9 +63,9 @@ def ctx():
         # at zero coupling the postselected pointer amplitude is
         # <chi|phi> times the pointer profile, so its norm is the overlap
         run=run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.0),
-        # the clock table's own unperturbed final state
-        clock_final=ClockRuns(CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW),
-                              clock_shifts()).final(0),
+        # the clocks' unperturbed final state, read off their coupled system
+        clock_final=CoupledSystem(ham, psi0, REGION.indicator(GRID),
+                                  WINDOW).reference_system_final,
     )
 
 
@@ -93,11 +91,10 @@ def _cell_second_moment(c, eps, time=None):
     return oracle.second_moment_position_postselected(c.op, psi, CELL)
 
 
-def _clock(fn, name, strengths):
+def _clock(fn, strengths):
     def route(c, eps, time=None):
-        runs = ClockRuns(CoupledSystem(c.ham, c.psi0, REGION.indicator(GRID), WINDOW),
-                         clock_shifts(**{name: strengths}))
-        return fn(strengths, runs, {"chi": _postselector(c.clock_final, eps, time)})
+        coupled = CoupledSystem(c.ham, c.psi0, REGION.indicator(GRID), WINDOW)
+        return fn(strengths, coupled, {"chi": _postselector(c.clock_final, eps, time)})
 
     return route
 
@@ -126,11 +123,9 @@ ROUTES = {
         c.op, c.psi0, _postselector(c.psi_final, eps, time), 1, (0.1, 0.05, 0.025)
     ),
     "derivative_identity_check": _identity_check,
-    "clock_real_potential": _clock(clock_real_potential, "real_potential",
-                                   (0.02, 0.01, 0.005)),
-    "clock_imaginary_potential": _clock(clock_imaginary_potential, "imaginary_potential",
-                                        (0.02, 0.01, 0.005)),
-    "clock_larmor": _clock(clock_larmor, "larmor", (0.04, 0.02, 0.01)),
+    "clock_real_potential": _clock(clock_real_potential, (0.02, 0.01, 0.005)),
+    "clock_imaginary_potential": _clock(clock_imaginary_potential, (0.02, 0.01, 0.005)),
+    "clock_larmor": _clock(clock_larmor, (0.04, 0.02, 0.01)),
 }
 
 

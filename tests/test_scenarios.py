@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import cli, clocks, dynamics, meter, scenarios, sojourn
+from weaktime import cli, dynamics, meter, scenarios, sojourn
 from weaktime.errors import NumericalError, ParameterError, ValidationError
 from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
 from weaktime.scenarios import (
@@ -363,9 +363,9 @@ def test_split_requires_cleared_barrier(barrier_ctx):
 
 
 def test_postselection_family_is_orthonormal(barrier_ctx):
-    labels, states = postselection_family(
-        barrier_ctx.psi_final, barrier_ctx.scenario.potential.interval
-    )
+    interval = barrier_ctx.scenario.potential.interval
+    chi_t, chi_r, _, _ = postselect_transmitted_reflected(barrier_ctx.psi_final, interval)
+    labels, states = postselection_family(chi_t, chi_r, interval)
     assert labels[:2] == ["transmitted", "reflected"]
     for i, a in enumerate(states):
         for j, b in enumerate(states):
@@ -469,17 +469,19 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     # the phase ladder does not already cover (9 real), and three absorbers
     # shared with the norm clock; T S = 0.6 and |Im u| / S = 0.125 ask for
     # 12 nodes
-    blocks, tables = [], []
+    blocks, covers = [], []
     evolve_shifted = dynamics.evolve_shifted
+    cover = dynamics.CoupledSystem.cover
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(args[2]) or evolve_shifted(*args))
-    monkeypatch.setattr(scenarios, "ClockRuns",
-                        lambda *args: tables.append(clocks.ClockRuns(*args)) or tables[-1])
+    monkeypatch.setattr(dynamics.CoupledSystem, "cover",
+                        lambda self, shifts: covers.append(shifts) or cover(self, shifts))
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
     [nodes] = blocks
     assert nodes.size == 12 and np.isrealobj(nodes)
-    [runs] = tables
-    keys = runs.shifts
+    # the scenario's cover first, then one per readout
+    keys = covers[0]
+    assert len(covers) == 1 + 4
     assert len(keys) == len(set(keys)) == 12
     assert sum(u.imag == 0.0 for u in keys) == 9
     assert all(u.real == 0.0 and u.imag < 0.0 for u in keys if u.imag)
@@ -519,13 +521,21 @@ def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
         assert np.all(dropped <= meter.DEFAULT_MODE_CUTOFF * coeffs.max())
 
 
-def test_meter_pipeline_runs_share_one_node_block(well_meter):
-    # the three runs interpolate from one node block: T S = 1.29 asks for
-    # 15 nodes
-    _, runs = well_meter
-    assert len({(run.nodes, run.chebyshev_terms) for run in runs}) == 1
-    assert runs[0].nodes == 15
-    assert all(run.node_tail <= 1e-13 for run in runs)
+def test_meter_pipeline_runs_share_one_node_block(monkeypatch):
+    # the three runs read one coupled system and interpolate from its one
+    # node block: T S = 1.29 asks for 15 nodes
+    systems = []
+
+    def recording_run_meter(spec, coupled, coupling):
+        systems.append(coupled)
+        return meter.run_meter(spec, coupled, coupling)
+
+    monkeypatch.setattr(scenarios, "run_meter", recording_run_meter)
+    run_scenario(catalog()["well_halves"], pipelines=("meter",))
+    assert len(systems) == len(scenarios.METER_LADDER)
+    assert all(coupled is systems[0] for coupled in systems)
+    assert systems[0].nodes == 15
+    assert 0.0 < systems[0].node_tail <= 1e-13
 
 
 def test_meter_pipeline_well_reports_half_window(well_meter):
@@ -745,6 +755,19 @@ def test_cli_sweep_writes_every_clock_sweep(well_config, tmp_path, capsys):
     assert sweeps["larmor"]["none"]["value"][0] == pytest.approx(half, rel=0.01)
 
 
+@pytest.mark.parametrize("factor, flags", [(10.0, "negative"), (1.0, "anomalous;negative")])
+def test_anomalous_flag_reaches_the_emitted_row(monkeypatch, factor, flags):
+    # barrier_farside postselected on the far-side cell 238 reads
+    # |tau| / T = 1.009: inside the default anomaly factor, past a factor of
+    # 1, where the emitted row carries the flag ahead of the sign
+    monkeypatch.setattr(sojourn, "ANOMALY_FACTOR", factor)
+    sc = replace(catalog()["barrier_farside"], postselection="position_cell", cell_index=238)
+    rows = bundle_to_csv(run_scenario(sc, ("sojourn",))).splitlines()
+    [row] = [r for r in rows if ",sojourn,cell,1," in r]
+    assert row.startswith("barrier_farside,sojourn,cell,1,-50.43")
+    assert row.endswith(f",0,0,{flags}")
+
+
 def test_position_cell_config_round_trip_runs_and_emits(barrier_ctx, tmp_path):
     cell = int(np.argmax(np.abs(barrier_ctx.psi_final.amplitudes)))
     sc = replace(barrier_ctx.scenario, name="barrier_cell",
@@ -789,7 +812,7 @@ def test_cli_position_cell_validates_and_runs(well_cell_config, tmp_path, capsys
 
 def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeypatch, capsys):
     # a config file's window is the one the sojourn operator is built over,
-    # once, and the one the clock table evolves over
+    # once, and the one the clocks' coupled system evolves over
     cfg = scenario_to_config(catalog()["well_halves"])
     cfg["window.t_stop"] = "18.0"
     path = tmp_path / "window.cfg"
@@ -800,35 +823,39 @@ def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeyp
         calls.append(("sojourn_matrix", window))
         return sojourn.sojourn_matrix(region, ham, window)
 
-    def recording_clock_runs(*args):
-        runs = clocks.ClockRuns(*args)
-        calls.append(("ClockRuns", runs.coupled.window))
-        return runs
+    def recording_coupled_system(*args):
+        coupled = dynamics.CoupledSystem(*args)
+        calls.append(("CoupledSystem", coupled.window))
+        return coupled
 
     monkeypatch.setattr(scenarios, "sojourn_matrix", recording_sojourn_matrix)
-    monkeypatch.setattr(scenarios, "ClockRuns", recording_clock_runs)
+    monkeypatch.setattr(scenarios, "CoupledSystem", recording_coupled_system)
     assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     window = (0.0, 18.0)
-    assert calls == [("sojourn_matrix", window), ("ClockRuns", window)]
+    assert calls == [("sojourn_matrix", window), ("CoupledSystem", window)]
 
 
 def test_clock_block_holds_no_unread_column(monkeypatch):
-    # the pipeline declares exactly the keys its readouts look up: every
-    # column of the clock block is read, and nothing outside it is asked for
-    tables, looked_up = [], []
-    final = clocks.ClockRuns.final
+    # the pipeline covers exactly the keys its readouts read: every key of
+    # the cover is read, off one coupled system, and nothing outside it
+    covered, systems, read = [], [], []
+    cover, columns = dynamics.CoupledSystem.cover, dynamics.CoupledSystem.columns
 
-    def recording_final(runs, u):
-        tables.append(runs)
-        looked_up.append(complex(u))
-        return final(runs, u)
+    def recording_cover(coupled, shifts):
+        covered.extend(complex(u) for u in shifts)
+        return cover(coupled, shifts)
 
-    monkeypatch.setattr(clocks.ClockRuns, "final", recording_final)
+    def recording_columns(coupled, shifts):
+        systems.append(coupled)
+        read.extend(complex(u) for u in shifts)
+        return columns(coupled, shifts)
+
+    monkeypatch.setattr(dynamics.CoupledSystem, "cover", recording_cover)
+    monkeypatch.setattr(dynamics.CoupledSystem, "columns", recording_columns)
     run_scenario(catalog()["barrier_dwell"], ("clocks",))
-    runs = tables[0]
-    assert all(t is runs for t in tables)
-    assert len(runs.shifts) == 12
-    assert set(looked_up) == set(runs.shifts)
+    assert len(systems) == 4 and all(c is systems[0] for c in systems)
+    assert len(set(covered)) == 12
+    assert set(read) == set(covered)
 
 
 def test_config_has_no_time_step():
