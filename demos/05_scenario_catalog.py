@@ -10,10 +10,7 @@ through the same path the command line uses.
 
 import tempfile
 
-import numpy as np
-
 from weaktime import catalog, emit, run_scenario
-from weaktime.sojourn import conditional_dwell_time, dwell_time
 from weaktime.scenarios import config_hash, format_config, scenario_to_config
 
 cat = catalog()

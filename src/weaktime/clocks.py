@@ -67,17 +67,6 @@ CLOCK_KEYS = {
 }
 
 
-def _ladder(strengths) -> tuple[float, ...]:
-    s = tuple(float(v) for v in strengths)
-    if len(s) < 3:
-        raise ParameterError("need at least 3 sweep strengths")
-    if any(b >= a for a, b in zip(s, s[1:])):
-        raise ParameterError("strengths must be strictly decreasing")
-    if s[-1] <= MIN_STRENGTH:
-        raise ParameterError(f"smallest strength must exceed {MIN_STRENGTH}")
-    return s
-
-
 def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
     """Every key u that `clock_real_potential`, `clock_imaginary_potential`
     (and `absorption_survival_dwell`), and `clock_larmor` read from a
@@ -126,16 +115,19 @@ class SweepRecord:
         return float(self.value.real)
 
 
-def _checked_strengths(strengths) -> np.ndarray:
-    """The strengths as a float array; ParameterError unless there are at
-    least 3, positive and distinct, the points `extrapolate_to_zero` needs.
-    Routes that divide by a strength call it first."""
-    g = np.asarray(strengths, dtype=float)
-    if g.size < 3:
-        raise ParameterError("need at least 3 points to extrapolate")
-    if np.any(g <= 0) or np.any(np.diff(np.sort(g)) == 0):
-        raise ParameterError("strengths must be positive and distinct")
-    return g
+def _checked_strengths(strengths) -> tuple[float, ...]:
+    """The strengths as floats; ParameterError unless there are at least 3,
+    strictly decreasing, the smallest above MIN_STRENGTH: the ladder
+    `extrapolate_to_zero` needs, whose residual drops the first, largest
+    strength.  Routes that divide by a strength call it first."""
+    s = tuple(float(v) for v in strengths)
+    if len(s) < 3:
+        raise ParameterError("need at least 3 sweep strengths")
+    if any(b >= a for a, b in zip(s, s[1:])):
+        raise ParameterError("strengths must be strictly decreasing")
+    if s[-1] <= MIN_STRENGTH:
+        raise ParameterError(f"strengths must be positive, the smallest above {MIN_STRENGTH}")
+    return s
 
 
 def extrapolate_to_zero(strengths, values, error_order: int = 2):
@@ -147,7 +139,7 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
     is the least-squares slope of log|readout - value| against log strength
     over the readouts that differ from the value by more than rounding.
     """
-    g = _checked_strengths(strengths)
+    g = np.array(_checked_strengths(strengths))
     f = np.asarray(values, dtype=complex)
     powers = np.arange(g.size)
     if error_order == 2:
@@ -189,7 +181,7 @@ def _sweep(strengths, coupled: CoupledSystem, chis: dict, clock: str, error_orde
     strength s, u over `CLOCK_KEYS[clock](s)`, extrapolated to zero.  One
     `_read` of u = 0 and the keys, and one product of the postselectors with
     that block for every overlap."""
-    strengths = _ladder(strengths)
+    strengths = _checked_strengths(strengths)
     space = coupled.psi0.space
     if any(chi.space != space for chi in chis.values()):
         raise StructureError("postselector and packet live on different spaces")
@@ -233,7 +225,7 @@ def absorption_survival_dwell(strengths, coupled: CoupledSystem) -> SweepRecord:
     """Unconditioned absorption clock from total norm loss,
     -hbar * d/dGamma of the survival probability at zero strength; it reads
     the same -i*Gamma/2 columns as `clock_imaginary_potential`."""
-    strengths = _ladder(strengths)
+    strengths = _checked_strengths(strengths)
     _, survival = _read(coupled, [CLOCK_KEYS["imaginary_potential"](g)[0] for g in strengths])
     readouts = [-HBAR * (p - 1.0) / g for g, p in zip(strengths, survival)]
     return _record(strengths, readouts, 1)

@@ -17,6 +17,8 @@ shift s, so a `CoupledSystem` evolves it once, at Chebyshev nodes in s as
 one such block, and reads every other shift off their interpolant: the
 meter's pointer modes at real s, the clocks' keys also at complex s, whose
 imaginary part is an absorber, the one form absorbers take in the package.
+What the block serves is fixed when it is fitted, a Bernstein ellipse about
+the node interval, so a read inside it only interpolates.
 Neither propagator has a time step.  The Larmor clock reduces to two
 position-only runs, and the meter factorizes over pointer modes.
 
@@ -294,16 +296,20 @@ def _lobatto_fit(n: int) -> np.ndarray:
 
 def _bernstein(z: np.ndarray) -> float:
     """The largest rho of the Bernstein ellipses E_rho (foci -1 and 1, rho
-    the sum of its semi-axes) through the points z; 1 for z in [-1, 1]."""
+    the sum of its semi-axes) through the points z; exactly 1 for real z in
+    [-1, 1], where rounding would leave |w| a few ulps above 1."""
+    z = np.asarray(z, dtype=complex)
     w = np.abs(z + np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j))
-    return float(np.max(np.maximum(w, 1.0 / w)))
+    w = np.maximum(w, 1.0 / w)
+    w[(z.imag == 0.0) & (np.abs(z.real) <= 1.0)] = 1.0
+    return float(np.max(w))
 
 
-def _node_tail(reach: float, rho0: float, degree: Optional[int] = None):
-    """(n, bound): the least degree n with bound <= _NODE_TAIL, or the one
-    given, of the Chebyshev interpolant of psi(S z) on [-1, 1], and the
-    bound, relative to ||psi0||, on its series terms past n at any z of
-    Bernstein parameter rho0: the minimum over rho = rho0 _RHO_RATIOS of
+def _node_tail(reach: float, rho0: float):
+    """(n, bound): the least degree n with bound <= _NODE_TAIL of the
+    Chebyshev interpolant of psi(S z) on [-1, 1], and the bound, relative
+    to ||psi0||, on its series terms past n at any z of Bernstein parameter
+    rho0: the minimum over rho = rho0 _RHO_RATIOS of
 
         2 exp(reach (rho - 1/rho) / 2) (rho0/rho)^(n+1) / (1 - rho0/rho),
 
@@ -315,8 +321,7 @@ def _node_tail(reach: float, rho0: float, degree: Optional[int] = None):
     q = _RHO_RATIOS
     rho = rho0 * q
     base = np.log(2.0) + 0.5 * reach * (rho - 1.0 / rho) - np.log1p(-1.0 / q)
-    if degree is None:
-        degree = int(np.min(np.ceil((base - np.log(_NODE_TAIL)) / np.log(q)))) - 1
+    degree = int(np.min(np.ceil((base - np.log(_NODE_TAIL)) / np.log(q)))) - 1
     return degree, float(np.exp(np.min(base - (degree + 1) * np.log(q))))
 
 
@@ -328,23 +333,24 @@ class CoupledSystem:
     psi(s) is entire in s, so its Chebyshev interpolant through the real
     Lobatto nodes S cos(j pi / n), j = 0..n, converges to it in the whole
     plane (Trefethen, Approximation Theory and Approximation Practice, ch.
-    8).  A request is served by the interpolant held if the a-priori bound
-    on its dropped tail (`_node_tail`) is at most 1e-13 ||psi0|| at every
-    shift asked for; otherwise it is refitted to the request: S is the
-    largest |Re s|, widened to 8 |Im s| where that is larger, so that every
-    s / S lies within the Bernstein ellipse rho0 = 1.13 (rho0 = 1 for real
-    shifts), and n is the least degree whose bound is at most 1e-13; the
-    n + 1 nodes are one `evolve_shifted` block.  Off the real axis the
-    interpolant amplifies the nodes' rounding by about rho0^n: a request
-    past 1e3 (an absorber with T |Im s| max|a| beyond about 2.5) raises
-    ParameterError, one past n = 1024 NumericalError.
+    8).  A fit to a request takes S the largest |Re s|, widened to 8 |Im s|
+    where that is larger, so that an absorber s / S lies within the
+    Bernstein ellipse rho = 1.13 (real ones on [-1, 1], rho = 1); rho0 is
+    the largest rho at the shifts asked for, and n the least degree whose
+    a-priori bound on the dropped tail (`_node_tail`) is at most 1e-13
+    ||psi0|| on E_rho0.  The n + 1 nodes are one `evolve_shifted` block.
+    Both the bound and the rounding gain grow with rho, so the fit serves
+    exactly the shifts s with s / S in E_rho0, and a later request with any
+    shift outside it refits to that request.  Off
+    the real axis the interpolant amplifies the nodes' rounding by about
+    rho0^n: a fit past 1e3 (an absorber with T |Im s| max|a| beyond about
+    2.5) raises ParameterError, one past n = 1024 NumericalError.
 
     The clocks and the meter read the family through `columns`, and the
     coupled system reports the one node block behind them: `nodes` columns
     evolved by a series of `chebyshev_terms` terms (nodes x terms is its
-    work), and `node_tail`, the largest tail bound at any shift served
-    since the block was fitted; all three are 0 until a nonzero shift is
-    asked for.
+    work), and `node_tail`, the tail bound it was fitted to; all three are
+    0 until a nonzero shift is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -367,7 +373,7 @@ class CoupledSystem:
             raise StructureError("state and Hamiltonian live on different spaces")
         self.system, self.psi0, self.observable = system, psi0, a
         self.window, self.duration = (t0, t1), t1 - t0
-        self._interval = self._reach = 0.0
+        self._interval = self._rho = 0.0
         self._coeffs = None
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
@@ -379,18 +385,13 @@ class CoupledSystem:
 
     def cover(self, shifts) -> None:
         """Make the interpolant serve every shift, refitting it to them
-        unless the one held already does (or all are zero, which `columns`
-        serves exactly), and raise `node_tail` to the tail bound at them."""
+        unless each lies in the Bernstein ellipse the one held was fitted on
+        (or all are zero, which `columns` serves exactly)."""
         shifts = np.asarray(shifts, dtype=complex)
         if not np.any(shifts):
             return
-        if self._coeffs is not None:
-            degree = self.nodes - 1
-            rho0 = _bernstein(shifts / self._interval)
-            _, tail = _node_tail(self._reach, rho0, degree)
-            if tail <= _NODE_TAIL and rho0**degree <= _MAX_GAIN:
-                self.node_tail = max(self.node_tail, tail)
-                return
+        if self._coeffs is not None and _bernstein(shifts / self._interval) <= self._rho:
+            return
         interval = max(float(np.max(np.abs(shifts.real))),
                        float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
         reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
@@ -410,7 +411,7 @@ class CoupledSystem:
                                       interval * np.cos(np.arange(degree + 1) * np.pi / degree),
                                       self.psi0.amplitudes, self.duration)
         self._coeffs = apply_real(_lobatto_fit(degree), block.T)
-        self._interval, self._reach = interval, reach
+        self._interval, self._rho = interval, rho0
         self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
 
     def columns(self, shifts) -> np.ndarray:

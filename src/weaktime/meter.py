@@ -378,8 +378,7 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     reported but never flagged, since on readouts that agree to rounding
     (free_box) it fits noise.
     """
-    g = tuple(r.coupling for r in runs)
-    _checked_strengths(g)
+    g = _checked_strengths(r.coupling for r in runs)
     readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]
     value, order, residual = extrapolate_to_zero(g, readouts, 2)
     return SweepRecord(
@@ -410,8 +409,7 @@ def lambda_moment_route(
     """
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
-    lambdas = tuple(float(v) for v in lambdas)
-    _checked_strengths(lambdas)
+    lambdas = _checked_strengths(lambdas)
     _check_state(op, chi)
     free_eig, z, tau, w = _free_flight(op, psi0)
     chi_eig = apply_real(op.vecs.T, chi.amplitudes)

@@ -500,6 +500,8 @@ def run_scenario(
         # that no readout refits it
         coupled = CoupledSystem(ham, psi0, scenario.region.indicator(scenario.grid),
                                 scenario.window)
+        # its reference state, the window end with no coupling, is psi_final
+        coupled.reference_system_final = psi_final
         t = scenario.duration()
         ladders = {name: tuple(c / t for c in lad) for name, lad in CLOCK_LADDERS.items()}
         shifts = [*clock_shifts(**ladders)] if "clocks" in pipelines else []

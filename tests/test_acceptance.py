@@ -20,7 +20,6 @@ from weaktime.hilbert import (
     Region,
     basis_cell_state,
     gaussian_packet,
-    inner_product,
     position_space,
     spin_space,
 )

@@ -262,3 +262,32 @@ def test_every_public_definition_is_used_outside_the_tests():
     unused = [f"{module}.{name}" for module, name in _public_definitions()
               if name not in used]
     assert unused == []
+
+
+def _unused_imports(path: pathlib.Path):
+    """(line, name) of each name a module imports and never reads, by its
+    AST; an import line marked `# noqa: F401` is kept on purpose."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package, its tests and its demos; a package __init__ imports only
+    # to re-export, through its computed __all__
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for folder in ("src", "tests", "demos")
+              for path in sorted((ROOT / folder).rglob("*.py"))
+              if path.name != "__init__.py"
+              for line, name in _unused_imports(path)]
+    assert unused == []

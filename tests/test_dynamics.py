@@ -16,7 +16,8 @@ from weaktime.hilbert import (
     spin_space,
 )
 from weaktime.clocks import clock_shifts
-from weaktime.scenarios import CLOCK_LADDERS, catalog
+from weaktime.meter import coupling_shifts
+from weaktime.scenarios import CLOCK_LADDERS, METER_LADDER, METER_POINTER, catalog, run_scenario
 
 GRID = Grid(48, 0.0, 40.0)
 SPACE = position_space(GRID)
@@ -159,10 +160,11 @@ def test_coupled_system_absorbing_norms_fall_with_gamma(name):
     assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
 
 
-def test_coupled_system_reports_the_largest_tail_it_served(monkeypatch):
-    # fitted on the Larmor keys +-0.6 / T of well_halves, 12 nodes serve
-    # absorbers up to Gamma = 0.05 / T too, each at a larger bound than the
-    # fit's; node_tail keeps the largest, and a weaker real key leaves it
+def test_coupled_system_serves_only_the_ellipse_it_was_fitted_on(monkeypatch):
+    # fitted on the Larmor keys +-0.6 / T of well_halves, on the real
+    # interval (rho = 1), 12 nodes serve every real key up to 0.6 / T with
+    # no block and keep the fit's bound; an absorber lies off that interval
+    # and refits once, to its own ellipse, which then serves a weaker one
     sc = catalog()["well_halves"]
     t = sc.duration()
     coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
@@ -170,14 +172,44 @@ def test_coupled_system_reports_the_largest_tail_it_served(monkeypatch):
     coupled.cover([0.6 / t, -0.6 / t])
     fitted = coupled.node_tail
     blocks = []
-    monkeypatch.setattr(dynamics, "evolve_shifted", lambda *args: blocks.append(args))
-    tails = []
-    for gamma in (0.01, 0.05, 0.02):
-        coupled.columns([-0.5j * gamma / t])
-        tails.append(coupled.node_tail)
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: blocks.append(args) or evolve_shifted(*args))
+    coupled.columns([0.3 / t, -0.6 / t, 0.6 / t])
+    assert blocks == [] and coupled.nodes == 12 and coupled.node_tail == fitted
+    coupled.columns([-0.5j * 0.01 / t])
+    absorbing = coupled.node_tail
+    coupled.columns([-0.5j * 0.005 / t])
+    assert len(blocks) == 1 and coupled.node_tail == absorbing <= 1e-13
     coupled.columns([0.3 / t])
-    assert blocks == [] and coupled.nodes == 12
-    assert fitted < tails[0] < tails[1] == tails[2] == coupled.node_tail <= 1e-13
+    assert len(blocks) == 2
+
+
+def test_bernstein_is_exactly_one_on_the_node_interval():
+    # a real shift in [-S, S] lies on the degenerate ellipse rho = 1, with
+    # no rounding above it: a fit on the meter's +G ladder serves each of its
+    # runs, where 1 + 2.2e-16 at G = 0.2 and 0.1 would refit
+    t = catalog()["well_halves"].duration()
+    top = np.max(np.abs(coupling_shifts(METER_POINTER, max(METER_LADDER), t)))
+    for g in METER_LADDER:
+        assert dynamics._bernstein(coupling_shifts(METER_POINTER, g, t) / top) == 1.0
+    assert dynamics._bernstein(np.linspace(-1.0, 1.0, 4001)) == 1.0
+    assert dynamics._bernstein(np.array([1.0 + 1e-12])) > 1.0
+    assert dynamics._bernstein(np.array([0.5 + 1e-9j])) > 1.0
+
+
+@pytest.mark.parametrize("name", ["well_halves", "barrier_dwell"])
+def test_a_covered_scenario_bounds_its_tail_once(name, monkeypatch):
+    # the scenario's one fit sizes its block by one tail bound; the clock
+    # and meter readouts behind it test containment and interpolate
+    calls, blocks = [], []
+    node_tail, evolve_shifted = dynamics._node_tail, dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "_node_tail",
+                        lambda *args: calls.append(args) or node_tail(*args))
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: blocks.append(args) or evolve_shifted(*args))
+    run_scenario(catalog()[name], pipelines=("clocks", "meter"))
+    assert len(calls) == len(blocks) == 1
 
 
 @pytest.mark.parametrize("g, t", [(0.3, 4.0), (1.0, 2.0)])
@@ -270,6 +302,12 @@ def test_evolve_shifted_refuses_an_absorber_it_cannot_resolve():
     with pytest.raises(ParameterError, match="real shifts only"):
         evolve_shifted(ham, np.ones(GRID.n_points), np.array([-1000j]),
                        _packet().amplitudes, 10.0)
+
+
+def test_evolve_shifted_with_no_shifts_is_an_empty_block():
+    block, terms = evolve_shifted(Hamiltonian(SPACE), np.ones(GRID.n_points), np.array([]),
+                                  _packet().amplitudes, 3.0)
+    assert block.shape == (GRID.n_points, 0) and block.dtype == complex and terms == 0
 
 
 def test_evolve_shifted_refuses_a_series_it_cannot_resolve():

@@ -7,6 +7,7 @@ import scipy.linalg
 
 import oracle
 from weaktime import dynamics, meter
+from weaktime.clocks import extrapolate_to_zero
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
 from weaktime.hilbert import (
@@ -92,6 +93,21 @@ def test_pointer_spec_rejects_bad_width():
 def test_pointer_spec_rejects_grid_without_origin():
     with pytest.raises(ParameterError):
         PointerSpec(Grid(64, 1.0, 7.0), 0.5)
+
+
+def test_pointer_spec_refuses_a_profile_cut_off_on_one_side():
+    # q = 0 is on the grid, but the grid stops just left of it: the sampled
+    # Gaussian keeps its right half and its mean sits far off centre
+    spec = PointerSpec(Grid(64, -0.1, 10.0), 1.0)
+    with pytest.warns(UserWarning, match="5 sigma"), \
+            pytest.raises(ParameterError, match="off center"):
+        spec.initial_state()
+
+
+def test_pointer_distribution_refuses_an_unnormalized_density():
+    grid = Grid(64, -3.0, 3.0)
+    with pytest.raises(ParameterError, match="normalization off"):
+        meter.PointerDistribution(grid=grid, density=np.ones(64), mean=0.0)
 
 
 # -- basic runs ---------------------------------------------------------------
@@ -582,6 +598,28 @@ def test_moment_meter_rejects_bad_order(crossing):
         run_moment_meter(spec, psi0, op, 5, 0.1)
 
 
+def test_lambda_route_rejects_a_third_moment(crossing):
+    _, psi0, psi_final, op = crossing
+    with pytest.raises(ParameterError, match="orders 1 and 2"):
+        lambda_moment_route(op, psi0, psi_final, 3, (0.1, 0.05, 0.025))
+
+
+def test_pointer_shift_fit_needs_two_runs():
+    system, psi0, a = _toy()
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
+    run = run_meter(spec, CoupledSystem(system, psi0, a, (0.0, 1.0)), 0.1)
+    with pytest.raises(ParameterError, match="at least 2 runs"):
+        pointer_shift_fit([run])
+
+
+def test_pointer_distribution_refuses_a_postselector_on_another_space():
+    system, psi0, a = _toy()
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=64)
+    run = run_meter(spec, CoupledSystem(system, psi0, a, (0.0, 1.0)), 0.1)
+    with pytest.raises(StructureError, match="system space"):
+        pointer_distribution(run, postselect=gaussian_packet(GRID, 13.0, 2.5, 1.0))
+
+
 # -- derivative identities ----------------------------------------------------
 
 
@@ -631,6 +669,22 @@ def test_moment_readouts_refuse_a_zero_strength(crossing):
     coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
     runs = [run_meter(spec, coupled, g) for g in ladder]
     with pytest.raises(ParameterError, match="strengths must be positive"):
+        meter_moment_readout(runs)
+
+
+def test_moment_readouts_refuse_an_ascending_ladder(crossing):
+    # extrapolate_to_zero's residual drops the first strength as the
+    # largest, so an ascending ladder is refused wherever it would reach it
+    ham, psi0, psi_final, op = crossing
+    ladder = (0.1, 0.2, 0.4)
+    with pytest.raises(ParameterError, match="strictly decreasing"):
+        extrapolate_to_zero(ladder, [1.0, 1.0, 1.0])
+    with pytest.raises(ParameterError, match="strictly decreasing"):
+        lambda_moment_route(op, psi0, psi_final, 1, ladder)
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    runs = [run_meter(spec, coupled, g) for g in ladder]
+    with pytest.raises(ParameterError, match="strictly decreasing"):
         meter_moment_readout(runs)
 
 

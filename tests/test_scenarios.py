@@ -8,7 +8,7 @@ import scipy.linalg
 import oracle
 from weaktime import cli, dynamics, meter, scenarios, sojourn
 from weaktime.errors import NumericalError, ParameterError, ValidationError
-from weaktime.hilbert import Grid, QuantumState, Region, inner_product, position_space
+from weaktime.hilbert import Grid, QuantumState, Region, inner_product
 from weaktime.scenarios import (
     PacketSpec,
     PotentialSpec,
@@ -16,7 +16,6 @@ from weaktime.scenarios import (
     Scenario,
     bundle_from_dict,
     bundle_to_csv,
-    bundle_to_dict,
     bundle_to_json,
     catalog,
     config_hash,
@@ -296,7 +295,7 @@ def test_validate_rejects_boundary_reflection():
         validate_scenario(bad)
 
 
-def test_validate_warns_on_unreachable_region():
+def test_validate_warns_on_unreachable_region(tmp_path, capsys):
     grid = Grid(256, 0.0, 160.0)
     sc = Scenario(
         name="slow", grid=grid, potential=PotentialSpec(),
@@ -306,6 +305,12 @@ def test_validate_warns_on_unreachable_region():
     )
     notes = validate_scenario(sc)
     assert any("too short" in n for n in notes)
+    # the command line prints the same note as a warning
+    path = tmp_path / "slow.cfg"
+    path.write_text(format_config(scenario_to_config(sc)))
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "slow: valid\n  warning: window too short for the packet to reach the region\n")
 
 
 def test_validate_rejects_split_without_barrier():
@@ -536,6 +541,30 @@ def test_meter_pipeline_runs_share_one_node_block(monkeypatch):
     assert all(coupled is systems[0] for coupled in systems)
     assert systems[0].nodes == 15
     assert 0.0 < systems[0].node_tail <= 1e-13
+
+
+def test_meter_reads_the_window_end_state_the_scenario_evolved(monkeypatch):
+    # psi0 reaches the window end once a scenario: every run's reference
+    # state is the psi_final the postselectors were split from, bit for bit
+    # the exact eigenbasis evolution, and nothing evolves psi0 again
+    sc = catalog()["well_halves"]
+    exact = dynamics.evolve_eigenbasis(sc.initial_state(), sc.hamiltonian(), sc.window[1])
+    finals, runs = [], []
+    postselectors = scenarios._postselectors
+    monkeypatch.setattr(scenarios, "_postselectors",
+                        lambda sc, psi: finals.append(psi) or postselectors(sc, psi))
+    monkeypatch.setattr(scenarios, "run_meter",
+                        lambda *args: runs.append(meter.run_meter(*args)) or runs[-1])
+
+    def refuse(*args):
+        raise AssertionError("psi0 evolved to the window end a second time")
+
+    monkeypatch.setattr(dynamics, "evolve_eigenbasis", refuse)
+    run_scenario(sc, pipelines=("meter",))
+    [psi_final] = finals
+    assert np.array_equal(psi_final.amplitudes, exact.amplitudes)
+    assert len(runs) == len(scenarios.METER_LADDER)
+    assert all(run.reference_system_final is psi_final for run in runs)
 
 
 def test_meter_pipeline_well_reports_half_window(well_meter):
