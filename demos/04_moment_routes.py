@@ -15,9 +15,13 @@ across all four is the consistency check this module exists for.
 Every route reads the one stored form of the operator: its matrix M in the
 energy eigenbasis V of the free Hamiltonian, kept as the real symmetric
 K = D_u^dag M D_u of the window midpoint, u = exp(-i E T / 2 hbar).  The
-lambda and meter routes take their free evolution from that same
-eigenbasis, so they need no Hamiltonian argument, and share one real
-eigendecomposition of K, solved on first use and cached on the operator.
+lambda and meter routes both read one carried-along family,
+`CarriedFamily(op, psi0, order)`: psi0 freely evolved in that same
+eigenbasis, then coupled to the l-th power of the operator as closed-form
+phases in the one real eigendecomposition of K, solved on first use and
+cached on the operator, so they need no Hamiltonian argument.  The meter
+route is `run_meter` on that family, the lambda route two reads of its
+columns at s = +-lambda / T per lambda.
 """
 
 from weaktime import (

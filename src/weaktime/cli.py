@@ -101,7 +101,7 @@ def _cmd_compare(args) -> int:
         allowed = max(r.tolerance * max(abs(ref), 1e-12), r.residual)
         dev = abs(r.value - ref)
         worst = max(worst, dev / allowed if allowed else 0.0)
-        if dev > allowed:
+        if not dev <= allowed:
             ok = False
         print(f"{r.method},{r.postselection},{r.value:.10g},{ref:.10g},"
               f"{dev:.3e},{allowed:.3e}")

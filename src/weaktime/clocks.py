@@ -91,7 +91,7 @@ def _read(coupled: CoupledSystem, keys: list):
     # moves the norm clock's one-sided readouts by about 1e-12 relative
     survival = [float(w * np.linalg.norm(col)) ** 2 / norm0**2 for col in block.T]
     for u, kept in zip(keys, survival):
-        if 1.0 - kept > MAX_ABSORBED_FRACTION:
+        if not 1.0 - kept <= MAX_ABSORBED_FRACTION:
             raise ParameterError(
                 f"absorbed fraction {1.0 - kept:.3f} at u = {u} exceeds "
                 f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
@@ -123,9 +123,9 @@ def _checked_strengths(strengths) -> tuple[float, ...]:
     s = tuple(float(v) for v in strengths)
     if len(s) < 3:
         raise ParameterError("need at least 3 sweep strengths")
-    if any(b >= a for a, b in zip(s, s[1:])):
+    if any(not b < a for a, b in zip(s, s[1:])):
         raise ParameterError("strengths must be strictly decreasing")
-    if s[-1] <= MIN_STRENGTH:
+    if not s[-1] > MIN_STRENGTH:
         raise ParameterError(f"strengths must be positive, the smallest above {MIN_STRENGTH}")
     return s
 
@@ -134,11 +134,14 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
     """Polynomial (Richardson) extrapolation of readouts to zero strength.
 
     Assumes the leading error is proportional to strength**error_order
-    (2 for central differences, 1 for one-sided), with higher corrections in
-    successive powers.  Returns (value, fitted_order, residual): the order
-    is the least-squares slope of log|readout - value| against log strength
-    over the readouts that differ from the value by more than rounding.
+    (2 for central differences, 1 for one-sided; any other error_order
+    raises ParameterError), with higher corrections in successive powers.
+    Returns (value, fitted_order, residual): the order is the least-squares
+    slope of log|readout - value| against log strength over the readouts
+    that differ from the value by more than rounding.
     """
+    if error_order not in (1, 2):
+        raise ParameterError(f"error_order must be 1 or 2, got {error_order!r}")
     g = np.array(_checked_strengths(strengths))
     f = np.asarray(values, dtype=complex)
     powers = np.arange(g.size)

@@ -170,7 +170,7 @@ def check_time(state: QuantumState, t: float, instant: str) -> None:
     """Raise ParameterError unless `state` is referenced to time `t`, named
     `instant` in the message (the readouts' "window end", the meter's "run
     start")."""
-    if abs(state.representation_time - t) > TIME_ATOL:
+    if not abs(state.representation_time - t) <= TIME_ATOL:
         raise ParameterError(
             f"state at t={state.representation_time} is not referenced to the "
             f"{instant} t={t}"
@@ -201,7 +201,7 @@ def checked_overlap(chi: QuantumState, psi: QuantumState, overlap=None) -> compl
     check_time(chi, psi.representation_time, "postselection instant")
     if overlap is None:
         overlap = inner_product(chi, psi)
-    if abs(overlap) <= OVERLAP_FLOOR * chi.norm() * psi.norm():
+    if not abs(overlap) > OVERLAP_FLOOR * chi.norm() * psi.norm():
         raise DegeneratePostselectionError(
             f"postselection overlap {abs(overlap):.3e} is at most {OVERLAP_FLOOR} "
             "times the norms; the postselected value is undefined"
@@ -216,9 +216,9 @@ def gaussian_packet(grid: Grid, x0: float, sigma: float, k0: float) -> QuantumSt
     is unresolvable on the grid; warns if its tails come within 5 sigma of a
     boundary.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError("sigma must be positive")
-    if sigma <= 3 * grid.dx:
+    if not sigma > 3 * grid.dx:
         raise ParameterError(
             f"sigma = {sigma} unresolvable: need sigma > 3 dx = {3 * grid.dx}"
         )

@@ -22,13 +22,10 @@ Chebyshev nodes in s as one block, and interpolates every kept mode of
 every run that shares it from those nodes; no mode needs an eigensolve.
 In a scenario the clocks read their keys off the same coupled system.
 The moment routes (the moment meter and the lambda route) couple to the
-carried-along sojourn operator, which commutes with its own history, so
-each mode is a closed-form phase in that operator's own eigenbasis.  They
-read the `SojournOperator` directly: the free eigensystem (`vals`,
-`vecs`) it was built in and the cached eigensystem (tau, W_K) of its real
-symmetric midpoint matrix K, one real eigh filled in from the operator's
-kept block rows, rotated by its midpoint phases u into the eigensystem
-W = D_u W_K of M; no position-basis matrix is formed.
+carried-along sojourn operator instead, which commutes with its own
+history: they read `sojourn.CarriedFamily`, whose every shift is
+closed-form phases in the cached eigenbasis of the operator, through the
+same `columns` surface, and the moment meter is `run_meter` on it.
 
 A run never forms its (system, pointer) amplitude array psi(s, q).  Only
 the K kept modes differ from c_k psi_ref, so that array is B @ R: B =
@@ -47,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .clocks import SweepRecord, _checked_strengths, extrapolate_to_zero
-from .dynamics import CoupledSystem, apply_real
+from .dynamics import CoupledSystem
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
@@ -57,7 +54,7 @@ from .hilbert import (
     fourier_momentum_values,
     gaussian_pointer,
 )
-from .sojourn import SojournOperator, _check_state
+from .sojourn import CarriedFamily, SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
@@ -85,7 +82,7 @@ class PointerSpec:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ParameterError("pointer width must be positive")
         if np.min(np.abs(self.grid.points)) > 0.5 * self.grid.dx:
             raise ParameterError("pointer grid must contain q = 0")
@@ -111,7 +108,7 @@ class PointerSpec:
         state = gaussian_pointer(self.grid, self.width)
         q = self.grid.points
         mean = float(np.sum(q * np.abs(state.amplitudes) ** 2) * self.grid.dx)
-        if abs(mean) > self.grid.dx:
+        if not abs(mean) <= self.grid.dx:
             raise ParameterError("initial pointer mean off center by more than dq")
         return state
 
@@ -134,9 +131,10 @@ class MeterRun:
     switched off, used for survival probabilities and as the unperturbed
     state that postselected readouts guard their overlap against.
     `modes_kept` counts the pointer modes evolved with the coupling; the
-    others were below the mode cutoff.  A `run_meter` run interpolates its
-    kept modes from the node block of the `CoupledSystem` it reads, which
-    reports that block; the moment meter's modes are closed-form phases.
+    others were below the mode cutoff.  Their columns are one `columns`
+    read of the family the run was given: interpolated from a
+    `CoupledSystem`'s node block, which reports that block, or closed-form
+    phases of a `CarriedFamily`.
     """
 
     spec: PointerSpec
@@ -165,7 +163,7 @@ class PointerDistribution:
     def __post_init__(self):
         d = np.asarray(self.density, dtype=float)
         total = float(np.sum(d) * self.grid.dx)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ParameterError(f"density normalization off by {total - 1.0:.3e}")
         d = d.copy()
         d.flags.writeable = False
@@ -200,26 +198,41 @@ def _pointer_modes(spec: PointerSpec, mode_cutoff: float):
     return pi_kept, coeffs_kept, phi.norm(), rows
 
 
-def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> MeterRun:
-    """The pointer-mode assembly both meters share.
+def coupling_shifts(spec: PointerSpec, coupling: float, duration: float,
+                    mode_cutoff: float = DEFAULT_MODE_CUTOFF) -> np.ndarray:
+    """(G/T) pi_k over the pointer modes above `mode_cutoff`: the shifts a
+    `run_meter` at coupling G reads off a family of window length T."""
+    return (coupling / duration) * _pointer_modes(spec, mode_cutoff)[0]
 
-    The pointer profile's Fourier modes above `mode_cutoff` (relative to the
-    largest) are kept; `kept_columns(pi, c)` returns their system vectors
-    c_k psi_k, given the kept modes' momenta pi and coefficients c.  Every
-    dropped mode is uncoupled, c_k psi_ref, so the composite is B @ R with
-    B = [psi_ref | kept columns] and R the cached pointer rows
-    (`_pointer_modes`).  With B = Q R_b (R_b from one QR, square or, for
-    N < K + 1, wide), every pointer column of the composite has the norm of
-    the same column of R_b @ R: the marginal and the norm come from that
-    (K + 1, n) product, at N (K + 1)^2 + (K + 1)^2 n per run, and the
-    composite is never formed.
+
+def run_meter(
+    spec: PointerSpec,
+    coupled: CoupledSystem | CarriedFamily,
+    coupling: float,
+    mode_cutoff: float = DEFAULT_MODE_CUTOFF,
+) -> MeterRun:
+    """Evolve psi0 (x) Gaussian pointer under H + (G/T) pi (x) A over the
+    window of length T of `coupled`: a `CoupledSystem`, A = diag(a) its
+    observable (e.g. a region indicator or [1, -1] for sigma_z), or a
+    `CarriedFamily`, A = T_op^l / T.
+
+    The pointer modes above `mode_cutoff` (relative to the largest) are
+    kept, their system vectors c_k psi((G/T) pi_k) one `coupled.columns`
+    read; a CoupledSystem interpolates them from the node block every run
+    of a ladder shares.  A dropped mode is uncoupled, c_k psi_ref, so the
+    composite is B @ R, B = [psi_ref | kept columns], R the cached pointer
+    rows.  With B = Q R_b (one QR, wide for N < K + 1), each pointer column
+    of the composite has the norm of that column of R_b @ R, so the
+    marginal and the norm cost N (K + 1)^2 + (K + 1)^2 n per run.
     """
-    pi_kept, coeffs_kept, phi_norm, rows = _pointer_modes(spec, mode_cutoff)
-    block = np.column_stack([psi_ref.amplitudes, kept_columns(pi_kept, coeffs_kept)])
+    _, coeffs_kept, phi_norm, rows = _pointer_modes(spec, mode_cutoff)
+    psi_ref = coupled.reference_system_final
+    kept = coupled.columns(coupling_shifts(spec, coupling, coupled.duration, mode_cutoff))
+    block = np.column_stack([psi_ref.amplitudes, kept * coeffs_kept])
     reduced = np.linalg.qr(block, mode="r") @ rows
     marginal = psi_ref.cell_weight * np.sum(np.abs(reduced) ** 2, axis=0)
     mass = float((np.sum(marginal[:2]) + np.sum(marginal[-2:])) * spec.grid.dx)
-    if mass > EDGE_MASS_BUDGET:
+    if not mass <= EDGE_MASS_BUDGET:
         raise ParameterError(
             f"pointer support reaches the grid edge (mass {mass:.3e}); "
             "enlarge the pointer grid"
@@ -234,57 +247,9 @@ def _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns) -> M
         pointer_rows=rows,
         marginal=marginal,
         reference_system_final=psi_ref,
-        norm_drift=float(abs(norm - psi0.norm() * phi_norm)),
+        norm_drift=float(abs(norm - coupled.psi0.norm() * phi_norm)),
         modes_kept=coeffs_kept.size,
     )
-
-
-def coupling_shifts(spec: PointerSpec, coupling: float, duration: float,
-                    mode_cutoff: float = DEFAULT_MODE_CUTOFF) -> np.ndarray:
-    """(G/T) pi_k over the pointer modes above `mode_cutoff`: the shifts a
-    `run_meter` at coupling G reads off a CoupledSystem of window length T."""
-    return (coupling / duration) * _pointer_modes(spec, mode_cutoff)[0]
-
-
-def run_meter(
-    spec: PointerSpec,
-    coupled: CoupledSystem,
-    coupling: float,
-    mode_cutoff: float = DEFAULT_MODE_CUTOFF,
-) -> MeterRun:
-    """Evolve psi0 (x) Gaussian pointer under H + (G/T) pi (x) A over the
-    coupled system's window of length T, A = diag(a) its observable (e.g. a
-    region indicator or [1, -1] for sigma_z).  The pointer momentum modes
-    above `mode_cutoff` evolve under H + (G/T) pi_k diag(a): their columns
-    are interpolated from the coupled system's node block, which every run
-    of a ladder shares, so a ladder run largest coupling first evolves one
-    block.
-    """
-
-    def kept_columns(_, coeffs_kept):
-        return coupled.columns(
-            coupling_shifts(spec, coupling, coupled.duration, mode_cutoff)) * coeffs_kept
-
-    return _assemble_run(spec, coupling, coupled.psi0, coupled.reference_system_final,
-                         mode_cutoff, kept_columns)
-
-
-# -- moment meters ---------------------------------------------------------
-
-
-def _free_flight(op: SojournOperator, psi0: QuantumState):
-    """The moment routes' shared start: psi0 freely evolved over the
-    operator's window in the free eigenbasis, free_eig, its coordinates
-    z = W^dag free_eig = W_K^T (conj(u) free_eig) in M's eigenbasis
-    W = D_u W_K, and the cached eigensystem (tau, W_K) of the real K
-    (`SojournOperator.eigensystem`); tau is the spectrum of T_op / T."""
-    t0, t1 = op.window
-    _check_state(op, psi0, "run start")
-    vals, vecs = op.vals, op.vecs
-    phases = np.exp(-1j * vals * (t1 - t0) / HBAR)
-    free_eig = phases * apply_real(vecs.T, psi0.amplitudes)
-    tau, w = op.eigensystem()
-    return free_eig, apply_real(w.T, op.midpoint_phases.conj() * free_eig), tau, w
 
 
 def run_moment_meter(
@@ -297,28 +262,10 @@ def run_moment_meter(
 ) -> MeterRun:
     """Couple the pointer to the l-th power of the time-in-region operator,
     carried along in the evolving picture so that the interaction commutes
-    with its own history.
-
-    In the interaction picture the carried-along operator is constant, so
-    each pointer mode is the closed form exp(-i G pi_k T_op^l) after free
-    flight under the Hamiltonian the operator was built from.  The run
-    window is the operator's window.
-    """
-    if order < 1 or order > 4:
-        raise ParameterError("moment meter supports orders 1..4")
-    free_eig, z, tau, w = _free_flight(op, psi0)
-    vecs = op.vecs
-    psi_ref = QuantumState(psi0.space, apply_real(vecs, free_eig), op.window[1])
-
-    tau = (op.duration * tau) ** order
-    u = op.midpoint_phases[:, None]
-
-    def kept_columns(pi_kept, coeffs_kept):
-        phases = np.exp((-1j * coupling / HBAR) * np.outer(tau, pi_kept))
-        kept_eig = u * apply_real(w, phases * z[:, None]) * coeffs_kept
-        return apply_real(vecs, kept_eig)
-
-    return _assemble_run(spec, coupling, psi0, psi_ref, mode_cutoff, kept_columns)
+    with its own history: `run_meter` on the `CarriedFamily`, each pointer
+    mode the closed form exp(-i G pi_k T_op^l / hbar) after free flight
+    over the operator's window."""
+    return run_meter(spec, CarriedFamily(op, psi0, order), coupling, mode_cutoff)
 
 
 # -- pointer statistics ----------------------------------------------------
@@ -398,39 +345,25 @@ def lambda_moment_route(
     order: int,
     lambdas,
 ):
-    """Moments from scalar-coupling derivatives: evolve under the
-    Hamiltonian the operator was built from plus lambda times the
-    carried-along region projector over the window, in closed form
-    exp(-i lambda T_op) after free flight, and apply (i hbar d/dlambda)^l
-    to the postselected amplitude ratio at lambda = 0 by central
-    differences.  Returns (value, residual); the real part is the moment.
-    Like every sojourn readout it refuses (ParameterError) a `chi` that is
-    not referenced to the window end.
+    """Moments from scalar-coupling derivatives: read the first-order
+    `CarriedFamily` at s = +-lambda / T, exp(-i lambda T_op / hbar) after
+    free flight, and apply (i hbar d/dlambda)^l to the postselected
+    amplitude ratio at lambda = 0 by central differences.  Returns (value,
+    residual); the real part is the moment.  Like every sojourn readout it
+    refuses (ParameterError) a `chi` that is not referenced to the window
+    end.
     """
     if order not in (1, 2):
         raise ParameterError("lambda route implemented for orders 1 and 2")
-    lambdas = _checked_strengths(lambdas)
+    lambdas = np.array(_checked_strengths(lambdas))
     _check_state(op, chi)
-    free_eig, z, tau, w = _free_flight(op, psi0)
-    chi_eig = apply_real(op.vecs.T, chi.amplitudes)
-    weight = psi0.cell_weight
-    # the free evolution keeps the norm of psi0, so psi0 at the window end
-    # stands in for the freely evolved state in the overlap guard
-    den = checked_overlap(chi, psi0.at_time(op.window[1]),
-                          weight * np.vdot(chi_eig, free_eig))
-
-    tau = op.duration * tau
-    chi_z = apply_real(w.T, op.midpoint_phases.conj() * chi_eig)
-
-    def ratio(lam: float) -> complex:
-        return complex(weight * np.vdot(chi_z, np.exp(-1j * lam * tau / HBAR) * z) / den)
-
-    readouts = []
-    for lam in lambdas:
-        rp, rm = ratio(lam), ratio(-lam)
-        if order == 1:
-            readouts.append(1j * HBAR * (rp - rm) / (2.0 * lam))
-        else:
-            readouts.append((1j * HBAR) ** 2 * (rp - 2.0 + rm) / lam**2)
+    family = CarriedFamily(op, psi0, 1)
+    den = checked_overlap(chi, family.reference_system_final)
+    amps = family.columns(np.concatenate([lambdas, -lambdas]) / op.duration)
+    rp, rm = np.reshape(chi.cell_weight * (chi.amplitudes.conj() @ amps) / den, (2, -1))
+    if order == 1:
+        readouts = 1j * HBAR * (rp - rm) / (2.0 * lambdas)
+    else:
+        readouts = (1j * HBAR) ** 2 * (rp - 2.0 + rm) / lambdas**2
     value, _, residual = extrapolate_to_zero(lambdas, readouts, 2)
     return value, residual

@@ -270,7 +270,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         # distance from x0 to each barrier interval, negative inside it
         gap = min((max(lo - x0, x0 - hi) for lo, hi in sc.potential.barriers),
                   default=np.inf)
-        if gap < 5.0 * sc.packet.sigma:
+        if not gap >= 5.0 * sc.packet.sigma:
             raise ValidationError("packet starts within 5 sigma of a barrier")
         # free pre-run: evolve without the potential and inspect the edges,
         # transforming back only the 8 rows at each wall
@@ -279,7 +279,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         edges = apply_real(np.vstack([vecs[:8], vecs[-8:]]),
                            _eigen_coefficients(sc.initial_state(), free, sc.window[1]))
         edge_mass = float(np.sum(np.abs(edges) ** 2) * sc.grid.dx)
-        if edge_mass > EDGE_BUDGET:
+        if not edge_mass <= EDGE_BUDGET:
             raise ValidationError(
                 f"boundary reflection budget exceeded (edge mass {edge_mass:.3e})"
             )
@@ -315,7 +315,7 @@ def postselect_transmitted_reflected(
     inside = float(
         np.sum(np.abs(psi_final.amplitudes[(x >= b_lo) & (x < b_hi)]) ** 2) * grid.dx
     )
-    if inside > BARRIER_CLEARANCE_BUDGET:
+    if not inside <= BARRIER_CLEARANCE_BUDGET:
         raise ValidationError(
             f"barrier occupancy {inside:.3e} above budget; lengthen the window"
         )
@@ -437,11 +437,7 @@ def _sojourn_pipeline(sc: Scenario, bundle: ResultBundle, psi_final, chis, op):
                                          sc.potential.interval)
         for l in (1, 2):
             lhs = moment_sum(op, psi_final, family, l)
-            if l == 1:
-                amps = psi_final.amplitudes
-                rhs = float(np.real(psi_final.cell_weight * np.vdot(amps, op.apply(amps))))
-            else:
-                rhs = second_moment_position_integral(op, psi_final)
+            rhs = tau if l == 1 else second_moment_position_integral(op, psi_final)
             bundle.add(method="sum_rule", postselection="family", order=l,
                        value=lhs - rhs, tolerance=1e-8, residual=abs(lhs - rhs),
                        flags="" if abs(lhs - rhs) <= 1e-8 else "violated")
@@ -588,35 +584,37 @@ CONFIG_KEYS = frozenset({
 def scenario_from_config(cfg: dict) -> Scenario:
     """Scenario from a parsed config.  A key outside CONFIG_KEYS, for example
     a misspelling, raises ValidationError rather than being dropped, and so
-    does a known key that the chosen potential kind, postselection mode or
-    initial kind does not read (one `scenario_to_config` omits, so that it
-    could not enter `config_hash`)."""
+    do a number that is not finite (nan, inf) and a known key that the
+    chosen potential kind, postselection mode or initial kind does not read
+    (one `scenario_to_config` omits, so that it could not enter
+    `config_hash`)."""
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
+
+    def num(key, default=None) -> float:
+        x = float(cfg[key] if default is None else cfg.get(key, default))
+        if not np.isfinite(x):
+            raise ValueError(f"{key} = {x} is not finite")
+        return x
+
     try:
-        grid = Grid(
-            int(cfg["grid.n"]), float(cfg["grid.x_min"]), float(cfg["grid.x_max"])
-        )
+        grid = Grid(int(cfg["grid.n"]), num("grid.x_min"), num("grid.x_max"))
         potential = PotentialSpec(
             kind=cfg.get("potential.kind", "free"),
-            v0=float(cfg.get("potential.v0", 0.0)),
-            x_lo=float(cfg.get("potential.x_lo", 0.0)),
-            x_hi=float(cfg.get("potential.x_hi", 0.0)),
-            x2_lo=float(cfg.get("potential.x2_lo", 0.0)),
-            x2_hi=float(cfg.get("potential.x2_hi", 0.0)),
+            v0=num("potential.v0", 0.0),
+            x_lo=num("potential.x_lo", 0.0),
+            x_hi=num("potential.x_hi", 0.0),
+            x2_lo=num("potential.x2_lo", 0.0),
+            x2_hi=num("potential.x2_hi", 0.0),
         )
         sc = Scenario(
             name=cfg.get("scenario.name", "custom"),
             grid=grid,
             potential=potential,
-            packet=PacketSpec(
-                float(cfg["packet.x0"]),
-                float(cfg["packet.sigma"]),
-                float(cfg["packet.k0"]),
-            ),
-            window=(float(cfg["window.t_start"]), float(cfg["window.t_stop"])),
-            region=Region(float(cfg["region.x_lo"]), float(cfg["region.x_hi"])),
+            packet=PacketSpec(num("packet.x0"), num("packet.sigma"), num("packet.k0")),
+            window=(num("window.t_start"), num("window.t_stop")),
+            region=Region(num("region.x_lo"), num("region.x_hi")),
             postselection=cfg.get("postselection.mode", "none"),
             cell_index=int(cfg.get("postselection.cell", 0)),
             initial_kind=cfg.get("initial.kind", "packet"),

@@ -29,6 +29,7 @@ t_stop.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +127,46 @@ class SojournOperator:
                 lower[i0:, i0:i1] = block.T
             cached = self._cache["eig"] = np.linalg.eigh(lower)
         return cached
+
+
+def _check_order(order) -> None:
+    """ParameterError unless `order` is an integer in 1..4."""
+    if not isinstance(order, numbers.Integral) or not 1 <= order <= 4:
+        raise ParameterError(f"sojourn-operator power must be an integer in 1..4, got {order!r}")
+
+
+class CarriedFamily:
+    """psi0 coupled over the operator's window to T_op^order, the sojourn
+    operator carried along in the evolving picture so that the coupling
+    commutes with its own history: psi(s) = exp(-i s T T_op^order / hbar)
+    psi_free for real shifts s, psi_free = `reference_system_final`, psi0
+    freely evolved to the window end.  psi(s) is closed-form phases in M's
+    cached eigenbasis W = D_u W_K (`SojournOperator.eigensystem`).
+
+    It has the surface `meter.run_meter` reads of a `dynamics.CoupledSystem`
+    (`psi0`, `duration`, `reference_system_final`, `columns`), so a run at
+    coupling G evolves its mode k by exp(-i G pi_k T_op^order / hbar).
+    ParameterError for an order that is not an integer in 1..4 or a psi0
+    not at the window start, StructureError for one on another space.
+    """
+
+    def __init__(self, op: SojournOperator, psi0: QuantumState, order: int):
+        _check_order(order)
+        _check_state(op, psi0, "run start")
+        self.op, self.psi0, self.duration = op, psi0, op.duration
+        free = np.exp(-1j * op.vals * op.duration / HBAR) * apply_real(op.vecs.T, psi0.amplitudes)
+        self.reference_system_final = QuantumState(psi0.space, apply_real(op.vecs, free),
+                                                   op.window[1])
+        tau, self._w = op.eigensystem()
+        self._spectrum = (op.duration * tau) ** order
+        self._z = apply_real(self._w.T, op.midpoint_phases.conj() * free)
+
+    def columns(self, shifts) -> np.ndarray:
+        """psi(s_j) for each real shift s_j as the columns of one
+        (dimension, len(shifts)) block."""
+        phases = np.exp((-1j * self.duration / HBAR) * np.outer(self._spectrum, shifts))
+        coeffs = self.op.midpoint_phases[:, None] * apply_real(self._w, phases * self._z[:, None])
+        return apply_real(self.op.vecs, coeffs)
 
 
 @dataclass(frozen=True)
@@ -242,10 +283,7 @@ def moment(
 ) -> float:
     """Real part of the order-l conditional weak value of the sojourn
     operator power."""
-    if order < 1:
-        raise ParameterError("moment order must be >= 1")
-    if order > 4:
-        raise ParameterError("moments implemented for order <= 4")
+    _check_order(order)
     ratio = _postselected_ratio(op, psi_final, chi_final, order)
     return float((op.duration**order * ratio).real)
 

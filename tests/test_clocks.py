@@ -95,6 +95,14 @@ def test_extrapolation_input_validation():
         extrapolate_to_zero([0.2, 0.2, 0.1], [1.0, 1.0, 1.0])
     with pytest.raises(ParameterError):
         extrapolate_to_zero([0.2, 0.1, -0.1], [1.0, 1.0, 1.0])
+    # a NaN strength compares false with its neighbours and the floor
+    for ladder in ([0.2, np.nan, 0.05], [0.2, 0.1, np.nan]):
+        with pytest.raises(ParameterError, match="strictly decreasing"):
+            extrapolate_to_zero(ladder, [1.0, 1.0, 1.0])
+    # 3 used to extrapolate as one-sided, the same as 1
+    for error_order in (0, 3, 1.5):
+        with pytest.raises(ParameterError, match="error_order must be 1 or 2"):
+            extrapolate_to_zero([0.3, 0.2, 0.1], [1.0, 1.0, 1.0], error_order)
 
 
 def test_config_requires_descending_ladder(crossing):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaktime.errors import (
+    DegeneratePostselectionError,
     EmptyRegionError,
     ParameterError,
     StructureError,
@@ -15,6 +16,8 @@ from weaktime.hilbert import (
     QuantumState,
     Region,
     basis_cell_state,
+    check_time,
+    checked_overlap,
     fourier_momentum_values,
     gaussian_packet,
     gaussian_pointer,
@@ -117,6 +120,30 @@ def test_gaussian_packet_unresolvable_sigma():
     grid = Grid(16, 0.0, 15.0)
     with pytest.raises(ParameterError):
         gaussian_packet(grid, 7.5, 1.0, 0.0)  # sigma <= 3 dx
+
+
+def test_gaussian_packet_refuses_a_nan_sigma():
+    with pytest.raises(ParameterError, match="sigma must be positive"):
+        gaussian_packet(Grid(16, 0.0, 15.0), 7.5, np.nan, 0.0)
+
+
+def test_checked_overlap_refuses_a_nan_overlap():
+    # a NaN overlap compares false with the floor, so the guard must fail it
+    grid = Grid(16, 0.0, 15.0)
+    chi = basis_cell_state(grid, 3, time=0.0)
+    bad = QuantumState(position_space(grid), np.full(16, np.nan + 0j))
+    with pytest.raises(DegeneratePostselectionError):
+        checked_overlap(chi, bad)
+    with pytest.raises(DegeneratePostselectionError):
+        checked_overlap(chi, chi, complex(np.nan))
+
+
+def test_check_time_refuses_a_nan_representation_time():
+    # every readout's time check used to accept a state stamped t = NaN
+    grid = Grid(16, 0.0, 15.0)
+    state = QuantumState(position_space(grid), np.ones(16), float("nan"))
+    with pytest.raises(ParameterError, match="not referenced to the window end"):
+        check_time(state, 0.0, "window end")
 
 
 def test_gaussian_packet_boundary_warning():

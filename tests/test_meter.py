@@ -41,6 +41,7 @@ from weaktime.scenarios import (
     run_scenario,
 )
 from weaktime.sojourn import (
+    CarriedFamily,
     conditional_dwell_time,
     dwell_time,
     moment,
@@ -105,9 +106,11 @@ def test_pointer_spec_refuses_a_profile_cut_off_on_one_side():
 
 
 def test_pointer_distribution_refuses_an_unnormalized_density():
+    # a NaN normalization error compares false with any budget
     grid = Grid(64, -3.0, 3.0)
-    with pytest.raises(ParameterError, match="normalization off"):
-        meter.PointerDistribution(grid=grid, density=np.ones(64), mean=0.0)
+    for density in (np.ones(64), np.full(64, np.nan)):
+        with pytest.raises(ParameterError, match="normalization off"):
+            meter.PointerDistribution(grid=grid, density=density, mean=0.0)
 
 
 # -- basic runs ---------------------------------------------------------------
@@ -592,10 +595,26 @@ def test_moment_meter_readout_matches_operator_moment(crossing):
 
 
 def test_moment_meter_rejects_bad_order(crossing):
+    # at 2.5 the eigenvalues of K a few ulps below zero gave NaN phases
     ham, psi0, _, op = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=1.0, n_points=128)
-    with pytest.raises(ParameterError):
-        run_moment_meter(spec, psi0, op, 5, 0.1)
+    for order in (0, 2.5, 2.0, 5):
+        with pytest.raises(ParameterError, match="integer in 1..4"):
+            run_moment_meter(spec, psi0, op, order, 0.1)
+        with pytest.raises(ParameterError, match="integer in 1..4"):
+            CarriedFamily(op, psi0, order)
+
+
+def test_carried_family_evolves_the_free_state_under_the_carried_operator(crossing):
+    ham, psi0, psi_final, op = crossing
+    family = CarriedFamily(op, psi0, 2)
+    np.testing.assert_allclose(family.reference_system_final.amplitudes,
+                               psi_final.amplitudes, atol=1e-12)
+    t_op = oracle.dense_sojourn(op)
+    shifts = np.array([0.0, 0.03, -0.07])
+    expected = [scipy.linalg.expm(-1j * s * op.duration * t_op @ t_op) @ psi_final.amplitudes
+                for s in shifts]
+    np.testing.assert_allclose(family.columns(shifts), np.transpose(expected), atol=1e-10)
 
 
 def test_lambda_route_rejects_a_third_moment(crossing):
@@ -644,6 +663,27 @@ def test_derivative_identities_recover_conditional_moments(crossing):
     assert abs(report.pointer_weak_value - ref[1]) < 1e-4
     assert abs(report.momentum_projected[1] - ref[1]) < 1e-6
     assert abs(report.momentum_projected[2] - ref[2]) < 1e-4
+
+
+@pytest.mark.parametrize("side", ["transmitted", "reflected"])
+def test_moment_routes_hold_where_the_weak_values_are_unphysical(farside_ctx, side):
+    # beyond the barrier the reflected packet's conditional mean time in the
+    # region is negative, and so is its conditional variance m2 - m1^2; each
+    # finite-coupling route still lands within its own residual of moment()
+    c = farside_ctx
+    chi = c.chi_t if side == "transmitted" else c.chi_r
+    ladder = (0.1, 0.05, 0.025)
+    m = {order: moment(c.op, c.psi_final, chi, order) for order in (1, 2)}
+    for order in (1, 2):
+        value, residual = lambda_moment_route(c.op, c.psi0, chi, order, ladder)
+        assert abs(value.real - m[order]) <= residual
+    spec = PointerSpec.auto(1.0, 1.0, 128)
+    rec = meter_moment_readout([run_moment_meter(spec, c.psi0, c.op, 1, g) for g in ladder],
+                               chi)
+    assert abs(rec.time - m[1]) <= rec.residual
+    if side == "reflected":
+        assert m[1] == pytest.approx(-0.02507, abs=1e-5)
+        assert m[2] - m[1] ** 2 == pytest.approx(-8.166, abs=1e-3)
 
 
 def test_lambda_route_matches_operator_moments(crossing):

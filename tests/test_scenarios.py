@@ -182,6 +182,18 @@ def test_scenario_from_config_reports_malformed_values():
         scenario_from_config(cfg)
 
 
+@pytest.mark.parametrize("key, value", [("packet.sigma", "nan"), ("window.t_stop", "inf"),
+                                        ("potential.v0", "nan")])
+def test_scenario_from_config_refuses_non_finite_numbers(key, value):
+    # float() reads both: a nan sigma emitted all-NaN sojourn records, an
+    # infinite window validated, and a nan barrier height failed inside the
+    # eigensolver with an error outside the package's types
+    cfg = scenario_to_config(catalog()["barrier_dwell"])
+    cfg[key] = value
+    with pytest.raises(ValidationError, match=f"malformed config value: {key} = {value} "):
+        scenario_from_config(cfg)
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -658,6 +670,7 @@ def _set_keys(path, values):
     ({"potential.kind": "bogus"}, "unknown potential kind"),
     ({"initial.eigenstate": "-1"}, "eigenstate index -1 outside [0, 128)"),
     ({"initial.eigenstate": "500"}, "eigenstate index 500 outside [0, 128)"),
+    ({"packet.sigma": "nan"}, "packet.sigma = nan is not finite"),
 ])
 def test_cli_refused_config_value_is_validation_error(well_config, values, message, capsys):
     # a value the scenario's own types refuse is a validation failure (exit
@@ -741,6 +754,15 @@ def test_cli_compare_fails_a_record_past_its_allowance(well_config, monkeypatch,
     out = capsys.readouterr().out
     assert code == 2
     assert out.splitlines()[-1] == "agreement: FAILED (worst ratio 5.000)"
+
+
+def test_cli_compare_fails_a_nan_record(well_config, monkeypatch, capsys):
+    # a NaN deviation compares false with any allowance
+    bundle = _compare_bundle(("sojourn", "none", 1, 10.0, 0.0, 0.0),
+                             ("clock_larmor", "none", 1, float("nan"), 0.01, 1e-6))
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: bundle)
+    assert cli.main(["compare", "--config", well_config]) == 2
+    assert "agreement: FAILED" in capsys.readouterr().out
 
 
 def test_cli_compare_skips_a_record_with_no_sojourn_reference(well_config, monkeypatch,

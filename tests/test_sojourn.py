@@ -501,9 +501,10 @@ def test_moment_order_one_is_conditional_dwell(small):
 
 
 def test_moment_rejects_bad_orders(small):
+    # 2.5 used to raise TypeError from a list index
     _, _, _, psi_final, op = small
-    for order in (0, 5):
-        with pytest.raises(ParameterError):
+    for order in (0, 5, 2.5, 2.0, "2"):
+        with pytest.raises(ParameterError, match="integer in 1..4"):
             moment(op, psi_final, psi_final, order)
 
 
