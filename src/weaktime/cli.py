@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -88,7 +89,7 @@ def _cmd_compare(args) -> int:
         for r in bundle.records
         if r.method == "sojourn"
     }
-    worst = 0.0
+    worst, where = 0.0, ""
     ok = True
     print("method,postselection,value,reference,deviation,allowed")
     for r in bundle.records:
@@ -100,12 +101,16 @@ def _cmd_compare(args) -> int:
             continue
         allowed = max(r.tolerance * max(abs(ref), 1e-12), r.residual)
         dev = abs(r.value - ref)
-        worst = max(worst, dev / allowed if allowed else 0.0)
+        ratio = dev / allowed if allowed else 0.0
+        # a NaN ratio is worse than any other, and the first one stays
+        if not math.isnan(worst) and not ratio <= worst:
+            worst, where = ratio, f" at {r.method},{r.postselection},{r.order}"
         if not dev <= allowed:
             ok = False
         print(f"{r.method},{r.postselection},{r.value:.10g},{ref:.10g},"
               f"{dev:.3e},{allowed:.3e}")
-    print(f"agreement: {'ok' if ok else 'FAILED'} (worst ratio {worst:.3f})")
+    named = where if math.isnan(worst) else ""
+    print(f"agreement: {'ok' if ok else 'FAILED'} (worst ratio {worst:.3f}{named})")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 

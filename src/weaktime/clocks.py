@@ -17,7 +17,8 @@ u = 0 and its keys in one `columns` call, the real keys interpolated
 between its real nodes, the absorbing ones by analytic continuation, and
 a key outside the interpolant held refits it.  In a scenario
 `run_scenario` first covers every key the clocks and the meter read
-(`clock_shifts`), so they all share one node block.  The postselected
+(`clock_shifts`), so they all share one node block, and the readouts read
+their keys off the table that cover evaluated.  The postselected
 readouts share one skeleton (`_sweep`) and differ only in their formula:
 each takes a strength ladder, the coupled system and a map label ->
 postselected final state, and returns one `SweepRecord` per label;

@@ -7,10 +7,12 @@ their eigenbasis (`evolve_eigenbasis`).  A family H + s_j diag(a) of
 Hamiltonians that differ by real multiples of one real diagonal evolves one
 start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
 of exp(-iHt) over the family's common spectral interval, applied by the
-three-term recurrence to all columns at once, with no eigensolve.  A term
-costs one real multiply by the family's diagonals and two real updates for
-the shared off-diagonal; the terms are summed eight at a time by one matrix
-product.
+three-term recurrence to all columns at once, with no eigensolve.  The
+series is centred on the stencil's own diagonal, so the family's diagonal
+is left only on the rows the potential or the observable reaches, and each
+term is built in place over the one two before it: two real updates of the
+block for the shared off-diagonal, one small multiply-add on those rows,
+and one real update of the even or odd sum.
 
 The coupled family psi(s) = exp(-iT(H + s diag(a)))psi0 is entire in the
 shift s, so a `CoupledSystem` evolves it once, at Chebyshev nodes in s as
@@ -45,8 +47,6 @@ _CHEBYSHEV_TOL = 1e-15
 # largest r t expanded, a bound on work: the series has about r t terms, each
 # one sweep over the block, so a longer span should be split
 _CHEBYSHEV_MAX_ARG = 1e5
-# Chebyshev terms kept before one matrix product adds them to the sums
-_RING = 8
 # CoupledSystem's Chebyshev interpolant in the coupling shift: the bound on
 # the series terms it drops, relative to ||psi0||; the largest degree n it
 # may take; the largest |Im s| / S it continues to, S the half-width of its
@@ -204,13 +204,21 @@ def evolve_shifted(
     H is the Hamiltonian's real tridiagonal form, a a real diagonal.  All
     columns run through one Chebyshev expansion (Tal-Ezer and Kosloff):
     exp(-i t H_j) = exp(-i t c) sum_n (2 - delta_n0) (-i)^n J_n(r t)
-    T_n((H_j - c) / r), [c - r, c + r] the Gershgorin interval of every H_j,
-    cut at the first n >= r t with |J_n(r t)| <= 1e-15.  T_n is applied by
-    the three-term recurrence to the whole block: the real diagonal of
-    every 2 (H_j - c) / r is one real multiply of the block's interleaved
-    parts, and the uniform off-diagonal two real updates of the row-shifted
-    block.  The last _RING terms are kept in a ring and summed into the even
-    and odd parts of the series by one matrix product per _RING terms.
+    T_n((H_j - c) / r), cut at the first n >= r t with |J_n(r t)| <= 1e-15.
+    The interval [c - r, c + r] is centred on the stencil's diagonal, c =
+    2 |hop| for the uniform off-diagonal hop, and r is a Gershgorin bound:
+    2 |hop| plus the largest |diag - c + s_j a| over rows and shifts.  So
+    (H_j - c) / r has a diagonal only on the rows [lo, hi) between the first
+    and the last one the potential or the observable reaches (none on a free
+    Hamiltonian with a zero observable).  The terms are taken with the
+    Bessel signs folded in, S_n = (-1)^floor(n/2) T_n, which obey S_1 = Hs
+    S_0 and S_{n+1} = +-2 Hs S_n + S_{n-1}, + for even n, Hs = (H_j - c) /
+    r.  Each term is added in place onto the one two before it, in two
+    (dimension, 2 len(shifts)) buffers of the interleaved real and imaginary
+    parts: two real updates for the off-diagonal, one multiply-add of the
+    per-column diagonal on [lo, hi), then one update of the even or the odd
+    sum with weight (2 - delta_n0) J_n.  The block is exp(-i t c) (even - i
+    odd).
 
     ParameterError is raised for a shift with a nonzero imaginary part (a
     `CoupledSystem` continues its real node block to complex shifts) and
@@ -229,56 +237,47 @@ def evolve_shifted(
     n, s = diag.size, shifts.size
     if s == 0:
         return np.empty((n, 0), dtype=complex), 0
-    # the stencil's off-diagonal is uniform, so every Gershgorin radius is
-    # at most 2 |hop|
-    hop = abs(float(off[0]))
-    cols = diag[:, None] + a[:, None] * shifts
-    lo, hi = float(np.min(cols)) - 2.0 * hop, float(np.max(cols)) + 2.0 * hop
-    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    hop = float(off[0])
+    center = 2.0 * abs(hop)
+    dev = diag[:, None] + a[:, None] * shifts - center
+    radius = 2.0 * abs(hop) + float(np.max(np.abs(dev)))
+    rows = np.flatnonzero(np.any(dev, axis=1))
+    lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
     t = duration / HBAR
     bessel = _bessel_coefficients(radius * t)
     terms = bessel.size
-    # (2 - delta_n0) (-1)^floor(n/2) J_n: the even terms are real, the odd
-    # ones carry the factor -i, so each sum accumulates with real weights,
-    # term n's in row n % 2
-    signs = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(terms) % 4]
-    weights = np.zeros((2, terms))
-    weights[np.arange(terms) % 2, np.arange(terms)] = 2.0 * signs * bessel
-    weights[0, 0] = bessel[0]
 
-    # T_{k+1} = 2 Hs T_k - T_{k-1} with Hs = (H_j - c) / r, T_k in ring
-    # slot k % _RING: a flat real row holding an (n, s) complex block as its
-    # (n, 2 s) interleaved parts, kept with that view and its views without
-    # the first (tail) and the last (head) block row, on which the real
-    # off-diagonal acts; the diagonal, repeated for both parts, scales it
-    scale = 2.0 / radius if radius > 0.0 else 0.0
-    twice = np.repeat(scale * (cols - center), 2, axis=1)
-    oh = scale * float(off[0])
+    # S_{k+1} = +-2 Hs S_k + S_{k-1} into S_{k-1}'s buffer, by parity of k:
+    # the signed, scaled off-diagonal and rows' diagonal (repeated for both
+    # parts), S_k's flat views without the first (tail) and the last (head)
+    # block row, on which the off-diagonal acts, its rows [lo, hi), the same
+    # views of the buffer updated, and the sum the new term joins.  daxpy
+    # updates its contiguous float64 y argument in place.  S_1 = Hs S_0 is
+    # the k = 0 update of a zero buffer, halved
+    scale = 1.0 / radius if radius > 0.0 else 0.0
     width = 2 * s
-    ring = np.empty((_RING, n * width))
-    slots = [(row.reshape(n, width), row, row[width:], row[:-width]) for row in ring]
-
-    def step(k):
-        """T_k from T_{k-1} and T_{k-2} (zero for k = 1) into its slot
-        (daxpy updates its contiguous float64 y argument in place)."""
-        cur, _, cur_tail, cur_head = slots[(k - 1) % _RING]
-        nxt, nxt_flat, nxt_tail, nxt_head = slots[k % _RING]
-        np.multiply(twice, cur, out=nxt)
-        if k > 1:
-            daxpy(slots[(k - 2) % _RING][1], nxt_flat, a=-1.0)
-        daxpy(cur_tail, nxt_head, a=oh)
-        daxpy(cur_head, nxt_tail, a=oh)
-        if k == 1:
-            nxt_flat *= 0.5  # T_1 = Hs T_0
-
-    slots[0][0].view(complex)[:] = np.asarray(v)[:, None]
+    rows_diag = np.repeat((2.0 * scale) * dev[lo:hi], 2, axis=1)
+    bufs = np.zeros((2, n, width))
+    bufs[0].view(complex)[:] = np.asarray(v)[:, None]
     sums = np.zeros((2, n * width))
-    for k in range(1, terms):
-        step(k)
-        if k % _RING == _RING - 1:
-            sums += weights[:, k + 1 - _RING : k + 1] @ ring
-    done = terms - terms % _RING
-    sums += weights[:, done:terms] @ ring[: terms - done]
+    np.multiply(bufs[0].reshape(-1), bessel[0], out=sums[0])
+    flat = [buf.reshape(-1) for buf in bufs]
+    views = [(sign * 2.0 * scale * hop, sign * rows_diag, flat[k][width:], flat[k][:-width],
+              bufs[k][lo:hi], flat[1 - k], flat[1 - k][width:], flat[1 - k][:-width],
+              bufs[1 - k][lo:hi], sums[1 - k])
+             for k, sign in ((0, 1.0), (1, -1.0))]
+    product = np.empty_like(rows_diag)
+    weights = (2.0 * bessel[1:]).tolist()
+    for k in range(terms - 1):
+        (off_k, diag_k, cur_tail, cur_head, cur_rows,
+         nxt, nxt_tail, nxt_head, nxt_rows, total) = views[k % 2]
+        daxpy(cur_head, nxt_tail, a=off_k)
+        daxpy(cur_tail, nxt_head, a=off_k)
+        np.multiply(diag_k, cur_rows, out=product)
+        nxt_rows += product
+        if k == 0:
+            nxt *= 0.5
+        daxpy(nxt, total, a=weights[k])
     even, odd = (row.reshape(n, width).view(complex) for row in sums)
     return np.exp(-1j * center * t) * (even - 1j * odd), terms
 
@@ -346,11 +345,15 @@ class CoupledSystem:
     rho0^n: a fit past 1e3 (an absorber with T |Im s| max|a| beyond about
     2.5) raises ParameterError, one past n = 1024 NumericalError.
 
-    The clocks and the meter read the family through `columns`, and the
-    coupled system reports the one node block behind them: `nodes` columns
-    evolved by a series of `chebyshev_terms` terms (nodes x terms is its
-    work), and `node_tail`, the tail bound it was fitted to; all three are
-    0 until a nonzero shift is asked for.
+    `cover` also evaluates the interpolant once at exactly the shifts it
+    was asked for, and `columns` reads a request within them off that
+    table: a scenario covers every key its clocks read, so their four
+    readouts share one evaluation.  The clocks and the meter read the
+    family through `columns`, and the coupled system reports the one node
+    block behind them: `nodes` columns evolved by a series of
+    `chebyshev_terms` terms (nodes x terms is its work), and `node_tail`,
+    the tail bound it was fitted to; all three are 0 until a nonzero shift
+    is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -375,6 +378,7 @@ class CoupledSystem:
         self.window, self.duration = (t0, t1), t1 - t0
         self._interval = self._rho = 0.0
         self._coeffs = None
+        self._table = {}
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
 
@@ -386,42 +390,47 @@ class CoupledSystem:
     def cover(self, shifts) -> None:
         """Make the interpolant serve every shift, refitting it to them
         unless each lies in the Bernstein ellipse the one held was fitted on
-        (or all are zero, which `columns` serves exactly)."""
-        shifts = np.asarray(shifts, dtype=complex)
+        (or all are zero, which `columns` serves exactly), and tabulate it
+        at them for `columns`."""
+        shifts = np.asarray(shifts)
         if not np.any(shifts):
             return
-        if self._coeffs is not None and _bernstein(shifts / self._interval) <= self._rho:
-            return
-        interval = max(float(np.max(np.abs(shifts.real))),
-                       float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
-        reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
-        rho0 = _bernstein(shifts / interval)
-        degree, tail = _node_tail(reach, rho0)
-        if rho0**degree > _MAX_GAIN:
-            raise ParameterError(
-                f"continuing {degree + 1} real nodes to |Im s| T = "
-                f"{np.max(np.abs(shifts.imag)) * self.duration:.3e} amplifies their "
-                f"rounding {rho0**degree:.1e}-fold (at most {_MAX_GAIN:g}); weaken the absorber")
-        if degree > _MAX_DEGREE:
-            raise NumericalError(
-                f"coupling shifts up to {interval:.3e} need more than "
-                f"{_MAX_DEGREE + 1} Chebyshev nodes ({degree + 1})"
-            )
-        block, terms = evolve_shifted(self.system, self.observable,
-                                      interval * np.cos(np.arange(degree + 1) * np.pi / degree),
-                                      self.psi0.amplitudes, self.duration)
-        self._coeffs = apply_real(_lobatto_fit(degree), block.T)
-        self._interval, self._rho = interval, rho0
-        self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
+        if self._coeffs is None or _bernstein(shifts / self._interval) > self._rho:
+            interval = max(float(np.max(np.abs(shifts.real))),
+                           float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
+            reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
+            rho0 = _bernstein(shifts / interval)
+            degree, tail = _node_tail(reach, rho0)
+            if rho0**degree > _MAX_GAIN:
+                raise ParameterError(
+                    f"continuing {degree + 1} real nodes to |Im s| T = "
+                    f"{np.max(np.abs(shifts.imag)) * self.duration:.3e} amplifies their "
+                    f"rounding {rho0**degree:.1e}-fold (at most {_MAX_GAIN:g}); "
+                    "weaken the absorber")
+            if degree > _MAX_DEGREE:
+                raise NumericalError(
+                    f"coupling shifts up to {interval:.3e} need more than "
+                    f"{_MAX_DEGREE + 1} Chebyshev nodes ({degree + 1})"
+                )
+            nodes = interval * np.cos(np.arange(degree + 1) * np.pi / degree)
+            block, terms = evolve_shifted(self.system, self.observable, nodes,
+                                          self.psi0.amplitudes, self.duration)
+            self._coeffs = apply_real(_lobatto_fit(degree), block.T)
+            self._interval, self._rho = interval, rho0
+            self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
+        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, self.nodes - 1)
+        self._table = dict(zip(shifts.tolist(), basis @ self._coeffs))
 
     def columns(self, shifts) -> np.ndarray:
         """psi(s_j) for each shift s_j as the columns of one (dimension,
-        len(shifts)) block, read off the interpolant after `cover`; all-zero
+        len(shifts)) block, read off the interpolant's table, covering the
+        shifts first unless the last `cover` tabulated every one; all-zero
         shifts are the reference state, with no block."""
         shifts = np.asarray(shifts)
         if not np.any(shifts):
             ref = self.reference_system_final.amplitudes
             return np.repeat(ref[:, None], shifts.size, axis=1)
-        self.cover(shifts)
-        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, self.nodes - 1)
-        return (basis @ self._coeffs).T
+        keys = shifts.tolist()
+        if not all(u in self._table for u in keys):
+            self.cover(shifts)
+        return np.array([self._table[u] for u in keys]).T

@@ -47,6 +47,9 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 3:
             raise ParameterError("grid needs at least 3 points")
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ParameterError(
+                f"grid endpoints must be finite, got x_min={self.x_min}, x_max={self.x_max}")
         if not self.x_max > self.x_min:
             raise ParameterError("x_max must exceed x_min")
 

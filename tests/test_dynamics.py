@@ -99,6 +99,16 @@ def _shifted_cases():
         "zero_shifts": (well, region, np.zeros(3), packet, 2.0),
         "spin_radius_zero": (spin, np.array([1.0, -1.0]), np.zeros(2), up_right, 4.0),
         "large_rt": (well, region, np.array([-0.5, 0.0, 0.5]), packet, 120.0),
+        # the diagonal rows [lo, hi) of the centred series: a region far from
+        # the well (a wide slice over rows with no diagonal), an observable of
+        # both signs, none at all (an empty slice), and the whole box
+        "far_region": (well, Region(2.0, 6.0).indicator(GRID), np.array([-0.8, 0.4]),
+                       packet, 3.0),
+        "signed_observable": (well, region - 2.0 * Region(20.0, 28.0).indicator(GRID),
+                              np.array([-0.6, 0.3, 0.9]), packet, 3.0),
+        "free_zero_observable": (Hamiltonian(SPACE), np.zeros(GRID.n_points),
+                                 np.array([0.0, 0.5]), packet, 3.0),
+        "whole_box": (well, np.ones(GRID.n_points), np.array([-0.7, 0.2]), packet, 3.0),
     }
 
 
@@ -250,16 +260,18 @@ def _argument_for_terms(k):
     return x
 
 
-@pytest.mark.parametrize("k", [1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25])
 def test_evolve_shifted_ring_edges_match_oracle(k):
-    # term counts below the ring's 8 slots and on either side of a multiple
-    # of 8: the last partial group of terms is summed like a full one
+    # the loop's edges: 1 term takes no step, 2 only the halved first one, 3
+    # the first in-place one; the longer series end on an odd or an even
+    # term, which the two buffers alternate between.  The radius is the
+    # centred interval's: 2 |hop| plus the largest |diag - 2 |hop| + s a|
     ham = Hamiltonian(SPACE, potential_real=0.3 * Region(15.0, 25.0).indicator(GRID))
     a, v = Region(12.0, 28.0).indicator(GRID), _packet().amplitudes
     shifts = np.array([-0.5, 0.0, 0.5])
     diag, off = ham.tridiagonal()
-    cols = diag[:, None] + a[:, None] * shifts
-    radius = 0.5 * (np.max(cols) - np.min(cols)) + 2.0 * abs(off[0])
+    hop = abs(off[0])
+    radius = 2.0 * hop + np.max(np.abs(diag[:, None] + a[:, None] * shifts - 2.0 * hop))
     duration = HBAR * _argument_for_terms(k) / radius
     block, terms = evolve_shifted(ham, a, shifts, v, duration)
     assert terms == k
@@ -269,8 +281,8 @@ def test_evolve_shifted_ring_edges_match_oracle(k):
 
 
 @pytest.mark.parametrize("name, nodes, terms", [
-    ("free_box", 12, 209), ("well_halves", 12, 151), ("barrier_dwell", 12, 586),
-    ("barrier_farside", 12, 586)])
+    ("free_box", 12, 209), ("well_halves", 12, 151), ("barrier_dwell", 12, 639),
+    ("barrier_farside", 12, 638)])
 def test_catalog_clock_block_term_counts(name, nodes, terms, monkeypatch):
     # the node block behind each catalog scenario's clocks, pinned, and
     # reported by the coupled system: T S = 0.6 and |Im u| / S = 0.125 on

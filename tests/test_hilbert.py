@@ -38,6 +38,10 @@ def test_grid_rejects_degenerate():
         Grid(2, 0.0, 1.0)
     with pytest.raises(ParameterError):
         Grid(8, 1.0, 1.0)
+    # an infinite endpoint passes x_max > x_min but gives dx = inf
+    for x_min, x_max in [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)]:
+        with pytest.raises(ParameterError, match="endpoints must be finite"):
+            Grid(64, x_min, x_max)
 
 
 def test_region_half_open_rule():
@@ -53,6 +57,8 @@ def test_empty_region_raises():
     grid = Grid(11, 0.0, 10.0)
     with pytest.raises(EmptyRegionError):
         Region(4.2, 4.8).indices(grid)
+    with pytest.raises(ParameterError, match="x_lo < x_hi"):
+        Region(4.0, 4.0)
 
 
 def test_state_shape_mismatch():
@@ -67,6 +73,10 @@ def test_state_lives_on_one_factor():
         QuantumState((position_space(grid),), np.ones(8))
     with pytest.raises(StructureError):
         FactorSpace("pointer", grid)
+    with pytest.raises(StructureError, match="requires a grid"):
+        FactorSpace("position")
+    with pytest.raises(StructureError, match="carries no grid"):
+        FactorSpace("spin", grid)
     spin = QuantumState(spin_space(), np.ones(2))
     assert spin.cell_weight == 1.0
     assert spin.norm() == pytest.approx(np.sqrt(2.0))
@@ -105,6 +115,18 @@ def test_normalized_state_has_unit_norm(seed):
     amps = rng.normal(size=13) + 1j * rng.normal(size=13)
     state = QuantumState(position_space(grid), amps).normalized()
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_state_cannot_be_normalized():
+    with pytest.raises(ParameterError, match="zero state"):
+        QuantumState(spin_space(), np.zeros(2)).normalized()
+
+
+def test_inner_product_refuses_states_on_different_spaces():
+    grid = Grid(8, 0.0, 7.0)
+    with pytest.raises(StructureError, match="different spaces"):
+        inner_product(QuantumState(position_space(grid), np.ones(8)),
+                      QuantumState(position_space(Grid(8, 0.0, 14.0)), np.ones(8)))
 
 
 def test_gaussian_packet_normalization_and_center():

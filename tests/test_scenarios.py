@@ -496,9 +496,9 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
     [nodes] = blocks
     assert nodes.size == 12 and np.isrealobj(nodes)
-    # the scenario's cover first, then one per readout
-    keys = covers[0]
-    assert len(covers) == 1 + 4
+    # the scenario's cover tabulates every key; the four readouts read that
+    # table and cover nothing again
+    [keys] = covers
     assert len(keys) == len(set(keys)) == 12
     assert sum(u.imag == 0.0 for u in keys) == 9
     assert all(u.real == 0.0 and u.imag < 0.0 for u in keys if u.imag)
@@ -757,12 +757,17 @@ def test_cli_compare_fails_a_record_past_its_allowance(well_config, monkeypatch,
 
 
 def test_cli_compare_fails_a_nan_record(well_config, monkeypatch, capsys):
-    # a NaN deviation compares false with any allowance
+    # a NaN deviation compares false with any allowance, and its ratio is
+    # worse than any finite one before or after it: the summary reports it
+    # and names its record, not the largest finite ratio
     bundle = _compare_bundle(("sojourn", "none", 1, 10.0, 0.0, 0.0),
-                             ("clock_larmor", "none", 1, float("nan"), 0.01, 1e-6))
+                             ("clock_real_potential", "none", 1, 10.5, 0.01, 0.0),
+                             ("clock_larmor", "none", 1, float("nan"), 0.01, 1e-6),
+                             ("clock_imaginary_potential", "none", 1, 9.0, 0.01, 0.0))
     monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: bundle)
     assert cli.main(["compare", "--config", well_config]) == 2
-    assert "agreement: FAILED" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "agreement: FAILED (worst ratio nan at clock_larmor,none,1)")
 
 
 def test_cli_compare_skips_a_record_with_no_sojourn_reference(well_config, monkeypatch,
