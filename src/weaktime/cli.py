@@ -99,7 +99,9 @@ def _cmd_compare(args) -> int:
         ref = reference.get(("none", r.order) if key not in reference else key)
         if ref is None:
             continue
-        allowed = max(r.tolerance * max(abs(ref), 1e-12), r.residual)
+        # the residual first: max keeps its first argument when the other
+        # is NaN, so a NaN residual allows nothing and its record fails
+        allowed = max(r.residual, r.tolerance * max(abs(ref), 1e-12))
         dev = abs(r.value - ref)
         ratio = dev / allowed if allowed else 0.0
         # a NaN ratio is worse than any other, and the first one stays

@@ -11,14 +11,14 @@ Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
 absorber, stated once per clock in `CLOCK_KEYS`.  These are the coupled
 family psi(u) = exp(-iT(H + u P_region))psi0 of a `dynamics.CoupledSystem`
-observing the region, the one the meter reads at real u, and the clocks
-read it the way the meter does: each readout asks the coupled system for
-u = 0 and its keys in one `columns` call, the real keys interpolated
-between its real nodes, the absorbing ones by analytic continuation, and
-a key outside the interpolant held refits it.  In a scenario
-`run_scenario` first covers every key the clocks and the meter read
-(`clock_shifts`), so they all share one node block, and the readouts read
-their keys off the table that cover evaluated.  The postselected
+observing the region, the one the meter reads at real u: each readout
+asks the coupled system for u = 0 and its keys in one `columns` call, the
+real keys interpolated between its real nodes, the absorbing ones by
+analytic continuation, and a key outside the interpolant held refits it.
+In a scenario `run_scenario` first fits the node block on every shift the
+clocks and the meter read and covers the clocks' keys (`clock_shifts`), so
+they all share one node block, and the readouts read their keys off the
+table that cover evaluated.  The postselected
 readouts share one skeleton (`_sweep`) and differ only in their formula:
 each takes a strength ladder, the coupled system and a map label ->
 postselected final state, and returns one `SweepRecord` per label;

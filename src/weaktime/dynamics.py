@@ -296,14 +296,19 @@ def _lobatto_fit(n: int) -> np.ndarray:
 def _bernstein(z: np.ndarray) -> float:
     """The largest rho of the Bernstein ellipses E_rho (foci -1 and 1, rho
     the sum of its semi-axes) through the points z; exactly 1 for real z in
-    [-1, 1], where rounding would leave |w| a few ulps above 1."""
-    z = np.asarray(z, dtype=complex)
+    [-1, 1], where rounding would leave |w| a few ulps above 1, and with no
+    complex arithmetic when every z is."""
+    z = np.asarray(z)
+    if not np.any(z.imag) and np.max(np.abs(z.real)) <= 1.0:
+        return 1.0
+    z = z.astype(complex)
     w = np.abs(z + np.sqrt(z - 1.0 + 0j) * np.sqrt(z + 1.0 + 0j))
     w = np.maximum(w, 1.0 / w)
     w[(z.imag == 0.0) & (np.abs(z.real) <= 1.0)] = 1.0
     return float(np.max(w))
 
 
+@functools.lru_cache(maxsize=64)
 def _node_tail(reach: float, rho0: float):
     """(n, bound): the least degree n with bound <= _NODE_TAIL of the
     Chebyshev interpolant of psi(S z) on [-1, 1], and the bound, relative
@@ -315,7 +320,8 @@ def _node_tail(reach: float, rho0: float):
     reach = T S max|a| / hbar.  On the ellipse E_rho, |Im z| <= (rho -
     1/rho) / 2 and ||exp(-iT(H + s diag(a)))|| <= exp(T |Im s| max|a| /
     hbar), which bounds the k-th coefficient by 2 exp(.) rho^-k; at z,
-    |T_k(z)| <= rho0^k.
+    |T_k(z)| <= rho0^k.  Cached, since every pass of a scenario asks for
+    the same (reach, rho0).
     """
     q = _RHO_RATIOS
     rho = rho0 * q
@@ -340,20 +346,26 @@ class CoupledSystem:
     ||psi0|| on E_rho0.  The n + 1 nodes are one `evolve_shifted` block.
     Both the bound and the rounding gain grow with rho, so the fit serves
     exactly the shifts s with s / S in E_rho0, and a later request with any
-    shift outside it refits to that request.  Off
-    the real axis the interpolant amplifies the nodes' rounding by about
-    rho0^n: a fit past 1e3 (an absorber with T |Im s| max|a| beyond about
-    2.5) raises ParameterError, one past n = 1024 NumericalError.
+    shift outside it refits to that request (`serve`; every read serves
+    its shifts first).  Off the real axis the interpolant amplifies the
+    nodes' rounding by about rho0^n: a fit past 1e3 (an absorber with T
+    |Im s| max|a| beyond about 2.5) raises ParameterError, one past n =
+    1024 NumericalError.
 
-    `cover` also evaluates the interpolant once at exactly the shifts it
-    was asked for, and `columns` reads a request within them off that
-    table: a scenario covers every key its clocks read, so their four
-    readouts share one evaluation.  The clocks and the meter read the
-    family through `columns`, and the coupled system reports the one node
-    block behind them: `nodes` columns evolved by a series of
-    `chebyshev_terms` terms (nodes x terms is its work), and `node_tail`,
-    the tail bound it was fitted to; all three are 0 until a nonzero shift
-    is asked for.
+    The clocks read the family through `columns`.  `cover` evaluates the
+    interpolant once at exactly the shifts it was asked for, and `columns`
+    reads a request within them off that table: a scenario covers every
+    key its clocks read, so their four readouts share one evaluation.  The
+    meter reads it through a fixed basis instead, X = [psi_ref | c_0 ..
+    c_{n-1}], N x (n + 1) for the interpolant psi(s) = sum_k T_k(s / S)
+    c_k, so a set of K shifts enters only through the (n + 1) x (K + 1)
+    Chebyshev matrix M with [psi_ref | psi(s_1) ..] = X M: `gram` is M^H
+    (X^H X) M and `overlaps` chi^H X M, with X^H X and each postselector's
+    chi^H X held once per fit and reference state, so that no read costs
+    N.  The coupled system reports the one node block behind both: `nodes`
+    columns evolved by a series of `chebyshev_terms` terms (nodes x terms
+    is its work), and `node_tail`, the tail bound it was fitted to; all
+    three are 0 until a nonzero shift is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -377,8 +389,8 @@ class CoupledSystem:
         self.system, self.psi0, self.observable = system, psi0, a
         self.window, self.duration = (t0, t1), t1 - t0
         self._interval = self._rho = 0.0
-        self._coeffs = None
-        self._table = {}
+        self._coeffs = self._basis = None
+        self._table, self._mixes, self._projections = {}, {}, {}
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
 
@@ -387,37 +399,45 @@ class CoupledSystem:
         """psi0 evolved over the window with the coupling off, exactly."""
         return evolve_eigenbasis(self.psi0, self.system, self.window[1])
 
+    def serve(self, shifts) -> None:
+        """Make the interpolant serve every shift: refit it to them unless
+        each lies in the Bernstein ellipse the one held was fitted on, or
+        all are zero, which every read serves exactly."""
+        shifts = np.asarray(shifts)
+        if not np.any(shifts) or (self._coeffs is not None
+                                  and _bernstein(shifts / self._interval) <= self._rho):
+            return
+        interval = max(float(np.max(np.abs(shifts.real))),
+                       float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
+        reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
+        rho0 = _bernstein(shifts / interval)
+        degree, tail = _node_tail(reach, rho0)
+        if rho0**degree > _MAX_GAIN:
+            raise ParameterError(
+                f"continuing {degree + 1} real nodes to |Im s| T = "
+                f"{np.max(np.abs(shifts.imag)) * self.duration:.3e} amplifies their "
+                f"rounding {rho0**degree:.1e}-fold (at most {_MAX_GAIN:g}); "
+                "weaken the absorber")
+        if degree > _MAX_DEGREE:
+            raise NumericalError(
+                f"coupling shifts up to {interval:.3e} need more than "
+                f"{_MAX_DEGREE + 1} Chebyshev nodes ({degree + 1})"
+            )
+        nodes = interval * np.cos(np.arange(degree + 1) * np.pi / degree)
+        block, terms = evolve_shifted(self.system, self.observable, nodes,
+                                      self.psi0.amplitudes, self.duration)
+        self._coeffs = apply_real(_lobatto_fit(degree), block.T)
+        self._interval, self._rho = interval, rho0
+        self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
+        self._mixes = {}
+
     def cover(self, shifts) -> None:
-        """Make the interpolant serve every shift, refitting it to them
-        unless each lies in the Bernstein ellipse the one held was fitted on
-        (or all are zero, which `columns` serves exactly), and tabulate it
-        at them for `columns`."""
+        """`serve` the shifts and tabulate the interpolant at them for
+        `columns`; all-zero shifts need no table."""
         shifts = np.asarray(shifts)
         if not np.any(shifts):
             return
-        if self._coeffs is None or _bernstein(shifts / self._interval) > self._rho:
-            interval = max(float(np.max(np.abs(shifts.real))),
-                           float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
-            reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
-            rho0 = _bernstein(shifts / interval)
-            degree, tail = _node_tail(reach, rho0)
-            if rho0**degree > _MAX_GAIN:
-                raise ParameterError(
-                    f"continuing {degree + 1} real nodes to |Im s| T = "
-                    f"{np.max(np.abs(shifts.imag)) * self.duration:.3e} amplifies their "
-                    f"rounding {rho0**degree:.1e}-fold (at most {_MAX_GAIN:g}); "
-                    "weaken the absorber")
-            if degree > _MAX_DEGREE:
-                raise NumericalError(
-                    f"coupling shifts up to {interval:.3e} need more than "
-                    f"{_MAX_DEGREE + 1} Chebyshev nodes ({degree + 1})"
-                )
-            nodes = interval * np.cos(np.arange(degree + 1) * np.pi / degree)
-            block, terms = evolve_shifted(self.system, self.observable, nodes,
-                                          self.psi0.amplitudes, self.duration)
-            self._coeffs = apply_real(_lobatto_fit(degree), block.T)
-            self._interval, self._rho = interval, rho0
-            self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
+        self.serve(shifts)
         basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, self.nodes - 1)
         self._table = dict(zip(shifts.tolist(), basis @ self._coeffs))
 
@@ -434,3 +454,70 @@ class CoupledSystem:
         if not all(u in self._table for u in keys):
             self.cover(shifts)
         return np.array([self._table[u] for u in keys]).T
+
+    # -- the meter's reads: B = [psi_ref | psi(s_1) .. psi(s_K)] as X M ------
+
+    def _held(self) -> tuple:
+        """(X, X^H X), X = [psi_ref | c_0 .. c_{n-1}] as rows, rebuilt when
+        the fit or the reference state changes, and the postselectors'
+        projections X^H chi with it."""
+        ref = self.reference_system_final.amplitudes
+        if self._basis is None or self._basis[0] is not ref or self._basis[1] is not self._coeffs:
+            x = ref[None] if self._coeffs is None else np.vstack([ref, self._coeffs])
+            self._basis = (ref, self._coeffs, x, x.conj() @ x.T)
+            self._projections = {}
+        return self._basis[2:]
+
+    def _mix(self, shifts) -> np.ndarray:
+        """M, (nodes + 1, len(shifts) + 1), with B = X M: e_0, then T_k(s /
+        S) under a zero row for each shift, or e_0 again for all-zero shifts,
+        which read the reference state with no fit.  A request outside the
+        fit refits it first; M is kept per fit and shifts (16 at most), so a
+        kept one needs no check.
+
+        Real s / S in [-1, 1] are sin(phi): T_k is (-1)^(k // 2) times
+        cos(k phi) for even k and sin(k phi) for odd k, so that odd rows
+        keep their relative accuracy at small shifts; others go through
+        numpy's recurrence."""
+        shifts = np.asarray(shifts)
+        key = (shifts.dtype.str, shifts.tobytes())
+        mix = self._mixes.get(key)
+        if mix is not None:
+            return mix
+        self.serve(shifts)
+        mix = np.zeros((self.nodes + 1, shifts.size + 1), np.result_type(shifts, float))
+        mix[0, 0] = 1.0
+        z = shifts / self._interval if np.any(shifts) else None
+        if z is None:
+            mix[0, 1:] = 1.0
+        elif np.isrealobj(z) and np.max(np.abs(z)) <= 1.0:
+            k = np.arange(self.nodes)[:, None]
+            angles = k * np.arcsin(z)
+            mix[1::2, 1:] = np.cos(angles[0::2])
+            mix[2::2, 1:] = np.sin(angles[1::2])
+            mix[1:, 1:] *= np.where(k & 2, -1.0, 1.0)
+        else:
+            mix[1:, 1:] = np.polynomial.chebyshev.chebvander(z, self.nodes - 1).T
+        if len(self._mixes) >= 16:
+            self._mixes.clear()
+        self._mixes[key] = mix
+        return mix
+
+    def gram(self, shifts) -> np.ndarray:
+        """B^H B for B = [psi_ref | psi(s_1) .. psi(s_K)], (K + 1, K + 1),
+        from X^H X, held once per fit and reference state: M^H (X^H X) M."""
+        mix = self._mix(shifts)
+        return mix.conj().T @ self._held()[1] @ mix
+
+    def overlaps(self, chi: QuantumState, shifts) -> np.ndarray:
+        """chi^H B for B = [psi_ref | psi(s_1) .. psi(s_K)], (K + 1,), with
+        no cell weight: chi's projection X^H chi, kept per fit and reference
+        state (16 at most), times M."""
+        mix = self._mix(shifts)
+        x, _ = self._held()
+        proj = self._projections.get(chi)
+        if proj is None:
+            if len(self._projections) >= 16:
+                self._projections.clear()
+            proj = self._projections[chi] = x @ chi.amplitudes.conj()
+        return proj @ mix

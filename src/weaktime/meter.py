@@ -25,26 +25,36 @@ The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator instead, which commutes with its own
 history: they read `sojourn.CarriedFamily`, whose every shift is
 closed-form phases in the cached eigenbasis of the operator, through the
-same `columns` surface, and the moment meter is `run_meter` on it.
+same `gram` and `overlaps` reads, and the moment meter is `run_meter` on
+it.
 
-A run never forms its (system, pointer) amplitude array psi(s, q).  Only
-the K kept modes differ from c_k psi_ref, so that array is B @ R: B =
-[psi_ref | kept columns] is (N, K + 1) and R, the pointer rows, is
-(K + 1, n), cached per (pointer spec, mode cutoff).  The pointer
-statistics read it through one small QR of B, which costs N (K + 1)^2 +
-(K + 1)^2 n per run instead of the N n log n transform of the whole array.
+A run never forms its (system, pointer) amplitude array psi(s, q), nor
+any N-row block.  Only the K kept modes differ from c_k psi_ref, so that
+array is B @ R: B = [psi_ref | psi(s_k)] is (N, K + 1) and R, the pointer
+rows, is (K + 1, n), cached per (pointer spec, mode cutoff): row 0 the
+inverse transform of the dropped modes' coefficients, row k that of c_k
+alone.  Every pointer statistic is a (K + 1)-sized form.  A run keeps
+Gamma = B^H B, one `gram` read of its family, whose basis fixes the
+N-sized work once per fit: the marginal is w r_q^H Gamma r_q over the
+columns r_q of R, the norm sqrt(w tr(Gamma P)).  A postselector chi reads
+o = w chi^H B, one `overlaps` read, and the pointer amplitude o R has
+probability o P o^H and q-moment o Q o^H - |o j|^2, P = R R^H dq and
+(Q, j) the closed-form split of R diag(q) R^H dq, cached with R.  So a
+run costs (K + 1)^2 (nodes + 1) and a readout (K + 1)^2, none of it
+growing with N or n; only a caller that asks `pointer_distribution` for a
+density pays (K + 1) n or (K + 1)^2 n.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .clocks import SweepRecord, _checked_strengths, extrapolate_to_zero
-from .dynamics import CoupledSystem
+from .dynamics import CoupledSystem, apply_real
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
@@ -58,9 +68,9 @@ from .sojourn import CarriedFamily, SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
-# is one more column interpolated from the node block, one more column of a
-# run's system factor B and one more of its cached pointer rows, so a run
-# costs N (K + 1)^2 + (K + 1)^2 n for K kept modes.  On the default
+# is one more row and column of a run's Gram and of the cached pointer
+# forms, so a run costs (K + 1)^2 (nodes + 1) and a postselected readout
+# (K + 1)^2 for K kept modes.  On the default
 # PointerSpec.auto grid (extent_factor=16) the Fourier coefficients of the
 # Gaussian profile fall to a plateau below this cutoff: for
 # auto(width=1.0, max_shift=0.3), the scenario meter pointer, the plateau is
@@ -68,6 +78,7 @@ from .sojourn import CarriedFamily, SojournOperator, _check_state
 # reports the count.  Pass mode_cutoff=0.0 to keep every mode.
 DEFAULT_MODE_CUTOFF = 1e-8
 EDGE_MASS_BUDGET = 1e-7
+_EDGE_POINTS = [0, 1, -2, -1]  # the pointer points the edge-mass guard reads
 
 
 @dataclass(frozen=True)
@@ -115,35 +126,33 @@ class PointerSpec:
 
 @dataclass(frozen=True, eq=False)
 class MeterRun:
-    """One measurement experiment: the composite final state as factors,
+    """One measurement experiment: the composite final state as forms,
     plus context.
 
-    The composite amplitudes psi(s, q) are `system_block @ pointer_rows`
-    and are never formed.  `system_block` is B = [psi_ref | c_k psi_k for
-    the kept modes k], shaped (system dimension, modes_kept + 1);
-    `pointer_rows` is R, shaped (modes_kept + 1, pointer points): the
-    inverse pointer transform of the dropped modes' coefficients, then the
-    kept modes' inverse-transform rows.  `marginal` is the unconditioned
-    pointer density w sum_s |psi(s, q)|^2, w the system cell weight, not
-    normalized.  All three are read-only, and `pointer_rows` is shared by
-    every run with the same spec and mode cutoff.
-    `reference_system_final` is the system state evolved with the meter
-    switched off, used for survival probabilities and as the unperturbed
-    state that postselected readouts guard their overlap against.
-    `modes_kept` counts the pointer modes evolved with the coupling; the
-    others were below the mode cutoff.  Their columns are one `columns`
-    read of the family the run was given: interpolated from a
-    `CoupledSystem`'s node block, which reports that block, or closed-form
-    phases of a `CarriedFamily`.
+    The composite amplitudes psi(s, q) are B @ R, B = [psi_ref | psi(s_k)
+    for the kept modes k] and R the cached pointer rows, which carry the
+    profile's coefficients; neither they nor B is ever formed.  `gram` is
+    B^H B, (modes_kept + 1, modes_kept + 1), read-only; `family` is the
+    coupled family the run read (shared, never copied), which serves a
+    postselector's overlaps with B at the run's shifts, (coupling /
+    duration) pi_k over the modes above `mode_cutoff`.  `modes_kept`
+    counts those modes, evolved with the coupling; the others were below
+    the cutoff.  `reference_system_final` is the system state evolved with
+    the meter switched off, used for survival probabilities and as the
+    unperturbed state that postselected readouts guard their overlap
+    against.  `norm_drift` is the composite norm's distance from ||psi0||
+    ||phi||, `edge_mass` the unconditioned pointer probability on the two
+    grid points at each edge, at most EDGE_MASS_BUDGET.
     """
 
     spec: PointerSpec
     coupling: float
-    system_block: np.ndarray
-    pointer_rows: np.ndarray
-    marginal: np.ndarray
+    mode_cutoff: float
+    family: CoupledSystem | CarriedFamily
+    gram: np.ndarray
     reference_system_final: QuantumState
     norm_drift: float
+    edge_mass: float
     modes_kept: int
 
     @property
@@ -177,32 +186,69 @@ class PointerDistribution:
         return int(np.count_nonzero(inner))
 
 
-@functools.lru_cache(maxsize=8)
-def _pointer_modes(spec: PointerSpec, mode_cutoff: float):
+class _Pointer(NamedTuple):
     """What a run needs of its pointer, which depends only on the spec and
-    the cutoff: the kept modes' momenta and coefficients, the norm of the
-    initial profile and the read-only (K + 1, n) pointer rows R.  R's first
-    row is the inverse transform of the coefficients with the kept ones
-    zeroed, its others the kept modes' inverse-transform rows, taken by
-    ifft of unit rows so that every phase is reduced mod n."""
+    the mode cutoff, all read-only: the kept modes' momenta, the norm of
+    the initial profile, the (K + 1, n) pointer rows R, and the pointer
+    forms.  R's first row is the inverse transform of the coefficients with
+    the kept ones zeroed, row k that of the kept coefficient c_k alone.  An
+    amplitude o R has probability o P o^H and q-moment o Q o^H - |o j|^2,
+    P = R R^H dq; Q and j split R diag(q) R^H dq (see `_pointer_modes`)."""
+
+    momenta: np.ndarray
+    norm: float
+    rows: np.ndarray
+    prob_form: np.ndarray
+    mean_form: np.ndarray
+    jump: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _pointer_modes(spec: PointerSpec, mode_cutoff: float) -> _Pointer:
+    """The `_Pointer` of a spec and cutoff.  R = C F^-1 for the coefficient
+    rows C and the DFT F is taken by ifft of C, so that every phase is
+    reduced mod n, and the forms come from C in closed form, w = exp(2 pi i
+    / n): sum_j w^(d j) is n [d = 0], so P = (dq / n) C C^H; and over the
+    grid index j, q_j = x_min + j dq is q_mid = x_min + n dq / 2 plus a
+    sawtooth whose sum against w^(d j) is -(n dq / 2) i cot(pi d / n) for d
+    != 0, except at j = 0, where the periodic q jumps and that sawtooth
+    takes the jump's midpoint.  So R diag(q) R^H dq = Q - j j^H, Q = q_mid P
+    - i (dq^2 / 2n) C cot C^H and j = sqrt(n / 2) dq R[:, 0]: summed over
+    the grid, the jump's constant part would cancel only to eps max|q| and
+    shift every pointer mean by that; here it is |o j|^2, the first point's
+    own amplitude."""
     phi = spec.initial_state()
+    grid = spec.grid
+    n, dq = grid.n_points, grid.dx
     coeffs = np.fft.fft(phi.amplitudes)
     kept = np.nonzero(np.abs(coeffs) > mode_cutoff * np.max(np.abs(coeffs)))[0]
-    dropped = coeffs.copy()
-    dropped[kept] = 0.0
-    rows = np.fft.ifft(np.vstack([dropped, np.eye(coeffs.size)[kept]]), axis=1)
-    pi_kept = fourier_momentum_values(spec.grid)[kept]
-    coeffs_kept = coeffs[kept]
-    for a in (pi_kept, coeffs_kept, rows):
+    modes = np.zeros((kept.size + 1, n), dtype=complex)
+    modes[0] = coeffs
+    modes[0, kept] = 0.0
+    modes[np.arange(1, kept.size + 1), kept] = coeffs[kept]
+    rows = np.fft.ifft(modes, axis=1)
+    # cot(pi (l - l') / n) over pairs of momentum indices, 0 for l = l',
+    # built in place in one real (n, n) array
+    angle = np.arange(n) * (np.pi / n)
+    cot = np.subtract.outer(angle, angle)
+    np.tan(cot, out=cot)
+    np.fill_diagonal(cot, np.inf)
+    np.reciprocal(cot, out=cot)
+    prob_form = (dq / n) * (modes @ modes.conj().T)
+    mean_form = ((grid.x_min + 0.5 * n * dq) * prob_form
+                 - (0.5j * dq**2 / n) * (apply_real(cot.T, modes.T).T @ modes.conj().T))
+    pointer = _Pointer(fourier_momentum_values(grid)[kept], phi.norm(), rows, prob_form,
+                       mean_form, np.sqrt(0.5 * n) * dq * rows[:, 0])
+    for a in (pointer.momenta, rows, prob_form, mean_form, pointer.jump):
         a.flags.writeable = False
-    return pi_kept, coeffs_kept, phi.norm(), rows
+    return pointer
 
 
 def coupling_shifts(spec: PointerSpec, coupling: float, duration: float,
                     mode_cutoff: float = DEFAULT_MODE_CUTOFF) -> np.ndarray:
     """(G/T) pi_k over the pointer modes above `mode_cutoff`: the shifts a
     `run_meter` at coupling G reads off a family of window length T."""
-    return (coupling / duration) * _pointer_modes(spec, mode_cutoff)[0]
+    return (coupling / duration) * _pointer_modes(spec, mode_cutoff).momenta
 
 
 def run_meter(
@@ -217,38 +263,38 @@ def run_meter(
     `CarriedFamily`, A = T_op^l / T.
 
     The pointer modes above `mode_cutoff` (relative to the largest) are
-    kept, their system vectors c_k psi((G/T) pi_k) one `coupled.columns`
-    read; a CoupledSystem interpolates them from the node block every run
-    of a ladder shares.  A dropped mode is uncoupled, c_k psi_ref, so the
-    composite is B @ R, B = [psi_ref | kept columns], R the cached pointer
-    rows.  With B = Q R_b (one QR, wide for N < K + 1), each pointer column
-    of the composite has the norm of that column of R_b @ R, so the
-    marginal and the norm cost N (K + 1)^2 + (K + 1)^2 n per run.
+    kept, their system vectors psi((G/T) pi_k); a dropped mode is
+    uncoupled, psi_ref, so the composite is B @ R, B = [psi_ref | psi(s_k)],
+    R the cached pointer rows weighted by the profile's coefficients.  The
+    run keeps only Gamma = B^H B, one `coupled.gram` read; a CoupledSystem
+    reads it off the node block every run of a ladder shares.  The edge-mass
+    guard reads the marginal w r_q^H Gamma r_q at the two pointer points at
+    each edge (ParameterError past EDGE_MASS_BUDGET), and the norm is
+    sqrt(w tr(Gamma P)).
     """
-    _, coeffs_kept, phi_norm, rows = _pointer_modes(spec, mode_cutoff)
+    pointer = _pointer_modes(spec, mode_cutoff)
     psi_ref = coupled.reference_system_final
-    kept = coupled.columns(coupling_shifts(spec, coupling, coupled.duration, mode_cutoff))
-    block = np.column_stack([psi_ref.amplitudes, kept * coeffs_kept])
-    reduced = np.linalg.qr(block, mode="r") @ rows
-    marginal = psi_ref.cell_weight * np.sum(np.abs(reduced) ** 2, axis=0)
-    mass = float((np.sum(marginal[:2]) + np.sum(marginal[-2:])) * spec.grid.dx)
+    gram = coupled.gram((coupling / coupled.duration) * pointer.momenta)
+    weight = psi_ref.cell_weight
+    edges = pointer.rows[:, _EDGE_POINTS]
+    mass = weight * spec.grid.dx * float(np.sum((edges.conj() * (gram @ edges)).real))
     if not mass <= EDGE_MASS_BUDGET:
         raise ParameterError(
             f"pointer support reaches the grid edge (mass {mass:.3e}); "
             "enlarge the pointer grid"
         )
-    norm = np.sqrt(psi_ref.cell_weight * spec.grid.dx) * np.linalg.norm(reduced)
-    block.flags.writeable = False
-    marginal.flags.writeable = False
+    norm = np.sqrt(weight * np.vdot(pointer.prob_form, gram).real)
+    gram.flags.writeable = False
     return MeterRun(
         spec=spec,
         coupling=coupling,
-        system_block=block,
-        pointer_rows=rows,
-        marginal=marginal,
+        mode_cutoff=mode_cutoff,
+        family=coupled,
+        gram=gram,
         reference_system_final=psi_ref,
-        norm_drift=float(abs(norm - coupled.psi0.norm() * phi_norm)),
-        modes_kept=coeffs_kept.size,
+        norm_drift=float(abs(norm - coupled.psi0.norm() * pointer.norm)),
+        edge_mass=mass,
+        modes_kept=pointer.momenta.size,
     )
 
 
@@ -271,35 +317,52 @@ def run_moment_meter(
 # -- pointer statistics ----------------------------------------------------
 
 
+def _pointer_moments(run: MeterRun, postselect: Optional[QuantumState]):
+    """(o, probability, mean) of the pointer, marginal or conditioned on a
+    system postselection, from the (K + 1)-sized forms alone.  The marginal
+    (o None) reads w Gamma against them as traces; a postselector chi reads
+    o = w chi^H B, its pointer amplitude being o R, and has its overlap
+    guarded by `hilbert.checked_overlap`."""
+    pointer = _pointer_modes(run.spec, run.mode_cutoff)
+    if postselect is None:
+        gram = run.system_weight * run.gram
+        prob = float(np.vdot(pointer.prob_form, gram).real)
+        moment = (np.vdot(pointer.mean_form, gram)
+                  - pointer.jump.conj() @ gram @ pointer.jump).real
+        return None, prob, float(moment) / prob
+    if postselect.space != run.reference_system_final.space:
+        raise StructureError("postselector must live on the system space")
+    o = run.system_weight * run.family.overlaps(
+        postselect, (run.coupling / run.family.duration) * pointer.momenta)
+    prob = float((o @ pointer.prob_form @ o.conj()).real)
+    # the composite's norm is the reference state's, up to norm_drift
+    checked_overlap(postselect, run.reference_system_final, np.sqrt(prob))
+    moment = (o @ pointer.mean_form @ o.conj()).real - abs(o @ pointer.jump) ** 2
+    return o, prob, float(moment) / prob
+
+
 def pointer_distribution(
     run: MeterRun, postselect: Optional[QuantumState] = None
 ) -> PointerDistribution:
     """Pointer probability density, marginal or conditioned on a system
-    postselection; the conditional one carries its branch probability."""
-    grid = run.spec.grid
-    dq = grid.dx
-    if postselect is None:
-        raw = run.marginal
-        prob = float(np.sum(raw) * dq)
+    postselection; the conditional one carries its branch probability.
+    The density is the one product with the pointer rows a run ever takes;
+    probability and mean are the forms' numbers the readouts read."""
+    o, prob, mean = _pointer_moments(run, postselect)
+    rows = _pointer_modes(run.spec, run.mode_cutoff).rows
+    if o is None:
+        raw = run.system_weight * np.sum((rows.conj() * (run.gram @ rows)).real, axis=0)
     else:
-        if postselect.space != run.reference_system_final.space:
-            raise StructureError("postselector must live on the system space")
-        amp = run.system_weight * ((postselect.amplitudes.conj() @ run.system_block)
-                                   @ run.pointer_rows)
-        raw = np.abs(amp) ** 2
-        prob = float(np.sum(raw) * dq)
-        # the composite's norm is the reference state's, up to norm_drift
-        checked_overlap(postselect, run.reference_system_final, np.sqrt(prob))
-    density = raw / prob
-    mean = float(np.sum(grid.points * density) * dq)
-    return PointerDistribution(grid=grid, density=density, mean=mean, probability=prob)
+        raw = np.abs(o @ rows) ** 2
+    return PointerDistribution(grid=run.spec.grid, density=raw / prob, mean=mean,
+                               probability=prob)
 
 
 def survival_probability(run: MeterRun) -> float:
     """Probability that the system is still found in its unperturbed
     (freely evolved) state after the measurement."""
-    dist = pointer_distribution(run, postselect=run.reference_system_final)
-    return dist.probability / run.reference_system_final.norm() ** 2
+    prob = _pointer_moments(run, run.reference_system_final)[1]
+    return prob / run.reference_system_final.norm() ** 2
 
 
 def pointer_shift_fit(runs, postselect: Optional[QuantumState] = None):
@@ -308,7 +371,7 @@ def pointer_shift_fit(runs, postselect: Optional[QuantumState] = None):
     if len(runs) < 2:
         raise ParameterError("need at least 2 runs to fit a line")
     g = np.array([r.coupling for r in runs], dtype=float)
-    y = np.array([pointer_distribution(r, postselect).mean for r in runs])
+    y = np.array([_pointer_moments(r, postselect)[2] for r in runs])
     slope, intercept = np.polyfit(g, y, 1)
     return float(slope), float(intercept)
 
@@ -326,7 +389,7 @@ def meter_moment_readout(runs, postselect: Optional[QuantumState] = None) -> Swe
     (free_box) it fits noise.
     """
     g = _checked_strengths(r.coupling for r in runs)
-    readouts = [pointer_distribution(r, postselect).mean / r.coupling for r in runs]
+    readouts = [_pointer_moments(r, postselect)[2] / r.coupling for r in runs]
     value, order, residual = extrapolate_to_zero(g, readouts, 2)
     return SweepRecord(
         strengths=g,
@@ -359,8 +422,8 @@ def lambda_moment_route(
     _check_state(op, chi)
     family = CarriedFamily(op, psi0, 1)
     den = checked_overlap(chi, family.reference_system_final)
-    amps = family.columns(np.concatenate([lambdas, -lambdas]) / op.duration)
-    rp, rm = np.reshape(chi.cell_weight * (chi.amplitudes.conj() @ amps) / den, (2, -1))
+    amps = family.overlaps(chi, np.concatenate([lambdas, -lambdas]) / op.duration)[1:]
+    rp, rm = np.reshape(chi.cell_weight * amps / den, (2, -1))
     if order == 1:
         readouts = 1j * HBAR * (rp - rm) / (2.0 * lambdas)
     else:

@@ -493,17 +493,18 @@ def run_scenario(
     if "clocks" in pipelines or "meter" in pipelines:
         # one node block per scenario: the clocks and the meter read one
         # coupled system, fitted on the union of the shifts they read, so
-        # that no readout refits it
+        # that no readout refits it; only the clocks' keys are tabulated,
+        # since the meter reads the fit through its basis
         coupled = CoupledSystem(ham, psi0, scenario.region.indicator(scenario.grid),
                                 scenario.window)
         # its reference state, the window end with no coupling, is psi_final
         coupled.reference_system_final = psi_final
         t = scenario.duration()
         ladders = {name: tuple(c / t for c in lad) for name, lad in CLOCK_LADDERS.items()}
-        shifts = [*clock_shifts(**ladders)] if "clocks" in pipelines else []
+        keys = [*clock_shifts(**ladders)] if "clocks" in pipelines else []
         if "meter" in pipelines:
-            shifts += [*coupling_shifts(METER_POINTER, max(METER_LADDER), t)]
-        coupled.cover(shifts)
+            coupled.serve(keys + [*coupling_shifts(METER_POINTER, max(METER_LADDER), t)])
+        coupled.cover(keys)
     if "clocks" in pipelines:
         _clock_pipeline(bundle, coupled, chis, ladders)
     if "meter" in pipelines:

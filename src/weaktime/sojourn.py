@@ -141,19 +141,22 @@ class CarriedFamily:
     commutes with its own history: psi(s) = exp(-i s T T_op^order / hbar)
     psi_free for real shifts s, psi_free = `reference_system_final`, psi0
     freely evolved to the window end.  psi(s) is closed-form phases in M's
-    cached eigenbasis W = D_u W_K (`SojournOperator.eigensystem`).
+    cached eigenbasis W = D_u W_K (`SojournOperator.eigensystem`): psi(s) =
+    V D_u W_K (z o E(s)), E(s) = exp(-i s T (T tau)^order / hbar), z the
+    free state's coefficients in that basis.
 
     It has the surface `meter.run_meter` reads of a `dynamics.CoupledSystem`
-    (`psi0`, `duration`, `reference_system_final`, `columns`), so a run at
-    coupling G evolves its mode k by exp(-i G pi_k T_op^order / hbar).
-    ParameterError for an order that is not an integer in 1..4 or a psi0
-    not at the window start, StructureError for one on another space.
+    (`psi0`, `duration`, `reference_system_final`, `gram`, `overlaps`), so
+    a run at coupling G evolves its mode k by exp(-i G pi_k T_op^order /
+    hbar).  ParameterError for an order that is not an integer in 1..4 or
+    a psi0 not at the window start, StructureError for one on another
+    space.
     """
 
     def __init__(self, op: SojournOperator, psi0: QuantumState, order: int):
         _check_order(order)
         _check_state(op, psi0, "run start")
-        self.op, self.psi0, self.duration = op, psi0, op.duration
+        self.op, self.psi0, self.order, self.duration = op, psi0, order, op.duration
         free = np.exp(-1j * op.vals * op.duration / HBAR) * apply_real(op.vecs.T, psi0.amplitudes)
         self.reference_system_final = QuantumState(psi0.space, apply_real(op.vecs, free),
                                                    op.window[1])
@@ -161,12 +164,25 @@ class CarriedFamily:
         self._spectrum = (op.duration * tau) ** order
         self._z = apply_real(self._w.T, op.midpoint_phases.conj() * free)
 
-    def columns(self, shifts) -> np.ndarray:
-        """psi(s_j) for each real shift s_j as the columns of one
-        (dimension, len(shifts)) block."""
-        phases = np.exp((-1j * self.duration / HBAR) * np.outer(self._spectrum, shifts))
-        coeffs = self.op.midpoint_phases[:, None] * apply_real(self._w, phases * self._z[:, None])
-        return apply_real(self.op.vecs, coeffs)
+    def _phases(self, shifts) -> np.ndarray:
+        """[1 | E(s_1) .. E(s_K)], (dimension, K + 1): B = [psi_ref | psi(s_1)
+        .. psi(s_K)] is V D_u W_K (z o the columns)."""
+        phases = np.ones((self._z.size, np.size(shifts) + 1), dtype=complex)
+        phases[:, 1:] = np.exp((-1j * self.duration / HBAR) * np.outer(self._spectrum, shifts))
+        return phases
+
+    def gram(self, shifts) -> np.ndarray:
+        """B^H B, (K + 1, K + 1): V D_u W_K is unitary, so it is E^H
+        diag(|z|^2) E over the phases E of `_phases`."""
+        phases = self._phases(shifts)
+        return phases.conj().T @ ((np.abs(self._z) ** 2)[:, None] * phases)
+
+    def overlaps(self, chi: QuantumState, shifts) -> np.ndarray:
+        """chi^H B, (K + 1,), with no cell weight: one pair of real
+        transforms, y = W_K^T (conj(u) o V^T chi), then (conj(y) o z) E."""
+        y = apply_real(self._w.T, self.op.midpoint_phases.conj()
+                       * apply_real(self.op.vecs.T, chi.amplitudes))
+        return (y.conj() * self._z) @ self._phases(shifts)
 
 
 @dataclass(frozen=True)

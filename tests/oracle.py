@@ -16,6 +16,8 @@ compose the package's own pieces: `full_k_matrix` reuses the sinc
 filter, because it pins the blocked arrangement of K and not the filter
 (which is checked against mpmath);
 `second_moment_position_postselected` composes the guarded readouts;
+`meter_composite` reads a `CoupledSystem` run's system columns through
+its `columns` (a `CarriedFamily` run's are evolved densely here);
 `conditional_mean_sum` reads the marginal pointer through
 `pointer_distribution`; and `derivative_identity_check` guards its
 postselection with `checked_overlap` and extrapolates with
@@ -31,7 +33,7 @@ from weaktime.clocks import extrapolate_to_zero
 from weaktime.errors import ParameterError
 from weaktime.hilbert import HBAR, basis_cell_state, checked_overlap, fourier_momentum_values
 from weaktime.meter import pointer_distribution
-from weaktime.sojourn import _window_sinc, moment
+from weaktime.sojourn import CarriedFamily, _window_sinc, moment
 
 
 def evolve_exact(h_matrix, psi, duration):
@@ -246,10 +248,30 @@ def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):
     return out
 
 
+def _meter_columns(family, shifts):
+    """psi(s_k) for each shift as columns: a `CoupledSystem`'s own
+    `columns`, a `CarriedFamily`'s by exponentiating its carried operator
+    power densely, exp(-i s T T_op^l / hbar) psi_ref."""
+    if not isinstance(family, CarriedFamily):
+        return family.columns(shifts)
+    vals, vecs = np.linalg.eigh(dense_sojourn(family.op))
+    coeffs = vecs.conj().T @ family.reference_system_final.amplitudes
+    phases = np.exp(-1j * family.duration * np.outer(vals**family.order, shifts) / HBAR)
+    return vecs @ (phases * coeffs[:, None])
+
+
 def meter_composite(run):
-    """The (system, pointer) amplitude array psi(s, q) of a meter run,
-    rebuilt densely from its factors; the package never forms it."""
-    return run.system_block @ run.pointer_rows
+    """The (system, pointer) amplitude array psi(s, q) of a meter run, built
+    densely, which the package never does: pointer mode k drags psi((G/T)
+    pi_k) if its coefficient c_k is above the run's cutoff and psi_ref if
+    not, and the inverse transform of c_k times those columns over k is
+    the array over q."""
+    coeffs = np.fft.fft(run.spec.initial_state().amplitudes)
+    kept = np.abs(coeffs) > run.mode_cutoff * np.max(np.abs(coeffs))
+    shifts = (run.coupling / run.family.duration) * fourier_momentum_values(run.spec.grid)[kept]
+    cols = np.repeat(run.reference_system_final.amplitudes[:, None], coeffs.size, axis=1)
+    cols[:, kept] = _meter_columns(run.family, shifts)
+    return np.fft.ifft(cols * coeffs, axis=1)
 
 
 def _pointer_amplitude(run, chi):

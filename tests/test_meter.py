@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracle
-from weaktime import dynamics, meter
+from weaktime import dynamics, meter, scenarios
 from weaktime.clocks import extrapolate_to_zero
 from weaktime.dynamics import Hamiltonian, evolve_eigenbasis, evolve_shifted
 from weaktime.errors import NumericalError, ParameterError, StructureError
@@ -203,31 +203,36 @@ def test_edge_aliasing_guard():
 def test_edge_guard_passes_a_pointer_just_inside_its_budget():
     # the sigma_z branches shift the pointer by +-G: at G = 2.3 the two edge
     # points on each side hold between half and all of the budget, read
-    # from the marginal as from the dense composite; G = 2.4 is refused
+    # from the run's Gram as from the dense composite; G = 2.4 is refused
     system, psi0, sz = _toy()
     spec = PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64)
     coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
     run = run_meter(spec, coupled, 2.3)
     dense = psi0.cell_weight * np.sum(np.abs(oracle.meter_composite(run)) ** 2, axis=0)
-    for f in (run.marginal, dense):
-        mass = (np.sum(f[:2]) + np.sum(f[-2:])) * spec.grid.dx
+    for mass in (run.edge_mass, (np.sum(dense[:2]) + np.sum(dense[-2:])) * spec.grid.dx):
         assert 0.5 * meter.EDGE_MASS_BUDGET < mass <= meter.EDGE_MASS_BUDGET
     with pytest.raises(ParameterError, match="pointer support reaches the grid edge"):
         run_meter(spec, coupled, 2.4)
 
 
-# -- factored runs: B @ R, never the composite --------------------------------
+# -- factored runs: forms of B @ R, never the composite -----------------------
 
 
 def _factored_cases(crossing):
-    """(run, psi0, postselectors) on the crossing fixture, on demo 03's sigma_z
-    spin with a 0.1-wide pointer (N = 2 < K + 1: a wide system block) and
-    on a moment meter run."""
+    """(run, psi0, postselectors) on the crossing fixture; on a barrier
+    scenario with transmitted and reflected postselection; on demo 03's
+    sigma_z spin with a 0.1-wide pointer (N = 2 < K + 1), and with a pointer
+    shifted to its edge-mass budget; and on moment meter runs of orders 1
+    and 2."""
     ham, psi0, psi_final, op = crossing
     x = GRID.points
     sides = [QuantumState(SPACE, np.where(side, psi_final.amplitudes, 0.0), WINDOW[1])
              for side in (x >= REGION.x_hi, x < REGION.x_lo)]
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    sc = _meter_barrier_n96()
+    barrier = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            sc.region.indicator(sc.grid), sc.window)
+    chis = scenarios._postselectors(sc, barrier.reference_system_final)
     system, spin, sz = _toy()
     spin_spec = PointerSpec.auto(width=0.1, max_shift=1.0, n_points=512, extent_factor=14.0)
     spin_chis = [QuantumState(spin.space, amps, 1.0)
@@ -235,27 +240,43 @@ def _factored_cases(crossing):
     return [
         (run_meter(spec, CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW), 0.4),
          psi0, sides),
+        (run_meter(scenarios.METER_POINTER, barrier, max(METER_LADDER)), sc.initial_state(),
+         [chis["transmitted"], chis["reflected"]]),
         (run_meter(spin_spec, CoupledSystem(system, spin, sz, (0.0, 1.0)), 1.0),
          spin, spin_chis),
+        (run_meter(PointerSpec.auto(width=1.0, max_shift=0.0, n_points=64),
+                   CoupledSystem(system, spin, sz, (0.0, 1.0)), 2.3), spin, spin_chis),
         (run_moment_meter(spec, psi0, op, 1, 0.1), psi0, sides),
+        (run_moment_meter(spec, psi0, op, 2, 0.01), psi0, sides),
     ]
 
 
 def test_factored_readouts_match_the_dense_composite(crossing):
+    # the marginal, the edge mass, the norm and every postselected density,
+    # probability and mean, read off the run's Gram and its family's
+    # overlaps, against the composite built densely (`oracle.meter_composite`)
     cases = _factored_cases(crossing)
-    assert cases[1][0].modes_kept + 1 > cases[1][0].system_block.shape[0]
+    assert cases[2][0].modes_kept + 1 > cases[2][1].space.dimension
     for run, psi0, chis in cases:
         composite = oracle.meter_composite(run)
-        w, dq = run.system_weight, run.spec.grid.dx
+        w, q, dq = run.system_weight, run.spec.grid.points, run.spec.grid.dx
         dense = w * np.sum(np.abs(composite) ** 2, axis=0)
+        total = np.sum(dense) * dq
         dist = pointer_distribution(run)
-        for got in (run.marginal, dist.density * dist.probability):
-            np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13 * dense.max())
+        np.testing.assert_allclose(dist.density * dist.probability, dense,
+                                   rtol=0.0, atol=1e-13 * dense.max())
+        assert dist.probability == pytest.approx(total, rel=1e-12)
+        assert dist.mean == pytest.approx(np.sum(q * dense) * dq / total, rel=1e-12)
+        edge = (np.sum(dense[:2]) + np.sum(dense[-2:])) * dq
+        assert run.edge_mass == pytest.approx(edge, rel=0.0, abs=1e-12 * total)
         for chi in chis:
             dense = np.abs(w * (chi.amplitudes.conj() @ composite)) ** 2
+            prob = np.sum(dense) * dq
             dist = pointer_distribution(run, chi)
             np.testing.assert_allclose(dist.density * dist.probability, dense,
                                        rtol=0.0, atol=1e-13 * dense.max())
+            assert dist.probability == pytest.approx(prob, rel=1e-12)
+            assert dist.mean == pytest.approx(np.sum(q * dense) * dq / prob, rel=1e-12)
         norm = np.sqrt(w * dq) * np.linalg.norm(composite)
         drift = abs(norm - psi0.norm() * run.spec.initial_state().norm())
         assert run.norm_drift == pytest.approx(drift, abs=1e-14)
@@ -265,38 +286,60 @@ def test_pointer_rows_are_cached_read_only_unit_transforms(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
     coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
-    first, second = run_meter(spec, coupled, 0.4), run_meter(spec, coupled, 0.1)
-    assert second.pointer_rows is first.pointer_rows
-    pi_kept, coeffs_kept, _, rows = meter._pointer_modes(spec, meter.DEFAULT_MODE_CUTOFF)
-    n = spec.grid.n_points
+    first = run_meter(spec, coupled, 0.4)
+    pointer = meter._pointer_modes(spec, meter.DEFAULT_MODE_CUTOFF)
+    assert meter._pointer_modes(spec, meter.DEFAULT_MODE_CUTOFF) is pointer
+    rows = pointer.rows
+    n, q, dq = spec.grid.n_points, spec.grid.points, spec.grid.dx
     coeffs = np.fft.fft(spec.initial_state().amplitudes)
     kept = np.nonzero(np.abs(coeffs) > meter.DEFAULT_MODE_CUTOFF * np.abs(coeffs).max())[0]
     assert rows.shape == (first.modes_kept + 1, n) == (kept.size + 1, n)
+    # row k is the kept coefficient c_k times a unit transform, its phases
+    # reduced mod n before the exponential
     units = np.zeros((kept.size, n))
     units[np.arange(kept.size), kept] = 1.0
-    np.testing.assert_allclose(rows[1:], np.fft.ifft(units, axis=1), rtol=0.0, atol=1e-16)
-    # the phases are reduced mod n before the exponential
+    scale = 1e-16 * np.abs(coeffs).max()
+    np.testing.assert_allclose(rows[1:], coeffs[kept, None] * np.fft.ifft(units, axis=1),
+                               rtol=0.0, atol=scale)
     kj = np.outer(kept, np.arange(n)) % n
-    np.testing.assert_allclose(rows[1:], np.exp(2j * np.pi * kj / n) / n, rtol=0.0, atol=1e-16)
-    np.testing.assert_array_equal(pi_kept, fourier_momentum_values(spec.grid)[kept])
-    np.testing.assert_array_equal(coeffs_kept, coeffs[kept])
+    np.testing.assert_allclose(rows[1:], coeffs[kept, None] * np.exp(2j * np.pi * kj / n) / n,
+                               rtol=0.0, atol=scale)
+    np.testing.assert_array_equal(pointer.momenta, fourier_momentum_values(spec.grid)[kept])
+    assert pointer.norm == spec.initial_state().norm()
     coeffs[kept] = 0.0
-    np.testing.assert_allclose(rows[0], np.fft.ifft(coeffs), rtol=0.0, atol=1e-16)
-    for a in (pi_kept, coeffs_kept, rows, first.system_block, first.marginal):
+    np.testing.assert_allclose(rows[0], np.fft.ifft(coeffs), rtol=0.0, atol=scale)
+    # the closed forms give the probability and the q-moment of an amplitude
+    # o R, here summed over the grid in long double: to 1e-16 of the
+    # probability for the profile shifted by 0.01 (a grid sum of the
+    # q-weighted rows errs by about 1e-15 there), to 1e-14 for a random o
+    rng = np.random.default_rng(3)
+    shifted = np.exp(-0.01j * np.concatenate([[0.0], pointer.momenta]))
+    for o, budget in ((shifted, 1e-16),
+                      (rng.normal(size=kept.size + 1) + 1j * rng.normal(size=kept.size + 1),
+                       1e-14)):
+        amp = o.astype(np.clongdouble) @ rows.astype(np.clongdouble)
+        density = amp.real**2 + amp.imag**2
+        prob = (o @ pointer.prob_form @ o.conj()).real
+        moment = (o @ pointer.mean_form @ o.conj()).real - abs(o @ pointer.jump) ** 2
+        assert prob == pytest.approx(float(np.sum(density) * dq), rel=1e-14)
+        assert moment == pytest.approx(float(np.sum(q * density) * dq), rel=0.0,
+                                       abs=budget * prob)
+    for a in (pointer.momenta, rows, pointer.prob_form, pointer.mean_form, pointer.jump,
+              first.gram):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        first.pointer_rows[0, 0] = 0.0
+        first.gram[0, 0] = 0.0
 
 
 def test_second_meter_run_forms_no_composite():
-    # with the node block fitted and the pointer rows cached, a run holds
-    # only (N, K + 1) and (K + 1, n) arrays: its allocation peak stays far
-    # below one (N, n) complex array
+    # with the node block fitted and the pointer forms cached, a run holds
+    # only its (K + 1, K + 1) Gram: its allocation peak stays far below one
+    # (N, n) complex array, and below one (N, K + 1) block of its columns
     sc = catalog()["barrier_dwell"]
     coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
                             sc.region.indicator(sc.grid), sc.window)
     spec = PointerSpec.auto(width=1.0, max_shift=max(METER_LADDER))
-    run_meter(spec, coupled, max(METER_LADDER))
+    first = run_meter(spec, coupled, max(METER_LADDER))
     composite_bytes = sc.grid.n_points * spec.grid.n_points * 16
     tracemalloc.start()
     try:
@@ -305,6 +348,7 @@ def test_second_meter_run_forms_no_composite():
     finally:
         tracemalloc.stop()
     assert peak < composite_bytes / 2
+    assert peak < sc.grid.n_points * (first.modes_kept + 1) * 16 / 2
 
 
 def test_factorized_engine_rejects_unstructured_problems():
@@ -612,9 +656,15 @@ def test_carried_family_evolves_the_free_state_under_the_carried_operator(crossi
                                psi_final.amplitudes, atol=1e-12)
     t_op = oracle.dense_sojourn(op)
     shifts = np.array([0.0, 0.03, -0.07])
-    expected = [scipy.linalg.expm(-1j * s * op.duration * t_op @ t_op) @ psi_final.amplitudes
-                for s in shifts]
-    np.testing.assert_allclose(family.columns(shifts), np.transpose(expected), atol=1e-10)
+    block = np.transpose([psi_final.amplitudes] + [
+        scipy.linalg.expm(-1j * s * op.duration * t_op @ t_op) @ psi_final.amplitudes
+        for s in shifts])
+    # the family's two reads of [psi_ref | psi(s_1) .. psi(s_K)]: its Gram
+    # and a postselector's overlaps
+    np.testing.assert_allclose(family.gram(shifts), block.conj().T @ block, atol=1e-10)
+    chi = basis_cell_state(GRID, 20, time=WINDOW[1])
+    np.testing.assert_allclose(family.overlaps(chi, shifts), chi.amplitudes.conj() @ block,
+                               atol=1e-10)
 
 
 def test_lambda_route_rejects_a_third_moment(crossing):

@@ -759,15 +759,24 @@ def test_cli_compare_fails_a_record_past_its_allowance(well_config, monkeypatch,
 def test_cli_compare_fails_a_nan_record(well_config, monkeypatch, capsys):
     # a NaN deviation compares false with any allowance, and its ratio is
     # worse than any finite one before or after it: the summary reports it
-    # and names its record, not the largest finite ratio
-    bundle = _compare_bundle(("sojourn", "none", 1, 10.0, 0.0, 0.0),
-                             ("clock_real_potential", "none", 1, 10.5, 0.01, 0.0),
-                             ("clock_larmor", "none", 1, float("nan"), 0.01, 1e-6),
-                             ("clock_imaginary_potential", "none", 1, 9.0, 0.01, 0.0))
-    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: bundle)
-    assert cli.main(["compare", "--config", well_config]) == 2
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "agreement: FAILED (worst ratio nan at clock_larmor,none,1)")
+    # and names its record, not the largest finite ratio.  A NaN residual
+    # allows nothing: a value within its tolerance of the reference fails,
+    # named the same way
+    nan = float("nan")
+    inputs = [
+        [("sojourn", "none", 1, 10.0, 0.0, 0.0),
+         ("clock_real_potential", "none", 1, 10.5, 0.01, 0.0),
+         ("clock_larmor", "none", 1, nan, 0.01, 1e-6),
+         ("clock_imaginary_potential", "none", 1, 9.0, 0.01, 0.0)],
+        [("sojourn", "none", 1, 10.0, 0.0, 0.0),
+         ("clock_larmor", "none", 1, 10.05, 0.01, nan)],
+    ]
+    for records in inputs:
+        bundle = _compare_bundle(*records)
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, bundle=bundle, **kwargs: bundle)
+        assert cli.main(["compare", "--config", well_config]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "agreement: FAILED (worst ratio nan at clock_larmor,none,1)")
 
 
 def test_cli_compare_skips_a_record_with_no_sojourn_reference(well_config, monkeypatch,
