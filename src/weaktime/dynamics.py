@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -359,13 +359,14 @@ class CoupledSystem:
     meter reads it through a fixed basis instead, X = [psi_ref | c_0 ..
     c_{n-1}], N x (n + 1) for the interpolant psi(s) = sum_k T_k(s / S)
     c_k, so a set of K shifts enters only through the (n + 1) x (K + 1)
-    Chebyshev matrix M with [psi_ref | psi(s_1) ..] = X M: `gram` is M^H
-    (X^H X) M and `overlaps` chi^H X M, with X^H X and each postselector's
-    chi^H X held once per fit and reference state, so that no read costs
-    N.  The coupled system reports the one node block behind both: `nodes`
-    columns evolved by a series of `chebyshev_terms` terms (nodes x terms
-    is its work), and `node_tail`, the tail bound it was fitted to; all
-    three are 0 until a nonzero shift is asked for.
+    Chebyshev matrix M with [psi_ref | psi(s_1) ..] = X M: a `read` of
+    them is a `FixedRead`, whose Gram is M^H (X^H X) M and whose overlaps
+    are chi^H X M, with X^H X and each postselector's chi^H X held once per
+    fit and reference state, so that no read costs N.  The coupled system
+    reports the one node block behind both: `nodes` columns evolved by a
+    series of `chebyshev_terms` terms (nodes x terms is its work), and
+    `node_tail`, the tail bound it was fitted to; all three are 0 until a
+    nonzero shift is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -390,7 +391,7 @@ class CoupledSystem:
         self.window, self.duration = (t0, t1), t1 - t0
         self._interval = self._rho = 0.0
         self._coeffs = self._basis = None
-        self._table, self._mixes, self._projections = {}, {}, {}
+        self._table = {}
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
 
@@ -429,7 +430,6 @@ class CoupledSystem:
         self._coeffs = apply_real(_lobatto_fit(degree), block.T)
         self._interval, self._rho = interval, rho0
         self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
-        self._mixes = {}
 
     def cover(self, shifts) -> None:
         """`serve` the shifts and tabulate the interpolant at them for
@@ -455,69 +455,50 @@ class CoupledSystem:
             self.cover(shifts)
         return np.array([self._table[u] for u in keys]).T
 
-    # -- the meter's reads: B = [psi_ref | psi(s_1) .. psi(s_K)] as X M ------
-
-    def _held(self) -> tuple:
-        """(X, X^H X), X = [psi_ref | c_0 .. c_{n-1}] as rows, rebuilt when
-        the fit or the reference state changes, and the postselectors'
-        projections X^H chi with it."""
-        ref = self.reference_system_final.amplitudes
-        if self._basis is None or self._basis[0] is not ref or self._basis[1] is not self._coeffs:
-            x = ref[None] if self._coeffs is None else np.vstack([ref, self._coeffs])
-            self._basis = (ref, self._coeffs, x, x.conj() @ x.T)
-            self._projections = {}
-        return self._basis[2:]
-
-    def _mix(self, shifts) -> np.ndarray:
-        """M, (nodes + 1, len(shifts) + 1), with B = X M: e_0, then T_k(s /
-        S) under a zero row for each shift, or e_0 again for all-zero shifts,
-        which read the reference state with no fit.  A request outside the
-        fit refits it first; M is kept per fit and shifts (16 at most), so a
-        kept one needs no check.
-
-        Real s / S in [-1, 1] are sin(phi): T_k is (-1)^(k // 2) times
-        cos(k phi) for even k and sin(k phi) for odd k, so that odd rows
-        keep their relative accuracy at small shifts; others go through
-        numpy's recurrence."""
+    def read(self, shifts) -> FixedRead:
+        """B = [psi_ref | psi(s_1) .. psi(s_K)] as X M under the fit that
+        serves the shifts (refitting first if the one held does not): M,
+        (nodes + 1, K + 1), is e_0, then T_k(s / S) under a zero row for each
+        shift, or e_0 again for all-zero shifts, which read the reference
+        state with no fit.  X and X^H X are held once per fit and reference
+        state."""
         shifts = np.asarray(shifts)
-        key = (shifts.dtype.str, shifts.tobytes())
-        mix = self._mixes.get(key)
-        if mix is not None:
-            return mix
         self.serve(shifts)
         mix = np.zeros((self.nodes + 1, shifts.size + 1), np.result_type(shifts, float))
         mix[0, 0] = 1.0
-        z = shifts / self._interval if np.any(shifts) else None
-        if z is None:
-            mix[0, 1:] = 1.0
-        elif np.isrealobj(z) and np.max(np.abs(z)) <= 1.0:
-            k = np.arange(self.nodes)[:, None]
-            angles = k * np.arcsin(z)
-            mix[1::2, 1:] = np.cos(angles[0::2])
-            mix[2::2, 1:] = np.sin(angles[1::2])
-            mix[1:, 1:] *= np.where(k & 2, -1.0, 1.0)
+        if np.any(shifts):
+            mix[1:, 1:] = np.polynomial.chebyshev.chebvander(shifts / self._interval,
+                                                             self.nodes - 1).T
         else:
-            mix[1:, 1:] = np.polynomial.chebyshev.chebvander(z, self.nodes - 1).T
-        if len(self._mixes) >= 16:
-            self._mixes.clear()
-        self._mixes[key] = mix
-        return mix
+            mix[0, 1:] = 1.0
+        ref = self.reference_system_final.amplitudes
+        if self._basis is None or self._basis[0] is not ref or self._basis[1] is not self._coeffs:
+            x = ref[None] if self._coeffs is None else np.vstack([ref, self._coeffs])
+            self._basis = (ref, self._coeffs, x, x.conj() @ x.T, {})
+        return FixedRead(*self._basis[2:], mix)
 
-    def gram(self, shifts) -> np.ndarray:
-        """B^H B for B = [psi_ref | psi(s_1) .. psi(s_K)], (K + 1, K + 1),
-        from X^H X, held once per fit and reference state: M^H (X^H X) M."""
-        mix = self._mix(shifts)
-        return mix.conj().T @ self._held()[1] @ mix
 
-    def overlaps(self, chi: QuantumState, shifts) -> np.ndarray:
-        """chi^H B for B = [psi_ref | psi(s_1) .. psi(s_K)], (K + 1,), with
-        no cell weight: chi's projection X^H chi, kept per fit and reference
-        state (16 at most), times M."""
-        mix = self._mix(shifts)
-        x, _ = self._held()
-        proj = self._projections.get(chi)
+class FixedRead(NamedTuple):
+    """B = [psi_ref | psi(s_1) .. psi(s_K)] = X M as one fit of a
+    `CoupledSystem` served it (`CoupledSystem.read`): X = [psi_ref | c_0 ..
+    c_{n-1}] as rows, X^H X, each postselector's projection X^H chi (16 at
+    most, shared by the fit's reads) and M.  A later refit or reference
+    state builds new ones, so a read keeps what it was served."""
+
+    rows: np.ndarray
+    rows_gram: np.ndarray
+    projections: dict
+    mix: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        """B^H B, (K + 1, K + 1): M^H (X^H X) M."""
+        return self.mix.conj().T @ self.rows_gram @ self.mix
+
+    def overlaps(self, chi: QuantumState) -> np.ndarray:
+        """chi^H B, (K + 1,), with no cell weight: X^H chi times M."""
+        proj = self.projections.get(chi)
         if proj is None:
-            if len(self._projections) >= 16:
-                self._projections.clear()
-            proj = self._projections[chi] = x @ chi.amplitudes.conj()
-        return proj @ mix
+            if len(self.projections) >= 16:
+                self.projections.clear()
+            proj = self.projections[chi] = self.rows @ chi.amplitudes.conj()
+        return proj @ self.mix

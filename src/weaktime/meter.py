@@ -25,8 +25,7 @@ The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator instead, which commutes with its own
 history: they read `sojourn.CarriedFamily`, whose every shift is
 closed-form phases in the cached eigenbasis of the operator, through the
-same `gram` and `overlaps` reads, and the moment meter is `run_meter` on
-it.
+same `read`, and the moment meter is `run_meter` on it.
 
 A run never forms its (system, pointer) amplitude array psi(s, q), nor
 any N-row block.  Only the K kept modes differ from c_k psi_ref, so that
@@ -34,10 +33,10 @@ array is B @ R: B = [psi_ref | psi(s_k)] is (N, K + 1) and R, the pointer
 rows, is (K + 1, n), cached per (pointer spec, mode cutoff): row 0 the
 inverse transform of the dropped modes' coefficients, row k that of c_k
 alone.  Every pointer statistic is a (K + 1)-sized form.  A run keeps
-Gamma = B^H B, one `gram` read of its family, whose basis fixes the
-N-sized work once per fit: the marginal is w r_q^H Gamma r_q over the
-columns r_q of R, the norm sqrt(w tr(Gamma P)).  A postselector chi reads
-o = w chi^H B, one `overlaps` read, and the pointer amplitude o R has
+Gamma = B^H B and the `read` of its family it came from, whose basis
+fixes the N-sized work once per fit: the marginal is w r_q^H Gamma r_q
+over the columns r_q of R, the norm sqrt(w tr(Gamma P)).  A postselector
+chi reads o = w chi^H B off that read, and the pointer amplitude o R has
 probability o P o^H and q-moment o Q o^H - |o j|^2, P = R R^H dq and
 (Q, j) the closed-form split of R diag(q) R^H dq, cached with R.  So a
 run costs (K + 1)^2 (nodes + 1) and a readout (K + 1)^2, none of it
@@ -54,7 +53,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import SweepRecord, _checked_strengths, extrapolate_to_zero
-from .dynamics import CoupledSystem, apply_real
+from .dynamics import CoupledSystem, FixedRead, apply_real
 from .errors import ParameterError, StructureError
 from .hilbert import (
     HBAR,
@@ -64,7 +63,7 @@ from .hilbert import (
     fourier_momentum_values,
     gaussian_pointer,
 )
-from .sojourn import CarriedFamily, SojournOperator, _check_state
+from .sojourn import CarriedFamily, CarriedRead, SojournOperator, _check_state
 
 # relative pointer-mode cutoff.  A dropped mode is evolved as if uncoupled,
 # which errs in that mode by at most twice its coefficient; each kept mode
@@ -124,31 +123,53 @@ class PointerSpec:
         return state
 
 
+class _Pointer(NamedTuple):
+    """What a run needs of its pointer, which depends only on the spec and
+    the mode cutoff, all read-only: the kept modes' momenta, the norm of
+    the initial profile, the (K + 1, n) pointer rows R, and the pointer
+    forms.  R's first row is the inverse transform of the coefficients with
+    the kept ones zeroed, row k that of the kept coefficient c_k alone.  An
+    amplitude o R has probability o P o^H and q-moment o Q o^H - |o j|^2,
+    P = R R^H dq; Q and j split R diag(q) R^H dq (see `_pointer_modes`)."""
+
+    momenta: np.ndarray
+    norm: float
+    rows: np.ndarray
+    prob_form: np.ndarray
+    mean_form: np.ndarray
+    jump: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class MeterRun:
     """One measurement experiment: the composite final state as forms,
     plus context.
 
     The composite amplitudes psi(s, q) are B @ R, B = [psi_ref | psi(s_k)
-    for the kept modes k] and R the cached pointer rows, which carry the
-    profile's coefficients; neither they nor B is ever formed.  `gram` is
-    B^H B, (modes_kept + 1, modes_kept + 1), read-only; `family` is the
-    coupled family the run read (shared, never copied), which serves a
-    postselector's overlaps with B at the run's shifts, (coupling /
-    duration) pi_k over the modes above `mode_cutoff`.  `modes_kept`
-    counts those modes, evolved with the coupling; the others were below
-    the cutoff.  `reference_system_final` is the system state evolved with
-    the meter switched off, used for survival probabilities and as the
-    unperturbed state that postselected readouts guard their overlap
-    against.  `norm_drift` is the composite norm's distance from ||psi0||
-    ||phi||, `edge_mass` the unconditioned pointer probability on the two
-    grid points at each edge, at most EDGE_MASS_BUDGET.
+    for the kept modes k] and R the pointer rows, which carry the
+    profile's coefficients; neither they nor B is ever formed.  `pointer`
+    holds R, the kept modes' momenta pi_k and the pointer forms, shared by
+    every run with the same spec and mode cutoff.  `family` is the coupled
+    family the run read (shared, never copied), and `reading` its read at
+    the run's shifts (coupling / duration) pi_k, which serves a
+    postselector's overlaps with B from the fit the run was made with, so
+    a later refit or reference state of the family changes no readout.
+    `gram` is B^H B, (modes_kept + 1, modes_kept + 1), read-only.
+    `modes_kept` counts the kept modes, evolved with the coupling; the
+    others were below the cutoff.  `reference_system_final` is the system
+    state evolved with the meter switched off, used for survival
+    probabilities and as the unperturbed state that postselected readouts
+    guard their overlap against.  `norm_drift` is the composite norm's
+    distance from ||psi0|| ||phi||, `edge_mass` the unconditioned pointer
+    probability on the two grid points at each edge, at most
+    EDGE_MASS_BUDGET.
     """
 
     spec: PointerSpec
     coupling: float
-    mode_cutoff: float
+    pointer: _Pointer
     family: CoupledSystem | CarriedFamily
+    reading: FixedRead | CarriedRead
     gram: np.ndarray
     reference_system_final: QuantumState
     norm_drift: float
@@ -184,23 +205,6 @@ class PointerDistribution:
         floor = threshold * np.max(d)
         inner = (d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:]) & (d[1:-1] > floor)
         return int(np.count_nonzero(inner))
-
-
-class _Pointer(NamedTuple):
-    """What a run needs of its pointer, which depends only on the spec and
-    the mode cutoff, all read-only: the kept modes' momenta, the norm of
-    the initial profile, the (K + 1, n) pointer rows R, and the pointer
-    forms.  R's first row is the inverse transform of the coefficients with
-    the kept ones zeroed, row k that of the kept coefficient c_k alone.  An
-    amplitude o R has probability o P o^H and q-moment o Q o^H - |o j|^2,
-    P = R R^H dq; Q and j split R diag(q) R^H dq (see `_pointer_modes`)."""
-
-    momenta: np.ndarray
-    norm: float
-    rows: np.ndarray
-    prob_form: np.ndarray
-    mean_form: np.ndarray
-    jump: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -266,15 +270,17 @@ def run_meter(
     kept, their system vectors psi((G/T) pi_k); a dropped mode is
     uncoupled, psi_ref, so the composite is B @ R, B = [psi_ref | psi(s_k)],
     R the cached pointer rows weighted by the profile's coefficients.  The
-    run keeps only Gamma = B^H B, one `coupled.gram` read; a CoupledSystem
-    reads it off the node block every run of a ladder shares.  The edge-mass
+    run keeps Gamma = B^H B and the `coupled.read` it came from, and
+    builds nothing of size N; a CoupledSystem reads it off the node block
+    every run of a ladder shares.  The edge-mass
     guard reads the marginal w r_q^H Gamma r_q at the two pointer points at
     each edge (ParameterError past EDGE_MASS_BUDGET), and the norm is
     sqrt(w tr(Gamma P)).
     """
     pointer = _pointer_modes(spec, mode_cutoff)
     psi_ref = coupled.reference_system_final
-    gram = coupled.gram((coupling / coupled.duration) * pointer.momenta)
+    reading = coupled.read((coupling / coupled.duration) * pointer.momenta)
+    gram = reading.gram()
     weight = psi_ref.cell_weight
     edges = pointer.rows[:, _EDGE_POINTS]
     mass = weight * spec.grid.dx * float(np.sum((edges.conj() * (gram @ edges)).real))
@@ -288,8 +294,9 @@ def run_meter(
     return MeterRun(
         spec=spec,
         coupling=coupling,
-        mode_cutoff=mode_cutoff,
+        pointer=pointer,
         family=coupled,
+        reading=reading,
         gram=gram,
         reference_system_final=psi_ref,
         norm_drift=float(abs(norm - coupled.psi0.norm() * pointer.norm)),
@@ -323,7 +330,7 @@ def _pointer_moments(run: MeterRun, postselect: Optional[QuantumState]):
     (o None) reads w Gamma against them as traces; a postselector chi reads
     o = w chi^H B, its pointer amplitude being o R, and has its overlap
     guarded by `hilbert.checked_overlap`."""
-    pointer = _pointer_modes(run.spec, run.mode_cutoff)
+    pointer = run.pointer
     if postselect is None:
         gram = run.system_weight * run.gram
         prob = float(np.vdot(pointer.prob_form, gram).real)
@@ -332,8 +339,7 @@ def _pointer_moments(run: MeterRun, postselect: Optional[QuantumState]):
         return None, prob, float(moment) / prob
     if postselect.space != run.reference_system_final.space:
         raise StructureError("postselector must live on the system space")
-    o = run.system_weight * run.family.overlaps(
-        postselect, (run.coupling / run.family.duration) * pointer.momenta)
+    o = run.system_weight * run.reading.overlaps(postselect)
     prob = float((o @ pointer.prob_form @ o.conj()).real)
     # the composite's norm is the reference state's, up to norm_drift
     checked_overlap(postselect, run.reference_system_final, np.sqrt(prob))
@@ -349,7 +355,7 @@ def pointer_distribution(
     The density is the one product with the pointer rows a run ever takes;
     probability and mean are the forms' numbers the readouts read."""
     o, prob, mean = _pointer_moments(run, postselect)
-    rows = _pointer_modes(run.spec, run.mode_cutoff).rows
+    rows = run.pointer.rows
     if o is None:
         raw = run.system_weight * np.sum((rows.conj() * (run.gram @ rows)).real, axis=0)
     else:
@@ -422,7 +428,7 @@ def lambda_moment_route(
     _check_state(op, chi)
     family = CarriedFamily(op, psi0, 1)
     den = checked_overlap(chi, family.reference_system_final)
-    amps = family.overlaps(chi, np.concatenate([lambdas, -lambdas]) / op.duration)[1:]
+    amps = family.read(np.concatenate([lambdas, -lambdas]) / op.duration).overlaps(chi)[1:]
     rp, rm = np.reshape(chi.cell_weight * amps / den, (2, -1))
     if order == 1:
         readouts = 1j * HBAR * (rp - rm) / (2.0 * lambdas)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +147,7 @@ class CarriedFamily:
     free state's coefficients in that basis.
 
     It has the surface `meter.run_meter` reads of a `dynamics.CoupledSystem`
-    (`psi0`, `duration`, `reference_system_final`, `gram`, `overlaps`), so
+    (`psi0`, `duration`, `reference_system_final`, `read`), so
     a run at coupling G evolves its mode k by exp(-i G pi_k T_op^order /
     hbar).  ParameterError for an order that is not an integer in 1..4 or
     a psi0 not at the window start, StructureError for one on another
@@ -164,25 +165,40 @@ class CarriedFamily:
         self._spectrum = (op.duration * tau) ** order
         self._z = apply_real(self._w.T, op.midpoint_phases.conj() * free)
 
-    def _phases(self, shifts) -> np.ndarray:
-        """[1 | E(s_1) .. E(s_K)], (dimension, K + 1): B = [psi_ref | psi(s_1)
-        .. psi(s_K)] is V D_u W_K (z o the columns)."""
-        phases = np.ones((self._z.size, np.size(shifts) + 1), dtype=complex)
-        phases[:, 1:] = np.exp((-1j * self.duration / HBAR) * np.outer(self._spectrum, shifts))
+    def read(self, shifts) -> CarriedRead:
+        """B = [psi_ref | psi(s_1) .. psi(s_K)] at `shifts`, as a
+        `CarriedRead`; the family serves every shift as it was built, so
+        the read holds only the shifts."""
+        return CarriedRead(self, np.asarray(shifts))
+
+
+class CarriedRead(NamedTuple):
+    """B = [psi_ref | psi(s_1) .. psi(s_K)] of a `CarriedFamily` at
+    `shifts`: V D_u W_K (z o E), E = [1 | E(s_1) .. E(s_K)] the phases,
+    (dimension, K + 1), built for each call and never kept."""
+
+    family: CarriedFamily
+    shifts: np.ndarray
+
+    def _phases(self) -> np.ndarray:
+        f = self.family
+        phases = np.ones((f._z.size, self.shifts.size + 1), dtype=complex)
+        phases[:, 1:] = np.exp((-1j * f.duration / HBAR) * np.outer(f._spectrum, self.shifts))
         return phases
 
-    def gram(self, shifts) -> np.ndarray:
+    def gram(self) -> np.ndarray:
         """B^H B, (K + 1, K + 1): V D_u W_K is unitary, so it is E^H
-        diag(|z|^2) E over the phases E of `_phases`."""
-        phases = self._phases(shifts)
-        return phases.conj().T @ ((np.abs(self._z) ** 2)[:, None] * phases)
+        diag(|z|^2) E."""
+        phases = self._phases()
+        return phases.conj().T @ ((np.abs(self.family._z) ** 2)[:, None] * phases)
 
-    def overlaps(self, chi: QuantumState, shifts) -> np.ndarray:
+    def overlaps(self, chi: QuantumState) -> np.ndarray:
         """chi^H B, (K + 1,), with no cell weight: one pair of real
         transforms, y = W_K^T (conj(u) o V^T chi), then (conj(y) o z) E."""
-        y = apply_real(self._w.T, self.op.midpoint_phases.conj()
-                       * apply_real(self.op.vecs.T, chi.amplitudes))
-        return (y.conj() * self._z) @ self._phases(shifts)
+        op = self.family.op
+        y = apply_real(self.family._w.T, op.midpoint_phases.conj()
+                       * apply_real(op.vecs.T, chi.amplitudes))
+        return (y.conj() * self.family._z) @ self._phases()
 
 
 @dataclass(frozen=True)

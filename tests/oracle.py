@@ -263,12 +263,12 @@ def _meter_columns(family, shifts):
 def meter_composite(run):
     """The (system, pointer) amplitude array psi(s, q) of a meter run, built
     densely, which the package never does: pointer mode k drags psi((G/T)
-    pi_k) if its coefficient c_k is above the run's cutoff and psi_ref if
-    not, and the inverse transform of c_k times those columns over k is
+    pi_k) if it is among the run's kept modes and psi_ref if not, and the inverse transform of c_k times those columns over k is
     the array over q."""
     coeffs = np.fft.fft(run.spec.initial_state().amplitudes)
-    kept = np.abs(coeffs) > run.mode_cutoff * np.max(np.abs(coeffs))
-    shifts = (run.coupling / run.family.duration) * fourier_momentum_values(run.spec.grid)[kept]
+    momenta = fourier_momentum_values(run.spec.grid)
+    kept = np.isin(momenta, run.pointer.momenta)
+    shifts = (run.coupling / run.family.duration) * momenta[kept]
     cols = np.repeat(run.reference_system_final.amplitudes[:, None], coeffs.size, axis=1)
     cols[:, kept] = _meter_columns(run.family, shifts)
     return np.fft.ifft(cols * coeffs, axis=1)

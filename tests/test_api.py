@@ -183,11 +183,12 @@ def test_clock_table_fills_once_and_records_keep_what_is_emitted():
     held = coupled._coeffs
     assert coupled.columns([0.05]).shape == (16, 1) and coupled._coeffs is held
     assert coupled.nodes > 0 and coupled.chebyshev_terms > 0
-    # a meter run holds its Gram and the family it read, no (N, K + 1)
-    # block of that family's columns and no copy of the node-block report
+    # a meter run holds its Gram, its pointer, and the family and the read
+    # of it the Gram came from; no (N, K + 1) block of that family's columns
+    # and no copy of the node-block report
     assert [f.name for f in dataclasses.fields(weaktime.MeterRun)] == [
-        "spec", "coupling", "mode_cutoff", "family", "gram", "reference_system_final",
-        "norm_drift", "edge_mass", "modes_kept"]
+        "spec", "coupling", "pointer", "family", "reading", "gram",
+        "reference_system_final", "norm_drift", "edge_mass", "modes_kept"]
     # a sweep record carries only what the emitted sweep payload reads
     assert [f.name for f in dataclasses.fields(clocks.SweepRecord)] == [
         "strengths", "readouts", "value", "order", "residual", "flagged"]

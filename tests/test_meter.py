@@ -282,6 +282,31 @@ def test_factored_readouts_match_the_dense_composite(crossing):
         assert run.norm_drift == pytest.approx(drift, abs=1e-14)
 
 
+def test_a_run_reads_the_fit_it_was_made_with(crossing):
+    # an ascending ladder refits its family at each wider coupling, and a
+    # reassigned reference state rebuilds the family's basis; neither moves
+    # what an earlier run reads
+    ham, psi0, psi_final, _ = crossing
+    chi = QuantumState(SPACE, np.where(GRID.points >= REGION.x_hi, psi_final.amplitudes, 0.0),
+                       WINDOW[1])
+    spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
+    coupled = CoupledSystem(ham, psi0, REGION.indicator(GRID), WINDOW)
+    run = run_meter(spec, coupled, 0.1)
+
+    def readouts():
+        return [(d.probability, d.mean, d.density.tobytes())
+                for d in (pointer_distribution(run), pointer_distribution(run, chi))]
+
+    before = readouts()
+    held = coupled._coeffs
+    run_meter(spec, coupled, 0.4)
+    assert coupled._coeffs is not held
+    assert readouts() == before
+    coupled.reference_system_final = QuantumState(SPACE, 1j * psi_final.amplitudes, WINDOW[1])
+    run_meter(spec, coupled, 0.4)
+    assert readouts() == before
+
+
 def test_pointer_rows_are_cached_read_only_unit_transforms(crossing):
     ham, psi0, _, _ = crossing
     spec = PointerSpec.auto(width=1.0, max_shift=0.5, n_points=128)
@@ -661,9 +686,10 @@ def test_carried_family_evolves_the_free_state_under_the_carried_operator(crossi
         for s in shifts])
     # the family's two reads of [psi_ref | psi(s_1) .. psi(s_K)]: its Gram
     # and a postselector's overlaps
-    np.testing.assert_allclose(family.gram(shifts), block.conj().T @ block, atol=1e-10)
+    reading = family.read(shifts)
+    np.testing.assert_allclose(reading.gram(), block.conj().T @ block, atol=1e-10)
     chi = basis_cell_state(GRID, 20, time=WINDOW[1])
-    np.testing.assert_allclose(family.overlaps(chi, shifts), chi.amplitudes.conj() @ block,
+    np.testing.assert_allclose(reading.overlaps(chi), chi.amplitudes.conj() @ block,
                                atol=1e-10)
 
 
