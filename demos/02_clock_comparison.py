@@ -51,12 +51,12 @@ configs = [
 ]
 
 print(f"{'clock':<22}{'time':>12}{'dev vs ref':>14}{'fit order':>11}{'residual':>12}")
-# one coupled system serves all three clocks: covering every potential on
+# one coupled system serves all three clocks: serving every potential on
 # the region that their ladders read fits one node block of the packet
 # coupled to the region, and each clock reads its potentials off it, the
 # absorbing ones by analytic continuation
 coupled = CoupledSystem(ham, psi0, region.indicator(grid), window)
-coupled.cover(clock_shifts(**{name: ladder for name, _, ladder in configs}))
+coupled.serve(clock_shifts(**{name: ladder for name, _, ladder in configs}))
 records = {}
 for name, fn, ladder in configs:
     rec = records[name] = fn(ladder, coupled, {"none": psi_final})["none"]
@@ -66,7 +66,7 @@ for name, fn, ladder in configs:
 # the Larmor spin-up and spin-down runs are the phase clock's +-v runs at
 # v = hbar omega/2, so the amplitude identity i (a_up - a_down) / (omega
 # a_up(0)) is the phase clock read at those strengths; both readings come
-# from the same two columns per strength, already covered, and must agree
+# from the same two columns per strength, already served, and must agree
 larmor = records["larmor"]
 omegas = larmor.strengths
 ident = clock_real_potential(tuple(0.5 * HBAR * w for w in omegas), coupled,

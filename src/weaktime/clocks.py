@@ -11,18 +11,18 @@ Hamiltonian plus a weak complex potential u on the region: u = +-v for the
 phase clock, u = +-hbar omega/2 for Larmor and u = -i Gamma/2 for the
 absorber, stated once per clock in `CLOCK_KEYS`.  These are the coupled
 family psi(u) = exp(-iT(H + u P_region))psi0 of a `dynamics.CoupledSystem`
-observing the region, the one the meter reads at real u: each readout
-asks the coupled system for u = 0 and its keys in one `columns` call, the
-real keys interpolated between its real nodes, the absorbing ones by
-analytic continuation, and a key outside the interpolant held refits it.
-In a scenario `run_scenario` first fits the node block on every shift the
-clocks and the meter read and covers the clocks' keys (`clock_shifts`), so
-they all share one node block, and the readouts read their keys off the
-table that cover evaluated.  The postselected
-readouts share one skeleton (`_sweep`) and differ only in their formula:
-each takes a strength ladder, the coupled system and a map label ->
-postselected final state, and returns one `SweepRecord` per label;
-`checked_overlap` refuses a state not referenced to the window end.
+observing the region, the one the meter reads at real u, and the clocks
+read it the way the meter does: each readout takes one `read` of u = 0
+and its keys, the real keys interpolated between its real nodes, the
+absorbing ones by analytic continuation, and a key outside the fit held
+refits it.  A survival is a diagonal entry of that read's Gram, a
+postselected amplitude an entry of its overlaps.  In a scenario
+`run_scenario` serves every shift the clocks (`clock_shifts`) and the
+meter read before any readout, so they all share one node block.  The
+postselected readouts share one skeleton (`_sweep`) and differ only in
+their formula: each takes a strength ladder, the coupled system and a map
+label -> postselected final state, and returns one `SweepRecord` per
+label; `checked_overlap` refuses a state not referenced to the window end.
 
 The Larmor coupling (hbar omega/2) P_region (x) sigma_z is block-diagonal
 in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
@@ -41,13 +41,14 @@ relative on both catalog barriers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CoupledSystem
 from .errors import ParameterError, StructureError
-from .hilbert import HBAR, QuantumState, checked_overlap
+from .hilbert import HBAR, checked_overlap
 
 # a placeholder that nothing calls: perfbench/tracing.py patches `evolve`
 # under this module's name, and the benchmark change that moves that hook
@@ -72,7 +73,7 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
     """Every key u that `clock_real_potential`, `clock_imaginary_potential`
     (and `absorption_survival_dwell`), and `clock_larmor` read from a
     `CoupledSystem` at these ladders, u = 0 first and each once, in
-    `CLOCK_KEYS` order: what `CoupledSystem.cover` must serve for the
+    `CLOCK_KEYS` order: what `CoupledSystem.serve` must serve for the
     readouts to evolve nothing more."""
     ladders = locals()  # the three ladders, by clock name
     keys = [0j]
@@ -82,22 +83,20 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
 
 
 def _read(coupled: CoupledSystem, keys: list):
-    """psi(u) for each key u as the columns of one `coupled.columns` block,
-    and each column's survival ||psi(u)||^2 / ||psi0||^2, the share of the
-    packet kept at u whatever its norm; ParameterError for a column that
-    absorbs more than MAX_ABSORBED_FRACTION of the packet."""
-    block = coupled.columns(keys)
-    w, norm0 = np.sqrt(coupled.psi0.cell_weight), coupled.psi0.norm()
-    # column by column, as `QuantumState.norm` sums: another summation order
-    # moves the norm clock's one-sided readouts by about 1e-12 relative
-    survival = [float(w * np.linalg.norm(col)) ** 2 / norm0**2 for col in block.T]
+    """`coupled.read` of u = 0 and the keys, and each key's survival
+    ||psi(u)||^2 / ||psi0||^2, the share of the packet kept at u whatever
+    its norm, off the read's Gram; ParameterError for a key that absorbs
+    more than MAX_ABSORBED_FRACTION of the packet."""
+    reading = coupled.read([0j, *keys])
+    weight = coupled.psi0.cell_weight / coupled.psi0.norm() ** 2
+    survival = (weight * reading.gram().diagonal()[2:].real).tolist()
     for u, kept in zip(keys, survival):
         if not 1.0 - kept <= MAX_ABSORBED_FRACTION:
             raise ParameterError(
                 f"absorbed fraction {1.0 - kept:.3f} at u = {u} exceeds "
                 f"{MAX_ABSORBED_FRACTION}; shrink the sweep ladder"
             )
-    return block, survival
+    return reading, survival
 
 
 @dataclass(frozen=True)
@@ -143,27 +142,29 @@ def extrapolate_to_zero(strengths, values, error_order: int = 2):
     """
     if error_order not in (1, 2):
         raise ParameterError(f"error_order must be 1 or 2, got {error_order!r}")
-    g = np.array(_checked_strengths(strengths))
-    f = np.asarray(values, dtype=complex)
-    powers = np.arange(g.size)
-    if error_order == 2:
-        powers = 2 * powers
-    vand = np.float_power(g[:, None], powers)
-
-    value = np.linalg.solve(vand, f)[0]
+    g = _checked_strengths(strengths)
+    f = [complex(v) for v in values]
+    x = [s**error_order for s in g]
+    value = _lagrange_at_zero(x, f)
     # drop the largest strength
-    reduced = np.linalg.solve(vand[1:, :-1], f[1:])[0]
-    residual = float(abs(value - reduced))
+    reduced = _lagrange_at_zero(x[1:], f[1:])
+    residual = abs(value - reduced)
 
-    err = np.abs(f - value)
-    mask = err > 1e-14 * max(1.0, float(np.max(np.abs(f))))
-    if np.count_nonzero(mask) >= 2:
-        x, y = np.log(g[mask]), np.log(err[mask])
-        x = x - x.mean()
-        order = float(x @ (y - y.mean()) / (x @ x))
-    else:
-        order = float(error_order)
-    return complex(value), order, residual
+    floor = 1e-14 * max(1.0, max(abs(v) for v in f))
+    fit = [(math.log(s), math.log(abs(v - value))) for s, v in zip(g, f)
+           if abs(v - value) > floor]
+    if len(fit) < 2:
+        return value, float(error_order), residual
+    xm, ym = (sum(c) / len(fit) for c in zip(*fit))
+    order = sum((p - xm) * (q - ym) for p, q in fit) / sum((p - xm) ** 2 for p, _ in fit)
+    return value, order, residual
+
+
+def _lagrange_at_zero(x: list, f: list) -> complex:
+    """The polynomial through (x_i, f_i) at x = 0, in Lagrange form:
+    sum_i f_i prod_{j != i} x_j / (x_j - x_i)."""
+    return sum(fi * math.prod(xj / (xj - xi) for j, xj in enumerate(x) if j != i)
+               for i, (xi, fi) in enumerate(zip(x, f)))
 
 
 def _record(strengths, readouts, error_order) -> SweepRecord:
@@ -183,20 +184,19 @@ def _sweep(strengths, coupled: CoupledSystem, chis: dict, clock: str, error_orde
     """The postselected readouts' shared skeleton: for each label of `chis`
     (label -> final state), `read(s, <chi|psi(0)>, *<chi|psi(u)>)` at each
     strength s, u over `CLOCK_KEYS[clock](s)`, extrapolated to zero.  One
-    `_read` of u = 0 and the keys, and one product of the postselectors with
-    that block for every overlap."""
+    `_read` of u = 0 and the keys; every overlap is an entry of its
+    `overlaps`, <chi|psi(0)> the interpolant's, which shares the keys'
+    interpolation error."""
     strengths = _checked_strengths(strengths)
     space = coupled.psi0.space
     if any(chi.space != space for chi in chis.values()):
         raise StructureError("postselector and packet live on different spaces")
     keys = [u for s in strengths for u in CLOCK_KEYS[clock](s)]
-    block, _ = _read(coupled, [0j, *keys])
-    phi0 = QuantumState(space, block[:, 0], coupled.window[1])
-    chi_rows = np.reshape([chi.amplitudes for chi in chis.values()], (-1, space.dimension))
-    overlaps = space.weight * (chi_rows.conj() @ block)
+    reading, _ = _read(coupled, keys)
     out = {}
-    for (label, chi), row in zip(chis.items(), overlaps):
-        den = checked_overlap(chi, phi0, row[0])
+    for label, chi in chis.items():
+        row = space.weight * reading.overlaps(chi)[1:]
+        den = checked_overlap(chi, coupled.reference_system_final, row[0])
         per_strength = row[1:].reshape(len(strengths), -1)
         readouts = [read(s, den, *amps) for s, amps in zip(strengths, per_strength)]
         out[label] = _record(strengths, readouts, error_order)
@@ -207,7 +207,7 @@ def clock_real_potential(strengths, coupled: CoupledSystem, chis: dict) -> dict:
     """Phase clock: evolve under the system Hamiltonian plus a small real
     potential step +-v on the region, and read i*hbar times the central
     potential-derivative of the postselected amplitude, one record per
-    label of `chis` (label -> final state), all from the same columns."""
+    label of `chis` (label -> final state), all from the same read."""
     return _sweep(strengths, coupled, chis, "real_potential", 2,
                   lambda v, den, up, down: 1j * HBAR * ((up - down) / (2.0 * v)) / den)
 
@@ -228,7 +228,7 @@ def clock_imaginary_potential(strengths, coupled: CoupledSystem, chis: dict) -> 
 def absorption_survival_dwell(strengths, coupled: CoupledSystem) -> SweepRecord:
     """Unconditioned absorption clock from total norm loss,
     -hbar * d/dGamma of the survival probability at zero strength; it reads
-    the same -i*Gamma/2 columns as `clock_imaginary_potential`."""
+    the same -i*Gamma/2 keys as `clock_imaginary_potential`."""
     strengths = _checked_strengths(strengths)
     _, survival = _read(coupled, [CLOCK_KEYS["imaginary_potential"](g)[0] for g in strengths])
     readouts = [-HBAR * (p - 1.0) / g for g, p in zip(strengths, survival)]

@@ -20,7 +20,8 @@ one such block, and reads every other shift off their interpolant: the
 meter's pointer modes at real s, the clocks' keys also at complex s, whose
 imaginary part is an absorber, the one form absorbers take in the package.
 What the block serves is fixed when it is fitted, a Bernstein ellipse about
-the node interval, so a read inside it only interpolates.
+the node interval, so a read inside it only interpolates, and every reader
+takes the same `read`: (K + 1)-sized forms off the fit's fixed basis.
 Neither propagator has a time step.  The Larmor clock reduces to two
 position-only runs, and the meter factorizes over pointer modes.
 
@@ -352,21 +353,17 @@ class CoupledSystem:
     |Im s| max|a| beyond about 2.5) raises ParameterError, one past n =
     1024 NumericalError.
 
-    The clocks read the family through `columns`.  `cover` evaluates the
-    interpolant once at exactly the shifts it was asked for, and `columns`
-    reads a request within them off that table: a scenario covers every
-    key its clocks read, so their four readouts share one evaluation.  The
-    meter reads it through a fixed basis instead, X = [psi_ref | c_0 ..
-    c_{n-1}], N x (n + 1) for the interpolant psi(s) = sum_k T_k(s / S)
-    c_k, so a set of K shifts enters only through the (n + 1) x (K + 1)
-    Chebyshev matrix M with [psi_ref | psi(s_1) ..] = X M: a `read` of
-    them is a `FixedRead`, whose Gram is M^H (X^H X) M and whose overlaps
-    are chi^H X M, with X^H X and each postselector's chi^H X held once per
-    fit and reference state, so that no read costs N.  The coupled system
-    reports the one node block behind both: `nodes` columns evolved by a
-    series of `chebyshev_terms` terms (nodes x terms is its work), and
-    `node_tail`, the tail bound it was fitted to; all three are 0 until a
-    nonzero shift is asked for.
+    Every reader, the clocks and the meter alike, reads the family through
+    one fixed basis, X = [psi_ref | c_0 .. c_{n-1}], N x (n + 1) for the
+    interpolant psi(s) = sum_k T_k(s / S) c_k, so a set of K shifts enters
+    only through the (n + 1) x (K + 1) Chebyshev matrix M with [psi_ref |
+    psi(s_1) ..] = X M: a `read` of them is a `FixedRead`, whose Gram is
+    M^H (X^H X) M and whose overlaps are chi^H X M, with X^H X and each
+    postselector's chi^H X held once per fit and reference state, so that
+    no read costs N.  The coupled system reports the one node block behind
+    them: `nodes` columns evolved by a series of `chebyshev_terms` terms
+    (nodes x terms is its work), and `node_tail`, the tail bound it was
+    fitted to; all three are 0 until a nonzero shift is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -391,7 +388,6 @@ class CoupledSystem:
         self.window, self.duration = (t0, t1), t1 - t0
         self._interval = self._rho = 0.0
         self._coeffs = self._basis = None
-        self._table = {}
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
 
@@ -430,30 +426,6 @@ class CoupledSystem:
         self._coeffs = apply_real(_lobatto_fit(degree), block.T)
         self._interval, self._rho = interval, rho0
         self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
-
-    def cover(self, shifts) -> None:
-        """`serve` the shifts and tabulate the interpolant at them for
-        `columns`; all-zero shifts need no table."""
-        shifts = np.asarray(shifts)
-        if not np.any(shifts):
-            return
-        self.serve(shifts)
-        basis = np.polynomial.chebyshev.chebvander(shifts / self._interval, self.nodes - 1)
-        self._table = dict(zip(shifts.tolist(), basis @ self._coeffs))
-
-    def columns(self, shifts) -> np.ndarray:
-        """psi(s_j) for each shift s_j as the columns of one (dimension,
-        len(shifts)) block, read off the interpolant's table, covering the
-        shifts first unless the last `cover` tabulated every one; all-zero
-        shifts are the reference state, with no block."""
-        shifts = np.asarray(shifts)
-        if not np.any(shifts):
-            ref = self.reference_system_final.amplitudes
-            return np.repeat(ref[:, None], shifts.size, axis=1)
-        keys = shifts.tolist()
-        if not all(u in self._table for u in keys):
-            self.cover(shifts)
-        return np.array([self._table[u] for u in keys]).T
 
     def read(self, shifts) -> FixedRead:
         """B = [psi_ref | psi(s_1) .. psi(s_K)] as X M under the fit that

@@ -20,7 +20,7 @@ of diag(a).  The evolved state psi(s) = exp(-iT(H + s diag(a)))psi0 is
 the coupled family of `dynamics.CoupledSystem`, which evolves it once, at
 Chebyshev nodes in s as one block, and interpolates every kept mode of
 every run that shares it from those nodes; no mode needs an eigensolve.
-In a scenario the clocks read their keys off the same coupled system.
+In a scenario the clocks take the same `read` of the same coupled system.
 The moment routes (the moment meter and the lambda route) couple to the
 carried-along sojourn operator instead, which commutes with its own
 history: they read `sojourn.CarriedFamily`, whose every shift is

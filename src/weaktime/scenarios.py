@@ -493,8 +493,7 @@ def run_scenario(
     if "clocks" in pipelines or "meter" in pipelines:
         # one node block per scenario: the clocks and the meter read one
         # coupled system, fitted on the union of the shifts they read, so
-        # that no readout refits it; only the clocks' keys are tabulated,
-        # since the meter reads the fit through its basis
+        # that no readout refits it
         coupled = CoupledSystem(ham, psi0, scenario.region.indicator(scenario.grid),
                                 scenario.window)
         # its reference state, the window end with no coupling, is psi_final
@@ -503,8 +502,8 @@ def run_scenario(
         ladders = {name: tuple(c / t for c in lad) for name, lad in CLOCK_LADDERS.items()}
         keys = [*clock_shifts(**ladders)] if "clocks" in pipelines else []
         if "meter" in pipelines:
-            coupled.serve(keys + [*coupling_shifts(METER_POINTER, max(METER_LADDER), t)])
-        coupled.cover(keys)
+            keys += [*coupling_shifts(METER_POINTER, max(METER_LADDER), t)]
+        coupled.serve(keys)
     if "clocks" in pipelines:
         _clock_pipeline(bundle, coupled, chis, ladders)
     if "meter" in pipelines:

@@ -146,12 +146,12 @@ class CarriedFamily:
     V D_u W_K (z o E(s)), E(s) = exp(-i s T (T tau)^order / hbar), z the
     free state's coefficients in that basis.
 
-    It has the surface `meter.run_meter` reads of a `dynamics.CoupledSystem`
-    (`psi0`, `duration`, `reference_system_final`, `read`), so
-    a run at coupling G evolves its mode k by exp(-i G pi_k T_op^order /
-    hbar).  ParameterError for an order that is not an integer in 1..4 or
-    a psi0 not at the window start, StructureError for one on another
-    space.
+    It has the one surface every reader of a `dynamics.CoupledSystem`
+    takes, the clocks and `meter.run_meter` alike (`psi0`, `duration`,
+    `reference_system_final`, `read`), so a meter run at coupling G evolves
+    its mode k by exp(-i G pi_k T_op^order / hbar).  ParameterError for an
+    order that is not an integer in 1..4 or a psi0 not at the window start,
+    StructureError for one on another space.
     """
 
     def __init__(self, op: SojournOperator, psi0: QuantumState, order: int):

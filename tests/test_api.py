@@ -173,15 +173,19 @@ def test_clock_readouts_take_a_ladder_and_a_table():
 
 
 def test_clock_table_fills_once_and_records_keep_what_is_emitted():
-    # the coupled family is filled once, as one node block, and read as one
-    # array; the report on that block lives on the coupled system only
+    # the coupled family is filled once, as one node block, and every
+    # reader takes its one `read`: no table of keys, no block of columns;
+    # the report on that block lives on the coupled system only
     grid = Grid(16, 0.0, 7.5)
     psi0 = QuantumState(position_space(grid), np.ones(16)).normalized()
     coupled = CoupledSystem(Hamiltonian(position_space(grid)), psi0,
                             Region(3.0, 5.0).indicator(grid), (0.0, 1.0))
-    assert coupled.columns([0.0, 0.1]).shape == (16, 2)
+    assert [name for name, member in vars(CoupledSystem).items()
+            if inspect.isfunction(member) and not name.startswith("_")] == ["serve", "read"]
+    assert not any(hasattr(coupled, name) for name in ("cover", "columns", "_table"))
+    assert coupled.read([0.0, 0.1]).gram().shape == (3, 3)
     held = coupled._coeffs
-    assert coupled.columns([0.05]).shape == (16, 1) and coupled._coeffs is held
+    assert coupled.read([0.05]).gram().shape == (2, 2) and coupled._coeffs is held
     assert coupled.nodes > 0 and coupled.chebyshev_terms > 0
     # a meter run holds its Gram, its pointer, and the family and the read
     # of it the Gram came from; no (N, K + 1) block of that family's columns

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,11 +34,11 @@ def _coupled(ham, psi0, region=REGION):
     return CoupledSystem(ham, psi0, region.indicator(GRID), WINDOW)
 
 
-def _covered(ham, psi0, region=REGION, **ladders):
+def _served(ham, psi0, region=REGION, **ladders):
     """A coupled system fitted on exactly the keys that these ladders read,
     as `run_scenario` fits it."""
     coupled = _coupled(ham, psi0, region)
-    coupled.cover(clock_shifts(**ladders))
+    coupled.serve(clock_shifts(**ladders))
     return coupled
 
 
@@ -88,6 +89,39 @@ def test_extrapolation_fitted_order_detects_quadratic():
     assert 1.8 < order < 2.2
 
 
+def _mp_lagrange_at_zero(x, f):
+    """The interpolant through (x_i, f_i) at zero, at 50 digits."""
+    total = mpmath.mpc(0)
+    for i, (xi, fi) in enumerate(zip(x, f)):
+        term = mpmath.mpc(fi)
+        for j, xj in enumerate(x):
+            if j != i:
+                term *= xj / (xj - xi)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("error_order", [1, 2])
+@pytest.mark.parametrize("ladder", [
+    (0.4, 0.2, 0.1), (0.3, 0.2, 0.1), (0.12, 0.06, 0.03, 0.015),
+    (0.5, 0.37, 0.2, 0.11, 0.05)])
+def test_extrapolation_is_the_lagrange_value_at_zero(ladder, error_order):
+    # the value is the interpolant in strength**error_order at zero, the
+    # residual its distance to the one without the largest strength; both
+    # are held to a 50-digit Lagrange evaluation on the same inputs
+    rng = np.random.default_rng(len(ladder) + 10 * error_order)
+    coeffs = rng.normal(size=(len(ladder) + 1, 2)) @ [1.0, 1j]
+    f = [np.polyval(coeffs, g**error_order) for g in ladder]
+    value, _, residual = extrapolate_to_zero(ladder, f, error_order)
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(g) ** error_order for g in ladder]
+        full = _mp_lagrange_at_zero(x, f)
+        reduced = _mp_lagrange_at_zero(x[1:], f[1:])
+        scale = max(abs(v) for v in f)
+        assert abs(value - complex(full)) <= 1e-14 * scale
+        assert abs(residual - float(abs(full - reduced))) <= 1e-14 * scale
+
+
 def test_extrapolation_input_validation():
     with pytest.raises(ParameterError):
         extrapolate_to_zero([0.2, 0.1], [1.0, 1.0])
@@ -129,7 +163,7 @@ def test_real_potential_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.12, 0.06, 0.03)
-    coupled = _covered(ham, psi0, whole, real_potential=ladder)
+    coupled = _served(ham, psi0, whole, real_potential=ladder)
     rec = _one(clock_real_potential, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
@@ -141,7 +175,7 @@ def test_imaginary_potential_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.02, 0.01, 0.005)
-    coupled = _covered(ham, psi0, whole, imaginary_potential=ladder)
+    coupled = _served(ham, psi0, whole, imaginary_potential=ladder)
     rec = _one(clock_imaginary_potential, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
@@ -152,7 +186,7 @@ def test_larmor_full_box_gives_window_length():
     psi0 = gaussian_packet(GRID, 24.0, 3.0, 0.0)
     whole = Region(GRID.x_min - 1.0, GRID.x_max + 1.0)
     ladder = (0.2, 0.1, 0.05)
-    coupled = _covered(ham, psi0, whole, larmor=ladder)
+    coupled = _served(ham, psi0, whole, larmor=ladder)
     rec = _one(clock_larmor, ladder, coupled, _full_box_chi(ham, psi0))
     duration = WINDOW[1] - WINDOW[0]
     assert rec.time == pytest.approx(duration, rel=5e-3)
@@ -164,7 +198,7 @@ def test_larmor_full_box_gives_window_length():
 def test_real_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
     ladder = (0.12, 0.06, 0.03)
-    rec = _one(clock_real_potential, ladder, _covered(ham, psi0, real_potential=ladder),
+    rec = _one(clock_real_potential, ladder, _served(ham, psi0, real_potential=ladder),
                psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
@@ -173,14 +207,14 @@ def test_imaginary_potential_matches_dwell(crossing):
     ham, psi0, psi_final, tau = crossing
     ladder = (0.04, 0.02, 0.01)
     rec = _one(clock_imaginary_potential, ladder,
-               _covered(ham, psi0, imaginary_potential=ladder), psi_final)
+               _served(ham, psi0, imaginary_potential=ladder), psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_larmor_matches_dwell_and_identity_route(crossing):
     ham, psi0, psi_final, tau = crossing
     omegas = (0.2, 0.1, 0.05)
-    coupled = _covered(ham, psi0, larmor=omegas)
+    coupled = _served(ham, psi0, larmor=omegas)
     rec = _one(clock_larmor, omegas, coupled, psi_final)
     assert rec.time == pytest.approx(tau, rel=0.01)
     # the spin-amplitude identity i (a_up - a_down) / (omega a_up(0)) is the
@@ -193,7 +227,7 @@ def test_larmor_matches_dwell_and_identity_route(crossing):
 def test_larmor_matches_position_spin_oracle(crossing):
     ham, psi0, psi_final, _ = crossing
     strengths = (0.2, 0.1, 0.05)
-    coupled = _covered(ham, psi0, larmor=strengths)
+    coupled = _served(ham, psi0, larmor=strengths)
     rec = _one(clock_larmor, strengths, coupled, psi_final)
     phase = _one(clock_real_potential, tuple(0.5 * HBAR * w for w in strengths),
                  coupled, psi_final)
@@ -216,14 +250,14 @@ def test_larmor_matches_position_spin_oracle(crossing):
 def test_norm_loss_route_matches_dwell(crossing):
     ham, psi0, _, tau = crossing
     ladder = (0.04, 0.02, 0.01)
-    rec = absorption_survival_dwell(ladder, _covered(ham, psi0, imaginary_potential=ladder))
+    rec = absorption_survival_dwell(ladder, _served(ham, psi0, imaginary_potential=ladder))
     assert rec.time == pytest.approx(tau, rel=0.01)
 
 
 def test_dict_postselection_shares_sweeps(crossing):
     ham, psi0, psi_final, _ = crossing
     ladder = (0.12, 0.06, 0.03)
-    coupled = _covered(ham, psi0, real_potential=ladder)
+    coupled = _served(ham, psi0, real_potential=ladder)
     both = clock_real_potential(ladder, coupled, {"a": psi_final, "b": psi_final})
     assert list(both) == ["a", "b"]
     assert both["a"] == both["b"]
@@ -248,11 +282,11 @@ def test_runs_refuse_an_absorber_too_far_off_the_real_axis(crossing):
     ham, psi0, psi_final, _ = crossing
     ladder = (2.0, 1.0, 0.5)
     with pytest.raises(ParameterError, match="weaken the absorber"):
-        _coupled(ham, psi0).cover(clock_shifts(imaginary_potential=ladder))
+        _coupled(ham, psi0).serve(clock_shifts(imaginary_potential=ladder))
     with pytest.raises(ParameterError, match="weaken the absorber"):
         clock_imaginary_potential(ladder, _coupled(ham, psi0), {"chi": psi_final})
     with pytest.raises(ParameterError, match="weaken the absorber"):
-        absorption_survival_dwell(ladder, _covered(ham, psi0, real_potential=(0.12, 0.06)))
+        absorption_survival_dwell(ladder, _served(ham, psi0, real_potential=(0.12, 0.06)))
 
 
 def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
@@ -260,7 +294,7 @@ def test_norm_loss_route_has_the_same_absorbed_fraction_guard(crossing):
     # key wherever it stands in the ladder, and a coupled system that has
     # served a weaker ladder refuses it all the same
     ham, psi0, _, _ = crossing
-    coupled = _covered(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
+    coupled = _served(ham, psi0, imaginary_potential=(0.04, 0.02, 0.01))
     absorption_survival_dwell((0.04, 0.02, 0.01), coupled)
     with pytest.raises(ParameterError, match=r"absorbed fraction 0.69\d at u = -0.2j"):
         absorption_survival_dwell((0.4, 0.02, 0.01), coupled)
@@ -274,8 +308,8 @@ def test_absorption_reads_survival_relative_to_the_packet_norm(crossing, scale):
     ham, psi0, _, _ = crossing
     ladder = (0.04, 0.02, 0.01)
     scaled = QuantumState(SPACE, scale * psi0.amplitudes, psi0.representation_time)
-    ref = absorption_survival_dwell(ladder, _covered(ham, psi0, imaginary_potential=ladder))
-    rec = absorption_survival_dwell(ladder, _covered(ham, scaled, imaginary_potential=ladder))
+    ref = absorption_survival_dwell(ladder, _served(ham, psi0, imaginary_potential=ladder))
+    rec = absorption_survival_dwell(ladder, _served(ham, scaled, imaginary_potential=ladder))
     assert rec.value == pytest.approx(ref.value, rel=1e-12)
     assert rec.readouts == pytest.approx(ref.readouts, rel=1e-12)
     with pytest.raises(ParameterError, match="absorbed fraction"):
@@ -283,9 +317,9 @@ def test_absorption_reads_survival_relative_to_the_packet_norm(crossing, scale):
 
 
 def test_readouts_refuse_a_postselector_on_another_space(crossing):
-    # the overlaps are one product of the postselectors with the columns,
-    # so a postselector of the right length on another grid is refused
-    # before it is read
+    # each overlap is the postselector's projection on the fit's basis, so
+    # a postselector of the right length on another grid is refused before
+    # it is read
     ham, psi0, psi_final, _ = crossing
     other = gaussian_packet(Grid(64, 0.0, 50.0), 13.0, 2.5, 1.0).at_time(WINDOW[1])
     with pytest.raises(StructureError, match="different spaces"):
@@ -302,12 +336,12 @@ def test_runs_final_zero_is_the_unperturbed_evolution(crossing):
     ham, psi0, _, _ = crossing
     shifts = clock_shifts(real_potential=(0.12, 0.06, 0.03),
                           imaginary_potential=(0.04, 0.02, 0.01))
-    coupled = _covered(ham, psi0, real_potential=(0.12, 0.06, 0.03),
+    coupled = _served(ham, psi0, real_potential=(0.12, 0.06, 0.03),
                        imaginary_potential=(0.04, 0.02, 0.01))
     exact = evolve_eigenbasis(psi0, ham, WINDOW[1])
-    np.testing.assert_allclose(coupled.columns(shifts)[:, 0], exact.amplitudes,
+    np.testing.assert_allclose(oracle.columns(coupled, shifts)[:, 0], exact.amplitudes,
                                rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(coupled.columns([0j])[:, 0], exact.amplitudes)
+    np.testing.assert_array_equal(oracle.columns(coupled, [0j])[:, 0], exact.amplitudes)
 
 
 def _counting_blocks(monkeypatch):
@@ -319,7 +353,7 @@ def _counting_blocks(monkeypatch):
 
 
 def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
-    # covering the ladders' keys fits one node block, its interval the
+    # serving the ladders' keys fits one node block, its interval the
     # largest real key (8 times the largest absorber here); the readouts
     # then only read it
     ham, psi0, psi_final, _ = crossing
@@ -329,7 +363,7 @@ def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
     assert len(shifts) == 1 + 6 + 3
     blocks = _counting_blocks(monkeypatch)
     coupled = _coupled(ham, psi0)
-    coupled.cover(shifts)
+    coupled.serve(shifts)
     [nodes] = blocks
     assert np.max(np.abs(nodes)) == pytest.approx(0.16, rel=1e-15)
     chis = {"chi": psi_final}
@@ -342,7 +376,7 @@ def test_runs_evolve_every_declared_key_in_one_block(crossing, monkeypatch):
     assert 0.0 < coupled.node_tail <= 1e-13
     # each column is exp(-i T (H + u P_region)) psi0
     h = oracle.dense_hamiltonian(ham)
-    block = coupled.columns(shifts)
+    block = oracle.columns(coupled, shifts)
     for j, u in enumerate(shifts):
         ref = oracle.evolve_exact(h + u * np.diag(REGION.indicator(GRID)),
                                   psi0.amplitudes, WINDOW[1] - WINDOW[0])
@@ -355,7 +389,7 @@ def test_readout_outside_the_cover_refits_once(crossing, monkeypatch):
     # and later readouts of those keys, Larmor's at omega = 2v included, read
     # the new block, which agrees with one fitted on them from the start
     ham, psi0, psi_final, _ = crossing
-    coupled = _covered(ham, psi0, real_potential=(0.12, 0.06, 0.03))
+    coupled = _served(ham, psi0, real_potential=(0.12, 0.06, 0.03))
     blocks = _counting_blocks(monkeypatch)
     ladder, chis = (0.3, 0.15, 0.075), {"chi": psi_final}
     rec = clock_real_potential(ladder, coupled, chis)
@@ -364,7 +398,7 @@ def test_readout_outside_the_cover_refits_once(crossing, monkeypatch):
     assert clock_real_potential(ladder, coupled, chis) == rec
     clock_larmor((0.6, 0.3, 0.15), coupled, chis)
     assert len(blocks) == 1
-    fresh = _one(clock_real_potential, ladder, _covered(ham, psi0, real_potential=ladder),
+    fresh = _one(clock_real_potential, ladder, _served(ham, psi0, real_potential=ladder),
                  psi_final)
     assert fresh.value == pytest.approx(rec["chi"].value, rel=1e-12)
 
@@ -375,6 +409,6 @@ def test_larmor_reads_the_phase_clock_runs(crossing):
     ham, psi0, psi_final, _ = crossing
     omegas, vs = (0.24, 0.12, 0.06), (0.12, 0.06, 0.03)
     assert clock_shifts(larmor=omegas) == clock_shifts(real_potential=vs)
-    fresh = _one(clock_larmor, omegas, _covered(ham, psi0, larmor=omegas), psi_final)
-    shared = _one(clock_larmor, omegas, _covered(ham, psi0, real_potential=vs), psi_final)
+    fresh = _one(clock_larmor, omegas, _served(ham, psi0, larmor=omegas), psi_final)
+    shared = _one(clock_larmor, omegas, _served(ham, psi0, real_potential=vs), psi_final)
     assert shared == fresh

@@ -44,7 +44,7 @@ def test_absorbing_potential_decays_norm_monotonically():
     norms = [psi.norm()]
     for j in range(1, 11):
         coupled = CoupledSystem(Hamiltonian(SPACE), psi, region, (0.0, 0.2 * j))
-        block = coupled.columns([-0.5j * 0.4])
+        block = oracle.columns(coupled, [-0.5j * 0.4])
         norms.append(np.sqrt(GRID.dx) * np.linalg.norm(block[:, 0]))
     diffs = np.diff(norms)
     assert np.all(diffs < 0)
@@ -150,7 +150,7 @@ def test_clock_runs_complex_keys_match_oracle(name, gamma_scale):
     sc, coupled, keys = _clock_keys(name, gamma_scale)
     shifts = np.array(keys)
     assert shifts.size == 12 and np.count_nonzero(shifts.imag) == 3
-    block = coupled.columns(keys)
+    block = oracle.columns(coupled, keys)
     h = oracle.dense_hamiltonian(sc.hamiltonian())
     a, v = sc.region.indicator(sc.grid), sc.initial_state().amplitudes
     lossy = np.nonzero(shifts.imag)[0]
@@ -166,7 +166,7 @@ def test_coupled_system_absorbing_norms_fall_with_gamma(name):
     # absorber leaves less of the packet
     sc, coupled, _ = _clock_keys(name, 1.0)
     gammas = 0.15 / sc.duration() * np.array([0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0])
-    block = coupled.columns(-0.5j * gammas)
+    block = oracle.columns(coupled, -0.5j * gammas)
     assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
 
 
@@ -179,19 +179,19 @@ def test_coupled_system_serves_only_the_ellipse_it_was_fitted_on(monkeypatch):
     t = sc.duration()
     coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
                             sc.region.indicator(sc.grid), sc.window)
-    coupled.cover([0.6 / t, -0.6 / t])
+    coupled.serve([0.6 / t, -0.6 / t])
     fitted = coupled.node_tail
     blocks = []
     evolve_shifted = dynamics.evolve_shifted
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(args) or evolve_shifted(*args))
-    coupled.columns([0.3 / t, -0.6 / t, 0.6 / t])
+    coupled.read([0.3 / t, -0.6 / t, 0.6 / t])
     assert blocks == [] and coupled.nodes == 12 and coupled.node_tail == fitted
-    coupled.columns([-0.5j * 0.01 / t])
+    coupled.read([-0.5j * 0.01 / t])
     absorbing = coupled.node_tail
-    coupled.columns([-0.5j * 0.005 / t])
+    coupled.read([-0.5j * 0.005 / t])
     assert len(blocks) == 1 and coupled.node_tail == absorbing <= 1e-13
-    coupled.columns([0.3 / t])
+    coupled.read([0.3 / t])
     assert len(blocks) == 2
 
 
@@ -229,7 +229,7 @@ def test_coupled_system_continues_to_the_imaginary_extent(g, t):
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
     coupled = CoupledSystem(Hamiltonian(spin_space()), QuantumState(spin_space(), v),
                             np.array([1.0, -1.0]), (0.0, t))
-    block = coupled.columns([-1j * g])
+    block = oracle.columns(coupled, [-1j * g])
     assert coupled.node_tail <= 1e-13
     exact = np.exp(np.array([-g * t, g * t])) * v
     np.testing.assert_allclose(block[:, 0], exact, rtol=0, atol=1e-12)
@@ -292,7 +292,7 @@ def test_catalog_clock_block_term_counts(name, nodes, terms, monkeypatch):
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(evolve_shifted(*args)) or blocks[-1])
     _, coupled, keys = _clock_keys(name, 1.0)
-    coupled.cover(keys)
+    coupled.serve(keys)
     [(block, used)] = blocks
     assert (block.shape[1], used) == (nodes, terms)
     assert (coupled.nodes, coupled.chebyshev_terms) == (nodes, terms)
@@ -422,3 +422,8 @@ def test_tridiagonal_rebuilds_static_matrix(name):
 def test_tridiagonal_rejects_other_structures():
     with pytest.raises(StructureError):
         Hamiltonian((position_space(GRID), spin_space()))
+    # a potential is one real value per grid point, and a spin has no grid
+    for space, potential in ((SPACE, np.zeros(GRID.n_points - 1)),
+                             (spin_space(), np.zeros(2))):
+        with pytest.raises(StructureError, match="does not match the position grid"):
+            Hamiltonian(space, potential_real=potential)

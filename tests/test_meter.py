@@ -125,7 +125,7 @@ def test_zero_coupling_leaves_product_state(crossing):
                         run.spec.initial_state().amplitudes)
     np.testing.assert_allclose(oracle.meter_composite(run), expected, atol=1e-12)
     # every shift is zero: the reference state, with no node block to fit
-    coupled.cover(np.zeros(3))
+    coupled.serve(np.zeros(3))
     assert (coupled.nodes, coupled.chebyshev_terms, coupled.node_tail) == (0, 0, 0.0)
     assert coupled._coeffs is None
 
@@ -436,7 +436,7 @@ def _worst_column_error(coupled, shifts):
     Chebyshev block, relative to ||psi0||."""
     direct, _ = evolve_shifted(coupled.system, coupled.observable, shifts,
                                coupled.psi0.amplitudes, coupled.duration)
-    interpolated = coupled.columns(shifts)
+    interpolated = oracle.columns(coupled, shifts)
     return (np.max(np.linalg.norm(interpolated - direct, axis=0))
             / np.linalg.norm(coupled.psi0.amplitudes))
 
@@ -474,13 +474,13 @@ def test_coupled_system_rebuilds_for_a_wider_request(monkeypatch):
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *a: blocks.append(a[2]) or evolve_shifted(*a))
     coupled = CoupledSystem(*args)
-    coupled.columns(narrow)
-    coupled.columns(narrow / 2)
+    coupled.read(narrow)
+    coupled.read(narrow / 2)
     assert len(blocks) == 1
-    later = coupled.columns(wide)
+    later = oracle.columns(coupled, wide)
     assert len(blocks) == 2
     assert np.max(np.abs(blocks[1])) == pytest.approx(np.max(np.abs(wide)), rel=1e-15)
-    fresh = CoupledSystem(*args).columns(wide)
+    fresh = oracle.columns(CoupledSystem(*args), wide)
     assert (np.max(np.linalg.norm(later - fresh, axis=0))
             <= 1e-13 * np.linalg.norm(sc.initial_state().amplitudes))
 
@@ -512,7 +512,7 @@ def test_coupled_system_refuses_shifts_past_the_node_cap():
     system, psi0, sz = _toy()
     coupled = CoupledSystem(system, psi0, sz, (0.0, 1.0))
     with pytest.raises(NumericalError, match="Chebyshev nodes"):
-        coupled.columns(np.array([2000.0]))
+        coupled.read(np.array([2000.0]))
 
 
 # -- strong regime ------------------------------------------------------------

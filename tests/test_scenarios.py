@@ -8,7 +8,7 @@ import scipy.linalg
 import oracle
 from weaktime import cli, dynamics, meter, scenarios, sojourn
 from weaktime.errors import NumericalError, ParameterError, ValidationError
-from weaktime.hilbert import Grid, QuantumState, Region, inner_product
+from weaktime.hilbert import Grid, QuantumState, Region, inner_product, spin_space
 from weaktime.scenarios import (
     PacketSpec,
     PotentialSpec,
@@ -75,9 +75,14 @@ def test_double_barrier_potential_array_and_interval():
     np.testing.assert_array_equal(pot.array(grid), expected)
     assert pot.interval == (5.0, 14.0)
     for x2_hi in (12.0, 10.0):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="second barrier needs x2_lo < x2_hi"):
             PotentialSpec(kind="double_barrier", v0=3.0, x_lo=5.0, x_hi=7.0,
                           x2_lo=12.0, x2_hi=x2_hi)
+    for kind in ("barrier", "double_barrier"):
+        with pytest.raises(ParameterError, match="barrier needs x_lo < x_hi"):
+            PotentialSpec(kind=kind, v0=3.0, x_lo=7.0, x_hi=7.0, x2_lo=12.0, x2_hi=14.0)
+    with pytest.raises(ParameterError, match="free potential has no barrier interval"):
+        PotentialSpec().interval
 
 
 @pytest.mark.parametrize("x_hi, second", [
@@ -377,6 +382,9 @@ def test_split_requires_cleared_barrier(barrier_ctx):
     )
     with pytest.raises(ValidationError, match="occupancy"):
         postselect_transmitted_reflected(early, sc.potential.interval)
+    spin = QuantumState(spin_space(), np.array([1.0, 0.0]), sc.window[1])
+    with pytest.raises(ParameterError, match="needs a position state"):
+        postselect_transmitted_reflected(spin, sc.potential.interval)
 
 
 def test_postselection_family_is_orthonormal(barrier_ctx):
@@ -420,6 +428,10 @@ def test_emit_writes_requested_formats(tmp_path):
     rows = csv_text.strip().split("\n")
     assert len(rows) == 2
     assert len(rows[1].split(",")) == 8
+    # a misspelled format writes nothing rather than falling back to one
+    with pytest.raises(ParameterError, match="unknown emit format 'cvs'"):
+        emit(bundle, fmt="cvs", out_dir=str(tmp_path / "none"))
+    assert not (tmp_path / "none").exists()
 
 
 def test_emit_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path):
@@ -486,23 +498,26 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     # the phase ladder does not already cover (9 real), and three absorbers
     # shared with the norm clock; T S = 0.6 and |Im u| / S = 0.125 ask for
     # 12 nodes
-    blocks, covers = [], []
+    blocks, served, reads = [], [], []
     evolve_shifted = dynamics.evolve_shifted
-    cover = dynamics.CoupledSystem.cover
+    serve, read = dynamics.CoupledSystem.serve, dynamics.CoupledSystem.read
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(args[2]) or evolve_shifted(*args))
-    monkeypatch.setattr(dynamics.CoupledSystem, "cover",
-                        lambda self, shifts: covers.append(shifts) or cover(self, shifts))
+    monkeypatch.setattr(dynamics.CoupledSystem, "serve",
+                        lambda self, shifts: served.append(list(shifts)) or serve(self, shifts))
+    monkeypatch.setattr(dynamics.CoupledSystem, "read",
+                        lambda self, shifts: reads.append(list(shifts)) or read(self, shifts))
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
     [nodes] = blocks
     assert nodes.size == 12 and np.isrealobj(nodes)
-    # the scenario's cover tabulates every key; the four readouts read that
-    # table and cover nothing again
-    [keys] = covers
+    # the scenario serves every key before any readout; the four readouts
+    # each take one read of keys inside that fit, so none refits it
+    keys = served[0]
     assert len(keys) == len(set(keys)) == 12
     assert sum(u.imag == 0.0 for u in keys) == 9
     assert all(u.real == 0.0 and u.imag < 0.0 for u in keys if u.imag)
     assert np.max(np.abs(nodes)) == max(abs(u.real) for u in keys)
+    assert len(reads) == 4 and all(set(shifts) <= set(keys) for shifts in reads)
 
 
 @pytest.mark.parametrize("pipelines, nodes", [
@@ -671,6 +686,8 @@ def _set_keys(path, values):
     ({"initial.eigenstate": "-1"}, "eigenstate index -1 outside [0, 128)"),
     ({"initial.eigenstate": "500"}, "eigenstate index 500 outside [0, 128)"),
     ({"packet.sigma": "nan"}, "packet.sigma = nan is not finite"),
+    ({"postselection.mode": "bogus"}, "unknown postselection mode 'bogus'"),
+    ({"initial.kind": "bogus"}, "unknown initial kind 'bogus'"),
 ])
 def test_cli_refused_config_value_is_validation_error(well_config, values, message, capsys):
     # a value the scenario's own types refuse is a validation failure (exit
@@ -901,26 +918,27 @@ def test_config_window_reaches_the_operator_and_the_clock_runs(tmp_path, monkeyp
 
 
 def test_clock_block_holds_no_unread_column(monkeypatch):
-    # the pipeline covers exactly the keys its readouts read: every key of
-    # the cover is read, off one coupled system, and nothing outside it
-    covered, systems, read = [], [], []
-    cover, columns = dynamics.CoupledSystem.cover, dynamics.CoupledSystem.columns
+    # the pipeline serves exactly the keys its readouts read: every served
+    # key is read, off one coupled system, and nothing outside them
+    served, systems, read_keys = [], [], []
+    serve, read = dynamics.CoupledSystem.serve, dynamics.CoupledSystem.read
 
-    def recording_cover(coupled, shifts):
-        covered.extend(complex(u) for u in shifts)
-        return cover(coupled, shifts)
+    def recording_serve(coupled, shifts):
+        if not served:
+            served.extend(complex(u) for u in shifts)
+        return serve(coupled, shifts)
 
-    def recording_columns(coupled, shifts):
+    def recording_read(coupled, shifts):
         systems.append(coupled)
-        read.extend(complex(u) for u in shifts)
-        return columns(coupled, shifts)
+        read_keys.extend(complex(u) for u in shifts)
+        return read(coupled, shifts)
 
-    monkeypatch.setattr(dynamics.CoupledSystem, "cover", recording_cover)
-    monkeypatch.setattr(dynamics.CoupledSystem, "columns", recording_columns)
+    monkeypatch.setattr(dynamics.CoupledSystem, "serve", recording_serve)
+    monkeypatch.setattr(dynamics.CoupledSystem, "read", recording_read)
     run_scenario(catalog()["barrier_dwell"], ("clocks",))
     assert len(systems) == 4 and all(c is systems[0] for c in systems)
-    assert len(set(covered)) == 12
-    assert set(read) == set(covered)
+    assert len(set(served)) == 12
+    assert set(read_keys) == set(served)
 
 
 def test_config_has_no_time_step():
