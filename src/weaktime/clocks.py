@@ -15,8 +15,8 @@ observing the region, the one the meter reads at real u, and the clocks
 read it the way the meter does: each readout takes one `read` of u = 0
 and its keys, the real keys interpolated between its real nodes, the
 absorbing ones by analytic continuation, and a key outside the fit held
-refits it.  A survival is a diagonal entry of that read's Gram, a
-postselected amplitude an entry of its overlaps.  In a scenario
+refits it.  A survival is a diagonal entry of that read's Gram, formed
+alone, a postselected amplitude an entry of its overlaps.  In a scenario
 `run_scenario` serves every shift the clocks (`clock_shifts`) and the
 meter read before any readout, so they all share one node block.  The
 postselected readouts share one skeleton (`_sweep`) and differ only in
@@ -29,7 +29,8 @@ in the spin, so spin-up and spin-down evolve under H + hbar omega/2 and
 H - hbar omega/2 on the region: the same pair of position-only runs as the
 phase clock at v = hbar omega/2.  No spin factor is ever built.
 
-Nothing here has a time step: on the catalog ladders 12 nodes bound the
+Nothing here has a time step: on the catalog ladders 10 nodes (4 on
+`free_box`, whose region is the whole box, a constant observable) bound the
 interpolant's dropped tail by 1e-13 ||psi0|| at every key (see
 `CoupledSystem`), and the keys, absorbing ones included, agree with a dense
 evolution to 1e-12 in any entry, as do the postselectors, which come from
@@ -85,11 +86,14 @@ def clock_shifts(real_potential=(), imaginary_potential=(), larmor=()) -> tuple:
 def _read(coupled: CoupledSystem, keys: list):
     """`coupled.read` of u = 0 and the keys, and each key's survival
     ||psi(u)||^2 / ||psi0||^2, the share of the packet kept at u whatever
-    its norm, off the read's Gram; ParameterError for a key that absorbs
-    more than MAX_ABSORBED_FRACTION of the packet."""
+    its norm: its diagonal entry of the read's Gram M^H (X^H X) M, with no
+    other entry formed; ParameterError for a key that absorbs more than
+    MAX_ABSORBED_FRACTION of the packet."""
     reading = coupled.read([0j, *keys])
     weight = coupled.psi0.cell_weight / coupled.psi0.norm() ** 2
-    survival = (weight * reading.gram().diagonal()[2:].real).tolist()
+    mix = reading.mix[:, 2:]
+    norms = np.einsum("ij,ij->j", mix.conj(), reading.rows_gram @ mix).real
+    survival = (weight * norms).tolist()
     for u, kept in zip(keys, survival):
         if not 1.0 - kept <= MAX_ABSORBED_FRACTION:
             raise ParameterError(

@@ -6,18 +6,20 @@ tridiagonal form (`tridiagonal`).  Static Hamiltonians evolve exactly in
 their eigenbasis (`evolve_eigenbasis`).  A family H + s_j diag(a) of
 Hamiltonians that differ by real multiples of one real diagonal evolves one
 start vector exactly as one block (`evolve_shifted`): a Chebyshev expansion
-of exp(-iHt) over the family's common spectral interval, applied by the
-three-term recurrence to all columns at once, with no eigensolve.  The
-series is centred on the stencil's own diagonal, so the family's diagonal
-is left only on the rows the potential or the observable reaches, and each
-term is built in place over the one two before it: two real updates of the
-block for the shared off-diagonal, one small multiply-add on those rows,
-and one real update of the even or odd sum.
+of exp(-iHt) over the family's common spectral interval, which Weyl's
+inequality bounds from the Hamiltonian's cached eigenvalues, applied by the
+three-term recurrence to all columns at once, with no eigensolve of the
+family.  The series is centred on the stencil's own diagonal, so the
+family's diagonal is left only on the rows the potential or the observable
+reaches, and each term is built in place over the one two before it: two
+real updates of the block for the shared off-diagonal, one small
+multiply-add on those rows, and one real update of the even or odd sum.
 
 The coupled family psi(s) = exp(-iT(H + s diag(a)))psi0 is entire in the
 shift s, so a `CoupledSystem` evolves it once, at Chebyshev nodes in s as
-one such block, and reads every other shift off their interpolant: the
-meter's pointer modes at real s, the clocks' keys also at complex s, whose
+one such block, and reads every other shift off their interpolant, fitted
+with the observable's constant part taken out as a phase: the meter's
+pointer modes at real s, the clocks' keys also at complex s, whose
 imaginary part is an absorber, the one form absorbers take in the package.
 What the block serves is fixed when it is fitted, a Bernstein ellipse about
 the node interval, so a read inside it only interpolates, and every reader
@@ -207,14 +209,18 @@ def evolve_shifted(
     exp(-i t H_j) = exp(-i t c) sum_n (2 - delta_n0) (-i)^n J_n(r t)
     T_n((H_j - c) / r), cut at the first n >= r t with |J_n(r t)| <= 1e-15.
     The interval [c - r, c + r] is centred on the stencil's diagonal, c =
-    2 |hop| for the uniform off-diagonal hop, and r is a Gershgorin bound:
-    2 |hop| plus the largest |diag - c + s_j a| over rows and shifts.  So
-    (H_j - c) / r has a diagonal only on the rows [lo, hi) between the first
-    and the last one the potential or the observable reaches (none on a free
-    Hamiltonian with a zero observable).  The terms are taken with the
-    Bessel signs folded in, S_n = (-1)^floor(n/2) T_n, which obey S_1 = Hs
-    S_0 and S_{n+1} = +-2 Hs S_n + S_{n-1}, + for even n, Hs = (H_j - c) /
-    r.  Each term is added in place onto the one two before it, in two
+    2 |hop| for the uniform off-diagonal hop, and r is Weyl's bound from the
+    Hamiltonian's cached eigenvalues (`Hamiltonian.eigensystem`,
+    `_weyl_radius`): the spectrum of H_j lies in [lambda_min + min_i s_j
+    a_i, lambda_max + max_i s_j a_i], so r is the larger distance from c to
+    an end of the union of these over the shifts, plus a few ulps of the
+    spectrum for the eigensolver's rounding.  So (H_j - c) / r has a
+    diagonal only on the rows [lo, hi) between the first and the last one
+    the potential or the observable reaches (none on a free Hamiltonian
+    with a zero observable).  The terms are taken with the Bessel signs
+    folded in, S_n = (-1)^floor(n/2) T_n, which obey S_1 = Hs S_0 and
+    S_{n+1} = +-2 Hs S_n + S_{n-1}, + for even n, Hs = (H_j - c) / r.
+    Each term is added in place onto the one two before it, in two
     (dimension, 2 len(shifts)) buffers of the interleaved real and imaginary
     parts: two real updates for the off-diagonal, one multiply-add of the
     per-column diagonal on [lo, hi), then one update of the even or the odd
@@ -240,8 +246,9 @@ def evolve_shifted(
         return np.empty((n, 0), dtype=complex), 0
     hop = float(off[0])
     center = 2.0 * abs(hop)
-    dev = diag[:, None] + a[:, None] * shifts - center
-    radius = 2.0 * abs(hop) + float(np.max(np.abs(dev)))
+    coupling = a[:, None] * shifts
+    dev = diag[:, None] + coupling - center
+    radius = _weyl_radius(hamiltonian, coupling, center)
     rows = np.flatnonzero(np.any(dev, axis=1))
     lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
     t = duration / HBAR
@@ -283,6 +290,18 @@ def evolve_shifted(
     return np.exp(-1j * center * t) * (even - 1j * odd), terms
 
 
+def _weyl_radius(hamiltonian: Hamiltonian, coupling: np.ndarray, center: float) -> float:
+    """The least r with [center - r, center + r] holding the spectrum of
+    every H + diag(coupling[:, j]) by Weyl's inequality, from the
+    Hamiltonian's cached eigenvalues lambda: each lies in [lambda_min +
+    min_i coupling_ij, lambda_max + max_i coupling_ij].  Plus 8 ulps of the
+    largest |lambda|, the eigensolver's rounding."""
+    vals = hamiltonian.eigensystem()[0]
+    lower, upper = vals[0] + np.min(coupling), vals[-1] + np.max(coupling)
+    return float(max(center - lower, upper - center)
+                 + 8.0 * np.finfo(float).eps * max(abs(vals[0]), abs(vals[-1])))
+
+
 def _lobatto_fit(n: int) -> np.ndarray:
     """DCT-I: the (n + 1, n + 1) real matrix taking values at the Lobatto
     nodes x_j = cos(j pi / n) to the coefficients c_k of their interpolant
@@ -312,17 +331,22 @@ def _bernstein(z: np.ndarray) -> float:
 @functools.lru_cache(maxsize=64)
 def _node_tail(reach: float, rho0: float):
     """(n, bound): the least degree n with bound <= _NODE_TAIL of the
-    Chebyshev interpolant of psi(S z) on [-1, 1], and the bound, relative
-    to ||psi0||, on its series terms past n at any z of Bernstein parameter
-    rho0: the minimum over rho = rho0 _RHO_RATIOS of
+    Chebyshev interpolant of the centred family psi~(S z) on [-1, 1] (see
+    `CoupledSystem`), and the bound, relative to ||psi0||, on its series
+    terms past n at any z of Bernstein parameter rho0: the minimum over rho
+    = rho0 _RHO_RATIOS of
 
         2 exp(reach (rho - 1/rho) / 2) (rho0/rho)^(n+1) / (1 - rho0/rho),
 
-    reach = T S max|a| / hbar.  On the ellipse E_rho, |Im z| <= (rho -
-    1/rho) / 2 and ||exp(-iT(H + s diag(a)))|| <= exp(T |Im s| max|a| /
-    hbar), which bounds the k-th coefficient by 2 exp(.) rho^-k; at z,
-    |T_k(z)| <= rho0^k.  Cached, since every pass of a scenario asks for
-    the same (reach, rho0).
+    reach = T S h / hbar, h the observable's half range (max a - min a) /
+    2.  On the ellipse E_rho, |Im z| <= (rho - 1/rho) / 2 and ||psi~(s)|| =
+    ||exp(-iT(H + s diag(a - kappa)) / hbar) psi0|| <= exp(T |Im s| h /
+    hbar) ||psi0||, since |a - kappa| <= h, which bounds the k-th
+    coefficient by 2 exp(.) rho^-k; at z, |T_k(z)| <= rho0^k.  The bound is
+    psi~'s: psi's error at a shift s is |exp(-iTs kappa / hbar)| times it,
+    at most 1 at real shifts and, for kappa >= 0 (a region indicator), at
+    absorbing ones.  Cached, since every pass of a scenario asks for the
+    same (reach, rho0).
     """
     q = _RHO_RATIOS
     rho = rho0 * q
@@ -336,34 +360,46 @@ class CoupledSystem:
     the real diagonal observable a: psi(s) = exp(-iT(H + s diag(a)) / hbar)
     psi0 for any coupling shift s, complex ones (absorbers) included.
 
-    psi(s) is entire in s, so its Chebyshev interpolant through the real
-    Lobatto nodes S cos(j pi / n), j = 0..n, converges to it in the whole
-    plane (Trefethen, Approximation Theory and Approximation Practice, ch.
-    8).  A fit to a request takes S the largest |Re s|, widened to 8 |Im s|
-    where that is larger, so that an absorber s / S lies within the
-    Bernstein ellipse rho = 1.13 (real ones on [-1, 1], rho = 1); rho0 is
-    the largest rho at the shifts asked for, and n the least degree whose
-    a-priori bound on the dropped tail (`_node_tail`) is at most 1e-13
-    ||psi0|| on E_rho0.  The n + 1 nodes are one `evolve_shifted` block.
-    Both the bound and the rounding gain grow with rho, so the fit serves
-    exactly the shifts s with s / S in E_rho0, and a later request with any
-    shift outside it refits to that request (`serve`; every read serves
-    its shifts first).  Off the real axis the interpolant amplifies the
-    nodes' rounding by about rho0^n: a fit past 1e3 (an absorber with T
-    |Im s| max|a| beyond about 2.5) raises ParameterError, one past n =
-    1024 NumericalError.
+    The constant part kappa = (max a + min a) / 2 of the observable
+    commutes with H and adds only the phase exp(-iTs kappa / hbar), so the
+    fit is to the centred family psi~(s) = exp(iTs kappa / hbar) psi(s) =
+    exp(-iT(H + s diag(a - kappa)) / hbar) psi0, whose observable has the
+    half range h = (max a - min a) / 2 (half of max|a| for a region
+    indicator, 0 for a constant): the node columns are psi(s_j) evolved
+    with a as they are, each times exp(iT s_j kappa / hbar), and a read
+    puts the phase back.  psi~(s) is entire in s, so its Chebyshev
+    interpolant through the real Lobatto nodes S cos(j pi / n), j = 0..n,
+    converges to it in the whole plane (Trefethen, Approximation Theory
+    and Approximation Practice, ch. 8).  A fit to a request takes S the
+    largest |Re s|, widened to 8 |Im s| where that is larger, so that an
+    absorber s / S lies within the Bernstein ellipse rho = 1.13 (real ones
+    on [-1, 1], rho = 1); rho0 is the largest rho at the shifts asked for,
+    and n the least degree whose a-priori bound on the dropped tail
+    (`_node_tail`) is at most 1e-13 ||psi0|| on E_rho0, its reach T S h /
+    hbar.  The n + 1 nodes are one `evolve_shifted` block.  Both the bound
+    and the rounding gain grow with rho, so the fit serves exactly the
+    shifts s with s / S in E_rho0, and a later request with any shift
+    outside it refits to that request (`serve`; every read serves its
+    shifts first, at once for the very keys the held fit has served
+    before).  Off the real axis the interpolant amplifies the nodes'
+    rounding by about rho0^n: a fit past 1e3 (an absorber with T |Im s| h
+    beyond about 2.7) raises ParameterError, one past n = 1024
+    NumericalError.
 
     Every reader, the clocks and the meter alike, reads the family through
     one fixed basis, X = [psi_ref | c_0 .. c_{n-1}], N x (n + 1) for the
-    interpolant psi(s) = sum_k T_k(s / S) c_k, so a set of K shifts enters
-    only through the (n + 1) x (K + 1) Chebyshev matrix M with [psi_ref |
-    psi(s_1) ..] = X M: a `read` of them is a `FixedRead`, whose Gram is
-    M^H (X^H X) M and whose overlaps are chi^H X M, with X^H X and each
-    postselector's chi^H X held once per fit and reference state, so that
-    no read costs N.  The coupled system reports the one node block behind
-    them: `nodes` columns evolved by a series of `chebyshev_terms` terms
-    (nodes x terms is its work), and `node_tail`, the tail bound it was
-    fitted to; all three are 0 until a nonzero shift is asked for.
+    interpolant psi~(s) = sum_k T_k(s / S) c_k, so a set of K shifts enters
+    only through the (n + 1) x (K + 1) matrix M, T_k(s / S) exp(-iTs kappa
+    / hbar) in a shift's column, with [psi_ref | psi(s_1) ..] = X M.  The
+    held c_k are psi~'s, so a derivative in s of psi takes the phase's
+    term too: psi'(0) = psi~'(0) - iT kappa psi~(0) / hbar.  A `read` of
+    the shifts is a `FixedRead`, whose Gram is M^H (X^H X) M and whose
+    overlaps are chi^H X M, with X^H X and each postselector's chi^H X
+    held once per fit and reference state, so that no read costs N.  The
+    coupled system reports the one node block behind them: `nodes` columns
+    evolved by a series of `chebyshev_terms` terms (nodes x terms is its
+    work), and `node_tail`, the tail bound it was fitted to; all three are
+    0 until a nonzero shift is asked for.
 
     The constructor raises StructureError for an observable that is not a
     real array of shape (system.dimension,), and ParameterError unless
@@ -386,8 +422,12 @@ class CoupledSystem:
             raise StructureError("state and Hamiltonian live on different spaces")
         self.system, self.psi0, self.observable = system, psi0, a
         self.window, self.duration = (t0, t1), t1 - t0
+        # kappa and h of the centred fit
+        self._centre = 0.5 * (float(np.max(a)) + float(np.min(a)))
+        self._half_range = 0.5 * (float(np.max(a)) - float(np.min(a)))
         self._interval = self._rho = 0.0
         self._coeffs = self._basis = None
+        self._served = set()
         self.nodes = self.chebyshev_terms = 0
         self.node_tail = 0.0
 
@@ -398,15 +438,20 @@ class CoupledSystem:
 
     def serve(self, shifts) -> None:
         """Make the interpolant serve every shift: refit it to them unless
-        each lies in the Bernstein ellipse the one held was fitted on, or
-        all are zero, which every read serves exactly."""
+        each is a key the one held has served before (returned at once), or
+        lies in the Bernstein ellipse it was fitted on, or all are zero,
+        which every read serves exactly.  A refit forgets the keys served
+        before it."""
         shifts = np.asarray(shifts)
-        if not np.any(shifts) or (self._coeffs is not None
-                                  and _bernstein(shifts / self._interval) <= self._rho):
+        keys = shifts.ravel().tolist()
+        if self._served.issuperset(keys) or not np.any(shifts):
+            return
+        if self._coeffs is not None and _bernstein(shifts / self._interval) <= self._rho:
+            self._served.update(keys)
             return
         interval = max(float(np.max(np.abs(shifts.real))),
                        float(np.max(np.abs(shifts.imag))) / _OFF_AXIS)
-        reach = self.duration * interval * float(np.max(np.abs(self.observable))) / HBAR
+        reach = self.duration * interval * self._half_range / HBAR
         rho0 = _bernstein(shifts / interval)
         degree, tail = _node_tail(reach, rho0)
         if rho0**degree > _MAX_GAIN:
@@ -423,24 +468,26 @@ class CoupledSystem:
         nodes = interval * np.cos(np.arange(degree + 1) * np.pi / degree)
         block, terms = evolve_shifted(self.system, self.observable, nodes,
                                       self.psi0.amplitudes, self.duration)
+        block *= np.exp((1j * self.duration * self._centre / HBAR) * nodes)
         self._coeffs = apply_real(_lobatto_fit(degree), block.T)
-        self._interval, self._rho = interval, rho0
+        self._interval, self._rho, self._served = interval, rho0, set(keys)
         self.nodes, self.chebyshev_terms, self.node_tail = degree + 1, terms, tail
 
     def read(self, shifts) -> FixedRead:
         """B = [psi_ref | psi(s_1) .. psi(s_K)] as X M under the fit that
         serves the shifts (refitting first if the one held does not): M,
-        (nodes + 1, K + 1), is e_0, then T_k(s / S) under a zero row for each
-        shift, or e_0 again for all-zero shifts, which read the reference
-        state with no fit.  X and X^H X are held once per fit and reference
-        state."""
+        (nodes + 1, K + 1), is e_0, then T_k(s / S) exp(-iTs kappa / hbar)
+        under a zero row for each shift, or e_0 again for all-zero shifts,
+        which read the reference state with no fit.  X and X^H X are held
+        once per fit and reference state."""
         shifts = np.asarray(shifts)
         self.serve(shifts)
-        mix = np.zeros((self.nodes + 1, shifts.size + 1), np.result_type(shifts, float))
+        mix = np.zeros((self.nodes + 1, shifts.size + 1), complex)
         mix[0, 0] = 1.0
         if np.any(shifts):
-            mix[1:, 1:] = np.polynomial.chebyshev.chebvander(shifts / self._interval,
-                                                             self.nodes - 1).T
+            mix[1:, 1:] = (np.polynomial.chebyshev.chebvander(shifts / self._interval,
+                                                              self.nodes - 1).T
+                           * np.exp((-1j * self.duration * self._centre / HBAR) * shifts))
         else:
             mix[0, 1:] = 1.0
         ref = self.reference_system_final.amplitudes

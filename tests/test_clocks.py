@@ -276,8 +276,9 @@ def test_absorbed_fraction_guard(crossing):
 
 
 def test_runs_refuse_an_absorber_too_far_off_the_real_axis(crossing):
-    # Gamma T = 16 puts u = -i at T |Im u| = 8: continued from real nodes,
-    # its column would carry the nodes' rounding amplified ~1e6-fold, so the
+    # Gamma T = 16 puts u = -i at T |Im u| = 8, T |Im u| h = 4 for the
+    # region's half range h = 1/2: continued from real nodes, its column
+    # would carry the nodes' rounding amplified ~7e3-fold, so the
     # coupled system refuses to serve it before any absorbed fraction is read
     ham, psi0, psi_final, _ = crossing
     ladder = (2.0, 1.0, 0.5)

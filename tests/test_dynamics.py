@@ -142,11 +142,12 @@ def _clock_keys(name, gamma_scale):
 @pytest.mark.parametrize("gamma_scale", [1.0, 10.0])
 @pytest.mark.parametrize("name", ["well_halves", "free_box"])
 def test_clock_runs_complex_keys_match_oracle(name, gamma_scale):
-    # the clocks' absorbing keys off the node interpolant, at the catalog
-    # ladder and at ten times its absorbers (past the clocks'
-    # absorbed-fraction guard, which the coupled system does not apply);
-    # well_halves has the catalog's largest Gamma (0.15 / T at T = 20),
-    # free_box an absorber over the whole box
+    # the clocks' keys off the node interpolant, at the catalog ladder and
+    # at ten times its absorbers (past the clocks' absorbed-fraction guard,
+    # which the coupled system does not apply); well_halves has the
+    # catalog's largest Gamma (0.15 / T at T = 20) on an indicator, whose
+    # fit is centred on 1/2, and free_box an absorber over the whole box, a
+    # constant observable
     sc, coupled, keys = _clock_keys(name, gamma_scale)
     shifts = np.array(keys)
     assert shifts.size == 12 and np.count_nonzero(shifts.imag) == 3
@@ -154,8 +155,9 @@ def test_clock_runs_complex_keys_match_oracle(name, gamma_scale):
     h = oracle.dense_hamiltonian(sc.hamiltonian())
     a, v = sc.region.indicator(sc.grid), sc.initial_state().amplitudes
     lossy = np.nonzero(shifts.imag)[0]
-    # the dense exponential costs 0.2 s at N=256: check the strongest there
-    for j in (lossy if sc.grid.n_points <= 128 else lossy[:1]):
+    # the dense exponential costs 0.2 s at N=256: check the strongest there,
+    # and every key, real and absorbing, at N=128
+    for j in (range(shifts.size) if sc.grid.n_points <= 128 else lossy[:1]):
         ref = oracle.evolve_exact(h + shifts[j] * np.diag(a), v, sc.duration())
         np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
 
@@ -170,9 +172,27 @@ def test_coupled_system_absorbing_norms_fall_with_gamma(name):
     assert np.all(np.diff(np.linalg.norm(block, axis=0)) < 0)
 
 
+def test_constant_observable_is_a_phase_on_four_nodes():
+    # a = 1 commutes with H: psi(s) = exp(-iTs / hbar) psi_final exactly, so
+    # the centred fit sees a constant family, with no reach, and takes at
+    # most 4 nodes for the clock keys, real and absorbing, read to rounding
+    sc = catalog()["well_halves"]
+    t = sc.duration()
+    ladders = {k: tuple(c / t for c in v) for k, v in CLOCK_LADDERS.items()}
+    keys = np.array(clock_shifts(**ladders))
+    coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            np.ones(sc.grid.n_points), sc.window)
+    block = oracle.columns(coupled, keys)
+    assert coupled.nodes <= 4 and coupled.node_tail <= 1e-13
+    final = evolve_eigenbasis(sc.initial_state(), sc.hamiltonian(), sc.window[1]).amplitudes
+    for j, s in enumerate(keys):
+        want = np.exp(-1j * t * s / HBAR) * final
+        assert np.linalg.norm(block[:, j] - want) <= 1e-13 * np.linalg.norm(want), s
+
+
 def test_coupled_system_serves_only_the_ellipse_it_was_fitted_on(monkeypatch):
     # fitted on the Larmor keys +-0.6 / T of well_halves, on the real
-    # interval (rho = 1), 12 nodes serve every real key up to 0.6 / T with
+    # interval (rho = 1), 10 nodes serve every real key up to 0.6 / T with
     # no block and keep the fit's bound; an absorber lies off that interval
     # and refits once, to its own ellipse, which then serves a weaker one
     sc = catalog()["well_halves"]
@@ -186,13 +206,37 @@ def test_coupled_system_serves_only_the_ellipse_it_was_fitted_on(monkeypatch):
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: blocks.append(args) or evolve_shifted(*args))
     coupled.read([0.3 / t, -0.6 / t, 0.6 / t])
-    assert blocks == [] and coupled.nodes == 12 and coupled.node_tail == fitted
+    assert blocks == [] and coupled.nodes == 10 and coupled.node_tail == fitted
     coupled.read([-0.5j * 0.01 / t])
     absorbing = coupled.node_tail
     coupled.read([-0.5j * 0.005 / t])
     assert len(blocks) == 1 and coupled.node_tail == absorbing <= 1e-13
     coupled.read([0.3 / t])
     assert len(blocks) == 2
+
+
+def test_coupled_system_serves_a_key_again_with_no_ellipse_test(monkeypatch):
+    # the keys a fit has served are served again at once, with no
+    # Bernstein test; a refit forgets them, so a key the new fit's ellipse
+    # leaves out refits once more
+    sc = catalog()["well_halves"]
+    t = sc.duration()
+    coupled = CoupledSystem(sc.hamiltonian(), sc.initial_state(),
+                            sc.region.indicator(sc.grid), sc.window)
+    coupled.serve([0.6 / t, -0.6 / t])
+    tests = []
+    bernstein = dynamics._bernstein
+    monkeypatch.setattr(dynamics, "_bernstein", lambda z: tests.append(z) or bernstein(z))
+    coupled.read([-0.6 / t, 0.6 / t])
+    assert tests == []
+    coupled.read([0.3 / t])
+    coupled.read([0.3 / t, 0.6 / t])
+    assert len(tests) == 1
+    coupled.read([-0.5j * 0.01 / t])
+    refits = len(tests)
+    coupled.read([0.3 / t])
+    # one test the absorber's ellipse fails, one for the real refit's rho0
+    assert len(tests) == refits + 2 and coupled._rho == 1.0
 
 
 def test_bernstein_is_exactly_one_on_the_node_interval():
@@ -265,13 +309,11 @@ def test_evolve_shifted_ring_edges_match_oracle(k):
     # the loop's edges: 1 term takes no step, 2 only the halved first one, 3
     # the first in-place one; the longer series end on an odd or an even
     # term, which the two buffers alternate between.  The radius is the
-    # centred interval's: 2 |hop| plus the largest |diag - 2 |hop| + s a|
+    # centred interval's, about c = 2 |hop|
     ham = Hamiltonian(SPACE, potential_real=0.3 * Region(15.0, 25.0).indicator(GRID))
     a, v = Region(12.0, 28.0).indicator(GRID), _packet().amplitudes
     shifts = np.array([-0.5, 0.0, 0.5])
-    diag, off = ham.tridiagonal()
-    hop = abs(off[0])
-    radius = 2.0 * hop + np.max(np.abs(diag[:, None] + a[:, None] * shifts - 2.0 * hop))
+    radius = dynamics._weyl_radius(ham, a[:, None] * shifts, 2.0 * abs(ham.tridiagonal()[1][0]))
     duration = HBAR * _argument_for_terms(k) / radius
     block, terms = evolve_shifted(ham, a, shifts, v, duration)
     assert terms == k
@@ -280,13 +322,43 @@ def test_evolve_shifted_ring_edges_match_oracle(k):
         np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
 
 
+def test_weyl_interval_holds_the_tallest_meter_barrier():
+    # the tallest barrier the meter workload draws (dx = 1, v0 = 1.3^2 / 0.4),
+    # where the potential is large against the stencil: the series' interval
+    # [c - r, c + r] about c = 2 |hop| holds the dense spectrum of every H +
+    # s diag(a) at the meter's shifts, r is below the Gershgorin radius 2 |hop|
+    # + max|diag - c + s a|, and the block meets the dense evolution
+    grid = Grid(128, 0.0, 127.0)
+    region = Region(39.0, 41.0)
+    ham = Hamiltonian(position_space(grid),
+                      potential_real=round(1.3**2 / 0.4, 4) * region.indicator(grid))
+    a = region.indicator(grid)
+    v = gaussian_packet(grid, 18.5, 3.5, 1.3).amplitudes
+    t = 21.0
+    shifts = coupling_shifts(METER_POINTER, max(METER_LADDER), t)
+    diag, off = ham.tridiagonal()
+    center = 2.0 * abs(off[0])
+    radius = dynamics._weyl_radius(ham, a[:, None] * shifts, center)
+    gershgorin = 2.0 * abs(off[0]) + np.max(np.abs(diag[:, None] + a[:, None] * shifts - center))
+    assert radius < gershgorin
+    h = oracle.dense_hamiltonian(ham)
+    block, _ = evolve_shifted(ham, a, shifts, v, t)
+    for j, s in enumerate(shifts):
+        vals = np.linalg.eigvalsh(h + s * np.diag(a))
+        assert center - radius <= vals[0] and vals[-1] <= center + radius
+        ref = oracle.evolve_exact(h + s * np.diag(a), v, t)
+        np.testing.assert_allclose(block[:, j], ref, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name, nodes, terms", [
-    ("free_box", 12, 209), ("well_halves", 12, 151), ("barrier_dwell", 12, 639),
-    ("barrier_farside", 12, 638)])
+    ("free_box", 4, 209), ("well_halves", 10, 151), ("barrier_dwell", 10, 596),
+    ("barrier_farside", 10, 596)])
 def test_catalog_clock_block_term_counts(name, nodes, terms, monkeypatch):
     # the node block behind each catalog scenario's clocks, pinned, and
     # reported by the coupled system: T S = 0.6 and |Im u| / S = 0.125 on
-    # every scenario ask for 12 nodes
+    # every scenario, with the indicator's half range h = 1/2, ask for 10
+    # nodes; free_box's region is the whole box, a constant observable
+    # (h = 0), which asks for 4
     blocks = []
     evolve_shifted = dynamics.evolve_shifted
     monkeypatch.setattr(dynamics, "evolve_shifted",

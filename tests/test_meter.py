@@ -492,7 +492,7 @@ def test_meter_pipeline_evolves_one_node_block(monkeypatch, name):
                         lambda *a: calls.append(a[2].size) or evolve_shifted(*a))
     bundle = run_scenario(catalog()[name], pipelines=("meter",))
     assert any(r.method == "meter" for r in bundle.records)
-    assert calls == [15]
+    assert calls == [12]
 
 
 def test_coupled_system_refuses_what_run_meter_refused():

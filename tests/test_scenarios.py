@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from weaktime.scenarios import (
     scenario_to_config,
     validate_scenario,
 )
+
+# the resonant double barrier's config, as `format_config` writes it
+DOUBLE_BARRIER = Path(__file__).parent / "data" / "double_barrier.cfg"
 
 # -- configuration ------------------------------------------------------------
 
@@ -124,6 +128,7 @@ def test_double_barrier_scenario_config_round_trip(tmp_path, capsys):
     cfg = scenario_to_config(sc)
     text = format_config(cfg)
     assert "potential.x2_lo = 235.0\n" in text and "potential.x2_hi = 236.0\n" in text
+    assert DOUBLE_BARRIER.read_text() == text
     back = scenario_from_config(parse_config(text))
     assert back == sc
     assert config_hash(scenario_to_config(back)) == config_hash(cfg)
@@ -496,8 +501,8 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     # one node block serves the 12 distinct keys: the unperturbed system,
     # +-v for three phase strengths, +-omega/2 for the one Larmor strength
     # the phase ladder does not already cover (9 real), and three absorbers
-    # shared with the norm clock; T S = 0.6 and |Im u| / S = 0.125 ask for
-    # 12 nodes
+    # shared with the norm clock; T S = 0.6 and |Im u| / S = 0.125, with
+    # the indicator's half range h = 1/2, ask for 10 nodes
     blocks, served, reads = [], [], []
     evolve_shifted = dynamics.evolve_shifted
     serve, read = dynamics.CoupledSystem.serve, dynamics.CoupledSystem.read
@@ -509,7 +514,7 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
                         lambda self, shifts: reads.append(list(shifts)) or read(self, shifts))
     run_scenario(catalog()["well_halves"], pipelines=("clocks",))
     [nodes] = blocks
-    assert nodes.size == 12 and np.isrealobj(nodes)
+    assert nodes.size == 10 and np.isrealobj(nodes)
     # the scenario serves every key before any readout; the four readouts
     # each take one read of keys inside that fit, so none refits it
     keys = served[0]
@@ -520,20 +525,45 @@ def test_clock_pipeline_evolves_each_hamiltonian_once(monkeypatch):
     assert len(reads) == 4 and all(set(shifts) <= set(keys) for shifts in reads)
 
 
+def test_clock_readouts_reread_the_served_keys_with_no_ellipse_test(monkeypatch):
+    # every clock readout reads keys the scenario served first: no
+    # Bernstein test after the fit, and no full Gram, only its diagonal
+    tests = []
+    bernstein = dynamics._bernstein
+    monkeypatch.setattr(dynamics, "_bernstein", lambda z: tests.append(z) or bernstein(z))
+
+    def refuse(self):
+        raise AssertionError("a clock readout formed the full Gram")
+
+    monkeypatch.setattr(dynamics.FixedRead, "gram", refuse)
+    serve, per_serve = dynamics.CoupledSystem.serve, []
+
+    def counting_serve(self, shifts):
+        before = len(tests)
+        serve(self, shifts)
+        per_serve.append(len(tests) - before)
+
+    monkeypatch.setattr(dynamics.CoupledSystem, "serve", counting_serve)
+    run_scenario(catalog()["well_halves"], pipelines=("clocks",))
+    # the scenario's fit takes its rho0; the four readouts test nothing
+    assert per_serve == [1, 0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("pipelines, nodes", [
-    (("sojourn", "clocks", "meter"), 15), (("clocks",), 12), (("meter",), 15)])
+    (("sojourn", "clocks", "meter"), 12), (("clocks",), 10), (("meter",), 12)])
 def test_one_node_block_per_scenario(monkeypatch, pipelines, nodes):
     # the clocks and the meter read one coupled system, fitted once on the
     # union of the shifts they read: one block per scenario, whichever of
-    # them run, with the clocks' 12 keys inside the meter's 15 nodes
+    # them run, with the clocks' 12 keys inside the meter's 12 nodes;
+    # free_box observes the whole box, a constant, whose fit takes 4 nodes
     sizes = []
     evolve_shifted = dynamics.evolve_shifted
     monkeypatch.setattr(dynamics, "evolve_shifted",
                         lambda *args: sizes.append(len(args[2])) or evolve_shifted(*args))
-    for sc in catalog().values():
+    for name, sc in catalog().items():
         sizes.clear()
         run_scenario(sc, pipelines)
-        assert sizes == [nodes]
+        assert sizes == [4 if name == "free_box" else nodes]
 
 
 def test_meter_pipeline_runs_the_positive_ladder_once(well_meter):
@@ -555,7 +585,8 @@ def test_meter_pipeline_pointer_keeps_few_modes(well_meter):
 
 def test_meter_pipeline_runs_share_one_node_block(monkeypatch):
     # the three runs read one coupled system and interpolate from its one
-    # node block: T S = 1.29 asks for 15 nodes
+    # node block: T S = 1.29, with the indicator's half range h = 1/2, asks
+    # for 12 nodes
     systems = []
 
     def recording_run_meter(spec, coupled, coupling):
@@ -566,7 +597,7 @@ def test_meter_pipeline_runs_share_one_node_block(monkeypatch):
     run_scenario(catalog()["well_halves"], pipelines=("meter",))
     assert len(systems) == len(scenarios.METER_LADDER)
     assert all(coupled is systems[0] for coupled in systems)
-    assert systems[0].nodes == 15
+    assert systems[0].nodes == 12
     assert 0.0 < systems[0].node_tail <= 1e-13
 
 
@@ -983,6 +1014,30 @@ def test_every_clock_and_meter_record_meets_sojourn_within_its_residual(name):
     for rec in routes:
         want = ref[(rec.postselection, rec.order)]
         assert abs(rec.value - want) <= max(rec.residual, 1e-9 * abs(want)), rec
+
+
+def test_double_barrier_meets_sojourn_through_all_three_pipelines(monkeypatch):
+    # the resonant double barrier from its checked-in config: every clock
+    # and meter record within the gate's max(1% of sojourn, its residual),
+    # both sum rules at 1e-8, off one node block of 12 nodes x 1003 terms
+    blocks = []
+    evolve_shifted = dynamics.evolve_shifted
+    monkeypatch.setattr(dynamics, "evolve_shifted",
+                        lambda *args: blocks.append(evolve_shifted(*args)) or blocks[-1])
+    sc = scenario_from_config(parse_config(DOUBLE_BARRIER.read_text()))
+    bundle = run_scenario(sc, pipelines=("sojourn", "clocks", "meter"))
+    assert [(block.shape[1], terms) for block, terms in blocks] == [(12, 1003)]
+    ref = {(r.postselection, r.order): r.value for r in bundle.records
+           if r.method == "sojourn"}
+    routes = [r for r in bundle.records if r.method.startswith("clock_") or r.method == "meter"]
+    assert {r.method for r in routes} == {
+        "clock_real_potential", "clock_imaginary_potential", "clock_larmor",
+        "clock_imaginary_norm", "meter"}
+    for rec in routes:
+        want = ref[(rec.postselection, rec.order)]
+        assert abs(rec.value - want) <= max(0.01 * abs(want), rec.residual), rec
+    sums = [r for r in bundle.records if r.method == "sum_rule"]
+    assert len(sums) == 2 and all(abs(r.value) <= 1e-8 for r in sums)
 
 
 @pytest.mark.parametrize("offset, flagged", [
